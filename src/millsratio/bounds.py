@@ -237,35 +237,57 @@ def beta(m: int, tolerance=None) -> BetaRoot:
     return BetaRoot(m=m, value=value, bracket=(lo, hi))
 
 
+def log_convexity(n: int, x, precision_bits: int = 128, memo: dict | None = None) -> tuple[mpf, mpf]:
+    """(margin, threshold) of the log-convexity inequality at (n, x).
+
+    margin = A_n(x) phi(x)^2 - B_n(x) phi(x) + C_n(x), positive iff the
+    inequality holds; threshold is its propagated error bound.  phi, A_n,
+    B_n and C_n are each evaluated once, at precision_bits + 32; ``memo``
+    is an optional phi memo as described in certify_grid.
+    """
+    if n < 0:
+        raise ValueError("order must be non-negative")
+    wp = precision_bits + 32
+    ov = _phi(x, wp, memo)
+    t = quadratic_triple(n)
+    with mp.workprec(wp):
+        xv = to_mpf(x)
+        a, b, c = (poly.eval_real(xv, wp) for poly in (t.a, t.b, t.c))
+        phi = ov.value
+        margin = a * phi * phi - b * phi + c
+        horner = sum(poly.horner_error_bound(xv, wp) for poly in (t.a, t.b, t.c))
+        slope = abs(2 * a * phi - b) + 1
+        return margin, slope * ov.error_bound + horner * (1 + phi * phi)
+
+
 def log_convexity_check(n: int, x, precision_bits: int = 128) -> mpf:
     """A_n(x) phi(x)^2 - B_n(x) phi(x) + C_n(x); positive iff the
     log-convexity inequality holds at (n, x)."""
-    if n < 0:
-        raise ValueError("order must be non-negative")
-    ov = phi_series(x, precision_bits + 32)
-    with mp.workprec(precision_bits + 32):
-        a, b, c, _ = _quadratic_at(n, to_mpf(x), precision_bits + 32)
-        return a * ov.value * ov.value - b * ov.value + c
+    return log_convexity(n, x, precision_bits)[0]
 
 
 def log_convexity_error(n: int, x, precision_bits: int = 128) -> mpf:
     """Propagated error bound for log_convexity_check at the same arguments."""
-    ov = phi_series(x, precision_bits + 32)
-    with mp.workprec(precision_bits + 32):
-        xv = to_mpf(x)
-        a, b, _, _ = _quadratic_at(n, xv, precision_bits + 32)
-        t = quadratic_triple(n)
-        horner = sum(
-            p.horner_error_bound(xv, precision_bits + 32) for p in (t.a, t.b, t.c)
-        )
-        slope = abs(2 * a * ov.value - b) + 1
-        return slope * ov.error_bound + horner * (1 + ov.value * ov.value)
+    return log_convexity(n, x, precision_bits)[1]
+
+
+def _phi(x, precision_bits: int, memo: dict | None):
+    """phi_series(x, precision_bits), read from and stored into memo if given."""
+    if memo is None:
+        return phi_series(x, precision_bits)
+    key = (x, precision_bits)
+    ov = memo.get(key)
+    if ov is None:
+        ov = memo[key] = phi_series(x, precision_bits)
+    return ov
 
 
 FAMILIES = ("Eq15", "Eq16", "Eq17", "Eq18", "Eq19", "I")
 
 
-def certify_grid(family: str, orders: list[int], xs: list[Fraction], precision_bits: int = 128) -> list[Certificate]:
+def certify_grid(
+    family: str, orders: list[int], xs: list[Fraction], precision_bits: int = 128, memo: dict | None = None
+) -> list[Certificate]:
     """Evaluate a bound family against the oracle on a grid.
 
     Each certificate records the margin (distance from violation) rather
@@ -274,22 +296,18 @@ def certify_grid(family: str, orders: list[int], xs: list[Fraction], precision_b
     plus evaluation slack.  For the second-order family the sharpness
     claims against the first-order convergents are certified as companion
     "<id>_sharper" entries.
+
+    ``memo`` holds the oracle values keyed by (x, working precision).  A
+    caller that certifies several families over one grid passes the same
+    dict to every call, so each phi is evaluated once for the whole run;
+    without it the memo lives for this call only.  The dict is the caller's
+    and is dropped with it: there is no process-wide oracle cache.
     """
     fam = _normalize_family(family)
     check_precision(precision_bits)
     wp = precision_bits + 16
     xs = [Fraction(x) for x in xs]
-    phis: dict[Fraction, object] = {}
-
-    def oracle(x: Fraction):
-        if x not in phis:
-            phis[x] = phi_series(x, wp)
-        return phis[x]
-
-    def slack(x: Fraction) -> mpf:
-        ov = oracle(x)
-        with mp.workprec(wp):
-            return ov.error_bound + (1 + abs(ov.value)) * mpf(2) ** (-precision_bits)
+    memo = {} if memo is None else memo
 
     def cert(fid: str, n: int, x: Fraction, margin: mpf, threshold: mpf) -> Certificate:
         verdict = "pass" if margin > threshold else "fail"
@@ -298,32 +316,33 @@ def certify_grid(family: str, orders: list[int], xs: list[Fraction], precision_b
     out: list[Certificate] = []
     with mp.workprec(wp):
         for x in xs:
-            ov = oracle(x)
+            if fam == "Eq17":
+                for n in orders:
+                    out.append(cert("Eq17", n, x, *log_convexity(n, x, precision_bits, memo)))
+                continue
+            ov = _phi(x, wp, memo)
             phi = ov.value
+            slack = ov.error_bound + (1 + abs(phi)) * mpf(2) ** (-precision_bits)
             for n in _family_orders(fam, orders):
                 if fam == "Eq15":
                     lo = to_mpf(_convergent(2 * n, x))
                     hi = to_mpf(_convergent(2 * n + 1, x))
-                    out.append(cert("Eq15", n, x, min(phi - lo, hi - phi), slack(x)))
+                    out.append(cert("Eq15", n, x, min(phi - lo, hi - phi), slack))
                 elif fam == "Eq16":
                     conv = to_mpf(_convergent(n, x))
                     bound = to_mpf(_error_bound_exact(n, x))
-                    out.append(cert("Eq16", n, x, bound - abs(phi - conv), 2 * slack(x)))
+                    out.append(cert("Eq16", n, x, bound - abs(phi - conv), 2 * slack))
                 elif fam == "Eq18":
-                    out.append(cert("Eq18", 0, x, phi - komatsu_lower(x, wp), slack(x)))
+                    out.append(cert("Eq18", 0, x, phi - komatsu_lower(x, wp), slack))
                 elif fam == "Eq19":
-                    out.append(cert("Eq19", 1, x, szarek_werner_upper(x, wp) - phi, slack(x)))
-                elif fam == "Eq17":
-                    margin = log_convexity_check(n, x, precision_bits)
-                    threshold = log_convexity_error(n, x, precision_bits)
-                    out.append(cert("Eq17", n, x, margin, threshold))
+                    out.append(cert("Eq19", 1, x, szarek_werner_upper(x, wp) - phi, slack))
                 elif fam == "I":
                     try:
                         sb = second_order_bound(n, x, wp)
                     except (DomainError, SingularityError):
                         continue  # outside the stated domain, or exactly at a root of A_n
                     margin = phi - sb.value if sb.role == "lower" else sb.value - phi
-                    out.append(cert(f"I_{n}", n, x, margin, slack(x)))
+                    out.append(cert(f"I_{n}", n, x, margin, slack))
                     out.extend(_sharper_cert(n, x, sb, precision_bits, wp))
     out.sort(key=lambda c: (c.family, c.n, c.x))
     return out

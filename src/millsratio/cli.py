@@ -5,7 +5,8 @@ Exit status contract: 0 all-pass, 1 certification failure, 2 usage or
 domain error.  Rationals are accepted as "7/3" or "0.1" (parsed exactly,
 so grids are reproducible); decimal output is round-to-nearest with 20
 significant digits unless --digits is given.  The MILLS_PRECISION_BITS
-environment variable overrides the default precision of 128 bits.
+environment variable overrides the default precision of 128 bits; a value
+that is not an integer of at least 64 bits is a usage error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import __version__, families
+from . import __version__
 from .bounds import (
     CSV_COLUMNS,
     beta,
@@ -32,7 +33,7 @@ from .bounds import (
 from .contfrac import cf_b, cf_convergent, cf_ladder_eval, expansion_str
 from .errors import DomainError, MillsError
 from .families import discriminant, pq_pair, quadratic_triple, verify_identities
-from .numutil import nstr_fixed
+from .numutil import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, nstr_fixed
 from .oracle import phi_quadrature, phi_series
 
 
@@ -89,13 +90,21 @@ def grid_points(grid: tuple[Fraction, Fraction, Fraction]) -> list[Fraction]:
 
 
 def default_precision() -> int:
+    """The MILLS_PRECISION_BITS override, or 128 bits when it is unset or empty.
+
+    A value that is not an integer, or is below the minimum precision, is
+    refused with a DomainError that names the variable.
+    """
     raw = os.environ.get("MILLS_PRECISION_BITS")
-    if raw:
-        try:
-            return max(64, int(raw))
-        except ValueError:
-            pass
-    return 128
+    if not raw:
+        return DEFAULT_PRECISION_BITS
+    try:
+        bits = int(raw)
+    except ValueError:
+        raise DomainError(f"MILLS_PRECISION_BITS must be an integer, got {raw!r}") from None
+    if bits < MIN_PRECISION_BITS:
+        raise DomainError(f"MILLS_PRECISION_BITS must be >= {MIN_PRECISION_BITS}, got {bits}")
+    return bits
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_common(p):
-        p.add_argument("--precision", type=int, default=default_precision(), help="working precision in bits")
+        p.add_argument("--precision", type=int, default=None, help="working precision in bits (default: MILLS_PRECISION_BITS or 128)")
         p.add_argument("--digits", type=int, default=20, help="significant digits for decimal output")
 
     p_poly = sub.add_parser("poly", help="print an exact polynomial from one of the families")
@@ -198,16 +207,17 @@ def _run_verification(args) -> dict:
     xs = grid_points(args.grid)
     pos = [x for x in xs if x > 0]
     p = args.precision
-    identities = verify_identities(args.n_max)
+    identities = verify_identities(args.n_max, _faulty_tables(args.n_max) if args.inject_fault else None)
     certs = []
     small_orders = list(range(0, 6))
+    memo: dict = {}  # one phi evaluation per (x, precision) for this run
     if pos:
-        certs += certify_grid("eq15", small_orders, pos, p)
-        certs += certify_grid("eq16", [n for n in range(0, 12)], pos, p)
-    certs += certify_grid("eq18", [0], xs, p)
-    certs += certify_grid("eq19", [0], [x for x in xs if x > -1], p)
-    certs += certify_grid("i", small_orders, [x for x in pos], p)
-    certs += certify_grid("eq17", list(range(0, 4)), xs, p)
+        certs += certify_grid("eq15", small_orders, pos, p, memo)
+        certs += certify_grid("eq16", [n for n in range(0, 12)], pos, p, memo)
+    certs += certify_grid("eq18", [0], xs, p, memo)
+    certs += certify_grid("eq19", [0], [x for x in xs if x > -1], p, memo)
+    certs += certify_grid("i", small_orders, [x for x in pos], p, memo)
+    certs += certify_grid("eq17", list(range(0, 4)), xs, p, memo)
     # oracle cross-agreement on a fixed small grid
     agreement = []
     for x in (Fraction(-2), Fraction(-1), Fraction(0), Fraction(1), Fraction(2), Fraction(5)):
@@ -238,24 +248,31 @@ def _run_verification(args) -> dict:
     }
 
 
+def _faulty_tables(n_max: int) -> tuple[list, list]:
+    """Copies of the P and Q tables up to order n_max + 2 with P_2 corrupted.
+
+    The identity suite must flag them; the shared memo is never touched, so
+    every later run in the process sees correct tables.
+    """
+    pairs = [pq_pair(k) for k in range(n_max + 3)]
+    p_table = [pair.p for pair in pairs]
+    p_table[2] = p_table[2] + 1
+    return p_table, [pair.q for pair in pairs]
+
+
 def cmd_verify(args) -> int:
-    fault_backup = None
-    if args.inject_fault:
-        families.pq_pair(2)
-        fault_backup = families._P[2]
-        families._P[2] = fault_backup + 1  # corrupt one table entry
-    try:
-        report = _run_verification(args)
-    finally:
-        if fault_backup is not None:
-            families._P[2] = fault_backup
-    text = _render_report(report, args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    report = _run_verification(args)
+    write_report(_render_report(report, args.format), args.out)
+    return 0 if report["all_pass"] else 1
+
+
+def write_report(text: str, path: str | None) -> None:
+    """Write a rendered report to path, or to stdout when path is None."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         print(text, end="" if text.endswith("\n") else "\n")
-    return 0 if report["all_pass"] else 1
 
 
 def _render_report(report: dict, fmt: str) -> str:
@@ -346,6 +363,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "precision", 0) is None:  # read the variable only where it is used
+            args.precision = default_precision()
         return COMMANDS[args.subcommand](args)
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

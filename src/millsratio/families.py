@@ -23,8 +23,12 @@ prefactor is required for degrees and leading coefficients to match; the
 relation is recorded here for orientation only, the coefficients of P_n
 are already pinned by the explicit sum below.
 
-The memo table for (P_n, Q_n) is grow-only and guarded by a lock, so the
-module is safe under concurrent readers.
+Two memo tables back the module: the (P_n, Q_n) lists and the
+quadratic-triple table keyed by n.  Both are grow-only, each entry is built
+once and never replaced, and growth is guarded by a lock, so the module is
+safe under concurrent readers.  Nothing mutates an entry: the CLI's fault
+injection hands ``verify_identities`` a corrupted *copy* of the tables, and
+the shared ones stay correct for the rest of the process.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ class QuadraticTriple:
 _lock = threading.Lock()
 _P: list[IntPolynomial] = [ONE, X]
 _Q: list[IntPolynomial] = [ZERO, ONE]
+_TRIPLES: dict[int, QuadraticTriple] = {}
 
 
 def pq_pair(n: int) -> PQPair:
@@ -114,12 +119,21 @@ def q_coefficient_form(n: int) -> IntPolynomial:
 
 
 def quadratic_triple(n: int) -> QuadraticTriple:
-    """A_n, B_n, C_n from the defining combinations of P and Q."""
+    """A_n, B_n, C_n via the shared memo table; each order is built once."""
     if n < 0:
         raise ValueError("order must be non-negative")
-    p0, q0 = pq_pair(n).p, pq_pair(n).q
-    p1, q1 = pq_pair(n + 1).p, pq_pair(n + 1).q
-    p2, q2 = pq_pair(n + 2).p, pq_pair(n + 2).q
+    triple = _TRIPLES.get(n)
+    if triple is None:
+        pq_pair(n + 2)
+        triple = _triple_from(_P, _Q, n)
+        with _lock:
+            triple = _TRIPLES.setdefault(n, triple)
+    return triple
+
+
+def _triple_from(p: list[IntPolynomial], q: list[IntPolynomial], n: int) -> QuadraticTriple:
+    """A_n, B_n, C_n from the defining combinations of the tables p and q."""
+    p0, q0, p1, q1, p2, q2 = p[n], q[n], p[n + 1], q[n + 1], p[n + 2], q[n + 2]
     a = p0 * p2 - p1 * p1
     b = p0 * q2 + p2 * q0 - 2 * (p1 * q1)
     c = q0 * q2 - q1 * q1
@@ -197,37 +211,50 @@ def generating_function_residual(x: Fraction, y: Fraction, terms: int, precision
         return abs(to_mpf(partial) - closed)
 
 
-def verify_identities(n_max: int) -> list[dict]:
+def verify_identities(n_max: int, tables=None) -> list[dict]:
     """Exact check of every algebraic identity, for all n <= n_max.
 
-    Returns a list of {"identity": ..., "n": ..., "status": "pass"|"fail"}
-    entries with stable key order; failures never raise.
+    ``tables`` is an optional pair (P list, Q list) of at least n_max + 3
+    entries to check instead of the shared memo; the quadratic triples are
+    then derived from it too.  Returns a list of
+    {"identity": ..., "n": ..., "status": "pass"|"fail"} entries with stable
+    key order; failures never raise.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if tables is None:
+        pq_pair(n_max + 2)  # prefill
+        p_tab, q_tab, triple_at = _P, _Q, quadratic_triple
+    else:
+        p_tab, q_tab = tables
+        if min(len(p_tab), len(q_tab)) < n_max + 3:
+            raise ValueError(f"tables must hold orders 0..{n_max + 2}")
+
+        def triple_at(n: int) -> QuadraticTriple:
+            return _triple_from(p_tab, q_tab, n)
+
     report: list[dict] = []
 
     def entry(identity: str, n: int, ok: bool) -> None:
         report.append({"identity": identity, "n": n, "status": "pass" if ok else "fail"})
 
-    pq_pair(n_max + 2)  # prefill
     for n in range(n_max + 1):
-        p, q = _P[n], _Q[n]
-        p1, q1 = _P[n + 1], _Q[n + 1]
-        p2, q2 = _P[n + 2], _Q[n + 2]
+        p, q = p_tab[n], q_tab[n]
+        p1, q1 = p_tab[n + 1], q_tab[n + 1]
+        p2, q2 = p_tab[n + 2], q_tab[n + 2]
         entry("P_next=X*P+P'", n, p1 == X * p + p.derivative())
         entry("Q_next=P+Q'", n, q1 == p + q.derivative())
         if n >= 1:
-            entry("P_next=X*P+n*P_prev", n, p1 == X * p + n * _P[n - 1])
-            entry("Q_next=X*Q+n*Q_prev", n, q1 == X * q + n * _Q[n - 1])
-            entry("P'=n*P_prev", n, p.derivative() == n * _P[n - 1])
+            entry("P_next=X*P+n*P_prev", n, p1 == X * p + n * p_tab[n - 1])
+            entry("Q_next=X*Q+n*Q_prev", n, q1 == X * q + n * q_tab[n - 1])
+            entry("P'=n*P_prev", n, p.derivative() == n * p_tab[n - 1])
             entry("Q_closed_sum_P", n, q_closed_form(n) == q)
             entry("Q_closed_coeffs", n, q_coefficient_form(n) == q)
         entry("P_closed_form", n, p_closed_form(n) == p)
         sign = (-1) ** n
         entry("wronskian_step1", n, q1 * p - p1 * q == IntPolynomial([sign * factorial(n)]))
         entry("wronskian_step2", n, q2 * p - p2 * q == IntPolynomial([0, sign * factorial(n)]))
-        triple = quadratic_triple(n)
+        triple = triple_at(n)
         f2 = factorial(n) ** 2
         delta = triple.b * triple.b - 4 * (triple.a * triple.c)
         entry("discriminant", n, delta == IntPolynomial([f2 * (4 * n + 4), 0, f2]))

@@ -99,12 +99,17 @@ class IntPolynomial:
         return IntPolynomial([0] * k + list(self.coeffs))
 
     def eval_rational(self, x: Fraction) -> Fraction:
-        """Exact Horner evaluation at a rational point."""
+        """Exact evaluation at x = a/b by homogeneous Horner on integers:
+        b^d p(a/b) = sum c_k a^k b^(d-k), reduced by one gcd at the end."""
         x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if not self.coeffs:
+            return Fraction(0)
+        a, b = x.numerator, x.denominator
+        acc, bpow = self.coeffs[-1], 1
+        for c in reversed(self.coeffs[:-1]):
+            bpow *= b
+            acc = acc * a + c * bpow
+        return Fraction(acc, bpow)
 
     def eval_int(self, x: int) -> int:
         acc = 0

@@ -1,3 +1,5 @@
+import sys
+import threading
 from fractions import Fraction
 from math import factorial
 
@@ -90,6 +92,35 @@ class TestClosedForms:
 
 
 class TestQuadraticTriple:
+    def test_memoized_once_per_order(self):
+        assert quadratic_triple(7) is quadratic_triple(7)
+
+    def test_concurrent_first_builds_agree(self):
+        # orders no other test builds, so the threads race to create them
+        orders = list(range(70, 90))
+        results = [[] for _ in range(6)]
+
+        def worker(k):
+            for n in orders[k % 2 :: 2] + orders[1 - k % 2 :: 2]:
+                results[k].append(quadratic_triple(n))
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(results))]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        for got in results:
+            assert len(got) == len(orders)
+            for triple in got:
+                assert triple is quadratic_triple(triple.n)
+        assert quadratic_triple(80).a == a_closed_form(80)
+
     def test_order_zero(self):
         t = quadratic_triple(0)
         assert t.a == P(1)
@@ -185,3 +216,22 @@ class TestVerifyIdentities:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             verify_identities(0)
+
+    def test_corrupted_copy_is_flagged_and_shared_tables_stay_clean(self):
+        pairs = [pq_pair(k) for k in range(6)]
+        p_table = [pair.p for pair in pairs]
+        p_table[2] = p_table[2] + 1
+        report = verify_identities(3, (p_table, [pair.q for pair in pairs]))
+        assert any(e["status"] == "fail" for e in report)
+        assert pq_pair(2).p == p_closed_form(2)
+        assert all(e["status"] == "pass" for e in verify_identities(3))
+
+    def test_explicit_tables_match_shared_run(self):
+        pairs = [pq_pair(k) for k in range(7)]
+        tables = ([pair.p for pair in pairs], [pair.q for pair in pairs])
+        assert verify_identities(4, tables) == verify_identities(4)
+
+    def test_short_tables_rejected(self):
+        pairs = [pq_pair(k) for k in range(4)]
+        with pytest.raises(ValueError):
+            verify_identities(3, ([pair.p for pair in pairs], [pair.q for pair in pairs]))

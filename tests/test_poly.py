@@ -13,6 +13,16 @@ def P(*coeffs):
 
 polys = st.lists(st.integers(-50, 50), max_size=8).map(IntPolynomial)
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=20)
+wide_polys = st.lists(st.integers(-(10**30), 10**30), max_size=40).map(IntPolynomial)
+wide_rationals = st.fractions(max_denominator=10**9)
+
+
+def fraction_horner(p, x):
+    """Reference evaluation: plain Horner on Fractions."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
 
 
 class TestArithmetic:
@@ -59,6 +69,15 @@ class TestEvaluation:
     def test_eval_rational_beta_bracketing_poly(self):
         assert P(1, 0, 3, 0, 9, 0, -9).eval_rational(Fraction(1)) == 4
 
+    def test_eval_rational_zero_polynomial(self):
+        value = ZERO.eval_rational(Fraction(-7, 3))
+        assert value == 0
+        assert isinstance(value, Fraction)
+
+    def test_eval_rational_returns_lowest_terms(self):
+        value = P(2, 0).eval_rational(Fraction(3, 4))
+        assert (value.numerator, value.denominator) == (3, 2)
+
     def test_eval_real(self):
         assert P(1, 0, 1).eval_real(1, 128) == 2
         assert P(1, 0, 0, 0, 3).eval_real(0, 128) == 3
@@ -78,6 +97,10 @@ class TestProperties:
     def test_eval_is_ring_homomorphism(self, a, b, x):
         assert (a * b).eval_rational(x) == a.eval_rational(x) * b.eval_rational(x)
         assert (a + b).eval_rational(x) == a.eval_rational(x) + b.eval_rational(x)
+
+    @given(wide_polys, wide_rationals)
+    def test_eval_rational_matches_fraction_horner(self, p, x):
+        assert p.eval_rational(x) == fraction_horner(p, x)
 
     @given(polys, polys)
     def test_derivative_product_rule(self, a, b):
