@@ -12,20 +12,11 @@ import argparse
 import sys
 from fractions import Fraction
 
-from millsratio.bounds import (
-    first_order_enclosure,
-    komatsu_lower,
-    second_order_bound,
-    szarek_werner_upper,
-)
+from millsratio.bounds import FAMILIES
 from millsratio.cli import grid_points, parse_grid
 from millsratio.errors import DomainError, SingularityError
 from millsratio.numutil import nstr_fixed
 from millsratio.oracle import phi_series
-
-
-def fmt(value, digits: int) -> str:
-    return nstr_fixed(value, digits) if value is not None else "-"
 
 
 def main() -> int:
@@ -40,28 +31,28 @@ def main() -> int:
 
     xs = grid_points(parse_grid(args.grid))
     p, d = args.precision, args.digits
+    # (family, order, one header per value the family shows); "-" marks a
+    # point outside the family's domain or at a root of A_n
+    columns = [
+        ("eq15", args.order, ("cf_lower", "cf_upper")),
+        ("i", args.even, (f"I_{args.even}",)),
+        ("i", args.odd, (f"I_{args.odd}",)),
+        ("eq18", 0, ("lower_cl",)),
+        ("eq19", 1, ("upper_cl",)),
+    ]
 
-    header = ["x", "phi", "cf_lower", "cf_upper", f"I_{args.even}", f"I_{args.odd}", "lower_cl", "upper_cl"]
+    header = ["x", "phi"] + [h for _, _, headers in columns for h in headers]
     print("  ".join(h.rjust(d + 4) for h in header))
+    memo: dict = {}
     for x in xs:
-        phi = phi_series(x, p).value
-        try:
-            enc = first_order_enclosure(args.order, x, p)
-            lo, hi = enc.lower, enc.upper
-        except DomainError:
-            lo = hi = None
-        even = second_order_bound(args.even, x, p).value
-        try:
-            odd = second_order_bound(args.odd, x, p).value
-        except (DomainError, SingularityError):
-            odd = None
-        kom = komatsu_lower(x, p)
-        try:
-            sz = szarek_werner_upper(x, p)
-        except DomainError:
-            sz = None
-        row = [str(Fraction(x)), phi, lo, hi, even, odd, kom, sz]
-        print("  ".join(fmt(v, d).rjust(d + 4) if not isinstance(v, str) else v.rjust(d + 4) for v in row))
+        row = [str(Fraction(x)), nstr_fixed(phi_series(x, p).value, d)]
+        for name, n, headers in columns:
+            try:
+                shown, _ = FAMILIES[name].at(n, x, p, memo)
+                row += [nstr_fixed(v, d) for v in shown.values()]
+            except (DomainError, SingularityError):
+                row += ["-"] * len(headers)
+        print("  ".join(v.rjust(d + 4) for v in row))
     return 0
 
 

@@ -19,6 +19,16 @@ beta_m is located by bisection with *exact* rational sign evaluations, so
 the returned bracket is a proof.  At x = +-beta_m the quadratic
 degenerates (A vanishes) and the bound evaluator reports a singularity
 instead of inventing a continuity value.
+
+First-order values are the exact rationals Q_n(x)/P_n(x) and
+n!/(P_n(x) P_{n+1}(x)) rounded once: enclosure endpoints outward, the error
+bound up, so they hold at every precision.
+
+The families Eq15 to Eq19 and I are the rows of one table, FAMILIES: a
+stated domain, the fixed order of a one-bound family, and an evaluator of
+the shown bound values and certificates at a point.  certify_grid,
+`mills bounds` and scripts/bounds_table.py all read it, so they share one
+verdict rule.
 """
 
 from __future__ import annotations
@@ -26,10 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import Callable
 
 from mpmath import mp, mpf
 
-from .errors import DomainError, SingularityError
+from .errors import DomainError, EnvelopeError, SingularityError
 from .families import pq_pair, quadratic_triple
 from .numutil import check_precision, nstr_fixed, to_fraction, to_mpf
 from .oracle import phi_series
@@ -78,30 +89,22 @@ class Certificate:
             "verdict": self.verdict,
         }
 
-    def to_csv_row(self, digits: int = 20) -> list[str]:
-        d = self.to_json_dict(digits)
-        return [str(d[k]) for k in CSV_COLUMNS]
-
 
 CSV_COLUMNS = ["family", "n", "x", "margin", "precision_bits", "verdict"]
 
 
 def first_order_enclosure(n: int, x, precision_bits: int = 128) -> Enclosure:
-    """Rational enclosure Q_{2n}/P_{2n} < phi < Q_{2n+1}/P_{2n+1}, x > 0."""
+    """Rational enclosure Q_{2n}/P_{2n} < phi < Q_{2n+1}/P_{2n+1}, x > 0,
+    with the exact endpoints rounded outward to precision_bits."""
     if n < 0:
         raise ValueError("order must be non-negative")
     check_precision(precision_bits)
     with mp.workprec(precision_bits):
-        xv = to_mpf(x)
-        if xv <= 0:
-            raise DomainError("first-order enclosure requires x > 0")
-        lo_pair, hi_pair = pq_pair(2 * n), pq_pair(2 * n + 1)
-        lower = lo_pair.q.eval_real(xv, precision_bits) / lo_pair.p.eval_real(xv, precision_bits)
-        upper = hi_pair.q.eval_real(xv, precision_bits) / hi_pair.p.eval_real(xv, precision_bits)
+        xf = _positive(x, "first-order enclosure requires x > 0")
         return Enclosure(
-            x=xv,
-            lower=lower,
-            upper=upper,
+            x=to_mpf(xf),
+            lower=_rounded(_convergent(2 * n, xf), "f"),
+            upper=_rounded(_convergent(2 * n + 1, xf), "c"),
             lower_source=f"Eq15/order={2 * n}",
             upper_source=f"Eq15/order={2 * n + 1}",
             precision_bits=precision_bits,
@@ -109,17 +112,35 @@ def first_order_enclosure(n: int, x, precision_bits: int = 128) -> Enclosure:
 
 
 def first_order_error_bound(n: int, x, precision_bits: int = 128) -> mpf:
-    """n! / (P_n(x) P_{n+1}(x)), the first-order truncation error bound."""
+    """n! / (P_n(x) P_{n+1}(x)), the first-order truncation error bound,
+    rounded up to precision_bits."""
     if n < 0:
         raise ValueError("order must be non-negative")
     check_precision(precision_bits)
     with mp.workprec(precision_bits):
-        xv = to_mpf(x)
-        if xv <= 0:
-            raise DomainError("error bound is stated for x > 0")
-        pn = pq_pair(n).p.eval_real(xv, precision_bits)
-        pn1 = pq_pair(n + 1).p.eval_real(xv, precision_bits)
-        return factorial(n) / (pn * pn1)
+        return _rounded(_error_bound_exact(n, _positive(x, "error bound is stated for x > 0")), "c")
+
+
+def _positive(x, message: str) -> Fraction:
+    """x as an exact rational, refused unless x > 0."""
+    xf = to_fraction(x)
+    if xf <= 0:
+        raise DomainError(message)
+    return xf
+
+
+def _convergent(n: int, x: Fraction) -> Fraction:
+    pair = pq_pair(n)
+    return pair.q.eval_rational(x) / pair.p.eval_rational(x)
+
+
+def _error_bound_exact(n: int, x: Fraction) -> Fraction:
+    return Fraction(factorial(n)) / (pq_pair(n).p.eval_rational(x) * pq_pair(n + 1).p.eval_rational(x))
+
+
+def _rounded(value: Fraction, rounding: str = "n") -> mpf:
+    """value at the working precision, rounded down ("f"), up ("c") or to nearest ("n")."""
+    return mp.fdiv(value.numerator, value.denominator, rounding=rounding)
 
 
 def komatsu_lower(x, precision_bits: int = 128) -> mpf:
@@ -146,16 +167,6 @@ def szarek_werner_upper(x, precision_bits: int = 128) -> mpf:
         return 4 / (3 * xv + mp.sqrt(xv * xv + 8))
 
 
-def _quadratic_at(n: int, x, precision_bits: int):
-    """(A_n(x), B_n(x), C_n(x), singularity guard threshold) as mpf."""
-    t = quadratic_triple(n)
-    a = t.a.eval_real(x, precision_bits)
-    b = t.b.eval_real(x, precision_bits)
-    c = t.c.eval_real(x, precision_bits)
-    guard = t.a.horner_error_bound(x, precision_bits)
-    return a, b, c, guard
-
-
 def second_order_root(n: int, x, sign: str, precision_bits: int = 128) -> mpf:
     """Root Z_n^{+-}(x) = (B_n(x) +- n! sqrt(x^2+4n+4)) / (2 A_n(x))."""
     if sign not in ("+", "-"):
@@ -163,8 +174,9 @@ def second_order_root(n: int, x, sign: str, precision_bits: int = 128) -> mpf:
     check_precision(precision_bits)
     with mp.workprec(precision_bits):
         xv = to_mpf(x)
-        a, b, c, guard = _quadratic_at(n, xv, precision_bits)
-        if abs(a) <= guard:
+        t = quadratic_triple(n)
+        a, b, c = (poly.eval_real(xv, precision_bits) for poly in (t.a, t.b, t.c))
+        if abs(a) <= t.a.horner_error_bound(xv, precision_bits):
             raise SingularityError(
                 f"A_{n}({nstr_fixed(xv, 8)}) is below the evaluation error threshold"
             )
@@ -178,16 +190,6 @@ def second_order_root(n: int, x, sign: str, precision_bits: int = 128) -> mpf:
         return c / q if sign == "+" else q / a
 
 
-def _check_odd_domain(n: int, x) -> None:
-    """Odd-order bound lives on ]-beta_m, inf[; decided by the exact sign
-    of the even polynomial A_n at |x| (negative exactly inside the gap)."""
-    xf = to_fraction(x)
-    if xf >= 0:
-        return
-    if quadratic_triple(n).a.eval_rational(-xf) >= 0:
-        raise DomainError(f"order {n} upper bound requires x > -beta_{(n - 1) // 2}")
-
-
 def second_order_bound(n: int, x, precision_bits: int = 128) -> SecondOrderBound:
     """Even n: lower bound Z^+ on all of R.  Odd n: upper bound
     (B - n! sqrt(x^2+4n+4)) / (2A) on ]-beta_m, inf[."""
@@ -196,7 +198,11 @@ def second_order_bound(n: int, x, precision_bits: int = 128) -> SecondOrderBound
     if n % 2 == 0:
         value = second_order_root(n, x, "+", precision_bits)
         return SecondOrderBound(n=n, value=value, role="lower")
-    _check_odd_domain(n, x)
+    # ]-beta_m, inf[ is decided by the exact sign of the even polynomial A_n
+    # at |x|: negative exactly inside the gap
+    xf = to_fraction(x)
+    if xf < 0 and quadratic_triple(n).a.eval_rational(-xf) >= 0:
+        raise DomainError(f"order {n} upper bound requires x > -beta_{(n - 1) // 2}")
     value = second_order_root(n, x, "-", precision_bits)
     return SecondOrderBound(n=n, value=value, role="upper")
 
@@ -282,7 +288,116 @@ def _phi(x, precision_bits: int, memo: dict | None):
     return ov
 
 
-FAMILIES = ("Eq15", "Eq16", "Eq17", "Eq18", "Eq19", "I")
+def _cert(family: str, n: int, x: Fraction, margin: mpf, threshold: mpf, precision_bits: int) -> Certificate:
+    return Certificate(family, n, x, margin, precision_bits, "pass" if margin > threshold else "fail")
+
+
+def _oracle(x: Fraction, precision_bits: int, memo: dict | None) -> tuple[mpf, mpf]:
+    """phi at precision_bits + 16, and the slack a margin must clear: the
+    oracle error bound plus one unit of rounding at precision_bits."""
+    ov = _phi(x, precision_bits + 16, memo)
+    return ov.value, ov.error_bound + mp.ldexp(1 + abs(ov.value), -precision_bits)
+
+
+def _eq15(n: int, x: Fraction, precision_bits: int, memo: dict | None):
+    phi, slack = _oracle(x, precision_bits, memo)
+    lower = _rounded(_convergent(2 * n, x), "f")
+    upper = _rounded(_convergent(2 * n + 1, x), "c")
+    margin = min(phi - lower, upper - phi)
+    return {"lower": lower, "upper": upper}, [_cert("Eq15", n, x, margin, slack, precision_bits)]
+
+
+def _eq16(n: int, x: Fraction, precision_bits: int, memo: dict | None):
+    phi, slack = _oracle(x, precision_bits, memo)
+    conv = _rounded(_convergent(n, x))
+    bound = _rounded(_error_bound_exact(n, x), "c")
+    margin = bound - abs(phi - conv)
+    return {"convergent": conv, "error_bound": bound}, [_cert("Eq16", n, x, margin, 2 * slack, precision_bits)]
+
+
+def _eq17(n: int, x: Fraction, precision_bits: int, memo: dict | None):
+    margin, threshold = log_convexity(n, x, precision_bits, memo)
+    return {}, [_cert("Eq17", n, x, margin, threshold, precision_bits)]
+
+
+def _eq18(n: int, x: Fraction, precision_bits: int, memo: dict | None):
+    phi, slack = _oracle(x, precision_bits, memo)
+    lower = komatsu_lower(x, precision_bits + 16)
+    return {"lower": lower}, [_cert("Eq18", n, x, phi - lower, slack, precision_bits)]
+
+
+def _eq19(n: int, x: Fraction, precision_bits: int, memo: dict | None):
+    phi, slack = _oracle(x, precision_bits, memo)
+    upper = szarek_werner_upper(x, precision_bits + 16)
+    return {"upper": upper}, [_cert("Eq19", n, x, upper - phi, slack, precision_bits)]
+
+
+def _second_order(n: int, x: Fraction, precision_bits: int, memo: dict | None):
+    """I_n, plus the companion I_n_sharper certificate of its sharpness
+    against the first-order convergent: Q_{2m}/P_{2m} < Z^+ for x > 0 and
+    Z^- < Q_{2m+1}/P_{2m+1} for x > beta_m."""
+    phi, slack = _oracle(x, precision_bits, memo)
+    sb = second_order_bound(n, x, precision_bits + 16)
+    margin = phi - sb.value if sb.role == "lower" else sb.value - phi
+    certs = [_cert(f"I_{n}", n, x, margin, slack, precision_bits)]
+    if x > 0 and (n % 2 == 0 or quadratic_triple(n).a.eval_rational(x) > 0):
+        conv = _rounded(_convergent(n, x))
+        sharper = sb.value - conv if sb.role == "lower" else conv - sb.value
+        rounding = mp.ldexp(1 + abs(conv), -precision_bits)
+        certs.append(_cert(f"I_{n}_sharper", n, x, sharper, rounding, precision_bits))
+    return {sb.role: sb.value}, certs
+
+
+@dataclass(frozen=True)
+class Family:
+    """One bound family: what differs between families, and nothing more.
+
+    ``evaluate(n, x, precision_bits, memo)`` returns the bound values shown
+    at (n, x), by name, and the certificates made there, with ``memo`` as in
+    certify_grid; it raises DomainError or SingularityError where the
+    order-n bound is not stated.  It runs at the working precision
+    precision_bits + 16, which its callers (``at``, certify_grid) set once
+    for all the points they evaluate."""
+
+    name: str
+    x_above: int | None  # stated domain x > x_above; None: every x the oracle takes
+    order: int | None  # the one order of a single-bound family
+    evaluate: Callable[[int, Fraction, int, dict | None], tuple[dict[str, mpf], list[Certificate]]]
+
+    def check(self, x: Fraction) -> None:
+        """Refuse x outside the family's stated domain."""
+        if self.x_above is not None and x <= self.x_above:
+            raise DomainError(f"{self.name}: x must exceed {self.x_above}, got x = {x}")
+
+    def at(self, n: int, x: Fraction, precision_bits: int = 128, memo: dict | None = None):
+        """Shown values and certificates at one point; n is ignored by a
+        single-bound family."""
+        self.check(x)
+        with mp.workprec(precision_bits + 16):
+            return self.evaluate(n if self.order is None else self.order, x, precision_bits, memo)
+
+
+# The evaluators call the public functions by their module names, so that
+# wrappers installed on the module see every call.
+FAMILIES = {
+    fam.name.lower(): fam
+    for fam in (
+        Family("Eq15", 0, None, _eq15),
+        Family("Eq16", 0, None, _eq16),
+        Family("Eq17", None, None, _eq17),
+        Family("Eq18", None, 0, _eq18),
+        Family("Eq19", -1, 1, _eq19),
+        Family("I", None, None, _second_order),
+    )
+}
+
+
+def find_family(name: str) -> Family:
+    """The FAMILIES row for a family name, in any letter case."""
+    fam = FAMILIES.get(name.strip().lower())
+    if fam is None:
+        raise ValueError(f"unknown bound family {name!r}; expected one of {', '.join(FAMILIES)}")
+    return fam
 
 
 def certify_grid(
@@ -295,7 +410,9 @@ def certify_grid(
     verdict is "pass" only when the margin clears the oracle error bound
     plus evaluation slack.  For the second-order family the sharpness
     claims against the first-order convergents are certified as companion
-    "<id>_sharper" entries.
+    "<id>_sharper" entries.  An x outside the family's stated domain is a
+    DomainError; (n, x) pairs outside an order's own domain (odd orders of
+    I) or at a root of A_n are skipped.
 
     ``memo`` holds the oracle values keyed by (x, working precision).  A
     caller that certifies several families over one grid passes the same
@@ -303,86 +420,21 @@ def certify_grid(
     without it the memo lives for this call only.  The dict is the caller's
     and is dropped with it: there is no process-wide oracle cache.
     """
-    fam = _normalize_family(family)
+    fam = find_family(family)
     check_precision(precision_bits)
-    wp = precision_bits + 16
     xs = [Fraction(x) for x in xs]
+    for x in xs:
+        fam.check(x)
     memo = {} if memo is None else memo
-
-    def cert(fid: str, n: int, x: Fraction, margin: mpf, threshold: mpf) -> Certificate:
-        verdict = "pass" if margin > threshold else "fail"
-        return Certificate(fid, n, x, margin, precision_bits, verdict)
-
     out: list[Certificate] = []
-    with mp.workprec(wp):
+    with mp.workprec(precision_bits + 16):
         for x in xs:
-            if fam == "Eq17":
-                for n in orders:
-                    out.append(cert("Eq17", n, x, *log_convexity(n, x, precision_bits, memo)))
-                continue
-            ov = _phi(x, wp, memo)
-            phi = ov.value
-            slack = ov.error_bound + (1 + abs(phi)) * mpf(2) ** (-precision_bits)
-            for n in _family_orders(fam, orders):
-                if fam == "Eq15":
-                    lo = to_mpf(_convergent(2 * n, x))
-                    hi = to_mpf(_convergent(2 * n + 1, x))
-                    out.append(cert("Eq15", n, x, min(phi - lo, hi - phi), slack))
-                elif fam == "Eq16":
-                    conv = to_mpf(_convergent(n, x))
-                    bound = to_mpf(_error_bound_exact(n, x))
-                    out.append(cert("Eq16", n, x, bound - abs(phi - conv), 2 * slack))
-                elif fam == "Eq18":
-                    out.append(cert("Eq18", 0, x, phi - komatsu_lower(x, wp), slack))
-                elif fam == "Eq19":
-                    out.append(cert("Eq19", 1, x, szarek_werner_upper(x, wp) - phi, slack))
-                elif fam == "I":
-                    try:
-                        sb = second_order_bound(n, x, wp)
-                    except (DomainError, SingularityError):
-                        continue  # outside the stated domain, or exactly at a root of A_n
-                    margin = phi - sb.value if sb.role == "lower" else sb.value - phi
-                    out.append(cert(f"I_{n}", n, x, margin, slack))
-                    out.extend(_sharper_cert(n, x, sb, precision_bits, wp))
+            for n in orders if fam.order is None else [fam.order]:
+                try:
+                    out += fam.evaluate(n, x, precision_bits, memo)[1]
+                except EnvelopeError:
+                    raise  # beyond the oracle, whatever the order
+                except (DomainError, SingularityError):
+                    continue  # outside this order's domain, or exactly at a root of A_n
     out.sort(key=lambda c: (c.family, c.n, c.x))
     return out
-
-
-def _sharper_cert(n: int, x: Fraction, sb: SecondOrderBound, precision_bits: int, wp: int):
-    """Second-order vs first-order: Q_{2m}/P_{2m} < Z^+ for x > 0 and
-    Z^- < Q_{2m+1}/P_{2m+1} for x > beta_m; exact convergent values."""
-    t = quadratic_triple(n)
-    if n % 2 == 0:
-        applies = x > 0
-    else:
-        applies = x > 0 and t.a.eval_rational(x) > 0
-    if not applies:
-        return []
-    conv = to_mpf(_convergent(n, x))
-    margin = sb.value - conv if sb.role == "lower" else conv - sb.value
-    rounding = (1 + abs(conv)) * mpf(2) ** (-precision_bits)
-    verdict = "pass" if margin > rounding else "fail"
-    return [Certificate(f"I_{n}_sharper", n, x, margin, precision_bits, verdict)]
-
-
-def _convergent(n: int, x: Fraction) -> Fraction:
-    pair = pq_pair(n)
-    return pair.q.eval_rational(x) / pair.p.eval_rational(x)
-
-
-def _error_bound_exact(n: int, x: Fraction) -> Fraction:
-    return Fraction(factorial(n)) / (pq_pair(n).p.eval_rational(x) * pq_pair(n + 1).p.eval_rational(x))
-
-
-def _family_orders(fam: str, orders: list[int]) -> list[int]:
-    if fam in ("Eq18", "Eq19"):
-        return [0]
-    return list(orders)
-
-
-def _normalize_family(family: str) -> str:
-    key = family.strip().lower()
-    table = {"eq15": "Eq15", "eq16": "Eq16", "eq17": "Eq17", "eq18": "Eq18", "eq19": "Eq19", "i": "I", "second": "I"}
-    if key not in table:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    return table[key]

@@ -16,50 +16,17 @@ import csv
 import io
 import json
 import os
+import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
-from .bounds import (
-    CSV_COLUMNS,
-    beta,
-    certify_grid,
-    first_order_enclosure,
-    komatsu_lower,
-    second_order_bound,
-    szarek_werner_upper,
-)
+from .bounds import CSV_COLUMNS, FAMILIES, beta, certify_grid, find_family
 from .contfrac import cf_b, cf_convergent, cf_ladder_eval, expansion_str
 from .errors import DomainError, MillsError
 from .families import discriminant, pq_pair, quadratic_triple, verify_identities
 from .numutil import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, nstr_fixed
 from .oracle import phi_quadrature, phi_series
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    precision_bits: int
-    digits: int = 20
-    n: int | None = None
-    n_max: int | None = None
-    grid: tuple[Fraction, Fraction, Fraction] | None = None
-    output_format: str = "json"
-    output_path: str | None = None
-
-    def as_dict(self) -> dict:
-        d = {"subcommand": self.subcommand, "precision_bits": self.precision_bits, "digits": self.digits}
-        if self.n is not None:
-            d["n"] = self.n
-        if self.n_max is not None:
-            d["n_max"] = self.n_max
-        if self.grid is not None:
-            d["grid"] = ":".join(str(g) for g in self.grid)
-        d["format"] = self.output_format
-        if self.output_path:
-            d["out"] = self.output_path
-        return d
 
 
 def parse_rational(text: str) -> Fraction:
@@ -121,9 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("--n", type=int, required=True)
 
     p_bounds = sub.add_parser("bounds", help="evaluate a bound family at a point against the oracle")
-    p_bounds.add_argument("--family", required=True, help="eq15, eq16, eq18, eq19, or i<N> (e.g. i2)")
+    fixed = [f"{key} ({fam.order})" for key, fam in FAMILIES.items() if fam.order is not None]
+    p_bounds.add_argument(
+        "--family", required=True, help=f"one of {', '.join(FAMILIES)}; i<N> (e.g. i2) is short for --family i --n N"
+    )
     p_bounds.add_argument("--x", type=parse_rational, required=True)
-    p_bounds.add_argument("--n", type=int, default=0, help="order within the family (eq15/eq16)")
+    p_bounds.add_argument("--n", type=int, default=0, help=f"order within the family; fixed for {', '.join(fixed)}")
     add_common(p_bounds)
 
     p_verify = sub.add_parser("verify", help="run the identity suite and grid certification")
@@ -170,37 +140,26 @@ def cmd_poly(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    fam = args.family.strip().lower()
+    """One point of one family: the shown bound values, and the margin and
+    verdict of the certificate certify_grid makes at the same point."""
+    name, n = args.family, args.n
+    suffixed = re.fullmatch(r"([a-z]+)(\d+)", name.strip().lower())
+    if suffixed and suffixed[1] in FAMILIES:
+        name, n = suffixed[1], int(suffixed[2])
     x, p, digits = args.x, args.precision, args.digits
-    ov = phi_series(x, p)
-    lines = [f"family = {fam}", f"n = {args.n}", f"x = {x}", f"precision_bits = {p}"]
-    if fam == "eq15":
-        enc = first_order_enclosure(args.n, x, p)
-        lower, upper = enc.lower, enc.upper
-        margin = min(ov.value - lower, upper - ov.value)
-        lines += [f"lower = {nstr_fixed(lower, digits)}", f"upper = {nstr_fixed(upper, digits)}"]
-    elif fam == "eq18":
-        lower = komatsu_lower(x, p)
-        margin = ov.value - lower
-        lines.append(f"lower = {nstr_fixed(lower, digits)}")
-    elif fam == "eq19":
-        upper = szarek_werner_upper(x, p)
-        margin = upper - ov.value
-        lines.append(f"upper = {nstr_fixed(upper, digits)}")
-    elif fam.startswith("i") and fam[1:].isdigit():
-        sb = second_order_bound(int(fam[1:]), x, p)
-        margin = ov.value - sb.value if sb.role == "lower" else sb.value - ov.value
-        lines.append(f"{sb.role} = {nstr_fixed(sb.value, digits)}")
-    else:
-        raise DomainError(f"unknown bound family {args.family!r}")
-    verdict = "pass" if margin > ov.error_bound else "fail"
+    memo: dict = {}
+    shown, certs = find_family(name).at(n, x, p, memo)
+    cert = certs[0]
+    (ov,) = memo.values()  # the oracle value the certificate was measured against
+    lines = [f"family = {cert.family}", f"n = {cert.n}", f"x = {x}", f"precision_bits = {p}"]
+    lines += [f"{key} = {nstr_fixed(value, digits)}" for key, value in shown.items()]
     lines += [
         f"phi = {nstr_fixed(ov.value, digits)}",
-        f"margin = {nstr_fixed(margin, digits)}",
-        f"verdict = {verdict}",
+        f"margin = {nstr_fixed(cert.margin, digits)}",
+        f"verdict = {cert.verdict}",
     ]
     print("\n".join(lines))
-    return 0 if verdict == "pass" else 1
+    return 0 if cert.verdict == "pass" else 1
 
 
 def _run_verification(args) -> dict:
@@ -230,17 +189,19 @@ def _run_verification(args) -> dict:
         and all(c.verdict == "pass" for c in certs)
         and all(e["status"] == "pass" for e in agreement)
     )
+    config = {
+        "subcommand": "verify",
+        "precision_bits": p,
+        "digits": args.digits,
+        "n_max": args.n_max,
+        "grid": ":".join(str(g) for g in args.grid),
+        "format": args.format,
+    }
+    if args.out:
+        config["out"] = args.out
     return {
         "version": __version__,
-        "config": RunConfig(
-            subcommand="verify",
-            precision_bits=p,
-            digits=args.digits,
-            n_max=args.n_max,
-            grid=args.grid,
-            output_format=args.format,
-            output_path=args.out,
-        ).as_dict(),
+        "config": config,
         "identities": identities,
         "oracle_agreement": agreement,
         "certificates": [c.to_json_dict(args.digits) for c in certs],

@@ -70,10 +70,10 @@ def pq_pair(n: int) -> PQPair:
     """(P_n, Q_n) via the shared memo table; order-n cost is incremental."""
     if n < 0:
         raise ValueError("order must be non-negative")
-    if n >= len(_P):
+    if n >= len(_Q):  # _Q grows second, so a long _Q implies a long _P
         with _lock:
-            while n >= len(_P):
-                k = len(_P) - 1
+            while n >= len(_Q):
+                k = len(_Q) - 1
                 _P.append(X * _P[k] + k * _P[k - 1])
                 _Q.append(X * _Q[k] + k * _Q[k - 1])
     return PQPair(n, _P[n], _Q[n])

@@ -18,13 +18,14 @@ def to_mpf(value) -> mpf:
 
 
 def to_fraction(value) -> Fraction:
-    """Exact rational value of a binary float or mpf (both are dyadic)."""
+    """Exact rational value of a binary float or mpf (both are dyadic).
+
+    An mpf is read as it is, whatever the current working precision."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    x = mpf(value)
-    sign, man, exp, _ = x._mpf_
+    sign, man, exp, _ = (value if isinstance(value, mpf) else mpf(value))._mpf_
     if man == 0 and exp != 0:
         raise ValueError(f"cannot convert non-finite value {value!r}")
     frac = Fraction(man) * Fraction(2) ** exp

@@ -32,9 +32,6 @@ class IntPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -92,12 +89,6 @@ class IntPolynomial:
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def shift(self, k: int) -> "IntPolynomial":
-        """Multiply by X^k."""
-        if not self.coeffs:
-            return self
-        return IntPolynomial([0] * k + list(self.coeffs))
-
     def eval_rational(self, x: Fraction) -> Fraction:
         """Exact evaluation at x = a/b by homogeneous Horner on integers:
         b^d p(a/b) = sum c_k a^k b^(d-k), reduced by one gcd at the end."""
@@ -110,12 +101,6 @@ class IntPolynomial:
             bpow *= b
             acc = acc * a + c * bpow
         return Fraction(acc, bpow)
-
-    def eval_int(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def eval_real(self, x, precision_bits: int) -> mpf:
         """Horner evaluation at the requested binary working precision."""

@@ -2,10 +2,12 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from millsratio.bounds import (
     CSV_COLUMNS,
+    FAMILIES,
     beta,
     certify_grid,
     first_order_enclosure,
@@ -17,9 +19,25 @@ from millsratio.bounds import (
     second_order_root,
     szarek_werner_upper,
 )
+from millsratio.contfrac import cf_convergent
 from millsratio.errors import DomainError, SingularityError
 from millsratio.families import pq_pair, quadratic_triple
+from millsratio.numutil import to_fraction
 from millsratio.oracle import phi_series
+
+
+def phi_reference(x: Fraction) -> mpf:
+    """phi(x) = e^{x^2/2} sqrt(pi/2) erfc(x/sqrt(2)) from mpmath's erfc at 640 bits."""
+    with mp.workprec(640):
+        xv = mpf(x.numerator) / x.denominator
+        return mp.exp(xv * xv / 2) * mp.sqrt(mp.pi / 2) * mp.erfc(xv / mp.sqrt(2))
+
+
+@st.composite
+def positive_grid_points(draw):
+    """x in (0, 30] with a denominator of at most 128."""
+    den = draw(st.integers(min_value=1, max_value=128))
+    return Fraction(draw(st.integers(min_value=1, max_value=30 * den)), den)
 
 
 class TestFirstOrder:
@@ -49,6 +67,17 @@ class TestFirstOrder:
         assert abs(first_order_error_bound(1, 1, 128) - mpf("0.5")) < mpf(2) ** -120
         with mp.workprec(160):
             assert abs(first_order_error_bound(4, 1, 128) - mpf(6) / 65) < mpf(2) ** -120
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=20), positive_grid_points(), st.sampled_from([64, 128, 256]))
+    def test_enclosure_and_error_bound_hold_at_every_precision(self, n, x, bits):
+        enc = first_order_enclosure(n, x, bits)
+        assert enc.lower < phi_reference(x) < enc.upper
+        # the exact convergents (independent scaled recurrence), Q_0/P_0 = 0
+        assert to_fraction(enc.lower) <= (cf_convergent(2 * n, x) if n else 0)
+        assert to_fraction(enc.upper) >= cf_convergent(2 * n + 1, x)
+        exact = Fraction(factorial(n)) / (pq_pair(n).p.eval_rational(x) * pq_pair(n + 1).p.eval_rational(x))
+        assert to_fraction(first_order_error_bound(n, x, bits)) >= exact
 
     def test_error_bound_strictly_decreases(self):
         # equivalent exact statement: (n+1) P_n(x) < P_{n+2}(x) for x > 0
@@ -231,3 +260,27 @@ class TestCertifyGrid:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             certify_grid("eq99", [0], [Fraction(1)], 128)
+
+    @pytest.mark.parametrize("family", ["eq15", "eq16"])
+    @pytest.mark.parametrize("x", [Fraction(0), Fraction(-1, 2), Fraction(-3)])
+    def test_first_order_refuses_nonpositive_x(self, family, x):
+        with pytest.raises(DomainError, match=rf"Eq1[56]: x must exceed 0, got x = {x}"):
+            certify_grid(family, [1, 2], [Fraction(1), x], 128)
+
+    def test_eq19_refuses_x_at_most_minus_one(self):
+        with pytest.raises(DomainError, match="Eq19: x must exceed -1, got x = -1"):
+            certify_grid("eq19", [0], [Fraction(-1)], 128)
+
+    def test_second_order_skips_pairs_outside_an_order_domain(self):
+        certs = certify_grid("i", [0, 1, 3], [Fraction(-2), Fraction(1)], 128)
+        # x = -2 is outside the odd orders' domain, and x = 1 is the root of A_1
+        assert {(c.family, c.x) for c in certs} == {
+            ("I_0", -2), ("I_0", 1), ("I_0_sharper", 1), ("I_3", 1), ("I_3_sharper", 1),
+        }
+
+    def test_every_family_is_in_the_table(self):
+        assert [fam.name for fam in FAMILIES.values()] == ["Eq15", "Eq16", "Eq17", "Eq18", "Eq19", "I"]
+        for key, fam in FAMILIES.items():
+            shown, certs = fam.at(2, Fraction(3, 2), 96)
+            assert certs and all(c.verdict == "pass" for c in certs), key
+            assert key == "eq17" or shown

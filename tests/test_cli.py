@@ -4,11 +4,14 @@ import json
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
 
+from millsratio.bounds import FAMILIES, certify_grid
 from millsratio.cli import main
+from millsratio.numutil import nstr_fixed
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +62,49 @@ class TestBounds:
         code, _, err = run_cli(capsys, "bounds", "--family", "eq19", "--x", "-1")
         assert code == 2
         assert "must exceed -1" in err
+
+    def test_i2_prints_the_certificate_order(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--family", "i2", "--x", "3/2")
+        assert code == 0
+        assert out.splitlines()[:2] == ["family = I_2", "n = 2"]
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_every_family_is_reachable(self, capsys, family):
+        code, out, err = run_cli(capsys, "bounds", "--family", family, "--n", "2", "--x", "3/2")
+        assert code == 0, err
+        assert f"family = {FAMILIES[family].name}" in out
+        assert "verdict = pass" in out
+
+    def test_help_lists_the_table(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bounds", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"one of {', '.join(FAMILIES)};" in help_text
+
+    @pytest.mark.parametrize(
+        "family,n,x,bits,verdict",
+        [
+            # a true bound whose margin (5e-45) is below what 128 bits resolve
+            ("eq15", 20, "37/3", 128, "fail"),
+            ("eq15", 20, "37/3", 256, "pass"),
+            ("eq15", 3, "1/10", 64, "pass"),
+            ("eq16", 5, "7/2", 128, "pass"),
+            ("eq17", 2, "-3", 96, "pass"),
+            ("eq18", 0, "-5/2", 128, "pass"),
+            ("eq19", 1, "-1/2", 64, "pass"),
+            ("i", 3, "2", 128, "pass"),
+            ("i", 4, "-7/3", 256, "pass"),
+        ],
+    )
+    def test_verdict_is_the_certify_grid_certificate(self, capsys, family, n, x, bits, verdict):
+        code, out, _ = run_cli(capsys, "bounds", "--family", family, "--n", str(n), f"--x={x}", "--precision", str(bits))
+        lines = dict(line.split(" = ", 1) for line in out.splitlines())
+        certs = [c for c in certify_grid(family, [n], [Fraction(x)], bits) if c.family == lines["family"]]
+        assert len(certs) == 1
+        assert lines["n"] == str(certs[0].n)
+        assert lines["margin"] == nstr_fixed(certs[0].margin, 20)
+        assert lines["verdict"] == certs[0].verdict == verdict
+        assert code == (0 if verdict == "pass" else 1)
 
 
 class TestBeta:
@@ -191,9 +237,9 @@ def test_default_verify_report_bytes(capsys, monkeypatch, fmt):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DEFAULT_REPORT_SHA256[fmt]
 
 
-def _load_full_verification_script():
-    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_full_verification.py"
-    spec = importlib.util.spec_from_file_location("run_full_verification", path)
+def _load_script(name):
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -208,11 +254,41 @@ def test_full_verification_script_matches_cli(capsys, tmp_path):
     _, cli_text, _ = run_cli(capsys, "verify", *small, "--format", "text")
 
     out_path.unlink()
-    script = _load_full_verification_script()
+    script = _load_script("run_full_verification")
     assert script.main([*small, "--out", str(out_path)]) == 0
     script_out = capsys.readouterr().out
     assert out_path.read_bytes() == cli_json
     assert script_out == f"wrote {out_path} (exit 0)\n" + cli_text
+
+
+# `scripts/bounds_table.py` output on small grids; the dashes are the points
+# outside a family's domain (x <= 0 for the enclosure, x <= -beta_m for odd
+# orders, x <= -1 for Szarek-Werner) and the root of A_1 at x = 1.
+BOUNDS_TABLE_GOLDEN = {
+    ("--grid=-3/2:2:1/2", "--precision", "96", "--digits", "10"): """\
+             x             phi        cf_lower        cf_upper             I_2             I_3        lower_cl        upper_cl
+          -3/2     7.205143007               -               -    0.4216951588               -             2.0               -
+            -1     3.477051812               -               -     1.151387819               -     1.618033989               -
+          -1/2     1.964017495               -               -     1.428571429     2.806627074     1.280776406     2.914854216
+             0     1.253314137               -               -     1.154700538     1.333333333             1.0     1.414213562
+           1/2    0.8763644565    0.5753424658     1.174377224    0.8571428571    0.8877726583    0.7807764064    0.9148542155
+             1    0.6556795424             0.6    0.6923076923    0.6513878189    0.6576707808    0.6180339887    0.6666666667
+           3/2    0.5158156382    0.5043478261    0.5217816936    0.5147184146    0.5162228998             0.5    0.5193751525
+             2    0.4213692293    0.4186046512    0.4225352113    0.4210526316    0.4214646916    0.4142135624    0.4226497308
+""",
+    ("--grid=1/2:1:1/2", "--order", "0", "--even", "0", "--odd", "1", "--digits", "8"): """\
+           x           phi      cf_lower      cf_upper           I_0           I_1      lower_cl      upper_cl
+         1/2    0.87636446           0.0           2.0    0.78077641    0.91485422    0.78077641    0.91485422
+           1    0.65567954           0.0           1.0    0.61803399             -    0.61803399    0.66666667
+""",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(BOUNDS_TABLE_GOLDEN))
+def test_bounds_table_script_golden(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "argv", ["bounds_table.py", *argv])
+    assert _load_script("bounds_table").main() == 0
+    assert capsys.readouterr().out == BOUNDS_TABLE_GOLDEN[argv]
 
 
 class TestPrecisionEnvironment:

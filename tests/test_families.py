@@ -1,3 +1,4 @@
+import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -71,6 +72,33 @@ class TestPQPairs:
         floor = factorial(2 * n) // (2**n * factorial(n))
         assert pq_pair(2 * n).p.coefficient(0) == floor
         assert pq_pair(2 * n + 1).p.coefficient(1) == (2 * n + 1) * floor
+
+    def test_concurrent_readers_never_see_half_grown_tables(self):
+        # fresh interpreter, and a reloaded (empty) memo each round, so every
+        # round races the first builds of orders 0..200 against the readers
+        script = (
+            "import importlib, sys, threading\n"
+            "import millsratio.families as families\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "errors = []\n"
+            "def worker():\n"
+            "    try:\n"
+            "        for n in range(201):\n"
+            "            families.pq_pair(n)\n"
+            "    except Exception as exc:\n"
+            "        errors.append(type(exc).__name__)\n"
+            "for _ in range(20):\n"
+            "    importlib.reload(families)\n"
+            "    threads = [threading.Thread(target=worker) for _ in range(4)]\n"
+            "    for t in threads:\n"
+            "        t.start()\n"
+            "    for t in threads:\n"
+            "        t.join()\n"
+            "print(len(errors), sorted(set(errors)))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "0 []"
 
 
 class TestClosedForms:

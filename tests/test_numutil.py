@@ -1,0 +1,24 @@
+from fractions import Fraction
+
+from mpmath import mp, mpf
+
+from millsratio.numutil import to_fraction, to_mpf
+
+
+def test_to_fraction_keeps_every_bit_of_a_wide_mpf():
+    # converted at the default 53 bits, a 128-bit mpf must not be re-rounded
+    with mp.workprec(128):
+        third = mpf(1) / 3
+    exact = Fraction(third.man) * Fraction(2) ** third.exp
+    assert to_fraction(third) == exact
+    assert abs(exact - Fraction(1, 3)) < Fraction(1, 2**128)
+    with mp.workprec(128):
+        assert to_mpf(to_fraction(third)) == third
+
+
+def test_to_fraction_plain_values():
+    assert to_fraction(Fraction(7, 3)) == Fraction(7, 3)
+    assert to_fraction(5) == 5
+    assert to_fraction(0.1) == Fraction(0.1)
+    assert to_fraction(mpf(-0.75)) == Fraction(-3, 4)
+    assert to_fraction(mpf(0)) == 0
