@@ -300,11 +300,15 @@ def _oracle(x: Fraction, precision_bits: int, memo: dict | None) -> tuple[mpf, m
 
 
 def _eq15(n: int, x: Fraction, precision_bits: int, memo: dict | None):
-    phi, slack = _oracle(x, precision_bits, memo)
+    """Both endpoints are exact convergents rounded outward, so the margin
+    need only clear the oracle error bound and the rounding of its own
+    subtraction at precision_bits + 16."""
+    ov = _phi(x, precision_bits + 16, memo)
     lower = _rounded(_convergent(2 * n, x), "f")
     upper = _rounded(_convergent(2 * n + 1, x), "c")
-    margin = min(phi - lower, upper - phi)
-    return {"lower": lower, "upper": upper}, [_cert("Eq15", n, x, margin, slack, precision_bits)]
+    margin = min(ov.value - lower, upper - ov.value)
+    threshold = mp.fadd(ov.error_bound, mp.ldexp(abs(margin), -(precision_bits + 16)), rounding="c")
+    return {"lower": lower, "upper": upper}, [_cert("Eq15", n, x, margin, threshold, precision_bits)]
 
 
 def _eq16(n: int, x: Fraction, precision_bits: int, memo: dict | None):

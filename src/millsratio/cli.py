@@ -320,9 +320,23 @@ COMMANDS = {
 }
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Write "--x -5/2" as "--x=-5/2".  argparse takes a token that starts
+    with "-" and is not a plain negative number for an option, so it would
+    refuse -5/2 or -2:2:1/2 as a value; no option of this CLI starts with a
+    digit or a point."""
+    out: list[str] = []
+    for token in argv:
+        if out and re.match(r"-[\d.]", token) and out[-1].startswith("--") and "=" not in out[-1]:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         if getattr(args, "precision", 0) is None:  # read the variable only where it is used
             args.precision = default_precision()

@@ -84,8 +84,9 @@ class TestBounds:
     @pytest.mark.parametrize(
         "family,n,x,bits,verdict",
         [
-            # a true bound whose margin (5e-45) is below what 128 bits resolve
-            ("eq15", 20, "37/3", 128, "fail"),
+            # a true enclosure with margin 5e-45: far above the oracle error
+            # bound (below 2^-176) and the rounding of the margin at 144 bits
+            ("eq15", 20, "37/3", 128, "pass"),
             ("eq15", 20, "37/3", 256, "pass"),
             ("eq15", 3, "1/10", 64, "pass"),
             ("eq16", 5, "7/2", 128, "pass"),
@@ -118,6 +119,34 @@ class TestBeta:
         code, out, _ = run_cli(capsys, "beta", "--m", "0")
         assert code == 0
         assert "beta = 1.0" in out
+
+
+class TestNegativeValues:
+    """A value that starts with a minus sign reads as in the --opt=value form."""
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (("phi", "--x", "-5/2"), 0),
+            (("phi", "--x", "-5/2", "--method", "both"), 0),
+            (("bounds", "--family", "eq18", "--x", "-5/2"), 0),
+            (("bounds", "--family", "i", "--n", "2", "--x", "-.5"), 0),
+            (("verify", "--n-max", "2", "--grid", "-2:2:1/2", "--precision", "64"), 0),
+            (("beta", "--m", "1", "--tolerance", "-1/8"), 2),
+        ],
+    )
+    def test_same_as_the_equals_form(self, capsys, argv, code):
+        joined = list(argv)
+        i = next(i for i, token in enumerate(joined) if token.startswith("-") and not token.startswith("--"))
+        joined[i - 1 : i + 1] = [f"{joined[i - 1]}={joined[i]}"]
+        result = run_cli(capsys, *argv)  # argparse would exit here if it took the value for an option
+        assert result == run_cli(capsys, *joined)
+        assert result[0] == code
+
+    def test_following_option_is_still_an_option(self, capsys):
+        code, out, _ = run_cli(capsys, "phi", "--x", "-1", "--digits", "5")
+        assert code == 0
+        assert out.splitlines()[-1].startswith("series: 3.4771 ")
 
 
 class TestCf:

@@ -1,9 +1,13 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
+from millsratio import contfrac, families, oracle
 from millsratio.errors import EnvelopeError
+from millsratio.numutil import to_fraction
 from millsratio.oracle import phi_derivative, phi_quadrature, phi_series
 
 GRID = [Fraction(-5), Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(0),
@@ -89,3 +93,62 @@ class TestDerivatives:
         for n in range(11):
             value = phi_derivative(n, x, 128)
             assert (-1) ** n * value > 0, f"n={n}, x={x}"
+
+
+def _reference(x: Fraction) -> mpf:
+    """phi(x) from mpmath's erfc at >= 600 bits, plus u log2 e bits for x < 0,
+    where phi grows like e^u, u = x^2/2."""
+    bits = 640 + (math.ceil(float(x) ** 2 / 2 * math.log2(math.e)) if x < 0 else 0)
+    with mp.workprec(bits):
+        xv = mpf(x.numerator) / x.denominator
+        return mp.exp(xv * xv / 2) * mp.sqrt(mp.pi / 2) * mp.erfc(xv / mp.sqrt(2))
+
+
+def _series_points():
+    rng = random.Random(20261018)
+    xs = [Fraction(rng.randint(-30 * d, 30 * d), d) for d in (rng.randint(1, 128) for _ in range(24))]
+    xs += [Fraction(-30), Fraction(0), Fraction(30), Fraction(-3839, 128), Fraction(3839, 128)]
+    xs += [rng.uniform(-30, 30) for _ in range(3)]  # floats
+    with mp.workprec(160):  # mpfs longer than a double
+        xs += [mpf(rng.uniform(-30, 30)) * (1 + mpf(2) ** -90) for _ in range(2)]
+    return xs
+
+
+class TestSeriesErrorBound:
+    @pytest.mark.parametrize("p", [64, 128, 256])
+    def test_value_within_derived_bound(self, p):
+        for x in _series_points():
+            ov = phi_series(x, p)
+            ref = _reference(to_fraction(x))
+            with mp.workprec(2048):
+                assert abs(ov.value - ref) <= ov.error_bound, f"x={x}, p={p}"
+            assert 0 < ov.error_bound <= mpf(2) ** -(p + 32), f"x={x}, p={p}"
+
+    @pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 3), Fraction(-5, 2), Fraction(79, 10), Fraction(3839, 128), Fraction(-30)])
+    def test_terms_exceed_u(self, x):
+        # above u = x^2/2 the terms (-u)^k / (k! (2k+1)) alternate and shrink,
+        # so the omitted tail lies between 0 and the first omitted term
+        ov = phi_series(x, 128)
+        u = x * x / 2
+        assert ov.terms > u
+        k = ov.terms
+        assert u * (2 * k + 1) < (k + 1) * (2 * k + 3)  # |t_{k+1}| < |t_k|, and likewise for every larger k
+
+    def test_records_work(self):
+        ov = phi_series(Fraction(10), 128)
+        assert ov.working_bits == 128 + 48 + math.ceil(50 * math.log2(math.e))
+        q = phi_quadrature(Fraction(10), 128)
+        assert q.working_bits == 160 and q.terms is None
+
+    def test_independent_of_polynomial_and_continued_fraction_code(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the series route must not use this")
+
+        monkeypatch.setattr(families, "pq_pair", refuse)
+        monkeypatch.setattr(families, "quadratic_triple", refuse)
+        monkeypatch.setattr(oracle, "pq_pair", refuse)
+        monkeypatch.setattr(contfrac, "cf_convergent", refuse)
+        for x in (Fraction(-7, 3), Fraction(0), Fraction(25, 2)):
+            ov = phi_series(x, 128)
+            with mp.workprec(1024):
+                assert abs(ov.value - _reference(x)) <= ov.error_bound
