@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from millsratio.bounds import FAMILIES
-from millsratio.cli import grid_points, parse_grid
+from millsratio.cli import grid_points, parse_digits, parse_grid
 from millsratio.errors import DomainError, SingularityError
 from millsratio.numutil import nstr_fixed
 from millsratio.oracle import phi_series
@@ -21,15 +21,15 @@ from millsratio.oracle import phi_series
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--grid", default="0.5:5:0.5")
+    parser.add_argument("--grid", type=parse_grid, default="0.5:5:0.5")
     parser.add_argument("--order", type=int, default=2, help="first-order enclosure order n")
     parser.add_argument("--even", type=int, default=2, help="even second-order index 2m")
     parser.add_argument("--odd", type=int, default=3, help="odd second-order index 2m+1")
     parser.add_argument("--precision", type=int, default=128)
-    parser.add_argument("--digits", type=int, default=12)
+    parser.add_argument("--digits", type=parse_digits, default=12)
     args = parser.parse_args()
 
-    xs = grid_points(parse_grid(args.grid))
+    xs = grid_points(args.grid)
     p, d = args.precision, args.digits
     # (family, order, one header per value the family shows); "-" marks a
     # point outside the family's domain or at a root of A_n

@@ -26,7 +26,6 @@ from .bounds import (
     komatsu_lower,
     log_convexity_check,
     second_order_bound,
-    second_order_root,
     szarek_werner_upper,
 )
 from .oracle import OracleValue, phi_derivative, phi_quadrature, phi_series
@@ -71,7 +70,6 @@ __all__ = [
     "q_closed_form",
     "quadratic_triple",
     "second_order_bound",
-    "second_order_root",
     "szarek_werner_upper",
     "verify_identities",
 ]

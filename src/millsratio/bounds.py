@@ -20,15 +20,19 @@ the returned bracket is a proof.  At x = +-beta_m the quadratic
 degenerates (A vanishes) and the bound evaluator reports a singularity
 instead of inventing a continuity value.
 
-First-order values are the exact rationals Q_n(x)/P_n(x) and
-n!/(P_n(x) P_{n+1}(x)) rounded once: enclosure endpoints outward, the error
-bound up, so they hold at every precision.
+Every bound value is formed from exact rationals (the polynomials are
+evaluated exactly at the exact x) and rounded once, outward: convergents
+by one directed division, square-root bounds by one mpmath.iv step whose
+outward endpoint is returned.  They hold at every precision.
 
 The families Eq15 to Eq19 and I are the rows of one table, FAMILIES: a
 stated domain, the fixed order of a one-bound family, and an evaluator of
 the shown bound values and certificates at a point.  certify_grid,
-`mills bounds` and scripts/bounds_table.py all read it, so they share one
-verdict rule.
+`mills bounds` and scripts/bounds_table.py all read it.  One verdict rule
+decides every certificate: its margin is an exact value within a derived
+error of the true margin (the oracle's error bound, or for Eq17 the radius
+of its iv enclosure), rounded once at p + 16 bits, and it passes iff it
+exceeds that error plus the rounding.
 """
 
 from __future__ import annotations
@@ -38,11 +42,11 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable
 
-from mpmath import mp, mpf
+from mpmath import iv, mp, mpf
 
 from .errors import DomainError, EnvelopeError, SingularityError
 from .families import pq_pair, quadratic_triple
-from .numutil import check_precision, nstr_fixed, to_fraction, to_mpf
+from .numutil import check_precision, iv_workprec, nstr_fixed, to_fraction, to_mpf
 from .oracle import phi_series
 
 
@@ -80,14 +84,7 @@ class Certificate:
     verdict: str
 
     def to_json_dict(self, digits: int = 20) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "x": str(self.x),
-            "margin": nstr_fixed(self.margin, digits),
-            "precision_bits": self.precision_bits,
-            "verdict": self.verdict,
-        }
+        return {**vars(self), "x": str(self.x), "margin": nstr_fixed(self.margin, digits)}
 
 
 CSV_COLUMNS = ["family", "n", "x", "margin", "precision_bits", "verdict"]
@@ -143,68 +140,69 @@ def _rounded(value: Fraction, rounding: str = "n") -> mpf:
     return mp.fdiv(value.numerator, value.denominator, rounding=rounding)
 
 
+def _iv(value: Fraction):
+    """An iv interval holding the exact rational value."""
+    return iv.mpf(value.numerator) / value.denominator
+
+
+def _endpoint(interval, upper: bool) -> mpf:
+    """The lower or upper endpoint of an iv interval, read exactly."""
+    return mp.make_mpf(interval._mpi_[upper])
+
+
 def komatsu_lower(x, precision_bits: int = 128) -> mpf:
-    """2 / (x + sqrt(x^2 + 4)); a lower bound for phi on all of R."""
+    """2 / (x + sqrt(x^2 + 4)); a lower bound for phi on all of R, formed
+    from the exact x in iv at precision_bits and rounded down."""
     check_precision(precision_bits)
-    with mp.workprec(precision_bits):
-        xv = to_mpf(x)
-        if xv < 0:
-            # rationalized form avoids cancellation in x + sqrt(x^2+4)
-            return (mp.sqrt(xv * xv + 4) - xv) / 2
-        return 2 / (xv + mp.sqrt(xv * xv + 4))
+    xf = to_fraction(x)
+    with iv_workprec(precision_bits):
+        root = iv.sqrt(_iv(xf * xf + 4))
+        # rationalized form avoids cancellation in x + sqrt(x^2+4)
+        bound = (root - _iv(xf)) / 2 if xf < 0 else 2 / (_iv(xf) + root)
+    return _endpoint(bound, False)
 
 
 def szarek_werner_upper(x, precision_bits: int = 128) -> mpf:
-    """4 / (3x + sqrt(x^2 + 8)); an upper bound for phi on ]-1, inf[."""
+    """4 / (3x + sqrt(x^2 + 8)); an upper bound for phi on ]-1, inf[, formed
+    from the exact x in iv at precision_bits and rounded up."""
     check_precision(precision_bits)
-    with mp.workprec(precision_bits):
-        xv = to_mpf(x)
-        if xv <= -1:
-            raise DomainError("x must exceed -1")
-        if xv < 0:
-            # rationalized form avoids cancellation in 3x + sqrt(x^2+8)
-            return (mp.sqrt(xv * xv + 8) - 3 * xv) / (2 * (1 - xv * xv))
-        return 4 / (3 * xv + mp.sqrt(xv * xv + 8))
-
-
-def second_order_root(n: int, x, sign: str, precision_bits: int = 128) -> mpf:
-    """Root Z_n^{+-}(x) = (B_n(x) +- n! sqrt(x^2+4n+4)) / (2 A_n(x))."""
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    check_precision(precision_bits)
-    with mp.workprec(precision_bits):
-        xv = to_mpf(x)
-        t = quadratic_triple(n)
-        a, b, c = (poly.eval_real(xv, precision_bits) for poly in (t.a, t.b, t.c))
-        if abs(a) <= t.a.horner_error_bound(xv, precision_bits):
-            raise SingularityError(
-                f"A_{n}({nstr_fixed(xv, 8)}) is below the evaluation error threshold"
-            )
-        root = factorial(n) * mp.sqrt(xv * xv + 4 * n + 4)
-        # Standard stable quadratic-root evaluation: form b +- root without
-        # cancellation, and obtain the other root as c / q via Vieta.
-        if b >= 0:
-            q = (b + root) / 2
-            return q / a if sign == "+" else c / q
-        q = (b - root) / 2
-        return c / q if sign == "+" else q / a
+    xf = to_fraction(x)
+    if xf <= -1:
+        raise DomainError("x must exceed -1")
+    with iv_workprec(precision_bits):
+        root = iv.sqrt(_iv(xf * xf + 8))
+        # rationalized form avoids cancellation in 3x + sqrt(x^2+8)
+        bound = (root - _iv(3 * xf)) / _iv(2 * (1 - xf * xf)) if xf < 0 else 4 / (_iv(3 * xf) + root)
+    return _endpoint(bound, True)
 
 
 def second_order_bound(n: int, x, precision_bits: int = 128) -> SecondOrderBound:
-    """Even n: lower bound Z^+ on all of R.  Odd n: upper bound
-    (B - n! sqrt(x^2+4n+4)) / (2A) on ]-beta_m, inf[."""
+    """Even n: the lower bound Z^+ on all of R.  Odd n: the upper bound
+    Z^- = (B - n! sqrt(x^2+4n+4)) / (2A) on ]-beta_m, inf[.
+
+    A_n, B_n and C_n are exact at the exact x; the root is formed in iv at
+    precision_bits and rounded outward (down for even n, up for odd n).
+    Raises DomainError for odd n at x <= -beta_m, and SingularityError
+    where A_n(x) is exactly 0 (x = beta_m for odd n)."""
     if n < 0:
         raise ValueError("order must be non-negative")
-    if n % 2 == 0:
-        value = second_order_root(n, x, "+", precision_bits)
-        return SecondOrderBound(n=n, value=value, role="lower")
+    check_precision(precision_bits)
+    xf = to_fraction(x)
+    t, odd = quadratic_triple(n), n % 2 == 1
     # ]-beta_m, inf[ is decided by the exact sign of the even polynomial A_n
     # at |x|: negative exactly inside the gap
-    xf = to_fraction(x)
-    if xf < 0 and quadratic_triple(n).a.eval_rational(-xf) >= 0:
+    if odd and xf < 0 and t.a.eval_rational(-xf) >= 0:
         raise DomainError(f"order {n} upper bound requires x > -beta_{(n - 1) // 2}")
-    value = second_order_root(n, x, "-", precision_bits)
-    return SecondOrderBound(n=n, value=value, role="upper")
+    a, b = t.a.eval_rational(xf), t.b.eval_rational(xf)
+    if a == 0:
+        raise SingularityError(f"A_{n}({xf}) is exactly 0")
+    with iv_workprec(precision_bits):
+        root = factorial(n) * iv.sqrt(_iv(xf * xf + 4 * n + 4))
+        # Standard stable quadratic-root evaluation: form b +- root without
+        # cancellation, and obtain the other root as c / q via Vieta.
+        q = (_iv(b) + root) / 2 if b >= 0 else (_iv(b) - root) / 2
+        z = q / _iv(a) if (b >= 0) != odd else _iv(t.c.eval_rational(xf)) / q
+    return SecondOrderBound(n=n, value=_endpoint(z, odd), role="upper" if odd else "lower")
 
 
 def beta(m: int, tolerance=None) -> BetaRoot:
@@ -224,8 +222,7 @@ def beta(m: int, tolerance=None) -> BetaRoot:
     lo, hi = Fraction(0), Fraction(1)
     if a.eval_rational(lo) >= 0:
         raise ArithmeticError(f"A_{2 * m + 1}(0) must be negative")
-    s_hi = a.eval_rational(hi)
-    if s_hi == 0:
+    if a.eval_rational(hi) == 0:
         return BetaRoot(m=m, value=mpf(1), bracket=(Fraction(1) - min(tol, Fraction(1, 2)), Fraction(1)))
     while hi - lo > tol:
         mid = (lo + hi) / 2
@@ -244,26 +241,26 @@ def beta(m: int, tolerance=None) -> BetaRoot:
 
 
 def log_convexity(n: int, x, precision_bits: int = 128, memo: dict | None = None) -> tuple[mpf, mpf]:
-    """(margin, threshold) of the log-convexity inequality at (n, x).
+    """(margin, error) of the log-convexity inequality at (n, x).
 
-    margin = A_n(x) phi(x)^2 - B_n(x) phi(x) + C_n(x), positive iff the
-    inequality holds; threshold is its propagated error bound.  phi, A_n,
-    B_n and C_n are each evaluated once, at precision_bits + 32; ``memo``
-    is an optional phi memo as described in certify_grid.
+    A_n(x) phi(x)^2 - B_n(x) phi(x) + C_n(x) is enclosed in one iv step at
+    precision_bits + 16, from the exact A_n, B_n, C_n and phi's enclosure
+    [v - e, v + e]; ``memo`` is an optional phi memo as described in
+    certify_grid.  margin is the enclosure's midpoint, positive iff the
+    inequality holds, and error its radius.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
-    wp = precision_bits + 32
-    ov = _phi(x, wp, memo)
+    ov = _phi(x, precision_bits, memo)
+    xf = to_fraction(x)
     t = quadratic_triple(n)
-    with mp.workprec(wp):
-        xv = to_mpf(x)
-        a, b, c = (poly.eval_real(xv, wp) for poly in (t.a, t.b, t.c))
-        phi = ov.value
-        margin = a * phi * phi - b * phi + c
-        horner = sum(poly.horner_error_bound(xv, wp) for poly in (t.a, t.b, t.c))
-        slope = abs(2 * a * phi - b) + 1
-        return margin, slope * ov.error_bound + horner * (1 + phi * phi)
+    with iv_workprec(precision_bits + 16):
+        a, b, c = (_iv(poly.eval_rational(xf)) for poly in (t.a, t.b, t.c))
+        phi = iv.mpf(ov.value) + iv.mpf([-ov.error_bound, ov.error_bound])
+        enclosure = a * phi * phi - b * phi + c
+    lo, hi = _endpoint(enclosure, False), _endpoint(enclosure, True)
+    with mp.workprec(precision_bits + 16):
+        return (lo + hi) / 2, mp.ldexp(mp.fsub(hi, lo, rounding="c"), -1)
 
 
 def log_convexity_check(n: int, x, precision_bits: int = 128) -> mpf:
@@ -273,82 +270,83 @@ def log_convexity_check(n: int, x, precision_bits: int = 128) -> mpf:
 
 
 def log_convexity_error(n: int, x, precision_bits: int = 128) -> mpf:
-    """Propagated error bound for log_convexity_check at the same arguments."""
-    return log_convexity(n, x, precision_bits)[1]
+    """The verdict threshold of log_convexity_check at the same arguments."""
+    return _threshold(*log_convexity(n, x, precision_bits), precision_bits)
 
 
 def _phi(x, precision_bits: int, memo: dict | None):
-    """phi_series(x, precision_bits), read from and stored into memo if given."""
-    if memo is None:
-        return phi_series(x, precision_bits)
-    key = (x, precision_bits)
-    ov = memo.get(key)
-    if ov is None:
-        ov = memo[key] = phi_series(x, precision_bits)
-    return ov
+    """phi_series(x, precision_bits + 16), read from and stored into memo if given."""
+    key = (x, precision_bits + 16)
+    memo = {} if memo is None else memo
+    if key not in memo:
+        memo[key] = phi_series(*key)
+    return memo[key]
 
 
-def _cert(family: str, n: int, x: Fraction, margin: mpf, threshold: mpf, precision_bits: int) -> Certificate:
-    return Certificate(family, n, x, margin, precision_bits, "pass" if margin > threshold else "fail")
+def _threshold(margin: mpf, error: mpf, precision_bits: int) -> mpf:
+    """The one verdict rule.  A margin is an exact value within ``error`` of
+    the true margin, rounded once to nearest at precision_bits + 16; it
+    passes iff it exceeds error plus that rounding.  The evaluators below
+    run at that working precision (see Family), and their bound values are
+    exact convergents rounded outward or outward iv endpoints."""
+    return mp.fadd(error, mp.ldexp(abs(margin), -(precision_bits + 16)), rounding="c")
 
 
-def _oracle(x: Fraction, precision_bits: int, memo: dict | None) -> tuple[mpf, mpf]:
-    """phi at precision_bits + 16, and the slack a margin must clear: the
-    oracle error bound plus one unit of rounding at precision_bits."""
-    ov = _phi(x, precision_bits + 16, memo)
-    return ov.value, ov.error_bound + mp.ldexp(1 + abs(ov.value), -precision_bits)
+def _cert(family: str, n: int, x: Fraction, margin: mpf, error: mpf, precision_bits: int) -> Certificate:
+    verdict = "pass" if margin > _threshold(margin, error, precision_bits) else "fail"
+    return Certificate(family, n, x, margin, precision_bits, verdict)
+
+
+def _vs_phi(family: str, n: int, x: Fraction, bound: mpf, upper: bool, precision_bits: int, memo: dict | None):
+    """The certificate that bound, an exact value, lies above (upper) or
+    below phi(x)."""
+    ov = _phi(x, precision_bits, memo)
+    margin = bound - ov.value if upper else ov.value - bound
+    return _cert(family, n, x, margin, ov.error_bound, precision_bits)
 
 
 def _eq15(n: int, x: Fraction, precision_bits: int, memo: dict | None):
-    """Both endpoints are exact convergents rounded outward, so the margin
-    need only clear the oracle error bound and the rounding of its own
-    subtraction at precision_bits + 16."""
-    ov = _phi(x, precision_bits + 16, memo)
-    lower = _rounded(_convergent(2 * n, x), "f")
-    upper = _rounded(_convergent(2 * n + 1, x), "c")
+    lower, upper = _rounded(_convergent(2 * n, x), "f"), _rounded(_convergent(2 * n + 1, x), "c")
+    ov = _phi(x, precision_bits, memo)
     margin = min(ov.value - lower, upper - ov.value)
-    threshold = mp.fadd(ov.error_bound, mp.ldexp(abs(margin), -(precision_bits + 16)), rounding="c")
-    return {"lower": lower, "upper": upper}, [_cert("Eq15", n, x, margin, threshold, precision_bits)]
+    return {"lower": lower, "upper": upper}, [_cert("Eq15", n, x, margin, ov.error_bound, precision_bits)]
 
 
 def _eq16(n: int, x: Fraction, precision_bits: int, memo: dict | None):
-    phi, slack = _oracle(x, precision_bits, memo)
-    conv = _rounded(_convergent(n, x))
-    bound = _rounded(_error_bound_exact(n, x), "c")
-    margin = bound - abs(phi - conv)
-    return {"convergent": conv, "error_bound": bound}, [_cert("Eq16", n, x, margin, 2 * slack, precision_bits)]
+    """The margin is formed from the exact convergent and error bound; the
+    shown convergent is rounded to nearest and the shown bound up."""
+    ov = _phi(x, precision_bits, memo)
+    conv, bound = _convergent(n, x), _error_bound_exact(n, x)
+    margin = _rounded(bound - abs(to_fraction(ov.value) - conv))
+    shown = {"convergent": _rounded(conv), "error_bound": _rounded(bound, "c")}
+    return shown, [_cert("Eq16", n, x, margin, ov.error_bound, precision_bits)]
 
 
 def _eq17(n: int, x: Fraction, precision_bits: int, memo: dict | None):
-    margin, threshold = log_convexity(n, x, precision_bits, memo)
-    return {}, [_cert("Eq17", n, x, margin, threshold, precision_bits)]
+    return {}, [_cert("Eq17", n, x, *log_convexity(n, x, precision_bits, memo), precision_bits)]
 
 
 def _eq18(n: int, x: Fraction, precision_bits: int, memo: dict | None):
-    phi, slack = _oracle(x, precision_bits, memo)
     lower = komatsu_lower(x, precision_bits + 16)
-    return {"lower": lower}, [_cert("Eq18", n, x, phi - lower, slack, precision_bits)]
+    return {"lower": lower}, [_vs_phi("Eq18", n, x, lower, False, precision_bits, memo)]
 
 
 def _eq19(n: int, x: Fraction, precision_bits: int, memo: dict | None):
-    phi, slack = _oracle(x, precision_bits, memo)
     upper = szarek_werner_upper(x, precision_bits + 16)
-    return {"upper": upper}, [_cert("Eq19", n, x, upper - phi, slack, precision_bits)]
+    return {"upper": upper}, [_vs_phi("Eq19", n, x, upper, True, precision_bits, memo)]
 
 
 def _second_order(n: int, x: Fraction, precision_bits: int, memo: dict | None):
     """I_n, plus the companion I_n_sharper certificate of its sharpness
     against the first-order convergent: Q_{2m}/P_{2m} < Z^+ for x > 0 and
-    Z^- < Q_{2m+1}/P_{2m+1} for x > beta_m."""
-    phi, slack = _oracle(x, precision_bits, memo)
+    Z^- < Q_{2m+1}/P_{2m+1} for x > beta_m.  Z's outward endpoint errs away
+    from the convergent too, so that margin is exact before its rounding."""
     sb = second_order_bound(n, x, precision_bits + 16)
-    margin = phi - sb.value if sb.role == "lower" else sb.value - phi
-    certs = [_cert(f"I_{n}", n, x, margin, slack, precision_bits)]
-    if x > 0 and (n % 2 == 0 or quadratic_triple(n).a.eval_rational(x) > 0):
-        conv = _rounded(_convergent(n, x))
-        sharper = sb.value - conv if sb.role == "lower" else conv - sb.value
-        rounding = mp.ldexp(1 + abs(conv), -precision_bits)
-        certs.append(_cert(f"I_{n}_sharper", n, x, sharper, rounding, precision_bits))
+    upper = sb.role == "upper"
+    certs = [_vs_phi(f"I_{n}", n, x, sb.value, upper, precision_bits, memo)]
+    if x > 0 and (not upper or quadratic_triple(n).a.eval_rational(x) > 0):
+        sharper = _convergent(n, x) - to_fraction(sb.value)
+        certs.append(_cert(f"I_{n}_sharper", n, x, _rounded(sharper if upper else -sharper), mpf(0), precision_bits))
     return {sb.role: sb.value}, certs
 
 
@@ -411,12 +409,12 @@ def certify_grid(
 
     Each certificate records the margin (distance from violation) rather
     than a boolean, so near-violations remain visible in reports; the
-    verdict is "pass" only when the margin clears the oracle error bound
-    plus evaluation slack.  For the second-order family the sharpness
-    claims against the first-order convergents are certified as companion
-    "<id>_sharper" entries.  An x outside the family's stated domain is a
-    DomainError; (n, x) pairs outside an order's own domain (odd orders of
-    I) or at a root of A_n are skipped.
+    verdict is the module's one rule: "pass" only when the margin exceeds
+    its derived error plus its own rounding.  For the second-order family
+    the sharpness claims against the first-order convergents are certified
+    as companion "<id>_sharper" entries.  An x outside the family's stated
+    domain is a DomainError; (n, x) pairs outside an order's own domain
+    (odd orders of I) or where A_n(x) is exactly 0 are skipped.
 
     ``memo`` holds the oracle values keyed by (x, working precision).  A
     caller that certifies several families over one grid passes the same
@@ -439,6 +437,6 @@ def certify_grid(
                 except EnvelopeError:
                     raise  # beyond the oracle, whatever the order
                 except (DomainError, SingularityError):
-                    continue  # outside this order's domain, or exactly at a root of A_n
+                    continue  # outside this order's domain, or A_n(x) is exactly 0
     out.sort(key=lambda c: (c.family, c.n, c.x))
     return out

@@ -43,17 +43,20 @@ def parse_grid(text: str) -> tuple[Fraction, Fraction, Fraction]:
     start, stop, step = (parse_rational(p) for p in parts)
     if step <= 0:
         raise argparse.ArgumentTypeError("grid step must be positive")
+    if stop < start:
+        raise argparse.ArgumentTypeError(f"grid stop {stop} is below its start {start}")
     return start, stop, step
+
+
+def parse_digits(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
 
 
 def grid_points(grid: tuple[Fraction, Fraction, Fraction]) -> list[Fraction]:
     start, stop, step = grid
-    out = []
-    v = start
-    while v <= stop:
-        out.append(v)
-        v += step
-    return out
+    return [start + k * step for k in range(int((stop - start) / step) + 1)]
 
 
 def default_precision() -> int:
@@ -81,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--precision", type=int, default=None, help="working precision in bits (default: MILLS_PRECISION_BITS or 128)")
-        p.add_argument("--digits", type=int, default=20, help="significant digits for decimal output")
+        p.add_argument("--digits", type=parse_digits, default=20, help="significant digits for decimal output")
 
     p_poly = sub.add_parser("poly", help="print an exact polynomial from one of the families")
     p_poly.add_argument("--which", required=True, choices=["P", "Q", "A", "B", "C", "Delta"])
@@ -123,19 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_poly(args) -> int:
-    n = args.n
+    n, which = args.n, args.which
     if n < 0:
         raise DomainError("order must be non-negative")
-    which = args.which
-    if which == "P":
-        value = pq_pair(n).p
-    elif which == "Q":
-        value = pq_pair(n).q
-    elif which == "Delta":
-        value = discriminant(n)
+    if which == "Delta":
+        print(discriminant(n))
     else:
-        value = getattr(quadratic_triple(n), which.lower())
-    print(value)
+        print(getattr(pq_pair(n) if which in ("P", "Q") else quadratic_triple(n), which.lower()))
     return 0
 
 

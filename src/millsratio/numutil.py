@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 
-from mpmath import mp, mpf
+from mpmath import iv, mp, mpf
 
 DEFAULT_PRECISION_BITS = 128
 MIN_PRECISION_BITS = 64
@@ -30,6 +31,17 @@ def to_fraction(value) -> Fraction:
         raise ValueError(f"cannot convert non-finite value {value!r}")
     frac = Fraction(man) * Fraction(2) ** exp
     return -frac if sign else frac
+
+
+@contextmanager
+def iv_workprec(bits: int):
+    """mpmath.iv at bits of working precision inside the block (iv has no workprec)."""
+    saved = iv.prec
+    iv.prec = bits
+    try:
+        yield
+    finally:
+        iv.prec = saved
 
 
 def check_precision(precision_bits: int) -> int:

@@ -40,7 +40,7 @@ from mpmath import iv, mp, mpf
 
 from .errors import EnvelopeError
 from .families import pq_pair
-from .numutil import check_precision, to_fraction, to_mpf
+from .numutil import check_precision, iv_workprec, to_fraction, to_mpf
 
 ENVELOPE = 30  # |x| beyond this is refused; the guard-bit budget assumes it
 
@@ -117,14 +117,10 @@ def phi_series(x, precision_bits: int = 128) -> OracleValue:
     n = _term_count(u, w)
     p, q, t = _split(u.numerator, u.denominator, 1, n + 1)
     # S_{N+1} = (Q + T) / Q and t_N = P / Q; S lies between S_N and S_{N+1}
-    saved = iv.prec
-    try:
-        iv.prec = w
+    with iv_workprec(w):
         xs = _interval(xq.numerator * (q + t - p), xq.numerator * (q + t), xq.denominator * q, w)
         uv = _interval(u.numerator, u.numerator, u.denominator, w)
         enclosure = iv.exp(uv) * (iv.sqrt(iv.pi / 2) - xs)
-    finally:
-        iv.prec = saved
     with mp.workprec(w):
         lo, hi = mp.mpf(enclosure.a), mp.mpf(enclosure.b)  # exact: both have w bits
         value = (lo + hi) / 2
@@ -167,9 +163,7 @@ def phi_derivative(n: int, x, precision_bits: int = 128) -> mpf:
     """phi^(n)(x) = P_n(x) phi(x) - Q_n(x), with phi from the series route."""
     if n < 0:
         raise ValueError("order must be non-negative")
-    pair = pq_pair(n)
-    ov = phi_series(x, precision_bits + 32)
-    with mp.workprec(precision_bits + 32):
-        return pair.p.eval_real(x, precision_bits + 32) * ov.value - pair.q.eval_real(
-            x, precision_bits + 32
-        )
+    pair, wp = pq_pair(n), precision_bits + 32
+    ov = phi_series(x, wp)
+    with mp.workprec(wp):
+        return pair.p.eval_real(x, wp) * ov.value - pair.q.eval_real(x, wp)

@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -16,19 +18,20 @@ from millsratio.bounds import (
     log_convexity_check,
     log_convexity_error,
     second_order_bound,
-    second_order_root,
     szarek_werner_upper,
 )
 from millsratio.contfrac import cf_convergent
 from millsratio.errors import DomainError, SingularityError
 from millsratio.families import pq_pair, quadratic_triple
 from millsratio.numutil import to_fraction
-from millsratio.oracle import phi_series
+from millsratio.oracle import ENVELOPE, phi_series
 
 
+@lru_cache(maxsize=None)
 def phi_reference(x: Fraction) -> mpf:
-    """phi(x) = e^{x^2/2} sqrt(pi/2) erfc(x/sqrt(2)) from mpmath's erfc at 640 bits."""
-    with mp.workprec(640):
+    """phi(x) = e^{x^2/2} sqrt(pi/2) erfc(x/sqrt(2)) from mpmath's erfc at 640
+    bits, plus u log2 e bits for x < 0, where phi grows like e^u."""
+    with mp.workprec(640 + (math.ceil(float(x) ** 2 / 2 * math.log2(math.e)) if x < 0 else 0)):
         xv = mpf(x.numerator) / x.denominator
         return mp.exp(xv * xv / 2) * mp.sqrt(mp.pi / 2) * mp.erfc(xv / mp.sqrt(2))
 
@@ -116,23 +119,23 @@ class TestClassicalBounds:
 
 class TestSecondOrder:
     def test_root_order_zero(self):
-        assert second_order_root(0, 0, "+", 128) == 1
+        assert second_order_bound(0, 0, 128).value == 1
 
     def test_root_order_one(self):
-        got = second_order_root(1, 2, "-", 128)
+        got = second_order_bound(1, 2, 128).value
         with mp.workprec(160):
             expect = 4 / (6 + mp.sqrt(12))
             assert abs(got - expect) < mpf(2) ** -120
 
     def test_root_order_two(self):
-        got = second_order_root(2, 0, "+", 128)
+        got = second_order_bound(2, 0, 128).value
         with mp.workprec(160):
             assert abs(got - mp.sqrt(12) / 3) < mpf(2) ** -120
 
     def test_root_singularity_at_beta(self):
         # A_1 = x^2 - 1 vanishes at x = 1
         with pytest.raises(SingularityError):
-            second_order_root(1, 1, "-", 128)
+            second_order_bound(1, 1, 128)
 
     def test_even_orders_reproduce_komatsu(self):
         for x in (Fraction(-4), Fraction(-1), Fraction(0), Fraction(3)):
@@ -284,3 +287,115 @@ class TestCertifyGrid:
             shown, certs = fam.at(2, Fraction(3, 2), 96)
             assert certs and all(c.verdict == "pass" for c in certs), key
             assert key == "eq17" or shown
+
+
+def _conv(n: int, x: Fraction) -> Fraction:
+    """Q_n(x)/P_n(x) for x > 0 from the independent scaled recurrence."""
+    return cf_convergent(n, x) if n else Fraction(0)
+
+
+def _true_margin(cert, sb_value, x: Fraction, phi: mpf):
+    """The certificate's inequality, as (left side - right side) with the
+    reference phi and exact polynomial values: positive iff it is true."""
+    n, family = cert.n, cert.family
+    if family == "Eq16":
+        bound = Fraction(factorial(n)) / (pq_pair(n).p.eval_rational(x) * pq_pair(n + 1).p.eval_rational(x))
+        return bound - abs(to_fraction(phi) - _conv(n, x))
+    if family == "Eq17":
+        t = quadratic_triple(n)
+        a, b, c = (poly.eval_rational(x) for poly in (t.a, t.b, t.c))
+        phi_q = to_fraction(phi)
+        return a * phi_q * phi_q - b * phi_q + c
+    if family.endswith("_sharper"):
+        return (to_fraction(sb_value) - _conv(n, x)) * (1 if n % 2 == 0 else -1)
+    return None  # Eq15, Eq18, Eq19, I_n: the returned bound values are checked directly
+
+
+def _check_point(family: str, n: int, x: Fraction, bits: int):
+    """Every bound value a family returns at (n, x) is a bound on phi, every
+    'pass' certificate states a true inequality, and points outside the
+    family's domain are refused."""
+    fam = FAMILIES[family]
+    phi = phi_reference(x)
+    a_is_zero = quadratic_triple(n).a.eval_rational(x) == 0
+    odd_outside = n % 2 == 1 and x < 0 and quadratic_triple(n).a.eval_rational(-x) >= 0
+    if fam.x_above is not None and x <= fam.x_above:
+        with pytest.raises(DomainError):
+            fam.at(n, x, bits)
+        return
+    if family == "i" and (odd_outside or a_is_zero):
+        with pytest.raises(DomainError if odd_outside else SingularityError):
+            fam.at(n, x, bits)
+        return
+    shown, certs = fam.at(n, x, bits)
+    assert "lower" not in shown or shown["lower"] < phi
+    assert "upper" not in shown or shown["upper"] > phi
+    if family == "eq16":
+        assert to_fraction(shown["error_bound"]) > abs(to_fraction(phi) - _conv(n, x))
+    for cert in certs:
+        if cert.verdict == "pass":
+            true = _true_margin(cert, shown.get("lower", shown.get("upper")), x, phi)
+            assert true is None or true > 0, cert
+
+
+@st.composite
+def signed_grid_points(draw):
+    """x in [-30, 30] with a denominator of at most 128."""
+    den = draw(st.integers(min_value=1, max_value=128))
+    return Fraction(draw(st.integers(min_value=-ENVELOPE * den, max_value=ENVELOPE * den)), den)
+
+
+SOUNDNESS_POINTS = [Fraction(1), Fraction(-1), Fraction(2901, 101)]
+
+
+class TestSoundness:
+    """Bounds and verdicts checked against mpmath's erfc at >= 600 bits, at
+    64, 128 and 256 bits, for orders up to 40 (20 for first-order families)."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from(sorted(FAMILIES)),
+        st.integers(min_value=0, max_value=40),
+        signed_grid_points(),
+        st.sampled_from([64, 128, 256]),
+    )
+    def test_every_family_on_seeded_points(self, family, n, x, bits):
+        _check_point(family, n % 21 if family in ("eq15", "eq16") else n, x, bits)
+
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    @pytest.mark.parametrize("x", SOUNDNESS_POINTS, ids=str)
+    def test_every_family_at_fixed_points(self, x, bits):
+        for family in sorted(FAMILIES):
+            for n in (0, 1, 2, 3, 5, 12, 20) + ((24, 31, 40) if family in ("eq17", "i") else ()):
+                _check_point(family, n, x, bits)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(min_value=0, max_value=40), signed_grid_points(), st.sampled_from([64, 128, 256]))
+    def test_library_bounds_at_requested_precision(self, n, x, bits):
+        phi = phi_reference(x)
+        assert komatsu_lower(x, bits) < phi
+        if x > -1:
+            assert szarek_werner_upper(x, bits) > phi
+        a = quadratic_triple(n).a
+        if n % 2 == 1 and x < 0 and a.eval_rational(-x) >= 0:
+            with pytest.raises(DomainError):
+                second_order_bound(n, x, bits)
+        elif a.eval_rational(x) == 0:
+            with pytest.raises(SingularityError):
+                second_order_bound(n, x, bits)
+        else:
+            sb = second_order_bound(n, x, bits)
+            assert sb.value < phi if sb.role == "lower" else sb.value > phi
+
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    @pytest.mark.parametrize("n", [12, 20, 24, 40])
+    @pytest.mark.parametrize("x", SOUNDNESS_POINTS, ids=str)
+    def test_second_order_bound_at_fixed_points(self, x, n, bits):
+        phi = phi_reference(x)
+        sb = second_order_bound(n, x, bits)
+        assert sb.value < phi if sb.role == "lower" else sb.value > phi
+
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    def test_singularity_exactly_at_the_root_of_a1(self, bits):
+        with pytest.raises(SingularityError, match="exactly 0"):
+            second_order_bound(1, 1, bits)

@@ -95,6 +95,10 @@ class TestBounds:
             ("eq19", 1, "-1/2", 64, "pass"),
             ("i", 3, "2", 128, "pass"),
             ("i", 4, "-7/3", 256, "pass"),
+            # true bounds whose margins (7.2e-21 and 3.4e-25) lie below one
+            # unit of rounding at 64 bits but far above the oracle error bound
+            ("i", 12, "10", 64, "pass"),
+            ("i", 20, "10", 64, "pass"),
         ],
     )
     def test_verdict_is_the_certify_grid_certificate(self, capsys, family, n, x, bits, verdict):
@@ -106,6 +110,40 @@ class TestBounds:
         assert lines["margin"] == nstr_fixed(certs[0].margin, 20)
         assert lines["verdict"] == certs[0].verdict == verdict
         assert code == (0 if verdict == "pass" else 1)
+
+
+class TestUsageErrors:
+    """Input that would make a vacuous or unreadable report is a usage error
+    (exit 2) that names its option."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("phi", "--x", "1"),
+            ("bounds", "--family", "eq18", "--x", "1"),
+            ("cf", "--x", "1", "--depth", "2"),
+            ("beta", "--m", "1"),
+            ("verify", "--n-max", "1", "--grid", "1:1:1"),
+        ],
+    )
+    @pytest.mark.parametrize("digits", ["0", "-3", "two"])
+    def test_digits_below_one_refused(self, capsys, argv, digits):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--digits", digits])
+        assert exc.value.code == 2
+        assert "argument --digits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["10:1:1", "1:-1:1/2", "0:1:0"])
+    def test_empty_grid_refused(self, capsys, grid):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n-max", "1", "--grid", grid])
+        assert exc.value.code == 2
+        assert "argument --grid" in capsys.readouterr().err
+
+    def test_one_point_grid_is_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--n-max", "1", "--grid", "2:2:1", "--digits", "1")
+        assert code == 0
+        assert {c["x"] for c in json.loads(out)["certificates"]} == {"2"}
 
 
 class TestBeta:
@@ -335,3 +373,12 @@ class TestPrecisionEnvironment:
         assert out == ""
         assert "MILLS_PRECISION_BITS" in err
         assert raw in err
+
+
+@pytest.mark.parametrize("argv", [("--grid", "10:1:1"), ("--digits", "0")])
+def test_bounds_table_script_refuses_bad_input(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "argv", ["bounds_table.py", *argv])
+    with pytest.raises(SystemExit) as exc:
+        _load_script("bounds_table").main()
+    assert exc.value.code == 2
+    assert f"argument {argv[0]}" in capsys.readouterr().err
