@@ -12,25 +12,29 @@ import argparse
 import sys
 from fractions import Fraction
 
-from millsratio.bounds import FAMILIES
-from millsratio.cli import grid_points, parse_digits, parse_grid
-from millsratio.errors import DomainError, SingularityError
-from millsratio.numutil import nstr_fixed
-from millsratio.oracle import phi_series
+from millsratio.bounds import FAMILIES, phi_at
+from millsratio.cli import at_least, grid_points, parse_grid
+from millsratio.errors import DomainError, EnvelopeError, SingularityError
+from millsratio.numutil import MIN_PRECISION_BITS, nstr_fixed
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--grid", type=parse_grid, default="0.5:5:0.5")
-    parser.add_argument("--order", type=int, default=2, help="first-order enclosure order n")
-    parser.add_argument("--even", type=int, default=2, help="even second-order index 2m")
-    parser.add_argument("--odd", type=int, default=3, help="odd second-order index 2m+1")
-    parser.add_argument("--precision", type=int, default=128)
-    parser.add_argument("--digits", type=parse_digits, default=12)
+    parser.add_argument("--order", type=at_least(0), default=2, help="first-order enclosure order n")
+    parser.add_argument("--even", type=at_least(0), default=2, help="even second-order index 2m")
+    parser.add_argument("--odd", type=at_least(0), default=3, help="odd second-order index 2m+1")
+    parser.add_argument("--precision", type=at_least(MIN_PRECISION_BITS), default=128)
+    parser.add_argument("--digits", type=at_least(1), default=12)
     args = parser.parse_args()
 
     xs = grid_points(args.grid)
     p, d = args.precision, args.digits
+    memo: dict = {}  # one phi per x, read again by every family
+    try:
+        phis = [phi_at(x, p, memo).value for x in xs]
+    except EnvelopeError as exc:
+        parser.error(f"argument --grid: {exc}")
     # (family, order, one header per value the family shows); "-" marks a
     # point outside the family's domain or at a root of A_n
     columns = [
@@ -43,9 +47,8 @@ def main() -> int:
 
     header = ["x", "phi"] + [h for _, _, headers in columns for h in headers]
     print("  ".join(h.rjust(d + 4) for h in header))
-    memo: dict = {}
-    for x in xs:
-        row = [str(Fraction(x)), nstr_fixed(phi_series(x, p).value, d)]
+    for x, phi in zip(xs, phis):
+        row = [str(Fraction(x)), nstr_fixed(phi, d)]
         for name, n, headers in columns:
             try:
                 shown, _ = FAMILIES[name].at(n, x, p, memo)

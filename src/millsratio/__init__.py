@@ -25,10 +25,11 @@ from .bounds import (
     first_order_error_bound,
     komatsu_lower,
     log_convexity_check,
+    phi_derivative,
     second_order_bound,
     szarek_werner_upper,
 )
-from .oracle import OracleValue, phi_derivative, phi_quadrature, phi_series
+from .oracle import OracleValue, phi_quadrature, phi_series
 from .poly import IntPolynomial, ONE, X, ZERO
 
 __version__ = "0.1.0"

@@ -24,6 +24,8 @@ Every bound value is formed from exact rationals (the polynomials are
 evaluated exactly at the exact x) and rounded once, outward: convergents
 by one directed division, square-root bounds by one mpmath.iv step whose
 outward endpoint is returned.  They hold at every precision.
+phi_derivative is formed the same way, from exact P_n(x) and Q_n(x), and
+every certificate reads phi through phi_at alone.
 
 The families Eq15 to Eq19 and I are the rows of one table, FAMILIES: a
 stated domain, the fixed order of a one-bound family, and an evaluator of
@@ -47,7 +49,7 @@ from mpmath import iv, mp, mpf
 from .errors import DomainError, EnvelopeError, SingularityError
 from .families import pq_pair, quadratic_triple
 from .numutil import check_precision, iv_workprec, nstr_fixed, to_fraction, to_mpf
-from .oracle import phi_series
+from .oracle import OracleValue, phi_series
 
 
 @dataclass(frozen=True)
@@ -93,8 +95,6 @@ CSV_COLUMNS = ["family", "n", "x", "margin", "precision_bits", "verdict"]
 def first_order_enclosure(n: int, x, precision_bits: int = 128) -> Enclosure:
     """Rational enclosure Q_{2n}/P_{2n} < phi < Q_{2n+1}/P_{2n+1}, x > 0,
     with the exact endpoints rounded outward to precision_bits."""
-    if n < 0:
-        raise ValueError("order must be non-negative")
     check_precision(precision_bits)
     with mp.workprec(precision_bits):
         xf = _positive(x, "first-order enclosure requires x > 0")
@@ -111,8 +111,6 @@ def first_order_enclosure(n: int, x, precision_bits: int = 128) -> Enclosure:
 def first_order_error_bound(n: int, x, precision_bits: int = 128) -> mpf:
     """n! / (P_n(x) P_{n+1}(x)), the first-order truncation error bound,
     rounded up to precision_bits."""
-    if n < 0:
-        raise ValueError("order must be non-negative")
     check_precision(precision_bits)
     with mp.workprec(precision_bits):
         return _rounded(_error_bound_exact(n, _positive(x, "error bound is stated for x > 0")), "c")
@@ -122,7 +120,7 @@ def _positive(x, message: str) -> Fraction:
     """x as an exact rational, refused unless x > 0."""
     xf = to_fraction(x)
     if xf <= 0:
-        raise DomainError(message)
+        raise DomainError(f"{message}, got x = {xf}")
     return xf
 
 
@@ -132,7 +130,8 @@ def _convergent(n: int, x: Fraction) -> Fraction:
 
 
 def _error_bound_exact(n: int, x: Fraction) -> Fraction:
-    return Fraction(factorial(n)) / (pq_pair(n).p.eval_rational(x) * pq_pair(n + 1).p.eval_rational(x))
+    p_n, p_next = (pq_pair(k).p.eval_rational(x) for k in (n, n + 1))
+    return Fraction(factorial(n)) / (p_n * p_next)
 
 
 def _rounded(value: Fraction, rounding: str = "n") -> mpf:
@@ -148,6 +147,18 @@ def _iv(value: Fraction):
 def _endpoint(interval, upper: bool) -> mpf:
     """The lower or upper endpoint of an iv interval, read exactly."""
     return mp.make_mpf(interval._mpi_[upper])
+
+
+def _iv_phi(ov: OracleValue):
+    """An iv interval holding phi: [value - error_bound, value + error_bound]."""
+    return iv.mpf(ov.value) + iv.mpf([-ov.error_bound, ov.error_bound])
+
+
+def _midpoint_radius(interval, bits: int) -> tuple[mpf, mpf]:
+    """An iv interval's midpoint, rounded to nearest at bits, and its radius, rounded up."""
+    lo, hi = _endpoint(interval, False), _endpoint(interval, True)
+    with mp.workprec(bits):
+        return (lo + hi) / 2, mp.ldexp(mp.fsub(hi, lo, rounding="c"), -1)
 
 
 def komatsu_lower(x, precision_bits: int = 128) -> mpf:
@@ -168,7 +179,7 @@ def szarek_werner_upper(x, precision_bits: int = 128) -> mpf:
     check_precision(precision_bits)
     xf = to_fraction(x)
     if xf <= -1:
-        raise DomainError("x must exceed -1")
+        raise DomainError(f"x must exceed -1, got x = {xf}")
     with iv_workprec(precision_bits):
         root = iv.sqrt(_iv(xf * xf + 8))
         # rationalized form avoids cancellation in 3x + sqrt(x^2+8)
@@ -184,15 +195,13 @@ def second_order_bound(n: int, x, precision_bits: int = 128) -> SecondOrderBound
     precision_bits and rounded outward (down for even n, up for odd n).
     Raises DomainError for odd n at x <= -beta_m, and SingularityError
     where A_n(x) is exactly 0 (x = beta_m for odd n)."""
-    if n < 0:
-        raise ValueError("order must be non-negative")
     check_precision(precision_bits)
     xf = to_fraction(x)
     t, odd = quadratic_triple(n), n % 2 == 1
     # ]-beta_m, inf[ is decided by the exact sign of the even polynomial A_n
     # at |x|: negative exactly inside the gap
     if odd and xf < 0 and t.a.eval_rational(-xf) >= 0:
-        raise DomainError(f"order {n} upper bound requires x > -beta_{(n - 1) // 2}")
+        raise DomainError(f"order {n} upper bound requires x > -beta_{(n - 1) // 2}, got x = {xf}")
     a, b = t.a.eval_rational(xf), t.b.eval_rational(xf)
     if a == 0:
         raise SingularityError(f"A_{n}({xf}) is exactly 0")
@@ -203,6 +212,25 @@ def second_order_bound(n: int, x, precision_bits: int = 128) -> SecondOrderBound
         q = (_iv(b) + root) / 2 if b >= 0 else (_iv(b) - root) / 2
         z = q / _iv(a) if (b >= 0) != odd else _iv(t.c.eval_rational(xf)) / q
     return SecondOrderBound(n=n, value=_endpoint(z, odd), role="upper" if odd else "lower")
+
+
+def phi_derivative(n: int, x, precision_bits: int = 128) -> mpf:
+    """phi^(n)(x) = P_n(x) phi(x) - Q_n(x), with an absolute error below
+    2^-precision_bits.
+
+    P_n(x) and Q_n(x) are exact at the exact x, and phi is read from the
+    series route with log2 |P_n(x)| extra bits.  P phi - Q is formed in one
+    iv step at precision_bits + 16 bits plus log2 of |P_n(x) phi(x)| or
+    |Q_n(x)|, whichever is larger (phi grows like e^{x^2/2} for x < 0); the
+    value returned is the interval's midpoint."""
+    check_precision(precision_bits)
+    xf = to_fraction(x)
+    pair = pq_pair(n)
+    p, q = pair.p.eval_rational(xf), pair.q.eval_rational(xf)
+    ov = phi_series(xf, precision_bits + max(0, mp.mag(p)))
+    w = precision_bits + 16 + max(0, mp.mag(p) + mp.mag(ov.value), mp.mag(q))
+    with iv_workprec(w):
+        return _midpoint_radius(_iv(p) * _iv_phi(ov) - _iv(q), w)[0]
 
 
 def beta(m: int, tolerance=None) -> BetaRoot:
@@ -230,10 +258,7 @@ def beta(m: int, tolerance=None) -> BetaRoot:
         if s == 0:
             # dyadic midpoint happens to be the exact root
             return BetaRoot(m=m, value=to_mpf(mid), bracket=(mid - tol, mid + tol))
-        if s < 0:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if s < 0 else (lo, mid)
     bits = max(128, -(tol.numerator.bit_length() - tol.denominator.bit_length()) + 32)
     with mp.workprec(bits):
         value = to_mpf((lo + hi) / 2)
@@ -249,18 +274,13 @@ def log_convexity(n: int, x, precision_bits: int = 128, memo: dict | None = None
     certify_grid.  margin is the enclosure's midpoint, positive iff the
     inequality holds, and error its radius.
     """
-    if n < 0:
-        raise ValueError("order must be non-negative")
-    ov = _phi(x, precision_bits, memo)
-    xf = to_fraction(x)
     t = quadratic_triple(n)
+    ov = phi_at(x, precision_bits, memo)
+    xf = to_fraction(x)
     with iv_workprec(precision_bits + 16):
         a, b, c = (_iv(poly.eval_rational(xf)) for poly in (t.a, t.b, t.c))
-        phi = iv.mpf(ov.value) + iv.mpf([-ov.error_bound, ov.error_bound])
-        enclosure = a * phi * phi - b * phi + c
-    lo, hi = _endpoint(enclosure, False), _endpoint(enclosure, True)
-    with mp.workprec(precision_bits + 16):
-        return (lo + hi) / 2, mp.ldexp(mp.fsub(hi, lo, rounding="c"), -1)
+        phi = _iv_phi(ov)
+        return _midpoint_radius(a * phi * phi - b * phi + c, precision_bits + 16)
 
 
 def log_convexity_check(n: int, x, precision_bits: int = 128) -> mpf:
@@ -274,8 +294,10 @@ def log_convexity_error(n: int, x, precision_bits: int = 128) -> mpf:
     return _threshold(*log_convexity(n, x, precision_bits), precision_bits)
 
 
-def _phi(x, precision_bits: int, memo: dict | None):
-    """phi_series(x, precision_bits + 16), read from and stored into memo if given."""
+def phi_at(x, precision_bits: int, memo: dict | None = None) -> OracleValue:
+    """The oracle value every certificate at precision_bits is measured
+    against: phi_series(x, precision_bits + 16), read from and stored into
+    memo if given.  Only this function knows the 16 guard bits."""
     key = (x, precision_bits + 16)
     memo = {} if memo is None else memo
     if key not in memo:
@@ -300,14 +322,14 @@ def _cert(family: str, n: int, x: Fraction, margin: mpf, error: mpf, precision_b
 def _vs_phi(family: str, n: int, x: Fraction, bound: mpf, upper: bool, precision_bits: int, memo: dict | None):
     """The certificate that bound, an exact value, lies above (upper) or
     below phi(x)."""
-    ov = _phi(x, precision_bits, memo)
+    ov = phi_at(x, precision_bits, memo)
     margin = bound - ov.value if upper else ov.value - bound
     return _cert(family, n, x, margin, ov.error_bound, precision_bits)
 
 
 def _eq15(n: int, x: Fraction, precision_bits: int, memo: dict | None):
     lower, upper = _rounded(_convergent(2 * n, x), "f"), _rounded(_convergent(2 * n + 1, x), "c")
-    ov = _phi(x, precision_bits, memo)
+    ov = phi_at(x, precision_bits, memo)
     margin = min(ov.value - lower, upper - ov.value)
     return {"lower": lower, "upper": upper}, [_cert("Eq15", n, x, margin, ov.error_bound, precision_bits)]
 
@@ -315,7 +337,7 @@ def _eq15(n: int, x: Fraction, precision_bits: int, memo: dict | None):
 def _eq16(n: int, x: Fraction, precision_bits: int, memo: dict | None):
     """The margin is formed from the exact convergent and error bound; the
     shown convergent is rounded to nearest and the shown bound up."""
-    ov = _phi(x, precision_bits, memo)
+    ov = phi_at(x, precision_bits, memo)
     conv, bound = _convergent(n, x), _error_bound_exact(n, x)
     margin = _rounded(bound - abs(to_fraction(ov.value) - conv))
     shown = {"convergent": _rounded(conv), "error_bound": _rounded(bound, "c")}

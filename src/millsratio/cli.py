@@ -2,9 +2,10 @@
 certification runs, continued fractions, and oracle queries.
 
 Exit status contract: 0 all-pass, 1 certification failure, 2 usage or
-domain error.  Rationals are accepted as "7/3" or "0.1" (parsed exactly,
-so grids are reproducible); decimal output is round-to-nearest with 20
-significant digits unless --digits is given.  The MILLS_PRECISION_BITS
+domain error, including a bound asked for where A_n(x) is exactly 0.
+Rationals are accepted as "7/3" or "0.1" (parsed exactly, so grids are
+reproducible); decimal output is round-to-nearest with 20 significant
+digits unless --digits is given.  The MILLS_PRECISION_BITS
 environment variable overrides the default precision of 128 bits; a value
 that is not an integer of at least 64 bits is a usage error.
 """
@@ -21,9 +22,9 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .bounds import CSV_COLUMNS, FAMILIES, beta, certify_grid, find_family
+from .bounds import CSV_COLUMNS, FAMILIES, beta, certify_grid, find_family, phi_at
 from .contfrac import cf_b, cf_convergent, cf_ladder_eval, expansion_str
-from .errors import DomainError, MillsError
+from .errors import DomainError, MillsError, SingularityError
 from .families import discriminant, pq_pair, quadratic_triple, verify_identities
 from .numutil import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, nstr_fixed
 from .oracle import phi_quadrature, phi_series
@@ -48,10 +49,13 @@ def parse_grid(text: str) -> tuple[Fraction, Fraction, Fraction]:
     return start, stop, step
 
 
-def parse_digits(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return int(text)
+def at_least(minimum: int):
+    """An argparse type: an integer of at least minimum."""
+    def integer(text: str) -> int:
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
+        return int(text)
+    return integer
 
 
 def grid_points(grid: tuple[Fraction, Fraction, Fraction]) -> list[Fraction]:
@@ -84,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--precision", type=int, default=None, help="working precision in bits (default: MILLS_PRECISION_BITS or 128)")
-        p.add_argument("--digits", type=parse_digits, default=20, help="significant digits for decimal output")
+        p.add_argument("--digits", type=at_least(1), default=20, help="significant digits for decimal output")
 
     p_poly = sub.add_parser("poly", help="print an exact polynomial from one of the families")
     p_poly.add_argument("--which", required=True, choices=["P", "Q", "A", "B", "C", "Delta"])
@@ -127,8 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_poly(args) -> int:
     n, which = args.n, args.which
-    if n < 0:
-        raise DomainError("order must be non-negative")
     if which == "Delta":
         print(discriminant(n))
     else:
@@ -146,8 +148,7 @@ def cmd_bounds(args) -> int:
     x, p, digits = args.x, args.precision, args.digits
     memo: dict = {}
     shown, certs = find_family(name).at(n, x, p, memo)
-    cert = certs[0]
-    (ov,) = memo.values()  # the oracle value the certificate was measured against
+    cert, ov = certs[0], phi_at(x, p, memo)  # the oracle value the certificate was measured against
     lines = [f"family = {cert.family}", f"n = {cert.n}", f"x = {x}", f"precision_bits = {p}"]
     lines += [f"{key} = {nstr_fixed(value, digits)}" for key, value in shown.items()]
     lines += [
@@ -174,10 +175,11 @@ def _run_verification(args) -> dict:
     certs += certify_grid("eq19", [0], [x for x in xs if x > -1], p, memo)
     certs += certify_grid("i", small_orders, [x for x in pos], p, memo)
     certs += certify_grid("eq17", list(range(0, 4)), xs, p, memo)
-    # oracle cross-agreement on a fixed small grid
+    # oracle cross-agreement on a fixed small grid; the series value is the
+    # one the certificates read
     agreement = []
     for x in (Fraction(-2), Fraction(-1), Fraction(0), Fraction(1), Fraction(2), Fraction(5)):
-        s = phi_series(x, p)
+        s = phi_at(x, p, memo)
         q = phi_quadrature(x, p)
         ok = abs(s.value - q.value) <= s.error_bound + q.error_bound
         agreement.append({"x": str(x), "status": "pass" if ok else "fail"})
@@ -285,11 +287,8 @@ def cmd_cf(args) -> int:
     print(f"phi = {nstr_fixed(ov.value, digits)}")
     print("n  b_{n-1}  convergent  decimal  ladder(depth=n)")
     for n in range(1, depth + 1):
-        conv = cf_convergent(n, x)
-        ladder = cf_ladder_eval(n, x, p)
-        print(
-            f"{n}  {cf_b(n - 1)}  {conv}  {nstr_fixed(conv, digits)}  {nstr_fixed(ladder, digits)}"
-        )
+        conv, ladder = cf_convergent(n, x), cf_ladder_eval(n, x, p)
+        print(f"{n}  {cf_b(n - 1)}  {conv}  {nstr_fixed(conv, digits)}  {nstr_fixed(ladder, digits)}")
     return 0
 
 
@@ -338,7 +337,7 @@ def main(argv=None) -> int:
         if getattr(args, "precision", 0) is None:  # read the variable only where it is used
             args.precision = default_precision()
         return COMMANDS[args.subcommand](args)
-    except (DomainError, ValueError) as exc:
+    except (DomainError, SingularityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MillsError as exc:

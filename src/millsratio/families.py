@@ -108,9 +108,7 @@ def q_coefficient_form(n: int) -> IntPolynomial:
     m = n - 1
     coeffs = [0] * (m + 1)
     for k in range(m // 2 + 1):
-        s = Fraction(0)
-        for j in range(k + 1):
-            s += Fraction(factorial(m - k + j), 2**j * factorial(j))
+        s = sum(Fraction(factorial(m - k + j), 2**j * factorial(j)) for j in range(k + 1))
         val = s / factorial(m - 2 * k)
         if val.denominator != 1:
             raise IdentityError(f"non-integral Q coefficient at n={n}, k={k}")
@@ -205,8 +203,7 @@ def generating_function_residual(x: Fraction, y: Fraction, terms: int, precision
         ypow *= y
     check_precision(precision_bits)
     with mp.workprec(precision_bits):
-        yv = to_mpf(y)
-        xv = to_mpf(x)
+        xv, yv = to_mpf(x), to_mpf(y)
         closed = mp_exp(yv * xv * xv / (1 - yv)) / ((1 + yv) * mp_sqrt(1 - yv * yv))
         return abs(to_mpf(partial) - closed)
 

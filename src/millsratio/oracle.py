@@ -8,7 +8,8 @@ Route 1 (series) sums erf's Maclaurin series exactly; route 2 (quadrature)
 integrates the Laplace-type integral on a truncated interval.  The two
 routes share no machinery with each other or with the bound and
 continued-fraction code, so certificates never test that machinery against
-itself.
+itself: this module imports nothing of the package but its errors and
+numeric helpers.
 
 Series route and its error bound: with u = x^2/2,
 
@@ -39,7 +40,6 @@ from fractions import Fraction
 from mpmath import iv, mp, mpf
 
 from .errors import EnvelopeError
-from .families import pq_pair
 from .numutil import check_precision, iv_workprec, to_fraction, to_mpf
 
 ENVELOPE = 30  # |x| beyond this is refused; the guard-bit budget assumes it
@@ -111,7 +111,7 @@ def phi_series(x, precision_bits: int = 128) -> OracleValue:
     check_precision(precision_bits)
     xq = to_fraction(x)
     if abs(xq) > ENVELOPE:
-        raise EnvelopeError(f"|x| must be <= {ENVELOPE}")
+        raise EnvelopeError(f"|x| must be <= {ENVELOPE}, got x = {x}")
     u = xq * xq / 2
     w = precision_bits + 48 + math.ceil(float(u) * LOG2_E)
     n = _term_count(u, w)
@@ -139,31 +139,18 @@ def phi_quadrature(x, precision_bits: int = 128) -> OracleValue:
     check_precision(precision_bits)
     xf = float(to_mpf(x))
     if abs(xf) > ENVELOPE:
-        raise EnvelopeError(f"|x| must be <= {ENVELOPE}")
+        raise EnvelopeError(f"|x| must be <= {ENVELOPE}, got x = {x}")
     wp = precision_bits + 32
     with mp.workprec(wp):
         xv = to_mpf(x)
         big = (precision_bits + 16) * mp.ln(2)
         t_cut = -xv + mp.sqrt(xv * xv + 2 * big)
         tail = mp.exp(-xv * t_cut - t_cut * t_cut / 2) * max(mpf(1), 1 / (xv + t_cut))
-
-        def integrand(t):
-            return mp.exp(-xv * t - t * t / 2)
-
         # split at the integrand's peak when it lies inside the interval
         points = [mpf(0), t_cut]
         if xv < 0 and -xv < t_cut:
             points = [mpf(0), -xv, t_cut]
-        value, est = mp.quad(integrand, points, error=True, maxdegree=10)
+        value, est = mp.quad(lambda t: mp.exp(-xv * t - t * t / 2), points, error=True, maxdegree=10)
         error_bound = tail + est * 256 + (1 + abs(value)) * mpf(2) ** (-(precision_bits + 8))
     return OracleValue(value, error_bound, "quadrature", wp)
 
-
-def phi_derivative(n: int, x, precision_bits: int = 128) -> mpf:
-    """phi^(n)(x) = P_n(x) phi(x) - Q_n(x), with phi from the series route."""
-    if n < 0:
-        raise ValueError("order must be non-negative")
-    pair, wp = pq_pair(n), precision_bits + 32
-    ov = phi_series(x, wp)
-    with mp.workprec(wp):
-        return pair.p.eval_real(x, wp) * ov.value - pair.q.eval_real(x, wp)

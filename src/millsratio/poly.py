@@ -112,20 +112,14 @@ class IntPolynomial:
                 acc = acc * xv + c
             return acc
 
-    def eval_abs_real(self, x, precision_bits: int) -> mpf:
-        """Sum of |c_k| |x|^k; majorant used in Horner rounding bounds."""
+    def horner_error_bound(self, x, precision_bits: int) -> mpf:
+        """Standard forward bound on the Horner rounding error at x:
+        (2d + 2) 2^-p sum |c_k| |x|^k."""
         with mp.workprec(precision_bits):
-            xv = abs(to_mpf(x))
-            acc = mpf(0)
+            xv, acc = abs(to_mpf(x)), mpf(0)
             for c in reversed(self.coeffs):
                 acc = acc * xv + abs(c)
-            return acc
-
-    def horner_error_bound(self, x, precision_bits: int) -> mpf:
-        """Standard forward bound on the Horner rounding error at x."""
-        with mp.workprec(precision_bits):
-            d = max(self.degree, 0)
-            return self.eval_abs_real(x, precision_bits) * (2 * d + 2) * mpf(2) ** (-precision_bits)
+            return acc * (2 * max(self.degree, 0) + 2) * mpf(2) ** (-precision_bits)
 
     def __str__(self) -> str:
         """Fixed text format, descending powers, e.g. "x^5 + 10*x^3 + 15*x"."""

@@ -17,14 +17,15 @@ from millsratio.bounds import (
     komatsu_lower,
     log_convexity_check,
     log_convexity_error,
+    phi_derivative,
     second_order_bound,
     szarek_werner_upper,
 )
 from millsratio.contfrac import cf_convergent
-from millsratio.errors import DomainError, SingularityError
+from millsratio.errors import DomainError, EnvelopeError, SingularityError
 from millsratio.families import pq_pair, quadratic_triple
 from millsratio.numutil import to_fraction
-from millsratio.oracle import ENVELOPE, phi_series
+from millsratio.oracle import ENVELOPE, phi_quadrature, phi_series
 
 
 @lru_cache(maxsize=None)
@@ -399,3 +400,61 @@ class TestSoundness:
     def test_singularity_exactly_at_the_root_of_a1(self, bits):
         with pytest.raises(SingularityError, match="exactly 0"):
             second_order_bound(1, 1, bits)
+
+
+class TestPhiDerivative:
+    """phi^(n) = P_n phi - Q_n within 2^-p of its value from mpmath's erfc."""
+
+    @staticmethod
+    def _check(n, x, bits):
+        pair = pq_pair(n)
+        p, q = pair.p.eval_rational(x), pair.q.eval_rational(x)
+        value = phi_derivative(n, x, bits)
+        with mp.workprec(2048 + (1024 if x < 0 else 0)):
+            ref = mpf(p.numerator) / p.denominator * phi_reference(x) - mpf(q.numerator) / q.denominator
+            assert abs(value - ref) < mpf(2) ** -bits, f"n={n}, x={x}, bits={bits}"
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(min_value=0, max_value=40), signed_grid_points(), st.sampled_from([64, 128, 256]))
+    def test_absolute_error_below_two_to_minus_p(self, n, x, bits):
+        self._check(n, x, bits)
+
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    @pytest.mark.parametrize("n,x", [(40, Fraction(30)), (30, Fraction(20)), (40, Fraction(-30)), (17, Fraction(-3839, 128))])
+    def test_cancelling_points(self, n, x, bits):
+        # at n = 40, x = 30, P_n(x) phi(x) and Q_n(x) are near 2^192 and their
+        # difference near 2^-43: about 235 bits cancel
+        self._check(n, x, bits)
+
+
+@pytest.mark.parametrize(
+    "call,error,text",
+    [
+        (lambda: phi_series(31), EnvelopeError, "|x| must be <= 30, got x = 31"),
+        (lambda: phi_quadrature(Fraction(-61, 2)), EnvelopeError, "|x| must be <= 30, got x = -61/2"),
+        (lambda: first_order_enclosure(1, 0), DomainError, "first-order enclosure requires x > 0, got x = 0"),
+        (lambda: first_order_error_bound(1, Fraction(-1, 3)), DomainError, "error bound is stated for x > 0, got x = -1/3"),
+        (lambda: szarek_werner_upper(Fraction(-3, 2)), DomainError, "x must exceed -1, got x = -3/2"),
+        (lambda: second_order_bound(3, -1), DomainError, "order 3 upper bound requires x > -beta_1, got x = -1"),
+    ],
+)
+def test_errors_name_their_input(call, error, text):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == text
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: first_order_enclosure(-1, 1),
+        lambda: first_order_error_bound(-1, 1),
+        lambda: second_order_bound(-1, 1),
+        lambda: log_convexity_check(-1, 1),
+        lambda: phi_derivative(-1, 1),
+    ],
+)
+def test_negative_order_refused(call):
+    # the order check is the polynomial tables' own
+    with pytest.raises(ValueError, match="order must be non-negative"):
+        call()

@@ -58,6 +58,13 @@ class TestBounds:
         assert "phi = 1.253314137315500" in out
         assert "verdict = pass" in out
 
+    def test_singularity_is_a_refused_input(self, capsys):
+        # A_1(1) is exactly 0: the bound is not stated there
+        code, out, err = run_cli(capsys, "bounds", "--family", "i", "--n", "1", "--x", "1")
+        assert code == 2
+        assert out == ""
+        assert "error: A_1(1) is exactly 0" in err
+
     def test_eq19_domain_edge(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--family", "eq19", "--x", "-1")
         assert code == 2
@@ -375,7 +382,10 @@ class TestPrecisionEnvironment:
         assert raw in err
 
 
-@pytest.mark.parametrize("argv", [("--grid", "10:1:1"), ("--digits", "0")])
+@pytest.mark.parametrize(
+    "argv",
+    [("--grid", "10:1:1"), ("--digits", "0"), ("--precision", "8"), ("--order", "-1"), ("--grid", "0:31:31")],
+)
 def test_bounds_table_script_refuses_bad_input(capsys, monkeypatch, argv):
     monkeypatch.setattr(sys, "argv", ["bounds_table.py", *argv])
     with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -8,7 +10,8 @@ from mpmath import mp, mpf
 from millsratio import contfrac, families, oracle
 from millsratio.errors import EnvelopeError
 from millsratio.numutil import to_fraction
-from millsratio.oracle import phi_derivative, phi_quadrature, phi_series
+from millsratio.bounds import phi_derivative
+from millsratio.oracle import phi_quadrature, phi_series
 
 GRID = [Fraction(-5), Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(0),
         Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5), Fraction(10), Fraction(20)]
@@ -146,9 +149,15 @@ class TestSeriesErrorBound:
 
         monkeypatch.setattr(families, "pq_pair", refuse)
         monkeypatch.setattr(families, "quadratic_triple", refuse)
-        monkeypatch.setattr(oracle, "pq_pair", refuse)
         monkeypatch.setattr(contfrac, "cf_convergent", refuse)
         for x in (Fraction(-7, 3), Fraction(0), Fraction(25, 2)):
             ov = phi_series(x, 128)
             with mp.workprec(1024):
                 assert abs(ov.value - _reference(x)) <= ov.error_bound
+
+
+def test_oracle_imports_only_errors_and_numutil():
+    # the oracle shares no code with families, contfrac, poly or bounds
+    tree = ast.parse(pathlib.Path(oracle.__file__).read_text(encoding="utf-8"))
+    relative = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level > 0}
+    assert relative <= {"errors", "numutil"}
