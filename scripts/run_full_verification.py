@@ -14,13 +14,13 @@ import argparse
 import pathlib
 import sys
 
-from millsratio.cli import _render_report, _run_verification, build_parser, write_report
+from millsratio.cli import _render_report, _run_verification, at_least, build_parser, write_report
 from millsratio.errors import DomainError
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n-max", type=int, default=40)
+    parser.add_argument("--n-max", type=at_least(1), default=40)
     parser.add_argument("--grid", default="0.1:10:0.1")
     parser.add_argument("--precision", type=int, default=128)
     parser.add_argument("--out", default="reports/verification.json")

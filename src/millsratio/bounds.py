@@ -446,7 +446,7 @@ def certify_grid(
     """
     fam = find_family(family)
     check_precision(precision_bits)
-    xs = [Fraction(x) for x in xs]
+    xs = [to_fraction(x) for x in xs]
     for x in xs:
         fam.check(x)
     memo = {} if memo is None else memo

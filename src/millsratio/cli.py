@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_poly = sub.add_parser("poly", help="print an exact polynomial from one of the families")
     p_poly.add_argument("--which", required=True, choices=["P", "Q", "A", "B", "C", "Delta"])
-    p_poly.add_argument("--n", type=int, required=True)
+    p_poly.add_argument("--n", type=at_least(0), required=True)
 
     p_bounds = sub.add_parser("bounds", help="evaluate a bound family at a point against the oracle")
     fixed = [f"{key} ({fam.order})" for key, fam in FAMILIES.items() if fam.order is not None]
@@ -100,11 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--family", required=True, help=f"one of {', '.join(FAMILIES)}; i<N> (e.g. i2) is short for --family i --n N"
     )
     p_bounds.add_argument("--x", type=parse_rational, required=True)
-    p_bounds.add_argument("--n", type=int, default=0, help=f"order within the family; fixed for {', '.join(fixed)}")
+    p_bounds.add_argument("--n", type=at_least(0), default=0, help=f"order within the family; fixed for {', '.join(fixed)}")
     add_common(p_bounds)
 
     p_verify = sub.add_parser("verify", help="run the identity suite and grid certification")
-    p_verify.add_argument("--n-max", type=int, default=30)
+    p_verify.add_argument("--n-max", type=at_least(1), default=30)
     p_verify.add_argument("--grid", type=parse_grid, default=(Fraction(1, 10), Fraction(10), Fraction(1, 10)))
     p_verify.add_argument("--format", choices=["json", "csv", "text"], default="json")
     p_verify.add_argument("--out", default=None)
@@ -112,13 +112,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_verify)
 
     p_beta = sub.add_parser("beta", help="locate the odd-order threshold root beta_m")
-    p_beta.add_argument("--m", type=int, required=True)
+    p_beta.add_argument("--m", type=at_least(0), required=True)
     p_beta.add_argument("--tolerance", type=parse_rational, default=None)
     add_common(p_beta)
 
     p_cf = sub.add_parser("cf", help="continued-fraction convergents and ladder values")
     p_cf.add_argument("--x", type=parse_rational, required=True)
-    p_cf.add_argument("--depth", type=int, default=10)
+    p_cf.add_argument("--depth", type=at_least(1), default=10)
     add_common(p_cf)
 
     p_phi = sub.add_parser("phi", help="evaluate the oracle")
@@ -279,8 +279,6 @@ def cmd_cf(args) -> int:
     x, depth, p, digits = args.x, args.depth, args.precision, args.digits
     if x <= 0:
         raise DomainError("cf requires x > 0")
-    if depth < 1:
-        raise DomainError("depth must be >= 1")
     ov = phi_series(x, p)
     print(f"x = {x}")
     print(f"expansion: {expansion_str(min(depth, 8))}")

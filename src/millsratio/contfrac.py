@@ -21,7 +21,7 @@ from math import comb
 from mpmath import mp, mpf
 
 from .errors import DomainError
-from .numutil import check_precision, to_mpf
+from .numutil import check_precision, to_fraction, to_mpf
 
 
 def cf_b(n: int) -> Fraction:
@@ -35,24 +35,31 @@ def cf_b(n: int) -> Fraction:
     return 1 / ((2 * m + 1) * even)
 
 
-def cf_convergent(n: int, x: Fraction) -> Fraction:
+def cf_convergent(n: int, x) -> Fraction:
     """Exact value of [0; b_0 x, ..., b_{n-1} x] = Q_n(x)/P_n(x).
 
-    Computed through the scaled recurrence p_{k+1} = b_k x p_k + p_{k-1}
-    (and likewise for q), which keeps every intermediate rational.
+    Computed through p_{k+1} = b_k x p_k + p_{k-1} (and likewise for q) on
+    integers: with x = a/d and b_k = r_k/s_k, each step scales the state
+    (p_{k-1}, p_k, q_{k-1}, q_k) by s_k d, leaving q_k/p_k unchanged.
     """
-    x = Fraction(x)
+    x = to_fraction(x)
     if n < 1:
         raise ValueError("order must be >= 1")
     if x <= 0:
         raise DomainError("expansion is stated for x > 0")
-    p_prev, p = Fraction(1), x
-    q_prev, q = Fraction(0), Fraction(1)
+    a, d = x.numerator, x.denominator
+    p_prev, p, q_prev, q = d, a, 0, d  # (1, x, 0, 1) scaled by d
+    central = 1  # C(2m, m)
     for k in range(1, n):
-        bk = cf_b(k)
-        p_prev, p = p, bk * x * p + p_prev
-        q_prev, q = q, bk * x * q + q_prev
-    return q / p
+        m = k // 2
+        if k % 2:  # b_{2m+1} = 4^m / ((2m+1) C(2m, m))
+            ra, sd = a << 2 * m, (2 * m + 1) * central * d
+        else:  # b_{2m} = C(2m, m) / 4^m
+            central = central * 2 * (2 * m - 1) // m
+            ra, sd = central * a, d << 2 * m
+        p_prev, p = p * sd, ra * p + sd * p_prev
+        q_prev, q = q * sd, ra * q + sd * q_prev
+    return Fraction(q, p)
 
 
 def cf_ladder_eval(depth: int, x, precision_bits: int) -> mpf:

@@ -15,7 +15,8 @@ together with the quadratic-form coefficients
 
 whose discriminant collapses to (n!)^2 (X^2 + 4n + 4), and independent
 closed forms for P_n, Q_n and A_n that the verification suite checks
-against the recurrence output.
+against the recurrence output.  They are computed in integers only, each
+coefficient with one exact division that is checked (IdentityError).
 
 Remark: P_n is a rescaled Hermite polynomial,
 P_n(x) = (-i/sqrt(2))^n * H_n(i x / sqrt(2)).  The exponent n on the
@@ -35,13 +36,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial
 
 from mpmath import mp, mpf, sqrt as mp_sqrt, exp as mp_exp
 
 from .errors import IdentityError
-from .numutil import check_precision, to_mpf
+from .numutil import check_precision, to_fraction, to_mpf
 from .poly import IntPolynomial, ONE, X, ZERO
 
 
@@ -94,25 +94,28 @@ def q_closed_form(n: int) -> IntPolynomial:
     if n < 1:
         raise ValueError("order must be >= 1")
     m = n - 1
-    acc = ZERO
+    coeffs = [0] * n
     for k in range(m // 2 + 1):
-        acc = acc + (factorial(m - k) // factorial(m - 2 * k)) * p_closed_form(m - 2 * k)
-    return acc
+        scale = factorial(m - k) // factorial(m - 2 * k)
+        for i, c in enumerate(p_closed_form(m - 2 * k).coeffs):
+            coeffs[i] += scale * c
+    return IntPolynomial(coeffs)
 
 
 def q_coefficient_form(n: int) -> IntPolynomial:
     """Q_n built coefficientwise: the X^{m-2k} coefficient of Q_{m+1} is
-    (1/(m-2k)!) * sum_j (m-k+j)!/(2^j j!), which is an exact integer."""
+    sum_j (m-k+j)!/(2^j j!) / (m-2k)!, taken as the integer
+    sum_j (m-k+j)! 2^{k-j} k!/j! over 2^k k! (m-2k)! in one checked division."""
     if n < 1:
         raise ValueError("order must be >= 1")
     m = n - 1
     coeffs = [0] * (m + 1)
     for k in range(m // 2 + 1):
-        s = sum(Fraction(factorial(m - k + j), 2**j * factorial(j)) for j in range(k + 1))
-        val = s / factorial(m - 2 * k)
-        if val.denominator != 1:
+        kf = factorial(k)
+        num = sum(factorial(m - k + j) * (kf // factorial(j)) << (k - j) for j in range(k + 1))
+        coeffs[m - 2 * k], rem = divmod(num, (kf << k) * factorial(m - 2 * k))
+        if rem:
             raise IdentityError(f"non-integral Q coefficient at n={n}, k={k}")
-        coeffs[m - 2 * k] = val.numerator
     return IntPolynomial(coeffs)
 
 
@@ -138,39 +141,33 @@ def _triple_from(p: list[IntPolynomial], q: list[IntPolynomial], n: int) -> Quad
     return QuadraticTriple(n, a, b, c)
 
 
-def _a_series_coefficient(n: int, m: int) -> Fraction:
-    """Coefficient of x^{2m} y^n in the generating function
-    exp(y x^2 / (1-y)) / ((1+y) sqrt(1-y^2)), i.e. A_n's data before the
-    n!/m! normalization."""
-    if m == 0:
-        return Fraction((-1) ** n * (n + 1) * comb(n, n // 2), 2**n)
-    if m == 1:
-        return Fraction((1 - (-1) ** n) * n * comb(n - 1, n // 2), 2**n)
-    s = Fraction(0)
-    for k in range((n - m) // 2 + 1):
-        top = n - 2 * k - 2
-        if top < m - 2:
-            continue
-        s += Fraction(factorial(2 * k + 1), 2 ** (2 * k) * factorial(k) ** 2) * comb(top, m - 2)
-    return s
-
-
 def a_closed_form(n: int) -> IntPolynomial:
-    """A_n assembled from the generating-function coefficients.
-
-    A_n(x) = n! * sum_{m=0}^{n} a_{n,m} / m! * x^{2m}.  Every division is
-    exact because A_n = P_n P_{n+2} - P_{n+1}^2 has integer coefficients;
-    a non-integral value is reported loudly as a transcription bug.
-    """
+    """A_n = n! * sum_{m<=n} a_{n,m} x^{2m} / m!, where a_{n,m} is the
+    coefficient of x^{2m} y^n in exp(y x^2/(1-y)) / ((1+y) sqrt(1-y^2)):
+    (-1)^n (n+1) C(n, n//2) / 2^n for m = 0, (1 - (-1)^n) n C(n-1, n//2) / 2^n
+    for m = 1, and sum_{k<=K} w_k C(n-2k-2, m-2) / 4^k for m >= 2, with
+    w_k = (2k+1)!/k!^2 and K = (n-m)//2.  Each coefficient is one integer
+    division, exact because A_n = P_n P_{n+2} - P_{n+1}^2 has integer
+    coefficients; a remainder is reported as a transcription bug."""
     if n < 0:
         raise ValueError("order must be non-negative")
+    sign, half, nfact = (-1) ** n, n // 2, factorial(n)
+    weights = [1]  # w_k for k <= (n-2)//2
+    for k in range(1, half):
+        weights.append(weights[-1] * 2 * (2 * k + 1) // k)
     coeffs = [0] * (2 * n + 1)
-    nfact = factorial(n)
     for m in range(n + 1):
-        val = nfact * _a_series_coefficient(n, m) / factorial(m)
-        if val.denominator != 1:
-            raise IdentityError(f"non-integral A coefficient at n={n}, m={m}: {val}")
-        coeffs[2 * m] = val.numerator
+        if m == 0:
+            num, den = sign * (n + 1) * comb(n, half), 1 << n
+        elif m == 1:
+            num, den = (1 - sign) * n * comb(n - 1, half), 1 << n
+        else:
+            top = (n - m) // 2
+            num = sum(weights[k] * comb(n - 2 * k - 2, m - 2) << 2 * (top - k) for k in range(top + 1))
+            den = 1 << 2 * top
+        coeffs[2 * m], rem = divmod(nfact * num, den * factorial(m))
+        if rem:
+            raise IdentityError(f"non-integral A coefficient at n={n}, m={m}")
     return IntPolynomial(coeffs)
 
 
@@ -185,22 +182,18 @@ def discriminant(n: int) -> IntPolynomial:
     return assembled
 
 
-def generating_function_residual(x: Fraction, y: Fraction, terms: int, precision_bits: int) -> mpf:
+def generating_function_residual(x, y, terms: int, precision_bits: int) -> mpf:
     """|sum_{n<terms} A_n(x) y^n / n!  -  exp(y x^2/(1-y)) / ((1+y) sqrt(1-y^2))|.
 
     The partial sum is exact rational arithmetic; only the closed form and
     the final subtraction are carried out at precision_bits.
     """
-    x, y = Fraction(x), Fraction(y)
+    x, y = to_fraction(x), to_fraction(y)
     if terms < 1:
         raise ValueError("terms must be >= 1")
     if abs(y) >= 1:
         raise ValueError("|y| must be < 1")
-    partial = Fraction(0)
-    ypow = Fraction(1)
-    for n in range(terms):
-        partial += quadratic_triple(n).a.eval_rational(x) * ypow / factorial(n)
-        ypow *= y
+    partial = sum(quadratic_triple(n).a.eval_rational(x) * y**n / factorial(n) for n in range(terms))
     check_precision(precision_bits)
     with mp.workprec(precision_bits):
         xv, yv = to_mpf(x), to_mpf(y)

@@ -19,12 +19,11 @@ def to_mpf(value) -> mpf:
 
 
 def to_fraction(value) -> Fraction:
-    """Exact rational value of a binary float or mpf (both are dyadic).
-
-    An mpf is read as it is, whatever the current working precision."""
+    """Exact value of an int, Fraction or string ("0.1" is 1/10, as the CLI
+    reads it), or of a binary float or mpf with every bit at any precision."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     sign, man, exp, _ = (value if isinstance(value, mpf) else mpf(value))._mpf_
     if man == 0 and exp != 0:

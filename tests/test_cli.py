@@ -37,9 +37,10 @@ class TestPoly:
         assert out.strip() == expected
 
     def test_negative_order_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "poly", "--which", "P", "--n", "-1")
-        assert code == 2
-        assert "error" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["poly", "--which", "P", "--n", "-1"])
+        assert exc.value.code == 2
+        assert "error: argument --n: must be at least 0, got -1" in capsys.readouterr().err
 
 
 class TestBounds:
@@ -146,6 +147,21 @@ class TestUsageErrors:
             main(["verify", "--n-max", "1", "--grid", grid])
         assert exc.value.code == 2
         assert "argument --grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,flag,minimum,value",
+        [
+            (("bounds", "--family", "eq15", "--x", "1"), "--n", 0, "-1"),
+            (("beta",), "--m", 0, "-1"),
+            (("verify",), "--n-max", 1, "0"),
+            (("cf", "--x", "1"), "--depth", 1, "0"),
+        ],
+    )
+    def test_order_below_its_minimum_names_the_flag(self, capsys, argv, flag, minimum, value):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be at least {minimum}, got {value}" in capsys.readouterr().err
 
     def test_one_point_grid_is_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--n-max", "1", "--grid", "2:2:1", "--digits", "1")
@@ -333,6 +349,14 @@ def test_full_verification_script_matches_cli(capsys, tmp_path):
     script_out = capsys.readouterr().out
     assert out_path.read_bytes() == cli_json
     assert script_out == f"wrote {out_path} (exit 0)\n" + cli_text
+
+
+def test_full_verification_script_refuses_n_max_zero(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        _load_script("run_full_verification").main(["--n-max", "0", "--out", str(tmp_path / "v.json")])
+    assert exc.value.code == 2
+    assert "argument --n-max: must be at least 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "v.json").exists()
 
 
 # `scripts/bounds_table.py` output on small grids; the dashes are the points

@@ -1,13 +1,25 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from millsratio.contfrac import cf_b, cf_convergent, cf_ladder_eval, expansion_str
 from millsratio.errors import DomainError
 from millsratio.families import pq_pair
 from millsratio.oracle import phi_series
+
+
+def fraction_convergent(n, x):
+    """Reference: p_{k+1} = b_k x p_k + p_{k-1} (and likewise for q) with
+    every intermediate value a reduced Fraction."""
+    p_prev, p = Fraction(1), x
+    q_prev, q = Fraction(0), Fraction(1)
+    for k in range(1, n):
+        bk = cf_b(k)
+        p_prev, p = p, bk * x * p + p_prev
+        q_prev, q = q, bk * x * q + q_prev
+    return q / p
 
 
 class TestCoefficients:
@@ -56,6 +68,26 @@ class TestConvergents:
                         assert value < phi
                     else:
                         assert value > phi
+
+    @settings(deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=200),
+        st.fractions(min_value=Fraction(1, 10**6), max_value=10**3, max_denominator=10**6),
+    )
+    def test_matches_fraction_recurrence(self, n, x):
+        assert cf_convergent(n, x) == fraction_convergent(n, x)
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=1, max_value=200), st.floats(min_value=1e-6, max_value=1e3))
+    def test_float_input_matches_fraction_recurrence(self, n, x):
+        assert cf_convergent(n, x) == fraction_convergent(n, Fraction(x))
+
+    @pytest.mark.parametrize("x", [mpf("1.5"), 1.5, "3/2", "1.5"])
+    def test_reads_x_like_the_bounds(self, x):
+        assert cf_convergent(3, x) == cf_convergent(3, Fraction(3, 2)) == Fraction(34, 63)
+
+    def test_decimal_string_is_exact(self):
+        assert cf_convergent(4, "0.1") == cf_convergent(4, Fraction(1, 10)) != cf_convergent(4, 0.1)
 
     def test_rejects_nonpositive_x(self):
         with pytest.raises(DomainError):

@@ -2,11 +2,14 @@ import subprocess
 import sys
 import threading
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mpf
 
+import millsratio.families as families
+from millsratio.errors import IdentityError
 from millsratio.families import (
     a_closed_form,
     discriminant,
@@ -25,6 +28,41 @@ orders = st.integers(min_value=0, max_value=40)
 
 def P(*coeffs):
     return IntPolynomial(list(reversed(coeffs)))
+
+
+# Reference forms in Fraction arithmetic, term by term as the formulas are
+# written; the library computes the same values in integers only.
+
+
+def fraction_a_coefficient(n, m):
+    """Coefficient of x^{2m} y^n in exp(y x^2 / (1-y)) / ((1+y) sqrt(1-y^2))."""
+    if m == 0:
+        return Fraction((-1) ** n * (n + 1) * comb(n, n // 2), 2**n)
+    if m == 1:
+        return Fraction((1 - (-1) ** n) * n * comb(n - 1, n // 2), 2**n)
+    s = Fraction(0)
+    for k in range((n - m) // 2 + 1):
+        top = n - 2 * k - 2
+        if top >= m - 2:
+            s += Fraction(factorial(2 * k + 1), 2 ** (2 * k) * factorial(k) ** 2) * comb(top, m - 2)
+    return s
+
+
+def fraction_a_closed_form(n):
+    values = [factorial(n) * fraction_a_coefficient(n, m) / factorial(m) for m in range(n + 1)]
+    assert all(v.denominator == 1 for v in values)
+    return IntPolynomial([int(values[k // 2]) if k % 2 == 0 else 0 for k in range(2 * n + 1)])
+
+
+def fraction_q_coefficient_form(n):
+    """The X^{m-2k} coefficient of Q_{m+1} is (1/(m-2k)!) sum_j (m-k+j)!/(2^j j!)."""
+    m = n - 1
+    coeffs = [0] * (m + 1)
+    for k in range(m // 2 + 1):
+        val = sum(Fraction(factorial(m - k + j), 2**j * factorial(j)) for j in range(k + 1)) / factorial(m - 2 * k)
+        assert val.denominator == 1
+        coeffs[m - 2 * k] = val.numerator
+    return IntPolynomial(coeffs)
 
 
 class TestPQPairs:
@@ -117,6 +155,35 @@ class TestClosedForms:
         assert p_closed_form(n) == pq_pair(n).p
         assert q_closed_form(n) == pq_pair(n).q
         assert q_coefficient_form(n) == pq_pair(n).q
+
+
+class TestIntegerKernels:
+    """The integer closed forms against their Fraction references."""
+
+    def test_a_closed_form_matches_fraction_reference(self):
+        for n in range(121):
+            assert a_closed_form(n) == fraction_a_closed_form(n), n
+
+    def test_q_coefficient_form_matches_fraction_reference(self):
+        for n in range(1, 121):
+            assert q_coefficient_form(n) == fraction_q_coefficient_form(n), n
+
+    def test_non_integral_a_coefficient_is_an_identity_error(self, monkeypatch):
+        # C(5, 2) = 11 puts (-1)^5 * 6 * 11 / 2^5 into the x^0 coefficient of
+        # A_5, and 5! * 66 / 32 is not an integer; no other coefficient of
+        # A_5, and nothing else verify_identities checks, calls comb(5, 2)
+        monkeypatch.setattr(families, "comb", lambda a, b: comb(a, b) + ((a, b) == (5, 2)))
+        with pytest.raises(IdentityError, match=r"non-integral A coefficient at n=5, m=0"):
+            a_closed_form(5)
+        fails = [(e["identity"], e["n"]) for e in verify_identities(5) if e["status"] == "fail"]
+        assert fails == [("A_closed_form", 5)]
+
+    def test_non_integral_q_coefficient_is_an_identity_error(self, monkeypatch):
+        # 3! = 7 leaves the X^3 coefficient of Q_4 at 7/7 but makes its X
+        # coefficient (2! * 2 + 7) / 2
+        monkeypatch.setattr(families, "factorial", lambda v: factorial(v) + (v == 3))
+        with pytest.raises(IdentityError, match=r"non-integral Q coefficient at n=4, k=1"):
+            q_coefficient_form(4)
 
 
 class TestQuadraticTriple:
@@ -221,6 +288,11 @@ class TestGeneratingFunction:
         r40 = generating_function_residual(Fraction(2), Fraction(1, 3), 40, 192)
         r80 = generating_function_residual(Fraction(2), Fraction(1, 3), 80, 192)
         assert r80 < r40 * 1e-4
+
+    @pytest.mark.parametrize("x,y", [(mpf("0.5"), mpf("0.25")), (0.5, 0.25), ("1/2", "0.25"), ("0.5", "1/4")])
+    def test_reads_x_and_y_like_the_bounds(self, x, y):
+        expected = generating_function_residual(Fraction(1, 2), Fraction(1, 4), 5, 64)
+        assert generating_function_residual(x, y, 5, 64) == expected
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -22,3 +22,9 @@ def test_to_fraction_plain_values():
     assert to_fraction(0.1) == Fraction(0.1)
     assert to_fraction(mpf(-0.75)) == Fraction(-3, 4)
     assert to_fraction(mpf(0)) == 0
+
+
+def test_to_fraction_parses_strings_exactly():
+    assert to_fraction("7/3") == Fraction(7, 3)
+    assert to_fraction("0.1") == Fraction(1, 10)
+    assert to_fraction("-5/2") == Fraction(-5, 2)

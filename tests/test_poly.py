@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from millsratio.poly import IntPolynomial, ONE, X, ZERO
 
@@ -15,6 +15,24 @@ polys = st.lists(st.integers(-50, 50), max_size=8).map(IntPolynomial)
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=20)
 wide_polys = st.lists(st.integers(-(10**30), 10**30), max_size=40).map(IntPolynomial)
 wide_rationals = st.fractions(max_denominator=10**9)
+wide_coeffs = st.lists(st.integers(-(2**600), 2**600), max_size=40)
+# every polynomial of the families has a definite parity: half its terms are 0
+parity_polys = st.tuples(wide_coeffs, st.integers(0, 1)).map(
+    lambda t: IntPolynomial([c if k % 2 == t[1] else 0 for k, c in enumerate(t[0])])
+)
+mul_operands = st.one_of(wide_coeffs.map(IntPolynomial), parity_polys, polys)
+scalars = st.integers(-(2**600), 2**600)
+
+
+def schoolbook(a, b):
+    """Reference product: every pair of terms, zero or not."""
+    if not a.coeffs or not b.coeffs:
+        return IntPolynomial()
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return IntPolynomial(out)
 
 
 def fraction_horner(p, x):
@@ -97,6 +115,21 @@ class TestProperties:
     def test_eval_is_ring_homomorphism(self, a, b, x):
         assert (a * b).eval_rational(x) == a.eval_rational(x) * b.eval_rational(x)
         assert (a + b).eval_rational(x) == a.eval_rational(x) + b.eval_rational(x)
+
+    @given(mul_operands, mul_operands)
+    def test_mul_matches_schoolbook(self, a, b):
+        assert (a * b).coeffs == schoolbook(a, b).coeffs
+
+    @given(mul_operands, scalars)
+    @example(IntPolynomial([3, 0, -4]), 0)
+    @example(IntPolynomial([3, 0, -4]), -1)
+    @example(IntPolynomial(), -5)
+    def test_mul_by_int_on_either_side(self, a, c):
+        expected = schoolbook(a, IntPolynomial([c])).coeffs
+        assert (a * c).coeffs == expected
+        assert (c * a).coeffs == expected
+        if c == 0:
+            assert a * c == ZERO and (a * c).degree == -1 and (c * a).coeffs == ()
 
     @given(wide_polys, wide_rationals)
     def test_eval_rational_matches_fraction_horner(self, p, x):
