@@ -33,8 +33,13 @@ the shown bound values and certificates at a point.  certify_grid,
 `mills bounds` and scripts/bounds_table.py all read it.  One verdict rule
 decides every certificate: its margin is an exact value within a derived
 error of the true margin (the oracle's error bound, or for Eq17 the radius
-of its iv enclosure), rounded once at p + 16 bits, and it passes iff it
-exceeds that error plus the rounding.
+of its iv enclosure), rounded once at p + GUARD_BITS bits, and it passes
+iff it exceeds that error plus the rounding.
+
+Family.at and certify_grid are the entry points of this protocol.  Each
+checks the requested precision p, enters the working precision
+p + GUARD_BITS once and reads phi through phi_at once per point; the
+evaluators get that oracle value and never see the memo.
 """
 
 from __future__ import annotations
@@ -46,10 +51,12 @@ from typing import Callable
 
 from mpmath import iv, mp, mpf
 
-from .errors import DomainError, EnvelopeError, SingularityError
+from .errors import DomainError, SingularityError
 from .families import pq_pair, quadratic_triple
 from .numutil import check_precision, iv_workprec, nstr_fixed, to_fraction, to_mpf
 from .oracle import OracleValue, phi_series
+
+GUARD_BITS = 16  # bits worked above the requested precision: certificates, phi_derivative
 
 
 @dataclass(frozen=True)
@@ -220,15 +227,15 @@ def phi_derivative(n: int, x, precision_bits: int = 128) -> mpf:
 
     P_n(x) and Q_n(x) are exact at the exact x, and phi is read from the
     series route with log2 |P_n(x)| extra bits.  P phi - Q is formed in one
-    iv step at precision_bits + 16 bits plus log2 of |P_n(x) phi(x)| or
-    |Q_n(x)|, whichever is larger (phi grows like e^{x^2/2} for x < 0); the
-    value returned is the interval's midpoint."""
+    iv step at precision_bits + GUARD_BITS bits plus log2 of |P_n(x) phi(x)|
+    or |Q_n(x)|, whichever is larger (phi grows like e^{x^2/2} for x < 0);
+    the value returned is the interval's midpoint."""
     check_precision(precision_bits)
     xf = to_fraction(x)
     pair = pq_pair(n)
     p, q = pair.p.eval_rational(xf), pair.q.eval_rational(xf)
     ov = phi_series(xf, precision_bits + max(0, mp.mag(p)))
-    w = precision_bits + 16 + max(0, mp.mag(p) + mp.mag(ov.value), mp.mag(q))
+    w = precision_bits + GUARD_BITS + max(0, mp.mag(p) + mp.mag(ov.value), mp.mag(q))
     with iv_workprec(w):
         return _midpoint_radius(_iv(p) * _iv_phi(ov) - _iv(q), w)[0]
 
@@ -265,40 +272,40 @@ def beta(m: int, tolerance=None) -> BetaRoot:
     return BetaRoot(m=m, value=value, bracket=(lo, hi))
 
 
-def log_convexity(n: int, x, precision_bits: int = 128, memo: dict | None = None) -> tuple[mpf, mpf]:
-    """(margin, error) of the log-convexity inequality at (n, x).
+def log_convexity(n: int, x, ov: OracleValue, precision_bits: int) -> tuple[mpf, mpf]:
+    """(margin, error) of the log-convexity inequality at (n, x), with ov
+    the oracle value phi_at gives at (x, precision_bits).
 
     A_n(x) phi(x)^2 - B_n(x) phi(x) + C_n(x) is enclosed in one iv step at
-    precision_bits + 16, from the exact A_n, B_n, C_n and phi's enclosure
-    [v - e, v + e]; ``memo`` is an optional phi memo as described in
-    certify_grid.  margin is the enclosure's midpoint, positive iff the
-    inequality holds, and error its radius.
+    precision_bits + GUARD_BITS, from the exact A_n, B_n, C_n and phi's
+    enclosure [v - e, v + e].  margin is the enclosure's midpoint, positive
+    iff the inequality holds, and error its radius.
     """
-    t = quadratic_triple(n)
-    ov = phi_at(x, precision_bits, memo)
-    xf = to_fraction(x)
-    with iv_workprec(precision_bits + 16):
+    t, xf, bits = quadratic_triple(n), to_fraction(x), precision_bits + GUARD_BITS
+    with iv_workprec(bits):
         a, b, c = (_iv(poly.eval_rational(xf)) for poly in (t.a, t.b, t.c))
         phi = _iv_phi(ov)
-        return _midpoint_radius(a * phi * phi - b * phi + c, precision_bits + 16)
+        return _midpoint_radius(a * phi * phi - b * phi + c, bits)
 
 
 def log_convexity_check(n: int, x, precision_bits: int = 128) -> mpf:
     """A_n(x) phi(x)^2 - B_n(x) phi(x) + C_n(x); positive iff the
     log-convexity inequality holds at (n, x)."""
-    return log_convexity(n, x, precision_bits)[0]
+    return log_convexity(n, x, phi_at(x, precision_bits), precision_bits)[0]
 
 
 def log_convexity_error(n: int, x, precision_bits: int = 128) -> mpf:
     """The verdict threshold of log_convexity_check at the same arguments."""
-    return _threshold(*log_convexity(n, x, precision_bits), precision_bits)
+    return _threshold(*log_convexity(n, x, phi_at(x, precision_bits), precision_bits), precision_bits)
 
 
 def phi_at(x, precision_bits: int, memo: dict | None = None) -> OracleValue:
     """The oracle value every certificate at precision_bits is measured
-    against: phi_series(x, precision_bits + 16), read from and stored into
-    memo if given.  Only this function knows the 16 guard bits."""
-    key = (x, precision_bits + 16)
+    against: phi_series(x, precision_bits + GUARD_BITS), with precision_bits
+    checked first, read from and stored into memo if given.  Family.at and
+    certify_grid read phi here once per point and pass the value to the
+    evaluators, which never see the memo."""
+    key = (x, check_precision(precision_bits) + GUARD_BITS)
     memo = {} if memo is None else memo
     if key not in memo:
         memo[key] = phi_series(*key)
@@ -307,11 +314,11 @@ def phi_at(x, precision_bits: int, memo: dict | None = None) -> OracleValue:
 
 def _threshold(margin: mpf, error: mpf, precision_bits: int) -> mpf:
     """The one verdict rule.  A margin is an exact value within ``error`` of
-    the true margin, rounded once to nearest at precision_bits + 16; it
-    passes iff it exceeds error plus that rounding.  The evaluators below
+    the true margin, rounded once to nearest at precision_bits + GUARD_BITS;
+    it passes iff it exceeds error plus that rounding.  The evaluators below
     run at that working precision (see Family), and their bound values are
     exact convergents rounded outward or outward iv endpoints."""
-    return mp.fadd(error, mp.ldexp(abs(margin), -(precision_bits + 16)), rounding="c")
+    return mp.fadd(error, mp.ldexp(abs(margin), -(precision_bits + GUARD_BITS)), rounding="c")
 
 
 def _cert(family: str, n: int, x: Fraction, margin: mpf, error: mpf, precision_bits: int) -> Certificate:
@@ -319,53 +326,50 @@ def _cert(family: str, n: int, x: Fraction, margin: mpf, error: mpf, precision_b
     return Certificate(family, n, x, margin, precision_bits, verdict)
 
 
-def _vs_phi(family: str, n: int, x: Fraction, bound: mpf, upper: bool, precision_bits: int, memo: dict | None):
+def _vs_phi(family: str, n: int, x: Fraction, bound: mpf, upper: bool, precision_bits: int, ov: OracleValue):
     """The certificate that bound, an exact value, lies above (upper) or
-    below phi(x)."""
-    ov = phi_at(x, precision_bits, memo)
+    below phi(x), as ov encloses it."""
     margin = bound - ov.value if upper else ov.value - bound
     return _cert(family, n, x, margin, ov.error_bound, precision_bits)
 
 
-def _eq15(n: int, x: Fraction, precision_bits: int, memo: dict | None):
+def _eq15(n: int, x: Fraction, precision_bits: int, ov: OracleValue):
     lower, upper = _rounded(_convergent(2 * n, x), "f"), _rounded(_convergent(2 * n + 1, x), "c")
-    ov = phi_at(x, precision_bits, memo)
     margin = min(ov.value - lower, upper - ov.value)
     return {"lower": lower, "upper": upper}, [_cert("Eq15", n, x, margin, ov.error_bound, precision_bits)]
 
 
-def _eq16(n: int, x: Fraction, precision_bits: int, memo: dict | None):
+def _eq16(n: int, x: Fraction, precision_bits: int, ov: OracleValue):
     """The margin is formed from the exact convergent and error bound; the
     shown convergent is rounded to nearest and the shown bound up."""
-    ov = phi_at(x, precision_bits, memo)
     conv, bound = _convergent(n, x), _error_bound_exact(n, x)
     margin = _rounded(bound - abs(to_fraction(ov.value) - conv))
     shown = {"convergent": _rounded(conv), "error_bound": _rounded(bound, "c")}
     return shown, [_cert("Eq16", n, x, margin, ov.error_bound, precision_bits)]
 
 
-def _eq17(n: int, x: Fraction, precision_bits: int, memo: dict | None):
-    return {}, [_cert("Eq17", n, x, *log_convexity(n, x, precision_bits, memo), precision_bits)]
+def _eq17(n: int, x: Fraction, precision_bits: int, ov: OracleValue):
+    return {}, [_cert("Eq17", n, x, *log_convexity(n, x, ov, precision_bits), precision_bits)]
 
 
-def _eq18(n: int, x: Fraction, precision_bits: int, memo: dict | None):
-    lower = komatsu_lower(x, precision_bits + 16)
-    return {"lower": lower}, [_vs_phi("Eq18", n, x, lower, False, precision_bits, memo)]
+def _eq18(n: int, x: Fraction, precision_bits: int, ov: OracleValue):
+    lower = komatsu_lower(x, precision_bits + GUARD_BITS)
+    return {"lower": lower}, [_vs_phi("Eq18", n, x, lower, False, precision_bits, ov)]
 
 
-def _eq19(n: int, x: Fraction, precision_bits: int, memo: dict | None):
-    upper = szarek_werner_upper(x, precision_bits + 16)
-    return {"upper": upper}, [_vs_phi("Eq19", n, x, upper, True, precision_bits, memo)]
+def _eq19(n: int, x: Fraction, precision_bits: int, ov: OracleValue):
+    upper = szarek_werner_upper(x, precision_bits + GUARD_BITS)
+    return {"upper": upper}, [_vs_phi("Eq19", n, x, upper, True, precision_bits, ov)]
 
 
-def _second_order(n: int, x: Fraction, precision_bits: int, memo: dict | None):
+def _second_order(n: int, x: Fraction, precision_bits: int, ov: OracleValue):
     """I_n, plus the companion I_n_sharper certificate of its sharpness
     against the first-order convergent: Q_{2m}/P_{2m} < Z^+ for x > 0 and
     Z^- < Q_{2m+1}/P_{2m+1} for x > beta_m.  Z's outward endpoint errs away
     from the convergent too, so that margin is exact before its rounding."""
-    sb = second_order_bound(n, x, precision_bits + 16)
+    sb = second_order_bound(n, x, precision_bits + GUARD_BITS)
     upper = sb.role == "upper"
-    certs = [_vs_phi(f"I_{n}", n, x, sb.value, upper, precision_bits, memo)]
+    certs = [_vs_phi(f"I_{n}", n, x, sb.value, upper, precision_bits, ov)]
     if x > 0 and (not upper or quadratic_triple(n).a.eval_rational(x) > 0):
         sharper = _convergent(n, x) - to_fraction(sb.value)
         certs.append(_cert(f"I_{n}_sharper", n, x, _rounded(sharper if upper else -sharper), mpf(0), precision_bits))
@@ -376,17 +380,18 @@ def _second_order(n: int, x: Fraction, precision_bits: int, memo: dict | None):
 class Family:
     """One bound family: what differs between families, and nothing more.
 
-    ``evaluate(n, x, precision_bits, memo)`` returns the bound values shown
-    at (n, x), by name, and the certificates made there, with ``memo`` as in
-    certify_grid; it raises DomainError or SingularityError where the
-    order-n bound is not stated.  It runs at the working precision
-    precision_bits + 16, which its callers (``at``, certify_grid) set once
-    for all the points they evaluate."""
+    ``evaluate(n, x, precision_bits, ov)`` returns the bound values shown
+    at (n, x), by name, and the certificates made there against ov, the
+    oracle value phi_at gives at (x, precision_bits); it raises DomainError
+    or SingularityError where the order-n bound is not stated.  It runs at
+    the working precision precision_bits + GUARD_BITS.  Its two callers,
+    ``at`` and certify_grid, check precision_bits, set that precision once
+    for all the points they evaluate and read phi once per point."""
 
     name: str
     x_above: int | None  # stated domain x > x_above; None: every x the oracle takes
     order: int | None  # the one order of a single-bound family
-    evaluate: Callable[[int, Fraction, int, dict | None], tuple[dict[str, mpf], list[Certificate]]]
+    evaluate: Callable[[int, Fraction, int, OracleValue], tuple[dict[str, mpf], list[Certificate]]]
 
     def check(self, x: Fraction) -> None:
         """Refuse x outside the family's stated domain."""
@@ -395,10 +400,13 @@ class Family:
 
     def at(self, n: int, x: Fraction, precision_bits: int = 128, memo: dict | None = None):
         """Shown values and certificates at one point; n is ignored by a
-        single-bound family."""
+        single-bound family.  memo is an optional phi memo, as in
+        certify_grid."""
+        check_precision(precision_bits)
         self.check(x)
-        with mp.workprec(precision_bits + 16):
-            return self.evaluate(n if self.order is None else self.order, x, precision_bits, memo)
+        with mp.workprec(precision_bits + GUARD_BITS):
+            ov = phi_at(x, precision_bits, memo)
+            return self.evaluate(n if self.order is None else self.order, x, precision_bits, ov)
 
 
 # The evaluators call the public functions by their module names, so that
@@ -435,29 +443,29 @@ def certify_grid(
     its derived error plus its own rounding.  For the second-order family
     the sharpness claims against the first-order convergents are certified
     as companion "<id>_sharper" entries.  An x outside the family's stated
-    domain is a DomainError; (n, x) pairs outside an order's own domain
-    (odd orders of I) or where A_n(x) is exactly 0 are skipped.
+    domain is a DomainError, and one beyond the oracle's envelope an
+    EnvelopeError whatever the orders; (n, x) pairs outside an order's own
+    domain (odd orders of I) or where A_n(x) is exactly 0 are skipped.
 
-    ``memo`` holds the oracle values keyed by (x, working precision).  A
-    caller that certifies several families over one grid passes the same
-    dict to every call, so each phi is evaluated once for the whole run;
-    without it the memo lives for this call only.  The dict is the caller's
-    and is dropped with it: there is no process-wide oracle cache.
+    phi is read through phi_at once per x, and every order at that x is
+    measured against the same value.  ``memo`` holds the oracle values
+    keyed by (x, working precision).  A caller that certifies several
+    families over one grid passes the same dict to every call, so each phi
+    is evaluated once for the whole run.  The dict is the caller's and is
+    dropped with it: there is no process-wide oracle cache.
     """
     fam = find_family(family)
     check_precision(precision_bits)
     xs = [to_fraction(x) for x in xs]
     for x in xs:
         fam.check(x)
-    memo = {} if memo is None else memo
     out: list[Certificate] = []
-    with mp.workprec(precision_bits + 16):
+    with mp.workprec(precision_bits + GUARD_BITS):
         for x in xs:
+            ov = phi_at(x, precision_bits, memo)
             for n in orders if fam.order is None else [fam.order]:
                 try:
-                    out += fam.evaluate(n, x, precision_bits, memo)[1]
-                except EnvelopeError:
-                    raise  # beyond the oracle, whatever the order
+                    out += fam.evaluate(n, x, precision_bits, ov)[1]
                 except (DomainError, SingularityError):
                     continue  # outside this order's domain, or A_n(x) is exactly 0
     out.sort(key=lambda c: (c.family, c.n, c.x))

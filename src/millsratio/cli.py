@@ -5,9 +5,10 @@ Exit status contract: 0 all-pass, 1 certification failure, 2 usage or
 domain error, including a bound asked for where A_n(x) is exactly 0.
 Rationals are accepted as "7/3" or "0.1" (parsed exactly, so grids are
 reproducible); decimal output is round-to-nearest with 20 significant
-digits unless --digits is given.  The MILLS_PRECISION_BITS
-environment variable overrides the default precision of 128 bits; a value
-that is not an integer of at least 64 bits is a usage error.
+digits unless --digits is given.  --precision must be at least 64 bits;
+the MILLS_PRECISION_BITS environment variable overrides its default of 128
+bits, and a value that is not an integer of at least 64 is a usage error.
+`mills beta` takes no precision: its accuracy is set by --tolerance.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .bounds import CSV_COLUMNS, FAMILIES, beta, certify_grid, find_family, phi_
 from .contfrac import cf_b, cf_convergent, cf_ladder_eval, expansion_str
 from .errors import DomainError, MillsError, SingularityError
 from .families import discriminant, pq_pair, quadratic_triple, verify_identities
-from .numutil import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, nstr_fixed
+from .numutil import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, nstr_fixed, to_fraction
 from .oracle import phi_quadrature, phi_series
 
 
@@ -86,10 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mills {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p):
-        p.add_argument("--precision", type=int, default=None, help="working precision in bits (default: MILLS_PRECISION_BITS or 128)")
-        p.add_argument("--digits", type=at_least(1), default=20, help="significant digits for decimal output")
-
     p_poly = sub.add_parser("poly", help="print an exact polynomial from one of the families")
     p_poly.add_argument("--which", required=True, choices=["P", "Q", "A", "B", "C", "Delta"])
     p_poly.add_argument("--n", type=at_least(0), required=True)
@@ -101,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bounds.add_argument("--x", type=parse_rational, required=True)
     p_bounds.add_argument("--n", type=at_least(0), default=0, help=f"order within the family; fixed for {', '.join(fixed)}")
-    add_common(p_bounds)
 
     p_verify = sub.add_parser("verify", help="run the identity suite and grid certification")
     p_verify.add_argument("--n-max", type=at_least(1), default=30)
@@ -109,23 +105,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=["json", "csv", "text"], default="json")
     p_verify.add_argument("--out", default=None)
     p_verify.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
-    add_common(p_verify)
 
     p_beta = sub.add_parser("beta", help="locate the odd-order threshold root beta_m")
     p_beta.add_argument("--m", type=at_least(0), required=True)
-    p_beta.add_argument("--tolerance", type=parse_rational, default=None)
-    add_common(p_beta)
+    p_beta.add_argument("--tolerance", type=parse_rational, default=None, help="bracket width (default: 2^-40)")
 
     p_cf = sub.add_parser("cf", help="continued-fraction convergents and ladder values")
     p_cf.add_argument("--x", type=parse_rational, required=True)
     p_cf.add_argument("--depth", type=at_least(1), default=10)
-    add_common(p_cf)
 
     p_phi = sub.add_parser("phi", help="evaluate the oracle")
     p_phi.add_argument("--x", type=parse_rational, required=True)
     p_phi.add_argument("--method", choices=["series", "quadrature", "both"], default="series")
-    add_common(p_phi)
 
+    for p in (p_bounds, p_verify, p_cf, p_phi):  # not beta: its accuracy is --tolerance
+        p.add_argument("--precision", type=at_least(MIN_PRECISION_BITS), help="working precision in bits (default: MILLS_PRECISION_BITS or 128)")
+    for p in (p_bounds, p_verify, p_beta, p_cf, p_phi):
+        p.add_argument("--digits", type=at_least(1), default=20, help="significant digits for decimal output")
     return parser
 
 
@@ -175,13 +171,13 @@ def _run_verification(args) -> dict:
     certs += certify_grid("eq19", [0], [x for x in xs if x > -1], p, memo)
     certs += certify_grid("i", small_orders, [x for x in pos], p, memo)
     certs += certify_grid("eq17", list(range(0, 4)), xs, p, memo)
-    # oracle cross-agreement on a fixed small grid; the series value is the
-    # one the certificates read
+    # oracle cross-agreement on a fixed small grid, decided exactly; the
+    # series value is the one the certificates read
     agreement = []
     for x in (Fraction(-2), Fraction(-1), Fraction(0), Fraction(1), Fraction(2), Fraction(5)):
-        s = phi_at(x, p, memo)
-        q = phi_quadrature(x, p)
-        ok = abs(s.value - q.value) <= s.error_bound + q.error_bound
+        s, q = phi_at(x, p, memo), phi_quadrature(x, p)
+        gap = abs(to_fraction(s.value) - to_fraction(q.value))
+        ok = gap <= to_fraction(s.error_bound) + to_fraction(q.error_bound)
         agreement.append({"x": str(x), "status": "pass" if ok else "fail"})
     all_pass = (
         all(e["status"] == "pass" for e in identities)

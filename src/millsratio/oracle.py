@@ -40,7 +40,7 @@ from fractions import Fraction
 from mpmath import iv, mp, mpf
 
 from .errors import EnvelopeError
-from .numutil import check_precision, iv_workprec, to_fraction, to_mpf
+from .numutil import check_precision, iv_workprec, to_fraction
 
 ENVELOPE = 30  # |x| beyond this is refused; the guard-bit budget assumes it
 
@@ -105,13 +105,19 @@ def _interval(num1: int, num2: int, den: int, w: int):
     return iv.mpf([mp.ldexp((lo << k) // den, -k), mp.ldexp(-((-hi << k) // den), -k)])
 
 
+def _in_envelope(x) -> Fraction:
+    """x read exactly, refused unless |x| <= ENVELOPE; both routes read x here."""
+    xq = to_fraction(x)
+    if abs(xq) > ENVELOPE:
+        raise EnvelopeError(f"|x| must be <= {ENVELOPE}, got x = {x}")
+    return xq
+
+
 def phi_series(x, precision_bits: int = 128) -> OracleValue:
     """phi from an exact partial sum of erf's Maclaurin series, finished in
     interval arithmetic; error_bound is derived from the interval."""
     check_precision(precision_bits)
-    xq = to_fraction(x)
-    if abs(xq) > ENVELOPE:
-        raise EnvelopeError(f"|x| must be <= {ENVELOPE}, got x = {x}")
+    xq = _in_envelope(x)
     u = xq * xq / 2
     w = precision_bits + 48 + math.ceil(float(u) * LOG2_E)
     n = _term_count(u, w)
@@ -134,15 +140,13 @@ def phi_quadrature(x, precision_bits: int = 128) -> OracleValue:
     T solves xT + T^2/2 = (p+16) ln 2, so the discarded tail is below
     2^-(p+16) * max(1, 1/(x+T)).  error_bound is an estimate, not a proof:
     the tail plus the integrator's own error estimate, padded by a factor
-    2^8.
+    2^8.  x is read exactly and rounded once, at the working precision.
     """
     check_precision(precision_bits)
-    xf = float(to_mpf(x))
-    if abs(xf) > ENVELOPE:
-        raise EnvelopeError(f"|x| must be <= {ENVELOPE}, got x = {x}")
+    xq = _in_envelope(x)
     wp = precision_bits + 32
     with mp.workprec(wp):
-        xv = to_mpf(x)
+        xv = mp.fdiv(xq.numerator, xq.denominator)
         big = (precision_bits + 16) * mp.ln(2)
         t_cut = -xv + mp.sqrt(xv * xv + 2 * big)
         tail = mp.exp(-xv * t_cut - t_cut * t_cut / 2) * max(mpf(1), 1 / (xv + t_cut))

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from mpmath import mp, mpf
 
-from .numutil import check_precision, to_mpf
+from .numutil import check_precision, to_fraction, to_mpf
 
 
 class IntPolynomial:
@@ -92,10 +92,11 @@ class IntPolynomial:
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def eval_rational(self, x: Fraction) -> Fraction:
+    def eval_rational(self, x) -> Fraction:
         """Exact evaluation at x = a/b by homogeneous Horner on integers:
-        b^d p(a/b) = sum c_k a^k b^(d-k), reduced by one gcd at the end."""
-        x = Fraction(x)
+        b^d p(a/b) = sum c_k a^k b^(d-k), reduced by one gcd at the end;
+        x is read by numutil.to_fraction."""
+        x = to_fraction(x)
         if not self.coeffs:
             return Fraction(0)
         a, b = x.numerator, x.denominator

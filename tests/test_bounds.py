@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
+from millsratio import bounds
 from millsratio.bounds import (
     CSV_COLUMNS,
     FAMILIES,
+    GUARD_BITS,
     beta,
     certify_grid,
     first_order_enclosure,
@@ -25,7 +27,7 @@ from millsratio.contfrac import cf_convergent
 from millsratio.errors import DomainError, EnvelopeError, SingularityError
 from millsratio.families import pq_pair, quadratic_triple
 from millsratio.numutil import to_fraction
-from millsratio.oracle import ENVELOPE, phi_quadrature, phi_series
+from millsratio.oracle import ENVELOPE, OracleValue, phi_quadrature, phi_series
 
 
 @lru_cache(maxsize=None)
@@ -222,6 +224,60 @@ class TestLogConvexity:
         for x in (Fraction(-3), Fraction(0), Fraction(2)):
             for n in range(8):
                 assert log_convexity_check(n, x, 128) > 0
+
+
+class TestCertificateProtocol:
+    """Family.at and certify_grid check the requested precision, enter the
+    working precision once and read phi once per point for the evaluators."""
+
+    @pytest.mark.parametrize("bits", [8, 48, 63])
+    def test_precision_below_the_floor_refused(self, bits):
+        message = f"precision_bits must be >= 64, got {bits}"
+        for fam in FAMILIES.values():
+            with pytest.raises(ValueError) as exc:
+                fam.at(2, Fraction(3, 2), bits)
+            assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            certify_grid("eq18", [0], [Fraction(1)], bits)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_certify_grid_reads_phi_once_per_point(self, monkeypatch, family):
+        seen = []
+
+        def counting(x, precision_bits, memo=None):
+            seen.append(x)
+            return phi_at(x, precision_bits, memo)
+
+        phi_at = bounds.phi_at
+        monkeypatch.setattr(bounds, "phi_at", counting)
+        xs = [Fraction(k, 4) for k in range(1, 9)]
+        assert certify_grid(family, [0, 1, 2, 3], xs, 96)
+        assert seen == xs
+
+    @pytest.mark.parametrize("family,n", [(key, 2) for key in sorted(FAMILIES)] + [("i", 3)])
+    def test_phi_on_the_wrong_side_fails(self, family, n):
+        """The verdict rule's fail branch, reached with an oracle value on
+        the wrong side of the shown bound; I_n_sharper does not read phi."""
+        x, bits, fam = Fraction(3, 2), 96, FAMILIES[family]
+        shown, certs = fam.at(n, x, bits)
+        assert certs[0].verdict == "pass"
+        order = n if fam.order is None else fam.order
+        with mp.workprec(bits + GUARD_BITS):
+            if family == "eq16":
+                phi = shown["convergent"] + 2 * shown["error_bound"]
+            elif family == "eq17":
+                t = quadratic_triple(order)
+                a, b = t.a.eval_rational(x), t.b.eval_rational(x)
+                assert a > 0  # so A phi^2 - B phi + C = -Delta / (4A) < 0 at phi = B / (2A)
+                vertex = b / (2 * a)
+                phi = mpf(vertex.numerator) / vertex.denominator
+            elif "lower" in shown:
+                phi = shown["lower"] * (1 - mpf(2) ** -30)
+            else:
+                phi = shown["upper"] * (1 + mpf(2) ** -30)
+            _, certs = fam.evaluate(order, x, bits, OracleValue(phi, mpf(2) ** -200, "series"))
+        assert certs[0].verdict == "fail" and certs[0].margin < 0, certs[0]
 
 
 class TestCertifyGrid:

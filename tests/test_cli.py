@@ -9,8 +9,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from millsratio import bounds, cli
 from millsratio.bounds import FAMILIES, certify_grid
 from millsratio.cli import main
+from millsratio.errors import IdentityError
 from millsratio.numutil import nstr_fixed
 
 
@@ -359,6 +361,45 @@ def test_full_verification_script_refuses_n_max_zero(capsys, tmp_path):
     assert not (tmp_path / "v.json").exists()
 
 
+def test_full_verification_script_refuses_precision_below_64(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        _load_script("run_full_verification").main(["--precision", "60", "--out", str(tmp_path / "v.json")])
+    assert exc.value.code == 2
+    assert "argument --precision: must be at least 64, got 60" in capsys.readouterr().err
+    assert not (tmp_path / "v.json").exists()
+
+
+def test_full_verification_script_exits_as_mills_verify(capsys, monkeypatch, tmp_path):
+    """An identity error during the run is mills verify's exit 1 with one
+    error line, not a traceback, and no report is printed."""
+
+    def broken(*args):
+        raise IdentityError("injected")
+
+    monkeypatch.setattr(cli, "verify_identities", broken)
+    out_path = tmp_path / "v.json"
+    assert _load_script("run_full_verification").main(["--n-max", "1", "--grid", "1:1:1", "--out", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: injected\n")
+    assert not out_path.exists()
+
+
+def test_default_verify_reads_phi_once_per_point(capsys, monkeypatch):
+    """100 grid points for each of six families, and six route-agreement points."""
+    calls = []
+
+    def counting(x, precision_bits, memo=None):
+        calls.append(x)
+        return phi_at(x, precision_bits, memo)
+
+    phi_at = bounds.phi_at
+    monkeypatch.setattr(bounds, "phi_at", counting)
+    monkeypatch.setattr(cli, "phi_at", counting)
+    monkeypatch.delenv("MILLS_PRECISION_BITS", raising=False)
+    assert run_cli(capsys, "verify")[0] == 0
+    assert len(calls) == 606
+
+
 # `scripts/bounds_table.py` output on small grids; the dashes are the points
 # outside a family's domain (x <= 0 for the enclosure, x <= -beta_m for odd
 # orders, x <= -1 for Szarek-Werner) and the root of A_1 at x = 1.
@@ -387,6 +428,38 @@ def test_bounds_table_script_golden(capsys, monkeypatch, argv):
     monkeypatch.setattr(sys, "argv", ["bounds_table.py", *argv])
     assert _load_script("bounds_table").main() == 0
     assert capsys.readouterr().out == BOUNDS_TABLE_GOLDEN[argv]
+
+
+class TestPrecisionFloor:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bounds", "--family", "eq15", "--x", "1"),
+            ("verify", "--n-max", "1", "--grid", "1:1:1"),
+            ("phi", "--x", "1"),
+            ("cf", "--x", "1"),
+        ],
+    )
+    @pytest.mark.parametrize("bits", ["60", "8"])
+    def test_below_64_refused_before_any_work(self, capsys, argv, bits):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--precision", bits])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --precision: must be at least 64, got {bits}" in captured.err
+
+    def test_beta_takes_no_precision(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["beta", "--m", "1", "--precision", "128"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --precision 128" in capsys.readouterr().err
+
+    def test_beta_ignores_the_precision_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("MILLS_PRECISION_BITS", "abc")
+        code, out, _ = run_cli(capsys, "beta", "--m", "1")
+        assert code == 0
+        assert out.startswith("m = 1\nbeta = ")
 
 
 class TestPrecisionEnvironment:

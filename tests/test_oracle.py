@@ -62,6 +62,15 @@ class TestQuadrature:
             phi_quadrature(-31, 128)
 
 
+@pytest.mark.parametrize("route", [phi_series, phi_quadrature])
+@pytest.mark.parametrize("x", [Fraction(30 * 10**20 + 1, 10**20), "30.00000000000000000001"])
+def test_envelope_is_decided_exactly(route, x):
+    # a float reading of this x is 30.0, inside the envelope
+    with pytest.raises(EnvelopeError, match=rf"\|x\| must be <= 30, got x = {x}"):
+        route(x, 64)
+    assert route(Fraction(30), 64).value > 0  # the envelope's edge is inside
+
+
 class TestAgreement:
     @pytest.mark.parametrize("x", GRID)
     def test_methods_agree(self, x):

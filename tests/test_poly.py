@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
+from mpmath import mpf
 
+from millsratio.numutil import to_fraction
 from millsratio.poly import IntPolynomial, ONE, X, ZERO
 
 
@@ -134,6 +136,9 @@ class TestProperties:
     @given(wide_polys, wide_rationals)
     def test_eval_rational_matches_fraction_horner(self, p, x):
         assert p.eval_rational(x) == fraction_horner(p, x)
+        # an mpf or a float is read with every bit, a string as the rational it spells
+        for value in (mpf(x.numerator) / x.denominator, float(x), str(x)):
+            assert p.eval_rational(value) == fraction_horner(p, to_fraction(value))
 
     @given(polys, polys)
     def test_derivative_product_rule(self, a, b):
