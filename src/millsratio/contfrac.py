@@ -16,7 +16,7 @@ asserted by the test suite).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from mpmath import mp, mpf
 
@@ -40,7 +40,9 @@ def cf_convergent(n: int, x) -> Fraction:
 
     Computed through p_{k+1} = b_k x p_k + p_{k-1} (and likewise for q) on
     integers: with x = a/d and b_k = r_k/s_k, each step scales the state
-    (p_{k-1}, p_k, q_{k-1}, q_k) by s_k d, leaving q_k/p_k unchanged.
+    (p_{k-1}, p_k, q_{k-1}, q_k) by s_k d, leaving q_k/p_k unchanged.  Every
+    8 steps the state is divided by its gcd, which keeps it from carrying
+    the accumulated scale factors.
     """
     x = to_fraction(x)
     if n < 1:
@@ -59,6 +61,9 @@ def cf_convergent(n: int, x) -> Fraction:
             ra, sd = central * a, d << 2 * m
         p_prev, p = p * sd, ra * p + sd * p_prev
         q_prev, q = q * sd, ra * q + sd * q_prev
+        if k % 8 == 0:
+            g = gcd(p_prev, p, q_prev, q)
+            p_prev, p, q_prev, q = p_prev // g, p // g, q_prev // g, q // g
     return Fraction(q, p)
 
 

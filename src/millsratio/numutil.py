@@ -12,9 +12,10 @@ MIN_PRECISION_BITS = 64
 
 
 def to_mpf(value) -> mpf:
-    """Convert int/float/Fraction/mpf to mpf at the current working precision."""
+    """Convert int/float/Fraction/mpf to mpf at the current working precision,
+    rounded once (a Fraction's quotient is rounded, not its numerator first)."""
     if isinstance(value, Fraction):
-        return mpf(value.numerator) / value.denominator
+        return mp.fdiv(value.numerator, value.denominator)
     return mpf(value)
 
 

@@ -236,6 +236,14 @@ class TestPhi:
         assert code == 0
         assert out.count("0.655679542418798") == 2
 
+    def test_both_methods_at_negative_x(self, capsys):
+        # the quadrature route reflects x < 0 onto |x|
+        code, out, _ = run_cli(capsys, "phi", "--x", "-10", "--method", "both")
+        assert code == 0
+        values = {line.split()[0]: line.split()[1] for line in out.splitlines() if line.endswith(")")}
+        assert values.keys() == {"series:", "quadrature:"}
+        assert values["series:"] == values["quadrature:"] == "1.2996129473592022903e+22"
+
     def test_module_invocation(self):
         result = subprocess.run(
             [sys.executable, "-m", "millsratio.cli", "phi", "--x", "0", "--digits", "12"],

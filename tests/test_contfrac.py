@@ -53,7 +53,7 @@ class TestConvergents:
 
     @pytest.mark.parametrize("x", [Fraction(1, 2), Fraction(1), Fraction(7, 3)])
     def test_equals_polynomial_quotient(self, x):
-        for n in range(1, 51):
+        for n in range(1, 201):
             pair = pq_pair(n)
             assert cf_convergent(n, x) == pair.q.eval_rational(x) / pair.p.eval_rational(x)
 

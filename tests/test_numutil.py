@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 from mpmath import mp, mpf
@@ -28,3 +29,13 @@ def test_to_fraction_parses_strings_exactly():
     assert to_fraction("7/3") == Fraction(7, 3)
     assert to_fraction("0.1") == Fraction(1, 10)
     assert to_fraction("-5/2") == Fraction(-5, 2)
+
+
+def test_to_mpf_rounds_a_fraction_once():
+    # numerators wider than the precision: rounding the numerator first and
+    # then the quotient is off by an ulp for about a quarter of these
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        q = Fraction(rng.choice((-1, 1)) * rng.getrandbits(90), rng.getrandbits(20) | 1)
+        with mp.workprec(53):
+            assert to_mpf(q) == mpf(q.numerator / q.denominator) == mp.fdiv(q.numerator, q.denominator), q

@@ -2,6 +2,9 @@ import ast
 import math
 import pathlib
 import random
+import subprocess
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -163,6 +166,99 @@ class TestSeriesErrorBound:
             ov = phi_series(x, 128)
             with mp.workprec(1024):
                 assert abs(ov.value - _reference(x)) <= ov.error_bound
+
+
+def _quadrature_points():
+    rng = random.Random(20261019)
+    xs = [Fraction(rng.randint(-30 * d, 30 * d), d) for d in (rng.randint(1, 128) for _ in range(24))]
+    return xs + [Fraction(-30), Fraction(0), Fraction(30), Fraction(-1, 128), Fraction(3839, 128)]
+
+
+class TestQuadratureErrorBound:
+    @pytest.mark.parametrize("p", [64, 128, 256])
+    def test_value_within_derived_bound(self, p):
+        # the derived bound holds, and is no looser than 2^-(p+8) (1 + |phi|)
+        for x in _quadrature_points():
+            ov = phi_quadrature(x, p)
+            ref = _reference(x)
+            with mp.workprec(2048):
+                assert abs(ov.value - ref) <= ov.error_bound, f"x={x}, p={p}"
+                assert 0 < ov.error_bound <= mpf(2) ** -(p + 8) * (1 + abs(ref)), f"x={x}, p={p}"
+
+    def test_no_adaptive_integrator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the quadrature route must not call mp.quad")
+
+        monkeypatch.setattr(mp, "quad", refuse)
+        for x in (Fraction(-10), Fraction(0), Fraction(7, 2)):
+            ov = phi_quadrature(x, 128)
+            with mp.workprec(1024):
+                assert abs(ov.value - _reference(x)) <= ov.error_bound
+
+    def test_independent_of_series_polynomial_and_continued_fraction_code(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the quadrature route must not use this")
+
+        monkeypatch.setattr(oracle, "phi_series", refuse)
+        monkeypatch.setattr(families, "pq_pair", refuse)
+        monkeypatch.setattr(families, "quadratic_triple", refuse)
+        monkeypatch.setattr(contfrac, "cf_convergent", refuse)
+        for x in (Fraction(-7, 3), Fraction(-20)):
+            ov = phi_quadrature(x, 128)
+            with mp.workprec(1024):
+                assert abs(ov.value - _reference(x)) <= ov.error_bound
+
+    def test_rules_are_built_on_first_use_once_per_precision(self):
+        # a fresh interpreter: importing builds no rule, and each precision adds one
+        script = (
+            "import millsratio\n"
+            "from millsratio import oracle\n"
+            "assert not oracle._RULES, oracle._RULES.keys()\n"
+            "for p, x in ((64, -2), (128, 0), (256, 5), (64, 1), (128, -7), (256, 0)):\n"
+            "    millsratio.phi_quadrature(x, p)\n"
+            "print(sorted(oracle._RULES))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == str([(oracle._node_count(p), p + 32) for p in (64, 128, 256)])
+
+    def test_concurrent_first_builds_agree(self):
+        # node counts no call builds, raced by four threads while a fifth keeps
+        # changing mpmath's process-wide precision
+        keys = [(n, 96) for n in range(30, 62, 2)]
+        results = [[] for _ in range(4)]
+        done = threading.Event()
+
+        def race(k):
+            for key in keys[k % 2 :: 2] + keys[1 - k % 2 :: 2]:
+                results[k].append((key, oracle._rule(*key)))
+
+        def disturber():
+            while not done.is_set():
+                with mp.workprec(24):
+                    mp.exp(1)
+
+        threads = [threading.Thread(target=race, args=(k,)) for k in range(len(results))]
+        noise = threading.Thread(target=disturber)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            noise.start()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            done.set()
+            noise.join(timeout=60)
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads + [noise])
+        for got in results:
+            assert len(got) == len(keys)
+            for key, rule in got:
+                assert rule is oracle._RULES[key]
+        for key in keys:
+            assert oracle._RULES[key] == oracle._build_rule(*key)
 
 
 def test_oracle_imports_only_errors_and_numutil():
