@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ def to_fraction(value) -> Fraction:
     reads it), or of a binary float or mpf with every bit at any precision."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, (int, str)) or (isinstance(value, float) and math.isfinite(value)):
         return Fraction(value)
     sign, man, exp, _ = (value if isinstance(value, mpf) else mpf(value))._mpf_
     if man == 0 and exp != 0:

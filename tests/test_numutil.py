@@ -21,6 +21,8 @@ def test_to_fraction_plain_values():
     assert to_fraction(Fraction(7, 3)) == Fraction(7, 3)
     assert to_fraction(5) == 5
     assert to_fraction(0.1) == Fraction(0.1)
+    with mp.workprec(24):  # a float is read exactly, whatever mpmath's precision
+        assert to_fraction(12.3) == Fraction(12.3)
     assert to_fraction(mpf(-0.75)) == Fraction(-3, 4)
     assert to_fraction(mpf(0)) == 0
 

@@ -110,10 +110,10 @@ class TestDerivatives:
             assert (-1) ** n * value > 0, f"n={n}, x={x}"
 
 
-def _reference(x: Fraction) -> mpf:
-    """phi(x) from mpmath's erfc at >= 600 bits, plus u log2 e bits for x < 0,
+def _reference(x: Fraction, bits: int = 640) -> mpf:
+    """phi(x) from mpmath's erfc at >= bits bits, plus u log2 e bits for x < 0,
     where phi grows like e^u, u = x^2/2."""
-    bits = 640 + (math.ceil(float(x) ** 2 / 2 * math.log2(math.e)) if x < 0 else 0)
+    bits += math.ceil(float(x) ** 2 / 2 * math.log2(math.e)) if x < 0 else 0
     with mp.workprec(bits):
         xv = mpf(x.numerator) / x.denominator
         return mp.exp(xv * xv / 2) * mp.sqrt(mp.pi / 2) * mp.erfc(xv / mp.sqrt(2))
@@ -126,7 +126,10 @@ def _series_points():
     xs += [rng.uniform(-30, 30) for _ in range(3)]  # floats
     with mp.workprec(160):  # mpfs longer than a double
         xs += [mpf(rng.uniform(-30, 30)) * (1 + mpf(2) ** -90) for _ in range(2)]
-    return xs
+    with mp.workprec(300):  # a 300-bit mantissa
+        xs.append(mpf(rng.uniform(-30, 30)) * (1 + mpf(2) ** -290))
+    # a single term; u = 32 and 2u = 64, block boundaries of the summation
+    return xs + [Fraction(1, 2**60), Fraction(8), Fraction(-8)]
 
 
 class TestSeriesErrorBound:
@@ -139,15 +142,26 @@ class TestSeriesErrorBound:
                 assert abs(ov.value - ref) <= ov.error_bound, f"x={x}, p={p}"
             assert 0 < ov.error_bound <= mpf(2) ** -(p + 32), f"x={x}, p={p}"
 
+    def test_value_within_derived_bound_at_1024_bits(self):
+        for x in _series_points()[-9:] + [Fraction(0), Fraction(30), Fraction(-30), Fraction(3839, 128)]:
+            ov = phi_series(x, 1024)
+            ref = _reference(to_fraction(x), 1200)
+            with mp.workprec(4096):
+                assert abs(ov.value - ref) <= ov.error_bound, f"x={x}"
+            assert 0 < ov.error_bound <= mpf(2) ** -(1024 + 32), f"x={x}"
+
     @pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 3), Fraction(-5, 2), Fraction(79, 10), Fraction(3839, 128), Fraction(-30)])
     def test_terms_exceed_u(self, x):
-        # above u = x^2/2 the terms (-u)^k / (k! (2k+1)) alternate and shrink,
-        # so the omitted tail lies between 0 and the first omitted term
+        # from N >= 2u on, u = x^2/2, each ratio t_{k+1} / t_k = x^2 / (2k+3) of
+        # the positive terms t_k = |x|^{2k+1} / (2k+1)!! is at most 1/2, so the
+        # omitted tail is below 2 t_N, which the error bound covers
         ov = phi_series(x, 128)
         u = x * x / 2
-        assert ov.terms > u
         k = ov.terms
-        assert u * (2 * k + 1) < (k + 1) * (2 * k + 3)  # |t_{k+1}| < |t_k|, and likewise for every larger k
+        assert k >= 2 * u
+        assert 2 * x * x <= 2 * k + 3  # t_{k+1} <= t_k / 2, and likewise for every larger k
+        first_omitted = abs(x) ** (2 * k + 1) / math.prod(range(1, 2 * k + 2, 2))
+        assert 2 * first_omitted <= to_fraction(ov.error_bound)
 
     def test_records_work(self):
         ov = phi_series(Fraction(10), 128)
@@ -209,7 +223,8 @@ class TestQuadratureErrorBound:
                 assert abs(ov.value - _reference(x)) <= ov.error_bound
 
     def test_rules_are_built_on_first_use_once_per_precision(self):
-        # a fresh interpreter: importing builds no rule, and each precision adds one
+        # a fresh interpreter: importing builds no rule, and each precision adds
+        # one per x band it is called in, |x| < 5 and |x| >= 5
         script = (
             "import millsratio\n"
             "from millsratio import oracle\n"
@@ -220,7 +235,7 @@ class TestQuadratureErrorBound:
         )
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == str([(oracle._node_count(p), p + 32) for p in (64, 128, 256)])
+        assert result.stdout.strip() == str([(78, 96), (116, 160), (136, 160), (222, 288), (252, 288)])
 
     def test_concurrent_first_builds_agree(self):
         # node counts no call builds, raced by four threads while a fifth keeps
@@ -259,6 +274,61 @@ class TestQuadratureErrorBound:
                 assert rule is oracle._RULES[key]
         for key in keys:
             assert oracle._RULES[key] == oracle._build_rule(*key)
+
+
+def test_routes_agree_with_themselves_across_threads():
+    # four threads call both routes at p = 64..256, x in the bands |x| < 2,
+    # 2..10 and 10..30 and x < 0, while a fifth keeps changing mpmath's
+    # process-wide precision: no result may differ from a single-threaded call
+    cases = [(route, x, p) for route in (phi_series, phi_quadrature)
+             for x in (Fraction(1, 3), Fraction(-5, 3), Fraction(7, 2), Fraction(-77, 8), Fraction(25, 2), -12.3)
+             for p in (64, 96, 160, 256)]
+
+    def call(route, x, p):
+        ov = route(x, p)
+        return ov.value._mpf_, ov.error_bound._mpf_, ov.working_bits, ov.terms
+
+    expected = [call(*case) for case in cases]
+    results = [[] for _ in range(4)]
+    done = threading.Event()
+
+    def worker(k):
+        order = list(range(len(cases)))
+        random.Random(k).shuffle(order)
+        results[k] = sorted((i, call(*cases[i])) for i in order)
+
+    def disturber():
+        while not done.is_set():
+            with mp.workprec(24):
+                mp.exp(1)
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(results))]
+    noise = threading.Thread(target=disturber)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        noise.start()
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        done.set()
+        noise.join(timeout=60)
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads + [noise])
+    for got in results:
+        assert got == list(enumerate(expected))
+
+
+def test_oracle_is_context_free():
+    # no workprec block and no iv context: both read or set mpmath's
+    # process-wide precision
+    tree = ast.parse(pathlib.Path(oracle.__file__).read_text(encoding="utf-8"))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not names & {"workprec", "iv_workprec", "iv"}
 
 
 def test_oracle_imports_only_errors_and_numutil():
