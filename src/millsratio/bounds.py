@@ -20,11 +20,14 @@ the returned bracket is a proof.  At x = +-beta_m the quadratic
 degenerates (A vanishes) and the bound evaluator reports a singularity
 instead of inventing a continuity value.
 
-Every bound value is formed from exact rationals (the polynomials are
+Every value is exact or one rounding of an exact rational, at a precision
+and in a direction named in the call, never mpmath's process-wide one.
+Bound values are formed from exact rationals (the polynomials are
 evaluated exactly at the exact x) and rounded once, outward: convergents
-by one directed division, square-root bounds by one mpmath.iv step whose
-outward endpoint is returned.  They hold at every precision.
-phi_derivative is formed the same way, from exact P_n(x) and Q_n(x), and
+by one directed division; a square-root bound, monotone in its root, at
+the end of an integer isqrt enclosure of the root that errs outward
+(_outward).  They hold at every precision.  phi_derivative is P_n(x) v -
+Q_n(x) from exact polynomials and phi's oracle value v, rounded once, and
 every certificate reads phi through phi_at alone.
 
 The families Eq15 to Eq19 and I are the rows of one table, FAMILIES: a
@@ -32,31 +35,32 @@ stated domain, the fixed order of a one-bound family, and an evaluator of
 the shown bound values and certificates at a point.  certify_grid,
 `mills bounds` and scripts/bounds_table.py all read it.  One verdict rule
 decides every certificate: its margin is an exact value within a derived
-error of the true margin (the oracle's error bound, or for Eq17 the radius
-of its iv enclosure), rounded once at p + GUARD_BITS bits, and it passes
-iff it exceeds that error plus the rounding.
+error of the true margin (the oracle's error bound, or for Eq17 the error
+of the exact Taylor expansion about the oracle's value), rounded once at
+p + GUARD_BITS bits, and it passes iff it exceeds that error plus the
+rounding.
 
 Family.at and certify_grid are the entry points of this protocol.  Each
-checks the requested precision p, enters the working precision
-p + GUARD_BITS once and reads phi through phi_at once per point; the
-evaluators get that oracle value and never see the memo.
+checks the requested precision p and reads phi through phi_at once per
+point; the evaluators get that oracle value, never see the memo, and name
+p + GUARD_BITS in every rounding they make.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 from typing import Callable
 
-from mpmath import iv, mp, mpf
+from mpmath import mp, mpf
 
 from .errors import DomainError, SingularityError
 from .families import pq_pair, quadratic_triple
-from .numutil import check_precision, iv_workprec, nstr_fixed, to_fraction, to_mpf
+from .numutil import check_precision, nstr_fixed, to_fraction, to_mpf
 from .oracle import OracleValue, phi_series
 
-GUARD_BITS = 16  # bits worked above the requested precision: certificates, phi_derivative
+GUARD_BITS = 16  # bits above the requested precision: certificates, square roots, phi_derivative
 
 
 @dataclass(frozen=True)
@@ -102,25 +106,23 @@ CSV_COLUMNS = ["family", "n", "x", "margin", "precision_bits", "verdict"]
 def first_order_enclosure(n: int, x, precision_bits: int = 128) -> Enclosure:
     """Rational enclosure Q_{2n}/P_{2n} < phi < Q_{2n+1}/P_{2n+1}, x > 0,
     with the exact endpoints rounded outward to precision_bits."""
-    check_precision(precision_bits)
-    with mp.workprec(precision_bits):
-        xf = _positive(x, "first-order enclosure requires x > 0")
-        return Enclosure(
-            x=to_mpf(xf),
-            lower=_rounded(_convergent(2 * n, xf), "f"),
-            upper=_rounded(_convergent(2 * n + 1, xf), "c"),
-            lower_source=f"Eq15/order={2 * n}",
-            upper_source=f"Eq15/order={2 * n + 1}",
-            precision_bits=precision_bits,
-        )
+    p = check_precision(precision_bits)
+    xf = _positive(x, "first-order enclosure requires x > 0")
+    return Enclosure(
+        x=to_mpf(xf, p),
+        lower=to_mpf(_convergent(2 * n, xf), p, "f"),
+        upper=to_mpf(_convergent(2 * n + 1, xf), p, "c"),
+        lower_source=f"Eq15/order={2 * n}",
+        upper_source=f"Eq15/order={2 * n + 1}",
+        precision_bits=p,
+    )
 
 
 def first_order_error_bound(n: int, x, precision_bits: int = 128) -> mpf:
     """n! / (P_n(x) P_{n+1}(x)), the first-order truncation error bound,
     rounded up to precision_bits."""
-    check_precision(precision_bits)
-    with mp.workprec(precision_bits):
-        return _rounded(_error_bound_exact(n, _positive(x, "error bound is stated for x > 0")), "c")
+    p = check_precision(precision_bits)
+    return to_mpf(_error_bound_exact(n, _positive(x, "error bound is stated for x > 0")), p, "c")
 
 
 def _positive(x, message: str) -> Fraction:
@@ -141,69 +143,53 @@ def _error_bound_exact(n: int, x: Fraction) -> Fraction:
     return Fraction(factorial(n)) / (p_n * p_next)
 
 
-def _rounded(value: Fraction, rounding: str = "n") -> mpf:
-    """value at the working precision, rounded down ("f"), up ("c") or to nearest ("n")."""
-    return mp.fdiv(value.numerator, value.denominator, rounding=rounding)
-
-
-def _iv(value: Fraction):
-    """An iv interval holding the exact rational value."""
-    return iv.mpf(value.numerator) / value.denominator
-
-
-def _endpoint(interval, upper: bool) -> mpf:
-    """The lower or upper endpoint of an iv interval, read exactly."""
-    return mp.make_mpf(interval._mpi_[upper])
-
-
-def _iv_phi(ov: OracleValue):
-    """An iv interval holding phi: [value - error_bound, value + error_bound]."""
-    return iv.mpf(ov.value) + iv.mpf([-ov.error_bound, ov.error_bound])
-
-
-def _midpoint_radius(interval, bits: int) -> tuple[mpf, mpf]:
-    """An iv interval's midpoint, rounded to nearest at bits, and its radius, rounded up."""
-    lo, hi = _endpoint(interval, False), _endpoint(interval, True)
-    with mp.workprec(bits):
-        return (lo + hi) / 2, mp.ldexp(mp.fsub(hi, lo, rounding="c"), -1)
+def _outward(bound: Callable[[Fraction], Fraction], r: Fraction, upper: bool, precision_bits: int) -> mpf:
+    """bound(sqrt(r)) for a bound monotone in the root, r = a/b > 0, rounded
+    outward to precision_bits.  With k = precision_bits + GUARD_BITS and
+    s = isqrt(a b 4^k), s/(b 2^k) <= sqrt(r) <= (s+1)/(b 2^k), one point
+    when s^2 = a b 4^k; a b >= 1, so s >= 2^k and the ends differ by a
+    relative 2^-k at most.  bound is exact at both ends, and the greater is
+    rounded up (an upper bound) or the lesser down."""
+    k = precision_bits + GUARD_BITS
+    scaled = r.numerator * r.denominator << 2 * k
+    s = isqrt(scaled)
+    ends = [bound(Fraction(t, r.denominator << k)) for t in {s, s + (s * s != scaled)}]
+    return to_mpf(max(ends), precision_bits, "c") if upper else to_mpf(min(ends), precision_bits, "f")
 
 
 def komatsu_lower(x, precision_bits: int = 128) -> mpf:
     """2 / (x + sqrt(x^2 + 4)); a lower bound for phi on all of R, formed
-    from the exact x in iv at precision_bits and rounded down."""
-    check_precision(precision_bits)
-    xf = to_fraction(x)
-    with iv_workprec(precision_bits):
-        root = iv.sqrt(_iv(xf * xf + 4))
-        # rationalized form avoids cancellation in x + sqrt(x^2+4)
-        bound = (root - _iv(xf)) / 2 if xf < 0 else 2 / (_iv(xf) + root)
-    return _endpoint(bound, False)
+    from the exact x with the root enclosed in rationals, and rounded down
+    to precision_bits."""
+    p, xf = check_precision(precision_bits), to_fraction(x)
+    # for x < 0, x + sqrt(x^2+4) cancels and would widen the root's relative
+    # 2^-(p+16) enclosure far beyond 2^-p; the rationalized form does not
+    bound = (lambda root: (root - xf) / 2) if xf < 0 else (lambda root: 2 / (xf + root))
+    return _outward(bound, xf * xf + 4, False, p)
 
 
 def szarek_werner_upper(x, precision_bits: int = 128) -> mpf:
     """4 / (3x + sqrt(x^2 + 8)); an upper bound for phi on ]-1, inf[, formed
-    from the exact x in iv at precision_bits and rounded up."""
-    check_precision(precision_bits)
-    xf = to_fraction(x)
+    from the exact x with the root enclosed in rationals, and rounded up to
+    precision_bits."""
+    p, xf = check_precision(precision_bits), to_fraction(x)
     if xf <= -1:
         raise DomainError(f"x must exceed -1, got x = {xf}")
-    with iv_workprec(precision_bits):
-        root = iv.sqrt(_iv(xf * xf + 8))
-        # rationalized form avoids cancellation in 3x + sqrt(x^2+8)
-        bound = (root - _iv(3 * xf)) / _iv(2 * (1 - xf * xf)) if xf < 0 else 4 / (_iv(3 * xf) + root)
-    return _endpoint(bound, True)
+    # likewise the rationalized form for x < 0 avoids cancellation in 3x + sqrt(x^2+8)
+    bound = (lambda root: (root - 3 * xf) / (2 * (1 - xf * xf))) if xf < 0 else (lambda root: 4 / (3 * xf + root))
+    return _outward(bound, xf * xf + 8, True, p)
 
 
 def second_order_bound(n: int, x, precision_bits: int = 128) -> SecondOrderBound:
     """Even n: the lower bound Z^+ on all of R.  Odd n: the upper bound
     Z^- = (B - n! sqrt(x^2+4n+4)) / (2A) on ]-beta_m, inf[.
 
-    A_n, B_n and C_n are exact at the exact x; the root is formed in iv at
-    precision_bits and rounded outward (down for even n, up for odd n).
+    A_n, B_n and C_n are exact at the exact x and the root is enclosed in
+    rationals; Z is evaluated exactly at both ends of that enclosure and
+    rounded outward to precision_bits (down for even n, up for odd n).
     Raises DomainError for odd n at x <= -beta_m, and SingularityError
     where A_n(x) is exactly 0 (x = beta_m for odd n)."""
-    check_precision(precision_bits)
-    xf = to_fraction(x)
+    p, xf = check_precision(precision_bits), to_fraction(x)
     t, odd = quadratic_triple(n), n % 2 == 1
     # ]-beta_m, inf[ is decided by the exact sign of the even polynomial A_n
     # at |x|: negative exactly inside the gap
@@ -212,13 +198,13 @@ def second_order_bound(n: int, x, precision_bits: int = 128) -> SecondOrderBound
     a, b = t.a.eval_rational(xf), t.b.eval_rational(xf)
     if a == 0:
         raise SingularityError(f"A_{n}({xf}) is exactly 0")
-    with iv_workprec(precision_bits):
-        root = factorial(n) * iv.sqrt(_iv(xf * xf + 4 * n + 4))
-        # Standard stable quadratic-root evaluation: form b +- root without
-        # cancellation, and obtain the other root as c / q via Vieta.
-        q = (_iv(b) + root) / 2 if b >= 0 else (_iv(b) - root) / 2
-        z = q / _iv(a) if (b >= 0) != odd else _iv(t.c.eval_rational(xf)) / q
-    return SecondOrderBound(n=n, value=_endpoint(z, odd), role="upper" if odd else "lower")
+    # Standard stable quadratic-root evaluation: form q = (b +- n! root) / 2
+    # without cancellation, and obtain the other root as c / q via Vieta.
+    scale = factorial(n) if b >= 0 else -factorial(n)
+    c = None if (b >= 0) != odd else t.c.eval_rational(xf)
+    z = _outward(lambda root: (b + scale * root) / (2 * a) if c is None else 2 * c / (b + scale * root),
+                 xf * xf + 4 * n + 4, odd, p)
+    return SecondOrderBound(n=n, value=z, role="upper" if odd else "lower")
 
 
 def phi_derivative(n: int, x, precision_bits: int = 128) -> mpf:
@@ -226,33 +212,35 @@ def phi_derivative(n: int, x, precision_bits: int = 128) -> mpf:
     2^-precision_bits.
 
     P_n(x) and Q_n(x) are exact at the exact x, and phi is read from the
-    series route with log2 |P_n(x)| extra bits.  P phi - Q is formed in one
-    iv step at precision_bits + GUARD_BITS bits plus log2 of |P_n(x) phi(x)|
-    or |Q_n(x)|, whichever is larger (phi grows like e^{x^2/2} for x < 0);
-    the value returned is the interval's midpoint."""
-    check_precision(precision_bits)
-    xf = to_fraction(x)
+    series route with log2 |P_n(x)| extra bits, so P_n(x) times its error
+    stays below 2^-(precision_bits + 32).  P v - Q, with v the oracle's
+    value, is formed exactly and rounded to nearest once, at precision_bits
+    + GUARD_BITS bits plus log2 of |P_n(x) v| or |Q_n(x)|, whichever is
+    larger (phi grows like e^{x^2/2} for x < 0)."""
+    p, xf = check_precision(precision_bits), to_fraction(x)
     pair = pq_pair(n)
-    p, q = pair.p.eval_rational(xf), pair.q.eval_rational(xf)
-    ov = phi_series(xf, precision_bits + max(0, mp.mag(p)))
-    w = precision_bits + GUARD_BITS + max(0, mp.mag(p) + mp.mag(ov.value), mp.mag(q))
-    with iv_workprec(w):
-        return _midpoint_radius(_iv(p) * _iv_phi(ov) - _iv(q), w)[0]
+    pn, qn = pair.p.eval_rational(xf), pair.q.eval_rational(xf)
+    # mag of a value rounded toward 0 is floor(log2 |value|) + 1 exactly (-inf at 0)
+    mag_p, mag_q = (mp.mag(to_mpf(value, 53, "d")) for value in (pn, qn))
+    ov = phi_series(xf, p + max(0, mag_p))
+    return to_mpf(pn * to_fraction(ov.value) - qn, p + GUARD_BITS + max(0, mag_p + mp.mag(ov.value), mag_q))
 
 
 def beta(m: int, tolerance=None) -> BetaRoot:
     """The unique root of A_{2m+1} in ]0, 1], bracketed by exact signs.
 
     Every sign query is exact rational arithmetic, so the final bracket is
-    mathematically certain; the reported value is its midpoint.  When the
-    root is exactly 1 (as for m = 0, where A_1 = X^2 - 1) the value is
-    exact and the upper bracket endpoint carries sign zero.
+    mathematically certain; the reported value is its midpoint, rounded to
+    nearest at 32 bits beyond the tolerance (128 at least).  When the root
+    is exactly 1 (as for m = 0, where A_1 = X^2 - 1) the value is exact and
+    the upper bracket endpoint carries sign zero.
     """
     if m < 0:
         raise ValueError("index must be non-negative")
     tol = Fraction(1, 2**40) if tolerance is None else to_fraction(tolerance)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    bits = max(128, -(tol.numerator.bit_length() - tol.denominator.bit_length()) + 32)
     a = quadratic_triple(2 * m + 1).a
     lo, hi = Fraction(0), Fraction(1)
     if a.eval_rational(lo) >= 0:
@@ -264,28 +252,26 @@ def beta(m: int, tolerance=None) -> BetaRoot:
         s = a.eval_rational(mid)
         if s == 0:
             # dyadic midpoint happens to be the exact root
-            return BetaRoot(m=m, value=to_mpf(mid), bracket=(mid - tol, mid + tol))
+            return BetaRoot(m=m, value=to_mpf(mid, bits), bracket=(mid - tol, mid + tol))
         lo, hi = (mid, hi) if s < 0 else (lo, mid)
-    bits = max(128, -(tol.numerator.bit_length() - tol.denominator.bit_length()) + 32)
-    with mp.workprec(bits):
-        value = to_mpf((lo + hi) / 2)
-    return BetaRoot(m=m, value=value, bracket=(lo, hi))
+    return BetaRoot(m=m, value=to_mpf((lo + hi) / 2, bits), bracket=(lo, hi))
 
 
 def log_convexity(n: int, x, ov: OracleValue, precision_bits: int) -> tuple[mpf, mpf]:
     """(margin, error) of the log-convexity inequality at (n, x), with ov
     the oracle value phi_at gives at (x, precision_bits).
 
-    A_n(x) phi(x)^2 - B_n(x) phi(x) + C_n(x) is enclosed in one iv step at
-    precision_bits + GUARD_BITS, from the exact A_n, B_n, C_n and phi's
-    enclosure [v - e, v + e].  margin is the enclosure's midpoint, positive
-    iff the inequality holds, and error its radius.
+    m(t) = A_n(x) t^2 - B_n(x) t + C_n(x) is positive at t = phi(x) iff the
+    inequality holds.  With v = ov.value, e = ov.error_bound and A, B, C
+    exact, the Taylor expansion m(v + d) = m(v) + (2Av - B) d + A d^2 is
+    exact, so for |d| <= e the true margin is within |2Av - B| e + |A| e^2
+    of m(v).  margin is m(v) rounded to nearest and error that bound
+    rounded up, both at precision_bits + GUARD_BITS.
     """
-    t, xf, bits = quadratic_triple(n), to_fraction(x), precision_bits + GUARD_BITS
-    with iv_workprec(bits):
-        a, b, c = (_iv(poly.eval_rational(xf)) for poly in (t.a, t.b, t.c))
-        phi = _iv_phi(ov)
-        return _midpoint_radius(a * phi * phi - b * phi + c, bits)
+    t, xf, w = quadratic_triple(n), to_fraction(x), precision_bits + GUARD_BITS
+    a, b, c = (poly.eval_rational(xf) for poly in (t.a, t.b, t.c))
+    v, e = to_fraction(ov.value), to_fraction(ov.error_bound)
+    return to_mpf((a * v - b) * v + c, w), to_mpf(abs(2 * a * v - b) * e + abs(a) * e * e, w, "c")
 
 
 def log_convexity_check(n: int, x, precision_bits: int = 128) -> mpf:
@@ -314,12 +300,14 @@ def phi_at(x, precision_bits: int, memo: dict | None = None) -> OracleValue:
 
 def _threshold(margin: mpf, error: mpf, precision_bits: int) -> mpf:
     """The one verdict rule.  A margin is an exact value within ``error`` of
-    the true margin, rounded once to nearest at precision_bits + GUARD_BITS;
-    it passes iff it exceeds error plus that rounding.  The evaluators below
-    run at that working precision (see Family), and their bound values are
-    exact convergents rounded outward or outward iv endpoints."""
-    return mp.fadd(error, mp.ldexp(abs(margin), -(precision_bits + GUARD_BITS)), rounding="c")
-
+    the true margin, rounded once to nearest at w = precision_bits +
+    GUARD_BITS; it passes iff it exceeds error plus that rounding, |margin|
+    2^-w, their sum rounded up at w.  The evaluators below round every
+    margin at w, and their bound values are exact convergents or exact
+    square-root bounds rounded outward."""
+    w = precision_bits + GUARD_BITS
+    size = mp.fneg(margin, exact=True) if margin < 0 else margin  # abs() would round at mp.prec
+    return mp.fadd(error, mp.ldexp(size, -w), prec=w, rounding="c")
 
 def _cert(family: str, n: int, x: Fraction, margin: mpf, error: mpf, precision_bits: int) -> Certificate:
     verdict = "pass" if margin > _threshold(margin, error, precision_bits) else "fail"
@@ -329,22 +317,24 @@ def _cert(family: str, n: int, x: Fraction, margin: mpf, error: mpf, precision_b
 def _vs_phi(family: str, n: int, x: Fraction, bound: mpf, upper: bool, precision_bits: int, ov: OracleValue):
     """The certificate that bound, an exact value, lies above (upper) or
     below phi(x), as ov encloses it."""
-    margin = bound - ov.value if upper else ov.value - bound
+    above, below = (bound, ov.value) if upper else (ov.value, bound)
+    margin = mp.fsub(above, below, prec=precision_bits + GUARD_BITS, rounding="n")
     return _cert(family, n, x, margin, ov.error_bound, precision_bits)
 
 
 def _eq15(n: int, x: Fraction, precision_bits: int, ov: OracleValue):
-    lower, upper = _rounded(_convergent(2 * n, x), "f"), _rounded(_convergent(2 * n + 1, x), "c")
-    margin = min(ov.value - lower, upper - ov.value)
+    w = precision_bits + GUARD_BITS
+    lower, upper = to_mpf(_convergent(2 * n, x), w, "f"), to_mpf(_convergent(2 * n + 1, x), w, "c")
+    margin = min(mp.fsub(ov.value, lower, prec=w, rounding="n"), mp.fsub(upper, ov.value, prec=w, rounding="n"))
     return {"lower": lower, "upper": upper}, [_cert("Eq15", n, x, margin, ov.error_bound, precision_bits)]
 
 
 def _eq16(n: int, x: Fraction, precision_bits: int, ov: OracleValue):
     """The margin is formed from the exact convergent and error bound; the
     shown convergent is rounded to nearest and the shown bound up."""
-    conv, bound = _convergent(n, x), _error_bound_exact(n, x)
-    margin = _rounded(bound - abs(to_fraction(ov.value) - conv))
-    shown = {"convergent": _rounded(conv), "error_bound": _rounded(bound, "c")}
+    conv, bound, w = _convergent(n, x), _error_bound_exact(n, x), precision_bits + GUARD_BITS
+    margin = to_mpf(bound - abs(to_fraction(ov.value) - conv), w)
+    shown = {"convergent": to_mpf(conv, w), "error_bound": to_mpf(bound, w, "c")}
     return shown, [_cert("Eq16", n, x, margin, ov.error_bound, precision_bits)]
 
 
@@ -372,7 +362,8 @@ def _second_order(n: int, x: Fraction, precision_bits: int, ov: OracleValue):
     certs = [_vs_phi(f"I_{n}", n, x, sb.value, upper, precision_bits, ov)]
     if x > 0 and (not upper or quadratic_triple(n).a.eval_rational(x) > 0):
         sharper = _convergent(n, x) - to_fraction(sb.value)
-        certs.append(_cert(f"I_{n}_sharper", n, x, _rounded(sharper if upper else -sharper), mpf(0), precision_bits))
+        margin = to_mpf(sharper if upper else -sharper, precision_bits + GUARD_BITS)
+        certs.append(_cert(f"I_{n}_sharper", n, x, margin, mpf(0), precision_bits))
     return {sb.role: sb.value}, certs
 
 
@@ -383,10 +374,10 @@ class Family:
     ``evaluate(n, x, precision_bits, ov)`` returns the bound values shown
     at (n, x), by name, and the certificates made there against ov, the
     oracle value phi_at gives at (x, precision_bits); it raises DomainError
-    or SingularityError where the order-n bound is not stated.  It runs at
-    the working precision precision_bits + GUARD_BITS.  Its two callers,
-    ``at`` and certify_grid, check precision_bits, set that precision once
-    for all the points they evaluate and read phi once per point."""
+    or SingularityError where the order-n bound is not stated.  It rounds
+    every value it forms at precision_bits + GUARD_BITS, named in each
+    call.  Its two callers, ``at`` and certify_grid, check precision_bits
+    and read phi once per point."""
 
     name: str
     x_above: int | None  # stated domain x > x_above; None: every x the oracle takes
@@ -402,11 +393,9 @@ class Family:
         """Shown values and certificates at one point; n is ignored by a
         single-bound family.  memo is an optional phi memo, as in
         certify_grid."""
-        check_precision(precision_bits)
+        p = check_precision(precision_bits)
         self.check(x)
-        with mp.workprec(precision_bits + GUARD_BITS):
-            ov = phi_at(x, precision_bits, memo)
-            return self.evaluate(n if self.order is None else self.order, x, precision_bits, ov)
+        return self.evaluate(n if self.order is None else self.order, x, p, phi_at(x, p, memo))
 
 
 # The evaluators call the public functions by their module names, so that
@@ -455,18 +444,17 @@ def certify_grid(
     dropped with it: there is no process-wide oracle cache.
     """
     fam = find_family(family)
-    check_precision(precision_bits)
+    p = check_precision(precision_bits)
     xs = [to_fraction(x) for x in xs]
     for x in xs:
         fam.check(x)
     out: list[Certificate] = []
-    with mp.workprec(precision_bits + GUARD_BITS):
-        for x in xs:
-            ov = phi_at(x, precision_bits, memo)
-            for n in orders if fam.order is None else [fam.order]:
-                try:
-                    out += fam.evaluate(n, x, precision_bits, ov)[1]
-                except (DomainError, SingularityError):
-                    continue  # outside this order's domain, or A_n(x) is exactly 0
+    for x in xs:
+        ov = phi_at(x, p, memo)
+        for n in orders if fam.order is None else [fam.order]:
+            try:
+                out += fam.evaluate(n, x, p, ov)[1]
+            except (DomainError, SingularityError):
+                continue  # outside this order's domain, or A_n(x) is exactly 0
     out.sort(key=lambda c: (c.family, c.n, c.x))
     return out

@@ -68,22 +68,23 @@ def cf_convergent(n: int, x) -> Fraction:
 
 
 def cf_ladder_eval(depth: int, x, precision_bits: int) -> mpf:
-    """Bottom-up evaluation of 1/(x + 1/(x + 2/(x + ... + depth/x))).
+    """Bottom-up evaluation of 1/(x + 1/(x + 2/(x + ... + depth/x))), x and
+    every step rounded to nearest at precision_bits.
 
     Backward (tail-first) evaluation is numerically self-correcting for
     continued fractions, so no extra guard precision is needed.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    check_precision(precision_bits)
-    with mp.workprec(precision_bits):
-        xv = to_mpf(x)
-        if xv <= 0:
-            raise DomainError("ladder is stated for x > 0")
-        acc = mpf(depth) / xv
-        for k in range(depth - 1, 0, -1):
-            acc = k / (xv + acc)
-        return 1 / (xv + acc)
+    p = check_precision(precision_bits)
+    xv = to_mpf(x, p)
+    if xv <= 0:
+        raise DomainError("ladder is stated for x > 0")
+    rn = {"prec": p, "rounding": "n"}
+    acc = mp.fdiv(depth, xv, **rn)
+    for k in range(depth - 1, 0, -1):
+        acc = mp.fdiv(k, mp.fadd(xv, acc, **rn), **rn)
+    return mp.fdiv(1, mp.fadd(xv, acc, **rn), **rn)
 
 
 def expansion_str(count: int) -> str:

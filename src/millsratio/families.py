@@ -38,7 +38,7 @@ import threading
 from dataclasses import dataclass
 from math import comb, factorial
 
-from mpmath import mp, mpf, sqrt as mp_sqrt, exp as mp_exp
+from mpmath import mp, mpf
 
 from .errors import IdentityError
 from .numutil import check_precision, to_fraction, to_mpf
@@ -185,8 +185,9 @@ def discriminant(n: int) -> IntPolynomial:
 def generating_function_residual(x, y, terms: int, precision_bits: int) -> mpf:
     """|sum_{n<terms} A_n(x) y^n / n!  -  exp(y x^2/(1-y)) / ((1+y) sqrt(1-y^2))|.
 
-    The partial sum is exact rational arithmetic; only the closed form and
-    the final subtraction are carried out at precision_bits.
+    The partial sum is exact rational arithmetic; x, y, every step of the
+    closed form and the final subtraction are rounded to nearest at
+    precision_bits.
     """
     x, y = to_fraction(x), to_fraction(y)
     if terms < 1:
@@ -194,11 +195,13 @@ def generating_function_residual(x, y, terms: int, precision_bits: int) -> mpf:
     if abs(y) >= 1:
         raise ValueError("|y| must be < 1")
     partial = sum(quadratic_triple(n).a.eval_rational(x) * y**n / factorial(n) for n in range(terms))
-    check_precision(precision_bits)
-    with mp.workprec(precision_bits):
-        xv, yv = to_mpf(x), to_mpf(y)
-        closed = mp_exp(yv * xv * xv / (1 - yv)) / ((1 + yv) * mp_sqrt(1 - yv * yv))
-        return abs(to_mpf(partial) - closed)
+    p = check_precision(precision_bits)
+    rn = {"prec": p, "rounding": "n"}
+    xv, yv = to_mpf(x, p), to_mpf(y, p)
+    exponent = mp.fdiv(mp.fmul(mp.fmul(yv, xv, **rn), xv, **rn), mp.fsub(1, yv, **rn), **rn)
+    scale = mp.fmul(mp.fadd(1, yv, **rn), mp.sqrt(mp.fsub(1, mp.fmul(yv, yv, **rn), **rn), **rn), **rn)
+    residual = mp.fsub(to_mpf(partial, p), mp.fdiv(mp.exp(exponent, **rn), scale, **rn), **rn)
+    return mp.fneg(residual, exact=True) if residual < 0 else residual  # abs() would round at mp.prec
 
 
 def verify_identities(n_max: int, tables=None) -> list[dict]:

@@ -1,23 +1,23 @@
-"""Small numeric helpers: conversions between exact and mpmath values."""
+"""Small numeric helpers: conversions between exact and mpmath values,
+each rounding at a precision and in a direction named in the call."""
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from fractions import Fraction
 
-from mpmath import iv, mp, mpf
+from mpmath import mp, mpf
+from mpmath.libmp import from_rational, to_str
 
 DEFAULT_PRECISION_BITS = 128
 MIN_PRECISION_BITS = 64
 
 
-def to_mpf(value) -> mpf:
-    """Convert int/float/Fraction/mpf to mpf at the current working precision,
-    rounded once (a Fraction's quotient is rounded, not its numerator first)."""
-    if isinstance(value, Fraction):
-        return mp.fdiv(value.numerator, value.denominator)
-    return mpf(value)
+def to_mpf(value, prec: int, rounding: str = "n") -> mpf:
+    """The exact value of value (see to_fraction) rounded once to prec bits:
+    down ("f"), up ("c"), toward 0 ("d") or to nearest ("n")."""
+    x = to_fraction(value)
+    return mp.make_mpf(from_rational(x.numerator, x.denominator, prec, rounding))
 
 
 def to_fraction(value) -> Fraction:
@@ -34,24 +34,18 @@ def to_fraction(value) -> Fraction:
     return -frac if sign else frac
 
 
-@contextmanager
-def iv_workprec(bits: int):
-    """mpmath.iv at bits of working precision inside the block (iv has no workprec)."""
-    saved = iv.prec
-    iv.prec = bits
-    try:
-        yield
-    finally:
-        iv.prec = saved
-
-
-def check_precision(precision_bits: int) -> int:
+def check_precision(precision_bits) -> int:
+    """precision_bits, refused unless it is an int (not a bool) of at least
+    MIN_PRECISION_BITS; callers go on with the value returned."""
+    if not isinstance(precision_bits, int) or isinstance(precision_bits, bool):
+        raise ValueError(f"precision_bits must be an integer, got {precision_bits!r}")
     if precision_bits < MIN_PRECISION_BITS:
         raise ValueError(f"precision_bits must be >= {MIN_PRECISION_BITS}, got {precision_bits}")
-    return int(precision_bits)
+    return precision_bits
 
 
 def nstr_fixed(value, digits: int = 20) -> str:
-    """Deterministic decimal rendering with a fixed significant-digit count."""
-    with mp.workprec(max(mp.prec, 4 * digits + 16)):
-        return mp.nstr(to_mpf(value), digits)
+    """Deterministic decimal rendering with a fixed significant-digit count:
+    value rounded to nearest at 4 digits + 16 bits, and never below a
+    double's 53, then printed by mpmath's to_str."""
+    return to_str(to_mpf(value, max(53, 4 * digits + 16))._mpf_, digits)

@@ -107,23 +107,21 @@ class IntPolynomial:
         return Fraction(acc, bpow)
 
     def eval_real(self, x, precision_bits: int) -> mpf:
-        """Horner evaluation at the requested binary working precision."""
-        check_precision(precision_bits)
-        with mp.workprec(precision_bits):
-            xv = to_mpf(x)
-            acc = mpf(0)
-            for c in reversed(self.coeffs):
-                acc = acc * xv + c
-            return acc
+        """Horner evaluation, x and every step rounded to nearest at precision_bits."""
+        p = check_precision(precision_bits)
+        xv, acc, rn = to_mpf(x, p), mpf(0), {"prec": p, "rounding": "n"}
+        for c in reversed(self.coeffs):
+            acc = mp.fadd(mp.fmul(acc, xv, **rn), c, **rn)
+        return acc
 
     def horner_error_bound(self, x, precision_bits: int) -> mpf:
         """Standard forward bound on the Horner rounding error at x:
-        (2d + 2) 2^-p sum |c_k| |x|^k."""
-        with mp.workprec(precision_bits):
-            xv, acc = abs(to_mpf(x)), mpf(0)
-            for c in reversed(self.coeffs):
-                acc = acc * xv + abs(c)
-            return acc * (2 * max(self.degree, 0) + 2) * mpf(2) ** (-precision_bits)
+        (2d + 2) 2^-p sum |c_k| |x|^k, evaluated at precision_bits."""
+        p = check_precision(precision_bits)
+        xv, acc, rn = to_mpf(abs(to_fraction(x)), p), mpf(0), {"prec": p, "rounding": "n"}
+        for c in reversed(self.coeffs):
+            acc = mp.fadd(mp.fmul(acc, xv, **rn), abs(c), **rn)
+        return mp.ldexp(mp.fmul(acc, 2 * max(self.degree, 0) + 2, **rn), -p)
 
     def __str__(self) -> str:
         """Fixed text format, descending powers, e.g. "x^5 + 10*x^3 + 15*x"."""

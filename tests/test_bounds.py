@@ -1,11 +1,14 @@
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mp, mpf
+from mpmath import iv, mp, mpf
 
 from millsratio import bounds
 from millsratio.bounds import (
@@ -23,10 +26,10 @@ from millsratio.bounds import (
     second_order_bound,
     szarek_werner_upper,
 )
-from millsratio.contfrac import cf_convergent
+from millsratio.contfrac import cf_convergent, cf_ladder_eval
 from millsratio.errors import DomainError, EnvelopeError, SingularityError
-from millsratio.families import pq_pair, quadratic_triple
-from millsratio.numutil import to_fraction
+from millsratio.families import generating_function_residual, pq_pair, quadratic_triple
+from millsratio.numutil import nstr_fixed, to_fraction
 from millsratio.oracle import ENVELOPE, OracleValue, phi_quadrature, phi_series
 
 
@@ -514,3 +517,106 @@ def test_negative_order_refused(call):
     # the order check is the polynomial tables' own
     with pytest.raises(ValueError, match="order must be non-negative"):
         call()
+
+
+@pytest.mark.parametrize("bits", [100.5, 128.0, "128", True])
+def test_non_integer_precision_refused(bits):
+    message = f"precision_bits must be an integer, got {bits!r}"
+    calls = [
+        lambda: komatsu_lower(1, bits),
+        lambda: second_order_bound(2, 1, bits),
+        lambda: first_order_enclosure(1, 1, bits),
+        lambda: phi_derivative(1, 1, bits),
+        lambda: log_convexity_check(1, 1, bits),
+        lambda: certify_grid("eq18", [0], [Fraction(1)], bits),
+        lambda: FAMILIES["i"].at(2, Fraction(1), bits),
+        lambda: phi_series(1, bits),
+        lambda: cf_ladder_eval(3, 1, bits),
+        lambda: pq_pair(3).p.horner_error_bound(1, bits),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+def _evaluations():
+    """Every public evaluator at a few points, comparable with ==."""
+    out = []
+    for p in (64, 200):
+        for x in (Fraction(-7, 3), Fraction(0), Fraction(5, 2)):
+            out += [komatsu_lower(x, p), phi_series(x, p), phi_quadrature(x, p)]
+            out += [second_order_bound(n, x, p) for n in (0, 2, 12)]
+        out += [szarek_werner_upper(x, p) for x in (Fraction(-1, 2), Fraction(3))]
+        out += [second_order_bound(n, Fraction(5, 3), p) for n in (1, 3, 13)]
+        out += [first_order_enclosure(3, Fraction(7, 4), p), first_order_error_bound(3, Fraction(7, 4), p)]
+        out += [phi_derivative(5, Fraction(-9, 4), p), phi_derivative(17, Fraction(3), p)]
+        out += [log_convexity_check(3, 1, p), log_convexity_error(3, 1, p)]
+        out += [cf_ladder_eval(12, Fraction(7, 5), p), generating_function_residual(2, Fraction(1, 3), 20, p)]
+        out += [pq_pair(7).p.eval_real(Fraction(7, 3), p), pq_pair(7).p.horner_error_bound(Fraction(-7, 3), p)]
+    out += [beta(2), beta(1, Fraction(1, 2**90))]
+    for family, fam in sorted(FAMILIES.items()):
+        xs = [x for x in (Fraction(-5, 2), Fraction(1, 3), Fraction(3, 2), Fraction(4))
+              if fam.x_above is None or x > fam.x_above]
+        out.append(certify_grid(family, [0, 1, 2, 3], xs, 96))
+    wide = mp.fdiv(2, 3, prec=200, rounding="n")
+    out += [nstr_fixed(wide, 20), nstr_fixed(wide, 3), nstr_fixed(Fraction(2, 3), 30)]
+    return out
+
+
+def test_results_do_not_depend_on_mpmath_precision():
+    # every rounding names its precision: mpmath's process-wide mp.prec and
+    # iv.prec change nothing
+    expected = _evaluations()
+    for bits in (20, 2000):
+        with mp.workprec(bits):
+            assert _evaluations() == expected, bits
+    old = iv.prec
+    iv.prec = 20
+    try:
+        assert _evaluations() == expected
+    finally:
+        iv.prec = old
+
+
+def test_bounds_agree_with_themselves_across_threads():
+    # four threads evaluate families and bounds at p = 64..256 while a fifth
+    # keeps changing mpmath's process-wide precision: no result may differ
+    # from a single-threaded call
+    points = (Fraction(-7, 3), Fraction(1, 3), Fraction(5, 2), Fraction(12))
+    cases = [(FAMILIES[family].at, n, x) for family in ("i", "eq17", "eq15") for n in (2, 3)
+             for x in points if x > 0 or (family != "eq15" and n % 2 == 0)]
+    cases += [(second_order_bound, n, x) for n in (2, 5) for x in points if n % 2 == 0 or x > 0]
+    cases += [(log_convexity_error, 3, x) for x in points]
+    cases = [(fn, n, x, p) for fn, n, x in cases for p in (64, 160, 256)]
+    expected = [fn(n, x, p) for fn, n, x, p in cases]
+    results = [[] for _ in range(4)]
+    done = threading.Event()
+
+    def worker(k):
+        order = list(range(len(cases)))
+        random.Random(k).shuffle(order)
+        results[k] = sorted((i, cases[i][0](*cases[i][1:])) for i in order)
+
+    def disturber():
+        while not done.is_set():
+            with mp.workprec(24):
+                mp.exp(1)
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(results))]
+    noise = threading.Thread(target=disturber)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        noise.start()
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        done.set()
+        noise.join(timeout=60)
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads + [noise])
+    for got in results:
+        assert got == list(enumerate(expected))

@@ -105,7 +105,7 @@ class TestBounds:
             ("eq19", 1, "-1/2", 64, "pass"),
             ("i", 3, "2", 128, "pass"),
             ("i", 4, "-7/3", 256, "pass"),
-            # true bounds whose margins (7.2e-21 and 3.4e-25) lie below one
+            # true bounds whose margins (7.2e-21 and 2.6e-26) lie below one
             # unit of rounding at 64 bits but far above the oracle error bound
             ("i", 12, "10", 64, "pass"),
             ("i", 20, "10", 64, "pass"),

@@ -13,8 +13,7 @@ def test_to_fraction_keeps_every_bit_of_a_wide_mpf():
     exact = Fraction(third.man) * Fraction(2) ** third.exp
     assert to_fraction(third) == exact
     assert abs(exact - Fraction(1, 3)) < Fraction(1, 2**128)
-    with mp.workprec(128):
-        assert to_mpf(to_fraction(third)) == third
+    assert to_mpf(to_fraction(third), 128) == third
 
 
 def test_to_fraction_plain_values():
@@ -39,5 +38,5 @@ def test_to_mpf_rounds_a_fraction_once():
     rng = random.Random(20261018)
     for _ in range(2000):
         q = Fraction(rng.choice((-1, 1)) * rng.getrandbits(90), rng.getrandbits(20) | 1)
-        with mp.workprec(53):
-            assert to_mpf(q) == mpf(q.numerator / q.denominator) == mp.fdiv(q.numerator, q.denominator), q
+        assert to_mpf(q, 53) == mpf(q.numerator / q.denominator) == mp.fdiv(q.numerator, q.denominator, prec=53), q
+        assert to_fraction(to_mpf(q, 53, "f")) <= q <= to_fraction(to_mpf(q, 53, "c")), q

@@ -321,14 +321,19 @@ def test_routes_agree_with_themselves_across_threads():
         assert got == list(enumerate(expected))
 
 
-def test_oracle_is_context_free():
-    # no workprec block and no iv context: both read or set mpmath's
-    # process-wide precision
-    tree = ast.parse(pathlib.Path(oracle.__file__).read_text(encoding="utf-8"))
+@pytest.mark.parametrize("path", sorted(pathlib.Path(oracle.__file__).parent.glob("*.py")), ids=lambda path: path.stem)
+def test_module_is_context_free(path):
+    # no workprec block, no iv context and no assignment to a precision: each
+    # reads or sets mpmath's process-wide precision
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert not names & {"workprec", "iv_workprec", "iv"}
+    targets = [node.targets if isinstance(node, ast.Assign) else [node.target]
+               for node in ast.walk(tree) if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))]
+    assigned = {sub.attr for group in targets for target in group for sub in ast.walk(target) if isinstance(sub, ast.Attribute)}
+    assert not assigned & {"prec", "dps"}
 
 
 def test_oracle_imports_only_errors_and_numutil():
