@@ -5,6 +5,10 @@ First-order family (rational enclosures, x > 0):
     Q_{2n}(x)/P_{2n}(x) < phi(x) < Q_{2n+1}(x)/P_{2n+1}(x)
     |phi(x) - Q_n(x)/P_n(x)| < n! / (P_n(x) P_{n+1}(x))
 
+Every convergent C_n = Q_n(x)/P_n(x) is contfrac.cf_convergent's (the P/Q
+recurrence on integer values), and by the Wronskian Q_{n+1} P_n - P_{n+1}
+Q_n = (-1)^n n! the error bound is formed as |C_{n+1} - C_n|.
+
 Second-order family (square-root bounds): phi is wedged by the roots
 Z_n^{+-}(x) = (B_n(x) +- n! sqrt(x^2+4n+4)) / (2 A_n(x)) of the quadratic
 A_n T^2 - B_n T + C_n.  Even orders give the lower bound Z^+ on all of R;
@@ -22,13 +26,14 @@ instead of inventing a continuity value.
 
 Every value is exact or one rounding of an exact rational, at a precision
 and in a direction named in the call, never mpmath's process-wide one.
-Bound values are formed from exact rationals (the polynomials are
-evaluated exactly at the exact x) and rounded once, outward: convergents
-by one directed division; a square-root bound, monotone in its root, at
-the end of an integer isqrt enclosure of the root that errs outward
-(_outward).  They hold at every precision.  phi_derivative is P_n(x) v -
-Q_n(x) from exact polynomials and phi's oracle value v, rounded once, and
-every certificate reads phi through phi_at alone.
+Bound values are formed from exact rationals (exact convergents, and the
+quadratic triple evaluated exactly at the exact x) and rounded once,
+outward: convergents by one directed division; a square-root bound,
+monotone in its root, at the end of an integer isqrt enclosure of the
+root that errs outward (_outward).  They hold at every precision.
+phi_derivative is P_n(x) v - Q_n(x) from exact polynomials and phi's
+oracle value v, rounded once, and every certificate reads phi through
+phi_at alone.
 
 The families Eq15 to Eq19 and I are the rows of one table, FAMILIES: a
 stated domain, the fixed order of a one-bound family, and an evaluator of
@@ -55,6 +60,7 @@ from typing import Callable
 
 from mpmath import mp, mpf
 
+from .contfrac import cf_convergent
 from .errors import DomainError, SingularityError
 from .families import pq_pair, quadratic_triple
 from .numutil import check_precision, nstr_fixed, to_fraction, to_mpf
@@ -110,8 +116,8 @@ def first_order_enclosure(n: int, x, precision_bits: int = 128) -> Enclosure:
     xf = _positive(x, "first-order enclosure requires x > 0")
     return Enclosure(
         x=to_mpf(xf, p),
-        lower=to_mpf(_convergent(2 * n, xf), p, "f"),
-        upper=to_mpf(_convergent(2 * n + 1, xf), p, "c"),
+        lower=to_mpf(cf_convergent(2 * n, xf), p, "f"),
+        upper=to_mpf(cf_convergent(2 * n + 1, xf), p, "c"),
         lower_source=f"Eq15/order={2 * n}",
         upper_source=f"Eq15/order={2 * n + 1}",
         precision_bits=p,
@@ -133,14 +139,9 @@ def _positive(x, message: str) -> Fraction:
     return xf
 
 
-def _convergent(n: int, x: Fraction) -> Fraction:
-    pair = pq_pair(n)
-    return pair.q.eval_rational(x) / pair.p.eval_rational(x)
-
-
 def _error_bound_exact(n: int, x: Fraction) -> Fraction:
-    p_n, p_next = (pq_pair(k).p.eval_rational(x) for k in (n, n + 1))
-    return Fraction(factorial(n)) / (p_n * p_next)
+    # n!/(P_n P_{n+1}), by the Wronskian Q_{n+1} P_n - P_{n+1} Q_n = (-1)^n n!
+    return abs(cf_convergent(n + 1, x) - cf_convergent(n, x))
 
 
 def _outward(bound: Callable[[Fraction], Fraction], r: Fraction, upper: bool, precision_bits: int) -> mpf:
@@ -191,11 +192,12 @@ def second_order_bound(n: int, x, precision_bits: int = 128) -> SecondOrderBound
     where A_n(x) is exactly 0 (x = beta_m for odd n)."""
     p, xf = check_precision(precision_bits), to_fraction(x)
     t, odd = quadratic_triple(n), n % 2 == 1
-    # ]-beta_m, inf[ is decided by the exact sign of the even polynomial A_n
-    # at |x|: negative exactly inside the gap
-    if odd and xf < 0 and t.a.eval_rational(-xf) >= 0:
+    # A_n is even, so its exact sign at x decides ]-beta_m, inf[: negative
+    # exactly inside the gap
+    a = t.a.eval_rational(xf)
+    if odd and xf < 0 and a >= 0:
         raise DomainError(f"order {n} upper bound requires x > -beta_{(n - 1) // 2}, got x = {xf}")
-    a, b = t.a.eval_rational(xf), t.b.eval_rational(xf)
+    b = t.b.eval_rational(xf)
     if a == 0:
         raise SingularityError(f"A_{n}({xf}) is exactly 0")
     # Standard stable quadratic-root evaluation: form q = (b +- n! root) / 2
@@ -324,7 +326,7 @@ def _vs_phi(family: str, n: int, x: Fraction, bound: mpf, upper: bool, precision
 
 def _eq15(n: int, x: Fraction, precision_bits: int, ov: OracleValue):
     w = precision_bits + GUARD_BITS
-    lower, upper = to_mpf(_convergent(2 * n, x), w, "f"), to_mpf(_convergent(2 * n + 1, x), w, "c")
+    lower, upper = to_mpf(cf_convergent(2 * n, x), w, "f"), to_mpf(cf_convergent(2 * n + 1, x), w, "c")
     margin = min(mp.fsub(ov.value, lower, prec=w, rounding="n"), mp.fsub(upper, ov.value, prec=w, rounding="n"))
     return {"lower": lower, "upper": upper}, [_cert("Eq15", n, x, margin, ov.error_bound, precision_bits)]
 
@@ -332,7 +334,7 @@ def _eq15(n: int, x: Fraction, precision_bits: int, ov: OracleValue):
 def _eq16(n: int, x: Fraction, precision_bits: int, ov: OracleValue):
     """The margin is formed from the exact convergent and error bound; the
     shown convergent is rounded to nearest and the shown bound up."""
-    conv, bound, w = _convergent(n, x), _error_bound_exact(n, x), precision_bits + GUARD_BITS
+    conv, bound, w = cf_convergent(n, x), _error_bound_exact(n, x), precision_bits + GUARD_BITS
     margin = to_mpf(bound - abs(to_fraction(ov.value) - conv), w)
     shown = {"convergent": to_mpf(conv, w), "error_bound": to_mpf(bound, w, "c")}
     return shown, [_cert("Eq16", n, x, margin, ov.error_bound, precision_bits)]
@@ -361,7 +363,7 @@ def _second_order(n: int, x: Fraction, precision_bits: int, ov: OracleValue):
     upper = sb.role == "upper"
     certs = [_vs_phi(f"I_{n}", n, x, sb.value, upper, precision_bits, ov)]
     if x > 0 and (not upper or quadratic_triple(n).a.eval_rational(x) > 0):
-        sharper = _convergent(n, x) - to_fraction(sb.value)
+        sharper = cf_convergent(n, x) - to_fraction(sb.value)
         margin = to_mpf(sharper if upper else -sharper, precision_bits + GUARD_BITS)
         certs.append(_cert(f"I_{n}_sharper", n, x, margin, mpf(0), precision_bits))
     return {sb.role: sb.value}, certs
@@ -389,11 +391,11 @@ class Family:
         if self.x_above is not None and x <= self.x_above:
             raise DomainError(f"{self.name}: x must exceed {self.x_above}, got x = {x}")
 
-    def at(self, n: int, x: Fraction, precision_bits: int = 128, memo: dict | None = None):
-        """Shown values and certificates at one point; n is ignored by a
-        single-bound family.  memo is an optional phi memo, as in
-        certify_grid."""
-        p = check_precision(precision_bits)
+    def at(self, n: int, x, precision_bits: int = 128, memo: dict | None = None):
+        """Shown values and certificates at one point, x read through
+        to_fraction as in certify_grid; n is ignored by a single-bound
+        family.  memo is an optional phi memo, as in certify_grid."""
+        p, x = check_precision(precision_bits), to_fraction(x)
         self.check(x)
         return self.evaluate(n if self.order is None else self.order, x, p, phi_at(x, p, memo))
 

@@ -6,17 +6,19 @@ For x > 0,
            = 1/(x + 1/(x + 2/(x + 3/(x + ...))))
 
 with b_{2n} = C(2n, n) / 4^n and b_{2n+1} = 1 / ((2n+1) b_{2n}).  The
-n-th convergent equals Q_n(x)/P_n(x) exactly; the "ladder" form above is
-an equivalence transform of the same fraction, and the depth-d ladder
-truncation 1/(x + 1/(x + 2/(x + ... + d/x))) equals the order-(d+1)
-convergent (the offset was fixed empirically on small depths and is
-asserted by the test suite).
+n-th convergent is Q_n(x)/P_n(x), and cf_convergent forms it from the
+three-term recurrence of P and Q run on integer values; the b_k serve the
+rendering of the expansion.  The "ladder" form above is an equivalence
+transform of the same fraction, and the depth-d ladder truncation
+1/(x + 1/(x + 2/(x + ... + d/x))) equals the order-(d+1) convergent (the
+offset was fixed empirically on small depths and is asserted by the test
+suite).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 from mpmath import mp, mpf
 
@@ -36,34 +38,26 @@ def cf_b(n: int) -> Fraction:
 
 
 def cf_convergent(n: int, x) -> Fraction:
-    """Exact value of [0; b_0 x, ..., b_{n-1} x] = Q_n(x)/P_n(x).
+    """Exact n-th convergent Q_n(x)/P_n(x) = [0; b_0 x, ..., b_{n-1} x], 0 at n = 0.
 
-    Computed through p_{k+1} = b_k x p_k + p_{k-1} (and likewise for q) on
-    integers: with x = a/d and b_k = r_k/s_k, each step scales the state
-    (p_{k-1}, p_k, q_{k-1}, q_k) by s_k d, leaving q_k/p_k unchanged.  Every
-    8 steps the state is divided by its gcd, which keeps it from carrying
-    the accumulated scale factors.
+    With x = a/d, p_k = d^k P_k(x) and q_k = d^k Q_k(x) are integers, and
+    P_{k+1} = x P_k + k P_{k-1} becomes p_{k+1} = a p_k + k d^2 p_{k-1}
+    (likewise for q, from p_0, p_1 = 1, a and q_0, q_1 = 0, d); one
+    Fraction is formed at the end.
     """
     x = to_fraction(x)
-    if n < 1:
-        raise ValueError("order must be >= 1")
+    if n < 0:
+        raise ValueError("order must be non-negative")
     if x <= 0:
         raise DomainError("expansion is stated for x > 0")
+    if n == 0:
+        return Fraction(0)
     a, d = x.numerator, x.denominator
-    p_prev, p, q_prev, q = d, a, 0, d  # (1, x, 0, 1) scaled by d
-    central = 1  # C(2m, m)
+    d2 = d * d
+    p_prev, p, q_prev, q = 1, a, 0, d
     for k in range(1, n):
-        m = k // 2
-        if k % 2:  # b_{2m+1} = 4^m / ((2m+1) C(2m, m))
-            ra, sd = a << 2 * m, (2 * m + 1) * central * d
-        else:  # b_{2m} = C(2m, m) / 4^m
-            central = central * 2 * (2 * m - 1) // m
-            ra, sd = central * a, d << 2 * m
-        p_prev, p = p * sd, ra * p + sd * p_prev
-        q_prev, q = q * sd, ra * q + sd * q_prev
-        if k % 8 == 0:
-            g = gcd(p_prev, p, q_prev, q)
-            p_prev, p, q_prev, q = p_prev // g, p // g, q_prev // g, q // g
+        p_prev, p = p, a * p + k * d2 * p_prev
+        q_prev, q = q, a * q + k * d2 * q_prev
     return Fraction(q, p)
 
 

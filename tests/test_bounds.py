@@ -26,7 +26,7 @@ from millsratio.bounds import (
     second_order_bound,
     szarek_werner_upper,
 )
-from millsratio.contfrac import cf_convergent, cf_ladder_eval
+from millsratio.contfrac import cf_ladder_eval
 from millsratio.errors import DomainError, EnvelopeError, SingularityError
 from millsratio.families import generating_function_residual, pq_pair, quadratic_triple
 from millsratio.numutil import nstr_fixed, to_fraction
@@ -82,9 +82,9 @@ class TestFirstOrder:
     def test_enclosure_and_error_bound_hold_at_every_precision(self, n, x, bits):
         enc = first_order_enclosure(n, x, bits)
         assert enc.lower < phi_reference(x) < enc.upper
-        # the exact convergents (independent scaled recurrence), Q_0/P_0 = 0
-        assert to_fraction(enc.lower) <= (cf_convergent(2 * n, x) if n else 0)
-        assert to_fraction(enc.upper) >= cf_convergent(2 * n + 1, x)
+        # the exact convergents from the polynomial tables, Q_0/P_0 = 0
+        assert to_fraction(enc.lower) <= _conv(2 * n, x)
+        assert to_fraction(enc.upper) >= _conv(2 * n + 1, x)
         exact = Fraction(factorial(n)) / (pq_pair(n).p.eval_rational(x) * pq_pair(n + 1).p.eval_rational(x))
         assert to_fraction(first_order_error_bound(n, x, bits)) >= exact
 
@@ -348,10 +348,33 @@ class TestCertifyGrid:
             assert certs and all(c.verdict == "pass" for c in certs), key
             assert key == "eq17" or shown
 
+    @pytest.mark.parametrize("key", sorted(FAMILIES))
+    def test_at_reads_x_like_certify_grid(self, key):
+        fam = FAMILIES[key]
+        for spelled, exact in (("7/3", Fraction(7, 3)), (Fraction(7, 3), Fraction(7, 3)), (2.5, Fraction(5, 2))):
+            got, want = fam.at(2, spelled, 96), fam.at(2, exact, 96)
+            assert got == want, (key, spelled)
+            assert all(type(c.x) is Fraction for c in got[1]), (key, spelled)
+
+    def test_first_order_bounds_do_not_evaluate_the_polynomial_tables(self, monkeypatch):
+        # every first-order convergent and error bound comes from cf_convergent
+        def refuse(*args, **kwargs):
+            raise AssertionError("first-order bounds must not evaluate pq_pair")
+
+        monkeypatch.setattr(bounds, "pq_pair", refuse)
+        for x in (Fraction(1, 10), Fraction(7, 3), Fraction(29, 2)):
+            for n in (0, 1, 7):
+                first_order_enclosure(n, x, 128)
+                first_order_error_bound(n, x, 128)
+            for family in ("eq15", "eq16", "i"):
+                assert certify_grid(family, [0, 1, 2, 7], [x], 128)
+
 
 def _conv(n: int, x: Fraction) -> Fraction:
-    """Q_n(x)/P_n(x) for x > 0 from the independent scaled recurrence."""
-    return cf_convergent(n, x) if n else Fraction(0)
+    """Q_n(x)/P_n(x) for x > 0 from the polynomial tables (Q_0/P_0 = 0),
+    independent of cf_convergent, which the bounds use."""
+    pair = pq_pair(n)
+    return pair.q.eval_rational(x) / pair.p.eval_rational(x)
 
 
 def _true_margin(cert, sb_value, x: Fraction, phi: mpf):

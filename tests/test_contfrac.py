@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,13 @@ def fraction_convergent(n, x):
         p_prev, p = p, bk * x * p + p_prev
         q_prev, q = q, bk * x * q + q_prev
     return q / p
+
+
+@st.composite
+def positive_rationals(draw):
+    """x in (0, 30] with a denominator of at most 2^20."""
+    den = draw(st.integers(min_value=1, max_value=2**20))
+    return Fraction(draw(st.integers(min_value=1, max_value=30 * den)), den)
 
 
 class TestCoefficients:
@@ -46,6 +54,21 @@ class TestCoefficients:
 class TestConvergents:
     def test_first_convergent(self):
         assert cf_convergent(1, Fraction(2)) == Fraction(1, 2)
+
+    def test_order_zero_is_zero(self):
+        for x in (Fraction(1, 3), 1, "7/3", 2.5):
+            assert cf_convergent(0, x) == 0
+
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError, match="order must be non-negative"):
+            cf_convergent(-1, 1)
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=0, max_value=60), positive_rationals())
+    def test_step_is_the_error_bound(self, n, x):
+        # the Wronskian: |C_{n+1} - C_n| = n! / (P_n P_{n+1}), P from the tables
+        p_n, p_next = (pq_pair(k).p.eval_rational(x) for k in (n, n + 1))
+        assert abs(cf_convergent(n + 1, x) - cf_convergent(n, x)) == Fraction(factorial(n)) / (p_n * p_next)
 
     def test_table_values_at_one(self):
         assert cf_convergent(4, Fraction(1)) == Fraction(3, 5)
