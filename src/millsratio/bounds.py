@@ -59,6 +59,7 @@ from math import factorial, isqrt
 from typing import Callable
 
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_abs, mpf_add, mpf_gt, mpf_shift, mpf_sub, round_ceiling, round_nearest
 
 from .contfrac import cf_convergent
 from .errors import DomainError, SingularityError
@@ -128,7 +129,7 @@ def first_order_error_bound(n: int, x, precision_bits: int = 128) -> mpf:
     """n! / (P_n(x) P_{n+1}(x)), the first-order truncation error bound,
     rounded up to precision_bits."""
     p = check_precision(precision_bits)
-    return to_mpf(_error_bound_exact(n, _positive(x, "error bound is stated for x > 0")), p, "c")
+    return to_mpf(_step(n, _positive(x, "error bound is stated for x > 0"))[1], p, "c")
 
 
 def _positive(x, message: str) -> Fraction:
@@ -139,9 +140,11 @@ def _positive(x, message: str) -> Fraction:
     return xf
 
 
-def _error_bound_exact(n: int, x: Fraction) -> Fraction:
-    # n!/(P_n P_{n+1}), by the Wronskian Q_{n+1} P_n - P_{n+1} Q_n = (-1)^n n!
-    return abs(cf_convergent(n + 1, x) - cf_convergent(n, x))
+def _step(n: int, x: Fraction) -> tuple[Fraction, Fraction]:
+    """C_n and n!/(P_n P_{n+1}) = |C_{n+1} - C_n| (by the Wronskian
+    Q_{n+1} P_n - P_{n+1} Q_n = (-1)^n n!) at x, exact."""
+    conv = cf_convergent(n, x)
+    return conv, abs(cf_convergent(n + 1, x) - conv)
 
 
 def _outward(bound: Callable[[Fraction], Fraction], r: Fraction, upper: bool, precision_bits: int) -> mpf:
@@ -191,6 +194,12 @@ def second_order_bound(n: int, x, precision_bits: int = 128) -> SecondOrderBound
     Raises DomainError for odd n at x <= -beta_m, and SingularityError
     where A_n(x) is exactly 0 (x = beta_m for odd n)."""
     p, xf = check_precision(precision_bits), to_fraction(x)
+    return _second_order_bound(n, xf, p)[0]
+
+
+def _second_order_bound(n: int, xf: Fraction, p: int) -> tuple[SecondOrderBound, Fraction]:
+    """second_order_bound at an exact x and a checked precision, and the
+    exact A_n(x) it read."""
     t, odd = quadratic_triple(n), n % 2 == 1
     # A_n is even, so its exact sign at x decides ]-beta_m, inf[: negative
     # exactly inside the gap
@@ -206,7 +215,7 @@ def second_order_bound(n: int, x, precision_bits: int = 128) -> SecondOrderBound
     c = None if (b >= 0) != odd else t.c.eval_rational(xf)
     z = _outward(lambda root: (b + scale * root) / (2 * a) if c is None else 2 * c / (b + scale * root),
                  xf * xf + 4 * n + 4, odd, p)
-    return SecondOrderBound(n=n, value=z, role="upper" if odd else "lower")
+    return SecondOrderBound(n=n, value=z, role="upper" if odd else "lower"), a
 
 
 def phi_derivative(n: int, x, precision_bits: int = 128) -> mpf:
@@ -290,10 +299,12 @@ def log_convexity_error(n: int, x, precision_bits: int = 128) -> mpf:
 def phi_at(x, precision_bits: int, memo: dict | None = None) -> OracleValue:
     """The oracle value every certificate at precision_bits is measured
     against: phi_series(x, precision_bits + GUARD_BITS), with precision_bits
-    checked first, read from and stored into memo if given.  Family.at and
+    checked first, read from and stored into memo if given under the exact
+    x, so "7/3" and Fraction(7, 3) share one entry.  Family.at and
     certify_grid read phi here once per point and pass the value to the
     evaluators, which never see the memo."""
-    key = (x, check_precision(precision_bits) + GUARD_BITS)
+    w = check_precision(precision_bits) + GUARD_BITS
+    key = (to_fraction(x), w)
     memo = {} if memo is None else memo
     if key not in memo:
         memo[key] = phi_series(*key)
@@ -306,35 +317,40 @@ def _threshold(margin: mpf, error: mpf, precision_bits: int) -> mpf:
     GUARD_BITS; it passes iff it exceeds error plus that rounding, |margin|
     2^-w, their sum rounded up at w.  The evaluators below round every
     margin at w, and their bound values are exact convergents or exact
-    square-root bounds rounded outward."""
+    square-root bounds rounded outward.  Like the oracle, it calls libmp
+    on the raw values and reads no mpmath context."""
     w = precision_bits + GUARD_BITS
-    size = mp.fneg(margin, exact=True) if margin < 0 else margin  # abs() would round at mp.prec
-    return mp.fadd(error, mp.ldexp(size, -w), prec=w, rounding="c")
+    return mp.make_mpf(mpf_add(error._mpf_, mpf_shift(mpf_abs(margin._mpf_), -w), w, round_ceiling))
+
 
 def _cert(family: str, n: int, x: Fraction, margin: mpf, error: mpf, precision_bits: int) -> Certificate:
-    verdict = "pass" if margin > _threshold(margin, error, precision_bits) else "fail"
+    verdict = "pass" if mpf_gt(margin._mpf_, _threshold(margin, error, precision_bits)._mpf_) else "fail"
     return Certificate(family, n, x, margin, precision_bits, verdict)
+
+
+def _difference(above: mpf, below: mpf, precision_bits: int) -> mpf:
+    """above - below rounded to nearest at precision_bits + GUARD_BITS."""
+    return mp.make_mpf(mpf_sub(above._mpf_, below._mpf_, precision_bits + GUARD_BITS, round_nearest))
 
 
 def _vs_phi(family: str, n: int, x: Fraction, bound: mpf, upper: bool, precision_bits: int, ov: OracleValue):
     """The certificate that bound, an exact value, lies above (upper) or
     below phi(x), as ov encloses it."""
     above, below = (bound, ov.value) if upper else (ov.value, bound)
-    margin = mp.fsub(above, below, prec=precision_bits + GUARD_BITS, rounding="n")
-    return _cert(family, n, x, margin, ov.error_bound, precision_bits)
+    return _cert(family, n, x, _difference(above, below, precision_bits), ov.error_bound, precision_bits)
 
 
 def _eq15(n: int, x: Fraction, precision_bits: int, ov: OracleValue):
     w = precision_bits + GUARD_BITS
     lower, upper = to_mpf(cf_convergent(2 * n, x), w, "f"), to_mpf(cf_convergent(2 * n + 1, x), w, "c")
-    margin = min(mp.fsub(ov.value, lower, prec=w, rounding="n"), mp.fsub(upper, ov.value, prec=w, rounding="n"))
+    margin = min(_difference(ov.value, lower, precision_bits), _difference(upper, ov.value, precision_bits))
     return {"lower": lower, "upper": upper}, [_cert("Eq15", n, x, margin, ov.error_bound, precision_bits)]
 
 
 def _eq16(n: int, x: Fraction, precision_bits: int, ov: OracleValue):
     """The margin is formed from the exact convergent and error bound; the
     shown convergent is rounded to nearest and the shown bound up."""
-    conv, bound, w = cf_convergent(n, x), _error_bound_exact(n, x), precision_bits + GUARD_BITS
+    (conv, bound), w = _step(n, x), precision_bits + GUARD_BITS
     margin = to_mpf(bound - abs(to_fraction(ov.value) - conv), w)
     shown = {"convergent": to_mpf(conv, w), "error_bound": to_mpf(bound, w, "c")}
     return shown, [_cert("Eq16", n, x, margin, ov.error_bound, precision_bits)]
@@ -359,10 +375,10 @@ def _second_order(n: int, x: Fraction, precision_bits: int, ov: OracleValue):
     against the first-order convergent: Q_{2m}/P_{2m} < Z^+ for x > 0 and
     Z^- < Q_{2m+1}/P_{2m+1} for x > beta_m.  Z's outward endpoint errs away
     from the convergent too, so that margin is exact before its rounding."""
-    sb = second_order_bound(n, x, precision_bits + GUARD_BITS)
+    sb, a = _second_order_bound(n, x, precision_bits + GUARD_BITS)
     upper = sb.role == "upper"
     certs = [_vs_phi(f"I_{n}", n, x, sb.value, upper, precision_bits, ov)]
-    if x > 0 and (not upper or quadratic_triple(n).a.eval_rational(x) > 0):
+    if x > 0 and (not upper or a > 0):
         sharper = cf_convergent(n, x) - to_fraction(sb.value)
         margin = to_mpf(sharper if upper else -sharper, precision_bits + GUARD_BITS)
         certs.append(_cert(f"I_{n}_sharper", n, x, margin, mpf(0), precision_bits))
@@ -400,8 +416,9 @@ class Family:
         return self.evaluate(n if self.order is None else self.order, x, p, phi_at(x, p, memo))
 
 
-# The evaluators call the public functions by their module names, so that
-# wrappers installed on the module see every call.
+# The evaluators call the module's functions by name, so that wrappers
+# installed on the module see every call.  The I evaluator calls
+# _second_order_bound, not second_order_bound, for the A_n(x) it returns.
 FAMILIES = {
     fam.name.lower(): fam
     for fam in (
@@ -438,12 +455,16 @@ def certify_grid(
     EnvelopeError whatever the orders; (n, x) pairs outside an order's own
     domain (odd orders of I) or where A_n(x) is exactly 0 are skipped.
 
-    phi is read through phi_at once per x, and every order at that x is
-    measured against the same value.  ``memo`` holds the oracle values
-    keyed by (x, working precision).  A caller that certifies several
-    families over one grid passes the same dict to every call, so each phi
-    is evaluated once for the whole run.  The dict is the caller's and is
-    dropped with it: there is no process-wide oracle cache.
+    The certificates are ordered by (family, n, x): the grid is sorted
+    once and a stable sort by (family, n) follows, so no Fraction is
+    compared per certificate.
+
+    phi is read through phi_at once per x, in ascending x, and every order
+    at that x is measured against the same value.  ``memo`` holds the
+    oracle values keyed by (x, working precision).  A caller that certifies
+    several families over one grid passes the same dict to every call, so
+    each phi is evaluated once for the whole run.  The dict is the caller's
+    and is dropped with it: there is no process-wide oracle cache.
     """
     fam = find_family(family)
     p = check_precision(precision_bits)
@@ -451,12 +472,12 @@ def certify_grid(
     for x in xs:
         fam.check(x)
     out: list[Certificate] = []
-    for x in xs:
+    for x in sorted(xs):
         ov = phi_at(x, p, memo)
         for n in orders if fam.order is None else [fam.order]:
             try:
                 out += fam.evaluate(n, x, p, ov)[1]
             except (DomainError, SingularityError):
                 continue  # outside this order's domain, or A_n(x) is exactly 0
-    out.sort(key=lambda c: (c.family, c.n, c.x))
+    out.sort(key=lambda c: (c.family, c.n))
     return out

@@ -7,7 +7,7 @@ import math
 from fractions import Fraction
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational, to_str
+from mpmath.libmp import from_rational, mpf_pos, to_str
 
 DEFAULT_PRECISION_BITS = 128
 MIN_PRECISION_BITS = 64
@@ -15,7 +15,10 @@ MIN_PRECISION_BITS = 64
 
 def to_mpf(value, prec: int, rounding: str = "n") -> mpf:
     """The exact value of value (see to_fraction) rounded once to prec bits:
-    down ("f"), up ("c"), toward 0 ("d") or to nearest ("n")."""
+    down ("f"), up ("c"), toward 0 ("d") or to nearest ("n").  An mpf is
+    rounded as it stands, with no detour through a Fraction."""
+    if isinstance(value, mpf):
+        return mp.make_mpf(mpf_pos(_finite(value), prec, rounding))
     x = to_fraction(value)
     return mp.make_mpf(from_rational(x.numerator, x.denominator, prec, rounding))
 
@@ -27,11 +30,17 @@ def to_fraction(value) -> Fraction:
         return value
     if isinstance(value, (int, str)) or (isinstance(value, float) and math.isfinite(value)):
         return Fraction(value)
-    sign, man, exp, _ = (value if isinstance(value, mpf) else mpf(value))._mpf_
-    if man == 0 and exp != 0:
+    sign, man, exp, _ = _finite(value if isinstance(value, mpf) else mpf(value))
+    man = -man if sign else man
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
+def _finite(value: mpf) -> tuple:
+    """The raw mpf tuple of value, refused if value is an infinity or nan."""
+    raw = value._mpf_
+    if raw[1] == 0 and raw[2] != 0:
         raise ValueError(f"cannot convert non-finite value {value!r}")
-    frac = Fraction(man) * Fraction(2) ** exp
-    return -frac if sign else frac
+    return raw
 
 
 def check_precision(precision_bits) -> int:

@@ -31,6 +31,7 @@ from millsratio.errors import DomainError, EnvelopeError, SingularityError
 from millsratio.families import generating_function_residual, pq_pair, quadratic_triple
 from millsratio.numutil import nstr_fixed, to_fraction
 from millsratio.oracle import ENVELOPE, OracleValue, phi_quadrature, phi_series
+from millsratio.poly import IntPolynomial
 
 
 @lru_cache(maxsize=None)
@@ -258,6 +259,54 @@ class TestCertificateProtocol:
         assert certify_grid(family, [0, 1, 2, 3], xs, 96)
         assert seen == xs
 
+    def test_eq16_runs_two_convergents_per_certificate(self, monkeypatch):
+        # C_n and C_{n+1}: the error bound |C_{n+1} - C_n| reuses the shown C_n
+        calls = []
+
+        def counting(n, x):
+            calls.append((n, x))
+            return cf_convergent(n, x)
+
+        cf_convergent = bounds.cf_convergent
+        monkeypatch.setattr(bounds, "cf_convergent", counting)
+        xs = [Fraction(k, 4) for k in range(1, 9)]
+        certs = certify_grid("eq16", list(range(12)), xs, 96)
+        assert len(certs) == 12 * len(xs)
+        assert len(calls) <= 2 * len(certs)
+
+    def test_second_order_evaluates_a_once_per_point(self, monkeypatch):
+        # the I_n_sharper condition reads the A_n(x) the bound itself evaluated
+        orders, xs = list(range(6)), [Fraction(k, 4) for k in range(1, 9)]
+        a_polys = {id(quadratic_triple(n).a): n for n in orders}
+        seen = []
+        eval_rational = IntPolynomial.eval_rational
+
+        def counting(poly, x):
+            if id(poly) in a_polys:
+                seen.append((a_polys[id(poly)], x))
+            return eval_rational(poly, x)
+
+        monkeypatch.setattr(IntPolynomial, "eval_rational", counting)
+        assert certify_grid("i", orders, xs, 96)
+        assert sorted(seen) == sorted((n, x) for n in orders for x in xs)
+
+    def test_phi_memo_is_keyed_by_the_exact_x(self, monkeypatch):
+        calls = []
+
+        def counting(x, precision_bits):
+            calls.append((x, precision_bits))
+            return phi_series(x, precision_bits)
+
+        monkeypatch.setattr(bounds, "phi_series", counting)
+        memo = {}
+        values = [bounds.phi_at(x, 96, memo) for x in ("7/3", Fraction(7, 3), "14/6")]
+        assert calls == [(Fraction(7, 3), 96 + GUARD_BITS)]
+        assert values[0] is values[1] is values[2]
+        for x in (2.5, "5/2", Fraction(5, 2), mpf(2.5)):
+            bounds.phi_at(x, 96, memo)
+        assert calls[1:] == [(Fraction(5, 2), 96 + GUARD_BITS)]
+        assert set(memo) == {(Fraction(7, 3), 96 + GUARD_BITS), (Fraction(5, 2), 96 + GUARD_BITS)}
+
     @pytest.mark.parametrize("family,n", [(key, 2) for key in sorted(FAMILIES)] + [("i", 3)])
     def test_phi_on_the_wrong_side_fails(self, family, n):
         """The verdict rule's fail branch, reached with an oracle value on
@@ -319,6 +368,15 @@ class TestCertifyGrid:
         d = certs[0].to_json_dict()
         assert list(d.keys()) == CSV_COLUMNS
         assert d["x"] == "1/2"
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_order_does_not_depend_on_the_grid_order(self, family):
+        xs = [Fraction(k, 4) for k in range(1, 9)]
+        shuffled = xs[::-1][::2] + xs[::-1][1::2]
+        certs = certify_grid(family, [0, 1, 2, 3], shuffled, 96)
+        keys = [(c.family, c.n, c.x) for c in certs]
+        assert keys == sorted(keys)
+        assert certs == certify_grid(family, [0, 1, 2, 3], xs, 96)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):

@@ -337,6 +337,26 @@ def test_default_verify_report_bytes(capsys, monkeypatch, fmt):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DEFAULT_REPORT_SHA256[fmt]
 
 
+# SHA-256 of the `mills verify --precision <bits>` JSON report, every other
+# option at its default: each precision rounds every margin differently.
+PRECISION_REPORT_SHA256 = {
+    64: "6d245f0c1046f282520f2e34342f67f8ed4d27aa5fda3ea37422e12426459dd9",
+    256: "cc9d9b98d05165837fb346594dc3421196c4bdb7435ea964f4772be3389af349",
+}
+
+
+@pytest.mark.skipif(
+    mpmath.libmp.BACKEND != "python" or mpmath.__version__ != "1.3.0",
+    reason="report bytes are pinned for mpmath 1.3.0 with its pure-Python backend",
+)
+@pytest.mark.parametrize("bits", sorted(PRECISION_REPORT_SHA256))
+def test_verify_report_bytes_at_other_precisions(capsys, monkeypatch, bits):
+    monkeypatch.delenv("MILLS_PRECISION_BITS", raising=False)
+    code, out, _ = run_cli(capsys, "verify", "--precision", str(bits), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PRECISION_REPORT_SHA256[bits]
+
+
 def _load_script(name):
     path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)
