@@ -15,8 +15,11 @@ together with the quadratic-form coefficients
 
 whose discriminant collapses to (n!)^2 (X^2 + 4n + 4), and independent
 closed forms for P_n, Q_n and A_n that the verification suite checks
-against the recurrence output.  They are computed in integers only, each
-coefficient with one exact division that is checked (IdentityError).
+against the recurrence output; none of them reads the recurrence's tables.
+They are computed in integers only, every division checked: a remainder is
+an IdentityError naming the order.  The forms of P_n and Q_n call no
+factorial: each coefficient or scale is the one before it times an exact
+term ratio.  A_n's coefficients are one exact division each.
 
 Remark: P_n is a rescaled Hermite polynomial,
 P_n(x) = (-i/sqrt(2))^n * H_n(i x / sqrt(2)).  The exponent n on the
@@ -79,24 +82,40 @@ def pq_pair(n: int) -> PQPair:
     return PQPair(n, _P[n], _Q[n])
 
 
+def _ratio_step(term: int, num: int, den: int, what: str, n: int, k: int) -> int:
+    """term * num / den, an integer by the formula being built; a remainder
+    is a transcription bug, raised as an IdentityError naming n and k."""
+    quo, rem = divmod(term * num, den)
+    if rem:
+        raise IdentityError(f"non-integral {what} at n={n}, k={k}")
+    return quo
+
+
 def p_closed_form(n: int) -> IntPolynomial:
-    """P_n = sum_k n! / (2^k k! (n-2k)!) X^{n-2k}, from exact factorials."""
+    """P_n = sum_k n! / (2^k k! (n-2k)!) X^{n-2k}: from the leading 1, the
+    X^{n-2k} coefficient is the X^{n-2k+2} one times (n-2k+2)(n-2k+1) / (2k)."""
     if n < 0:
         raise ValueError("order must be non-negative")
     coeffs = [0] * (n + 1)
-    for k in range(n // 2 + 1):
-        coeffs[n - 2 * k] = factorial(n) // (2**k * factorial(k) * factorial(n - 2 * k))
+    coeffs[n] = c = 1
+    for k in range(1, n // 2 + 1):  # c: the X^{n-2k} coefficient
+        r = n - 2 * k
+        coeffs[r] = c = _ratio_step(c, (r + 2) * (r + 1), 2 * k, "P coefficient", n, k)
     return IntPolynomial(coeffs)
 
 
 def q_closed_form(n: int) -> IntPolynomial:
-    """Q_n as the sum of (n-1-k)!/(n-1-2k)! P_{n-1-2k} over 0 <= 2k <= n-1."""
+    """Q_n as the sum of (m-k)!/(m-2k)! P_{m-2k} over 0 <= 2k <= m = n-1: from
+    1, the k-th scale is the one before times (m-2k+2)(m-2k+1) / (m-k+1)."""
     if n < 1:
         raise ValueError("order must be >= 1")
     m = n - 1
     coeffs = [0] * n
+    scale = 1
     for k in range(m // 2 + 1):
-        scale = factorial(m - k) // factorial(m - 2 * k)
+        if k:
+            r = m - 2 * k
+            scale = _ratio_step(scale, (r + 2) * (r + 1), m - k + 1, "Q scale", n, k)
         for i, c in enumerate(p_closed_form(m - 2 * k).coeffs):
             coeffs[i] += scale * c
     return IntPolynomial(coeffs)
@@ -104,18 +123,24 @@ def q_closed_form(n: int) -> IntPolynomial:
 
 def q_coefficient_form(n: int) -> IntPolynomial:
     """Q_n built coefficientwise: the X^{m-2k} coefficient of Q_{m+1} is
-    sum_j (m-k+j)!/(2^j j!) / (m-2k)!, taken as the integer
-    sum_j (m-k+j)! 2^{k-j} k!/j! over 2^k k! (m-2k)! in one checked division."""
+    sum_j (m-k+j)!/(2^j j!) / (m-2k)! = F_k sum_j C(m-k+j, j) / 2^j with
+    F_k = (m-k)!/(m-2k)!.  F_k steps by (m-2k+2)(m-2k+1) / (m-k+1), the
+    terms C(m-k+j, j) 2^{k-j} from 2^k by (m-k+j) / (2j), and F_k times
+    their sum is divided by 2^k last, every step a checked exact division."""
     if n < 1:
         raise ValueError("order must be >= 1")
     m = n - 1
     coeffs = [0] * (m + 1)
+    scale = 1
     for k in range(m // 2 + 1):
-        kf = factorial(k)
-        num = sum(factorial(m - k + j) * (kf // factorial(j)) << (k - j) for j in range(k + 1))
-        coeffs[m - 2 * k], rem = divmod(num, (kf << k) * factorial(m - 2 * k))
-        if rem:
-            raise IdentityError(f"non-integral Q coefficient at n={n}, k={k}")
+        if k:
+            r = m - 2 * k
+            scale = _ratio_step(scale, (r + 2) * (r + 1), m - k + 1, "Q coefficient", n, k)
+        total = binom = 1 << k
+        for j in range(1, k + 1):
+            binom = _ratio_step(binom, m - k + j, 2 * j, "Q coefficient", n, k)
+            total += binom
+        coeffs[m - 2 * k] = _ratio_step(scale, total, 1 << k, "Q coefficient", n, k)
     return IntPolynomial(coeffs)
 
 
@@ -211,7 +236,8 @@ def verify_identities(n_max: int, tables=None) -> list[dict]:
     entries to check instead of the shared memo; the quadratic triples are
     then derived from it too.  Returns a list of
     {"identity": ..., "n": ..., "status": "pass"|"fail"} entries with stable
-    key order; failures never raise.
+    key order; failures never raise, and a closed form that raises
+    IdentityError fails its entry.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -231,6 +257,12 @@ def verify_identities(n_max: int, tables=None) -> list[dict]:
     def entry(identity: str, n: int, ok: bool) -> None:
         report.append({"identity": identity, "n": n, "status": "pass" if ok else "fail"})
 
+    def closed(identity: str, form, n: int, expected: IntPolynomial) -> None:
+        try:
+            entry(identity, n, form(n) == expected)
+        except IdentityError:
+            entry(identity, n, False)
+
     for n in range(n_max + 1):
         p, q = p_tab[n], q_tab[n]
         p1, q1 = p_tab[n + 1], q_tab[n + 1]
@@ -241,9 +273,9 @@ def verify_identities(n_max: int, tables=None) -> list[dict]:
             entry("P_next=X*P+n*P_prev", n, p1 == X * p + n * p_tab[n - 1])
             entry("Q_next=X*Q+n*Q_prev", n, q1 == X * q + n * q_tab[n - 1])
             entry("P'=n*P_prev", n, p.derivative() == n * p_tab[n - 1])
-            entry("Q_closed_sum_P", n, q_closed_form(n) == q)
-            entry("Q_closed_coeffs", n, q_coefficient_form(n) == q)
-        entry("P_closed_form", n, p_closed_form(n) == p)
+            closed("Q_closed_sum_P", q_closed_form, n, q)
+            closed("Q_closed_coeffs", q_coefficient_form, n, q)
+        closed("P_closed_form", p_closed_form, n, p)
         sign = (-1) ** n
         entry("wronskian_step1", n, q1 * p - p1 * q == IntPolynomial([sign * factorial(n)]))
         entry("wronskian_step2", n, q2 * p - p2 * q == IntPolynomial([0, sign * factorial(n)]))
@@ -251,8 +283,5 @@ def verify_identities(n_max: int, tables=None) -> list[dict]:
         f2 = factorial(n) ** 2
         delta = triple.b * triple.b - 4 * (triple.a * triple.c)
         entry("discriminant", n, delta == IntPolynomial([f2 * (4 * n + 4), 0, f2]))
-        try:
-            entry("A_closed_form", n, a_closed_form(n) == triple.a)
-        except IdentityError:
-            entry("A_closed_form", n, False)
+        closed("A_closed_form", a_closed_form, n, triple.a)
     return report

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
 import millsratio.families as families
+from millsratio.cli import _faulty_tables
 from millsratio.errors import IdentityError
 from millsratio.families import (
     a_closed_form,
@@ -52,6 +53,53 @@ def fraction_a_closed_form(n):
     values = [factorial(n) * fraction_a_coefficient(n, m) / factorial(m) for m in range(n + 1)]
     assert all(v.denominator == 1 for v in values)
     return IntPolynomial([int(values[k // 2]) if k % 2 == 0 else 0 for k in range(2 * n + 1)])
+
+
+# Reference forms with a factorial for every term, as the formulas are
+# written; the library builds the same coefficients by exact term ratios.
+
+
+def factorial_p_closed_form(n):
+    """P_n = sum_k n! / (2^k k! (n-2k)!) X^{n-2k}."""
+    coeffs = [0] * (n + 1)
+    for k in range(n // 2 + 1):
+        coeffs[n - 2 * k] = factorial(n) // (2**k * factorial(k) * factorial(n - 2 * k))
+    return IntPolynomial(coeffs)
+
+
+def factorial_q_closed_form(n):
+    """Q_n as the sum of (n-1-k)!/(n-1-2k)! P_{n-1-2k} over 0 <= 2k <= n-1."""
+    m = n - 1
+    coeffs = [0] * n
+    for k in range(m // 2 + 1):
+        scale = factorial(m - k) // factorial(m - 2 * k)
+        for i, c in enumerate(factorial_p_closed_form(m - 2 * k).coeffs):
+            coeffs[i] += scale * c
+    return IntPolynomial(coeffs)
+
+
+def factorial_q_coefficient_form(n):
+    """The X^{m-2k} coefficient of Q_{m+1} as the integer
+    sum_j (m-k+j)! 2^{k-j} k!/j! over 2^k k! (m-2k)!."""
+    m = n - 1
+    coeffs = [0] * (m + 1)
+    for k in range(m // 2 + 1):
+        kf = factorial(k)
+        num = sum(factorial(m - k + j) * (kf // factorial(j)) << (k - j) for j in range(k + 1))
+        coeffs[m - 2 * k], rem = divmod(num, (kf << k) * factorial(m - 2 * k))
+        assert rem == 0
+    return IntPolynomial(coeffs)
+
+
+def corrupt_ratio(monkeypatch, what, n, k):
+    """Make every ratio step of `what` at order n and index k divide by one
+    more than its formula says, as a transcription bug in that ratio would."""
+    step = families._ratio_step
+
+    def corrupted(term, num, den, *where):
+        return step(term, num, den + (where == (what, n, k)), *where)
+
+    monkeypatch.setattr(families, "_ratio_step", corrupted)
 
 
 def fraction_q_coefficient_form(n):
@@ -168,6 +216,43 @@ class TestIntegerKernels:
         for n in range(1, 121):
             assert q_coefficient_form(n) == fraction_q_coefficient_form(n), n
 
+    def test_ratio_forms_match_factorial_references(self):
+        for n in range(121):
+            assert p_closed_form(n) == factorial_p_closed_form(n), n
+        for n in range(1, 121):
+            assert q_closed_form(n) == factorial_q_closed_form(n), n
+            assert q_coefficient_form(n) == factorial_q_coefficient_form(n), n
+
+    def test_closed_forms_read_no_recurrence_table(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("a closed form read the recurrence")
+
+        monkeypatch.setattr(families, "pq_pair", refuse)
+        monkeypatch.setattr(families, "_P", [])
+        monkeypatch.setattr(families, "_Q", [])
+        monkeypatch.setattr(families, "_TRIPLES", {})
+        for n in range(1, 41):
+            assert p_closed_form(n) == factorial_p_closed_form(n), n
+            assert q_closed_form(n) == factorial_q_closed_form(n), n
+            assert q_coefficient_form(n) == factorial_q_coefficient_form(n), n
+            assert a_closed_form(n) == fraction_a_closed_form(n), n
+
+    def test_non_integral_p_coefficient_is_an_identity_error(self, monkeypatch):
+        # the X^3 coefficient of P_5 is 1 * (5 * 4) / 2; dividing by 3 leaves 2
+        corrupt_ratio(monkeypatch, "P coefficient", 5, 1)
+        with pytest.raises(IdentityError, match=r"non-integral P coefficient at n=5, k=1"):
+            p_closed_form(5)
+        fails = [(e["identity"], e["n"]) for e in verify_identities(5) if e["status"] == "fail"]
+        assert fails == [("P_closed_form", 5)]
+
+    def test_non_integral_q_scale_is_an_identity_error(self, monkeypatch):
+        # the scale 3!/2! of P_2 in Q_5 is 1 * (4 * 3) / 4; dividing by 5 leaves 2
+        corrupt_ratio(monkeypatch, "Q scale", 5, 1)
+        with pytest.raises(IdentityError, match=r"non-integral Q scale at n=5, k=1"):
+            q_closed_form(5)
+        fails = [(e["identity"], e["n"]) for e in verify_identities(5) if e["status"] == "fail"]
+        assert fails == [("Q_closed_sum_P", 5)]
+
     def test_non_integral_a_coefficient_is_an_identity_error(self, monkeypatch):
         # C(5, 2) = 11 puts (-1)^5 * 6 * 11 / 2^5 into the x^0 coefficient of
         # A_5, and 5! * 66 / 32 is not an integer; no other coefficient of
@@ -179,11 +264,13 @@ class TestIntegerKernels:
         assert fails == [("A_closed_form", 5)]
 
     def test_non_integral_q_coefficient_is_an_identity_error(self, monkeypatch):
-        # 3! = 7 leaves the X^3 coefficient of Q_4 at 7/7 but makes its X
-        # coefficient (2! * 2 + 7) / 2
-        monkeypatch.setattr(families, "factorial", lambda v: factorial(v) + (v == 3))
+        # the factor 2!/1! of the X coefficient of Q_4 is 1 * (3 * 2) / 3;
+        # dividing by 4 leaves 2, while its X^3 coefficient stays 1
+        corrupt_ratio(monkeypatch, "Q coefficient", 4, 1)
         with pytest.raises(IdentityError, match=r"non-integral Q coefficient at n=4, k=1"):
             q_coefficient_form(4)
+        fails = [(e["identity"], e["n"]) for e in verify_identities(5) if e["status"] == "fail"]
+        assert fails == [("Q_closed_coeffs", 4)]
 
 
 class TestQuadraticTriple:
@@ -316,6 +403,20 @@ class TestVerifyIdentities:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             verify_identities(0)
+
+    def test_benchmark_order_passes_and_its_faulty_copy_fails(self):
+        # verify_identities(96) is the exact_deep benchmark's call: 7 entries
+        # per order and 5 more for n >= 1, every one a pass
+        report = verify_identities(96)
+        assert len(report) == 7 * 97 + 5 * 96 == 1159
+        assert [e for e in report if e["status"] != "pass"] == []
+        shared = list(families._P[:99]), list(families._Q[:99])
+        faulty = verify_identities(96, _faulty_tables(96))
+        assert [(e["identity"], e["n"]) for e in faulty] == [(e["identity"], e["n"]) for e in report]
+        assert any(e["status"] == "fail" for e in faulty)
+        assert all(a is b for a, b in zip(families._P, shared[0])) and all(a is b for a, b in zip(families._Q, shared[1]))
+        assert all(p == p_closed_form(n) for n, p in enumerate(shared[0]))
+        assert all(q == q_closed_form(n) for n, q in enumerate(shared[1]) if n)
 
     def test_corrupted_copy_is_flagged_and_shared_tables_stay_clean(self):
         pairs = [pq_pair(k) for k in range(6)]

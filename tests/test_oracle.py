@@ -8,6 +8,7 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from millsratio import contfrac, families, oracle
@@ -180,6 +181,61 @@ class TestSeriesErrorBound:
             ov = phi_series(x, 128)
             with mp.workprec(1024):
                 assert abs(ov.value - _reference(x)) <= ov.error_bound
+
+
+def _series_count(a: int, b: int, f: int, m: int) -> tuple[int, int, int]:
+    """(N, acc, ulps) of oracle._positive_series re-derived in Fraction from
+    the module docstring: each block is the sum of its terms, each term the
+    one before times y^2/(2i+1), y = a/b, and only the block start t_k is a
+    floored mantissa (by _normalised, whose contract is tested on its own)."""
+    if a == 0:
+        return 0, 0, 0
+    y2 = Fraction(a * a, b * b)
+    man, s = oracle._normalised(a, b, m)
+    e, floors, k, acc, ulps = -s, 1, 0, 0, 0
+    while True:
+        total, term = Fraction(0), Fraction(man) * Fraction(2) ** e
+        for i in range(k, k + oracle._BLOCK):
+            total += term
+            term *= y2 / (2 * i + 3)
+        block = math.floor(total * 2**f)
+        acc += block
+        ulps += 2 + floors * (block + 1) // 2 ** (m - 1)
+        k += oracle._BLOCK
+        den = math.prod(b * b * (2 * i + 1) for i in range(k - oracle._BLOCK + 1, k + 1))
+        man, s = oracle._normalised(man * (a * a) ** oracle._BLOCK, den, m)
+        e, floors = e - s, floors + 1
+        if k >= y2:  # k >= 2u, u = y^2/2
+            tail = math.ceil(2 * (man + floors * man // 2 ** (m - 1) + 1) * Fraction(2) ** (e + f))
+            if tail <= 1:
+                return k, acc, ulps + tail
+
+
+class TestSeriesCount:
+    """The parts of the series' count, which the enclosure tests cannot see:
+    at the widths phi_series uses, a miscount stays below the count's slack."""
+
+    @given(st.integers(1, 2**200), st.integers(1, 2**200), st.integers(1, 300))
+    @example(3, 2, 1)
+    @example(1, 2**200, 300)
+    def test_normalised_is_the_exact_floor_at_least_2_to_the_m(self, num, den, m):
+        q, s = oracle._normalised(num, den, m)
+        assert q == math.floor(Fraction(num, den) * Fraction(2) ** s)
+        assert 2**m <= q < 2 ** (m + 2)
+
+    # mantissas of m >= f + 16 bits, as phi_series takes them (M >= F + 8);
+    # with m < f + u log2 e, as for x >= 8 here, the terms near e^u floor
+    # above the 2^-f grid, so the mantissa steps show in acc
+    @pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(5, 2), Fraction(8), Fraction(79, 10), Fraction(12)])
+    @pytest.mark.parametrize("f,m", [(8, 24), (24, 40), (40, 64), (64, 100), (200, 260)])
+    def test_fixed_counts_match_a_fraction_rederivation(self, x, f, m):
+        assert oracle._positive_series(x.numerator, x.denominator, f, m) == _series_count(x.numerator, x.denominator, f, m)
+
+    @given(st.integers(0, 12 * 64), st.integers(1, 64), st.integers(4, 96), st.integers(16, 64))
+    @settings(max_examples=40, deadline=None)
+    def test_counts_match_a_fraction_rederivation(self, a, b, f, extra):
+        a = min(a, 12 * b)  # |x| <= 12 keeps N below 200 terms
+        assert oracle._positive_series(a, b, f, f + extra) == _series_count(a, b, f, f + extra)
 
 
 def _quadrature_points():

@@ -122,6 +122,19 @@ class TestProperties:
     def test_mul_matches_schoolbook(self, a, b):
         assert (a * b).coeffs == schoolbook(a, b).coeffs
 
+    @given(mul_operands)
+    @example(ZERO)
+    @example(IntPolynomial([-7]))
+    @example(IntPolynomial([0, 0, 5]))
+    @example(IntPolynomial([0, -3, 0, 2]))
+    @example(IntPolynomial([1, -2, 3, -4, 5]))
+    def test_square_matches_schoolbook(self, a):
+        # a * a is a square (the same object twice); a * IntPolynomial(a.coeffs)
+        # is an equal copy and takes the general product
+        expected = schoolbook(a, a).coeffs
+        assert (a * a).coeffs == expected
+        assert (a * IntPolynomial(a.coeffs)).coeffs == expected
+
     @given(mul_operands, scalars)
     @example(IntPolynomial([3, 0, -4]), 0)
     @example(IntPolynomial([3, 0, -4]), -1)
