@@ -5,10 +5,6 @@ First-order family (rational enclosures, x > 0):
     Q_{2n}(x)/P_{2n}(x) < phi(x) < Q_{2n+1}(x)/P_{2n+1}(x)
     |phi(x) - Q_n(x)/P_n(x)| < n! / (P_n(x) P_{n+1}(x))
 
-Every convergent C_n = Q_n(x)/P_n(x) is contfrac.cf_convergent's (the P/Q
-recurrence on integer values), and by the Wronskian Q_{n+1} P_n - P_{n+1}
-Q_n = (-1)^n n! the error bound is formed as |C_{n+1} - C_n|.
-
 Second-order family (square-root bounds): phi is wedged by the roots
 Z_n^{+-}(x) = (B_n(x) +- n! sqrt(x^2+4n+4)) / (2 A_n(x)) of the quadratic
 A_n T^2 - B_n T + C_n.  Even orders give the lower bound Z^+ on all of R;
@@ -26,29 +22,25 @@ instead of inventing a continuity value.
 
 Every value is exact or one rounding of an exact rational, at a precision
 and in a direction named in the call, never mpmath's process-wide one.
-Bound values are formed from exact rationals (exact convergents, and the
-quadratic triple evaluated exactly at the exact x) and rounded once,
-outward: convergents by one directed division; a square-root bound,
-monotone in its root, at the end of an integer isqrt enclosure of the
-root that errs outward (_outward).  They hold at every precision.
-phi_derivative is P_n(x) v - Q_n(x) from exact polynomials and phi's
-oracle value v, rounded once, and every certificate reads phi through
-phi_at alone.
+With x = a/d, the exact values are integer expressions in one sweep of
+the P/Q recurrence, p_k = d^k P_k(x) and q_k = d^k Q_k(x)
+(contfrac.pq_sweep): Q_n/P_n = q_n/p_n, n!/(P_n P_{n+1}) = n! d^{2n+1} /
+(p_n p_{n+1}), and d^{2n+2} A_n(x) = p_n p_{n+2} - p_{n+1}^2, B_n and C_n
+alike.  phi's oracle value M 2^e is an integer over a power of two, so
+every margin is one integer over one integer, rounded once.  Bound values
+are rounded outward: convergents by one directed division; a square-root
+bound, monotone in its root, at the end of an integer isqrt enclosure of
+the root that errs outward (_outward).  They hold at every precision.
 
-The families Eq15 to Eq19 and I are the rows of one table, FAMILIES: a
-stated domain, the fixed order of a one-bound family, and an evaluator of
-the shown bound values and certificates at a point.  certify_grid,
-`mills bounds` and scripts/bounds_table.py all read it.  One verdict rule
-decides every certificate: its margin is an exact value within a derived
-error of the true margin (the oracle's error bound, or for Eq17 the error
-of the exact Taylor expansion about the oracle's value), rounded once at
-p + GUARD_BITS bits, and it passes iff it exceeds that error plus the
-rounding.
-
-Family.at and certify_grid are the entry points of this protocol.  Each
-checks the requested precision p and reads phi through phi_at once per
-point; the evaluators get that oracle value, never see the memo, and name
-p + GUARD_BITS in every rounding they make.
+The families Eq15 to Eq19 and I are the rows of one table, FAMILIES, that
+certify_grid, `mills bounds` and scripts/bounds_table.py all read.  One
+verdict rule decides every certificate: its margin is an exact value
+within a derived error of the true margin (the oracle's error bound, or
+for Eq17 the error of the exact Taylor expansion about the oracle's
+value), rounded once at p + GUARD_BITS bits, and it passes iff it exceeds
+that error plus the rounding.  Family.at and certify_grid, the entry
+points, check the requested precision p and read phi through phi_at once
+per point.
 """
 
 from __future__ import annotations
@@ -59,11 +51,11 @@ from math import factorial, isqrt
 from typing import Callable
 
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_abs, mpf_add, mpf_gt, mpf_shift, mpf_sub, round_ceiling, round_nearest
+from mpmath.libmp import from_rational, mpf_abs, mpf_add, mpf_gt, mpf_shift, mpf_sub, round_ceiling, round_nearest
 
-from .contfrac import cf_convergent
+from .contfrac import pq_sweep
 from .errors import DomainError, SingularityError
-from .families import pq_pair, quadratic_triple
+from .families import quadratic_form, quadratic_triple
 from .numutil import check_precision, nstr_fixed, to_fraction, to_mpf
 from .oracle import OracleValue, phi_series
 
@@ -113,23 +105,18 @@ CSV_COLUMNS = ["family", "n", "x", "margin", "precision_bits", "verdict"]
 def first_order_enclosure(n: int, x, precision_bits: int = 128) -> Enclosure:
     """Rational enclosure Q_{2n}/P_{2n} < phi < Q_{2n+1}/P_{2n+1}, x > 0,
     with the exact endpoints rounded outward to precision_bits."""
-    p = check_precision(precision_bits)
-    xf = _positive(x, "first-order enclosure requires x > 0")
-    return Enclosure(
-        x=to_mpf(xf, p),
-        lower=to_mpf(cf_convergent(2 * n, xf), p, "f"),
-        upper=to_mpf(cf_convergent(2 * n + 1, xf), p, "c"),
-        lower_source=f"Eq15/order={2 * n}",
-        upper_source=f"Eq15/order={2 * n + 1}",
-        precision_bits=p,
-    )
+    p, xf = check_precision(precision_bits), _positive(x, "first-order enclosure requires x > 0")
+    (ps, qs), k = pq_sweep(2 * n + 1, xf), 2 * n
+    lower, upper = _quotient(qs[k], ps[k], p, "f"), _quotient(qs[k + 1], ps[k + 1], p, "c")
+    return Enclosure(to_mpf(xf, p), lower, upper, f"Eq15/order={k}", f"Eq15/order={k + 1}", p)
 
 
 def first_order_error_bound(n: int, x, precision_bits: int = 128) -> mpf:
-    """n! / (P_n(x) P_{n+1}(x)), the first-order truncation error bound,
-    rounded up to precision_bits."""
-    p = check_precision(precision_bits)
-    return to_mpf(_step(n, _positive(x, "error bound is stated for x > 0"))[1], p, "c")
+    """n! / (P_n(x) P_{n+1}(x)) = n! d^{2n+1} / (p_n p_{n+1}) at x = a/d, the
+    first-order truncation error bound, rounded up to precision_bits."""
+    p, xf = check_precision(precision_bits), _positive(x, "error bound is stated for x > 0")
+    ps = _sweep(xf, [n], n + 1)[0]
+    return _quotient(factorial(n) * xf.denominator ** (2 * n + 1), ps[n] * ps[n + 1], p, "c")
 
 
 def _positive(x, message: str) -> Fraction:
@@ -140,11 +127,23 @@ def _positive(x, message: str) -> Fraction:
     return xf
 
 
-def _step(n: int, x: Fraction) -> tuple[Fraction, Fraction]:
-    """C_n and n!/(P_n P_{n+1}) = |C_{n+1} - C_n| (by the Wronskian
-    Q_{n+1} P_n - P_{n+1} Q_n = (-1)^n n!) at x, exact."""
-    conv = cf_convergent(n, x)
-    return conv, abs(cf_convergent(n + 1, x) - conv)
+def _sweep(x: Fraction, orders: list[int], depth: int) -> tuple[list[int], list[int]]:
+    """pq_sweep(depth, x) for the given orders, refused below 0 as pq_pair refuses them."""
+    if min(orders, default=0) < 0:
+        raise ValueError("order must be non-negative")
+    return pq_sweep(depth, x)
+
+
+def _quotient(num: int, den: int, w: int, rounding: str = "n", exp: int = 0) -> mpf:
+    """num / den * 2^exp rounded once to w bits, in the direction named."""
+    return mp.make_mpf(mpf_shift(from_rational(num, den, w, rounding), exp))
+
+
+def _dyadic(*values: mpf) -> tuple[int, ...]:
+    """(E, N_1, N_2, ...): the values M_i 2^e_i as N_i 2^-E, E = max(0, -e_i)."""
+    pairs = [v.man_exp for v in values]
+    scale = max(0, *(-exp for _, exp in pairs))
+    return (scale, *(man << (exp + scale) for man, exp in pairs))
 
 
 def _outward(bound: Callable[[Fraction], Fraction], r: Fraction, upper: bool, precision_bits: int) -> mpf:
@@ -184,57 +183,53 @@ def szarek_werner_upper(x, precision_bits: int = 128) -> mpf:
     return _outward(bound, xf * xf + 8, True, p)
 
 
-def second_order_bound(n: int, x, precision_bits: int = 128) -> SecondOrderBound:
+def second_order_bound(n: int, x, precision_bits: int = 128, sweep=None) -> SecondOrderBound:
     """Even n: the lower bound Z^+ on all of R.  Odd n: the upper bound
     Z^- = (B - n! sqrt(x^2+4n+4)) / (2A) on ]-beta_m, inf[.
 
-    A_n, B_n and C_n are exact at the exact x and the root is enclosed in
-    rationals; Z is evaluated exactly at both ends of that enclosure and
-    rounded outward to precision_bits (down for even n, up for odd n).
-    Raises DomainError for odd n at x <= -beta_m, and SingularityError
-    where A_n(x) is exactly 0 (x = beta_m for odd n)."""
+    A_n, B_n and C_n are exact, from sweep (one at x to order n + 2 at
+    least) or a sweep of its own, and the root is enclosed in rationals; Z
+    is evaluated exactly at both ends of that enclosure and rounded outward
+    to precision_bits (down for even n, up for odd n).  Raises DomainError
+    for odd n at x <= -beta_m, and SingularityError where A_n(x) is exactly
+    0 (x = beta_m for odd n)."""
     p, xf = check_precision(precision_bits), to_fraction(x)
-    return _second_order_bound(n, xf, p)[0]
-
-
-def _second_order_bound(n: int, xf: Fraction, p: int) -> tuple[SecondOrderBound, Fraction]:
-    """second_order_bound at an exact x and a checked precision, and the
-    exact A_n(x) it read."""
-    t, odd = quadratic_triple(n), n % 2 == 1
+    (a, b, c), odd = quadratic_form(*(sweep or _sweep(xf, [n], n + 2)), n), n % 2 == 1
     # A_n is even, so its exact sign at x decides ]-beta_m, inf[: negative
     # exactly inside the gap
-    a = t.a.eval_rational(xf)
     if odd and xf < 0 and a >= 0:
         raise DomainError(f"order {n} upper bound requires x > -beta_{(n - 1) // 2}, got x = {xf}")
-    b = t.b.eval_rational(xf)
     if a == 0:
         raise SingularityError(f"A_{n}({xf}) is exactly 0")
     # Standard stable quadratic-root evaluation: form q = (b +- n! root) / 2
     # without cancellation, and obtain the other root as c / q via Vieta.
-    scale = factorial(n) if b >= 0 else -factorial(n)
-    c = None if (b >= 0) != odd else t.c.eval_rational(xf)
-    z = _outward(lambda root: (b + scale * root) / (2 * a) if c is None else 2 * c / (b + scale * root),
+    # a, b, c share the denominator d^{2n+2}, so n! root is scaled by it: at
+    # root = r/s, Z = (b s + scale r) / (2 a s), or 2 c s / (b s + scale r).
+    scale, vieta = (factorial(n) if b >= 0 else -factorial(n)) * xf.denominator ** (2 * n + 2), (b >= 0) == odd
+    z = _outward(lambda root: Fraction(2 * c * root.denominator, b * root.denominator + scale * root.numerator)
+                 if vieta else Fraction(b * root.denominator + scale * root.numerator, 2 * a * root.denominator),
                  xf * xf + 4 * n + 4, odd, p)
-    return SecondOrderBound(n=n, value=z, role="upper" if odd else "lower"), a
+    return SecondOrderBound(n=n, value=z, role="upper" if odd else "lower")
 
 
 def phi_derivative(n: int, x, precision_bits: int = 128) -> mpf:
     """phi^(n)(x) = P_n(x) phi(x) - Q_n(x), with an absolute error below
     2^-precision_bits.
 
-    P_n(x) and Q_n(x) are exact at the exact x, and phi is read from the
+    P_n(x) and Q_n(x) are exact from one sweep, and phi is read from the
     series route with log2 |P_n(x)| extra bits, so P_n(x) times its error
     stays below 2^-(precision_bits + 32).  P v - Q, with v the oracle's
     value, is formed exactly and rounded to nearest once, at precision_bits
     + GUARD_BITS bits plus log2 of |P_n(x) v| or |Q_n(x)|, whichever is
     larger (phi grows like e^{x^2/2} for x < 0)."""
     p, xf = check_precision(precision_bits), to_fraction(x)
-    pair = pq_pair(n)
-    pn, qn = pair.p.eval_rational(xf), pair.q.eval_rational(xf)
+    ps, qs = pq_sweep(n, xf)
+    pn, qn, dn = ps[n], qs[n], xf.denominator**n  # P_n(x) = pn / dn, Q_n(x) = qn / dn
     # mag of a value rounded toward 0 is floor(log2 |value|) + 1 exactly (-inf at 0)
-    mag_p, mag_q = (mp.mag(to_mpf(value, 53, "d")) for value in (pn, qn))
+    mag_p, mag_q = (mp.mag(_quotient(value, dn, 53, "d")) for value in (pn, qn))
     ov = phi_series(xf, p + max(0, mag_p))
-    return to_mpf(pn * to_fraction(ov.value) - qn, p + GUARD_BITS + max(0, mag_p + mp.mag(ov.value), mag_q))
+    (scale, v), w = _dyadic(ov.value), p + GUARD_BITS + max(0, mag_p + mp.mag(ov.value), mag_q)
+    return _quotient(pn * v - (qn << scale), dn, w, "n", -scale)
 
 
 def beta(m: int, tolerance=None) -> BetaRoot:
@@ -268,21 +263,23 @@ def beta(m: int, tolerance=None) -> BetaRoot:
     return BetaRoot(m=m, value=to_mpf((lo + hi) / 2, bits), bracket=(lo, hi))
 
 
-def log_convexity(n: int, x, ov: OracleValue, precision_bits: int) -> tuple[mpf, mpf]:
+def log_convexity(n: int, x, ov: OracleValue, precision_bits: int, sweep=None) -> tuple[mpf, mpf]:
     """(margin, error) of the log-convexity inequality at (n, x), with ov
-    the oracle value phi_at gives at (x, precision_bits).
+    the oracle value phi_at gives at (x, precision_bits); sweep, a sweep at
+    x to order n + 2 at least, spares this call its own.
 
     m(t) = A_n(x) t^2 - B_n(x) t + C_n(x) is positive at t = phi(x) iff the
-    inequality holds.  With v = ov.value, e = ov.error_bound and A, B, C
-    exact, the Taylor expansion m(v + d) = m(v) + (2Av - B) d + A d^2 is
-    exact, so for |d| <= e the true margin is within |2Av - B| e + |A| e^2
-    of m(v).  margin is m(v) rounded to nearest and error that bound
-    rounded up, both at precision_bits + GUARD_BITS.
+    inequality holds.  With v = ov.value, e = ov.error_bound and A, B, C =
+    (a, b, c) / D exact, m(v + d) = m(v) + (2Av - B) d + A d^2 is exact, so
+    for |d| <= e the true margin is within |2Av - B| e + |A| e^2 of m(v).
+    margin is m(v) rounded to nearest and error that bound rounded up, both
+    at precision_bits + GUARD_BITS, each one integer over D 4^E for v = N 2^-E.
     """
-    t, xf, w = quadratic_triple(n), to_fraction(x), precision_bits + GUARD_BITS
-    a, b, c = (poly.eval_rational(xf) for poly in (t.a, t.b, t.c))
-    v, e = to_fraction(ov.value), to_fraction(ov.error_bound)
-    return to_mpf((a * v - b) * v + c, w), to_mpf(abs(2 * a * v - b) * e + abs(a) * e * e, w, "c")
+    xf, w = to_fraction(x), precision_bits + GUARD_BITS
+    (a, b, c), den = quadratic_form(*(sweep or _sweep(xf, [n], n + 2)), n), xf.denominator ** (2 * n + 2)
+    scale, v, e = _dyadic(ov.value, ov.error_bound)
+    margin = _quotient(a * v * v - (b * v << scale) + (c << 2 * scale), den, w, "n", -2 * scale)
+    return margin, _quotient(abs(2 * a * v - (b << scale)) * e + abs(a) * e * e, den, w, "c", -2 * scale)
 
 
 def log_convexity_check(n: int, x, precision_bits: int = 128) -> mpf:
@@ -340,47 +337,51 @@ def _vs_phi(family: str, n: int, x: Fraction, bound: mpf, upper: bool, precision
     return _cert(family, n, x, _difference(above, below, precision_bits), ov.error_bound, precision_bits)
 
 
-def _eq15(n: int, x: Fraction, precision_bits: int, ov: OracleValue):
-    w = precision_bits + GUARD_BITS
-    lower, upper = to_mpf(cf_convergent(2 * n, x), w, "f"), to_mpf(cf_convergent(2 * n + 1, x), w, "c")
+def _eq15(n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep):
+    (ps, qs), w = sweep, precision_bits + GUARD_BITS
+    lower, upper = _quotient(qs[2 * n], ps[2 * n], w, "f"), _quotient(qs[2 * n + 1], ps[2 * n + 1], w, "c")
     margin = min(_difference(ov.value, lower, precision_bits), _difference(upper, ov.value, precision_bits))
     return {"lower": lower, "upper": upper}, [_cert("Eq15", n, x, margin, ov.error_bound, precision_bits)]
 
 
-def _eq16(n: int, x: Fraction, precision_bits: int, ov: OracleValue):
-    """The margin is formed from the exact convergent and error bound; the
-    shown convergent is rounded to nearest and the shown bound up."""
-    (conv, bound), w = _step(n, x), precision_bits + GUARD_BITS
-    margin = to_mpf(bound - abs(to_fraction(ov.value) - conv), w)
-    shown = {"convergent": to_mpf(conv, w), "error_bound": to_mpf(bound, w, "c")}
+def _eq16(n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep):
+    """With v = N 2^-E, the margin n! d^{2n+1} / (p_n p_{n+1}) - |v - q_n/p_n|
+    is one integer over p_n p_{n+1} 2^E, rounded once; the shown convergent
+    is rounded to nearest and the shown bound up."""
+    (ps, qs), w, (scale, v) = sweep, precision_bits + GUARD_BITS, _dyadic(ov.value)
+    pn, pn1, qn, bound = ps[n], ps[n + 1], qs[n], factorial(n) * x.denominator ** (2 * n + 1)
+    margin = _quotient((bound << scale) - pn1 * abs(v * pn - (qn << scale)), pn * pn1, w, "n", -scale)
+    shown = {"convergent": _quotient(qn, pn, w), "error_bound": _quotient(bound, pn * pn1, w, "c")}
     return shown, [_cert("Eq16", n, x, margin, ov.error_bound, precision_bits)]
 
 
-def _eq17(n: int, x: Fraction, precision_bits: int, ov: OracleValue):
-    return {}, [_cert("Eq17", n, x, *log_convexity(n, x, ov, precision_bits), precision_bits)]
+def _eq17(n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep):
+    return {}, [_cert("Eq17", n, x, *log_convexity(n, x, ov, precision_bits, sweep), precision_bits)]
 
 
-def _eq18(n: int, x: Fraction, precision_bits: int, ov: OracleValue):
+def _eq18(n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep):
     lower = komatsu_lower(x, precision_bits + GUARD_BITS)
     return {"lower": lower}, [_vs_phi("Eq18", n, x, lower, False, precision_bits, ov)]
 
 
-def _eq19(n: int, x: Fraction, precision_bits: int, ov: OracleValue):
+def _eq19(n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep):
     upper = szarek_werner_upper(x, precision_bits + GUARD_BITS)
     return {"upper": upper}, [_vs_phi("Eq19", n, x, upper, True, precision_bits, ov)]
 
 
-def _second_order(n: int, x: Fraction, precision_bits: int, ov: OracleValue):
+def _second_order(n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep):
     """I_n, plus the companion I_n_sharper certificate of its sharpness
     against the first-order convergent: Q_{2m}/P_{2m} < Z^+ for x > 0 and
     Z^- < Q_{2m+1}/P_{2m+1} for x > beta_m.  Z's outward endpoint errs away
-    from the convergent too, so that margin is exact before its rounding."""
-    sb, a = _second_order_bound(n, x, precision_bits + GUARD_BITS)
+    from the convergent too, so that margin, with Z = N 2^-E the integer
+    (q_n 2^E - N p_n) over p_n 2^E, is exact before its rounding."""
+    sb, (ps, qs) = second_order_bound(n, x, precision_bits + GUARD_BITS, sweep), sweep
     upper = sb.role == "upper"
     certs = [_vs_phi(f"I_{n}", n, x, sb.value, upper, precision_bits, ov)]
-    if x > 0 and (not upper or a > 0):
-        sharper = cf_convergent(n, x) - to_fraction(sb.value)
-        margin = to_mpf(sharper if upper else -sharper, precision_bits + GUARD_BITS)
+    if x > 0 and (not upper or ps[n] * ps[n + 2] > ps[n + 1] ** 2):  # A_n(x) > 0
+        scale, z = _dyadic(sb.value)
+        sharper = (qs[n] << scale) - z * ps[n]
+        margin = _quotient(sharper if upper else -sharper, ps[n], precision_bits + GUARD_BITS, "n", -scale)
         certs.append(_cert(f"I_{n}_sharper", n, x, margin, mpf(0), precision_bits))
     return {sb.role: sb.value}, certs
 
@@ -389,18 +390,30 @@ def _second_order(n: int, x: Fraction, precision_bits: int, ov: OracleValue):
 class Family:
     """One bound family: what differs between families, and nothing more.
 
-    ``evaluate(n, x, precision_bits, ov)`` returns the bound values shown
-    at (n, x), by name, and the certificates made there against ov, the
-    oracle value phi_at gives at (x, precision_bits); it raises DomainError
-    or SingularityError where the order-n bound is not stated.  It rounds
-    every value it forms at precision_bits + GUARD_BITS, named in each
-    call.  Its two callers, ``at`` and certify_grid, check precision_bits
-    and read phi once per point."""
+    ``point(n, x, precision_bits, ov, sweep)`` returns the bound values
+    shown at (n, x), by name, and the certificates made there against ov,
+    the oracle value phi_at gives at (x, precision_bits), from sweep, a
+    pq_sweep at x to order depth(n) at least (None if depth is); it raises
+    DomainError or SingularityError where the order-n bound is not stated.
+    It rounds every value it forms at precision_bits + GUARD_BITS."""
 
     name: str
     x_above: int | None  # stated domain x > x_above; None: every x the oracle takes
     order: int | None  # the one order of a single-bound family
-    evaluate: Callable[[int, Fraction, int, OracleValue], tuple[dict[str, mpf], list[Certificate]]]
+    depth: Callable[[int], int] | None  # the sweep order that order n reads up to
+    point: Callable[[int, Fraction, int, OracleValue, tuple | None], tuple[dict[str, mpf], list[Certificate]]]
+
+    def evaluate(self, orders: list[int], x: Fraction, precision_bits: int, ov: OracleValue, skip: bool = False):
+        """point at every n in orders, all from one sweep at x; with skip, an
+        order whose bound is not stated at x is left out, not raised."""
+        sweep, out = self.depth and _sweep(x, orders, self.depth(max(orders, default=0))), []
+        for n in orders:
+            try:
+                out.append(self.point(n, x, precision_bits, ov, sweep))
+            except (DomainError, SingularityError):
+                if not skip:
+                    raise
+        return out
 
     def check(self, x: Fraction) -> None:
         """Refuse x outside the family's stated domain."""
@@ -413,21 +426,20 @@ class Family:
         family.  memo is an optional phi memo, as in certify_grid."""
         p, x = check_precision(precision_bits), to_fraction(x)
         self.check(x)
-        return self.evaluate(n if self.order is None else self.order, x, p, phi_at(x, p, memo))
+        return self.evaluate([n if self.order is None else self.order], x, p, phi_at(x, p, memo))[0]
 
 
 # The evaluators call the module's functions by name, so that wrappers
-# installed on the module see every call.  The I evaluator calls
-# _second_order_bound, not second_order_bound, for the A_n(x) it returns.
+# installed on the module see every call.
 FAMILIES = {
     fam.name.lower(): fam
     for fam in (
-        Family("Eq15", 0, None, _eq15),
-        Family("Eq16", 0, None, _eq16),
-        Family("Eq17", None, None, _eq17),
-        Family("Eq18", None, 0, _eq18),
-        Family("Eq19", -1, 1, _eq19),
-        Family("I", None, None, _second_order),
+        Family("Eq15", 0, None, lambda n: 2 * n + 1, _eq15),
+        Family("Eq16", 0, None, lambda n: n + 1, _eq16),
+        Family("Eq17", None, None, lambda n: n + 2, _eq17),
+        Family("Eq18", None, 0, None, _eq18),
+        Family("Eq19", -1, 1, None, _eq19),
+        Family("I", None, None, lambda n: n + 2, _second_order),
     )
 }
 
@@ -447,24 +459,20 @@ def certify_grid(
 
     Each certificate records the margin (distance from violation) rather
     than a boolean, so near-violations remain visible in reports; the
-    verdict is the module's one rule: "pass" only when the margin exceeds
-    its derived error plus its own rounding.  For the second-order family
-    the sharpness claims against the first-order convergents are certified
-    as companion "<id>_sharper" entries.  An x outside the family's stated
+    verdict is the module's one rule.  For the second-order family the
+    sharpness claims against the first-order convergents are certified as
+    companion "<id>_sharper" entries.  An x outside the family's stated
     domain is a DomainError, and one beyond the oracle's envelope an
     EnvelopeError whatever the orders; (n, x) pairs outside an order's own
     domain (odd orders of I) or where A_n(x) is exactly 0 are skipped.
 
-    The certificates are ordered by (family, n, x): the grid is sorted
-    once and a stable sort by (family, n) follows, so no Fraction is
-    compared per certificate.
-
-    phi is read through phi_at once per x, in ascending x, and every order
-    at that x is measured against the same value.  ``memo`` holds the
-    oracle values keyed by (x, working precision).  A caller that certifies
-    several families over one grid passes the same dict to every call, so
-    each phi is evaluated once for the whole run.  The dict is the caller's
-    and is dropped with it: there is no process-wide oracle cache.
+    The grid is sorted once and a stable sort by (family, n) follows, so
+    the certificates are ordered by (family, n, x) with no Fraction
+    compared per certificate.  phi is read through phi_at once per x, and
+    every order at that x is measured against it.  ``memo`` holds the
+    oracle values keyed by (x, working precision); a caller that certifies
+    several families over one grid passes one dict to every call, so each
+    phi is evaluated once per run.  There is no process-wide oracle cache.
     """
     fam = find_family(family)
     p = check_precision(precision_bits)
@@ -472,12 +480,9 @@ def certify_grid(
     for x in xs:
         fam.check(x)
     out: list[Certificate] = []
+    orders = orders if fam.order is None else [fam.order]
     for x in sorted(xs):
-        ov = phi_at(x, p, memo)
-        for n in orders if fam.order is None else [fam.order]:
-            try:
-                out += fam.evaluate(n, x, p, ov)[1]
-            except (DomainError, SingularityError):
-                continue  # outside this order's domain, or A_n(x) is exactly 0
+        # skip the orders outside their own domain at x, or where A_n(x) is exactly 0
+        out += [c for _, certs in fam.evaluate(orders, x, p, phi_at(x, p, memo), skip=True) for c in certs]
     out.sort(key=lambda c: (c.family, c.n))
     return out

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import __version__
 from .bounds import CSV_COLUMNS, FAMILIES, beta, certify_grid, find_family, phi_at
-from .contfrac import cf_b, cf_convergent, cf_ladder_eval, expansion_str
+from .contfrac import cf_b, cf_ladder_eval, expansion_str, pq_sweep
 from .errors import DomainError, MillsError, SingularityError
 from .families import discriminant, pq_pair, quadratic_triple, verify_identities
 from .numutil import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, nstr_fixed, to_fraction
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--family", required=True, help=f"one of {', '.join(FAMILIES)}; i<N> (e.g. i2) is short for --family i --n N"
     )
     p_bounds.add_argument("--x", type=parse_rational, required=True)
-    p_bounds.add_argument("--n", type=at_least(0), default=0, help=f"order within the family; fixed for {', '.join(fixed)}")
+    p_bounds.add_argument("--n", type=at_least(0), help=f"order within the family (default 0); fixed for {', '.join(fixed)}")
 
     p_verify = sub.add_parser("verify", help="run the identity suite and grid certification")
     p_verify.add_argument("--n-max", type=at_least(1), default=30)
@@ -140,10 +140,12 @@ def cmd_bounds(args) -> int:
     name, n = args.family, args.n
     suffixed = re.fullmatch(r"([a-z]+)(\d+)", name.strip().lower())
     if suffixed and suffixed[1] in FAMILIES:
+        if n not in (None, int(suffixed[2])):
+            raise ValueError(f"--family {name} names order {suffixed[2]}, but --n is {n}")
         name, n = suffixed[1], int(suffixed[2])
     x, p, digits = args.x, args.precision, args.digits
     memo: dict = {}
-    shown, certs = find_family(name).at(n, x, p, memo)
+    shown, certs = find_family(name).at(0 if n is None else n, x, p, memo)
     cert, ov = certs[0], phi_at(x, p, memo)  # the oracle value the certificate was measured against
     lines = [f"family = {cert.family}", f"n = {cert.n}", f"x = {x}", f"precision_bits = {p}"]
     lines += [f"{key} = {nstr_fixed(value, digits)}" for key, value in shown.items()]
@@ -161,16 +163,10 @@ def _run_verification(args) -> dict:
     pos = [x for x in xs if x > 0]
     p = args.precision
     identities = verify_identities(args.n_max, _faulty_tables(args.n_max) if args.inject_fault else None)
-    certs = []
-    small_orders = list(range(0, 6))
     memo: dict = {}  # one phi evaluation per (x, precision) for this run
-    if pos:
-        certs += certify_grid("eq15", small_orders, pos, p, memo)
-        certs += certify_grid("eq16", [n for n in range(0, 12)], pos, p, memo)
-    certs += certify_grid("eq18", [0], xs, p, memo)
-    certs += certify_grid("eq19", [0], [x for x in xs if x > -1], p, memo)
-    certs += certify_grid("i", small_orders, [x for x in pos], p, memo)
-    certs += certify_grid("eq17", list(range(0, 4)), xs, p, memo)
+    plan = [("eq15", 6, pos), ("eq16", 12, pos), ("eq18", 1, xs), ("eq19", 1, [x for x in xs if x > -1]),
+            ("i", 6, pos), ("eq17", 4, xs)]  # (family, orders 0..top-1, grid), in report order
+    certs = [c for family, top, grid in plan for c in certify_grid(family, list(range(top)), grid, p, memo)]
     # oracle cross-agreement on a fixed small grid, decided exactly; the
     # series value is the one the certificates read
     agreement = []
@@ -184,14 +180,8 @@ def _run_verification(args) -> dict:
         and all(c.verdict == "pass" for c in certs)
         and all(e["status"] == "pass" for e in agreement)
     )
-    config = {
-        "subcommand": "verify",
-        "precision_bits": p,
-        "digits": args.digits,
-        "n_max": args.n_max,
-        "grid": ":".join(str(g) for g in args.grid),
-        "format": args.format,
-    }
+    config = {"subcommand": "verify", "precision_bits": p, "digits": args.digits, "n_max": args.n_max,
+              "grid": ":".join(str(g) for g in args.grid), "format": args.format}
     if args.out:
         config["out"] = args.out
     return {
@@ -280,8 +270,9 @@ def cmd_cf(args) -> int:
     print(f"expansion: {expansion_str(min(depth, 8))}")
     print(f"phi = {nstr_fixed(ov.value, digits)}")
     print("n  b_{n-1}  convergent  decimal  ladder(depth=n)")
+    ps, qs = pq_sweep(depth, x)  # every convergent Q_n/P_n = q_n/p_n from one sweep
     for n in range(1, depth + 1):
-        conv, ladder = cf_convergent(n, x), cf_ladder_eval(n, x, p)
+        conv, ladder = Fraction(qs[n], ps[n]), cf_ladder_eval(n, x, p)
         print(f"{n}  {cf_b(n - 1)}  {conv}  {nstr_fixed(conv, digits)}  {nstr_fixed(ladder, digits)}")
     return 0
 

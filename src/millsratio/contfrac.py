@@ -6,13 +6,13 @@ For x > 0,
            = 1/(x + 1/(x + 2/(x + 3/(x + ...))))
 
 with b_{2n} = C(2n, n) / 4^n and b_{2n+1} = 1 / ((2n+1) b_{2n}).  The
-n-th convergent is Q_n(x)/P_n(x), and cf_convergent forms it from the
-three-term recurrence of P and Q run on integer values; the b_k serve the
-rendering of the expansion.  The "ladder" form above is an equivalence
-transform of the same fraction, and the depth-d ladder truncation
-1/(x + 1/(x + 2/(x + ... + d/x))) equals the order-(d+1) convergent (the
-offset was fixed empirically on small depths and is asserted by the test
-suite).
+n-th convergent is Q_n(x)/P_n(x), read from pq_sweep, the three-term
+recurrence of P and Q run on integer values at any rational x; the b_k
+serve the rendering of the expansion.  The "ladder" form above is an
+equivalence transform of the same fraction, and the depth-d ladder
+truncation 1/(x + 1/(x + 2/(x + ... + d/x))) equals the order-(d+1)
+convergent (the offset was fixed empirically on small depths and is
+asserted by the test suite).
 """
 
 from __future__ import annotations
@@ -37,28 +37,32 @@ def cf_b(n: int) -> Fraction:
     return 1 / ((2 * m + 1) * even)
 
 
-def cf_convergent(n: int, x) -> Fraction:
-    """Exact n-th convergent Q_n(x)/P_n(x) = [0; b_0 x, ..., b_{n-1} x], 0 at n = 0.
-
-    With x = a/d, p_k = d^k P_k(x) and q_k = d^k Q_k(x) are integers, and
-    P_{k+1} = x P_k + k P_{k-1} becomes p_{k+1} = a p_k + k d^2 p_{k-1}
-    (likewise for q, from p_0, p_1 = 1, a and q_0, q_1 = 0, d); one
-    Fraction is formed at the end.
-    """
-    x = to_fraction(x)
+def pq_sweep(n: int, x) -> tuple[list[int], list[int]]:
+    """p_k = d^k P_k(x) and q_k = d^k Q_k(x), k = 0..n, at any rational x =
+    a/d in lowest terms: P_{k+1} = x P_k + k P_{k-1} scales to p_{k+1} = a p_k
+    + k d^2 p_{k-1} from (p_0, p_1) = (1, a), likewise q from (0, d), a
+    three-term recurrence on integers (Gautschi, SIAM Rev. 9, 1967)."""
     if n < 0:
         raise ValueError("order must be non-negative")
-    if x <= 0:
-        raise DomainError("expansion is stated for x > 0")
-    if n == 0:
-        return Fraction(0)
+    x = to_fraction(x)
     a, d = x.numerator, x.denominator
-    d2 = d * d
-    p_prev, p, q_prev, q = 1, a, 0, d
-    for k in range(1, n):
-        p_prev, p = p, a * p + k * d2 * p_prev
-        q_prev, q = q, a * q + k * d2 * q_prev
-    return Fraction(q, p)
+    ps, qs = [1, a][: n + 1], [0, d][: n + 1]
+    p_prev, p, q_prev, q, d2 = 1, a, 0, d, d * d
+    for kd2 in range(d2, n * d2, d2):  # k d^2 for k = 1..n-1
+        p_prev, p = p, a * p + kd2 * p_prev
+        q_prev, q = q, a * q + kd2 * q_prev
+        ps.append(p)
+        qs.append(q)
+    return ps, qs
+
+
+def cf_convergent(n: int, x) -> Fraction:
+    """Exact n-th convergent Q_n(x)/P_n(x) = [0; b_0 x, ..., b_{n-1} x], 0 at
+    n = 0: the last pair of pq_sweep, as one Fraction."""
+    if to_fraction(x) <= 0:
+        raise DomainError("expansion is stated for x > 0")
+    ps, qs = pq_sweep(n, x)  # refuses n < 0
+    return Fraction(qs[n], ps[n])
 
 
 def cf_ladder_eval(depth: int, x, precision_bits: int) -> mpf:

@@ -151,19 +151,18 @@ def quadratic_triple(n: int) -> QuadraticTriple:
     triple = _TRIPLES.get(n)
     if triple is None:
         pq_pair(n + 2)
-        triple = _triple_from(_P, _Q, n)
+        triple = QuadraticTriple(n, *quadratic_form(_P, _Q, n))
         with _lock:
             triple = _TRIPLES.setdefault(n, triple)
     return triple
 
 
-def _triple_from(p: list[IntPolynomial], q: list[IntPolynomial], n: int) -> QuadraticTriple:
-    """A_n, B_n, C_n from the defining combinations of the tables p and q."""
+def quadratic_form(p: list, q: list, n: int) -> tuple:
+    """(A_n, B_n, C_n), the defining combinations of p and q at orders n,
+    n + 1 and n + 2: of the polynomial tables, or of values of P and Q at
+    one point (bounds reads d^k P_k(x), d^k Q_k(x) from a sweep)."""
     p0, q0, p1, q1, p2, q2 = p[n], q[n], p[n + 1], q[n + 1], p[n + 2], q[n + 2]
-    a = p0 * p2 - p1 * p1
-    b = p0 * q2 + p2 * q0 - 2 * (p1 * q1)
-    c = q0 * q2 - q1 * q1
-    return QuadraticTriple(n, a, b, c)
+    return p0 * p2 - p1 * p1, p0 * q2 + p2 * q0 - 2 * (p1 * q1), q0 * q2 - q1 * q1
 
 
 def a_closed_form(n: int) -> IntPolynomial:
@@ -250,7 +249,7 @@ def verify_identities(n_max: int, tables=None) -> list[dict]:
             raise ValueError(f"tables must hold orders 0..{n_max + 2}")
 
         def triple_at(n: int) -> QuadraticTriple:
-            return _triple_from(p_tab, q_tab, n)
+            return QuadraticTriple(n, *quadratic_form(p_tab, q_tab, n))
 
     report: list[dict] = []
 

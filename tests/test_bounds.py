@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv, mp, mpf
 
-from millsratio import bounds
+from millsratio import bounds, families
 from millsratio.bounds import (
     CSV_COLUMNS,
     FAMILIES,
@@ -259,36 +259,44 @@ class TestCertificateProtocol:
         assert certify_grid(family, [0, 1, 2, 3], xs, 96)
         assert seen == xs
 
-    def test_eq16_runs_two_convergents_per_certificate(self, monkeypatch):
-        # C_n and C_{n+1}: the error bound |C_{n+1} - C_n| reuses the shown C_n
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_certify_grid_runs_one_sweep_per_x(self, monkeypatch, family):
+        # every order at a point reads one sweep of the P/Q recurrence, deep
+        # enough for the highest order; Eq18 and Eq19 need none
         calls = []
 
         def counting(n, x):
             calls.append((n, x))
-            return cf_convergent(n, x)
+            return pq_sweep(n, x)
 
-        cf_convergent = bounds.cf_convergent
-        monkeypatch.setattr(bounds, "cf_convergent", counting)
+        pq_sweep = bounds.pq_sweep
+        monkeypatch.setattr(bounds, "pq_sweep", counting)
         xs = [Fraction(k, 4) for k in range(1, 9)]
-        certs = certify_grid("eq16", list(range(12)), xs, 96)
-        assert len(certs) == 12 * len(xs)
-        assert len(calls) <= 2 * len(certs)
+        assert certify_grid(family, list(range(12)), xs, 96)
+        depth = {"eq15": 23, "eq16": 12, "eq17": 13, "i": 13}
+        assert calls == ([(depth[family], x) for x in xs] if family in depth else [])
 
-    def test_second_order_evaluates_a_once_per_point(self, monkeypatch):
-        # the I_n_sharper condition reads the A_n(x) the bound itself evaluated
-        orders, xs = list(range(6)), [Fraction(k, 4) for k in range(1, 9)]
-        a_polys = {id(quadratic_triple(n).a): n for n in orders}
-        seen = []
-        eval_rational = IntPolynomial.eval_rational
+    def test_no_polynomial_is_evaluated(self, monkeypatch):
+        # every exact value of a certificate or a bound comes from the sweep,
+        # none from the polynomial tables (beta's bisection aside)
+        def refuse(*args, **kwargs):
+            raise AssertionError("bounds must read the sweep, not the polynomial tables")
 
-        def counting(poly, x):
-            if id(poly) in a_polys:
-                seen.append((a_polys[id(poly)], x))
-            return eval_rational(poly, x)
-
-        monkeypatch.setattr(IntPolynomial, "eval_rational", counting)
-        assert certify_grid("i", orders, xs, 96)
-        assert sorted(seen) == sorted((n, x) for n in orders for x in xs)
+        monkeypatch.setattr(IntPolynomial, "eval_rational", refuse)
+        monkeypatch.setattr(bounds, "quadratic_triple", refuse)
+        for x in (Fraction(-29), Fraction(-7, 3), Fraction(0), Fraction(1, 3), Fraction(29, 2)):
+            for family, fam in FAMILIES.items():
+                if fam.x_above is None or x > fam.x_above:
+                    certify_grid(family, list(range(8)), [x], 96)
+            for n in range(8):
+                log_convexity_check(n, x, 96)
+                log_convexity_error(n, x, 96)
+                phi_derivative(n, x, 96)
+                if n % 2 == 0 or x > 0:
+                    second_order_bound(n, x, 96)
+                if x > 0:
+                    first_order_enclosure(n, x, 96)
+                    first_order_error_bound(n, x, 96)
 
     def test_phi_memo_is_keyed_by_the_exact_x(self, monkeypatch):
         calls = []
@@ -328,7 +336,7 @@ class TestCertificateProtocol:
                 phi = shown["lower"] * (1 - mpf(2) ** -30)
             else:
                 phi = shown["upper"] * (1 + mpf(2) ** -30)
-            _, certs = fam.evaluate(order, x, bits, OracleValue(phi, mpf(2) ** -200, "series"))
+            ((_, certs),) = fam.evaluate([order], x, bits, OracleValue(phi, mpf(2) ** -200, "series"))
         assert certs[0].verdict == "fail" and certs[0].margin < 0, certs[0]
 
 
@@ -415,11 +423,12 @@ class TestCertifyGrid:
             assert all(type(c.x) is Fraction for c in got[1]), (key, spelled)
 
     def test_first_order_bounds_do_not_evaluate_the_polynomial_tables(self, monkeypatch):
-        # every first-order convergent and error bound comes from cf_convergent
+        # every first-order convergent and error bound comes from the sweep
         def refuse(*args, **kwargs):
             raise AssertionError("first-order bounds must not evaluate pq_pair")
 
-        monkeypatch.setattr(bounds, "pq_pair", refuse)
+        monkeypatch.setattr(families, "pq_pair", refuse)
+        monkeypatch.setattr(IntPolynomial, "eval_rational", refuse)
         for x in (Fraction(1, 10), Fraction(7, 3), Fraction(29, 2)):
             for n in (0, 1, 7):
                 first_order_enclosure(n, x, 128)

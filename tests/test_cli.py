@@ -78,6 +78,18 @@ class TestBounds:
         assert code == 0
         assert out.splitlines()[:2] == ["family = I_2", "n = 2"]
 
+    def test_order_suffix_and_another_n_refused(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--family", "i2", "--n", "5", "--x", "3/2")
+        assert code == 2
+        assert out == ""
+        assert "error: --family i2 names order 2, but --n is 5" in err
+
+    @pytest.mark.parametrize("argv,order", [(("--family", "i", "--n", "5"), 5), (("--family", "i2", "--n", "2"), 2)])
+    def test_order_named_once_or_twice_alike(self, capsys, argv, order):
+        code, out, _ = run_cli(capsys, "bounds", *argv, "--x", "3/2")
+        assert code == 0
+        assert out.splitlines()[:2] == [f"family = I_{order}", f"n = {order}"]
+
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_every_family_is_reachable(self, capsys, family):
         code, out, err = run_cli(capsys, "bounds", "--family", family, "--n", "2", "--x", "3/2")
@@ -355,6 +367,19 @@ def test_verify_report_bytes_at_other_precisions(capsys, monkeypatch, bits):
     code, out, _ = run_cli(capsys, "verify", "--precision", str(bits), "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PRECISION_REPORT_SHA256[bits]
+
+
+@pytest.mark.skipif(
+    mpmath.libmp.BACKEND != "python" or mpmath.__version__ != "1.3.0",
+    reason="output bytes are pinned for mpmath 1.3.0 with its pure-Python backend",
+)
+def test_cf_table_bytes(capsys, monkeypatch):
+    # SHA-256 of `mills cf --x 7/3 --depth 60`: 60 exact convergents, their
+    # decimals and the ladder values, 8423 bytes
+    monkeypatch.delenv("MILLS_PRECISION_BITS", raising=False)
+    code, out, _ = run_cli(capsys, "cf", "--x", "7/3", "--depth", "60")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == "b97de5c1664146c9fb6d8144b5b590716fa12fe368fa2fb0f444e926ecce00c9"
 
 
 def _load_script(name):

@@ -1,0 +1,290 @@
+"""The certificate path against Fraction reference evaluators.
+
+Every exact value in bounds is an integer expression in one sweep of the
+P/Q recurrence (contfrac.pq_sweep).  The references below form the same
+values the direct way: P_n, Q_n, A_n, B_n and C_n evaluated with
+eval_rational on the polynomial tables, and every margin as a reduced
+Fraction rounded once.  Margins, thresholds, shown values and verdicts
+must agree exactly.
+"""
+
+import random
+from fractions import Fraction
+from math import factorial
+
+import pytest
+from mpmath import mp, mpf
+
+from millsratio import bounds
+from millsratio.bounds import (
+    FAMILIES,
+    GUARD_BITS,
+    first_order_enclosure,
+    first_order_error_bound,
+    komatsu_lower,
+    log_convexity,
+    phi_at,
+    phi_derivative,
+    second_order_bound,
+    szarek_werner_upper,
+)
+from millsratio.contfrac import pq_sweep
+from millsratio.errors import DomainError, SingularityError
+from millsratio.families import pq_pair, quadratic_form, quadratic_triple
+from millsratio.numutil import to_fraction, to_mpf
+from millsratio.oracle import OracleValue, phi_series
+
+
+def _pq(n: int, x: Fraction) -> tuple[Fraction, Fraction]:
+    pair = pq_pair(n)
+    return pair.p.eval_rational(x), pair.q.eval_rational(x)
+
+
+def _abc(n: int, x: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    t = quadratic_triple(n)
+    return t.a.eval_rational(x), t.b.eval_rational(x), t.c.eval_rational(x)
+
+
+def _conv(n: int, x: Fraction) -> Fraction:
+    p, q = _pq(n, x)
+    return q / p
+
+
+def _sub(above: mpf, below: mpf, bits: int) -> mpf:
+    return mp.fsub(above, below, prec=bits + GUARD_BITS, rounding="n")
+
+
+def _threshold(margin: mpf, error: mpf, bits: int) -> mpf:
+    """error + |margin| 2^-w, rounded up at w = bits + GUARD_BITS."""
+    w = bits + GUARD_BITS
+    size = mp.fneg(margin, exact=True) if margin < 0 else margin
+    return mp.fadd(error, mp.ldexp(size, -w), prec=w, rounding="c")
+
+
+def ref_second_order(n: int, x: Fraction, bits: int) -> tuple[mpf, Fraction]:
+    """The square-root bound from A_n, B_n, C_n as Fractions, and A_n(x)."""
+    a, b, c = _abc(n, x)
+    odd = n % 2 == 1
+    if odd and x < 0 and a >= 0:
+        raise DomainError(f"order {n} upper bound requires x > -beta_{(n - 1) // 2}, got x = {x}")
+    if a == 0:
+        raise SingularityError(f"A_{n}({x}) is exactly 0")
+    scale = factorial(n) if b >= 0 else -factorial(n)
+    vieta = (b >= 0) == odd
+    z = bounds._outward(lambda root: 2 * c / (b + scale * root) if vieta else (b + scale * root) / (2 * a),
+                        x * x + 4 * n + 4, odd, bits)
+    return z, a
+
+
+def ref_eq15(n, x, bits, ov):
+    w = bits + GUARD_BITS
+    lower, upper = to_mpf(_conv(2 * n, x), w, "f"), to_mpf(_conv(2 * n + 1, x), w, "c")
+    margin = min(_sub(ov.value, lower, bits), _sub(upper, ov.value, bits))
+    return {"lower": lower, "upper": upper}, [("Eq15", n, margin, ov.error_bound)]
+
+
+def ref_eq16(n, x, bits, ov):
+    w = bits + GUARD_BITS
+    conv = _conv(n, x)
+    bound = Fraction(factorial(n)) / (_pq(n, x)[0] * _pq(n + 1, x)[0])
+    margin = to_mpf(bound - abs(to_fraction(ov.value) - conv), w)
+    shown = {"convergent": to_mpf(conv, w), "error_bound": to_mpf(bound, w, "c")}
+    return shown, [("Eq16", n, margin, ov.error_bound)]
+
+
+def ref_log_convexity(n, x, bits, ov):
+    w = bits + GUARD_BITS
+    a, b, c = _abc(n, x)
+    v, e = to_fraction(ov.value), to_fraction(ov.error_bound)
+    return to_mpf((a * v - b) * v + c, w), to_mpf(abs(2 * a * v - b) * e + abs(a) * e * e, w, "c")
+
+
+def ref_eq17(n, x, bits, ov):
+    return {}, [("Eq17", n, *ref_log_convexity(n, x, bits, ov))]
+
+
+def ref_eq18(n, x, bits, ov):
+    lower = komatsu_lower(x, bits + GUARD_BITS)
+    return {"lower": lower}, [("Eq18", n, _sub(ov.value, lower, bits), ov.error_bound)]
+
+
+def ref_eq19(n, x, bits, ov):
+    upper = szarek_werner_upper(x, bits + GUARD_BITS)
+    return {"upper": upper}, [("Eq19", n, _sub(upper, ov.value, bits), ov.error_bound)]
+
+
+def ref_i(n, x, bits, ov):
+    z, a = ref_second_order(n, x, bits + GUARD_BITS)
+    upper = n % 2 == 1
+    certs = [(f"I_{n}", n, _sub(z, ov.value, bits) if upper else _sub(ov.value, z, bits), ov.error_bound)]
+    if x > 0 and (not upper or a > 0):
+        sharper = _conv(n, x) - to_fraction(z)
+        certs.append((f"I_{n}_sharper", n, to_mpf(sharper if upper else -sharper, bits + GUARD_BITS), mpf(0)))
+    return {"upper" if upper else "lower": z}, certs
+
+
+REFERENCE = {"eq15": ref_eq15, "eq16": ref_eq16, "eq17": ref_eq17, "eq18": ref_eq18, "eq19": ref_eq19, "i": ref_i}
+
+
+def _compare(monkeypatch, family: str, orders: list[int], xs: list[Fraction], bits: int, coarse: bool = False) -> int:
+    """Evaluate family at every x for all orders, as certify_grid does, and
+    compare each order's result with the reference.  Returns the number of
+    certificates compared.  coarse replaces the oracle value by phi rounded
+    to 53 bits with an error bound of 2^20: for phi > 2^53 both are then
+    integers M 2^e with e > 0."""
+    made = []
+    cert = bounds._cert
+
+    def recording(name, n, x, margin, error, precision_bits):
+        made.append((name, n, margin, error))
+        return cert(name, n, x, margin, error, precision_bits)
+
+    monkeypatch.setattr(bounds, "_cert", recording)
+    fam, memo, count = FAMILIES[family], {}, 0
+    orders = orders if fam.order is None else [fam.order]
+    for x in xs:
+        ov = phi_at(x, bits, memo)
+        if coarse:
+            ov = OracleValue(to_mpf(ov.value, 53), mpf(2) ** 20, "series")
+        expected = []
+        for n in orders:
+            try:
+                expected.append((n, *REFERENCE[family](n, x, bits, ov)))
+            except (DomainError, SingularityError) as exc:
+                with pytest.raises(type(exc)) as raised:
+                    fam.evaluate([n], x, bits, ov)
+                assert str(raised.value) == str(exc), (family, n, x)
+        made.clear()
+        results = fam.evaluate(orders, x, bits, ov, skip=True)
+        assert len(results) == len(expected)
+        got_certs = iter(made)
+        for (n, shown, want), (got_shown, certs) in zip(expected, results):
+            assert got_shown == shown, (family, n, x, bits)
+            for c, (name, m, margin, error) in zip(certs, want, strict=True):
+                label = (family, n, x, bits, name)
+                assert next(got_certs) == (name, m, c.margin, error), label
+                assert c.margin == margin, label
+                threshold = _threshold(margin, error, bits)
+                assert bounds._threshold(c.margin, error, bits) == threshold, label
+                assert c.verdict == ("pass" if margin > threshold else "fail"), label
+                assert (c.family, c.n, c.x, c.precision_bits) == (name, m, x, bits)
+                count += 1
+        assert next(got_certs, None) is None
+    return count
+
+
+DEFAULT_GRID = [Fraction(k, 10) for k in range(1, 101)]
+# The orders `mills verify` certifies per family
+DEFAULT_ORDERS = {
+    "eq15": list(range(6)),
+    "eq16": list(range(12)),
+    "eq17": list(range(4)),
+    "eq18": [0],
+    "eq19": [0],
+    "i": list(range(6)),
+}
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+@pytest.mark.parametrize("family", sorted(DEFAULT_ORDERS))
+def test_default_grid_matches_the_reference(monkeypatch, family, bits):
+    count = _compare(monkeypatch, family, DEFAULT_ORDERS[family], DEFAULT_GRID, bits)
+    assert count >= len(DEFAULT_GRID) * len(DEFAULT_ORDERS[family])
+
+
+# x in [-29, 0], where phi grows like e^{x^2/2}
+NEGATIVE_GRID = [Fraction(k, 4) for k in range(-116, 1, 3)] + [Fraction(-29), Fraction(-2901, 101)]
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+@pytest.mark.parametrize(
+    "family,orders",
+    [("eq17", list(range(6)) + [12]), ("eq18", [0]), ("eq19", [1]), ("i", [0, 1, 2, 3, 4, 6, 12])],
+)
+def test_negative_grid_matches_the_reference(monkeypatch, family, orders, bits):
+    fam = FAMILIES[family]
+    xs = [x for x in NEGATIVE_GRID if fam.x_above is None or x > fam.x_above]
+    assert _compare(monkeypatch, family, orders, xs, bits) > 0
+
+
+@pytest.mark.parametrize("family,orders", [("eq17", [0, 1, 2, 5, 12]), ("eq18", [0]), ("i", [0, 2, 4, 12])])
+def test_oracle_value_with_a_positive_exponent(monkeypatch, family, orders):
+    # phi_series carries p + 48 + u log2 e bits, so its value and error
+    # bound have e < 0 even at x = -29; a coarse value reaches e > 0
+    xs = [Fraction(-29), Fraction(-25), Fraction(-43, 2)]
+    assert all(phi_at(x, 64).value._mpf_[2] < 0 < to_mpf(phi_at(x, 64).value, 53)._mpf_[2] for x in xs)
+    assert _compare(monkeypatch, family, orders, xs, 64, coarse=True) > 0
+
+
+def test_certify_grid_is_the_reference(monkeypatch):
+    xs = [Fraction(-7, 3), Fraction(0), Fraction(1, 3), Fraction(5, 2), Fraction(29, 2)]
+    for family in sorted(FAMILIES):
+        fam = FAMILIES[family]
+        points = [x for x in xs if fam.x_above is None or x > fam.x_above]
+        want = []
+        for x in points:
+            ov = phi_at(x, 96)
+            for n in [0, 1, 2, 3, 7] if fam.order is None else [fam.order]:
+                try:
+                    certs = REFERENCE[family](n, x, 96, ov)[1]
+                except (DomainError, SingularityError):
+                    continue
+                want += [(name, m, x, margin, "pass" if margin > _threshold(margin, error, 96) else "fail")
+                         for name, m, margin, error in certs]
+        got = bounds.certify_grid(family, [0, 1, 2, 3, 7], points, 96)
+        assert [(c.family, c.n, c.x, c.margin, c.verdict) for c in got] == sorted(want, key=lambda c: (c[0], c[1]))
+
+
+LIBRARY_POINTS = [Fraction(-2901, 101), Fraction(-7, 3), Fraction(0), Fraction(1, 3), Fraction(5, 2), Fraction(29.99)]
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_library_functions_match_the_reference(bits):
+    for x in LIBRARY_POINTS:
+        for n in (0, 1, 2, 3, 7, 20):
+            ov = phi_at(x, bits)
+            assert log_convexity(n, x, ov, bits) == ref_log_convexity(n, x, bits, ov)
+            try:
+                want = ref_second_order(n, x, bits)[0]
+            except (DomainError, SingularityError) as exc:
+                with pytest.raises(type(exc), match=str(exc)):
+                    second_order_bound(n, x, bits)
+            else:
+                assert second_order_bound(n, x, bits).value == want
+            p, q = _pq(n, x)
+            mag_p, mag_q = (mp.mag(to_mpf(v, 53, "d")) for v in (p, q))
+            phi = phi_series(x, bits + max(0, mag_p)).value
+            want = to_mpf(p * to_fraction(phi) - q, bits + GUARD_BITS + max(0, mag_p + mp.mag(phi), mag_q))
+            assert phi_derivative(n, x, bits) == want
+            if x > 0:
+                enc = first_order_enclosure(n, x, bits)
+                assert (enc.lower, enc.upper) == (to_mpf(_conv(2 * n, x), bits, "f"), to_mpf(_conv(2 * n + 1, x), bits, "c"))
+                bound = Fraction(factorial(n)) / (_pq(n, x)[0] * _pq(n + 1, x)[0])
+                assert first_order_error_bound(n, x, bits) == to_mpf(bound, bits, "c")
+
+
+def _sweep_points() -> list[Fraction]:
+    """200 seeded rationals in [-30, 30] with denominators up to 1000, plus 0,
+    +-30 and values read from binary floats (denominators near 2^48)."""
+    rng = random.Random(20061018)
+    xs = [Fraction(0), Fraction(30), Fraction(-30), Fraction(29.99), Fraction(-13.7), Fraction(0.1), Fraction(-2.5e-3)]
+    for _ in range(200):
+        den = rng.randint(1, 1000)
+        xs.append(Fraction(rng.randint(-30 * den, 30 * den), den))
+    return xs
+
+
+def test_float_points_have_wide_denominators():
+    assert Fraction(29.99).denominator.bit_length() == 49
+
+
+@pytest.mark.parametrize("x", _sweep_points(), ids=str)
+def test_sweep_matches_the_polynomial_tables(x):
+    top = 40
+    ps, qs = pq_sweep(top + 2, x)
+    assert len(ps) == len(qs) == top + 3
+    d = x.denominator
+    for n in range(top + 1):
+        scale = Fraction(1, d**n)
+        assert (ps[n] * scale, qs[n] * scale) == _pq(n, x), n
+        assert tuple(Fraction(v, d ** (2 * n + 2)) for v in quadratic_form(ps, qs, n)) == _abc(n, x), n
