@@ -27,10 +27,10 @@ the P/Q recurrence, p_k = d^k P_k(x) and q_k = d^k Q_k(x)
 (contfrac.pq_sweep): Q_n/P_n = q_n/p_n, n!/(P_n P_{n+1}) = n! d^{2n+1} /
 (p_n p_{n+1}), and d^{2n+2} A_n(x) = p_n p_{n+2} - p_{n+1}^2, B_n and C_n
 alike.  phi's oracle value M 2^e is an integer over a power of two, so
-every margin is one integer over one integer, rounded once.  Bound values
-are rounded outward: convergents by one directed division; a square-root
-bound, monotone in its root, at the end of an integer isqrt enclosure of
-the root that errs outward (_outward).  They hold at every precision.
+every margin is one integer over one integer.  One kernel rounds each
+once (numutil.round_quotient), and every bound value outward: a
+square-root bound, monotone in its root, at the end of an integer isqrt
+enclosure of the root that errs outward (_outward), so it always holds.
 
 The families Eq15 to Eq19 and I are the rows of one table, FAMILIES, that
 certify_grid, `mills bounds` and scripts/bounds_table.py all read.  One
@@ -51,12 +51,12 @@ from math import factorial, isqrt
 from typing import Callable
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational, mpf_abs, mpf_add, mpf_gt, mpf_shift, mpf_sub, round_ceiling, round_nearest
+from mpmath.libmp import mpf_abs, mpf_add, mpf_gt, mpf_shift, mpf_sub, round_ceiling, round_nearest
 
 from .contfrac import pq_sweep
 from .errors import DomainError, SingularityError
 from .families import quadratic_form, quadratic_triple
-from .numutil import check_precision, nstr_fixed, to_fraction, to_mpf
+from .numutil import check_precision, nstr_fixed, round_quotient, to_fraction, to_mpf
 from .oracle import OracleValue, phi_series
 
 GUARD_BITS = 16  # bits above the requested precision: certificates, square roots, phi_derivative
@@ -136,7 +136,7 @@ def _sweep(x: Fraction, orders: list[int], depth: int) -> tuple[list[int], list[
 
 def _quotient(num: int, den: int, w: int, rounding: str = "n", exp: int = 0) -> mpf:
     """num / den * 2^exp rounded once to w bits, in the direction named."""
-    return mp.make_mpf(mpf_shift(from_rational(num, den, w, rounding), exp))
+    return mp.make_mpf(round_quotient(num, den, w, rounding, exp))
 
 
 def _dyadic(*values: mpf) -> tuple[int, ...]:
@@ -146,41 +146,45 @@ def _dyadic(*values: mpf) -> tuple[int, ...]:
     return (scale, *(man << (exp + scale) for man, exp in pairs))
 
 
-def _outward(bound: Callable[[Fraction], Fraction], r: Fraction, upper: bool, precision_bits: int) -> mpf:
-    """bound(sqrt(r)) for a bound monotone in the root, r = a/b > 0, rounded
+def _outward(bound: Callable[[int, int], tuple[int, int]], a: int, b: int, upper: bool, precision_bits: int) -> mpf:
+    """bound(sqrt(a/b)) for a bound monotone in the root, a/b > 0, rounded
     outward to precision_bits.  With k = precision_bits + GUARD_BITS and
-    s = isqrt(a b 4^k), s/(b 2^k) <= sqrt(r) <= (s+1)/(b 2^k), one point
+    s = isqrt(a b 4^k), s/(b 2^k) <= sqrt(a/b) <= (s+1)/(b 2^k), one point
     when s^2 = a b 4^k; a b >= 1, so s >= 2^k and the ends differ by a
-    relative 2^-k at most.  bound is exact at both ends, and the greater is
-    rounded up (an upper bound) or the lesser down."""
+    relative 2^-k at most.  bound(t, u) is the exact (numerator, denominator)
+    at the root t/u; the ends are compared by cross-multiplication, and the
+    greater rounded up (upper bound) or the lesser down by round_quotient."""
     k = precision_bits + GUARD_BITS
-    scaled = r.numerator * r.denominator << 2 * k
+    scaled = a * b << 2 * k
     s = isqrt(scaled)
-    ends = [bound(Fraction(t, r.denominator << k)) for t in {s, s + (s * s != scaled)}]
-    return to_mpf(max(ends), precision_bits, "c") if upper else to_mpf(min(ends), precision_bits, "f")
+    ends = [bound(t, b << k) for t in (s, s + (s * s != scaled))]
+    (n0, d0), (n1, d1) = [(-n, -d) if d < 0 else (n, d) for n, d in ends]
+    n, d = (n1, d1) if (n1 * d0 > n0 * d1) == upper else (n0, d0)
+    return _quotient(n, d, precision_bits, "c" if upper else "f")
 
 
 def komatsu_lower(x, precision_bits: int = 128) -> mpf:
     """2 / (x + sqrt(x^2 + 4)); a lower bound for phi on all of R, formed
     from the exact x with the root enclosed in rationals, and rounded down
     to precision_bits."""
-    p, xf = check_precision(precision_bits), to_fraction(x)
+    p, (a, d) = check_precision(precision_bits), to_fraction(x).as_integer_ratio()
     # for x < 0, x + sqrt(x^2+4) cancels and would widen the root's relative
     # 2^-(p+16) enclosure far beyond 2^-p; the rationalized form does not
-    bound = (lambda root: (root - xf) / 2) if xf < 0 else (lambda root: 2 / (xf + root))
-    return _outward(bound, xf * xf + 4, False, p)
+    bound = (lambda t, u: (t * d - a * u, 2 * u * d)) if a < 0 else (lambda t, u: (2 * u * d, a * u + t * d))
+    return _outward(bound, a * a + 4 * d * d, d * d, False, p)
 
 
 def szarek_werner_upper(x, precision_bits: int = 128) -> mpf:
     """4 / (3x + sqrt(x^2 + 8)); an upper bound for phi on ]-1, inf[, formed
     from the exact x with the root enclosed in rationals, and rounded up to
     precision_bits."""
-    p, xf = check_precision(precision_bits), to_fraction(x)
-    if xf <= -1:
-        raise DomainError(f"x must exceed -1, got x = {xf}")
+    p, (a, d) = check_precision(precision_bits), to_fraction(x).as_integer_ratio()
+    if a <= -d:
+        raise DomainError(f"x must exceed -1, got x = {Fraction(a, d)}")
     # likewise the rationalized form for x < 0 avoids cancellation in 3x + sqrt(x^2+8)
-    bound = (lambda root: (root - 3 * xf) / (2 * (1 - xf * xf))) if xf < 0 else (lambda root: 4 / (3 * xf + root))
-    return _outward(bound, xf * xf + 8, True, p)
+    bound = ((lambda t, u: ((t * d - 3 * a * u) * d, 2 * u * (d * d - a * a))) if a < 0
+             else (lambda t, u: (4 * u * d, 3 * a * u + t * d)))
+    return _outward(bound, a * a + 8 * d * d, d * d, True, p)
 
 
 def second_order_bound(n: int, x, precision_bits: int = 128, sweep=None) -> SecondOrderBound:
@@ -204,11 +208,10 @@ def second_order_bound(n: int, x, precision_bits: int = 128, sweep=None) -> Seco
     # Standard stable quadratic-root evaluation: form q = (b +- n! root) / 2
     # without cancellation, and obtain the other root as c / q via Vieta.
     # a, b, c share the denominator d^{2n+2}, so n! root is scaled by it: at
-    # root = r/s, Z = (b s + scale r) / (2 a s), or 2 c s / (b s + scale r).
+    # root = t/u, Z = (b u + scale t) / (2 a u), or 2 c u / (b u + scale t).
     scale, vieta = (factorial(n) if b >= 0 else -factorial(n)) * xf.denominator ** (2 * n + 2), (b >= 0) == odd
-    z = _outward(lambda root: Fraction(2 * c * root.denominator, b * root.denominator + scale * root.numerator)
-                 if vieta else Fraction(b * root.denominator + scale * root.numerator, 2 * a * root.denominator),
-                 xf * xf + 4 * n + 4, odd, p)
+    z = _outward(lambda t, u: (2 * c * u, b * u + scale * t) if vieta else (b * u + scale * t, 2 * a * u),
+                 xf.numerator ** 2 + (4 * n + 4) * xf.denominator ** 2, xf.denominator ** 2, odd, p)
     return SecondOrderBound(n=n, value=z, role="upper" if odd else "lower")
 
 

@@ -1,5 +1,10 @@
 """Small numeric helpers: conversions between exact and mpmath values,
-each rounding at a precision and in a direction named in the call."""
+each rounding at a precision and in a direction named in the call.
+
+round_quotient is the one kernel by which an exact rational becomes bits:
+one integer division to at least prec + 2 bits, its remainder kept as a
+sticky bit, and one rounding by libmp's normalize (Brent and Zimmermann,
+Modern Computer Arithmetic, 3.1.9); no mpf is formed or divided on the way."""
 
 from __future__ import annotations
 
@@ -7,20 +12,42 @@ import math
 from fractions import Fraction
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational, mpf_pos, to_str
+from mpmath.libmp import fzero, mpf_pos, normalize, to_str
 
 DEFAULT_PRECISION_BITS = 128
 MIN_PRECISION_BITS = 64
+ROUNDINGS = ("n", "f", "c", "d", "u")  # nearest, floor, ceiling, toward 0, away from 0
+
+
+def round_quotient(num: int, den: int, prec: int, rounding: str, exp: int = 0) -> tuple:
+    """The raw mpf of num / den * 2^exp rounded once to prec bits in one of
+    ROUNDINGS, normalized (odd mantissa); 0 for num = 0.  Raises ValueError
+    for any other rounding and ZeroDivisionError for den = 0."""
+    _rounding(rounding)
+    if not num and den:
+        return fzero
+    sign, num, den = int((num < 0) != (den < 0)), abs(num), abs(den)
+    # num 2^shift / den >= 2^(prec+1): two bits at least below the rounding point
+    shift = prec + 2 + den.bit_length() - num.bit_length()
+    q, r = divmod(num << shift, den) if shift >= 0 else divmod(num, den << -shift)  # den = 0 raises here
+    return normalize(sign, q | (r > 0), exp - shift, q.bit_length(), prec, rounding)
+
+
+def _rounding(rounding: str) -> str:
+    """rounding, refused unless it names one of ROUNDINGS."""
+    if rounding not in ROUNDINGS:
+        raise ValueError(f"unknown rounding {rounding!r}; expected one of {', '.join(ROUNDINGS)}")
+    return rounding
 
 
 def to_mpf(value, prec: int, rounding: str = "n") -> mpf:
-    """The exact value of value (see to_fraction) rounded once to prec bits:
-    down ("f"), up ("c"), toward 0 ("d") or to nearest ("n").  An mpf is
-    rounded as it stands, with no detour through a Fraction."""
+    """The exact value of value (see to_fraction) rounded once to prec bits
+    in a direction of ROUNDINGS, by round_quotient.  An mpf is rounded as
+    it stands, with no detour through a Fraction."""
     if isinstance(value, mpf):
-        return mp.make_mpf(mpf_pos(_finite(value), prec, rounding))
+        return mp.make_mpf(mpf_pos(_finite(value), prec, _rounding(rounding)))
     x = to_fraction(value)
-    return mp.make_mpf(from_rational(x.numerator, x.denominator, prec, rounding))
+    return mp.make_mpf(round_quotient(x.numerator, x.denominator, prec, rounding))
 
 
 def to_fraction(value) -> Fraction:

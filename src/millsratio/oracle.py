@@ -80,12 +80,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf
-from mpmath.libmp import (from_float, from_man_exp, from_rational, mpf_abs, mpf_add, mpf_exp, mpf_ln2, mpf_mul,
-                          mpf_mul_int, mpf_neg, mpf_pi, mpf_shift, mpf_sqrt, mpf_sub, round_ceiling, round_floor,
-                          round_nearest, to_float, to_int)
+from mpmath.libmp import (from_float, from_man_exp, mpf_abs, mpf_add, mpf_exp, mpf_ln2, mpf_mul, mpf_mul_int,
+                          mpf_neg, mpf_pi, mpf_shift, mpf_sqrt, mpf_sub, round_ceiling, round_floor, round_nearest,
+                          to_float, to_int)
 
 from .errors import EnvelopeError
-from .numutil import check_precision, to_fraction
+from .numutil import check_precision, round_quotient, to_fraction
 
 ENVELOPE = 30  # |x| beyond this is refused; the guard-bit budget assumes it
 
@@ -155,7 +155,7 @@ def _in_envelope(x) -> Fraction:
 def _root_half_pi_exp(u: Fraction, w: int, rnd: str) -> tuple:
     """sqrt(pi/2) e^u as a raw mpf at w bits, every step rounded rnd."""
     root = mpf_sqrt(mpf_shift(mpf_pi(w, rnd), -1), w, rnd)
-    return mpf_mul(root, mpf_exp(from_rational(u.numerator, u.denominator, w, rnd), w, rnd), w, rnd)
+    return mpf_mul(root, mpf_exp(round_quotient(u.numerator, u.denominator, w, rnd), w, rnd), w, rnd)
 
 
 def phi_series(x, precision_bits: int = 128) -> OracleValue:
@@ -249,7 +249,7 @@ def phi_quadrature(x, precision_bits: int = 128) -> OracleValue:
     y, wp, rn = abs(xq), precision_bits + 32, round_nearest
     n = _node_count(precision_bits, 5 if y >= 5 else 0)  # the lower edge of |x|'s band
     (nodes, weights), f = _rule(n, wp), wp - 2  # weights over 2^f
-    yv = from_rational(y.numerator, y.denominator, wp, rn)
+    yv = round_quotient(y.numerator, y.denominator, wp, rn)
     radicand = mpf_add(mpf_mul(yv, yv, wp, rn), mpf_mul_int(mpf_ln2(wp, rn), 2 * (precision_bits + 16), wp, rn), wp, rn)
     h = mpf_shift(mpf_sub(mpf_sqrt(radicand, wp, rn), yv, wp, rn), -1)  # T/2; T is exact by definition
     total = 0  # sum of w_j f(t_j), exact, over 2^(2f)
@@ -268,7 +268,7 @@ def phi_quadrature(x, precision_bits: int = 128) -> OracleValue:
     if xq < 0:  # phi(x) = sqrt(2 pi) e^{x^2/2} - phi(|x|)
         u = xq * xq / 2
         root = mpf_sqrt(mpf_shift(mpf_pi(wp, rn), 1), wp, rn)  # sqrt(2 pi)
-        e = mpf_mul(root, mpf_exp(from_rational(u.numerator, u.denominator, wp, rn), wp, rn), wp, rn)
+        e = mpf_mul(root, mpf_exp(round_quotient(u.numerator, u.denominator, wp, rn), wp, rn), wp, rn)
         value = mpf_sub(e, value, wp, rn)
         rounding = mpf_add(mpf_mul(e, from_float(float(u) + 10), 53, rn), mpf_abs(value, 53, rn), 53, rn)
         error_bound = mpf_mul(mpf_add(error_bound, mpf_shift(rounding, -wp), 53, rn), _ONE_PLUS, 53, rn)

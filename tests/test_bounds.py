@@ -5,10 +5,12 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv, mp, mpf
+from mpmath.libmp import libmpf
 
 from millsratio import bounds, families
 from millsratio.bounds import (
@@ -297,6 +299,27 @@ class TestCertificateProtocol:
                 if x > 0:
                     first_order_enclosure(n, x, 96)
                     first_order_error_bound(n, x, 96)
+
+    def test_no_mpf_division_on_the_certificate_path(self, monkeypatch):
+        # every exact quotient is rounded by numutil.round_quotient, one
+        # integer divmod; with phi memoized, no certificate divides mpfs
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return mpf_div(*args, **kwargs)
+
+        xs = [Fraction(k, 4) for k in range(-116, 41, 7)] + [Fraction(0), Fraction(1, 3), Fraction(10)]
+        memo = {}
+        for x in xs:
+            bounds.phi_at(x, 96, memo)
+        mpf_div = libmpf.mpf_div
+        monkeypatch.setattr(libmpf, "mpf_div", counting)
+        for family, fam in FAMILIES.items():
+            assert certify_grid(family, list(range(8)), [x for x in xs if fam.x_above is None or x > fam.x_above], 96, memo)
+        assert calls == []
+        sources = sorted(Path(bounds.__file__).parent.glob("*.py"))
+        assert len(sources) >= 9 and not [p.name for p in sources if "from_rational" in p.read_text()]
 
     def test_phi_memo_is_keyed_by_the_exact_x(self, monkeypatch):
         calls = []

@@ -3,17 +3,21 @@
 Every exact value in bounds is an integer expression in one sweep of the
 P/Q recurrence (contfrac.pq_sweep).  The references below form the same
 values the direct way: P_n, Q_n, A_n, B_n and C_n evaluated with
-eval_rational on the polynomial tables, and every margin as a reduced
-Fraction rounded once.  Margins, thresholds, shown values and verdicts
+eval_rational on the polynomial tables, every margin as a reduced
+Fraction, and every square-root bound from a Fraction enclosure of its
+root (ref_outward), each rounded once by libmp's from_rational, not by
+numutil.round_quotient.  Margins, thresholds, shown values and verdicts
 must agree exactly.
 """
 
 import random
+import re
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational
 
 from millsratio import bounds
 from millsratio.bounds import (
@@ -31,7 +35,7 @@ from millsratio.bounds import (
 from millsratio.contfrac import pq_sweep
 from millsratio.errors import DomainError, SingularityError
 from millsratio.families import pq_pair, quadratic_form, quadratic_triple
-from millsratio.numutil import to_fraction, to_mpf
+from millsratio.numutil import to_fraction
 from millsratio.oracle import OracleValue, phi_series
 
 
@@ -48,6 +52,34 @@ def _abc(n: int, x: Fraction) -> tuple[Fraction, Fraction, Fraction]:
 def _conv(n: int, x: Fraction) -> Fraction:
     p, q = _pq(n, x)
     return q / p
+
+
+def _round(value, bits: int, rounding: str = "n") -> mpf:
+    """The exact value rounded once by libmp's from_rational."""
+    value = to_fraction(value)
+    return mp.make_mpf(from_rational(value.numerator, value.denominator, bits, rounding))
+
+
+def ref_outward(bound, r: Fraction, upper: bool, bits: int) -> mpf:
+    """bound(sqrt(r)), r > 0, from the enclosure s/(b 2^k) <= sqrt(r) <=
+    (s+1)/(b 2^k) of bounds._outward, k = bits + GUARD_BITS and s =
+    isqrt(a b 4^k) for r = a/b in lowest terms, with bound evaluated as a
+    Fraction at each end and the greater rounded up or the lesser down."""
+    k = bits + GUARD_BITS
+    scaled = r.numerator * r.denominator << 2 * k
+    s = isqrt(scaled)
+    ends = [bound(Fraction(t, r.denominator << k)) for t in {s, s + (s * s != scaled)}]
+    return _round(max(ends), bits, "c") if upper else _round(min(ends), bits, "f")
+
+
+def ref_komatsu(x: Fraction, bits: int) -> mpf:
+    bound = (lambda root: (root - x) / 2) if x < 0 else (lambda root: 2 / (x + root))
+    return ref_outward(bound, x * x + 4, False, bits)
+
+
+def ref_szarek_werner(x: Fraction, bits: int) -> mpf:
+    bound = (lambda root: (root - 3 * x) / (2 * (1 - x * x))) if x < 0 else (lambda root: 4 / (3 * x + root))
+    return ref_outward(bound, x * x + 8, True, bits)
 
 
 def _sub(above: mpf, below: mpf, bits: int) -> mpf:
@@ -71,14 +103,14 @@ def ref_second_order(n: int, x: Fraction, bits: int) -> tuple[mpf, Fraction]:
         raise SingularityError(f"A_{n}({x}) is exactly 0")
     scale = factorial(n) if b >= 0 else -factorial(n)
     vieta = (b >= 0) == odd
-    z = bounds._outward(lambda root: 2 * c / (b + scale * root) if vieta else (b + scale * root) / (2 * a),
-                        x * x + 4 * n + 4, odd, bits)
+    z = ref_outward(lambda root: 2 * c / (b + scale * root) if vieta else (b + scale * root) / (2 * a),
+                    x * x + 4 * n + 4, odd, bits)
     return z, a
 
 
 def ref_eq15(n, x, bits, ov):
     w = bits + GUARD_BITS
-    lower, upper = to_mpf(_conv(2 * n, x), w, "f"), to_mpf(_conv(2 * n + 1, x), w, "c")
+    lower, upper = _round(_conv(2 * n, x), w, "f"), _round(_conv(2 * n + 1, x), w, "c")
     margin = min(_sub(ov.value, lower, bits), _sub(upper, ov.value, bits))
     return {"lower": lower, "upper": upper}, [("Eq15", n, margin, ov.error_bound)]
 
@@ -87,8 +119,8 @@ def ref_eq16(n, x, bits, ov):
     w = bits + GUARD_BITS
     conv = _conv(n, x)
     bound = Fraction(factorial(n)) / (_pq(n, x)[0] * _pq(n + 1, x)[0])
-    margin = to_mpf(bound - abs(to_fraction(ov.value) - conv), w)
-    shown = {"convergent": to_mpf(conv, w), "error_bound": to_mpf(bound, w, "c")}
+    margin = _round(bound - abs(to_fraction(ov.value) - conv), w)
+    shown = {"convergent": _round(conv, w), "error_bound": _round(bound, w, "c")}
     return shown, [("Eq16", n, margin, ov.error_bound)]
 
 
@@ -96,7 +128,7 @@ def ref_log_convexity(n, x, bits, ov):
     w = bits + GUARD_BITS
     a, b, c = _abc(n, x)
     v, e = to_fraction(ov.value), to_fraction(ov.error_bound)
-    return to_mpf((a * v - b) * v + c, w), to_mpf(abs(2 * a * v - b) * e + abs(a) * e * e, w, "c")
+    return _round((a * v - b) * v + c, w), _round(abs(2 * a * v - b) * e + abs(a) * e * e, w, "c")
 
 
 def ref_eq17(n, x, bits, ov):
@@ -104,12 +136,12 @@ def ref_eq17(n, x, bits, ov):
 
 
 def ref_eq18(n, x, bits, ov):
-    lower = komatsu_lower(x, bits + GUARD_BITS)
+    lower = ref_komatsu(x, bits + GUARD_BITS)
     return {"lower": lower}, [("Eq18", n, _sub(ov.value, lower, bits), ov.error_bound)]
 
 
 def ref_eq19(n, x, bits, ov):
-    upper = szarek_werner_upper(x, bits + GUARD_BITS)
+    upper = ref_szarek_werner(x, bits + GUARD_BITS)
     return {"upper": upper}, [("Eq19", n, _sub(upper, ov.value, bits), ov.error_bound)]
 
 
@@ -119,7 +151,7 @@ def ref_i(n, x, bits, ov):
     certs = [(f"I_{n}", n, _sub(z, ov.value, bits) if upper else _sub(ov.value, z, bits), ov.error_bound)]
     if x > 0 and (not upper or a > 0):
         sharper = _conv(n, x) - to_fraction(z)
-        certs.append((f"I_{n}_sharper", n, to_mpf(sharper if upper else -sharper, bits + GUARD_BITS), mpf(0)))
+        certs.append((f"I_{n}_sharper", n, _round(sharper if upper else -sharper, bits + GUARD_BITS), mpf(0)))
     return {"upper" if upper else "lower": z}, certs
 
 
@@ -145,7 +177,7 @@ def _compare(monkeypatch, family: str, orders: list[int], xs: list[Fraction], bi
     for x in xs:
         ov = phi_at(x, bits, memo)
         if coarse:
-            ov = OracleValue(to_mpf(ov.value, 53), mpf(2) ** 20, "series")
+            ov = OracleValue(_round(ov.value, 53), mpf(2) ** 20, "series")
         expected = []
         for n in orders:
             try:
@@ -212,7 +244,7 @@ def test_oracle_value_with_a_positive_exponent(monkeypatch, family, orders):
     # phi_series carries p + 48 + u log2 e bits, so its value and error
     # bound have e < 0 even at x = -29; a coarse value reaches e > 0
     xs = [Fraction(-29), Fraction(-25), Fraction(-43, 2)]
-    assert all(phi_at(x, 64).value._mpf_[2] < 0 < to_mpf(phi_at(x, 64).value, 53)._mpf_[2] for x in xs)
+    assert all(phi_at(x, 64).value._mpf_[2] < 0 < _round(phi_at(x, 64).value, 53)._mpf_[2] for x in xs)
     assert _compare(monkeypatch, family, orders, xs, 64, coarse=True) > 0
 
 
@@ -252,15 +284,15 @@ def test_library_functions_match_the_reference(bits):
             else:
                 assert second_order_bound(n, x, bits).value == want
             p, q = _pq(n, x)
-            mag_p, mag_q = (mp.mag(to_mpf(v, 53, "d")) for v in (p, q))
+            mag_p, mag_q = (mp.mag(_round(v, 53, "d")) for v in (p, q))
             phi = phi_series(x, bits + max(0, mag_p)).value
-            want = to_mpf(p * to_fraction(phi) - q, bits + GUARD_BITS + max(0, mag_p + mp.mag(phi), mag_q))
+            want = _round(p * to_fraction(phi) - q, bits + GUARD_BITS + max(0, mag_p + mp.mag(phi), mag_q))
             assert phi_derivative(n, x, bits) == want
             if x > 0:
                 enc = first_order_enclosure(n, x, bits)
-                assert (enc.lower, enc.upper) == (to_mpf(_conv(2 * n, x), bits, "f"), to_mpf(_conv(2 * n + 1, x), bits, "c"))
+                assert (enc.lower, enc.upper) == (_round(_conv(2 * n, x), bits, "f"), _round(_conv(2 * n + 1, x), bits, "c"))
                 bound = Fraction(factorial(n)) / (_pq(n, x)[0] * _pq(n + 1, x)[0])
-                assert first_order_error_bound(n, x, bits) == to_mpf(bound, bits, "c")
+                assert first_order_error_bound(n, x, bits) == _round(bound, bits, "c")
 
 
 def _sweep_points() -> list[Fraction]:
@@ -288,3 +320,35 @@ def test_sweep_matches_the_polynomial_tables(x):
         scale = Fraction(1, d**n)
         assert (ps[n] * scale, qs[n] * scale) == _pq(n, x), n
         assert tuple(Fraction(v, d ** (2 * n + 2)) for v in quadratic_form(ps, qs, n)) == _abc(n, x), n
+
+
+# x = 0 (Eq18, I_0), 1 (Eq19), 3/2 (Eq18, I_0) and 3 (I_3) make the
+# radicand an exact square, so the root's enclosure is one point; I_1 is
+# singular at x = 1
+OUTWARD_POINTS = [Fraction(-29), Fraction(-2901, 101), Fraction(-7, 3), Fraction(-3, 2), Fraction(-1, 2),
+                  Fraction(-1, 3), Fraction(0), Fraction(1, 3), Fraction(1), Fraction(3, 2), Fraction(3),
+                  Fraction(29, 2), Fraction(29.99)]
+
+
+@pytest.mark.parametrize("bits", [64, 97, 128, 256, 1024])
+def test_integer_outward_matches_the_fraction_reference(bits):
+    for x in OUTWARD_POINTS:
+        assert komatsu_lower(x, bits) == ref_komatsu(x, bits), (x, bits)
+        if x > -1:
+            assert szarek_werner_upper(x, bits) == ref_szarek_werner(x, bits), (x, bits)
+        for n in (0, 1, 2, 3, 4, 7):
+            try:
+                want = ref_second_order(n, x, bits)[0]
+            except (DomainError, SingularityError) as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    second_order_bound(n, x, bits)
+            else:
+                assert second_order_bound(n, x, bits).value == want, (n, x, bits)
+
+
+@pytest.mark.parametrize("bits", [64, 97, 128, 256, 1024])
+def test_exact_square_radicands_give_the_exact_bound(bits):
+    # the one-point enclosure: the bound is the exact rational rounded once
+    assert komatsu_lower(0, bits) == second_order_bound(0, 0, bits).value == 1
+    assert komatsu_lower(Fraction(3, 2), bits) == _round(Fraction(1, 2), bits, "f")
+    assert szarek_werner_upper(1, bits) == _round(Fraction(2, 3), bits, "c")

@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, from_rational
+from mpmath.libmp import from_man_exp, from_rational, fzero, mpf_shift
 
-from millsratio.numutil import to_fraction, to_mpf
+from millsratio import bounds
+from millsratio.numutil import round_quotient, to_fraction, to_mpf
 
 
 def test_to_fraction_keeps_every_bit_of_a_wide_mpf():
@@ -74,3 +76,73 @@ def test_non_finite_mpfs_refused(value):
         to_fraction(value)
     with pytest.raises(ValueError, match="cannot convert non-finite value"):
         to_mpf(value, 64)
+
+
+def _reference(num: int, den: int, prec: int, rounding: str, exp: int = 0) -> tuple:
+    return mpf_shift(from_rational(num, den, prec, rounding), exp)
+
+
+def _check_kernel(num: int, den: int, prec: int, exp: int = 0) -> None:
+    for rounding in "nfcdu":
+        got = round_quotient(num, den, prec, rounding, exp)
+        assert got == _reference(num, den, prec, rounding, exp), (num, den, prec, rounding, exp)
+        sign, man, _, bc = got
+        assert type(sign) is int and (man == 0 or man & 1) and bc == man.bit_length()
+
+
+@st.composite
+def quotients(draw):
+    """(num, den, prec, exp): num and den of up to 2100 bits, either sign,
+    den a power of two one time in four; prec 53-2048, exp within +-400."""
+    num = draw(st.integers(0, 2100).flatmap(lambda bits: st.integers(-(2**bits), 2**bits)))
+    if draw(st.integers(0, 3)) == 0:
+        den = draw(st.sampled_from((1, -1))) << draw(st.integers(0, 2100))
+    else:
+        den = draw(st.integers(1, 2100).flatmap(lambda bits: st.integers(1, 2**bits))) * draw(st.sampled_from((1, -1)))
+    if draw(st.booleans()):
+        num *= den  # an exact quotient
+    return num, den, draw(st.integers(53, 2048)), draw(st.integers(-400, 400))
+
+
+@settings(max_examples=400, deadline=None)
+@given(quotients())
+def test_round_quotient_is_libmps_rational_conversion(case):
+    _check_kernel(*case)
+
+
+@pytest.mark.parametrize("prec", [53, 64, 97, 1025, 2048])
+def test_round_quotient_fixed_examples(prec):
+    rng = random.Random(prec)
+    for exp in (-400, -1, 0, 3, 400):
+        wide = [(rng.getrandbits(3 * prec), rng.getrandbits(prec) | 1), (rng.getrandbits(40), -rng.getrandbits(2000) | 1)]
+        for num, den in [(0, 1), (0, -7), (1, 3), (-1, 3), (1, -3), (-1, -3), (5, 1 << 90), (-(3**700), 1 << 11),
+                         (2**prec - 1, 1), (2**prec + 1, 1), (2 * 3**400 + 1, 3**400), (7**300, 7**299), *wide]:
+            _check_kernel(num, den, prec, exp)
+        assert round_quotient(0, -5, prec, "u", exp) == fzero
+
+
+@pytest.mark.parametrize("prec", [53, 97, 128, 1000])
+def test_round_quotient_ties_go_to_even(prec):
+    # m of prec + 1 bits, m odd: m/2^5 lies halfway between two prec-bit values
+    for m, even in (((1 << prec) + 1, 1 << prec), ((1 << prec) + 3, (1 << prec) + 4)):
+        for g in (1, 3, 3**50):
+            for sign in (1, -1):
+                got = round_quotient(sign * m * g, g << 5, prec, "n", 7)
+                assert got == from_man_exp(sign * even, 2) == _reference(sign * m * g, g << 5, prec, "n", 7)
+
+
+def test_round_quotient_refuses_a_zero_denominator():
+    for num in (0, 1, -3**90):
+        with pytest.raises(ZeroDivisionError):
+            from_rational(num, 0, 64, "n")
+        with pytest.raises(ZeroDivisionError):
+            round_quotient(num, 0, 64, "n")
+
+
+@pytest.mark.parametrize("rounding", ["z", "N", "", "nearest", None])
+def test_unknown_rounding_is_refused_by_name(rounding):
+    for call in (lambda: round_quotient(1, 3, 64, rounding), lambda: round_quotient(0, 3, 64, rounding),
+                 lambda: round_quotient(4, 2, 64, rounding), lambda: to_mpf(Fraction(1, 3), 64, rounding),
+                 lambda: to_mpf(mpf(3), 64, rounding), lambda: bounds._quotient(1, 3, 64, rounding)):
+        with pytest.raises(ValueError, match=f"unknown rounding {rounding!r}"):
+            call()
