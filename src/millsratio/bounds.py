@@ -15,7 +15,8 @@ The n = 0 and n = 1 specializations are the classical results
     2/(x + sqrt(x^2+4)) < phi(x)              (all real x)
     phi(x) < 4/(3x + sqrt(x^2+8))             (x > -1).
 
-beta_m is located by bisection with *exact* rational sign evaluations, so
+beta_m is located by bisection with *exact* sign evaluations, each the
+sign of d^{2n+2} A_n(x) read from one sweep (below) at a dyadic point, so
 the returned bracket is a proof.  At x = +-beta_m the quadratic
 degenerates (A vanishes) and the bound evaluator reports a singularity
 instead of inventing a continuity value.
@@ -55,7 +56,7 @@ from mpmath.libmp import mpf_abs, mpf_add, mpf_gt, mpf_shift, mpf_sub, round_cei
 
 from .contfrac import pq_sweep
 from .errors import DomainError, SingularityError
-from .families import quadratic_form, quadratic_triple
+from .families import quadratic_form
 from .numutil import check_precision, nstr_fixed, round_quotient, to_fraction, to_mpf
 from .oracle import OracleValue, phi_series
 
@@ -238,11 +239,12 @@ def phi_derivative(n: int, x, precision_bits: int = 128) -> mpf:
 def beta(m: int, tolerance=None) -> BetaRoot:
     """The unique root of A_{2m+1} in ]0, 1], bracketed by exact signs.
 
-    Every sign query is exact rational arithmetic, so the final bracket is
-    mathematically certain; the reported value is its midpoint, rounded to
-    nearest at 32 bits beyond the tolerance (128 at least).  When the root
-    is exactly 1 (as for m = 0, where A_1 = X^2 - 1) the value is exact and
-    the upper bracket endpoint carries sign zero.
+    Each sign query reads the integer d^{2n+2} A_n(x), n = 2m + 1, from one
+    sweep at x = a/d, so the final bracket is mathematically certain; the
+    reported value is its midpoint, rounded to nearest at 32 bits beyond
+    the tolerance (128 at least).  When the root is exactly 1 (as for m = 0,
+    where A_1 = X^2 - 1) the value is exact and the upper bracket endpoint
+    carries sign zero.
     """
     if m < 0:
         raise ValueError("index must be non-negative")
@@ -250,15 +252,15 @@ def beta(m: int, tolerance=None) -> BetaRoot:
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     bits = max(128, -(tol.numerator.bit_length() - tol.denominator.bit_length()) + 32)
-    a = quadratic_triple(2 * m + 1).a
-    lo, hi = Fraction(0), Fraction(1)
-    if a.eval_rational(lo) >= 0:
-        raise ArithmeticError(f"A_{2 * m + 1}(0) must be negative")
-    if a.eval_rational(hi) == 0:
+    n, lo, hi = 2 * m + 1, Fraction(0), Fraction(1)
+    sign = lambda x: quadratic_form(*pq_sweep(n + 2, x), n)[0]  # the sign of A_n(x)
+    if sign(lo) >= 0:
+        raise ArithmeticError(f"A_{n}(0) must be negative")
+    if sign(hi) == 0:
         return BetaRoot(m=m, value=mpf(1), bracket=(Fraction(1) - min(tol, Fraction(1, 2)), Fraction(1)))
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        s = a.eval_rational(mid)
+        s = sign(mid)
         if s == 0:
             # dyadic midpoint happens to be the exact root
             return BetaRoot(m=m, value=to_mpf(mid, bits), bracket=(mid - tol, mid + tol))
@@ -381,7 +383,7 @@ def _second_order(n: int, x: Fraction, precision_bits: int, ov: OracleValue, swe
     sb, (ps, qs) = second_order_bound(n, x, precision_bits + GUARD_BITS, sweep), sweep
     upper = sb.role == "upper"
     certs = [_vs_phi(f"I_{n}", n, x, sb.value, upper, precision_bits, ov)]
-    if x > 0 and (not upper or ps[n] * ps[n + 2] > ps[n + 1] ** 2):  # A_n(x) > 0
+    if x > 0 and (not upper or quadratic_form(ps, qs, n)[0] > 0):  # A_n(x) > 0
         scale, z = _dyadic(sb.value)
         sharper = (qs[n] << scale) - z * ps[n]
         margin = _quotient(sharper if upper else -sharper, ps[n], precision_bits + GUARD_BITS, "n", -scale)

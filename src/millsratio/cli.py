@@ -26,7 +26,7 @@ from . import __version__
 from .bounds import CSV_COLUMNS, FAMILIES, beta, certify_grid, find_family, phi_at
 from .contfrac import cf_b, cf_ladder_eval, expansion_str, pq_sweep
 from .errors import DomainError, MillsError, SingularityError
-from .families import discriminant, pq_pair, quadratic_triple, verify_identities
+from .families import discriminant, pq_pair, quadratic_form, quadratic_triple, verify_identities
 from .numutil import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, nstr_fixed, to_fraction
 from .oracle import phi_quadrature, phi_series
 
@@ -234,30 +234,28 @@ def _render_report(report: dict, fmt: str) -> str:
             writer.writerow([c[k] for k in CSV_COLUMNS])
         return buf.getvalue()
     lines = [f"mills verify (version {report['version']})"]
-    fails = [e for e in report["identities"] if e["status"] == "fail"]
-    lines.append(f"identities: {len(report['identities']) - len(fails)}/{len(report['identities'])} pass")
-    for e in fails:
-        lines.append(f"  FAIL {e['identity']} at n={e['n']}")
-    cert_fails = [c for c in report["certificates"] if c["verdict"] == "fail"]
-    lines.append(f"certificates: {len(report['certificates']) - len(cert_fails)}/{len(report['certificates'])} pass")
-    for c in cert_fails:
-        lines.append(f"  FAIL {c['family']} n={c['n']} x={c['x']} margin={c['margin']}")
-    ag_fails = [e for e in report["oracle_agreement"] if e["status"] == "fail"]
-    lines.append(f"oracle agreement: {len(report['oracle_agreement']) - len(ag_fails)}/{len(report['oracle_agreement'])} pass")
+    for section, field, name in (  # each section's pass count, then one line per failing entry
+        ("identities", "status", lambda e: f"{e['identity']} at n={e['n']}"),
+        ("certificates", "verdict", lambda c: f"{c['family']} n={c['n']} x={c['x']} margin={c['margin']}"),
+        ("oracle_agreement", "status", lambda e: f"oracle agreement at x={e['x']}"),
+    ):
+        entries = report[section]
+        fails = [f"  FAIL {name(e)}" for e in entries if e[field] == "fail"]
+        lines += [f"{section.replace('_', ' ')}: {len(entries) - len(fails)}/{len(entries)} pass", *fails]
     lines.append("ALL PASS" if report["all_pass"] else "FAILURES PRESENT")
     return "\n".join(lines) + "\n"
 
 
 def cmd_beta(args) -> int:
-    root = beta(args.m, args.tolerance)
-    a = quadratic_triple(2 * args.m + 1).a
+    root, n = beta(args.m, args.tolerance), 2 * args.m + 1
     lo, hi = root.bracket
     print(f"m = {args.m}")
     print(f"beta = {nstr_fixed(root.value, args.digits)}")
     print(f"bracket_low = {lo}")
     print(f"bracket_high = {hi}")
-    print(f"A_{2 * args.m + 1}(bracket_low) = {a.eval_rational(lo)}")
-    print(f"A_{2 * args.m + 1}(bracket_high) = {a.eval_rational(hi)}")
+    for end, x in (("low", lo), ("high", hi)):
+        scaled = quadratic_form(*pq_sweep(n + 2, x), n)[0]  # d^{2n+2} A_n(x) at x = a/d, as in beta
+        print(f"A_{n}(bracket_{end}) = {Fraction(scaled, x.denominator ** (2 * n + 2))}")
     return 0
 
 

@@ -27,22 +27,25 @@ prefactor is required for degrees and leading coefficients to match; the
 relation is recorded here for orientation only, the coefficients of P_n
 are already pinned by the explicit sum below.
 
-Two memo tables back the module: the (P_n, Q_n) lists and the
-quadratic-triple table keyed by n.  Both are grow-only, each entry is built
-once and never replaced, and growth is guarded by a lock, so the module is
-safe under concurrent readers.  Nothing mutates an entry: the CLI's fault
-injection hands ``verify_identities`` a corrupted *copy* of the tables, and
-the shared ones stay correct for the rest of the process.
+One memo table backs the module, the (P_n, Q_n) lists: grow-only, each
+entry built once and never replaced, growth guarded by a lock, so the
+module is safe under concurrent readers.  quadratic_form, applied to these
+tables or to one sweep's values at a point, is the one definition of A_n,
+B_n and C_n.  Nothing mutates an entry: the CLI's fault injection hands
+``verify_identities`` a corrupted *copy* of the tables, and the shared
+ones stay correct for the rest of the process.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb, factorial
 
 from mpmath import mp, mpf
 
+from .contfrac import pq_sweep
 from .errors import IdentityError
 from .numutil import check_precision, to_fraction, to_mpf
 from .poly import IntPolynomial, ONE, X, ZERO
@@ -66,7 +69,6 @@ class QuadraticTriple:
 _lock = threading.Lock()
 _P: list[IntPolynomial] = [ONE, X]
 _Q: list[IntPolynomial] = [ZERO, ONE]
-_TRIPLES: dict[int, QuadraticTriple] = {}
 
 
 def pq_pair(n: int) -> PQPair:
@@ -145,16 +147,11 @@ def q_coefficient_form(n: int) -> IntPolynomial:
 
 
 def quadratic_triple(n: int) -> QuadraticTriple:
-    """A_n, B_n, C_n via the shared memo table; each order is built once."""
+    """A_n, B_n, C_n, formed from the shared (P, Q) tables on each call."""
     if n < 0:
         raise ValueError("order must be non-negative")
-    triple = _TRIPLES.get(n)
-    if triple is None:
-        pq_pair(n + 2)
-        triple = QuadraticTriple(n, *quadratic_form(_P, _Q, n))
-        with _lock:
-            triple = _TRIPLES.setdefault(n, triple)
-    return triple
+    pq_pair(n + 2)
+    return QuadraticTriple(n, *quadratic_form(_P, _Q, n))
 
 
 def quadratic_form(p: list, q: list, n: int) -> tuple:
@@ -195,13 +192,16 @@ def a_closed_form(n: int) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
+def _closed_discriminant(n: int) -> IntPolynomial:
+    """(n!)^2 (X^2 + 4n + 4), what B_n^2 - 4 A_n C_n collapses to."""
+    f2 = factorial(n) ** 2
+    return IntPolynomial([f2 * (4 * n + 4), 0, f2])
+
+
 def discriminant(n: int) -> IntPolynomial:
     """B_n^2 - 4 A_n C_n, asserted equal to (n!)^2 (X^2 + 4n + 4)."""
-    t = quadratic_triple(n)
-    computed = t.b * t.b - 4 * (t.a * t.c)
-    f2 = factorial(n) ** 2
-    assembled = IntPolynomial([f2 * (4 * n + 4), 0, f2])
-    if computed != assembled:
+    t, assembled = quadratic_triple(n), _closed_discriminant(n)
+    if t.b * t.b - 4 * (t.a * t.c) != assembled:
         raise IdentityError(f"discriminant identity failed at n={n}")
     return assembled
 
@@ -209,8 +209,9 @@ def discriminant(n: int) -> IntPolynomial:
 def generating_function_residual(x, y, terms: int, precision_bits: int) -> mpf:
     """|sum_{n<terms} A_n(x) y^n / n!  -  exp(y x^2/(1-y)) / ((1+y) sqrt(1-y^2))|.
 
-    The partial sum is exact rational arithmetic; x, y, every step of the
-    closed form and the final subtraction are rounded to nearest at
+    The partial sum is exact rational arithmetic, with every A_n(x) read
+    from one sweep at x = a/d through quadratic_form; x, y, every step of
+    the closed form and the final subtraction are rounded to nearest at
     precision_bits.
     """
     x, y = to_fraction(x), to_fraction(y)
@@ -218,7 +219,8 @@ def generating_function_residual(x, y, terms: int, precision_bits: int) -> mpf:
         raise ValueError("terms must be >= 1")
     if abs(y) >= 1:
         raise ValueError("|y| must be < 1")
-    partial = sum(quadratic_triple(n).a.eval_rational(x) * y**n / factorial(n) for n in range(terms))
+    sweep, d2 = pq_sweep(terms + 1, x), x.denominator ** 2  # A_n(x) = d^{-2n-2} quadratic_form(*sweep, n)[0]
+    partial = sum(Fraction(quadratic_form(*sweep, n)[0], d2 ** (n + 1) * factorial(n)) * y**n for n in range(terms))
     p = check_precision(precision_bits)
     rn = {"prec": p, "rounding": "n"}
     xv, yv = to_mpf(x, p), to_mpf(y, p)
@@ -232,24 +234,21 @@ def verify_identities(n_max: int, tables=None) -> list[dict]:
     """Exact check of every algebraic identity, for all n <= n_max.
 
     ``tables`` is an optional pair (P list, Q list) of at least n_max + 3
-    entries to check instead of the shared memo; the quadratic triples are
-    then derived from it too.  Returns a list of
-    {"identity": ..., "n": ..., "status": "pass"|"fail"} entries with stable
-    key order; failures never raise, and a closed form that raises
-    IdentityError fails its entry.
+    entries to check instead of the shared memo; either way, the quadratic
+    triples are formed from the checked tables by quadratic_form.  Returns a
+    list of {"identity": ..., "n": ..., "status": "pass"|"fail"} entries
+    with stable key order; failures never raise, and a closed form that
+    raises IdentityError fails its entry.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if tables is None:
         pq_pair(n_max + 2)  # prefill
-        p_tab, q_tab, triple_at = _P, _Q, quadratic_triple
+        p_tab, q_tab = _P, _Q
     else:
         p_tab, q_tab = tables
         if min(len(p_tab), len(q_tab)) < n_max + 3:
             raise ValueError(f"tables must hold orders 0..{n_max + 2}")
-
-        def triple_at(n: int) -> QuadraticTriple:
-            return QuadraticTriple(n, *quadratic_form(p_tab, q_tab, n))
 
     report: list[dict] = []
 
@@ -278,9 +277,7 @@ def verify_identities(n_max: int, tables=None) -> list[dict]:
         sign = (-1) ** n
         entry("wronskian_step1", n, q1 * p - p1 * q == IntPolynomial([sign * factorial(n)]))
         entry("wronskian_step2", n, q2 * p - p2 * q == IntPolynomial([0, sign * factorial(n)]))
-        triple = triple_at(n)
-        f2 = factorial(n) ** 2
-        delta = triple.b * triple.b - 4 * (triple.a * triple.c)
-        entry("discriminant", n, delta == IntPolynomial([f2 * (4 * n + 4), 0, f2]))
-        closed("A_closed_form", a_closed_form, n, triple.a)
+        a, b, c = quadratic_form(p_tab, q_tab, n)
+        entry("discriminant", n, b * b - 4 * (a * c) == _closed_discriminant(n))
+        closed("A_closed_form", a_closed_form, n, a)
     return report

@@ -28,6 +28,7 @@ from millsratio.bounds import (
     second_order_bound,
     szarek_werner_upper,
 )
+from millsratio.cli import main
 from millsratio.contfrac import cf_ladder_eval
 from millsratio.errors import DomainError, EnvelopeError, SingularityError
 from millsratio.families import generating_function_residual, pq_pair, quadratic_triple
@@ -278,14 +279,21 @@ class TestCertificateProtocol:
         depth = {"eq15": 23, "eq16": 12, "eq17": 13, "i": 13}
         assert calls == ([(depth[family], x) for x in xs] if family in depth else [])
 
-    def test_no_polynomial_is_evaluated(self, monkeypatch):
-        # every exact value of a certificate or a bound comes from the sweep,
-        # none from the polynomial tables (beta's bisection aside)
+    def test_no_polynomial_is_evaluated(self, monkeypatch, capsys):
+        # every exact value of a certificate, a bound, beta's sign queries,
+        # the generating-function partial sum and `mills beta` comes from a
+        # sweep, none from the polynomial tables
         def refuse(*args, **kwargs):
-            raise AssertionError("bounds must read the sweep, not the polynomial tables")
+            raise AssertionError("values at a point must read the sweep, not the polynomial tables")
 
         monkeypatch.setattr(IntPolynomial, "eval_rational", refuse)
-        monkeypatch.setattr(bounds, "quadratic_triple", refuse)
+        monkeypatch.setattr(families, "quadratic_triple", refuse)
+        monkeypatch.setattr(families, "pq_pair", refuse)
+        for m in range(6):
+            beta(m)
+        for x, y in ((Fraction(2), Fraction(1, 3)), (Fraction(-7, 3), Fraction(-1, 5)), (0.5, Fraction(1, 4))):
+            generating_function_residual(x, y, 30, 128)
+        assert main(["beta", "--m", "3"]) == 0 and capsys.readouterr().out.startswith("m = 3\n")
         for x in (Fraction(-29), Fraction(-7, 3), Fraction(0), Fraction(1, 3), Fraction(29, 2)):
             for family, fam in FAMILIES.items():
                 if fam.x_above is None or x > fam.x_above:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -327,6 +328,21 @@ class TestVerify:
         assert code == 0
         assert "ALL PASS" in out
 
+    def test_text_format_names_each_failing_agreement_point(self, capsys, monkeypatch):
+        quadrature = cli.phi_quadrature
+
+        def off_at_two(x, precision_bits):
+            ov = quadrature(x, precision_bits)
+            return dataclasses.replace(ov, value=ov.value + 1) if x == 2 else ov
+
+        monkeypatch.setattr(cli, "phi_quadrature", off_at_two)
+        code, out, _ = run_cli(capsys, "verify", "--n-max", "2", "--grid", "1:2:1",
+                               "--precision", "96", "--format", "text")
+        assert code == 1
+        lines = out.splitlines()
+        i = lines.index("oracle agreement: 5/6 pass")
+        assert lines[i + 1 :] == ["  FAIL oracle agreement at x=2", "FAILURES PRESENT"]
+
 
 # SHA-256 of `mills verify` with every default, per --format (mpmath 1.3.0,
 # pure-Python backend); any change to a verdict, margin digit or layout shows.
@@ -380,6 +396,28 @@ def test_cf_table_bytes(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "cf", "--x", "7/3", "--depth", "60")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == "b97de5c1664146c9fb6d8144b5b590716fa12fe368fa2fb0f444e926ecce00c9"
+
+
+# SHA-256 and length of `mills beta --m <m>` stdout: the bracket, its
+# midpoint to 20 digits and the exact A_{2m+1} at both bracket ends
+BETA_OUTPUT_SHA256 = {
+    0: ("e673965935be511d042711274aea7d2b888e87644ea551ea3432208ef9628a06", 158),
+    1: ("03988186282eb8b66670b21f69e7367e966676c15eff1a080077ca5160de3921", 424),
+    2: ("f231c27397430279020ae07e435a59fb2ca91059df7b5612a421bf3cecbe70a6", 621),
+    5: ("c6eef9db00b822283ec12b6f62635060e389accc51b1e11ca03862c57ce6a1f4", 1204),
+    15: ("f80035b046d3f4ed975980a91ed748d87a3d59b968e084906d05d4428b8eaa2e", 3162),
+}
+
+
+@pytest.mark.skipif(
+    mpmath.libmp.BACKEND != "python" or mpmath.__version__ != "1.3.0",
+    reason="output bytes are pinned for mpmath 1.3.0 with its pure-Python backend",
+)
+@pytest.mark.parametrize("m", sorted(BETA_OUTPUT_SHA256))
+def test_beta_output_bytes(capsys, m):
+    code, out, _ = run_cli(capsys, "beta", "--m", str(m))
+    assert code == 0
+    assert (hashlib.sha256(out.encode("utf-8")).hexdigest(), len(out.encode("utf-8"))) == BETA_OUTPUT_SHA256[m]
 
 
 def _load_script(name):

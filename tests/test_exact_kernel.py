@@ -7,7 +7,9 @@ eval_rational on the polynomial tables, every margin as a reduced
 Fraction, and every square-root bound from a Fraction enclosure of its
 root (ref_outward), each rounded once by libmp's from_rational, not by
 numutil.round_quotient.  Margins, thresholds, shown values and verdicts
-must agree exactly.
+must agree exactly.  beta's bisection, whose signs are read from a sweep
+too, must give the brackets and values of ref_beta, which reads every
+sign with eval_rational on the polynomial A_{2m+1}.
 """
 
 import random
@@ -23,6 +25,8 @@ from millsratio import bounds
 from millsratio.bounds import (
     FAMILIES,
     GUARD_BITS,
+    BetaRoot,
+    beta,
     first_order_enclosure,
     first_order_error_bound,
     komatsu_lower,
@@ -352,3 +356,30 @@ def test_exact_square_radicands_give_the_exact_bound(bits):
     assert komatsu_lower(0, bits) == second_order_bound(0, 0, bits).value == 1
     assert komatsu_lower(Fraction(3, 2), bits) == _round(Fraction(1, 2), bits, "f")
     assert szarek_werner_upper(1, bits) == _round(Fraction(2, 3), bits, "c")
+
+
+def ref_beta(m: int, tolerance=None) -> BetaRoot:
+    """beta(m, tolerance) by the same bisection, every sign of A_{2m+1} at
+    a dyadic point read with eval_rational on the polynomial A_{2m+1}."""
+    tol = Fraction(1, 2**40) if tolerance is None else Fraction(tolerance)
+    bits = max(128, -(tol.numerator.bit_length() - tol.denominator.bit_length()) + 32)
+    a = quadratic_triple(2 * m + 1).a
+    lo, hi = Fraction(0), Fraction(1)
+    assert a.eval_rational(lo) < 0
+    if a.eval_rational(hi) == 0:
+        return BetaRoot(m=m, value=mpf(1), bracket=(Fraction(1) - min(tol, Fraction(1, 2)), Fraction(1)))
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        s = a.eval_rational(mid)
+        if s == 0:
+            return BetaRoot(m=m, value=_round(mid, bits), bracket=(mid - tol, mid + tol))
+        lo, hi = (mid, hi) if s < 0 else (lo, mid)
+    return BetaRoot(m=m, value=_round((lo + hi) / 2, bits), bracket=(lo, hi))
+
+
+@pytest.mark.parametrize("tolerance", [None, Fraction(1, 10**8), Fraction(1, 2**90), Fraction(1, 3)])
+def test_beta_matches_the_polynomial_bisection(tolerance):
+    for m in range(16):
+        got, want = beta(m, tolerance), ref_beta(m, tolerance)
+        assert got == want, (m, tolerance)
+        assert type(got.value) is mpf and got.value.man_exp == want.value.man_exp, (m, tolerance)

@@ -6,7 +6,7 @@ from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mpf
+from mpmath import mp, mpf
 
 import millsratio.families as families
 from millsratio.cli import _faulty_tables
@@ -22,6 +22,7 @@ from millsratio.families import (
     quadratic_triple,
     verify_identities,
 )
+from millsratio.numutil import to_fraction, to_mpf
 from millsratio.poly import IntPolynomial
 
 orders = st.integers(min_value=0, max_value=40)
@@ -230,7 +231,6 @@ class TestIntegerKernels:
         monkeypatch.setattr(families, "pq_pair", refuse)
         monkeypatch.setattr(families, "_P", [])
         monkeypatch.setattr(families, "_Q", [])
-        monkeypatch.setattr(families, "_TRIPLES", {})
         for n in range(1, 41):
             assert p_closed_form(n) == factorial_p_closed_form(n), n
             assert q_closed_form(n) == factorial_q_closed_form(n), n
@@ -274,11 +274,9 @@ class TestIntegerKernels:
 
 
 class TestQuadraticTriple:
-    def test_memoized_once_per_order(self):
-        assert quadratic_triple(7) is quadratic_triple(7)
-
     def test_concurrent_first_builds_agree(self):
-        # orders no other test builds, so the threads race to create them
+        # the triples read the P/Q tables to order 91; the threads race to
+        # grow them wherever no earlier test has
         orders = list(range(70, 90))
         results = [[] for _ in range(6)]
 
@@ -300,7 +298,7 @@ class TestQuadraticTriple:
         for got in results:
             assert len(got) == len(orders)
             for triple in got:
-                assert triple is quadratic_triple(triple.n)
+                assert triple == quadratic_triple(triple.n)
         assert quadratic_triple(80).a == a_closed_form(80)
 
     def test_order_zero(self):
@@ -359,7 +357,37 @@ class TestDiscriminant:
         assert discriminant(n) == IntPolynomial([f2 * (4 * n + 4), 0, f2])
 
 
+def triple_partial_sum_residual(x, y, terms: int, precision_bits: int) -> mpf:
+    """generating_function_residual with its partial sum formed from the
+    polynomial triples, each A_n evaluated at x with eval_rational."""
+    x, y = to_fraction(x), to_fraction(y)
+    partial = sum(quadratic_triple(n).a.eval_rational(x) * y**n / factorial(n) for n in range(terms))
+    p, rn = precision_bits, {"prec": precision_bits, "rounding": "n"}
+    xv, yv = to_mpf(x, p), to_mpf(y, p)
+    exponent = mp.fdiv(mp.fmul(mp.fmul(yv, xv, **rn), xv, **rn), mp.fsub(1, yv, **rn), **rn)
+    scale = mp.fmul(mp.fadd(1, yv, **rn), mp.sqrt(mp.fsub(1, mp.fmul(yv, yv, **rn), **rn), **rn), **rn)
+    residual = mp.fsub(to_mpf(partial, p), mp.fdiv(mp.exp(exponent, **rn), scale, **rn), **rn)
+    return mp.fneg(residual, exact=True) if residual < 0 else residual
+
+
 class TestGeneratingFunction:
+    @pytest.mark.parametrize(
+        "x,y,terms,bits",
+        [
+            (Fraction(2), Fraction(1, 3), 60, 128),
+            (Fraction(2), Fraction(-1, 3), 60, 128),
+            (Fraction(-7, 3), Fraction(1, 4), 40, 192),
+            (Fraction(-1, 2), Fraction(-3, 5), 25, 64),
+            (0.3, Fraction(-1, 7), 20, 128),
+            (-1.75, 0.125, 33, 256),
+            (Fraction(0), Fraction(1, 2), 1, 64),
+            (Fraction(5, 2), Fraction(9, 10), 2, 96),
+        ],
+    )
+    def test_sweep_partial_sum_matches_the_triples(self, x, y, terms, bits):
+        got, want = generating_function_residual(x, y, terms, bits), triple_partial_sum_residual(x, y, terms, bits)
+        assert got == want and got.man_exp == want.man_exp, (x, y, terms, bits)
+
     def test_single_term_at_origin_is_exact(self):
         assert generating_function_residual(Fraction(0), Fraction(0), 1, 128) == 0
 

@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps functions of the package by name; a rename
 or removal there must fail here, not in a traced benchmark run."""
 
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -31,3 +32,33 @@ def test_tracer_targets_resolve(name):
         else:
             target = getattr(module, attr, None)
         assert callable(target), f"perfbench/tracer.py wraps millsratio.{mod_name}.{attr}, which is gone"
+
+
+BENCH_SOURCES = [TRACER.parent / "child.py", TRACER.parent / "workloads.py"]
+
+
+def _benchmark_api_names() -> set[str]:
+    """Every ``api.<name>`` and ``millsratio.<name>`` the benchmark reads: an
+    attribute of a plain name, so ``import millsratio.cli`` and docstrings
+    are not counted."""
+    names = set()
+    for path in BENCH_SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in ("api", "millsratio"):
+                    names.add(node.attr)
+    return names
+
+
+API_NAMES = _benchmark_api_names()
+
+
+def test_benchmark_api_names_are_found():
+    # from both files; an empty scan would pass every resolve test vacuously
+    assert {"beta", "phi_series", "quadratic_triple", "second_order_bound", "verify_identities"} <= API_NAMES
+
+
+@pytest.mark.parametrize("name", sorted(API_NAMES))
+def test_benchmark_api_names_resolve(name):
+    millsratio = importlib.import_module("millsratio")
+    assert callable(getattr(millsratio, name, None)), f"perfbench calls millsratio.{name}, which is gone"
