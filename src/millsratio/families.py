@@ -9,13 +9,17 @@ This module generates (P_n, Q_n) by the three-term recurrence
 
 together with the quadratic-form coefficients
 
-    A_n = P_n P_{n+2} - P_{n+1}^2
+    A_n = P_n P_{n+2} - P_{n+1}^2                     (_hankel of the P)
     B_n = P_n Q_{n+2} + P_{n+2} Q_n - 2 P_{n+1} Q_{n+1}
-    C_n = Q_n Q_{n+2} - Q_{n+1}^2
+    C_n = Q_n Q_{n+2} - Q_{n+1}^2                     (_hankel of the Q)
 
-whose discriminant collapses to (n!)^2 (X^2 + 4n + 4), and independent
-closed forms for P_n, Q_n and A_n that the verification suite checks
-against the recurrence output; none of them reads the recurrence's tables.
+whose discriminant collapses to (n!)^2 (X^2 + 4n + 4).  That identity is
+checked as W2_n^2 - 4 W_n W_{n+1}, W_n = Q_{n+1} P_n - P_{n+1} Q_n and
+W2_n = Q_{n+2} P_n - P_{n+2} Q_n (_wronskian): in any commutative ring it
+equals B_n^2 - 4 A_n C_n, so any tables get the same verdict, and true
+ones form no product above degree 2.  Independent closed forms for P_n,
+Q_n and A_n are checked against the recurrence output; none of them reads
+the recurrence's tables.
 They are computed in integers only, every division checked: a remainder is
 an IdentityError naming the order.  The forms of P_n and Q_n call no
 factorial: each coefficient or scale is the one before it times an exact
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cache, partial
 from fractions import Fraction
 from math import comb, factorial
 
@@ -106,9 +111,9 @@ def p_closed_form(n: int) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
-def q_closed_form(n: int) -> IntPolynomial:
-    """Q_n as the sum of (m-k)!/(m-2k)! P_{m-2k} over 0 <= 2k <= m = n-1: from
-    1, the k-th scale is the one before times (m-2k+2)(m-2k+1) / (m-k+1)."""
+def q_closed_form(n: int, p_form=p_closed_form) -> IntPolynomial:
+    """Q_n as the sum of (m-k)!/(m-2k)! P_{m-2k} over 0 <= 2k <= m = n-1, P_r = p_form(r):
+    from 1, the k-th scale is the one before times (m-2k+2)(m-2k+1) / (m-k+1)."""
     if n < 1:
         raise ValueError("order must be >= 1")
     m = n - 1
@@ -118,7 +123,7 @@ def q_closed_form(n: int) -> IntPolynomial:
         if k:
             r = m - 2 * k
             scale = _ratio_step(scale, (r + 2) * (r + 1), m - k + 1, "Q scale", n, k)
-        for i, c in enumerate(p_closed_form(m - 2 * k).coeffs):
+        for i, c in enumerate(p_form(m - 2 * k).coeffs):
             coeffs[i] += scale * c
     return IntPolynomial(coeffs)
 
@@ -159,7 +164,17 @@ def quadratic_form(p: list, q: list, n: int) -> tuple:
     n + 1 and n + 2: of the polynomial tables, or of values of P and Q at
     one point (bounds reads d^k P_k(x), d^k Q_k(x) from a sweep)."""
     p0, q0, p1, q1, p2, q2 = p[n], q[n], p[n + 1], q[n + 1], p[n + 2], q[n + 2]
-    return p0 * p2 - p1 * p1, p0 * q2 + p2 * q0 - 2 * (p1 * q1), q0 * q2 - q1 * q1
+    return _hankel(p, n), p0 * q2 + p2 * q0 - 2 * (p1 * q1), _hankel(q, n)
+
+
+def _hankel(v: list, n: int):
+    """v_n v_{n+2} - v_{n+1}^2: A_n of the P values, C_n of the Q values."""
+    return v[n] * v[n + 2] - v[n + 1] * v[n + 1]  # one object twice: a square
+
+
+def _wronskian(p: list, q: list, n: int, step: int = 1):
+    """W_n = Q_{n+1} P_n - P_{n+1} Q_n, or W2_n = Q_{n+2} P_n - P_{n+2} Q_n for step 2."""
+    return q[n + step] * p[n] - p[n + step] * q[n]
 
 
 def a_closed_form(n: int) -> IntPolynomial:
@@ -198,12 +213,19 @@ def _closed_discriminant(n: int) -> IntPolynomial:
     return IntPolynomial([f2 * (4 * n + 4), 0, f2])
 
 
+def _discriminant_holds(w_n, w_next, w2_n, n: int) -> bool:
+    """B_n^2 - 4 A_n C_n == (n!)^2 (X^2 + 4n + 4), the left side formed as W2_n^2 - 4 W_n W_{n+1}."""
+    return w2_n * w2_n - 4 * (w_n * w_next) == _closed_discriminant(n)
+
+
 def discriminant(n: int) -> IntPolynomial:
     """B_n^2 - 4 A_n C_n, asserted equal to (n!)^2 (X^2 + 4n + 4)."""
-    t, assembled = quadratic_triple(n), _closed_discriminant(n)
-    if t.b * t.b - 4 * (t.a * t.c) != assembled:
+    if n < 0:
+        raise ValueError("order must be non-negative")
+    pq_pair(n + 2)
+    if not _discriminant_holds(_wronskian(_P, _Q, n), _wronskian(_P, _Q, n + 1), _wronskian(_P, _Q, n, 2), n):
         raise IdentityError(f"discriminant identity failed at n={n}")
-    return assembled
+    return _closed_discriminant(n)
 
 
 def generating_function_residual(x, y, terms: int, precision_bits: int) -> mpf:
@@ -234,8 +256,8 @@ def verify_identities(n_max: int, tables=None) -> list[dict]:
     """Exact check of every algebraic identity, for all n <= n_max.
 
     ``tables`` is an optional pair (P list, Q list) of at least n_max + 3
-    entries to check instead of the shared memo; either way, the quadratic
-    triples are formed from the checked tables by quadratic_form.  Returns a
+    entries to check instead of the shared memo; either way, every
+    Wronskian and every A_n is formed from the checked tables.  Returns a
     list of {"identity": ..., "n": ..., "status": "pass"|"fail"} entries
     with stable key order; failures never raise, and a closed form that
     raises IdentityError fails its entry.
@@ -251,6 +273,8 @@ def verify_identities(n_max: int, tables=None) -> list[dict]:
             raise ValueError(f"tables must hold orders 0..{n_max + 2}")
 
     report: list[dict] = []
+    w = [_wronskian(p_tab, q_tab, k) for k in range(n_max + 2)]  # W_0..W_{n_max+1}, each formed once
+    p_form = cache(p_closed_form)  # each P_r built once per pass; a P_r that raises is not cached
 
     def entry(identity: str, n: int, ok: bool) -> None:
         report.append({"identity": identity, "n": n, "status": "pass" if ok else "fail"})
@@ -264,20 +288,18 @@ def verify_identities(n_max: int, tables=None) -> list[dict]:
     for n in range(n_max + 1):
         p, q = p_tab[n], q_tab[n]
         p1, q1 = p_tab[n + 1], q_tab[n + 1]
-        p2, q2 = p_tab[n + 2], q_tab[n + 2]
         entry("P_next=X*P+P'", n, p1 == X * p + p.derivative())
         entry("Q_next=P+Q'", n, q1 == p + q.derivative())
         if n >= 1:
             entry("P_next=X*P+n*P_prev", n, p1 == X * p + n * p_tab[n - 1])
             entry("Q_next=X*Q+n*Q_prev", n, q1 == X * q + n * q_tab[n - 1])
             entry("P'=n*P_prev", n, p.derivative() == n * p_tab[n - 1])
-            closed("Q_closed_sum_P", q_closed_form, n, q)
+            closed("Q_closed_sum_P", partial(q_closed_form, p_form=p_form), n, q)
             closed("Q_closed_coeffs", q_coefficient_form, n, q)
-        closed("P_closed_form", p_closed_form, n, p)
-        sign = (-1) ** n
-        entry("wronskian_step1", n, q1 * p - p1 * q == IntPolynomial([sign * factorial(n)]))
-        entry("wronskian_step2", n, q2 * p - p2 * q == IntPolynomial([0, sign * factorial(n)]))
-        a, b, c = quadratic_form(p_tab, q_tab, n)
-        entry("discriminant", n, b * b - 4 * (a * c) == _closed_discriminant(n))
-        closed("A_closed_form", a_closed_form, n, a)
+        closed("P_closed_form", p_form, n, p)
+        sign, w2 = (-1) ** n, _wronskian(p_tab, q_tab, n, 2)
+        entry("wronskian_step1", n, w[n] == IntPolynomial([sign * factorial(n)]))
+        entry("wronskian_step2", n, w2 == IntPolynomial([0, sign * factorial(n)]))
+        entry("discriminant", n, _discriminant_holds(w[n], w[n + 1], w2, n))
+        closed("A_closed_form", a_closed_form, n, _hankel(p_tab, n))
     return report

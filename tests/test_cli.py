@@ -344,6 +344,33 @@ class TestVerify:
         assert lines[i + 1 :] == ["  FAIL oracle agreement at x=2", "FAILURES PRESENT"]
 
 
+# SHA-256 and length of `mills poly --which <which> --n <n>` stdout: A, B
+# and C come from quadratic_form over the shared tables, Delta from the
+# check through the Wronskians, and a change to either path shows here
+POLY_OUTPUT_SHA256 = {
+    ("A", 0): ("4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865", 2),
+    ("A", 9): ("2093f40b89a7dd5bf2be83185ebcc8453eec82daab208166812e0abf27505a63", 117),
+    ("A", 40): ("d62d0d35eb9999207d75fdeced1ffc37077ff7021a6977c5d2480ab29596795e", 1720),
+    ("B", 0): ("ea677ad115dcb3dc7c200051168977d0073e971fe05097c1bd2eaa5b6bd5fd15", 3),
+    ("B", 9): ("7a26bfe1c3e5d4065fdf3a62d77d45755f2d948db02063d414f10918038fc2a8", 110),
+    ("B", 40): ("ef4a2c90ae493a543a30ec0e14699d6fb8be70bf48648dcfd5f3933747936afc", 1731),
+    ("C", 0): ("ee3aa64bb94a50845d5024cd4bd20202a4567aed5cd5328c0d97e9920775fc28", 3),
+    ("C", 9): ("74958b03f64ecedddf797e708cb2b54443529f3d2aa030ace6152a1fa48eeaf0", 102),
+    ("C", 40): ("421fcc466ab34676f66d23b396416ec617d642e925f01865faa0f98eca4ecff8", 1714),
+    ("Delta", 0): ("0f4d7fc2af21a19ce99d51806102129b45ef3b6cb59ab7139ceaf2b8baedf7e6", 8),
+    ("Delta", 9): ("403f98283e8dfde12f8db741a262d06563b1a1f441fcb288d608c7991833de8a", 33),
+    ("Delta", 40): ("f74928fd42b5e88ea8882f7e89490975a882519cd49a36f0bcb1ef49e81678e7", 203),
+}
+
+
+@pytest.mark.parametrize("which,n", sorted(POLY_OUTPUT_SHA256))
+def test_poly_output_bytes(capsys, which, n):
+    code, out, _ = run_cli(capsys, "poly", "--which", which, "--n", str(n))
+    assert code == 0
+    data = out.encode("utf-8")
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == POLY_OUTPUT_SHA256[which, n]
+
+
 # SHA-256 of `mills verify` with every default, per --format (mpmath 1.3.0,
 # pure-Python backend); any change to a verdict, margin digit or layout shows.
 DEFAULT_REPORT_SHA256 = {

@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 import threading
@@ -19,11 +20,12 @@ from millsratio.families import (
     pq_pair,
     q_closed_form,
     q_coefficient_form,
+    quadratic_form,
     quadratic_triple,
     verify_identities,
 )
 from millsratio.numutil import to_fraction, to_mpf
-from millsratio.poly import IntPolynomial
+from millsratio.poly import IntPolynomial, ONE, X, ZERO
 
 orders = st.integers(min_value=0, max_value=40)
 
@@ -101,6 +103,55 @@ def corrupt_ratio(monkeypatch, what, n, k):
         return step(term, num, den + (where == (what, n, k)), *where)
 
     monkeypatch.setattr(families, "_ratio_step", corrupted)
+
+
+def reference_verify_identities(n_max, tables):
+    """The identity suite with its discriminant entry formed as written,
+    B_n^2 - 4 A_n C_n from the triple quadratic_form builds, every closed
+    form built anew; the library decides the same entries from the
+    Wronskians and must give the same report."""
+    p_tab, q_tab = tables
+    report = []
+
+    def entry(identity, n, ok):
+        report.append({"identity": identity, "n": n, "status": "pass" if ok else "fail"})
+
+    def closed(identity, form, n, expected):
+        try:
+            entry(identity, n, form(n) == expected)
+        except IdentityError:
+            entry(identity, n, False)
+
+    for n in range(n_max + 1):
+        p, q, p1, q1, p2, q2 = p_tab[n], q_tab[n], p_tab[n + 1], q_tab[n + 1], p_tab[n + 2], q_tab[n + 2]
+        entry("P_next=X*P+P'", n, p1 == X * p + p.derivative())
+        entry("Q_next=P+Q'", n, q1 == p + q.derivative())
+        if n >= 1:
+            entry("P_next=X*P+n*P_prev", n, p1 == X * p + n * p_tab[n - 1])
+            entry("Q_next=X*Q+n*Q_prev", n, q1 == X * q + n * q_tab[n - 1])
+            entry("P'=n*P_prev", n, p.derivative() == n * p_tab[n - 1])
+            closed("Q_closed_sum_P", q_closed_form, n, q)
+            closed("Q_closed_coeffs", q_coefficient_form, n, q)
+        closed("P_closed_form", p_closed_form, n, p)
+        sign, f2 = (-1) ** n, factorial(n) ** 2
+        entry("wronskian_step1", n, q1 * p - p1 * q == IntPolynomial([sign * factorial(n)]))
+        entry("wronskian_step2", n, q2 * p - p2 * q == IntPolynomial([0, sign * factorial(n)]))
+        a, b, c = quadratic_form(p_tab, q_tab, n)
+        entry("discriminant", n, b * b - 4 * (a * c) == IntPolynomial([f2 * (4 * n + 4), 0, f2]))
+        closed("A_closed_form", a_closed_form, n, a)
+    return report
+
+
+def true_tables(n_max):
+    pairs = [pq_pair(k) for k in range(n_max + 3)]
+    return [pair.p for pair in pairs], [pair.q for pair in pairs]
+
+
+def edited(poly, k, delta):
+    """poly with delta added to its X^k coefficient (k may pass the degree)."""
+    coeffs = list(poly.coeffs) + [0] * (k + 1 - len(poly.coeffs))
+    coeffs[k] += delta
+    return IntPolynomial(coeffs)
 
 
 def fraction_q_coefficient_form(n):
@@ -414,6 +465,110 @@ class TestGeneratingFunction:
             generating_function_residual(Fraction(1), Fraction(3, 2), 10, 128)
         with pytest.raises(ValueError):
             generating_function_residual(Fraction(1), Fraction(1, 2), 0, 128)
+
+
+class TestDiscriminantByWronskians:
+    """The suite decides B_n^2 - 4 A_n C_n = (n!)^2 (X^2 + 4n + 4) as
+    W2_n^2 - 4 W_n W_{n+1}, W_k = Q_{k+1} P_k - P_{k+1} Q_k and
+    W2_n = Q_{n+2} P_n - P_{n+2} Q_n."""
+
+    polys = st.lists(st.integers(min_value=-(10**30), max_value=10**30), max_size=7).map(IntPolynomial)
+
+    @settings(max_examples=300)
+    @given(st.lists(polys, min_size=6, max_size=6), st.integers(min_value=0, max_value=3))
+    def test_ring_identity_on_arbitrary_polynomials(self, six, n):
+        # any six polynomials, not recurrence output, at orders n..n+2
+        p, q = [ZERO] * n + six[0::2], [ONE] * n + six[1::2]
+        a, b, c = quadratic_form(p, q, n)
+        w0, w1, w2 = families._wronskian(p, q, n), families._wronskian(p, q, n + 1), families._wronskian(p, q, n, 2)
+        assert w0 == q[n + 1] * p[n] - p[n + 1] * q[n] and w2 == q[n + 2] * p[n] - p[n + 2] * q[n]
+        assert b * b - 4 * (a * c) == w2 * w2 - 4 * (w0 * w1)
+        assert a == p[n] * p[n + 2] - p[n + 1] * p[n + 1] and c == q[n] * q[n + 2] - q[n + 1] * q[n + 1]
+
+    @pytest.mark.parametrize("n_max", [1, 5, 14, 40])
+    def test_report_equals_the_reference_on_true_tables(self, n_max):
+        tables = true_tables(n_max)
+        report = verify_identities(n_max, tables)
+        assert report == reference_verify_identities(n_max, tables) == verify_identities(n_max)
+        assert all(e["status"] == "pass" for e in report)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_report_equals_the_reference_on_corrupted_tables(self, seed):
+        # one or two coefficient edits in P and in Q, small or of 10^40,
+        # anywhere up to one place past the degree
+        rng = random.Random(seed)
+        for _ in range(8):
+            n_max = rng.randint(1, 14)
+            p_tab, q_tab = (list(t) for t in true_tables(n_max))
+            for _ in range(rng.randint(1, 2)):
+                table, k = rng.choice((p_tab, q_tab)), rng.randrange(n_max + 3)
+                delta = rng.choice((1, -1, 2, -3, 10**40, -(10**40), rng.randint(-(10**40), 10**40)))
+                table[k] = edited(table[k], rng.randint(0, table[k].degree + 1), delta)
+            report = verify_identities(n_max, (p_tab, q_tab))
+            assert report == reference_verify_identities(n_max, (p_tab, q_tab)), (seed, n_max)
+
+    def test_edits_fail_the_discriminant_where_the_reference_does(self):
+        # a corrupted P_{n+1} or Q_{n+2} fails the discriminant entry at n
+        # in both formulations, and a pure degree-raising edit of 10^40 too
+        for n in (0, 3, 9):
+            p_tab, q_tab = (list(t) for t in true_tables(9))
+            q_tab[n + 2] = edited(q_tab[n + 2], q_tab[n + 2].degree + 1, 10**40)
+            fails = {(e["identity"], e["n"]) for e in verify_identities(9, (p_tab, q_tab)) if e["status"] == "fail"}
+            assert ("discriminant", n) in fails
+            assert verify_identities(9, (p_tab, q_tab)) == reference_verify_identities(9, (p_tab, q_tab))
+
+    def test_suite_forms_no_product_above_degree_2n_plus_2(self, monkeypatch):
+        # the largest products left are A_n = P_n P_{n+2} - P_{n+1}^2 and
+        # W_{n_max+1}, of degree 2 n_max + 2; B_n^2 alone would be 4 n_max + 2
+        n_max, degrees = 20, []
+        pq_pair(n_max + 2)
+        mul = IntPolynomial.__mul__
+
+        def recording(self, other):
+            out = mul(self, other)
+            degrees.append(out.degree)
+            return out
+
+        monkeypatch.setattr(IntPolynomial, "__mul__", recording)
+        monkeypatch.setattr(IntPolynomial, "__rmul__", recording)
+        assert all(e["status"] == "pass" for e in verify_identities(n_max))
+        assert max(degrees) == 2 * n_max + 2
+
+    def test_discriminant_decides_by_the_wronskians(self, monkeypatch):
+        # mills poly --which Delta reads the shared tables through the same
+        # rule; a wrong W2_n is reported as a failed identity
+        assert discriminant(40) == IntPolynomial([factorial(40) ** 2 * 164, 0, factorial(40) ** 2])
+        wronskian = families._wronskian
+        monkeypatch.setattr(families, "_wronskian", lambda p, q, n, step=1: wronskian(p, q, n, step) + (step == 2))
+        with pytest.raises(IdentityError, match=r"discriminant identity failed at n=7"):
+            discriminant(7)
+        with pytest.raises(ValueError, match="order must be non-negative"):
+            discriminant(-1)
+
+
+class TestClosedFormsOncePerPass:
+    def test_each_p_form_is_built_once_per_pass(self, monkeypatch):
+        built = []
+        p_form = families.p_closed_form
+
+        def counting(r):
+            built.append(r)
+            return p_form(r)
+
+        monkeypatch.setattr(families, "p_closed_form", counting)
+        assert all(e["status"] == "pass" for e in verify_identities(30))
+        assert sorted(built) == list(range(31))
+        # no memo outlives a pass: the next one builds every form again
+        verify_identities(30)
+        assert sorted(built) == sorted(list(range(31)) * 2)
+
+    def test_a_failing_p_form_fails_every_q_entry_that_reads_it(self, monkeypatch):
+        # Q_closed_sum_P at n sums P_{n-1-2k}, so it reads P_3 at n = 4, 6, 8, ...
+        corrupt_ratio(monkeypatch, "P coefficient", 3, 1)
+        fails = [(e["identity"], e["n"]) for e in verify_identities(12) if e["status"] == "fail"]
+        assert fails == [("P_closed_form", 3)] + [("Q_closed_sum_P", n) for n in range(4, 13, 2)]
+        expected = reference_verify_identities(12, true_tables(12))
+        assert [(e["identity"], e["n"]) for e in expected if e["status"] == "fail"] == fails
 
 
 class TestVerifyIdentities:
