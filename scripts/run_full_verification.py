@@ -28,8 +28,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     out = pathlib.Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.unlink(missing_ok=True)  # a report left by an earlier run is never printed as this one's
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.unlink(missing_ok=True)  # a report left by an earlier run is never printed as this one's
+    except OSError as exc:  # as mills verify refuses an --out it cannot write
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     options = ["--n-max", str(args.n_max), "--grid", args.grid, "--precision", str(args.precision)]
     rc = cli.main(["verify", *options, "--format", "json", "--out", str(out)])
     if not out.exists():

@@ -10,7 +10,7 @@ Z_n^{+-}(x) = (B_n(x) +- n! sqrt(x^2+4n+4)) / (2 A_n(x)) of the quadratic
 A_n T^2 - B_n T + C_n.  Even orders give the lower bound Z^+ on all of R;
 odd orders n = 2m+1 give the upper bound (B - n! sqrt(...)) / (2A) on
 ]-beta_m, inf[, where beta_m is the unique root of A_{2m+1} in ]0, 1].
-The n = 0 and n = 1 specializations are the classical results
+The n = 0 and n = 1 roots are Komatsu's (Eq18) and Szarek-Werner's (Eq19)
 
     2/(x + sqrt(x^2+4)) < phi(x)              (all real x)
     phi(x) < 4/(3x + sqrt(x^2+8))             (x > -1).
@@ -31,7 +31,8 @@ alike.  phi's oracle value M 2^e is an integer over a power of two, so
 every margin is one integer over one integer.  One kernel rounds each
 once (numutil.round_quotient), and every bound value outward: a
 square-root bound, monotone in its root, at the end of an integer isqrt
-enclosure of the root that errs outward (_outward), so it always holds.
+enclosure of the root that errs outward (_root, the one square-root
+kernel, Eq18's and Eq19's too), so it always holds.
 
 The families Eq15 to Eq19 and I are the rows of one table, FAMILIES, that
 certify_grid, `mills bounds` and scripts/bounds_table.py all read.  One
@@ -56,7 +57,7 @@ from mpmath.libmp import mpf_abs, mpf_add, mpf_gt, mpf_shift, mpf_sub, round_cei
 
 from .contfrac import pq_sweep
 from .errors import DomainError, SingularityError
-from .families import quadratic_form
+from .families import hankel, quadratic_form
 from .numutil import check_precision, nstr_fixed, round_quotient, to_fraction, to_mpf
 from .oracle import OracleValue, phi_series
 
@@ -147,73 +148,68 @@ def _dyadic(*values: mpf) -> tuple[int, ...]:
     return (scale, *(man << (exp + scale) for man, exp in pairs))
 
 
-def _outward(bound: Callable[[int, int], tuple[int, int]], a: int, b: int, upper: bool, precision_bits: int) -> mpf:
-    """bound(sqrt(a/b)) for a bound monotone in the root, a/b > 0, rounded
-    outward to precision_bits.  With k = precision_bits + GUARD_BITS and
-    s = isqrt(a b 4^k), s/(b 2^k) <= sqrt(a/b) <= (s+1)/(b 2^k), one point
-    when s^2 = a b 4^k; a b >= 1, so s >= 2^k and the ends differ by a
-    relative 2^-k at most.  bound(t, u) is the exact (numerator, denominator)
-    at the root t/u; the ends are compared by cross-multiplication, and the
-    greater rounded up (upper bound) or the lesser down by round_quotient."""
-    k = precision_bits + GUARD_BITS
-    scaled = a * b << 2 * k
-    s = isqrt(scaled)
-    ends = [bound(t, b << k) for t in (s, s + (s * s != scaled))]
-    (n0, d0), (n1, d1) = [(-n, -d) if d < 0 else (n, d) for n, d in ends]
-    n, d = (n1, d1) if (n1 * d0 > n0 * d1) == upper else (n0, d0)
-    return _quotient(n, d, precision_bits, "c" if upper else "f")
+def _root(n: int, x: Fraction, form: tuple[int, int, int], precision_bits: int) -> mpf:
+    """The order-n root Z of A_n T^2 - B_n T + C_n at x = e/d, from form =
+    (a, b, c) = d^{2n+2} (A_n, B_n, C_n)(x), rounded outward to precision_bits:
+    Z^+ = (B + n! r) / (2A) down for even n, Z^- = (B - n! r) / (2A) up for
+    odd n, with r = sqrt(x^2 + 4n + 4).
+
+    Standard stable quadratic-root evaluation: q = (B +- n! r) / 2 takes the
+    sign of B, so it does not cancel, and the other root is C / q via Vieta.
+    That branch, taken at x = 1 for n = 1 where A_1 vanishes, never divides
+    by A.  At n = 0, Z is 2/(x + r) for x > 0 and (r - x)/2 else; at n = 1,
+    4/(3x + r) for x >= 0 and (r - 3x)/(2(1 - x^2)) else.  With k =
+    precision_bits + GUARD_BITS, s = isqrt(R) and R = (e^2 + (4n+4) d^2) d^2
+    4^k >= 4^k, s/(d^2 2^k) <= r <= (s+1)/(d^2 2^k), one point when s^2 = R;
+    s >= 2^k, so the ends differ by a relative 2^-k at most.  Z is monotone
+    in r between them (linear, or over a denominator of B's sign, positive
+    at B = 0, for all r > 0) and an exact integer (numerator, denominator)
+    at each, over one sign; the ends are compared by cross-multiplication,
+    and the greater rounded up (odd n) or the lesser down by round_quotient."""
+    (a, b, c), (e, d), odd, k = form, x.as_integer_ratio(), n % 2 == 1, precision_bits + GUARD_BITS
+    # at r = t/u, n! r scaled as form and signed as b is scale t / u
+    scale, vieta = (factorial(n) if b >= 0 else -factorial(n)) * d ** (2 * n + 2), (b >= 0) == odd
+    radicand, u = (e * e + (4 * n + 4) * d * d) * d * d << 2 * k, d * d << k
+    s = isqrt(radicand)
+    (n0, d0), (n1, d1) = [(2 * c * u, b * u + scale * t) if vieta else (b * u + scale * t, 2 * a * u)
+                          for t in (s, s + (s * s != radicand))]
+    num, den = (n1, d1) if (n1 * d0 > n0 * d1) == odd else (n0, d0)
+    return _quotient(num, den, precision_bits, "c" if odd else "f")
 
 
 def komatsu_lower(x, precision_bits: int = 128) -> mpf:
-    """2 / (x + sqrt(x^2 + 4)); a lower bound for phi on all of R, formed
-    from the exact x with the root enclosed in rationals, and rounded down
-    to precision_bits."""
-    p, (a, d) = check_precision(precision_bits), to_fraction(x).as_integer_ratio()
-    # for x < 0, x + sqrt(x^2+4) cancels and would widen the root's relative
-    # 2^-(p+16) enclosure far beyond 2^-p; the rationalized form does not
-    bound = (lambda t, u: (t * d - a * u, 2 * u * d)) if a < 0 else (lambda t, u: (2 * u * d, a * u + t * d))
-    return _outward(bound, a * a + 4 * d * d, d * d, False, p)
+    """2 / (x + sqrt(x^2 + 4)), Z^+ of order 0 by _root from one sweep at the
+    exact x; a lower bound for phi on all of R, rounded down."""
+    p, xf = check_precision(precision_bits), to_fraction(x)
+    return _root(0, xf, quadratic_form(*pq_sweep(2, xf), 0), p)
 
 
 def szarek_werner_upper(x, precision_bits: int = 128) -> mpf:
-    """4 / (3x + sqrt(x^2 + 8)); an upper bound for phi on ]-1, inf[, formed
-    from the exact x with the root enclosed in rationals, and rounded up to
-    precision_bits."""
-    p, (a, d) = check_precision(precision_bits), to_fraction(x).as_integer_ratio()
-    if a <= -d:
-        raise DomainError(f"x must exceed -1, got x = {Fraction(a, d)}")
-    # likewise the rationalized form for x < 0 avoids cancellation in 3x + sqrt(x^2+8)
-    bound = ((lambda t, u: ((t * d - 3 * a * u) * d, 2 * u * (d * d - a * a))) if a < 0
-             else (lambda t, u: (4 * u * d, 3 * a * u + t * d)))
-    return _outward(bound, a * a + 8 * d * d, d * d, True, p)
+    """4 / (3x + sqrt(x^2 + 8)), Z^- of order 1 by _root from one sweep at the
+    exact x, 2/3 at x = 1; an upper bound for phi on ]-1, inf[, rounded up."""
+    p, xf = check_precision(precision_bits), to_fraction(x)
+    if xf <= -1:
+        raise DomainError(f"x must exceed -1, got x = {xf}")
+    return _root(1, xf, quadratic_form(*pq_sweep(3, xf), 1), p)
 
 
 def second_order_bound(n: int, x, precision_bits: int = 128, sweep=None) -> SecondOrderBound:
-    """Even n: the lower bound Z^+ on all of R.  Odd n: the upper bound
-    Z^- = (B - n! sqrt(x^2+4n+4)) / (2A) on ]-beta_m, inf[.
+    """Even n: the lower bound Z^+ on all of R.  Odd n: the upper bound Z^-
+    on ]-beta_m, inf[.
 
     A_n, B_n and C_n are exact, from sweep (one at x to order n + 2 at
-    least) or a sweep of its own, and the root is enclosed in rationals; Z
-    is evaluated exactly at both ends of that enclosure and rounded outward
-    to precision_bits (down for even n, up for odd n).  Raises DomainError
-    for odd n at x <= -beta_m, and SingularityError where A_n(x) is exactly
-    0 (x = beta_m for odd n)."""
+    least) or a sweep of its own, and _root forms Z, rounded outward to
+    precision_bits.  Raises DomainError for odd n at x <= -beta_m, and
+    SingularityError where A_n(x) is exactly 0 (x = beta_m for odd n)."""
     p, xf = check_precision(precision_bits), to_fraction(x)
-    (a, b, c), odd = quadratic_form(*(sweep or _sweep(xf, [n], n + 2)), n), n % 2 == 1
+    form, odd = quadratic_form(*(sweep or _sweep(xf, [n], n + 2)), n), n % 2 == 1
     # A_n is even, so its exact sign at x decides ]-beta_m, inf[: negative
     # exactly inside the gap
-    if odd and xf < 0 and a >= 0:
+    if odd and xf < 0 and form[0] >= 0:
         raise DomainError(f"order {n} upper bound requires x > -beta_{(n - 1) // 2}, got x = {xf}")
-    if a == 0:
+    if form[0] == 0:
         raise SingularityError(f"A_{n}({xf}) is exactly 0")
-    # Standard stable quadratic-root evaluation: form q = (b +- n! root) / 2
-    # without cancellation, and obtain the other root as c / q via Vieta.
-    # a, b, c share the denominator d^{2n+2}, so n! root is scaled by it: at
-    # root = t/u, Z = (b u + scale t) / (2 a u), or 2 c u / (b u + scale t).
-    scale, vieta = (factorial(n) if b >= 0 else -factorial(n)) * xf.denominator ** (2 * n + 2), (b >= 0) == odd
-    z = _outward(lambda t, u: (2 * c * u, b * u + scale * t) if vieta else (b * u + scale * t, 2 * a * u),
-                 xf.numerator ** 2 + (4 * n + 4) * xf.denominator ** 2, xf.denominator ** 2, odd, p)
-    return SecondOrderBound(n=n, value=z, role="upper" if odd else "lower")
+    return SecondOrderBound(n=n, value=_root(n, xf, form, p), role="upper" if odd else "lower")
 
 
 def phi_derivative(n: int, x, precision_bits: int = 128) -> mpf:
@@ -253,7 +249,7 @@ def beta(m: int, tolerance=None) -> BetaRoot:
         raise ValueError("tolerance must be positive")
     bits = max(128, -(tol.numerator.bit_length() - tol.denominator.bit_length()) + 32)
     n, lo, hi = 2 * m + 1, Fraction(0), Fraction(1)
-    sign = lambda x: quadratic_form(*pq_sweep(n + 2, x), n)[0]  # the sign of A_n(x)
+    sign = lambda x: hankel(pq_sweep(n + 2, x)[0], n)  # the sign of A_n(x)
     if sign(lo) >= 0:
         raise ArithmeticError(f"A_{n}(0) must be negative")
     if sign(hi) == 0:
@@ -365,12 +361,12 @@ def _eq17(n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep):
 
 
 def _eq18(n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep):
-    lower = komatsu_lower(x, precision_bits + GUARD_BITS)
+    lower = _root(0, x, quadratic_form(*sweep, 0), precision_bits + GUARD_BITS)
     return {"lower": lower}, [_vs_phi("Eq18", n, x, lower, False, precision_bits, ov)]
 
 
 def _eq19(n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep):
-    upper = szarek_werner_upper(x, precision_bits + GUARD_BITS)
+    upper = _root(1, x, quadratic_form(*sweep, 1), precision_bits + GUARD_BITS)
     return {"upper": upper}, [_vs_phi("Eq19", n, x, upper, True, precision_bits, ov)]
 
 
@@ -383,7 +379,7 @@ def _second_order(n: int, x: Fraction, precision_bits: int, ov: OracleValue, swe
     sb, (ps, qs) = second_order_bound(n, x, precision_bits + GUARD_BITS, sweep), sweep
     upper = sb.role == "upper"
     certs = [_vs_phi(f"I_{n}", n, x, sb.value, upper, precision_bits, ov)]
-    if x > 0 and (not upper or quadratic_form(ps, qs, n)[0] > 0):  # A_n(x) > 0
+    if x > 0 and (not upper or hankel(ps, n) > 0):  # A_n(x) > 0
         scale, z = _dyadic(sb.value)
         sharper = (qs[n] << scale) - z * ps[n]
         margin = _quotient(sharper if upper else -sharper, ps[n], precision_bits + GUARD_BITS, "n", -scale)
@@ -398,20 +394,20 @@ class Family:
     ``point(n, x, precision_bits, ov, sweep)`` returns the bound values
     shown at (n, x), by name, and the certificates made there against ov,
     the oracle value phi_at gives at (x, precision_bits), from sweep, a
-    pq_sweep at x to order depth(n) at least (None if depth is); it raises
-    DomainError or SingularityError where the order-n bound is not stated.
-    It rounds every value it forms at precision_bits + GUARD_BITS."""
+    pq_sweep at x to order depth(n) at least; it raises DomainError or
+    SingularityError where the order-n bound is not stated.  It rounds
+    every value it forms at precision_bits + GUARD_BITS."""
 
     name: str
     x_above: int | None  # stated domain x > x_above; None: every x the oracle takes
     order: int | None  # the one order of a single-bound family
-    depth: Callable[[int], int] | None  # the sweep order that order n reads up to
-    point: Callable[[int, Fraction, int, OracleValue, tuple | None], tuple[dict[str, mpf], list[Certificate]]]
+    depth: Callable[[int], int]  # the sweep order that order n reads up to
+    point: Callable[[int, Fraction, int, OracleValue, tuple], tuple[dict[str, mpf], list[Certificate]]]
 
     def evaluate(self, orders: list[int], x: Fraction, precision_bits: int, ov: OracleValue, skip: bool = False):
         """point at every n in orders, all from one sweep at x; with skip, an
         order whose bound is not stated at x is left out, not raised."""
-        sweep, out = self.depth and _sweep(x, orders, self.depth(max(orders, default=0))), []
+        sweep, out = _sweep(x, orders, self.depth(max(orders, default=0))), []
         for n in orders:
             try:
                 out.append(self.point(n, x, precision_bits, ov, sweep))
@@ -442,8 +438,8 @@ FAMILIES = {
         Family("Eq15", 0, None, lambda n: 2 * n + 1, _eq15),
         Family("Eq16", 0, None, lambda n: n + 1, _eq16),
         Family("Eq17", None, None, lambda n: n + 2, _eq17),
-        Family("Eq18", None, 0, None, _eq18),
-        Family("Eq19", -1, 1, None, _eq19),
+        Family("Eq18", None, 0, lambda n: n + 2, _eq18),
+        Family("Eq19", -1, 1, lambda n: n + 2, _eq19),
         Family("I", None, None, lambda n: n + 2, _second_order),
     )
 }

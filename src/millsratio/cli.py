@@ -1,8 +1,8 @@
 """Command-line front-end: polynomial generation, bound evaluation,
 certification runs, continued fractions, and oracle queries.
 
-Exit status contract: 0 all-pass, 1 certification failure, 2 usage or
-domain error, including a bound asked for where A_n(x) is exactly 0.
+Exit status contract: 0 all-pass, 1 certification failure, 2 usage or domain
+error, such as a bound where A_n(x) is exactly 0 or an unwritable --out.
 Rationals are accepted as "7/3" or "0.1" (parsed exactly, so grids are
 reproducible); decimal output is round-to-nearest with 20 significant
 digits unless --digits is given.  --precision must be at least 64 bits;
@@ -26,7 +26,7 @@ from . import __version__
 from .bounds import CSV_COLUMNS, FAMILIES, beta, certify_grid, find_family, phi_at
 from .contfrac import cf_b, cf_ladder_eval, expansion_str, pq_sweep
 from .errors import DomainError, MillsError, SingularityError
-from .families import discriminant, pq_pair, quadratic_form, quadratic_triple, verify_identities
+from .families import discriminant, hankel, pq_pair, quadratic_triple, verify_identities
 from .numutil import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, nstr_fixed, to_fraction
 from .oracle import phi_quadrature, phi_series
 
@@ -143,9 +143,12 @@ def cmd_bounds(args) -> int:
         if n not in (None, int(suffixed[2])):
             raise ValueError(f"--family {name} names order {suffixed[2]}, but --n is {n}")
         name, n = suffixed[1], int(suffixed[2])
+    fam = find_family(name)
+    if fam.order is not None and n not in (None, fam.order):
+        raise ValueError(f"--family {name} has the fixed order {fam.order}, but --n is {n}")
     x, p, digits = args.x, args.precision, args.digits
     memo: dict = {}
-    shown, certs = find_family(name).at(0 if n is None else n, x, p, memo)
+    shown, certs = fam.at(0 if n is None else n, x, p, memo)
     cert, ov = certs[0], phi_at(x, p, memo)  # the oracle value the certificate was measured against
     lines = [f"family = {cert.family}", f"n = {cert.n}", f"x = {x}", f"precision_bits = {p}"]
     lines += [f"{key} = {nstr_fixed(value, digits)}" for key, value in shown.items()]
@@ -254,7 +257,7 @@ def cmd_beta(args) -> int:
     print(f"bracket_low = {lo}")
     print(f"bracket_high = {hi}")
     for end, x in (("low", lo), ("high", hi)):
-        scaled = quadratic_form(*pq_sweep(n + 2, x), n)[0]  # d^{2n+2} A_n(x) at x = a/d, as in beta
+        scaled = hankel(pq_sweep(n + 2, x)[0], n)  # d^{2n+2} A_n(x) at x = a/d, as in beta
         print(f"A_{n}(bracket_{end}) = {Fraction(scaled, x.denominator ** (2 * n + 2))}")
     return 0
 
@@ -320,7 +323,7 @@ def main(argv=None) -> int:
         if getattr(args, "precision", 0) is None:  # read the variable only where it is used
             args.precision = default_precision()
         return COMMANDS[args.subcommand](args)
-    except (DomainError, SingularityError, ValueError) as exc:
+    except (DomainError, SingularityError, ValueError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MillsError as exc:

@@ -9,9 +9,9 @@ This module generates (P_n, Q_n) by the three-term recurrence
 
 together with the quadratic-form coefficients
 
-    A_n = P_n P_{n+2} - P_{n+1}^2                     (_hankel of the P)
+    A_n = P_n P_{n+2} - P_{n+1}^2                     (hankel of the P)
     B_n = P_n Q_{n+2} + P_{n+2} Q_n - 2 P_{n+1} Q_{n+1}
-    C_n = Q_n Q_{n+2} - Q_{n+1}^2                     (_hankel of the Q)
+    C_n = Q_n Q_{n+2} - Q_{n+1}^2                     (hankel of the Q)
 
 whose discriminant collapses to (n!)^2 (X^2 + 4n + 4).  That identity is
 checked as W2_n^2 - 4 W_n W_{n+1}, W_n = Q_{n+1} P_n - P_{n+1} Q_n and
@@ -164,10 +164,10 @@ def quadratic_form(p: list, q: list, n: int) -> tuple:
     n + 1 and n + 2: of the polynomial tables, or of values of P and Q at
     one point (bounds reads d^k P_k(x), d^k Q_k(x) from a sweep)."""
     p0, q0, p1, q1, p2, q2 = p[n], q[n], p[n + 1], q[n + 1], p[n + 2], q[n + 2]
-    return _hankel(p, n), p0 * q2 + p2 * q0 - 2 * (p1 * q1), _hankel(q, n)
+    return hankel(p, n), p0 * q2 + p2 * q0 - 2 * (p1 * q1), hankel(q, n)
 
 
-def _hankel(v: list, n: int):
+def hankel(v: list, n: int):
     """v_n v_{n+2} - v_{n+1}^2: A_n of the P values, C_n of the Q values."""
     return v[n] * v[n + 2] - v[n + 1] * v[n + 1]  # one object twice: a square
 
@@ -232,7 +232,7 @@ def generating_function_residual(x, y, terms: int, precision_bits: int) -> mpf:
     """|sum_{n<terms} A_n(x) y^n / n!  -  exp(y x^2/(1-y)) / ((1+y) sqrt(1-y^2))|.
 
     The partial sum is exact rational arithmetic, with every A_n(x) read
-    from one sweep at x = a/d through quadratic_form; x, y, every step of
+    from one sweep at x = a/d through hankel; x, y, every step of
     the closed form and the final subtraction are rounded to nearest at
     precision_bits.
     """
@@ -241,8 +241,8 @@ def generating_function_residual(x, y, terms: int, precision_bits: int) -> mpf:
         raise ValueError("terms must be >= 1")
     if abs(y) >= 1:
         raise ValueError("|y| must be < 1")
-    sweep, d2 = pq_sweep(terms + 1, x), x.denominator ** 2  # A_n(x) = d^{-2n-2} quadratic_form(*sweep, n)[0]
-    partial = sum(Fraction(quadratic_form(*sweep, n)[0], d2 ** (n + 1) * factorial(n)) * y**n for n in range(terms))
+    ps, d2 = pq_sweep(terms + 1, x)[0], x.denominator ** 2  # A_n(x) = d^{-2n-2} hankel(ps, n)
+    partial = sum(Fraction(hankel(ps, n), d2 ** (n + 1) * factorial(n)) * y**n for n in range(terms))
     p = check_precision(precision_bits)
     rn = {"prec": p, "rounding": "n"}
     xv, yv = to_mpf(x, p), to_mpf(y, p)
@@ -301,5 +301,5 @@ def verify_identities(n_max: int, tables=None) -> list[dict]:
         entry("wronskian_step1", n, w[n] == IntPolynomial([sign * factorial(n)]))
         entry("wronskian_step2", n, w2 == IntPolynomial([0, sign * factorial(n)]))
         entry("discriminant", n, _discriminant_holds(w[n], w[n + 1], w2, n))
-        closed("A_closed_form", a_closed_form, n, _hankel(p_tab, n))
+        closed("A_closed_form", a_closed_form, n, hankel(p_tab, n))
     return report

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv, mp, mpf
-from mpmath.libmp import libmpf
+from mpmath.libmp import from_rational, libmpf
 
 from millsratio import bounds, families
 from millsratio.bounds import (
@@ -35,6 +35,7 @@ from millsratio.families import generating_function_residual, pq_pair, quadratic
 from millsratio.numutil import nstr_fixed, to_fraction
 from millsratio.oracle import ENVELOPE, OracleValue, phi_quadrature, phi_series
 from millsratio.poly import IntPolynomial
+from test_exact_kernel import OUTWARD_POINTS
 
 
 @lru_cache(maxsize=None)
@@ -148,18 +149,24 @@ class TestSecondOrder:
             second_order_bound(1, 1, 128)
 
     def test_even_orders_reproduce_komatsu(self):
-        for x in (Fraction(-4), Fraction(-1), Fraction(0), Fraction(3)):
-            sb = second_order_bound(0, x, 128)
-            assert sb.role == "lower"
-            diff = abs(sb.value - komatsu_lower(x, 128))
-            assert diff <= 4 * abs(sb.value) * mpf(2) ** -128
+        # Komatsu's bound is Z^+ of order 0, bit for bit
+        for bits in (64, 97, 128, 256, 1024):
+            for x in OUTWARD_POINTS:
+                sb = second_order_bound(0, x, bits)
+                assert sb.role == "lower"
+                assert sb.value == komatsu_lower(x, bits), (x, bits)
 
     def test_order_one_reproduces_szarek_werner(self):
-        for x in (Fraction(-1, 2), Fraction(0), Fraction(2), Fraction(8)):
-            sb = second_order_bound(1, x, 128)
-            assert sb.role == "upper"
-            diff = abs(sb.value - szarek_werner_upper(x, 128))
-            assert diff <= 4 * abs(sb.value) * mpf(2) ** -128
+        # Szarek-Werner's bound is Z^- of order 1, bit for bit, and holds at
+        # x = 1, where A_1 vanishes and I_1 is singular
+        for bits in (64, 97, 128, 256, 1024):
+            for x in [x for x in OUTWARD_POINTS if x > -1 and x != 1]:
+                sb = second_order_bound(1, x, bits)
+                assert sb.role == "upper"
+                assert sb.value == szarek_werner_upper(x, bits), (x, bits)
+            assert szarek_werner_upper(1, bits) == mp.make_mpf(from_rational(2, 3, bits, "c"))
+            with pytest.raises(SingularityError, match=r"^A_1\(1\) is exactly 0$"):
+                second_order_bound(1, 1, bits)
 
     def test_order_two_example(self):
         sb = second_order_bound(2, 1, 128)
@@ -265,7 +272,7 @@ class TestCertificateProtocol:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_certify_grid_runs_one_sweep_per_x(self, monkeypatch, family):
         # every order at a point reads one sweep of the P/Q recurrence, deep
-        # enough for the highest order; Eq18 and Eq19 need none
+        # enough for the highest order; Eq18 and Eq19 read it to order 2 and 3
         calls = []
 
         def counting(n, x):
@@ -276,8 +283,8 @@ class TestCertificateProtocol:
         monkeypatch.setattr(bounds, "pq_sweep", counting)
         xs = [Fraction(k, 4) for k in range(1, 9)]
         assert certify_grid(family, list(range(12)), xs, 96)
-        depth = {"eq15": 23, "eq16": 12, "eq17": 13, "i": 13}
-        assert calls == ([(depth[family], x) for x in xs] if family in depth else [])
+        depth = {"eq15": 23, "eq16": 12, "eq17": 13, "eq18": 2, "eq19": 3, "i": 13}
+        assert calls == [(depth[family], x) for x in xs]
 
     def test_no_polynomial_is_evaluated(self, monkeypatch, capsys):
         # every exact value of a certificate, a bound, beta's sign queries,

@@ -91,9 +91,17 @@ class TestBounds:
         assert code == 0
         assert out.splitlines()[:2] == [f"family = I_{order}", f"n = {order}"]
 
+    @pytest.mark.parametrize("family,n", [("eq18", 3), ("eq19", 0), ("eq19", 2)])
+    def test_fixed_order_and_another_n_refused(self, capsys, family, n):
+        code, out, err = run_cli(capsys, "bounds", "--family", family, "--n", str(n), "--x", "3/2")
+        assert code == 2
+        assert out == ""
+        assert f"error: --family {family} has the fixed order {FAMILIES[family].order}, but --n is {n}" in err
+
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_every_family_is_reachable(self, capsys, family):
-        code, out, err = run_cli(capsys, "bounds", "--family", family, "--n", "2", "--x", "3/2")
+        n = FAMILIES[family].order  # eq18 and eq19 take their fixed order only
+        code, out, err = run_cli(capsys, "bounds", "--family", family, "--n", str(2 if n is None else n), "--x", "3/2")
         assert code == 0, err
         assert f"family = {FAMILIES[family].name}" in out
         assert "verdict = pass" in out
@@ -311,6 +319,17 @@ class TestVerify:
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == {"code": 0, "all_pass": True}
 
+    @pytest.mark.parametrize("where", [".", "missing/report.json"])
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path, where):
+        # a directory, or a path under a missing one: exit 2 naming the path,
+        # not exit 1, the code of a certification failure
+        path = tmp_path / where
+        code, out, err = run_cli(capsys, "verify", "--n-max", "1", "--grid", "1:1:1", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: [Errno ") and err.endswith(f": {str(path)!r}\n") and err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == []
+
     def test_csv_format(self, capsys, tmp_path):
         out_path = tmp_path / "report.csv"
         code, _, _ = run_cli(
@@ -485,6 +504,13 @@ def test_full_verification_script_refuses_precision_below_64(capsys, tmp_path):
     assert exc.value.code == 2
     assert "argument --precision: must be at least 64, got 60" in capsys.readouterr().err
     assert not (tmp_path / "v.json").exists()
+
+
+def test_full_verification_script_refuses_a_directory(capsys, tmp_path):
+    assert _load_script("run_full_verification").main(["--n-max", "1", "--grid", "1:1:1", "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: [Errno ") and err.endswith(f": {str(tmp_path)!r}\n")
+    assert tmp_path.is_dir() and sorted(tmp_path.iterdir()) == []
 
 
 def test_full_verification_script_exits_as_mills_verify(capsys, monkeypatch, tmp_path):

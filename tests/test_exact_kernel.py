@@ -66,7 +66,7 @@ def _round(value, bits: int, rounding: str = "n") -> mpf:
 
 def ref_outward(bound, r: Fraction, upper: bool, bits: int) -> mpf:
     """bound(sqrt(r)), r > 0, from the enclosure s/(b 2^k) <= sqrt(r) <=
-    (s+1)/(b 2^k) of bounds._outward, k = bits + GUARD_BITS and s =
+    (s+1)/(b 2^k) of bounds._root, k = bits + GUARD_BITS and s =
     isqrt(a b 4^k) for r = a/b in lowest terms, with bound evaluated as a
     Fraction at each end and the greater rounded up or the lesser down."""
     k = bits + GUARD_BITS
