@@ -13,12 +13,12 @@ import sys
 from fractions import Fraction
 
 from millsratio.bounds import FAMILIES, phi_at
-from millsratio.cli import at_least, grid_points, parse_grid
+from millsratio.cli import _attach_negative_values, at_least, grid_points, parse_grid
 from millsratio.errors import DomainError, EnvelopeError, SingularityError
 from millsratio.numutil import MIN_PRECISION_BITS, nstr_fixed
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--grid", type=parse_grid, default="0.5:5:0.5")
     parser.add_argument("--order", type=at_least(0), default=2, help="first-order enclosure order n")
@@ -26,7 +26,7 @@ def main() -> int:
     parser.add_argument("--odd", type=at_least(0), default=3, help="odd second-order index 2m+1")
     parser.add_argument("--precision", type=at_least(MIN_PRECISION_BITS), default=128)
     parser.add_argument("--digits", type=at_least(1), default=12)
-    args = parser.parse_args()
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
 
     xs = grid_points(args.grid)
     p, d = args.precision, args.digits

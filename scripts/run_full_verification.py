@@ -25,7 +25,7 @@ def main(argv=None) -> int:
     parser.add_argument("--grid", default="0.1:10:0.1")
     parser.add_argument("--precision", type=cli.at_least(cli.MIN_PRECISION_BITS), default=128)
     parser.add_argument("--out", default="reports/verification.json")
-    args = parser.parse_args(argv)
+    args = parser.parse_args(cli._attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
 
     out = pathlib.Path(args.out)
     try:

@@ -421,13 +421,20 @@ class Family:
         if self.x_above is not None and x <= self.x_above:
             raise DomainError(f"{self.name}: x must exceed {self.x_above}, got x = {x}")
 
+    def orders(self, orders: list[int]) -> list[int]:
+        """orders, refused if a single-bound family is asked for another order than its own."""
+        for n in orders:
+            if self.order not in (None, n):
+                raise ValueError(f"--family {self.name.lower()} has the fixed order {self.order}, but --n is {n}")
+        return orders
+
     def at(self, n: int, x, precision_bits: int = 128, memo: dict | None = None):
         """Shown values and certificates at one point, x read through
-        to_fraction as in certify_grid; n is ignored by a single-bound
-        family.  memo is an optional phi memo, as in certify_grid."""
-        p, x = check_precision(precision_bits), to_fraction(x)
+        to_fraction as in certify_grid; a single-bound family takes its own
+        order only.  memo is an optional phi memo, as in certify_grid."""
+        p, orders, x = check_precision(precision_bits), self.orders([n]), to_fraction(x)
         self.check(x)
-        return self.evaluate([n if self.order is None else self.order], x, p, phi_at(x, p, memo))[0]
+        return self.evaluate(orders, x, p, phi_at(x, p, memo))[0]
 
 
 # The evaluators call the module's functions by name, so that wrappers
@@ -463,8 +470,9 @@ def certify_grid(
     verdict is the module's one rule.  For the second-order family the
     sharpness claims against the first-order convergents are certified as
     companion "<id>_sharper" entries.  An x outside the family's stated
-    domain is a DomainError, and one beyond the oracle's envelope an
-    EnvelopeError whatever the orders; (n, x) pairs outside an order's own
+    domain is a DomainError, one beyond the oracle's envelope an
+    EnvelopeError whatever the orders, and an order other than a
+    single-bound family's own a ValueError; (n, x) pairs outside an order's own
     domain (odd orders of I) or where A_n(x) is exactly 0 are skipped.
 
     The grid is sorted once and a stable sort by (family, n) follows, so
@@ -476,12 +484,11 @@ def certify_grid(
     phi is evaluated once per run.  There is no process-wide oracle cache.
     """
     fam = find_family(family)
-    p = check_precision(precision_bits)
+    p, orders = check_precision(precision_bits), fam.orders(orders)
     xs = [to_fraction(x) for x in xs]
     for x in xs:
         fam.check(x)
     out: list[Certificate] = []
-    orders = orders if fam.order is None else [fam.order]
     for x in sorted(xs):
         # skip the orders outside their own domain at x, or where A_n(x) is exactly 0
         out += [c for _, certs in fam.evaluate(orders, x, p, phi_at(x, p, memo), skip=True) for c in certs]

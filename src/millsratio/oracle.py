@@ -5,7 +5,7 @@ phi(x) = e^{x^2/2} integral_x^inf e^{-t^2/2} dt
        = integral_0^inf e^{-x t - t^2/2} dt.
 
 Route 1 (series) sums a positive series of erf; route 2 (quadrature)
-integrates the Laplace-type integral on a truncated interval.  They share
+applies a trapezoidal rule to phi's Stieltjes form.  They share
 no machinery with each other or with the bound and continued-fraction
 code, so certificates never test that machinery against itself: this
 module imports nothing of the package but its errors and numeric helpers.
@@ -42,47 +42,62 @@ or added (x < 0) outward.  The value is the enclosure's midpoint, and
 error_bound, the distance to its farther end rounded up, is below the
 2^-(p+32) the verdict thresholds assume.
 
-Quadrature route: for x >= 0, a fixed (N+1)-point Clenshaw-Curtis rule at
-wp = p + 32 bits on integral_0^T f, f(t) = e^{-xt-t^2/2}, with nodes
-T (1 + cos(j pi/N)) / 2 and T = -x + sqrt(x^2 + 2(p+16) ln 2), so that
-xT + T^2/2 = (p+16) ln 2.  N, even, depends on p and is sized at the lower
-edge of x's band, x < 5 or x >= 5, where T is largest (_node_count); the
-rule is built once per (N, wp) on first use, its weights in integer fixed
-point.  For x < 0 it reflects, phi(x) = sqrt(2 pi) e^{x^2/2} - phi(|x|),
-so the rule never sees the integrand's peak at t = -x.  error_bound sums:
+Quadrature route (Chiarella and Reichel, Math. Comp. 22, 1968): for x > 0
 
-  * the tail, integral_T^inf f = e^{-xT-T^2/2} phi(x+T) < e^{-xT-T^2/2}/(x+T),
-    since phi(y) < 1/y for y > 0;
-  * the discretisation: f is entire, and on the Bernstein ellipse E_rho
-    mapped onto [0, T] it is bounded by a closed-form M (_log_ellipse_factor),
-    so the rule errs by at most (T/2) (64/15) M rho^{1-N} / (rho^2 - 1)
-    (Trefethen, Approximation Theory and Approximation Practice,
-    Thm 19.3); the least of this over a few fixed rho is taken;
-  * the rounding, every step rounded to nearest, with exp, cos, sqrt and
-    pi within two units in the last place.  Nodes and weights are within
-    2^-(wp-2) of the exact ones; each exponent -t(x + t/2), x rounded once
-    to wp bits, is then within 6K 2^-wp of the exact one, K = T (x + T),
-    so each f(t_j) is within a relative (6K + 4) 2^-wp; the weighted sum
-    is exact in fixed point apart from one truncation per term, and one
-    rounding finishes it: at most 2^-wp ((6K + 5) |value| + 2T (N + 4))
-    in all.  The reflection adds 2^-wp (sqrt(2 pi) e^{x^2/2} (x^2/2 + 10)
-    + |value|) for its exponential and subtraction.
+    phi(x) = (x / sqrt(2 pi)) integral_R e^{-s^2/2} / (x^2 + s^2) ds,
 
-Bounds evaluated in floats carry a margin far above their own rounding.
-The tail is below 2^-(p+19), and the discretisation below 2^-(p+20) in a band.
+and the trapezoidal rule with step h = 1/m, its poles s = +-ix corrected, is
+
+    phi(x) = (x h / sqrt(2 pi)) sum_{|j| <= J} w_j / (x^2 + j^2 h^2)
+             - sqrt(2 pi) e^{x^2/2} / (e^{2 pi m x} - 1) + E_cont + E_tail
+
+with weights w_j = e^{-j^2/(2m^2)} that do not depend on x: they are built
+once per precision p on first use, in integer fixed point (_build_weights),
+and m and J depend on p alone.  At x = a/d each term j >= 1 is one floor,
+floor(W_j d^2 m^2 / (a^2 m^2 + j^2 d^2)), and no exponential is evaluated
+per node.  m >= 3 makes 4 pi m > ENVELOPE, so the pole term stays below the
+j = 0 term; the two cancel only near x = 0, by about log2(1/z) bits with
+z = 2 pi m x, and e^z - 1 loses as many, so the working precision is p + 32
+plus twice that count, read from the exact x.  phi(0) = sqrt(pi/2).  For
+x < 0 it reflects, phi(x) = sqrt(2 pi) e^{x^2/2} - phi(|x|), with the same
+e^{x^2/2}.  error_bound has three terms:
+
+  * the contour remainder: on the lines Im s = +-b, b > x, past the poles
+    whose residues are the pole term, the rule's kernel is at most
+    1/(e^{2 pi m b} - 1), |e^{-s^2/2}| = e^{(b^2 - (Re s)^2)/2} and
+    |x^2 + s^2| >= b^2 - x^2, so |E_cont| <= 2x e^{b^2/2} / ((e^{2 pi m b} - 1)
+    (b^2 - x^2)) (Trefethen and Weideman, SIAM Review 56, 2014, Thm 5.1).
+    At small x the true remainder comes within 1% of this, so the bound
+    takes twice it.  It grows with x, so its least over b = 2 pi m and
+    b = ENVELOPE + 1/4 at x = ENVELOPE holds at every x (_log_contour);
+  * the truncation tail: x / (x^2 + j^2 h^2) <= 1/(2jh) takes x out, and
+    j^2 >= (J+1)^2 + 2k(J+1) for j = J+1+k leaves a geometric sum:
+    0 <= E_tail <= e^{-(J+1)^2 h^2/2} / (sqrt(2 pi) (J+1) (1 - e^{-(J+1) h^2}));
+  * the rounding: the weights are integers W_j over 2^F, F = p + 48, with
+    W_j <= w_j 2^F < W_j + 2, so the sum over j >= 1 is at most J + 4m^2
+    ulps above the sum of its floors (one per floor, and 2 m^2 / j^2 per
+    weight, sum 1/j^2 < 2).  The rest, (d/(m a) + (2a/(d m)) sum - 2 pi
+    e^{x^2/2} / (e^z - 1)) / sqrt(2 pi), is evaluated once rounded down and
+    once up by the libmp primitives, as the series route's finish is.
+
+m and J are the least whose contour and tail bounds are below 2^-(p+20)
+(m = 3, 3, 4, 7 and J = 31, 41, 77, 265 at p = 64, 128, 256, 1024); both
+are evaluated in floats with a margin far above their rounding, and added
+to both ends of the enclosure.  The value is its midpoint, and error_bound
+the distance to its farther end rounded up.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf
-from mpmath.libmp import (from_float, from_man_exp, mpf_abs, mpf_add, mpf_exp, mpf_ln2, mpf_mul, mpf_mul_int,
-                          mpf_neg, mpf_pi, mpf_shift, mpf_sqrt, mpf_sub, round_ceiling, round_floor, round_nearest,
-                          to_float, to_int)
+from mpmath.libmp import (fone, from_float, from_man_exp, mpf_add, mpf_div, mpf_exp, mpf_mul, mpf_pi, mpf_shift,
+                          mpf_sqrt, mpf_sub, round_ceiling, round_floor, round_nearest, to_int)
 
 from .errors import EnvelopeError
 from .numutil import check_precision, round_quotient, to_fraction
@@ -92,11 +107,9 @@ ENVELOPE = 30  # |x| beyond this is refused; the guard-bit budget assumes it
 _BLOCK = 32  # series terms summed exactly per block (L)
 _GUARD = 8  # guard bits of the series' fixed point F and mantissas M
 
-_RHOS = (2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0, 8.0)  # Bernstein-ellipse parameters the bound tries
 _LOG_SLACK = 1e-6  # added to each log evaluated in floats; far above their rounding
-_ONE_PLUS = from_man_exp((1 << 20) + 1, -20)  # 1 + 2^-20, the quadrature bound's safety factor
 _lock = threading.Lock()
-_RULES: dict[tuple[int, int], tuple[list[mpf], list[int]]] = {}  # (N, wp) -> (nodes, weights)
+_WEIGHTS: dict[int, tuple[int, int, list[int], tuple]] = {}  # p -> (m, F, [W_1 .. W_J], remainder)
 
 
 @dataclass(frozen=True)
@@ -177,99 +190,80 @@ def phi_series(x, precision_bits: int = 128) -> OracleValue:
     return OracleValue(mp.make_mpf(value), error_bound, "series", w, n)
 
 
-def _log_ellipse_factor(x: float, h: float, rho: float) -> float:
-    """ln of (T/2) (64/15) M / (rho^2 - 1) for f(t) = e^{-xt-t^2/2} on
-    [0, T = 2h]: the Clenshaw-Curtis bound without its factor rho^{1-N}.
-
-    M bounds |f| on the image t = h (1 + z) of the Bernstein ellipse E_rho,
-    by the maximum of ln|f| = -x Re t - (Re t)^2/2 + (Im t)^2/2 over the
-    ellipse's bounding box |Re z| <= a, |Im z| <= b.  That maximum takes
-    |Im t| = h b, and Re t at the vertex -x clipped to the box."""
-    a, b = (rho + 1 / rho) / 2, (rho - 1 / rho) / 2
-    r = max(-x, h * (1 - a))
-    log_m = -x * r - r * r / 2 + (h * b) ** 2 / 2
-    return math.log(h * 64 / 15) + log_m - math.log(rho * rho - 1)
+def _log_contour(m: int) -> float:
+    """ln of the contour remainder's bound at x = ENVELOPE, where it is
+    largest: the least over b in (2 pi m, ENVELOPE + 1/4), those above x,
+    of 4x e^{b^2/2} / ((e^{2 pi m b} - 1)(b^2 - x^2))."""
+    x, c = ENVELOPE, 2 * math.pi * m
+    return min(math.log(4 * x / (b * b - x * x)) + b * b / 2 - c * b - math.log1p(-math.exp(-c * b))
+               for b in (c, ENVELOPE + 0.25) if b > x)
 
 
-def _node_count(precision_bits: int, edge: float) -> int:
-    """The smallest even N whose bound at the band edge x = edge, where the
-    cut-off T is largest within the band, is below 2^-(p+20); the bound
-    falls with x (N = 78, 136, 252 at edge 0 and 66, 116, 222 at edge 5,
-    at p = 64, 128, 256)."""
-    h = (-edge + math.sqrt(edge * edge + 2 * (precision_bits + 16) * math.log(2))) / 2
-    target = -(precision_bits + 20) * math.log(2)
-    # for each rho the bound falls with N: the least N that meets the target
-    return min(2 * math.ceil((1 + (_log_ellipse_factor(edge, h, rho) - target) / math.log(rho)) / 2) for rho in _RHOS)
+def _log_tail(m: int, j: int) -> float:
+    """ln of the truncation tail's bound for J = j - 1 and h = 1/m:
+    e^{-j^2 h^2 / 2} / (sqrt(2 pi) j (1 - e^{-j h^2}))."""
+    t = j / (m * m)
+    return -j * t / 2 - math.log(math.sqrt(2 * math.pi) * j * -math.expm1(-t))
 
 
-def _rule(n: int, wp: int) -> tuple[list[mpf], list[int]]:
-    """The (n+1)-point Clenshaw-Curtis rule on [-1, 1] for even n: nodes
-    1 + cos(j pi / n) as mpfs on the grid 2^-f and weights as integers over
-    2^f, f = wp - 2, each within 2^-f of the exact one; built once per (n, wp)."""
-    rule = _RULES.get((n, wp))
-    if rule is None:
-        rule = _build_rule(n, wp)
+def _weights(precision_bits: int) -> tuple[int, int, list[int], tuple]:
+    """The rule for precision p (see _build_weights), built once per p on first use."""
+    table = _WEIGHTS.get(precision_bits)
+    if table is None:
+        table = _build_weights(precision_bits)
         with _lock:
-            rule = _RULES.setdefault((n, wp), rule)
-    return rule
+            table = _WEIGHTS.setdefault(precision_bits, table)
+    return table
 
 
-def _build_rule(n: int, wp: int) -> tuple[list[mpf], list[int]]:
-    # Weights from Waldvogel's cosine sums, w_0 = w_n = 1/(n^2-1) and
-    # w_j = (2/n) (1 - sum_{k<n/2} 2 cos(2kj pi/n) / (4k^2-1) - (-1)^j / (n^2-1)),
-    # summed in fixed point at g bits: each cosine is within one unit and
-    # each quotient floors by under one, so the sum is within n/2 + 1 units
-    # and the weight, rounded to f bits, within one unit of 2^-f.
-    # Every mpmath call names its precision, so a build reads nothing of
-    # mpmath's process-wide context, which another thread may be changing.
-    f, g = wp - 2, wp + 2
-    prec = g + 10
-    cos = [int(mp.nint(mp.ldexp(mp.cospi(mp.fdiv(m, n, prec=prec), prec=prec), g), prec=prec)) for m in range(n + 1)]
-
-    def cos_g(m: int) -> int:  # cos(m pi / n) at g bits, any m >= 0
-        m %= 2 * n
-        return cos[2 * n - m if m > n else m]
-
-    scale, ends = n << (g - f), (1 << g) // (n * n - 1)
-    weights = [((1 << f) + (n * n - 1) // 2) // (n * n - 1)]
-    for j in range(1, n // 2 + 1):
-        v = (1 << g) - (-1) ** j * ends - sum(2 * cos_g(2 * k * j) // (4 * k * k - 1) for k in range(1, n // 2))
-        weights.append((2 * v + scale // 2) // scale)
-    weights += weights[-2::-1]  # w_{n-j} = w_j
-    nodes = [mp.ldexp((1 << f) + ((c + (1 << (g - f - 1))) >> (g - f)), -f) for c in cos]
-    return nodes, weights
+def _build_weights(precision_bits: int) -> tuple[int, int, list[int], tuple]:
+    """(m, F, [W_1 .. W_J], remainder): the least m >= 3 and J whose contour
+    and tail bounds are below 2^-(p+20), the weights W_j = floor(e^{-j^2/(2m^2)} 2^F)
+    with F = p + 48, and the two bounds' sum rounded up.  Each weight floors
+    an exponential rounded down at F + 16 bits, so W_j <= w_j 2^F < W_j + 2.
+    Every mpmath call names its precision, so a build reads nothing of
+    mpmath's process-wide context, which another thread may be changing."""
+    target = -(precision_bits + 20) * math.log(2)
+    m = next(m for m in itertools.count(3) if _log_contour(m) < target)
+    j = next(j for j in itertools.count(1) if _log_tail(m, j) < target)  # J + 1
+    f, g = precision_bits + 48, precision_bits + 64
+    exps = (mpf_exp(round_quotient(-k * k, 2 * m * m, g, round_floor), g, round_floor) for k in range(1, j))
+    weights = [to_int(mpf_shift(e, f), round_floor) for e in exps]
+    bounds = (mpf_exp(from_float(v + _LOG_SLACK), 53, round_ceiling) for v in (_log_contour(m), _log_tail(m, j)))
+    return m, f, weights, mpf_add(*bounds, 53, round_ceiling)
 
 
 def phi_quadrature(x, precision_bits: int = 128) -> OracleValue:
-    """phi by an (N+1)-point Clenshaw-Curtis rule for integral_0^T e^{-xt-t^2/2} dt,
-    with no adaptive integrator; the module docstring derives N, the cut-off
-    T, the reflection used for x < 0 and the three terms of error_bound."""
+    """phi by the pole-corrected trapezoidal rule for its Stieltjes form,
+    with no adaptive integrator; the module docstring derives the rule's m
+    and J, the working precision, the reflection used for x < 0 and the
+    three terms of error_bound."""
     check_precision(precision_bits)
     xq = _in_envelope(x)
-    y, wp, rn = abs(xq), precision_bits + 32, round_nearest
-    n = _node_count(precision_bits, 5 if y >= 5 else 0)  # the lower edge of |x|'s band
-    (nodes, weights), f = _rule(n, wp), wp - 2  # weights over 2^f
-    yv = round_quotient(y.numerator, y.denominator, wp, rn)
-    radicand = mpf_add(mpf_mul(yv, yv, wp, rn), mpf_mul_int(mpf_ln2(wp, rn), 2 * (precision_bits + 16), wp, rn), wp, rn)
-    h = mpf_shift(mpf_sub(mpf_sqrt(radicand, wp, rn), yv, wp, rn), -1)  # T/2; T is exact by definition
-    total = 0  # sum of w_j f(t_j), exact, over 2^(2f)
-    for s, w in zip(nodes, weights):
-        t = mpf_mul(h, s._mpf_, wp, rn)
-        exponent = mpf_neg(mpf_mul(t, mpf_add(yv, mpf_shift(t, -1), wp, rn), wp, rn))
-        total += w * to_int(mpf_shift(mpf_exp(exponent, wp, rn), f))
-    value = mpf_mul(h, from_man_exp(total, -2 * f), wp, rn)  # one rounding: the sum is exact
-    yf, tf = to_float(yv, rnd=rn), 2 * to_float(h, rnd=rn)
-    log_discretisation = min(_log_ellipse_factor(yf, tf / 2, rho) + (1 - n) * math.log(rho) for rho in _RHOS)
-    discretisation = mpf_exp(from_float(log_discretisation + _LOG_SLACK), 53, rn)
-    tail = mpf_exp(from_float(-yf * tf - tf * tf / 2 - math.log(yf + tf) + _LOG_SLACK), 53, rn)
-    rounding = mpf_add(mpf_mul(from_float(6 * tf * (yf + tf) + 5), value, 53, rn), from_float(2 * tf * (n + 4)), 53, rn)
-    error_bound = mpf_add(mpf_add(discretisation, tail, 53, rn), mpf_shift(rounding, -wp), 53, rn)
-    error_bound = mpf_mul(error_bound, _ONE_PLUS, 53, rn)
+    a, d = abs(xq.numerator), xq.denominator
+    m, f, weights, remainder = _weights(precision_bits)
+    # near x = 0 the j = 0 and pole terms cancel by about log2(1/z) bits,
+    # z = 2 pi m |x| > 4 m a / d, and e^z - 1 loses as many again
+    w = precision_bits + 32 + 2 * max(0, d.bit_length() - (4 * m * a).bit_length() + 1)
+    two_pi = {rnd: mpf_shift(mpf_pi(w, rnd), 1) for rnd in (round_floor, round_ceiling)}
+    root = {rnd: mpf_sqrt(two_pi[rnd], w, rnd) for rnd in two_pi}  # sqrt(2 pi)
+    e_u = {rnd: mpf_exp(round_quotient(a * a, 2 * d * d, w, rnd), w, rnd) for rnd in two_pi}  # e^{x^2/2}
+    if a == 0:  # phi(0) = sqrt(2 pi) / 2
+        lo, hi = (mpf_shift(root[rnd], -1) for rnd in two_pi)
+    else:
+        k, c, dd = (d * m) ** 2, (a * m) ** 2, d * d
+        total = sum(wj * k // (c + j * j * dd) for j, wj in enumerate(weights, 1))  # the sum over j >= 1, over 2^F
+        phis = []  # the lower end, then the upper; a lower end below 0 is still below phi > 0
+        for rnd, opp, ulps in ((round_floor, round_ceiling, 0), (round_ceiling, round_floor, len(weights) + 4 * m * m)):
+            # phi = (d/(m a) + 2a/(d m) sum - 2 pi e^u / (e^z - 1)) / sqrt(2 pi), z = 2 pi m a/d
+            e_z = mpf_exp(mpf_mul(mpf_pi(w, rnd), round_quotient(2 * m * a, d, w, rnd), w, rnd), w, rnd)
+            pole = mpf_div(mpf_mul(two_pi[opp], e_u[opp], w, opp), mpf_sub(e_z, fone, w, rnd), w, opp)
+            v = mpf_sub(round_quotient(2 * a * a * (total + ulps) + (dd << f), a * d * m, w, rnd, -f), pole, w, rnd)
+            phis.append(mpf_div(v, root[opp], w, rnd))
+        lo, hi = mpf_sub(phis[0], remainder, w, round_floor), mpf_add(phis[1], remainder, w, round_ceiling)
     if xq < 0:  # phi(x) = sqrt(2 pi) e^{x^2/2} - phi(|x|)
-        u = xq * xq / 2
-        root = mpf_sqrt(mpf_shift(mpf_pi(wp, rn), 1), wp, rn)  # sqrt(2 pi)
-        e = mpf_mul(root, mpf_exp(round_quotient(u.numerator, u.denominator, wp, rn), wp, rn), wp, rn)
-        value = mpf_sub(e, value, wp, rn)
-        rounding = mpf_add(mpf_mul(e, from_float(float(u) + 10), 53, rn), mpf_abs(value, 53, rn), 53, rn)
-        error_bound = mpf_mul(mpf_add(error_bound, mpf_shift(rounding, -wp), 53, rn), _ONE_PLUS, 53, rn)
-    return OracleValue(mp.make_mpf(value), mp.make_mpf(error_bound), "quadrature", wp)
+        ends = ((round_floor, hi), (round_ceiling, lo))
+        lo, hi = (mpf_sub(mpf_mul(root[rnd], e_u[rnd], w, rnd), end, w, rnd) for rnd, end in ends)
+    value = mpf_shift(mpf_add(lo, hi, w, round_nearest), -1)
+    error_bound = max(mp.make_mpf(mpf_sub(*pair, 53, round_ceiling)) for pair in ((hi, value), (value, lo)))
+    return OracleValue(mp.make_mpf(value), error_bound, "quadrature", w)

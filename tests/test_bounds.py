@@ -240,6 +240,12 @@ class TestLogConvexity:
                 assert log_convexity_check(n, x, 128) > 0
 
 
+def _own(family: str, orders) -> list[int]:
+    """orders, or a single-bound family's own order, the only one it takes."""
+    order = FAMILIES[family].order
+    return list(orders) if order is None else [order]
+
+
 class TestCertificateProtocol:
     """Family.at and certify_grid check the requested precision, enter the
     working precision once and read phi once per point for the evaluators."""
@@ -266,7 +272,7 @@ class TestCertificateProtocol:
         phi_at = bounds.phi_at
         monkeypatch.setattr(bounds, "phi_at", counting)
         xs = [Fraction(k, 4) for k in range(1, 9)]
-        assert certify_grid(family, [0, 1, 2, 3], xs, 96)
+        assert certify_grid(family, _own(family, [0, 1, 2, 3]), xs, 96)
         assert seen == xs
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -282,7 +288,7 @@ class TestCertificateProtocol:
         pq_sweep = bounds.pq_sweep
         monkeypatch.setattr(bounds, "pq_sweep", counting)
         xs = [Fraction(k, 4) for k in range(1, 9)]
-        assert certify_grid(family, list(range(12)), xs, 96)
+        assert certify_grid(family, _own(family, range(12)), xs, 96)
         depth = {"eq15": 23, "eq16": 12, "eq17": 13, "eq18": 2, "eq19": 3, "i": 13}
         assert calls == [(depth[family], x) for x in xs]
 
@@ -304,7 +310,7 @@ class TestCertificateProtocol:
         for x in (Fraction(-29), Fraction(-7, 3), Fraction(0), Fraction(1, 3), Fraction(29, 2)):
             for family, fam in FAMILIES.items():
                 if fam.x_above is None or x > fam.x_above:
-                    certify_grid(family, list(range(8)), [x], 96)
+                    certify_grid(family, _own(family, range(8)), [x], 96)
             for n in range(8):
                 log_convexity_check(n, x, 96)
                 log_convexity_error(n, x, 96)
@@ -331,7 +337,7 @@ class TestCertificateProtocol:
         mpf_div = libmpf.mpf_div
         monkeypatch.setattr(libmpf, "mpf_div", counting)
         for family, fam in FAMILIES.items():
-            assert certify_grid(family, list(range(8)), [x for x in xs if fam.x_above is None or x > fam.x_above], 96, memo)
+            assert certify_grid(family, _own(family, range(8)), [x for x in xs if fam.x_above is None or x > fam.x_above], 96, memo)
         assert calls == []
         sources = sorted(Path(bounds.__file__).parent.glob("*.py"))
         assert len(sources) >= 9 and not [p.name for p in sources if "from_rational" in p.read_text()]
@@ -358,9 +364,9 @@ class TestCertificateProtocol:
         """The verdict rule's fail branch, reached with an oracle value on
         the wrong side of the shown bound; I_n_sharper does not read phi."""
         x, bits, fam = Fraction(3, 2), 96, FAMILIES[family]
-        shown, certs = fam.at(n, x, bits)
+        (order,) = _own(family, [n])
+        shown, certs = fam.at(order, x, bits)
         assert certs[0].verdict == "pass"
-        order = n if fam.order is None else fam.order
         with mp.workprec(bits + GUARD_BITS):
             if family == "eq16":
                 phi = shown["convergent"] + 2 * shown["error_bound"]
@@ -419,10 +425,10 @@ class TestCertifyGrid:
     def test_order_does_not_depend_on_the_grid_order(self, family):
         xs = [Fraction(k, 4) for k in range(1, 9)]
         shuffled = xs[::-1][::2] + xs[::-1][1::2]
-        certs = certify_grid(family, [0, 1, 2, 3], shuffled, 96)
+        certs = certify_grid(family, _own(family, [0, 1, 2, 3]), shuffled, 96)
         keys = [(c.family, c.n, c.x) for c in certs]
         assert keys == sorted(keys)
-        assert certs == certify_grid(family, [0, 1, 2, 3], xs, 96)
+        assert certs == certify_grid(family, _own(family, [0, 1, 2, 3]), xs, 96)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
@@ -434,9 +440,20 @@ class TestCertifyGrid:
         with pytest.raises(DomainError, match=rf"Eq1[56]: x must exceed 0, got x = {x}"):
             certify_grid(family, [1, 2], [Fraction(1), x], 128)
 
+    @pytest.mark.parametrize("family,n", [("eq18", 3), ("eq19", 0), ("eq19", 5)])
+    def test_single_bound_family_refuses_another_order(self, family, n):
+        # as `mills bounds` does, with its words
+        message = f"--family {family} has the fixed order {FAMILIES[family].order}, but --n is {n}"
+        with pytest.raises(ValueError) as exc:
+            FAMILIES[family].at(n, Fraction(1))
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            certify_grid(family, [FAMILIES[family].order, n], [Fraction(1)])
+        assert str(exc.value) == message
+
     def test_eq19_refuses_x_at_most_minus_one(self):
         with pytest.raises(DomainError, match="Eq19: x must exceed -1, got x = -1"):
-            certify_grid("eq19", [0], [Fraction(-1)], 128)
+            certify_grid("eq19", [1], [Fraction(-1)], 128)
 
     def test_second_order_skips_pairs_outside_an_order_domain(self):
         certs = certify_grid("i", [0, 1, 3], [Fraction(-2), Fraction(1)], 128)
@@ -448,7 +465,7 @@ class TestCertifyGrid:
     def test_every_family_is_in_the_table(self):
         assert [fam.name for fam in FAMILIES.values()] == ["Eq15", "Eq16", "Eq17", "Eq18", "Eq19", "I"]
         for key, fam in FAMILIES.items():
-            shown, certs = fam.at(2, Fraction(3, 2), 96)
+            shown, certs = fam.at(*_own(key, [2]), Fraction(3, 2), 96)
             assert certs and all(c.verdict == "pass" for c in certs), key
             assert key == "eq17" or shown
 
@@ -456,7 +473,7 @@ class TestCertifyGrid:
     def test_at_reads_x_like_certify_grid(self, key):
         fam = FAMILIES[key]
         for spelled, exact in (("7/3", Fraction(7, 3)), (Fraction(7, 3), Fraction(7, 3)), (2.5, Fraction(5, 2))):
-            got, want = fam.at(2, spelled, 96), fam.at(2, exact, 96)
+            got, want = fam.at(*_own(key, [2]), spelled, 96), fam.at(*_own(key, [2]), exact, 96)
             assert got == want, (key, spelled)
             assert all(type(c.x) is Fraction for c in got[1]), (key, spelled)
 
@@ -503,7 +520,7 @@ def _check_point(family: str, n: int, x: Fraction, bits: int):
     """Every bound value a family returns at (n, x) is a bound on phi, every
     'pass' certificate states a true inequality, and points outside the
     family's domain are refused."""
-    fam = FAMILIES[family]
+    fam, (n,) = FAMILIES[family], _own(family, [n])
     phi = phi_reference(x)
     a_is_zero = quadratic_triple(n).a.eval_rational(x) == 0
     odd_outside = n % 2 == 1 and x < 0 and quadratic_triple(n).a.eval_rational(-x) >= 0
@@ -554,7 +571,7 @@ class TestSoundness:
     @pytest.mark.parametrize("x", SOUNDNESS_POINTS, ids=str)
     def test_every_family_at_fixed_points(self, x, bits):
         for family in sorted(FAMILIES):
-            for n in (0, 1, 2, 3, 5, 12, 20) + ((24, 31, 40) if family in ("eq17", "i") else ()):
+            for n in _own(family, (0, 1, 2, 3, 5, 12, 20) + ((24, 31, 40) if family in ("eq17", "i") else ())):
                 _check_point(family, n, x, bits)
 
     @settings(max_examples=120, deadline=None)
@@ -686,7 +703,7 @@ def _evaluations():
     for family, fam in sorted(FAMILIES.items()):
         xs = [x for x in (Fraction(-5, 2), Fraction(1, 3), Fraction(3, 2), Fraction(4))
               if fam.x_above is None or x > fam.x_above]
-        out.append(certify_grid(family, [0, 1, 2, 3], xs, 96))
+        out.append(certify_grid(family, _own(family, [0, 1, 2, 3]), xs, 96))
     wide = mp.fdiv(2, 3, prec=200, rounding="n")
     out += [nstr_fixed(wide, 20), nstr_fixed(wide, 3), nstr_fixed(Fraction(2, 3), 30)]
     return out

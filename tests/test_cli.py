@@ -574,6 +574,20 @@ def test_bounds_table_script_golden(capsys, monkeypatch, argv):
     assert capsys.readouterr().out == BOUNDS_TABLE_GOLDEN[argv]
 
 
+@pytest.mark.parametrize("script", ["bounds_table", "run_full_verification"])
+def test_scripts_take_a_negative_grid_after_a_space(capsys, monkeypatch, tmp_path, script):
+    # "--grid -1:1:1", the form README shows for mills, reads as "--grid=-1:1:1"
+    extra = ["--n-max", "1", "--out", str(tmp_path / "v.json")] if script == "run_full_verification" else []
+    outputs = []
+    for grid in (["--grid", "-1:1:1"], ["--grid=-1:1:1"]):
+        monkeypatch.setattr(sys, "argv", [f"{script}.py", *grid, "--precision", "96", *extra])
+        assert _load_script(script).main() == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    shown = outputs[0] if script == "bounds_table" else (tmp_path / "v.json").read_text()
+    assert "-1" in shown
+
+
 class TestPrecisionFloor:
     @pytest.mark.parametrize(
         "argv",

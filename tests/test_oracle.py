@@ -279,30 +279,33 @@ class TestQuadratureErrorBound:
                 assert abs(ov.value - _reference(x)) <= ov.error_bound
 
     def test_rules_are_built_on_first_use_once_per_precision(self):
-        # a fresh interpreter: importing builds no rule, and each precision adds
-        # one per x band it is called in, |x| < 5 and |x| >= 5
+        # a fresh interpreter: importing builds no weight table, and each
+        # precision builds one, whatever x and however often it is called
         script = (
             "import millsratio\n"
             "from millsratio import oracle\n"
-            "assert not oracle._RULES, oracle._RULES.keys()\n"
-            "for p, x in ((64, -2), (128, 0), (256, 5), (64, 1), (128, -7), (256, 0)):\n"
+            "assert not oracle._WEIGHTS, oracle._WEIGHTS.keys()\n"
+            "built = []\n"
+            "build = oracle._build_weights\n"
+            "oracle._build_weights = lambda p: built.append(p) or build(p)\n"
+            "for p, x in ((64, -2), (128, 0), (256, 5), (64, 1), (97, -7), (256, 0), (128, 29), (97, 1/3)):\n"
             "    millsratio.phi_quadrature(x, p)\n"
-            "print(sorted(oracle._RULES))\n"
+            "print(sorted(oracle._WEIGHTS), built)\n"
         )
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == str([(78, 96), (116, 160), (136, 160), (222, 288), (252, 288)])
+        assert result.stdout.strip() == "[64, 97, 128, 256] [64, 128, 256, 97]"
 
     def test_concurrent_first_builds_agree(self):
-        # node counts no call builds, raced by four threads while a fifth keeps
+        # odd precisions no other call builds, raced by four threads while a fifth keeps
         # changing mpmath's process-wide precision
-        keys = [(n, 96) for n in range(30, 62, 2)]
+        keys = list(range(65, 97, 2))
         results = [[] for _ in range(4)]
         done = threading.Event()
 
         def race(k):
             for key in keys[k % 2 :: 2] + keys[1 - k % 2 :: 2]:
-                results[k].append((key, oracle._rule(*key)))
+                results[k].append((key, oracle._weights(key)))
 
         def disturber():
             while not done.is_set():
@@ -326,10 +329,88 @@ class TestQuadratureErrorBound:
         assert not any(t.is_alive() for t in threads + [noise])
         for got in results:
             assert len(got) == len(keys)
-            for key, rule in got:
-                assert rule is oracle._RULES[key]
+            for key, table in got:
+                assert table is oracle._WEIGHTS[key]
         for key in keys:
-            assert oracle._RULES[key] == oracle._build_rule(*key)
+            assert oracle._WEIGHTS[key] == oracle._build_weights(key)
+
+    @pytest.mark.parametrize("p", [64, 97, 256, 1024])
+    def test_weight_table_is_as_counted(self, p):
+        # W_j <= e^{-j^2/(2m^2)} 2^F < W_j + 2, as the rounding term counts,
+        # and the contour and tail remainders together are below 2^-(p+19)
+        m, f, weights, remainder = oracle._weights(p)
+        assert f == p + 48 and 0 < mp.make_mpf(remainder) <= mpf(2) ** -(p + 19)
+        with mp.workprec(f + 64):
+            for j, w in enumerate(weights, 1):
+                exact = mp.exp(-mpf(j * j) / (2 * m * m)) * mpf(2) ** f
+                assert w <= exact < w + 2, (p, j)
+
+    @pytest.mark.parametrize("x", [7, Fraction(-7, 2)])
+    def test_no_exponential_per_node(self, monkeypatch, x):
+        # a warm call evaluates the same few exponentials at every precision,
+        # however many nodes the rule has there
+        counts = []
+        exp = oracle.mpf_exp
+
+        def counting(*args, **kwargs):
+            counts[-1] += 1
+            return exp(*args, **kwargs)
+
+        for p in (64, 256, 1024):
+            phi_quadrature(x, p)  # builds the weights
+            monkeypatch.setattr(oracle, "mpf_exp", counting)
+            counts.append(0)
+            phi_quadrature(x, p)
+            monkeypatch.setattr(oracle, "mpf_exp", exp)
+        assert counts[0] == counts[1] == counts[2] <= 4, counts
+
+    @pytest.mark.parametrize("p", [64, 2048])
+    def test_edge_cases(self, p):
+        with mp.workprec(300):  # a 300-bit mantissa
+            tiny = mpf(2) ** -200 * (1 + mpf(2) ** -299)
+        for x in (Fraction(0), Fraction(1, 2**200), tiny, 29.99, Fraction(-29)):
+            for route in (phi_quadrature, phi_series):
+                ov = route(x, p)
+                ref = _reference(to_fraction(x), p + 800)
+                with mp.workprec(2 * p + 1600):
+                    assert abs(ov.value - ref) <= ov.error_bound, f"{route.__name__}, x={x}, p={p}"
+                    assert ov.error_bound <= mpf(2) ** -(p + 8) * (1 + abs(ref)), f"{route.__name__}, x={x}, p={p}"
+                assert ov.working_bits >= p + 32
+        with mp.workprec(p + 64):
+            assert abs(phi_quadrature(0, p).value - mp.sqrt(mp.pi / 2)) <= phi_quadrature(0, p).error_bound
+
+
+# points within 1/128 of the b the contour bound can use inside the
+# envelope (2 pi m for m = 3, 4), and the envelope's edge, where the bound is
+# evaluated, next to b = ENVELOPE + 1/4
+_NEAR_B = sorted({s * min(Fraction(round(b * 128) + t, 128), Fraction(oracle.ENVELOPE))
+                  for b in (6 * math.pi, 8 * math.pi, oracle.ENVELOPE + 0.25) for t in (-1, 0, 1) for s in (1, -1)})
+
+
+@st.composite
+def _any_point(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_NEAR_B))
+    den = draw(st.integers(1, 128))
+    return Fraction(draw(st.integers(-30 * den, 30 * den)), den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(64, 1024), _any_point())
+@example(64, Fraction(0))
+@example(1024, Fraction(30))
+@example(97, Fraction(-30))
+@example(1000, Fraction(1, 128))
+@example(333, Fraction(-1, 128))
+def test_both_routes_are_sound_at_any_precision(p, x):
+    # the derived bound holds, and is no looser than 2^-(p+8) (1 + |phi|),
+    # at precisions that need not be multiples of 32
+    ref = _reference(x, p + 800)
+    for route in (phi_series, phi_quadrature):
+        ov = route(x, p)
+        with mp.workprec(2 * p + 1600):
+            assert abs(ov.value - ref) <= ov.error_bound, f"{route.__name__}, x={x}, p={p}"
+            assert ov.error_bound <= mpf(2) ** -(p + 8) * (1 + abs(ref)), f"{route.__name__}, x={x}, p={p}"
 
 
 def test_routes_agree_with_themselves_across_threads():
