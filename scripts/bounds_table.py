@@ -12,7 +12,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from millsratio.bounds import FAMILIES, phi_at
+from millsratio.bounds import FAMILIES, GUARD_BITS, phi_at
 from millsratio.cli import _attach_negative_values, at_least, grid_points, parse_grid
 from millsratio.errors import DomainError, EnvelopeError, SingularityError
 from millsratio.numutil import MIN_PRECISION_BITS, nstr_fixed
@@ -30,13 +30,13 @@ def main(argv=None) -> int:
 
     xs = grid_points(args.grid)
     p, d = args.precision, args.digits
-    memo: dict = {}  # one phi per x, read again by every family
     try:
-        phis = [phi_at(x, p, memo).value for x in xs]
+        phis = [phi_at(x, p).value for x in xs]
     except EnvelopeError as exc:
         parser.error(f"argument --grid: {exc}")
     # (family, order, one header per value the family shows); "-" marks a
-    # point outside the family's domain or at a root of A_n
+    # point outside the family's domain or at a root of A_n.  The values are
+    # those Family.at shows, read at p + GUARD_BITS with no certificate
     columns = [
         ("eq15", args.order, ("cf_lower", "cf_upper")),
         ("i", args.even, (f"I_{args.even}",)),
@@ -51,7 +51,7 @@ def main(argv=None) -> int:
         row = [str(Fraction(x)), nstr_fixed(phi, d)]
         for name, n, headers in columns:
             try:
-                shown, _ = FAMILIES[name].at(n, x, p, memo)
+                shown = FAMILIES[name].bound(n, x, p + GUARD_BITS)
                 row += [nstr_fixed(v, d) for v in shown.values()]
             except (DomainError, SingularityError):
                 row += ["-"] * len(headers)

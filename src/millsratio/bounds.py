@@ -34,9 +34,10 @@ square-root bound, monotone in its root, at the end of an integer isqrt
 enclosure of the root that errs outward (_root, the one square-root
 kernel, Eq18's and Eq19's too), so it always holds.
 
-The families Eq15 to Eq19 and I are the rows of one table, FAMILIES, that
-certify_grid, `mills bounds` and scripts/bounds_table.py all read.  One
-verdict rule decides every certificate: its margin is an exact value
+The families Eq15 to Eq19 and I are the rows of one table, FAMILIES.  A
+row is the one place its bound values are formed: the five public bound
+functions, `mills bounds` and scripts/bounds_table.py all read them there.
+One verdict rule decides every certificate: its margin is an exact value
 within a derived error of the true margin (the oracle's error bound, or
 for Eq17 the error of the exact Taylor expansion about the oracle's
 value), rounded once at p + GUARD_BITS bits, and it passes iff it exceeds
@@ -104,35 +105,10 @@ class Certificate:
 CSV_COLUMNS = ["family", "n", "x", "margin", "precision_bits", "verdict"]
 
 
-def first_order_enclosure(n: int, x, precision_bits: int = 128) -> Enclosure:
-    """Rational enclosure Q_{2n}/P_{2n} < phi < Q_{2n+1}/P_{2n+1}, x > 0,
-    with the exact endpoints rounded outward to precision_bits."""
-    p, xf = check_precision(precision_bits), _positive(x, "first-order enclosure requires x > 0")
-    (ps, qs), k = pq_sweep(2 * n + 1, xf), 2 * n
-    lower, upper = _quotient(qs[k], ps[k], p, "f"), _quotient(qs[k + 1], ps[k + 1], p, "c")
-    return Enclosure(to_mpf(xf, p), lower, upper, f"Eq15/order={k}", f"Eq15/order={k + 1}", p)
-
-
-def first_order_error_bound(n: int, x, precision_bits: int = 128) -> mpf:
-    """n! / (P_n(x) P_{n+1}(x)) = n! d^{2n+1} / (p_n p_{n+1}) at x = a/d, the
-    first-order truncation error bound, rounded up to precision_bits."""
-    p, xf = check_precision(precision_bits), _positive(x, "error bound is stated for x > 0")
-    ps = _sweep(xf, [n], n + 1)[0]
-    return _quotient(factorial(n) * xf.denominator ** (2 * n + 1), ps[n] * ps[n + 1], p, "c")
-
-
-def _positive(x, message: str) -> Fraction:
-    """x as an exact rational, refused unless x > 0."""
-    xf = to_fraction(x)
-    if xf <= 0:
-        raise DomainError(f"{message}, got x = {xf}")
-    return xf
-
-
 def _sweep(x: Fraction, orders: list[int], depth: int) -> tuple[list[int], list[int]]:
     """pq_sweep(depth, x) for the given orders, refused below 0 as pq_pair refuses them."""
     if min(orders, default=0) < 0:
-        raise ValueError("order must be non-negative")
+        raise ValueError(f"order must be non-negative, got n = {min(orders)}")
     return pq_sweep(depth, x)
 
 
@@ -177,41 +153,6 @@ def _root(n: int, x: Fraction, form: tuple[int, int, int], precision_bits: int) 
     return _quotient(num, den, precision_bits, "c" if odd else "f")
 
 
-def komatsu_lower(x, precision_bits: int = 128) -> mpf:
-    """2 / (x + sqrt(x^2 + 4)), Z^+ of order 0 by _root from one sweep at the
-    exact x; a lower bound for phi on all of R, rounded down."""
-    p, xf = check_precision(precision_bits), to_fraction(x)
-    return _root(0, xf, quadratic_form(*pq_sweep(2, xf), 0), p)
-
-
-def szarek_werner_upper(x, precision_bits: int = 128) -> mpf:
-    """4 / (3x + sqrt(x^2 + 8)), Z^- of order 1 by _root from one sweep at the
-    exact x, 2/3 at x = 1; an upper bound for phi on ]-1, inf[, rounded up."""
-    p, xf = check_precision(precision_bits), to_fraction(x)
-    if xf <= -1:
-        raise DomainError(f"x must exceed -1, got x = {xf}")
-    return _root(1, xf, quadratic_form(*pq_sweep(3, xf), 1), p)
-
-
-def second_order_bound(n: int, x, precision_bits: int = 128, sweep=None) -> SecondOrderBound:
-    """Even n: the lower bound Z^+ on all of R.  Odd n: the upper bound Z^-
-    on ]-beta_m, inf[.
-
-    A_n, B_n and C_n are exact, from sweep (one at x to order n + 2 at
-    least) or a sweep of its own, and _root forms Z, rounded outward to
-    precision_bits.  Raises DomainError for odd n at x <= -beta_m, and
-    SingularityError where A_n(x) is exactly 0 (x = beta_m for odd n)."""
-    p, xf = check_precision(precision_bits), to_fraction(x)
-    form, odd = quadratic_form(*(sweep or _sweep(xf, [n], n + 2)), n), n % 2 == 1
-    # A_n is even, so its exact sign at x decides ]-beta_m, inf[: negative
-    # exactly inside the gap
-    if odd and xf < 0 and form[0] >= 0:
-        raise DomainError(f"order {n} upper bound requires x > -beta_{(n - 1) // 2}, got x = {xf}")
-    if form[0] == 0:
-        raise SingularityError(f"A_{n}({xf}) is exactly 0")
-    return SecondOrderBound(n=n, value=_root(n, xf, form, p), role="upper" if odd else "lower")
-
-
 def phi_derivative(n: int, x, precision_bits: int = 128) -> mpf:
     """phi^(n)(x) = P_n(x) phi(x) - Q_n(x), with an absolute error below
     2^-precision_bits.
@@ -243,10 +184,10 @@ def beta(m: int, tolerance=None) -> BetaRoot:
     carries sign zero.
     """
     if m < 0:
-        raise ValueError("index must be non-negative")
+        raise ValueError(f"index must be non-negative, got m = {m}")
     tol = Fraction(1, 2**40) if tolerance is None else to_fraction(tolerance)
     if tol <= 0:
-        raise ValueError("tolerance must be positive")
+        raise ValueError(f"tolerance must be positive, got tolerance = {tol}")
     bits = max(128, -(tol.numerator.bit_length() - tol.denominator.bit_length()) + 32)
     n, lo, hi = 2 * m + 1, Fraction(0), Fraction(1)
     sign = lambda x: hankel(pq_sweep(n + 2, x)[0], n)  # the sign of A_n(x)
@@ -331,78 +272,102 @@ def _difference(above: mpf, below: mpf, precision_bits: int) -> mpf:
     return mp.make_mpf(mpf_sub(above._mpf_, below._mpf_, precision_bits + GUARD_BITS, round_nearest))
 
 
-def _vs_phi(family: str, n: int, x: Fraction, bound: mpf, upper: bool, precision_bits: int, ov: OracleValue):
-    """The certificate that bound, an exact value, lies above (upper) or
-    below phi(x), as ov encloses it."""
-    above, below = (bound, ov.value) if upper else (ov.value, bound)
-    return _cert(family, n, x, _difference(above, below, precision_bits), ov.error_bound, precision_bits)
+def _vs_phi(family: str, n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep, shown: dict):
+    """The certificate that every shown lower (upper) value, an exact bound,
+    lies below (above) phi(x), as ov encloses it; the margin is the least."""
+    v = ov.value
+    margin = min(_difference(b, v, precision_bits) if side == "upper" else _difference(v, b, precision_bits)
+                 for side, b in shown.items())
+    return [_cert(family, n, x, margin, ov.error_bound, precision_bits)]
 
 
-def _eq15(n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep):
-    (ps, qs), w = sweep, precision_bits + GUARD_BITS
-    lower, upper = _quotient(qs[2 * n], ps[2 * n], w, "f"), _quotient(qs[2 * n + 1], ps[2 * n + 1], w, "c")
-    margin = min(_difference(ov.value, lower, precision_bits), _difference(upper, ov.value, precision_bits))
-    return {"lower": lower, "upper": upper}, [_cert("Eq15", n, x, margin, ov.error_bound, precision_bits)]
+def _eq15(n: int, x: Fraction, w: int, sweep):
+    (ps, qs), k = sweep, 2 * n
+    return {"lower": _quotient(qs[k], ps[k], w, "f"), "upper": _quotient(qs[k + 1], ps[k + 1], w, "c")}
 
 
-def _eq16(n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep):
+def _eq16(n: int, x: Fraction, w: int, sweep):
+    """The convergent q_n/p_n rounded to nearest, and the error bound n!
+    d^{2n+1} / (p_n p_{n+1}) rounded up."""
+    (ps, qs), bound = sweep, factorial(n) * x.denominator ** (2 * n + 1)
+    return {"convergent": _quotient(qs[n], ps[n], w), "error_bound": _quotient(bound, ps[n] * ps[n + 1], w, "c")}
+
+
+def _eq16_margin(family: str, n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep, shown: dict):
     """With v = N 2^-E, the margin n! d^{2n+1} / (p_n p_{n+1}) - |v - q_n/p_n|
-    is one integer over p_n p_{n+1} 2^E, rounded once; the shown convergent
-    is rounded to nearest and the shown bound up."""
+    is one integer over p_n p_{n+1} 2^E, rounded once."""
     (ps, qs), w, (scale, v) = sweep, precision_bits + GUARD_BITS, _dyadic(ov.value)
     pn, pn1, qn, bound = ps[n], ps[n + 1], qs[n], factorial(n) * x.denominator ** (2 * n + 1)
     margin = _quotient((bound << scale) - pn1 * abs(v * pn - (qn << scale)), pn * pn1, w, "n", -scale)
-    shown = {"convergent": _quotient(qn, pn, w), "error_bound": _quotient(bound, pn * pn1, w, "c")}
-    return shown, [_cert("Eq16", n, x, margin, ov.error_bound, precision_bits)]
+    return [_cert(family, n, x, margin, ov.error_bound, precision_bits)]
 
 
-def _eq17(n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep):
-    return {}, [_cert("Eq17", n, x, *log_convexity(n, x, ov, precision_bits, sweep), precision_bits)]
+def _eq17(family: str, n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep, shown: dict):
+    return [_cert(family, n, x, *log_convexity(n, x, ov, precision_bits, sweep), precision_bits)]
 
 
-def _eq18(n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep):
-    lower = _root(0, x, quadratic_form(*sweep, 0), precision_bits + GUARD_BITS)
-    return {"lower": lower}, [_vs_phi("Eq18", n, x, lower, False, precision_bits, ov)]
+def _square_root(n: int, x: Fraction, w: int, sweep):
+    """The order-n root by _root, Z^+ for even n and Z^- for odd n: Eq18's
+    at order 0, Eq19's at order 1."""
+    return {"upper" if n % 2 else "lower": _root(n, x, quadratic_form(*sweep, n), w)}
 
 
-def _eq19(n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep):
-    upper = _root(1, x, quadratic_form(*sweep, 1), precision_bits + GUARD_BITS)
-    return {"upper": upper}, [_vs_phi("Eq19", n, x, upper, True, precision_bits, ov)]
+def _second_order(n: int, x: Fraction, w: int, sweep):
+    a = hankel(sweep[0], n)  # d^{2n+2} A_n(x)
+    # A_n is even, so its exact sign at x decides ]-beta_m, inf[: negative
+    # exactly inside the gap
+    if n % 2 and x < 0 and a >= 0:
+        raise DomainError(f"order {n} upper bound requires x > -beta_{(n - 1) // 2}, got x = {x}")
+    if a == 0:
+        raise SingularityError(f"A_{n}({x}) is exactly 0")
+    return _square_root(n, x, w, sweep)
 
 
-def _second_order(n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep):
-    """I_n, plus the companion I_n_sharper certificate of its sharpness
-    against the first-order convergent: Q_{2m}/P_{2m} < Z^+ for x > 0 and
-    Z^- < Q_{2m+1}/P_{2m+1} for x > beta_m.  Z's outward endpoint errs away
-    from the convergent too, so that margin, with Z = N 2^-E the integer
-    (q_n 2^E - N p_n) over p_n 2^E, is exact before its rounding."""
-    sb, (ps, qs) = second_order_bound(n, x, precision_bits + GUARD_BITS, sweep), sweep
-    upper = sb.role == "upper"
-    certs = [_vs_phi(f"I_{n}", n, x, sb.value, upper, precision_bits, ov)]
+def _sharper(family: str, n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep, shown: dict):
+    """I_n against phi, plus the companion I_n_sharper certificate of its
+    sharpness against the first-order convergent: Q_{2m}/P_{2m} < Z^+ for x
+    > 0 and Z^- < Q_{2m+1}/P_{2m+1} for x > beta_m.  Z's outward endpoint
+    errs away from the convergent too, so that margin, with Z = N 2^-E the
+    integer (q_n 2^E - N p_n) over p_n 2^E, is exact before its rounding."""
+    ((_, z),), (ps, qs), upper = shown.items(), sweep, n % 2 == 1
+    certs = _vs_phi(f"{family}_{n}", n, x, precision_bits, ov, sweep, shown)
     if x > 0 and (not upper or hankel(ps, n) > 0):  # A_n(x) > 0
-        scale, z = _dyadic(sb.value)
+        scale, z = _dyadic(z)
         sharper = (qs[n] << scale) - z * ps[n]
         margin = _quotient(sharper if upper else -sharper, ps[n], precision_bits + GUARD_BITS, "n", -scale)
-        certs.append(_cert(f"I_{n}_sharper", n, x, margin, mpf(0), precision_bits))
-    return {sb.role: sb.value}, certs
+        certs.append(_cert(f"{family}_{n}_sharper", n, x, margin, mpf(0), precision_bits))
+    return certs
 
 
 @dataclass(frozen=True)
 class Family:
     """One bound family: what differs between families, and nothing more.
 
-    ``point(n, x, precision_bits, ov, sweep)`` returns the bound values
-    shown at (n, x), by name, and the certificates made there against ov,
-    the oracle value phi_at gives at (x, precision_bits), from sweep, a
-    pq_sweep at x to order depth(n) at least; it raises DomainError or
-    SingularityError where the order-n bound is not stated.  It rounds
-    every value it forms at precision_bits + GUARD_BITS."""
+    ``values(n, x, w, sweep)`` forms the bound values shown at (n, x), by
+    name, each exact or rounded once at w bits, every bound outward, from
+    sweep, a pq_sweep at x to order depth(n) at least; it raises DomainError
+    or SingularityError where the order-n bound is not stated.
+    ``certify(name, n, x, p, ov, sweep, shown)`` makes the certificates
+    there against ov, the oracle value phi_at gives at (x, p), with shown
+    the values at p + GUARD_BITS."""
 
     name: str
     x_above: int | None  # stated domain x > x_above; None: every x the oracle takes
     order: int | None  # the one order of a single-bound family
     depth: Callable[[int], int]  # the sweep order that order n reads up to
-    point: Callable[[int, Fraction, int, OracleValue, tuple], tuple[dict[str, mpf], list[Certificate]]]
+    values: Callable[[int, Fraction, int, tuple], dict[str, mpf]]
+    certify: Callable[..., list[Certificate]] = _vs_phi  # by default, the rule the bounds share
+
+    def bound(self, n: int, x, precision_bits: int = 128) -> dict[str, mpf]:
+        """values at (n, x) at precision_bits, from one sweep and no oracle
+        value, x read through to_fraction as in at."""
+        p, orders, x = check_precision(precision_bits), self.orders([n]), to_fraction(x)
+        self.check(x)
+        return self.values(n, x, p, _sweep(x, orders, self.depth(n)))
+
+    def point(self, n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep):
+        shown = self.values(n, x, precision_bits + GUARD_BITS, sweep)
+        return shown, self.certify(self.name, n, x, precision_bits, ov, sweep, shown)
 
     def evaluate(self, orders: list[int], x: Fraction, precision_bits: int, ov: OracleValue, skip: bool = False):
         """point at every n in orders, all from one sweep at x; with skip, an
@@ -437,19 +402,49 @@ class Family:
         return self.evaluate(orders, x, p, phi_at(x, p, memo))[0]
 
 
-# The evaluators call the module's functions by name, so that wrappers
-# installed on the module see every call.
+# Each row holds its own evaluators, and no row calls a public function:
+# the five public bound functions below read their values through
+# Family.bound, so a wrapper installed on one of them sees outside calls only.
 FAMILIES = {
     fam.name.lower(): fam
     for fam in (
         Family("Eq15", 0, None, lambda n: 2 * n + 1, _eq15),
-        Family("Eq16", 0, None, lambda n: n + 1, _eq16),
-        Family("Eq17", None, None, lambda n: n + 2, _eq17),
-        Family("Eq18", None, 0, lambda n: n + 2, _eq18),
-        Family("Eq19", -1, 1, lambda n: n + 2, _eq19),
-        Family("I", None, None, lambda n: n + 2, _second_order),
+        Family("Eq16", 0, None, lambda n: n + 1, _eq16, _eq16_margin),
+        Family("Eq17", None, None, lambda n: n + 2, lambda *_: {}, _eq17),
+        Family("Eq18", None, 0, lambda n: n + 2, _square_root),
+        Family("Eq19", -1, 1, lambda n: n + 2, _square_root),
+        Family("I", None, None, lambda n: n + 2, _second_order, _sharper),
     )
 }
+
+
+def first_order_enclosure(n: int, x, precision_bits: int = 128) -> Enclosure:
+    """Q_{2n}/P_{2n} < phi < Q_{2n+1}/P_{2n+1}, x > 0: the Eq15 row's values."""
+    shown = FAMILIES["eq15"].bound(n, x, precision_bits)
+    return Enclosure(to_mpf(x, precision_bits), shown["lower"], shown["upper"], f"Eq15/order={2 * n}",
+                     f"Eq15/order={2 * n + 1}", precision_bits)
+
+
+def first_order_error_bound(n: int, x, precision_bits: int = 128) -> mpf:
+    """n! / (P_n(x) P_{n+1}(x)), x > 0: the Eq16 row's error_bound."""
+    return FAMILIES["eq16"].bound(n, x, precision_bits)["error_bound"]
+
+
+def komatsu_lower(x, precision_bits: int = 128) -> mpf:
+    """2 / (x + sqrt(x^2 + 4)) < phi(x) on all of R: the Eq18 row's value."""
+    return FAMILIES["eq18"].bound(0, x, precision_bits)["lower"]
+
+
+def szarek_werner_upper(x, precision_bits: int = 128) -> mpf:
+    """phi(x) < 4 / (3x + sqrt(x^2 + 8)) on ]-1, inf[: the Eq19 row's value."""
+    return FAMILIES["eq19"].bound(1, x, precision_bits)["upper"]
+
+
+def second_order_bound(n: int, x, precision_bits: int = 128) -> SecondOrderBound:
+    """The I row's value: the lower bound Z^+ for even n on all of R, the
+    upper bound Z^- for odd n on ]-beta_m, inf[."""
+    ((role, value),) = FAMILIES["i"].bound(n, x, precision_bits).items()
+    return SecondOrderBound(n=n, value=value, role=role)
 
 
 def find_family(name: str) -> Family:

@@ -41,10 +41,10 @@ def parse_rational(text: str) -> Fraction:
 def parse_grid(text: str) -> tuple[Fraction, Fraction, Fraction]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError("grid must be start:stop:step")
+        raise argparse.ArgumentTypeError(f"grid must be start:stop:step, got {text!r}")
     start, stop, step = (parse_rational(p) for p in parts)
     if step <= 0:
-        raise argparse.ArgumentTypeError("grid step must be positive")
+        raise argparse.ArgumentTypeError(f"grid step must be positive, got step = {step}")
     if stop < start:
         raise argparse.ArgumentTypeError(f"grid stop {stop} is below its start {start}")
     return start, stop, step
@@ -264,7 +264,7 @@ def cmd_beta(args) -> int:
 def cmd_cf(args) -> int:
     x, depth, p, digits = args.x, args.depth, args.precision, args.digits
     if x <= 0:
-        raise DomainError("cf requires x > 0")
+        raise DomainError(f"cf requires x > 0, got x = {x}")
     ov = phi_series(x, p)
     print(f"x = {x}")
     print(f"expansion: {expansion_str(min(depth, 8))}")

@@ -29,7 +29,7 @@ from .numutil import check_precision, to_fraction, to_mpf
 def cf_b(n: int) -> Fraction:
     """Partial-quotient coefficient b_n, exact."""
     if n < 0:
-        raise ValueError("index must be non-negative")
+        raise ValueError(f"index must be non-negative, got n = {n}")
     m, r = divmod(n, 2)
     even = Fraction(comb(2 * m, m), 4**m)
     if r == 0:
@@ -43,7 +43,7 @@ def pq_sweep(n: int, x) -> tuple[list[int], list[int]]:
     + k d^2 p_{k-1} from (p_0, p_1) = (1, a), likewise q from (0, d), a
     three-term recurrence on integers (Gautschi, SIAM Rev. 9, 1967)."""
     if n < 0:
-        raise ValueError("order must be non-negative")
+        raise ValueError(f"order must be non-negative, got n = {n}")
     x = to_fraction(x)
     a, d = x.numerator, x.denominator
     ps, qs = [1, a][: n + 1], [0, d][: n + 1]
@@ -60,7 +60,7 @@ def cf_convergent(n: int, x) -> Fraction:
     """Exact n-th convergent Q_n(x)/P_n(x) = [0; b_0 x, ..., b_{n-1} x], 0 at
     n = 0: the last pair of pq_sweep, as one Fraction."""
     if to_fraction(x) <= 0:
-        raise DomainError("expansion is stated for x > 0")
+        raise DomainError(f"expansion is stated for x > 0, got x = {to_fraction(x)}")
     ps, qs = pq_sweep(n, x)  # refuses n < 0
     return Fraction(qs[n], ps[n])
 
@@ -73,11 +73,11 @@ def cf_ladder_eval(depth: int, x, precision_bits: int) -> mpf:
     continued fractions, so no extra guard precision is needed.
     """
     if depth < 1:
-        raise ValueError("depth must be >= 1")
+        raise ValueError(f"depth must be >= 1, got depth = {depth}")
     p = check_precision(precision_bits)
     xv = to_mpf(x, p)
     if xv <= 0:
-        raise DomainError("ladder is stated for x > 0")
+        raise DomainError(f"ladder is stated for x > 0, got x = {to_fraction(x)}")
     rn = {"prec": p, "rounding": "n"}
     acc = mp.fdiv(depth, xv, **rn)
     for k in range(depth - 1, 0, -1):

@@ -79,7 +79,7 @@ _Q: list[IntPolynomial] = [ZERO, ONE]
 def pq_pair(n: int) -> PQPair:
     """(P_n, Q_n) via the shared memo table; order-n cost is incremental."""
     if n < 0:
-        raise ValueError("order must be non-negative")
+        raise ValueError(f"order must be non-negative, got n = {n}")
     if n >= len(_Q):  # _Q grows second, so a long _Q implies a long _P
         with _lock:
             while n >= len(_Q):
@@ -102,7 +102,7 @@ def p_closed_form(n: int) -> IntPolynomial:
     """P_n = sum_k n! / (2^k k! (n-2k)!) X^{n-2k}: from the leading 1, the
     X^{n-2k} coefficient is the X^{n-2k+2} one times (n-2k+2)(n-2k+1) / (2k)."""
     if n < 0:
-        raise ValueError("order must be non-negative")
+        raise ValueError(f"order must be non-negative, got n = {n}")
     coeffs = [0] * (n + 1)
     coeffs[n] = c = 1
     for k in range(1, n // 2 + 1):  # c: the X^{n-2k} coefficient
@@ -115,7 +115,7 @@ def q_closed_form(n: int, p_form=p_closed_form) -> IntPolynomial:
     """Q_n as the sum of (m-k)!/(m-2k)! P_{m-2k} over 0 <= 2k <= m = n-1, P_r = p_form(r):
     from 1, the k-th scale is the one before times (m-2k+2)(m-2k+1) / (m-k+1)."""
     if n < 1:
-        raise ValueError("order must be >= 1")
+        raise ValueError(f"order must be >= 1, got n = {n}")
     m = n - 1
     coeffs = [0] * n
     scale = 1
@@ -135,7 +135,7 @@ def q_coefficient_form(n: int) -> IntPolynomial:
     terms C(m-k+j, j) 2^{k-j} from 2^k by (m-k+j) / (2j), and F_k times
     their sum is divided by 2^k last, every step a checked exact division."""
     if n < 1:
-        raise ValueError("order must be >= 1")
+        raise ValueError(f"order must be >= 1, got n = {n}")
     m = n - 1
     coeffs = [0] * (m + 1)
     scale = 1
@@ -154,7 +154,7 @@ def q_coefficient_form(n: int) -> IntPolynomial:
 def quadratic_triple(n: int) -> QuadraticTriple:
     """A_n, B_n, C_n, formed from the shared (P, Q) tables on each call."""
     if n < 0:
-        raise ValueError("order must be non-negative")
+        raise ValueError(f"order must be non-negative, got n = {n}")
     pq_pair(n + 2)
     return QuadraticTriple(n, *quadratic_form(_P, _Q, n))
 
@@ -186,7 +186,7 @@ def a_closed_form(n: int) -> IntPolynomial:
     division, exact because A_n = P_n P_{n+2} - P_{n+1}^2 has integer
     coefficients; a remainder is reported as a transcription bug."""
     if n < 0:
-        raise ValueError("order must be non-negative")
+        raise ValueError(f"order must be non-negative, got n = {n}")
     sign, half, nfact = (-1) ** n, n // 2, factorial(n)
     weights = [1]  # w_k for k <= (n-2)//2
     for k in range(1, half):
@@ -221,7 +221,7 @@ def _discriminant_holds(w_n, w_next, w2_n, n: int) -> bool:
 def discriminant(n: int) -> IntPolynomial:
     """B_n^2 - 4 A_n C_n, asserted equal to (n!)^2 (X^2 + 4n + 4)."""
     if n < 0:
-        raise ValueError("order must be non-negative")
+        raise ValueError(f"order must be non-negative, got n = {n}")
     pq_pair(n + 2)
     if not _discriminant_holds(_wronskian(_P, _Q, n), _wronskian(_P, _Q, n + 1), _wronskian(_P, _Q, n, 2), n):
         raise IdentityError(f"discriminant identity failed at n={n}")
@@ -238,9 +238,9 @@ def generating_function_residual(x, y, terms: int, precision_bits: int) -> mpf:
     """
     x, y = to_fraction(x), to_fraction(y)
     if terms < 1:
-        raise ValueError("terms must be >= 1")
+        raise ValueError(f"terms must be >= 1, got terms = {terms}")
     if abs(y) >= 1:
-        raise ValueError("|y| must be < 1")
+        raise ValueError(f"|y| must be < 1, got y = {y}")
     ps, d2 = pq_sweep(terms + 1, x)[0], x.denominator ** 2  # A_n(x) = d^{-2n-2} hankel(ps, n)
     partial = sum(Fraction(hankel(ps, n), d2 ** (n + 1) * factorial(n)) * y**n for n in range(terms))
     p = check_precision(precision_bits)
@@ -263,7 +263,7 @@ def verify_identities(n_max: int, tables=None) -> list[dict]:
     raises IdentityError fails its entry.
     """
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise ValueError(f"n_max must be >= 1, got n_max = {n_max}")
     if tables is None:
         pq_pair(n_max + 2)  # prefill
         p_tab, q_tab = _P, _Q

@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import threading
+from argparse import ArgumentTypeError, Namespace
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -28,10 +29,10 @@ from millsratio.bounds import (
     second_order_bound,
     szarek_werner_upper,
 )
-from millsratio.cli import main
-from millsratio.contfrac import cf_ladder_eval
+from millsratio.cli import cmd_cf, main, parse_grid
+from millsratio.contfrac import cf_b, cf_convergent, cf_ladder_eval
 from millsratio.errors import DomainError, EnvelopeError, SingularityError
-from millsratio.families import generating_function_residual, pq_pair, quadratic_triple
+from millsratio.families import generating_function_residual, pq_pair, q_closed_form, quadratic_triple, verify_identities
 from millsratio.numutil import nstr_fixed, to_fraction
 from millsratio.oracle import ENVELOPE, OracleValue, phi_quadrature, phi_series
 from millsratio.poly import IntPolynomial
@@ -39,10 +40,10 @@ from test_exact_kernel import OUTWARD_POINTS
 
 
 @lru_cache(maxsize=None)
-def phi_reference(x: Fraction) -> mpf:
-    """phi(x) = e^{x^2/2} sqrt(pi/2) erfc(x/sqrt(2)) from mpmath's erfc at 640
+def phi_reference(x: Fraction, bits: int = 640) -> mpf:
+    """phi(x) = e^{x^2/2} sqrt(pi/2) erfc(x/sqrt(2)) from mpmath's erfc at
     bits, plus u log2 e bits for x < 0, where phi grows like e^u."""
-    with mp.workprec(640 + (math.ceil(float(x) ** 2 / 2 * math.log2(math.e)) if x < 0 else 0)):
+    with mp.workprec(bits + (math.ceil(float(x) ** 2 / 2 * math.log2(math.e)) if x < 0 else 0)):
         xv = mpf(x.numerator) / x.denominator
         return mp.exp(xv * xv / 2) * mp.sqrt(mp.pi / 2) * mp.erfc(xv / mp.sqrt(2))
 
@@ -516,31 +517,67 @@ def _true_margin(cert, sb_value, x: Fraction, phi: mpf):
     return None  # Eq15, Eq18, Eq19, I_n: the returned bound values are checked directly
 
 
-def _check_point(family: str, n: int, x: Fraction, bits: int):
+def _refusal(family: str, n: int, x: Fraction):
+    """The error the family raises at (n, x), or None where its bound is stated."""
+    fam, a = FAMILIES[family], quadratic_triple(n).a
+    if fam.x_above is not None and x <= fam.x_above:
+        return DomainError
+    if family == "i" and n % 2 == 1 and x < 0 and a.eval_rational(-x) >= 0:
+        return DomainError
+    if family == "i" and a.eval_rational(x) == 0:
+        return SingularityError
+    return None
+
+
+def _check_point(family: str, n: int, x: Fraction, bits: int, phi: mpf | None = None):
     """Every bound value a family returns at (n, x) is a bound on phi, every
     'pass' certificate states a true inequality, and points outside the
-    family's domain are refused."""
+    family's domain are refused.  phi defaults to phi_reference(x)."""
     fam, (n,) = FAMILIES[family], _own(family, [n])
-    phi = phi_reference(x)
-    a_is_zero = quadratic_triple(n).a.eval_rational(x) == 0
-    odd_outside = n % 2 == 1 and x < 0 and quadratic_triple(n).a.eval_rational(-x) >= 0
-    if fam.x_above is not None and x <= fam.x_above:
-        with pytest.raises(DomainError):
-            fam.at(n, x, bits)
-        return
-    if family == "i" and (odd_outside or a_is_zero):
-        with pytest.raises(DomainError if odd_outside else SingularityError):
+    phi = phi_reference(x) if phi is None else phi
+    refusal = _refusal(family, n, x)
+    if refusal is not None:
+        with pytest.raises(refusal):
             fam.at(n, x, bits)
         return
     shown, certs = fam.at(n, x, bits)
-    assert "lower" not in shown or shown["lower"] < phi
-    assert "upper" not in shown or shown["upper"] > phi
-    if family == "eq16":
-        assert to_fraction(shown["error_bound"]) > abs(to_fraction(phi) - _conv(n, x))
+    _check_sides(shown, n, x, phi)
     for cert in certs:
         if cert.verdict == "pass":
             true = _true_margin(cert, shown.get("lower", shown.get("upper")), x, phi)
             assert true is None or true > 0, cert
+
+
+def _check_sides(shown: dict, n: int, x: Fraction, phi: mpf):
+    """Each shown lower (upper) value is below (above) phi, and Eq16's error
+    bound exceeds the convergent's true error."""
+    assert "lower" not in shown or shown["lower"] < phi, (n, x, shown)
+    assert "upper" not in shown or shown["upper"] > phi, (n, x, shown)
+    if "error_bound" in shown:
+        assert to_fraction(shown["error_bound"]) > abs(to_fraction(phi) - _conv(n, x)), (n, x, shown)
+
+
+def _check_values(n: int, x: Fraction, bits: int, phi: mpf):
+    """Every value Family.bound and the five public bound functions return
+    at (n, x) and bits is on its side of phi; both refuse where at does.
+    Eq15 and Eq16 take n modulo 21."""
+    for family, fam in FAMILIES.items():
+        (m,) = _own(family, [n % 21 if family in ("eq15", "eq16") else n])
+        public = {
+            "eq15": lambda: (lambda e: {"lower": e.lower, "upper": e.upper})(first_order_enclosure(m, x, bits)),
+            "eq16": lambda: {"error_bound": first_order_error_bound(m, x, bits)},
+            "eq17": lambda: {},
+            "eq18": lambda: {"lower": komatsu_lower(x, bits)},
+            "eq19": lambda: {"upper": szarek_werner_upper(x, bits)},
+            "i": lambda: (lambda sb: {sb.role: sb.value})(second_order_bound(m, x, bits)),
+        }[family]
+        refusal = _refusal(family, m, x)
+        for read in (lambda: fam.bound(m, x, bits), public):
+            if refusal is not None:
+                with pytest.raises(refusal):
+                    read()
+            else:
+                _check_sides(read(), m, x, phi)
 
 
 @st.composite
@@ -566,6 +603,22 @@ class TestSoundness:
     )
     def test_every_family_on_seeded_points(self, family, n, x, bits):
         _check_point(family, n % 21 if family in ("eq15", "eq16") else n, x, bits)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(sorted(FAMILIES)),
+        st.integers(min_value=0, max_value=40),
+        signed_grid_points(),
+        st.integers(min_value=64, max_value=1024),
+    )
+    def test_every_value_and_verdict_at_any_precision(self, family, n, x, bits):
+        # any p in [64, 1024], not only multiples of 32, against a reference
+        # 800 bits finer than p: every value Family.at, Family.bound and the
+        # public bound functions return is on its side of phi, and every
+        # pass states a true inequality
+        phi = phi_reference(x, bits + 800)
+        _check_point(family, n % 21 if family in ("eq15", "eq16") else n, x, bits, phi)
+        _check_values(n, x, bits, phi)
 
     @pytest.mark.parametrize("bits", [64, 128, 256])
     @pytest.mark.parametrize("x", SOUNDNESS_POINTS, ids=str)
@@ -636,10 +689,26 @@ class TestPhiDerivative:
     [
         (lambda: phi_series(31), EnvelopeError, "|x| must be <= 30, got x = 31"),
         (lambda: phi_quadrature(Fraction(-61, 2)), EnvelopeError, "|x| must be <= 30, got x = -61/2"),
-        (lambda: first_order_enclosure(1, 0), DomainError, "first-order enclosure requires x > 0, got x = 0"),
-        (lambda: first_order_error_bound(1, Fraction(-1, 3)), DomainError, "error bound is stated for x > 0, got x = -1/3"),
-        (lambda: szarek_werner_upper(Fraction(-3, 2)), DomainError, "x must exceed -1, got x = -3/2"),
+        (lambda: first_order_enclosure(1, 0), DomainError, "Eq15: x must exceed 0, got x = 0"),
+        (lambda: first_order_error_bound(1, Fraction(-1, 3)), DomainError, "Eq16: x must exceed 0, got x = -1/3"),
+        (lambda: szarek_werner_upper(Fraction(-3, 2)), DomainError, "Eq19: x must exceed -1, got x = -3/2"),
         (lambda: second_order_bound(3, -1), DomainError, "order 3 upper bound requires x > -beta_1, got x = -1"),
+        (lambda: second_order_bound(-2, 1), ValueError, "order must be non-negative, got n = -2"),
+        (lambda: beta(-1), ValueError, "index must be non-negative, got m = -1"),
+        (lambda: beta(1, 0), ValueError, "tolerance must be positive, got tolerance = 0"),
+        (lambda: cf_b(-3), ValueError, "index must be non-negative, got n = -3"),
+        (lambda: cf_convergent(2, Fraction(-1, 2)), DomainError, "expansion is stated for x > 0, got x = -1/2"),
+        (lambda: cf_ladder_eval(0, 1, 128), ValueError, "depth must be >= 1, got depth = 0"),
+        (lambda: cf_ladder_eval(3, -2, 128), DomainError, "ladder is stated for x > 0, got x = -2"),
+        (lambda: pq_pair(-1), ValueError, "order must be non-negative, got n = -1"),
+        (lambda: q_closed_form(0), ValueError, "order must be >= 1, got n = 0"),
+        (lambda: generating_function_residual(2, Fraction(1, 3), 0, 128), ValueError, "terms must be >= 1, got terms = 0"),
+        (lambda: generating_function_residual(2, -1, 20, 128), ValueError, "|y| must be < 1, got y = -1"),
+        (lambda: verify_identities(0), ValueError, "n_max must be >= 1, got n_max = 0"),
+        (lambda: parse_grid("1:2"), ArgumentTypeError, "grid must be start:stop:step, got '1:2'"),
+        (lambda: parse_grid("2:1:0"), ArgumentTypeError, "grid step must be positive, got step = 0"),
+        (lambda: cmd_cf(Namespace(x=Fraction(0), depth=3, precision=128, digits=5)), DomainError,
+         "cf requires x > 0, got x = 0"),
     ],
 )
 def test_errors_name_their_input(call, error, text):
@@ -656,12 +725,47 @@ def test_errors_name_their_input(call, error, text):
         lambda: second_order_bound(-1, 1),
         lambda: log_convexity_check(-1, 1),
         lambda: phi_derivative(-1, 1),
+        *(lambda key=key: FAMILIES[key].bound(-1, 1) for key in FAMILIES if FAMILIES[key].order is None),
     ],
 )
 def test_negative_order_refused(call):
     # the order check is the polynomial tables' own
     with pytest.raises(ValueError, match="order must be non-negative"):
         call()
+
+
+def test_bound_values_read_one_sweep_and_no_oracle(monkeypatch):
+    # the five public bound functions and every row's Family.bound form their
+    # values from one sweep, and a point query reads phi only where it asks
+    def refuse(*args, **kwargs):
+        raise AssertionError("the value path read the oracle")
+
+    x, sweep, depths = Fraction(7, 4), bounds.pq_sweep, []
+    monkeypatch.setattr(bounds, "phi_series", refuse)
+    monkeypatch.setattr(bounds, "phi_at", refuse)
+    monkeypatch.setattr(bounds, "pq_sweep", lambda n, x: depths.append(n) or sweep(n, x))
+    calls = [
+        lambda: first_order_enclosure(3, x),
+        lambda: first_order_error_bound(3, x),
+        lambda: komatsu_lower(-x),
+        lambda: szarek_werner_upper(x),
+        lambda: second_order_bound(3, x),
+        lambda: second_order_bound(4, -x),
+        *(lambda key=key: FAMILIES[key].bound(*_own(key, [2]), x) for key in FAMILIES),
+    ]
+    for call in calls:
+        depths.clear()
+        call()
+        assert len(depths) == 1
+
+
+def test_bound_shows_what_at_shows():
+    # at p + GUARD_BITS, Family.bound gives the values Family.at shows at p
+    for key, fam in FAMILIES.items():
+        for x in (Fraction(-5, 2), Fraction(1, 3), Fraction(29, 2)):
+            for n in _own(key, [0, 3, 6]):
+                if _refusal(key, n, x) is None:
+                    assert fam.bound(n, x, 97 + GUARD_BITS) == fam.at(n, x, 97)[0], (key, n, x)
 
 
 @pytest.mark.parametrize("bits", [100.5, 128.0, "128", True])
