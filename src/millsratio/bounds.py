@@ -306,21 +306,21 @@ def _eq17(family: str, n: int, x: Fraction, precision_bits: int, ov: OracleValue
     return [_cert(family, n, x, *log_convexity(n, x, ov, precision_bits, sweep), precision_bits)]
 
 
-def _square_root(n: int, x: Fraction, w: int, sweep):
-    """The order-n root by _root, Z^+ for even n and Z^- for odd n: Eq18's
-    at order 0, Eq19's at order 1."""
-    return {"upper" if n % 2 else "lower": _root(n, x, quadratic_form(*sweep, n), w)}
+def _square_root(n: int, x: Fraction, w: int, sweep, form=None):
+    """The order-n root by _root of form (quadratic_form(*sweep, n) if None),
+    Z^+ for even n and Z^- for odd n: Eq18's at order 0, Eq19's at order 1."""
+    return {"upper" if n % 2 else "lower": _root(n, x, form or quadratic_form(*sweep, n), w)}
 
 
 def _second_order(n: int, x: Fraction, w: int, sweep):
-    a = hankel(sweep[0], n)  # d^{2n+2} A_n(x)
+    form = quadratic_form(*sweep, n)  # d^{2n+2} (A_n, B_n, C_n)(x), formed once
     # A_n is even, so its exact sign at x decides ]-beta_m, inf[: negative
     # exactly inside the gap
-    if n % 2 and x < 0 and a >= 0:
+    if n % 2 and x < 0 and form[0] >= 0:
         raise DomainError(f"order {n} upper bound requires x > -beta_{(n - 1) // 2}, got x = {x}")
-    if a == 0:
+    if form[0] == 0:
         raise SingularityError(f"A_{n}({x}) is exactly 0")
-    return _square_root(n, x, w, sweep)
+    return _square_root(n, x, w, sweep, form)
 
 
 def _sharper(family: str, n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep, shown: dict):

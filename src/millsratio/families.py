@@ -15,11 +15,16 @@ together with the quadratic-form coefficients
 
 whose discriminant collapses to (n!)^2 (X^2 + 4n + 4).  That identity is
 checked as W2_n^2 - 4 W_n W_{n+1}, W_n = Q_{n+1} P_n - P_{n+1} Q_n and
-W2_n = Q_{n+2} P_n - P_{n+2} Q_n (_wronskian): in any commutative ring it
-equals B_n^2 - 4 A_n C_n, so any tables get the same verdict, and true
-ones form no product above degree 2.  Independent closed forms for P_n,
-Q_n and A_n are checked against the recurrence output; none of them reads
-the recurrence's tables.
+W2_n = Q_{n+2} P_n - P_{n+2} Q_n (_wronskian), equal to B_n^2 - 4 A_n C_n
+in any commutative ring.  With the residuals rp_k = P_{k+1} - X P_k -
+k P_{k-1} and rq_k (likewise; T_{-1} = 0) of the checked tables,
+verify_identities steps W_k = -k W_{k-1} + rq_k P_k - rp_k Q_k (the
+Casoratian; Gautschi 1967), W2_n = X W_n + rq_{n+1} P_n - rp_{n+1} Q_n and
+A_n = P_n^2 - n A_{n-1} + rp_{n+1} P_n - rp_n P_{n+1} from W_0 and A_0: ring
+identities too, so any tables get the same verdict.  On true tables every
+residual is ZERO: no P Q product, one square P_n^2 per order.  Independent
+closed forms for P_n, Q_n and A_n are checked against the recurrence output;
+none of them reads the recurrence's tables.
 They are computed in integers only, every division checked: a remainder is
 an IdentityError naming the order.  The forms of P_n and Q_n call no
 factorial: each coefficient or scale is the one before it times an exact
@@ -256,11 +261,11 @@ def verify_identities(n_max: int, tables=None) -> list[dict]:
     """Exact check of every algebraic identity, for all n <= n_max.
 
     ``tables`` is an optional pair (P list, Q list) of at least n_max + 3
-    entries to check instead of the shared memo; either way, every
-    Wronskian and every A_n is formed from the checked tables.  Returns a
-    list of {"identity": ..., "n": ..., "status": "pass"|"fail"} entries
-    with stable key order; failures never raise, and a closed form that
-    raises IdentityError fails its entry.
+    entries to check instead of the shared memo; either way, the checked
+    tables' residuals step W_n, W2_n and A_n: no P Q product, one square
+    P_n^2 per order.  Returns a list of {"identity": ..., "n": ...,
+    "status": "pass"|"fail"} entries with stable key order; failures never
+    raise, and a closed form that raises IdentityError fails its entry.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got n_max = {n_max}")
@@ -273,7 +278,11 @@ def verify_identities(n_max: int, tables=None) -> list[dict]:
             raise ValueError(f"tables must hold orders 0..{n_max + 2}")
 
     report: list[dict] = []
-    w = [_wronskian(p_tab, q_tab, k) for k in range(n_max + 2)]  # W_0..W_{n_max+1}, each formed once
+    rp, rq = ([t[k + 1] - (X * t[k] + k * t[k - 1] if k else X * t[0]) for k in range(n_max + 2)]
+              for t in (p_tab, q_tab))
+    w = [_wronskian(p_tab, q_tab, 0)]  # then W_1..W_{n_max+1} by the Casoratian step
+    for k in range(1, n_max + 2):
+        w.append(rq[k] * p_tab[k] - rp[k] * q_tab[k] - k * w[-1])
     p_form = cache(p_closed_form)  # each P_r built once per pass; a P_r that raises is not cached
 
     def entry(identity: str, n: int, ok: bool) -> None:
@@ -287,19 +296,20 @@ def verify_identities(n_max: int, tables=None) -> list[dict]:
 
     for n in range(n_max + 1):
         p, q = p_tab[n], q_tab[n]
-        p1, q1 = p_tab[n + 1], q_tab[n + 1]
-        entry("P_next=X*P+P'", n, p1 == X * p + p.derivative())
+        p1, q1, dp = p_tab[n + 1], q_tab[n + 1], p.derivative()
+        a = p * p - n * a + (rp[n + 1] * p - rp[n] * p1) if n else hankel(p_tab, 0)  # A_n, stepped
+        entry("P_next=X*P+P'", n, p1 == X * p + dp)
         entry("Q_next=P+Q'", n, q1 == p + q.derivative())
         if n >= 1:
-            entry("P_next=X*P+n*P_prev", n, p1 == X * p + n * p_tab[n - 1])
-            entry("Q_next=X*Q+n*Q_prev", n, q1 == X * q + n * q_tab[n - 1])
-            entry("P'=n*P_prev", n, p.derivative() == n * p_tab[n - 1])
+            entry("P_next=X*P+n*P_prev", n, not rp[n])
+            entry("Q_next=X*Q+n*Q_prev", n, not rq[n])
+            entry("P'=n*P_prev", n, dp == n * p_tab[n - 1])
             closed("Q_closed_sum_P", partial(q_closed_form, p_form=p_form), n, q)
             closed("Q_closed_coeffs", q_coefficient_form, n, q)
         closed("P_closed_form", p_form, n, p)
-        sign, w2 = (-1) ** n, _wronskian(p_tab, q_tab, n, 2)
+        sign, w2 = (-1) ** n, X * w[n] + (rq[n + 1] * p - rp[n + 1] * q)
         entry("wronskian_step1", n, w[n] == IntPolynomial([sign * factorial(n)]))
         entry("wronskian_step2", n, w2 == IntPolynomial([0, sign * factorial(n)]))
         entry("discriminant", n, _discriminant_holds(w[n], w[n + 1], w2, n))
-        closed("A_closed_form", a_closed_form, n, hankel(p_tab, n))
+        closed("A_closed_form", a_closed_form, n, a)
     return report

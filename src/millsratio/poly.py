@@ -6,12 +6,12 @@ zero polynomial is the empty tuple and its degree is -1.  Multiplication
 is schoolbook over nonzero terms (every P_n, Q_n, A_n, B_n, C_n has a parity,
 so that halves the work).  A square, p * p with both operands the same
 object, forms each cross product once and doubles the sum, which halves the
-work again; P_{n+1}^2 in every A_n and Q_{n+1}^2 in every C_n take it.
-Measured at degree up to 191 and coefficients up to about 520 bits
-(CPython 3.11): Kronecker substitution was 2.3 times slower without
-packing out the zero terms of a parity and no faster overall with it, and
-a convolution by diagonals with sum(map(mul, ...)) was 8% slower.  An int
-is a scalar factor.
+work again: the identity suite forms no P Q product and one square P_n^2
+per order, and hankel's v_{n+1}^2 is one too.  Measured at degree up to 191
+and coefficients up to about 520 bits (CPython 3.11): Kronecker substitution
+was 2.3 times slower without packing out the zero terms of a parity and no
+faster overall with it, and a convolution by diagonals with sum(map(mul,
+...)) was 8% slower.  An int is a scalar factor.
 
 Instances are immutable and safe for unrestricted concurrent use.
 """

@@ -485,6 +485,31 @@ class TestDiscriminantByWronskians:
         assert b * b - 4 * (a * c) == w2 * w2 - 4 * (w0 * w1)
         assert a == p[n] * p[n + 2] - p[n + 1] * p[n + 1] and c == q[n] * q[n + 2] - q[n + 1] * q[n + 1]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(polys, polys), min_size=4, max_size=7))
+    def test_steps_equal_the_definitions_on_any_tables(self, pairs):
+        # the suite steps W_k, W2_n and A_n through the recurrence residuals;
+        # on any tables, not recurrence output, each step is the definition
+        n_max, p, q = len(pairs) - 3, [pair[0] for pair in pairs], [pair[1] for pair in pairs]
+        seen_w, seen_a = [], []
+
+        class Recorder:  # stands in for A_n's closed form and records what it is compared with
+            def __eq__(self, other):
+                seen_a.append(other)
+                return True
+
+        def holds(w_n, w_next, w2_n, n):
+            seen_w.append((w_n, w_next, w2_n))
+            return True
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(families, "_discriminant_holds", holds)
+            patch.setattr(families, "a_closed_form", lambda n: Recorder())
+            verify_identities(n_max, (p, q))
+        wronskian = families._wronskian
+        assert seen_w == [(wronskian(p, q, n), wronskian(p, q, n + 1), wronskian(p, q, n, 2)) for n in range(n_max + 1)]
+        assert seen_a == [families.hankel(p, n) for n in range(n_max + 1)]
+
     @pytest.mark.parametrize("n_max", [1, 5, 14, 40])
     def test_report_equals_the_reference_on_true_tables(self, n_max):
         tables = true_tables(n_max)
@@ -495,17 +520,23 @@ class TestDiscriminantByWronskians:
     @pytest.mark.parametrize("seed", range(12))
     def test_report_equals_the_reference_on_corrupted_tables(self, seed):
         # one or two coefficient edits in P and in Q, small or of 10^40,
-        # anywhere up to one place past the degree
+        # anywhere up to one place past the degree; then one or two whole
+        # entries replaced by random polynomials of any degree, zero included
         rng = random.Random(seed)
-        for _ in range(8):
-            n_max = rng.randint(1, 14)
-            p_tab, q_tab = (list(t) for t in true_tables(n_max))
-            for _ in range(rng.randint(1, 2)):
-                table, k = rng.choice((p_tab, q_tab)), rng.randrange(n_max + 3)
-                delta = rng.choice((1, -1, 2, -3, 10**40, -(10**40), rng.randint(-(10**40), 10**40)))
-                table[k] = edited(table[k], rng.randint(0, table[k].degree + 1), delta)
-            report = verify_identities(n_max, (p_tab, q_tab))
-            assert report == reference_verify_identities(n_max, (p_tab, q_tab)), (seed, n_max)
+        for replace in (False, True):
+            for _ in range(8):
+                n_max = rng.randint(1, 14)
+                p_tab, q_tab = (list(t) for t in true_tables(n_max))
+                for _ in range(rng.randint(1, 2)):
+                    table, k = rng.choice((p_tab, q_tab)), rng.randrange(n_max + 3)
+                    if replace:
+                        table[k] = IntPolynomial([rng.choice((rng.randint(-3, 3), rng.randint(-(10**40), 10**40)))
+                                                  for _ in range(rng.randint(0, 2 * n_max + 6))])
+                    else:
+                        delta = rng.choice((1, -1, 2, -3, 10**40, -(10**40), rng.randint(-(10**40), 10**40)))
+                        table[k] = edited(table[k], rng.randint(0, table[k].degree + 1), delta)
+                report = verify_identities(n_max, (p_tab, q_tab))
+                assert report == reference_verify_identities(n_max, (p_tab, q_tab)), (seed, replace, n_max)
 
     def test_edits_fail_the_discriminant_where_the_reference_does(self):
         # a corrupted P_{n+1} or Q_{n+2} fails the discriminant entry at n
@@ -517,22 +548,27 @@ class TestDiscriminantByWronskians:
             assert ("discriminant", n) in fails
             assert verify_identities(9, (p_tab, q_tab)) == reference_verify_identities(9, (p_tab, q_tab))
 
-    def test_suite_forms_no_product_above_degree_2n_plus_2(self, monkeypatch):
-        # the largest products left are A_n = P_n P_{n+2} - P_{n+1}^2 and
-        # W_{n_max+1}, of degree 2 n_max + 2; B_n^2 alone would be 4 n_max + 2
-        n_max, degrees = 20, []
+    def test_one_square_per_order_and_no_p_q_product(self, monkeypatch):
+        # on true tables every residual is ZERO, so the steps of W_k, W2_n
+        # and A_n leave one square P_n^2 per order: the largest product is
+        # P_{n_max}^2, of degree 2 n_max, and every product of two operands
+        # of degree above 1 is a square (B_n^2 alone would be 4 n_max + 2)
+        n_max, products = 20, []
         pq_pair(n_max + 2)
         mul = IntPolynomial.__mul__
 
         def recording(self, other):
             out = mul(self, other)
-            degrees.append(out.degree)
+            products.append((self, other, out.degree))
             return out
 
         monkeypatch.setattr(IntPolynomial, "__mul__", recording)
         monkeypatch.setattr(IntPolynomial, "__rmul__", recording)
         assert all(e["status"] == "pass" for e in verify_identities(n_max))
-        assert max(degrees) == 2 * n_max + 2
+        assert max(degree for _, _, degree in products) == 2 * n_max
+        large = [(a, b) for a, b, _ in products if isinstance(b, IntPolynomial) and min(a.degree, b.degree) > 1]
+        assert all(a is b for a, b in large)
+        assert [a for a, _ in large] == [pq_pair(n).p for n in range(2, n_max + 1)]
 
     def test_discriminant_decides_by_the_wronskians(self, monkeypatch):
         # mills poly --which Delta reads the shared tables through the same
