@@ -41,8 +41,9 @@ One verdict rule decides every certificate: its margin is an exact value
 within a derived error of the true margin (the oracle's error bound, or
 for Eq17 the error of the exact Taylor expansion about the oracle's
 value), rounded once at p + GUARD_BITS bits, and it passes iff it exceeds
-that error plus the rounding.  Family.at and certify_grid, the entry
-points, check the requested precision p and read phi through phi_at once
+that error plus the rounding, its threshold.  Family.checked is the one
+place a request is read and refused; Family.bound, Family.at and
+certify_grid call it once, and the last two read phi through phi_at once
 per point.
 """
 
@@ -59,7 +60,7 @@ from mpmath.libmp import mpf_abs, mpf_add, mpf_gt, mpf_shift, mpf_sub, round_cei
 from .contfrac import pq_sweep
 from .errors import DomainError, SingularityError
 from .families import hankel, quadratic_form
-from .numutil import check_precision, nstr_fixed, round_quotient, to_fraction, to_mpf
+from .numutil import check_index, check_precision, nstr_fixed, round_quotient, to_fraction, to_mpf
 from .oracle import OracleValue, phi_series
 
 GUARD_BITS = 16  # bits above the requested precision: certificates, square roots, phi_derivative
@@ -97,19 +98,15 @@ class Certificate:
     margin: mpf
     precision_bits: int
     verdict: str
+    threshold: mpf  # the verdict's: pass iff margin > threshold
 
     def to_json_dict(self, digits: int = 20) -> dict:
-        return {**vars(self), "x": str(self.x), "margin": nstr_fixed(self.margin, digits)}
+        """The CSV_COLUMNS fields of the report; threshold is not one of them."""
+        return {"family": self.family, "n": self.n, "x": str(self.x), "margin": nstr_fixed(self.margin, digits),
+                "precision_bits": self.precision_bits, "verdict": self.verdict}
 
 
 CSV_COLUMNS = ["family", "n", "x", "margin", "precision_bits", "verdict"]
-
-
-def _sweep(x: Fraction, orders: list[int], depth: int) -> tuple[list[int], list[int]]:
-    """pq_sweep(depth, x) for the given orders, refused below 0 as pq_pair refuses them."""
-    if min(orders, default=0) < 0:
-        raise ValueError(f"order must be non-negative, got n = {min(orders)}")
-    return pq_sweep(depth, x)
 
 
 def _quotient(num: int, den: int, w: int, rounding: str = "n", exp: int = 0) -> mpf:
@@ -163,7 +160,7 @@ def phi_derivative(n: int, x, precision_bits: int = 128) -> mpf:
     value, is formed exactly and rounded to nearest once, at precision_bits
     + GUARD_BITS bits plus log2 of |P_n(x) v| or |Q_n(x)|, whichever is
     larger (phi grows like e^{x^2/2} for x < 0)."""
-    p, xf = check_precision(precision_bits), to_fraction(x)
+    p, n, xf = check_precision(precision_bits), check_index(n), to_fraction(x)
     ps, qs = pq_sweep(n, xf)
     pn, qn, dn = ps[n], qs[n], xf.denominator**n  # P_n(x) = pn / dn, Q_n(x) = qn / dn
     # mag of a value rounded toward 0 is floor(log2 |value|) + 1 exactly (-inf at 0)
@@ -183,8 +180,7 @@ def beta(m: int, tolerance=None) -> BetaRoot:
     where A_1 = X^2 - 1) the value is exact and the upper bracket endpoint
     carries sign zero.
     """
-    if m < 0:
-        raise ValueError(f"index must be non-negative, got m = {m}")
+    m = check_index(m, "m", "index")
     tol = Fraction(1, 2**40) if tolerance is None else to_fraction(tolerance)
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got tolerance = {tol}")
@@ -205,10 +201,10 @@ def beta(m: int, tolerance=None) -> BetaRoot:
     return BetaRoot(m=m, value=to_mpf((lo + hi) / 2, bits), bracket=(lo, hi))
 
 
-def log_convexity(n: int, x, ov: OracleValue, precision_bits: int, sweep=None) -> tuple[mpf, mpf]:
-    """(margin, error) of the log-convexity inequality at (n, x), with ov
-    the oracle value phi_at gives at (x, precision_bits); sweep, a sweep at
-    x to order n + 2 at least, spares this call its own.
+def log_convexity(n: int, x: Fraction, ov: OracleValue, precision_bits: int, sweep) -> tuple[mpf, mpf]:
+    """The Eq17 row's evaluator: (margin, error) of the log-convexity
+    inequality at (n, x), with ov the oracle value phi_at gives at (x,
+    precision_bits) and sweep a sweep at x to order n + 2 at least.
 
     m(t) = A_n(x) t^2 - B_n(x) t + C_n(x) is positive at t = phi(x) iff the
     inequality holds.  With v = ov.value, e = ov.error_bound and A, B, C =
@@ -217,22 +213,10 @@ def log_convexity(n: int, x, ov: OracleValue, precision_bits: int, sweep=None) -
     margin is m(v) rounded to nearest and error that bound rounded up, both
     at precision_bits + GUARD_BITS, each one integer over D 4^E for v = N 2^-E.
     """
-    xf, w = to_fraction(x), precision_bits + GUARD_BITS
-    (a, b, c), den = quadratic_form(*(sweep or _sweep(xf, [n], n + 2)), n), xf.denominator ** (2 * n + 2)
+    w, (a, b, c), den = precision_bits + GUARD_BITS, quadratic_form(*sweep, n), x.denominator ** (2 * n + 2)
     scale, v, e = _dyadic(ov.value, ov.error_bound)
     margin = _quotient(a * v * v - (b * v << scale) + (c << 2 * scale), den, w, "n", -2 * scale)
     return margin, _quotient(abs(2 * a * v - (b << scale)) * e + abs(a) * e * e, den, w, "c", -2 * scale)
-
-
-def log_convexity_check(n: int, x, precision_bits: int = 128) -> mpf:
-    """A_n(x) phi(x)^2 - B_n(x) phi(x) + C_n(x); positive iff the
-    log-convexity inequality holds at (n, x)."""
-    return log_convexity(n, x, phi_at(x, precision_bits), precision_bits)[0]
-
-
-def log_convexity_error(n: int, x, precision_bits: int = 128) -> mpf:
-    """The verdict threshold of log_convexity_check at the same arguments."""
-    return _threshold(*log_convexity(n, x, phi_at(x, precision_bits), precision_bits), precision_bits)
 
 
 def phi_at(x, precision_bits: int, memo: dict | None = None) -> OracleValue:
@@ -263,8 +247,9 @@ def _threshold(margin: mpf, error: mpf, precision_bits: int) -> mpf:
 
 
 def _cert(family: str, n: int, x: Fraction, margin: mpf, error: mpf, precision_bits: int) -> Certificate:
-    verdict = "pass" if mpf_gt(margin._mpf_, _threshold(margin, error, precision_bits)._mpf_) else "fail"
-    return Certificate(family, n, x, margin, precision_bits, verdict)
+    threshold = _threshold(margin, error, precision_bits)
+    verdict = "pass" if mpf_gt(margin._mpf_, threshold._mpf_) else "fail"
+    return Certificate(family, n, x, margin, precision_bits, verdict, threshold)
 
 
 def _difference(above: mpf, below: mpf, precision_bits: int) -> mpf:
@@ -349,7 +334,8 @@ class Family:
     or SingularityError where the order-n bound is not stated.
     ``certify(name, n, x, p, ov, sweep, shown)`` makes the certificates
     there against ov, the oracle value phi_at gives at (x, p), with shown
-    the values at p + GUARD_BITS."""
+    the values at p + GUARD_BITS.  checked is the one place a request is
+    read and refused; bound, at and certify_grid call it once."""
 
     name: str
     x_above: int | None  # stated domain x > x_above; None: every x the oracle takes
@@ -358,47 +344,44 @@ class Family:
     values: Callable[[int, Fraction, int, tuple], dict[str, mpf]]
     certify: Callable[..., list[Certificate]] = _vs_phi  # by default, the rule the bounds share
 
-    def bound(self, n: int, x, precision_bits: int = 128) -> dict[str, mpf]:
-        """values at (n, x) at precision_bits, from one sweep and no oracle
-        value, x read through to_fraction as in at."""
-        p, orders, x = check_precision(precision_bits), self.orders([n]), to_fraction(x)
-        self.check(x)
-        return self.values(n, x, p, _sweep(x, orders, self.depth(n)))
+    def checked(self, orders, xs, precision_bits) -> tuple[int, list[int], list[Fraction]]:
+        """(p, orders, xs) of a request, refused in this order: the precision
+        by check_precision, each order by check_index or if a single-bound
+        family is asked for another order than its own, and each x read by
+        to_fraction outside the family's stated domain."""
+        p, orders = check_precision(precision_bits), [check_index(n) for n in orders]
+        for n in orders:
+            if self.order not in (None, n):
+                raise ValueError(f"--family {self.name.lower()} has the fixed order {self.order}, but --n is {n}")
+        xs = [to_fraction(x) for x in xs]
+        for x in xs:
+            if self.x_above is not None and x <= self.x_above:
+                raise DomainError(f"{self.name}: x must exceed {self.x_above}, got x = {x}")
+        return p, orders, xs
 
-    def point(self, n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep):
-        shown = self.values(n, x, precision_bits + GUARD_BITS, sweep)
-        return shown, self.certify(self.name, n, x, precision_bits, ov, sweep, shown)
+    def bound(self, n: int, x, precision_bits: int = 128) -> dict[str, mpf]:
+        """values at (n, x) at precision_bits, from one sweep and no oracle value."""
+        p, (n,), (x,) = self.checked([n], [x], precision_bits)
+        return self.values(n, x, p, pq_sweep(self.depth(n), x))
 
     def evaluate(self, orders: list[int], x: Fraction, precision_bits: int, ov: OracleValue, skip: bool = False):
-        """point at every n in orders, all from one sweep at x; with skip, an
-        order whose bound is not stated at x is left out, not raised."""
-        sweep, out = _sweep(x, orders, self.depth(max(orders, default=0))), []
+        """(shown, certificates) at every n in orders, all from one sweep at
+        x, of a request checked already; with skip, an order whose bound is
+        not stated at x is left out, not raised."""
+        sweep, w, out = pq_sweep(self.depth(max(orders, default=0)), x), precision_bits + GUARD_BITS, []
         for n in orders:
             try:
-                out.append(self.point(n, x, precision_bits, ov, sweep))
+                shown = self.values(n, x, w, sweep)
+                out.append((shown, self.certify(self.name, n, x, precision_bits, ov, sweep, shown)))
             except (DomainError, SingularityError):
                 if not skip:
                     raise
         return out
 
-    def check(self, x: Fraction) -> None:
-        """Refuse x outside the family's stated domain."""
-        if self.x_above is not None and x <= self.x_above:
-            raise DomainError(f"{self.name}: x must exceed {self.x_above}, got x = {x}")
-
-    def orders(self, orders: list[int]) -> list[int]:
-        """orders, refused if a single-bound family is asked for another order than its own."""
-        for n in orders:
-            if self.order not in (None, n):
-                raise ValueError(f"--family {self.name.lower()} has the fixed order {self.order}, but --n is {n}")
-        return orders
-
     def at(self, n: int, x, precision_bits: int = 128, memo: dict | None = None):
-        """Shown values and certificates at one point, x read through
-        to_fraction as in certify_grid; a single-bound family takes its own
-        order only.  memo is an optional phi memo, as in certify_grid."""
-        p, orders, x = check_precision(precision_bits), self.orders([n]), to_fraction(x)
-        self.check(x)
+        """Shown values and certificates at one point; memo is an optional
+        phi memo, as in certify_grid."""
+        p, orders, (x,) = self.checked([n], [x], precision_bits)
         return self.evaluate(orders, x, p, phi_at(x, p, memo))[0]
 
 
@@ -447,6 +430,18 @@ def second_order_bound(n: int, x, precision_bits: int = 128) -> SecondOrderBound
     return SecondOrderBound(n=n, value=value, role=role)
 
 
+def log_convexity_check(n: int, x, precision_bits: int = 128) -> mpf:
+    """A_n(x) phi(x)^2 - B_n(x) phi(x) + C_n(x), positive iff the
+    log-convexity inequality holds at (n, x): the margin of the Eq17 row's
+    certificate there."""
+    return FAMILIES["eq17"].at(n, x, precision_bits)[1][0].margin
+
+
+def log_convexity_error(n: int, x, precision_bits: int = 128) -> mpf:
+    """The threshold of the same certificate: the check passes iff it exceeds this."""
+    return FAMILIES["eq17"].at(n, x, precision_bits)[1][0].threshold
+
+
 def find_family(name: str) -> Family:
     """The FAMILIES row for a family name, in any letter case."""
     fam = FAMILIES.get(name.strip().lower())
@@ -464,10 +459,9 @@ def certify_grid(
     than a boolean, so near-violations remain visible in reports; the
     verdict is the module's one rule.  For the second-order family the
     sharpness claims against the first-order convergents are certified as
-    companion "<id>_sharper" entries.  An x outside the family's stated
-    domain is a DomainError, one beyond the oracle's envelope an
-    EnvelopeError whatever the orders, and an order other than a
-    single-bound family's own a ValueError; (n, x) pairs outside an order's own
+    companion "<id>_sharper" entries.  Family.checked refuses the request
+    before any work, and an x beyond the oracle's envelope is an
+    EnvelopeError whatever the orders; (n, x) pairs outside an order's own
     domain (odd orders of I) or where A_n(x) is exactly 0 are skipped.
 
     The grid is sorted once and a stable sort by (family, n) follows, so
@@ -479,10 +473,7 @@ def certify_grid(
     phi is evaluated once per run.  There is no process-wide oracle cache.
     """
     fam = find_family(family)
-    p, orders = check_precision(precision_bits), fam.orders(orders)
-    xs = [to_fraction(x) for x in xs]
-    for x in xs:
-        fam.check(x)
+    p, orders, xs = fam.checked(orders, xs, precision_bits)
     out: list[Certificate] = []
     for x in sorted(xs):
         # skip the orders outside their own domain at x, or where A_n(x) is exactly 0

@@ -23,13 +23,12 @@ from math import comb
 from mpmath import mp, mpf
 
 from .errors import DomainError
-from .numutil import check_precision, to_fraction, to_mpf
+from .numutil import check_index, check_precision, to_fraction, to_mpf
 
 
 def cf_b(n: int) -> Fraction:
     """Partial-quotient coefficient b_n, exact."""
-    if n < 0:
-        raise ValueError(f"index must be non-negative, got n = {n}")
+    n = check_index(n, "n", "index")
     m, r = divmod(n, 2)
     even = Fraction(comb(2 * m, m), 4**m)
     if r == 0:
@@ -42,8 +41,7 @@ def pq_sweep(n: int, x) -> tuple[list[int], list[int]]:
     a/d in lowest terms: P_{k+1} = x P_k + k P_{k-1} scales to p_{k+1} = a p_k
     + k d^2 p_{k-1} from (p_0, p_1) = (1, a), likewise q from (0, d), a
     three-term recurrence on integers (Gautschi, SIAM Rev. 9, 1967)."""
-    if n < 0:
-        raise ValueError(f"order must be non-negative, got n = {n}")
+    n = check_index(n)
     x = to_fraction(x)
     a, d = x.numerator, x.denominator
     ps, qs = [1, a][: n + 1], [0, d][: n + 1]

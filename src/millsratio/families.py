@@ -57,7 +57,7 @@ from mpmath import mp, mpf
 
 from .contfrac import pq_sweep
 from .errors import IdentityError
-from .numutil import check_precision, to_fraction, to_mpf
+from .numutil import check_index, check_precision, to_fraction, to_mpf
 from .poly import IntPolynomial, ONE, X, ZERO
 
 
@@ -83,8 +83,7 @@ _Q: list[IntPolynomial] = [ZERO, ONE]
 
 def pq_pair(n: int) -> PQPair:
     """(P_n, Q_n) via the shared memo table; order-n cost is incremental."""
-    if n < 0:
-        raise ValueError(f"order must be non-negative, got n = {n}")
+    n = check_index(n)
     if n >= len(_Q):  # _Q grows second, so a long _Q implies a long _P
         with _lock:
             while n >= len(_Q):
@@ -106,8 +105,7 @@ def _ratio_step(term: int, num: int, den: int, what: str, n: int, k: int) -> int
 def p_closed_form(n: int) -> IntPolynomial:
     """P_n = sum_k n! / (2^k k! (n-2k)!) X^{n-2k}: from the leading 1, the
     X^{n-2k} coefficient is the X^{n-2k+2} one times (n-2k+2)(n-2k+1) / (2k)."""
-    if n < 0:
-        raise ValueError(f"order must be non-negative, got n = {n}")
+    n = check_index(n)
     coeffs = [0] * (n + 1)
     coeffs[n] = c = 1
     for k in range(1, n // 2 + 1):  # c: the X^{n-2k} coefficient
@@ -158,8 +156,7 @@ def q_coefficient_form(n: int) -> IntPolynomial:
 
 def quadratic_triple(n: int) -> QuadraticTriple:
     """A_n, B_n, C_n, formed from the shared (P, Q) tables on each call."""
-    if n < 0:
-        raise ValueError(f"order must be non-negative, got n = {n}")
+    n = check_index(n)
     pq_pair(n + 2)
     return QuadraticTriple(n, *quadratic_form(_P, _Q, n))
 
@@ -190,8 +187,7 @@ def a_closed_form(n: int) -> IntPolynomial:
     w_k = (2k+1)!/k!^2 and K = (n-m)//2.  Each coefficient is one integer
     division, exact because A_n = P_n P_{n+2} - P_{n+1}^2 has integer
     coefficients; a remainder is reported as a transcription bug."""
-    if n < 0:
-        raise ValueError(f"order must be non-negative, got n = {n}")
+    n = check_index(n)
     sign, half, nfact = (-1) ** n, n // 2, factorial(n)
     weights = [1]  # w_k for k <= (n-2)//2
     for k in range(1, half):
@@ -225,8 +221,7 @@ def _discriminant_holds(w_n, w_next, w2_n, n: int) -> bool:
 
 def discriminant(n: int) -> IntPolynomial:
     """B_n^2 - 4 A_n C_n, asserted equal to (n!)^2 (X^2 + 4n + 4)."""
-    if n < 0:
-        raise ValueError(f"order must be non-negative, got n = {n}")
+    n = check_index(n)
     pq_pair(n + 2)
     if not _discriminant_holds(_wronskian(_P, _Q, n), _wronskian(_P, _Q, n + 1), _wronskian(_P, _Q, n, 2), n):
         raise IdentityError(f"discriminant identity failed at n={n}")

@@ -80,6 +80,16 @@ def check_precision(precision_bits) -> int:
     return precision_bits
 
 
+def check_index(value, name: str = "n", what: str = "order") -> int:
+    """value, refused unless it is a non-negative int (not a bool), by a
+    message that names the argument ("order must be non-negative, got n = -1")."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {name} = {value!r}")
+    if value < 0:
+        raise ValueError(f"{what} must be non-negative, got {name} = {value}")
+    return value
+
+
 def nstr_fixed(value, digits: int = 20) -> str:
     """Deterministic decimal rendering with a fixed significant-digit count:
     value rounded to nearest at 4 digits + 16 bits, and never below a

@@ -1,17 +1,18 @@
 """Exact dense univariate polynomials over arbitrary-precision integers.
 
-Coefficients are Python ints stored in ascending order of the exponent.
-The representation is canonical: no trailing zero coefficient is kept, the
-zero polynomial is the empty tuple and its degree is -1.  Multiplication
-is schoolbook over nonzero terms (every P_n, Q_n, A_n, B_n, C_n has a parity,
-so that halves the work).  A square, p * p with both operands the same
+Coefficients are Python ints stored in ascending order of the exponent;
+any other coefficient, a bool or a float included, is a TypeError that
+names it, never truncated.  The representation is canonical: no trailing
+zero coefficient is kept, the zero polynomial is the empty tuple and its
+degree is -1.  Multiplication is schoolbook over nonzero terms (every
+P_n, Q_n, A_n, B_n, C_n has a parity, so that halves the work).  A square, p * p with both operands the same
 object, forms each cross product once and doubles the sum, which halves the
 work again: the identity suite forms no P Q product and one square P_n^2
 per order, and hankel's v_{n+1}^2 is one too.  Measured at degree up to 191
 and coefficients up to about 520 bits (CPython 3.11): Kronecker substitution
 was 2.3 times slower without packing out the zero terms of a parity and no
 faster overall with it, and a convolution by diagonals with sum(map(mul,
-...)) was 8% slower.  An int is a scalar factor.
+...)) was 8% slower.  An int (a bool too) is a scalar factor.
 
 Instances are immutable and safe for unrestricted concurrent use.
 """
@@ -30,7 +31,10 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = [int(c) for c in coeffs]
+        cs = list(coeffs)
+        for c in cs:
+            if type(c) is not int:
+                raise TypeError(f"IntPolynomial coefficients must be int, got {c!r}")
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[int, ...] = tuple(cs)
@@ -50,7 +54,7 @@ class IntPolynomial:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = IntPolynomial([other])
+            other = IntPolynomial([int(other)])
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -166,7 +170,7 @@ def _coerce(value) -> IntPolynomial:
     if isinstance(value, IntPolynomial):
         return value
     if isinstance(value, int):
-        return IntPolynomial([value])
+        return IntPolynomial([int(value)])
     raise TypeError(f"cannot combine IntPolynomial with {type(value).__name__}")
 
 

@@ -30,7 +30,7 @@ from millsratio.bounds import (
     szarek_werner_upper,
 )
 from millsratio.cli import cmd_cf, main, parse_grid
-from millsratio.contfrac import cf_b, cf_convergent, cf_ladder_eval
+from millsratio.contfrac import cf_b, cf_convergent, cf_ladder_eval, pq_sweep
 from millsratio.errors import DomainError, EnvelopeError, SingularityError
 from millsratio.families import generating_function_residual, pq_pair, q_closed_form, quadratic_triple, verify_identities
 from millsratio.numutil import nstr_fixed, to_fraction
@@ -695,6 +695,11 @@ class TestPhiDerivative:
         (lambda: second_order_bound(3, -1), DomainError, "order 3 upper bound requires x > -beta_1, got x = -1"),
         (lambda: second_order_bound(-2, 1), ValueError, "order must be non-negative, got n = -2"),
         (lambda: beta(-1), ValueError, "index must be non-negative, got m = -1"),
+        (lambda: beta(1.0), ValueError, "index must be an integer, got m = 1.0"),
+        (lambda: beta(False), ValueError, "index must be an integer, got m = False"),
+        (lambda: phi_derivative(2.0, 1), ValueError, "order must be an integer, got n = 2.0"),
+        (lambda: phi_derivative(True, 1), ValueError, "order must be an integer, got n = True"),
+        (lambda: pq_sweep(3.0, 1), ValueError, "order must be an integer, got n = 3.0"),
         (lambda: beta(1, 0), ValueError, "tolerance must be positive, got tolerance = 0"),
         (lambda: cf_b(-3), ValueError, "index must be non-negative, got n = -3"),
         (lambda: cf_convergent(2, Fraction(-1, 2)), DomainError, "expansion is stated for x > 0, got x = -1/2"),
@@ -729,7 +734,7 @@ def test_errors_name_their_input(call, error, text):
     ],
 )
 def test_negative_order_refused(call):
-    # the order check is the polynomial tables' own
+    # every order check is numutil.check_index's
     with pytest.raises(ValueError, match="order must be non-negative"):
         call()
 
@@ -787,6 +792,74 @@ def test_non_integer_precision_refused(bits):
         with pytest.raises(ValueError) as exc:
             call()
         assert str(exc.value) == message
+
+
+def _routes(family: str, n, x, bits) -> list:
+    """Every way in to a family's request (n, x, bits): Family.bound,
+    Family.at, certify_grid, the row's public function where it takes this
+    n (Eq18 and Eq19 take their own order only, True not as 1), and for Eq17
+    the log-convexity pair."""
+    fam = FAMILIES[family]
+    public = {
+        "eq15": [lambda: first_order_enclosure(n, x, bits)],
+        "eq16": [lambda: first_order_error_bound(n, x, bits)],
+        "eq17": [lambda: log_convexity_check(n, x, bits), lambda: log_convexity_error(n, x, bits)],
+        "eq18": [lambda: komatsu_lower(x, bits)],
+        "eq19": [lambda: szarek_werner_upper(x, bits)],
+        "i": [lambda: second_order_bound(n, x, bits)],
+    }[family]
+    routes = [lambda: fam.bound(n, x, bits), lambda: fam.at(n, x, bits), lambda: certify_grid(family, [n], [x], bits)]
+    return routes + (public if fam.order is None or (type(n) is int and n == fam.order) else [])
+
+
+REFUSALS = [
+    *((family, _own(family, [2])[0], Fraction(1), 128.0, ValueError, "precision_bits must be an integer, got 128.0")
+      for family in sorted(FAMILIES)),
+    *((family, -1, Fraction(1), 128, ValueError, "order must be non-negative, got n = -1") for family in sorted(FAMILIES)),
+    *((family, 2.0, Fraction(1), 128, ValueError, "order must be an integer, got n = 2.0") for family in sorted(FAMILIES)),
+    *((family, True, Fraction(1), 128, ValueError, "order must be an integer, got n = True") for family in sorted(FAMILIES)),
+    ("eq18", 2, Fraction(1), 128, ValueError, "--family eq18 has the fixed order 0, but --n is 2"),
+    ("eq15", 1, Fraction(0), 128, DomainError, "Eq15: x must exceed 0, got x = 0"),
+]
+
+
+@pytest.mark.parametrize("family,n,x,bits,error,message", REFUSALS)
+def test_one_refusal_on_every_route(family, n, x, bits, error, message):
+    # Family.checked is the one refusal point: each route raises the same
+    # exception with the same message, before any value is formed
+    routes = _routes(family, n, x, bits)
+    assert len(routes) >= 3
+    for route in routes:
+        with pytest.raises(Exception) as exc:
+            route()
+        assert (type(exc.value), str(exc.value)) == (error, message)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=12), signed_grid_points(), st.integers(min_value=64, max_value=1024))
+def test_log_convexity_pair_reads_the_eq17_certificate(n, x, bits):
+    (cert,) = certify_grid("eq17", [n], [x], bits)
+    assert log_convexity_check(n, x, bits) == cert.margin
+    assert log_convexity_error(n, x, bits) == cert.threshold
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_verdict_is_margin_above_threshold(family):
+    # with the oracle's error bound, and with one of 2^20 that no margin
+    # exceeds, so both verdicts are reached
+    fam, orders, verdicts = FAMILIES[family], _own(family, [0, 1, 2, 3, 7]), set()
+    xs = [x for x in (Fraction(-5, 2), Fraction(1, 3), Fraction(3, 2), Fraction(29, 2))
+          if fam.x_above is None or x > fam.x_above]
+    for bits in (64, 200):
+        certs = certify_grid(family, orders, xs, bits)
+        for x in xs:
+            ov = bounds.phi_at(x, bits)
+            loose = OracleValue(ov.value, mpf(2) ** 20, ov.method)
+            certs += [c for _, made in fam.evaluate(orders, x, bits, loose, skip=True) for c in made]
+        for c in certs:
+            assert (c.verdict == "pass") == (c.margin > c.threshold), c
+            verdicts.add(c.verdict)
+    assert verdicts == {"pass", "fail"}
 
 
 def _evaluations():

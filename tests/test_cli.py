@@ -433,6 +433,23 @@ def test_verify_report_bytes_at_other_precisions(capsys, monkeypatch, bits):
 
 @pytest.mark.skipif(
     mpmath.libmp.BACKEND != "python" or mpmath.__version__ != "1.3.0",
+    reason="report bytes are pinned for mpmath 1.3.0 with its pure-Python backend",
+)
+def test_negative_grid_report_bytes(capsys, monkeypatch):
+    # SHA-256 and length of `mills verify --n-max 2 --grid=-2:2:1/2
+    # --precision 64`, 30431 bytes: the grid crosses the domain edges of
+    # Eq15, Eq16 (x > 0) and Eq19 (x > -1), and I_1's singular x = 1,
+    # which certify_grid skips
+    monkeypatch.delenv("MILLS_PRECISION_BITS", raising=False)
+    code, out, _ = run_cli(capsys, "verify", "--n-max", "2", "--grid=-2:2:1/2", "--precision", "64")
+    data = out.encode("utf-8")
+    assert code == 0
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (
+        "9a53a9057bebbd97ab1e86611ad1ce590d4403eb281e95e68d9ad21cf7c3560a", 30431)
+
+
+@pytest.mark.skipif(
+    mpmath.libmp.BACKEND != "python" or mpmath.__version__ != "1.3.0",
     reason="output bytes are pinned for mpmath 1.3.0 with its pure-Python backend",
 )
 def test_cf_table_bytes(capsys, monkeypatch):

@@ -59,6 +59,19 @@ class TestArithmetic:
         assert result.degree == -1
         assert result.coeffs == ()
 
+    @pytest.mark.parametrize("coeffs,bad", [([2.5, 0.9], 2.5), (["7", 1.0], "7"), ([1, 2.0], 2.0), ([True], True),
+                                            ([3, Fraction(1, 2)], Fraction(1, 2)), ([0, mpf(1)], mpf(1))])
+    def test_non_int_coefficient_refused(self, coeffs, bad):
+        # a coefficient is never truncated or parsed into an int
+        with pytest.raises(TypeError) as exc:
+            IntPolynomial(coeffs)
+        assert str(exc.value) == f"IntPolynomial coefficients must be int, got {bad!r}"
+
+    def test_int_scalars_combine(self):
+        # an int scalar, a bool too, is a constant polynomial, not a coefficient list
+        assert X + True == P(1, 1) and X * True == X and P(1) == True
+        assert all(type(c) is int for c in (X + True).coeffs)
+
     def test_mul(self):
         assert P(1, 0, 1) * P(1, 0, 6, 0, 3) == P(1, 0, 7, 0, 9, 0, 3)
 
