@@ -461,8 +461,9 @@ def certify_grid(
     sharpness claims against the first-order convergents are certified as
     companion "<id>_sharper" entries.  Family.checked refuses the request
     before any work, and an x beyond the oracle's envelope is an
-    EnvelopeError whatever the orders; (n, x) pairs outside an order's own
-    domain (odd orders of I) or where A_n(x) is exactly 0 are skipped.
+    EnvelopeError for any non-empty orders: no orders is no work and no
+    certificate.  (n, x) pairs outside an order's own domain (odd orders
+    of I) or where A_n(x) is exactly 0 are skipped.
 
     The grid is sorted once and a stable sort by (family, n) follows, so
     the certificates are ordered by (family, n, x) with no Fraction
@@ -474,6 +475,8 @@ def certify_grid(
     """
     fam = find_family(family)
     p, orders, xs = fam.checked(orders, xs, precision_bits)
+    if not orders:
+        return []
     out: list[Certificate] = []
     for x in sorted(xs):
         # skip the orders outside their own domain at x, or where A_n(x) is exactly 0

@@ -25,10 +25,13 @@ identities too, so any tables get the same verdict.  On true tables every
 residual is ZERO: no P Q product, one square P_n^2 per order.  Independent
 closed forms for P_n, Q_n and A_n are checked against the recurrence output;
 none of them reads the recurrence's tables.
-They are computed in integers only, every division checked: a remainder is
-an IdentityError naming the order.  The forms of P_n and Q_n call no
-factorial: each coefficient or scale is the one before it times an exact
-term ratio.  A_n's coefficients are one exact division each.
+They are computed in integers only, O(1) work per coefficient and no
+factorial, every division checked: a remainder is an IdentityError naming
+the order.  Each coefficient or scale of P_n and Q_n is the one before it
+times an exact term ratio, and Q_n's inner binomial sums are partial row
+sums by Pascal's rule.  A_n is a polynomial in x^2 whose coefficients come
+down from the top one by a three-term recurrence, read off the ODE that its
+generating function gives (a_closed_form).
 
 Remark: P_n is a rescaled Hermite polynomial,
 P_n(x) = (-i/sqrt(2))^n * H_n(i x / sqrt(2)).  The exponent n on the
@@ -51,7 +54,7 @@ import threading
 from dataclasses import dataclass
 from functools import cache, partial
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from mpmath import mp, mpf
 
@@ -133,22 +136,22 @@ def q_closed_form(n: int, p_form=p_closed_form) -> IntPolynomial:
 
 def q_coefficient_form(n: int) -> IntPolynomial:
     """Q_n built coefficientwise: the X^{m-2k} coefficient of Q_{m+1} is
-    sum_j (m-k+j)!/(2^j j!) / (m-2k)! = F_k sum_j C(m-k+j, j) / 2^j with
-    F_k = (m-k)!/(m-2k)!.  F_k steps by (m-2k+2)(m-2k+1) / (m-k+1), the
-    terms C(m-k+j, j) 2^{k-j} from 2^k by (m-k+j) / (2j), and F_k times
-    their sum is divided by 2^k last, every step a checked exact division."""
+    F_k S(m-k, k) with F_k = (m-k)!/(m-2k)! and S(a, k) = sum_{j<=k}
+    C(a+j, j) / 2^j.  Pascal's rule gives 2^{k+1} S(a-1, k+1) =
+    2^k S(a, k) + C(a+k+1, k+1), so 2^k S(m-k, k) = T_k, the partial row
+    sum sum_{i<=k} C(m+1, i).  F_k steps by (m-2k+2)(m-2k+1) / (m-k+1),
+    C(m+1, k) by (m+2-k) / k, and F_k T_k is divided by 2^k last: O(1)
+    work per coefficient, every step a checked exact division."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got n = {n}")
     m = n - 1
     coeffs = [0] * (m + 1)
-    scale = 1
+    scale = binom = total = 1  # F_k, C(m+1, k), T_k
     for k in range(m // 2 + 1):
         if k:
             r = m - 2 * k
             scale = _ratio_step(scale, (r + 2) * (r + 1), m - k + 1, "Q coefficient", n, k)
-        total = binom = 1 << k
-        for j in range(1, k + 1):
-            binom = _ratio_step(binom, m - k + j, 2 * j, "Q coefficient", n, k)
+            binom = _ratio_step(binom, m + 2 - k, k, "Q coefficient", n, k)
             total += binom
         coeffs[m - 2 * k] = _ratio_step(scale, total, 1 << k, "Q coefficient", n, k)
     return IntPolynomial(coeffs)
@@ -180,31 +183,22 @@ def _wronskian(p: list, q: list, n: int, step: int = 1):
 
 
 def a_closed_form(n: int) -> IntPolynomial:
-    """A_n = n! * sum_{m<=n} a_{n,m} x^{2m} / m!, where a_{n,m} is the
-    coefficient of x^{2m} y^n in exp(y x^2/(1-y)) / ((1+y) sqrt(1-y^2)):
-    (-1)^n (n+1) C(n, n//2) / 2^n for m = 0, (1 - (-1)^n) n C(n-1, n//2) / 2^n
-    for m = 1, and sum_{k<=K} w_k C(n-2k-2, m-2) / 4^k for m >= 2, with
-    w_k = (2k+1)!/k!^2 and K = (n-m)//2.  Each coefficient is one integer
-    division, exact because A_n = P_n P_{n+2} - P_{n+1}^2 has integer
-    coefficients; a remainder is reported as a transcription bug."""
+    """A_n(x) is n! times the y^n coefficient of the generating function
+    G = exp(yX/(1-y)) / ((1+y) sqrt(1-y^2)), here with X = x^2.  G solves
+    2X G_XXX + 3(1+X) G_XX + (X+1) G_X - y d/dy (2 G_X + G) = 0, so
+    f = A_n solves 2X f''' + 3(1+X) f'' + (X+1-2n) f' - n f = 0 in X.  Its
+    X^m coefficients follow from alpha_n = 1 and alpha_{n+1} = 0 down:
+    alpha_m = (m+1) ((3m-2n+1) alpha_{m+1} + (m+2)(2m+3) alpha_{m+2}) / (n-m).
+    Each step is one checked exact division: A_n = P_n P_{n+2} - P_{n+1}^2
+    has integer coefficients, so a remainder is a transcription bug."""
     n = check_index(n)
-    sign, half, nfact = (-1) ** n, n // 2, factorial(n)
-    weights = [1]  # w_k for k <= (n-2)//2
-    for k in range(1, half):
-        weights.append(weights[-1] * 2 * (2 * k + 1) // k)
     coeffs = [0] * (2 * n + 1)
-    for m in range(n + 1):
-        if m == 0:
-            num, den = sign * (n + 1) * comb(n, half), 1 << n
-        elif m == 1:
-            num, den = (1 - sign) * n * comb(n - 1, half), 1 << n
-        else:
-            top = (n - m) // 2
-            num = sum(weights[k] * comb(n - 2 * k - 2, m - 2) << 2 * (top - k) for k in range(top + 1))
-            den = 1 << 2 * top
-        coeffs[2 * m], rem = divmod(nfact * num, den * factorial(m))
-        if rem:
-            raise IdentityError(f"non-integral A coefficient at n={n}, m={m}")
+    coeffs[2 * n] = alpha = 1
+    above = 0  # alpha_{m+2}
+    for m in range(n - 1, -1, -1):
+        num = (3 * m - 2 * n + 1) * alpha + (m + 2) * (2 * m + 3) * above
+        alpha, above = _ratio_step(m + 1, num, n - m, "A coefficient", n, m), alpha
+        coeffs[2 * m] = alpha
     return IntPolynomial(coeffs)
 
 

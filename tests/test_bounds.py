@@ -456,6 +456,21 @@ class TestCertifyGrid:
         with pytest.raises(DomainError, match="Eq19: x must exceed -1, got x = -1"):
             certify_grid("eq19", [1], [Fraction(-1)], 128)
 
+    def test_no_orders_is_no_work(self, monkeypatch):
+        # the request is still checked in full, but no phi and no sweep is read
+        calls = []
+        monkeypatch.setattr(bounds, "phi_series", lambda *args: calls.append(("phi_series", args)))
+        monkeypatch.setattr(bounds, "pq_sweep", lambda *args: calls.append(("pq_sweep", args)))
+        assert certify_grid("eq17", [], [1, 2, 3], 128) == []
+        assert certify_grid("i", [], [Fraction(-40)], 96) == []
+        assert calls == []
+        with pytest.raises(DomainError, match="Eq15: x must exceed 0, got x = 0"):
+            certify_grid("eq15", [], [Fraction(1), Fraction(0)], 128)
+        with pytest.raises(ValueError, match="order must be non-negative"):
+            certify_grid("eq17", [-1], [1], 128)
+        with pytest.raises(ValueError, match="precision"):
+            certify_grid("eq17", [], [1], 0)
+
     def test_second_order_skips_pairs_outside_an_order_domain(self):
         certs = certify_grid("i", [0, 1, 3], [Fraction(-2), Fraction(1)], 128)
         # x = -2 is outside the odd orders' domain, and x = 1 is the root of A_1

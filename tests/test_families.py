@@ -305,11 +305,9 @@ class TestIntegerKernels:
         assert fails == [("Q_closed_sum_P", 5)]
 
     def test_non_integral_a_coefficient_is_an_identity_error(self, monkeypatch):
-        # C(5, 2) = 11 puts (-1)^5 * 6 * 11 / 2^5 into the x^0 coefficient of
-        # A_5, and 5! * 66 / 32 is not an integer; no other coefficient of
-        # A_5, and nothing else verify_identities checks, calls comb(5, 2)
-        monkeypatch.setattr(families, "comb", lambda a, b: comb(a, b) + ((a, b) == (5, 2)))
-        with pytest.raises(IdentityError, match=r"non-integral A coefficient at n=5, m=0"):
+        # the x^8 coefficient of A_5 is 5 * 3 / 1 = 15; dividing by 2 leaves 1
+        corrupt_ratio(monkeypatch, "A coefficient", 5, 4)
+        with pytest.raises(IdentityError, match=r"non-integral A coefficient at n=5, k=4"):
             a_closed_form(5)
         fails = [(e["identity"], e["n"]) for e in verify_identities(5) if e["status"] == "fail"]
         assert fails == [("A_closed_form", 5)]
@@ -322,6 +320,26 @@ class TestIntegerKernels:
             q_coefficient_form(4)
         fails = [(e["identity"], e["n"]) for e in verify_identities(5) if e["status"] == "fail"]
         assert fails == [("Q_closed_coeffs", 4)]
+
+    def test_a_and_q_coefficient_forms_do_o1_work_per_coefficient(self, monkeypatch):
+        # one ratio step per coefficient of A_n below its leading 1, and three
+        # per coefficient of Q_n (its scale, its binomial, its division by
+        # 2^k) but one for the leading coefficient: no inner sum
+        steps = []
+        step = families._ratio_step
+
+        def counting(term, num, den, what, n, k):
+            steps.append(what)
+            return step(term, num, den, what, n, k)
+
+        monkeypatch.setattr(families, "_ratio_step", counting)
+        for n in (1, 2, 7, 30, 61, 96):
+            steps.clear()
+            a_closed_form(n)
+            assert steps == ["A coefficient"] * n, n
+            steps.clear()
+            q_coefficient_form(n)
+            assert steps == ["Q coefficient"] * (3 * ((n - 1) // 2) + 1), n
 
 
 class TestQuadraticTriple:
@@ -392,6 +410,19 @@ class TestQuadraticTriple:
         assert odd.coefficient(0) == -odd_prod(n + 1)
         assert all(c >= 0 for k, c in enumerate(odd.coeffs) if k > 0)
         assert all(c == 0 for k, c in enumerate(odd.coeffs) if k % 2)
+
+    def test_a_sign_structure(self):
+        # the pattern beta and the I family's domain assume, by Descartes's
+        # rule of signs on A_n as a polynomial in y = x^2: A_{2m} > 0 on R,
+        # and A_{2m+1} has one positive root, in ]0, 1] as A_{2m+1}(1) >= 0
+        for n in range(161):
+            ys = a_closed_form(n).coeffs[::2]
+            signs = [c > 0 for c in ys if c]
+            changes = sum(a != b for a, b in zip(signs, signs[1:]))
+            if n % 2:
+                assert (changes, ys[0] < 0, sum(ys) >= 0) == (1, True, True), n
+            else:
+                assert (changes, ys[0] > 0) == (0, True), n
 
 
 class TestDiscriminant:
