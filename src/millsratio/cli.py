@@ -5,7 +5,8 @@ Exit status contract: 0 all-pass, 1 certification failure, 2 usage or domain
 error, such as a bound where A_n(x) is exactly 0 or an unwritable --out.
 Rationals are accepted as "7/3" or "0.1" (parsed exactly, so grids are
 reproducible); decimal output is round-to-nearest with 20 significant
-digits unless --digits is given.  --precision must be at least 64 bits;
+digits unless --digits is given; `mills phi` shows its error bound
+rounded up, to 3 significant digits.  --precision must be at least 64 bits;
 the MILLS_PRECISION_BITS environment variable overrides its default of 128
 bits, and a value that is not an integer of at least 64 is a usage error.
 `mills beta` takes no precision: its accuracy is set by --tolerance.
@@ -21,13 +22,14 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from . import __version__
 from .bounds import CSV_COLUMNS, FAMILIES, beta, certify_grid, find_family, phi_at
 from .contfrac import cf_b, cf_ladder_eval, expansion_str, pq_sweep
 from .errors import DomainError, MillsError, SingularityError
 from .families import discriminant, hankel, pq_pair, quadratic_triple, verify_identities
-from .numutil import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, nstr_fixed, to_fraction
+from .numutil import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, nstr_ceiling, nstr_fixed, to_fraction
 from .oracle import phi_quadrature, phi_series
 
 
@@ -224,8 +226,40 @@ def write_report(text: str, path: str | None) -> None:
 
 
 def _render_report(report: dict, fmt: str) -> str:
+    r"""The report as text in fmt: "json", "csv" or "text".
+
+    The JSON is the bytes of json.dumps(report, indent=2) + "\n", but
+    `indent` turns json's C encoder off, so the indented layout is written
+    here and the C encoder writes each top-level value once, with "\x00" as
+    its item separator.  The encoder escapes every control character inside
+    a string (a NUL as \u0000), so a raw "\x00" in its output can only be a
+    separator.  The report's shape makes each separator's place known: every
+    top-level value is a scalar, a flat dict or a list of flat dicts, where
+    a flat dict holds no dict, list or tuple.  In a list of flat dicts a
+    "}\x00{" is then always the separator between two dicts and every other
+    "\x00" one between two items of a dict.  Another shape raises TypeError.
+    """
     if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
+        encode = json.JSONEncoder(separators=("\x00", ": "), check_circular=False).encode  # a flat shape has no cycle
+        fields = []
+        for key, value in report.items():
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be strings, got {key!r}")
+            if isinstance(value, dict):
+                _check_flat([value])
+                text = "{\n    " + encode(value)[1:-1].replace("\x00", ",\n    ") + "\n  }" if value else "{}"
+            elif isinstance(value, (list, tuple)):
+                _check_flat(value)
+                text = "[]"
+                if value:
+                    items = encode(value)[2:-2].replace("}\x00{", "\n    },\n    {\n      ").replace("\x00", ",\n      ")
+                    text = "[\n    {\n      " + items + "\n    }\n  ]"
+                    if not all(value):  # an empty dict's text between its separators is empty
+                        text = text.replace("{\n      \n    }", "{}")
+            else:
+                text = encode(value)
+            fields.append(f"{encode(key)}: {text}")
+        return "{\n  " + ",\n  ".join(fields) + "\n}\n" if fields else "{}\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
@@ -246,6 +280,16 @@ def _render_report(report: dict, fmt: str) -> str:
         lines += [f"{section.replace('_', ' ')}: {len(entries) - len(fails)}/{len(entries)} pass", *fails]
     lines.append("ALL PASS" if report["all_pass"] else "FAILURES PRESENT")
     return "\n".join(lines) + "\n"
+
+
+def _check_flat(leaves) -> None:
+    """Refuse, with TypeError, leaves that are not all flat dicts: dicts
+    whose values are no dict, list or tuple."""
+    if not all(issubclass(kind, dict) for kind in set(map(type, leaves))):
+        raise TypeError("a report list must hold dicts only")
+    kinds = set(map(type, chain.from_iterable(map(dict.values, leaves))))
+    if any(issubclass(kind, (dict, list, tuple)) for kind in kinds):
+        raise TypeError("a report dict must not hold a dict, list or tuple")
 
 
 def cmd_beta(args) -> int:
@@ -287,7 +331,7 @@ def cmd_phi(args) -> int:
     print(f"x = {x}")
     print(f"precision_bits = {p}")
     for ov in rows:
-        print(f"{ov.method}: {nstr_fixed(ov.value, digits)} (error_bound <= {nstr_fixed(ov.error_bound, 3)})")
+        print(f"{ov.method}: {nstr_fixed(ov.value, digits)} (error_bound <= {nstr_ceiling(ov.error_bound, 3)})")
     return 0
 
 

@@ -4,12 +4,15 @@ each rounding at a precision and in a direction named in the call.
 round_quotient is the one kernel by which an exact rational becomes bits:
 one integer division to at least prec + 2 bits, its remainder kept as a
 sticky bit, and one rounding by libmp's normalize (Brent and Zimmermann,
-Modern Computer Arithmetic, 3.1.9); no mpf is formed or divided on the way."""
+Modern Computer Arithmetic, 3.1.9); no mpf is formed or divided on the way.
+nstr_fixed turns bits back into decimal digits the same way, by one radix
+conversion on integers (ibid., 1.7), with the bytes of mpmath's to_str."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 
 from mpmath import mp, mpf
 from mpmath.libmp import fzero, mpf_pos, normalize, to_str
@@ -17,6 +20,7 @@ from mpmath.libmp import fzero, mpf_pos, normalize, to_str
 DEFAULT_PRECISION_BITS = 128
 MIN_PRECISION_BITS = 64
 ROUNDINGS = ("n", "f", "c", "d", "u")  # nearest, floor, ceiling, toward 0, away from 0
+_LOG2_10 = math.log(10, 2)  # the float mpmath's to_str counts its digits with
 
 
 def round_quotient(num: int, den: int, prec: int, rounding: str, exp: int = 0) -> tuple:
@@ -90,8 +94,117 @@ def check_index(value, name: str = "n", what: str = "order") -> int:
     return value
 
 
+@cache
+def _layout_constants(digits: int) -> tuple[int, int, int]:
+    """(prec, bitprec, min_fixed) of nstr_fixed at digits: the binary
+    precision it rounds to, to_digits_exp's bitprec for digits + 3, and
+    to_str's default min_fixed."""
+    return max(53, 4 * digits + 16), int((digits + 3) * _LOG2_10) + 10, min(-(digits // 3), -5)
+
+
+@cache
+def _decimal_point(fixprec: int) -> tuple[int, int]:
+    """(fixdps, 10^fixdps): to_digits_exp's decimal digits for a binary
+    fixed point of fixprec bits, and the power of ten that converts it."""
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    return fixdps, 10**fixdps
+
+
 def nstr_fixed(value, digits: int = 20) -> str:
     """Deterministic decimal rendering with a fixed significant-digit count:
-    value rounded to nearest at 4 digits + 16 bits, and never below a
-    double's 53, then printed by mpmath's to_str."""
-    return to_str(to_mpf(value, max(53, 4 * digits + 16))._mpf_, digits)
+    to_str(to_mpf(value, max(53, 4 digits + 16))._mpf_, digits), computed
+    from the rounded mantissa with one multiplication and one str().
+
+    Why the bytes are to_str's.  An mpf's mantissa man (bc bits) is rounded
+    to nearest, ties to even, at prec bits in place: libmp normalize's rule,
+    with bc kept as the rounded mantissa's bit length, so exp + bc is the
+    rounded value's; any other value is rounded by round_quotient.  For a
+    positive s = man 2^exp, to_str(s, dps) reads to_digits_exp(s, dps + 3),
+    which with bitprec = int((dps + 3) log2 10) + 10 takes
+      fixprec = max(bitprec - (exp + bc), 0),
+      fixdps = int(fixprec / log2 10 + 0.5)  (the same float log2 10),
+      sf = floor(man 2^(exp + fixprec))  (to_fixed: a shift),
+      sd = floor(sf 10^fixdps / 2^fixprec)  (bin_to_radix),
+    and returns the digits str(sd) with exponent len(str(sd)) - fixdps - 1.
+    Each step depends on the value only, so this is that computation.
+    to_str then keeps dps digits and adds one to the last when the next
+    is 5-9 (half up on the floored digits; a carry past the first makes
+    10...0 and raises the exponent), prints fixed-point when
+    min(-(dps // 3), -5) < exponent < dps and scientific otherwise, and
+    strips trailing zeros down to one after the point; _layout does the
+    same.  to_str itself renders zero, |exp + bc| > 3500 (where mpmath
+    divides by a power of ten first), digits < 1, and digits >= 247 (where
+    its conversion of sd is no longer one str())."""
+    prec, bitprec, min_fixed = _layout_constants(digits)
+    if isinstance(value, mpf):
+        sign, man, exp, bc = _finite(value)
+        shift = bc - prec
+        if shift > 0:
+            q = man >> shift
+            rest, half = man - (q << shift), 1 << (shift - 1)
+            if rest > half or (rest == half and q & 1):
+                q += 1
+            man, exp, bc = q, exp + shift, q.bit_length()
+    else:
+        x = to_fraction(value)
+        sign, man, exp, bc = round_quotient(x.numerator, x.denominator, prec, "n")
+    top = exp + bc
+    if not man or not 0 < digits < 247 or not -3500 <= top <= 3500:
+        return to_str((sign, man, exp, bc), digits)
+    fixprec = max(bitprec - top, 0)
+    fixdps, scale = _decimal_point(fixprec)
+    shift = exp + fixprec
+    text = str((man << shift if shift >= 0 else man >> -shift) * scale >> fixprec)
+    exponent = len(text) - fixdps - 1
+    if len(text) > digits and text[digits] >= "5":
+        text = str(int(text[:digits]) + 1)
+        if len(text) > digits:  # 99...9 carried to 10...0
+            text, exponent = text[:digits], exponent + 1
+    else:
+        text = text[:digits]
+    return _layout(sign, text, exponent, digits, min_fixed)
+
+
+def nstr_ceiling(value, digits: int) -> str:
+    """The exact value of value (see to_fraction) rounded up, toward +inf,
+    to digits significant digits, in nstr_fixed's layout: the printed
+    decimal is never below the value and less than one unit in its last
+    digit above it.  For a number shown as a bound, such as an error bound,
+    that a round to nearest could print too small."""
+    x = to_fraction(value)
+    if not x:
+        return "0.0"
+    magnitude, ten = abs(x), Fraction(10)
+    exponent = math.floor((magnitude.numerator.bit_length() - magnitude.denominator.bit_length()) * math.log10(2))
+    while magnitude < ten**exponent:
+        exponent -= 1
+    while magnitude >= ten ** (exponent + 1):
+        exponent += 1
+    scaled = magnitude * ten ** (digits - 1 - exponent)  # in [10^(digits-1), 10^digits)
+    head = math.ceil(scaled) if x > 0 else math.floor(scaled)
+    if head == 10**digits:  # 99...9 carried to 10...0
+        head, exponent = head // 10, exponent + 1
+    return _layout(int(x < 0), str(head), exponent, digits, _layout_constants(digits)[2])
+
+
+def _layout(sign: int, text: str, exponent: int, digits: int, min_fixed: int) -> str:
+    """to_str's layout of the number whose rounded significant digits are
+    text, d.dd...d 10^exponent, negative if sign: fixed-point when
+    min_fixed < exponent < digits, scientific otherwise, trailing zeros
+    stripped down to one after the point."""
+    if min_fixed < exponent < digits:
+        if exponent < 0:
+            text = "0." + "0" * (-exponent - 1) + text
+        else:
+            text = text[: exponent + 1] + "." + text[exponent + 1 :]
+        exponent = 0
+    else:
+        text = text[:1] + "." + text[1:]
+    text = text.rstrip("0")
+    if text[-1] == ".":
+        text += "0"
+    if sign:
+        text = "-" + text
+    if exponent:
+        return text + ("e" if exponent < 0 else "e+") + str(exponent)
+    return text

@@ -2,9 +2,12 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import os
 import pathlib
+import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -14,7 +17,8 @@ from millsratio import bounds, cli
 from millsratio.bounds import FAMILIES, certify_grid
 from millsratio.cli import main
 from millsratio.errors import IdentityError
-from millsratio.numutil import nstr_fixed
+from millsratio.numutil import nstr_fixed, to_fraction
+from millsratio.oracle import phi_quadrature, phi_series
 
 
 def run_cli(capsys, *argv):
@@ -265,6 +269,23 @@ class TestPhi:
         assert values.keys() == {"series:", "quadrature:"}
         assert values["series:"] == values["quadrature:"] == "1.2996129473592022903e+22"
 
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    def test_error_bound_is_shown_rounded_up(self, capsys, bits):
+        # the printed bound is at least the route's error bound and less than
+        # one unit in its third significant digit above it; a round to
+        # nearest prints 2.51e-51 for phi_series(388/13)'s 2.5109e-51
+        for k in range(-390, 391, 26):
+            x = Fraction(k, 13)
+            code, out, _ = run_cli(capsys, "phi", f"--x={x}", "--method", "both", "--precision", str(bits))
+            assert code == 0
+            shown = dict(re.findall(r"^(\w+): \S+ \(error_bound <= (\S+)\)$", out, re.M))
+            for ov in (phi_series(x, bits), phi_quadrature(x, bits)):
+                bound, printed = to_fraction(ov.error_bound), Fraction(shown[ov.method])
+                exponent = Decimal(shown[ov.method]).adjusted()
+                if printed == Fraction(10) ** exponent and bound < printed:  # carried up to a power of ten
+                    exponent -= 1
+                assert bound <= printed < bound + Fraction(10) ** (exponent - 2), (x, bits, ov.method)
+
     def test_module_invocation(self):
         result = subprocess.run(
             [sys.executable, "-m", "millsratio.cli", "phi", "--x", "0", "--digits", "12"],
@@ -285,11 +306,16 @@ class TestVerify:
         assert report["certificates"]
         assert report["config"]["n_max"] == 2
 
-    def test_output_is_byte_stable(self, capsys):
-        args = ("verify", "--n-max", "2", "--grid", "1:2:1", "--precision", "96")
-        _, out1, _ = run_cli(capsys, *args)
-        _, out2, _ = run_cli(capsys, *args)
-        assert out1 == out2
+    def test_output_is_byte_stable(self):
+        # two fresh interpreters with different hash seeds, so that a report
+        # that depends on hashing or on process state shows here
+        argv = [sys.executable, "-m", "millsratio.cli", "verify", "--n-max", "2", "--grid", "1:2:1", "--precision", "96"]
+        outs = []
+        for seed in ("0", "1"):
+            result = subprocess.run(argv, capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed})
+            assert result.returncode == 0, result.stderr
+            outs.append(result.stdout)
+        assert outs[0] == outs[1] and outs[0]
 
     def test_injected_fault_detected(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -361,6 +387,52 @@ class TestVerify:
         lines = out.splitlines()
         i = lines.index("oracle agreement: 5/6 pass")
         assert lines[i + 1 :] == ["  FAIL oracle agreement at x=2", "FAILURES PRESENT"]
+
+
+def _verify_report(*argv) -> dict:
+    args = cli.build_parser().parse_args(["verify", *argv])
+    args.precision = args.precision or 128
+    return cli._run_verification(args)
+
+
+@pytest.mark.parametrize("argv", [(), ("--precision", "64"), ("--precision", "256"), ("--grid=-2:2:1/2",),
+                                  ("--inject-fault",)])
+def test_json_report_is_json_dumps_indent_2(argv):
+    report = _verify_report(*argv)
+    assert cli._render_report(report, "json") == json.dumps(report, indent=2) + "\n"
+
+
+def test_json_writer_on_empty_containers_and_separator_text():
+    # every string a separator replacement could touch, in keys and values
+    texts = ["}", ",", '"', "\x00", "}\x00{", "{\n      \n    }", "\\", "é ☃ \U0001f600", ""]
+    report = {
+        "empty_list": [],
+        "empty_dict": {},
+        "leaves": [{}, {t: t for t in texts}, {}, {}, {"n": -1, "f": 0.1, "b": False, "none": None}, {}],
+        "one_empty": [{}],
+        "one_leaf": [{"}\x00{": "}\x00{"}],
+        "flat": {t + "k": t for t in texts},
+        "}\x00{ é": "}\x00{",
+        "number": 2.5,
+        "flag": True,
+    }
+    assert cli._render_report(report, "json") == json.dumps(report, indent=2) + "\n"
+    for shape in ({}, {"a": []}, {"a": {}}, {"a": [{}]}, {"a": [{}, {}, {}]}, {"a": [{"b": 1}]}):
+        assert cli._render_report(shape, "json") == json.dumps(shape, indent=2) + "\n", shape
+
+
+@pytest.mark.parametrize("report", [
+    {"certificates": [{"margin": [1]}]},
+    {"certificates": [{"n": 1}, {"margin": {}}]},
+    {"config": {"grid": (1, 2)}},
+    {"config": {"nested": {"a": 1}}},
+    {"identities": [1, 2]},
+    {"identities": [{"n": 1}, [2]]},
+    {1: "a key that is not a string"},
+])
+def test_json_writer_refuses_another_shape(report):
+    with pytest.raises(TypeError):
+        cli._render_report(report, "json")
 
 
 # SHA-256 and length of `mills poly --which <which> --n <n>` stdout: A, B

@@ -1,13 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, from_rational, fzero, mpf_shift
+from mpmath.libmp import from_man_exp, from_rational, fzero, mpf_shift, to_str
 
 from millsratio import bounds
-from millsratio.numutil import round_quotient, to_fraction, to_mpf
+from millsratio.numutil import nstr_ceiling, nstr_fixed, round_quotient, to_fraction, to_mpf
 
 
 def test_to_fraction_keeps_every_bit_of_a_wide_mpf():
@@ -76,6 +77,8 @@ def test_non_finite_mpfs_refused(value):
         to_fraction(value)
     with pytest.raises(ValueError, match="cannot convert non-finite value"):
         to_mpf(value, 64)
+    with pytest.raises(ValueError, match="cannot convert non-finite value"):
+        nstr_fixed(value, 20)
 
 
 def _reference(num: int, den: int, prec: int, rounding: str, exp: int = 0) -> tuple:
@@ -146,3 +149,100 @@ def test_unknown_rounding_is_refused_by_name(rounding):
                  lambda: to_mpf(mpf(3), 64, rounding), lambda: bounds._quotient(1, 3, 64, rounding)):
         with pytest.raises(ValueError, match=f"unknown rounding {rounding!r}"):
             call()
+
+
+def _to_str_reference(value, digits: int) -> str:
+    """nstr_fixed's contract as it reads: round to nearest at 4 digits + 16
+    bits (never below 53), then mpmath's to_str."""
+    return to_str(to_mpf(value, max(53, 4 * digits + 16))._mpf_, digits)
+
+
+@st.composite
+def renderable(draw):
+    """mpfs of either sign with 53-300-bit mantissas and exponents from
+    -4000 to 4000 (past to_str's own +-3500 switch); exact zero; decimals
+    next to a power of ten (9.99...95 and its neighbours, as Fractions and
+    as mpfs) and next to a half in their last digit (where the binary
+    rounding decides the decimal one); ints, Fractions and decimal strings."""
+    sign = draw(st.sampled_from((1, -1)))
+    kind = draw(st.sampled_from(("mpf", "mpf", "near_ten", "near_half", "zero", "int", "fraction", "string")))
+    if kind == "mpf":
+        bits = draw(st.integers(53, 300))
+        man = draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+        return mp.make_mpf(from_man_exp(sign * man, draw(st.integers(-4000, 4000))))
+    if kind == "near_ten":  # (10^m - 5 + delta) 10^-j: 9.99...95 when j = m - 1
+        m = draw(st.integers(1, 45))
+        value = sign * Fraction(10**m - 5 + draw(st.integers(-3, 6))) / Fraction(10) ** draw(st.integers(-60, 60))
+        return to_mpf(value, draw(st.integers(53, 300))) if draw(st.booleans()) else value
+    if kind == "near_half":  # d.dd...d5 10^-j moved by a few ulps of 53-176 bits, at 300 bits
+        half = Fraction(10 * draw(st.integers(1, 10**40)) + 5) / Fraction(10) ** draw(st.integers(-60, 60))
+        moved = half * (1 + Fraction(draw(st.integers(-8, 8)), 2 ** draw(st.integers(53, 180))))
+        return sign * to_mpf(moved, 300)
+    if kind == "zero":
+        return draw(st.sampled_from((0, Fraction(0), mpf(0), "0.0")))
+    if kind == "int":
+        return sign * draw(st.integers(0, 10**60))
+    if kind == "fraction":
+        return sign * Fraction(draw(st.integers(1, 10**40)), draw(st.integers(1, 10**40)))
+    return f"{sign * draw(st.integers(0, 10**30))}.{draw(st.integers(0, 10**12))}e{draw(st.integers(-80, 80))}"
+
+
+@settings(max_examples=1500, deadline=None)
+@given(renderable(), st.integers(1, 40))
+def test_nstr_fixed_is_to_str(value, digits):
+    assert nstr_fixed(value, digits) == _to_str_reference(value, digits)
+
+
+def _ties_next_to_decimal_halves(digits: int) -> list:
+    """mpfs halfway between the two prec-bit neighbours q 2^e < h < (q+1) 2^e
+    of a decimal h = d.dd...d5 10^-j of digits + 1 significant digits, with
+    q even: ties to even round them below h, so the last digit rounds down,
+    and ties away from zero above h, so it rounds up."""
+    prec, out = max(53, 4 * digits + 16), []
+    for j in (-30, 0, 7, 40):
+        for r in range(40):
+            h = Fraction(10 * (10 ** (digits - 1) + 7 * r) + 5) / Fraction(10) ** j
+            e = h.numerator.bit_length() - h.denominator.bit_length() - prec
+            while h >= Fraction(2) ** (e + prec):
+                e += 1
+            while h < Fraction(2) ** (e + prec - 1):
+                e -= 1
+            q = math.floor(h / Fraction(2) ** e)
+            if q % 2 == 0 and q * Fraction(2) ** e != h:
+                out.append(mp.make_mpf(from_man_exp(2 * q + 1, e - 1)))
+    return out
+
+
+@pytest.mark.parametrize("digits", [1, 2, 20, 246, 247, 300])
+def test_nstr_fixed_at_the_edges_of_its_integer_path(digits):
+    # exponents next to to_str's +-3500 switch, digit counts next to the 247
+    # where its digit conversion stops being one str(), and binary ties
+    values = [mpf(0), Fraction(0), *_ties_next_to_decimal_halves(digits)]
+    for top in (-3501, -3500, -3499, 0, 1, 3499, 3500, 3501):
+        for man in (1, 3, 2**53 - 1, 2**300 - 1, 10**40 + 7):
+            for sign in (1, -1):
+                values.append(mp.make_mpf(from_man_exp(sign * man, top - man.bit_length())))
+    for value in values:
+        assert nstr_fixed(value, digits) == _to_str_reference(value, digits), (value, digits)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.fractions(), renderable()), st.integers(1, 40))
+def test_nstr_ceiling_never_prints_below_the_value(value, digits):
+    exact = to_fraction(value)
+    shown = nstr_ceiling(value, digits)
+    printed = Fraction(shown)
+    assert printed >= exact
+    if exact:
+        assert shown == _to_str_reference(printed, digits)  # in nstr_fixed's layout
+        head, _, _ = shown.lstrip("-").replace(".", "").partition("e")
+        assert len(head.lstrip("0").rstrip("0")) <= digits
+        # less than one unit in the last digit of the value's magnitude
+        magnitude, exponent = abs(exact), 0
+        while magnitude >= Fraction(10) ** (exponent + 1):
+            exponent += 1
+        while magnitude < Fraction(10) ** exponent:
+            exponent -= 1
+        assert printed - exact < Fraction(10) ** (exponent - digits + 1)
+    else:
+        assert shown == "0.0"
