@@ -52,18 +52,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt
-from typing import Callable
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_abs, mpf_add, mpf_gt, mpf_shift, mpf_sub, round_ceiling, round_nearest
+from mpmath.libmp import mpf_gt, mpf_lt, mpf_sub, normalize, round_ceiling, round_nearest
 
 from .contfrac import pq_sweep
 from .errors import DomainError, SingularityError
 from .families import hankel, quadratic_form
-from .numutil import check_index, check_precision, nstr_fixed, round_quotient, to_fraction, to_mpf
+from .numutil import check_index, check_precision, dyadic, nstr_fixed, round_quotient, to_fraction, to_mpf
 from .oracle import OracleValue, phi_series
 
 GUARD_BITS = 16  # bits above the requested precision: certificates, square roots, phi_derivative
+_ZERO = mpf(0)  # the error of an exact margin
 
 
 @dataclass(frozen=True)
@@ -90,8 +92,10 @@ class SecondOrderBound:
     role: str  # "lower" for even n, "upper" for odd n
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
+    """One verdict.  A NamedTuple, not a frozen dataclass: a default verify
+    makes 3574, and a frozen dataclass's __init__ takes five times as long."""
+
     family: str
     n: int
     x: Fraction
@@ -100,9 +104,12 @@ class Certificate:
     verdict: str
     threshold: mpf  # the verdict's: pass iff margin > threshold
 
-    def to_json_dict(self, digits: int = 20) -> dict:
-        """The CSV_COLUMNS fields of the report; threshold is not one of them."""
-        return {"family": self.family, "n": self.n, "x": str(self.x), "margin": nstr_fixed(self.margin, digits),
+    def to_json_dict(self, digits: int = 20, x: str | None = None, margin: bool = True) -> dict:
+        """The CSV_COLUMNS fields of the report; threshold is not one of
+        them.  x is str(self.x), formed here if None; with margin False the
+        margin is None, not rendered."""
+        return {"family": self.family, "n": self.n, "x": str(self.x) if x is None else x,
+                "margin": nstr_fixed(self.margin, digits) if margin else None,
                 "precision_bits": self.precision_bits, "verdict": self.verdict}
 
 
@@ -114,11 +121,28 @@ def _quotient(num: int, den: int, w: int, rounding: str = "n", exp: int = 0) -> 
     return mp.make_mpf(round_quotient(num, den, w, rounding, exp))
 
 
-def _dyadic(*values: mpf) -> tuple[int, ...]:
-    """(E, N_1, N_2, ...): the values M_i 2^e_i as N_i 2^-E, E = max(0, -e_i)."""
-    pairs = [v.man_exp for v in values]
-    scale = max(0, *(-exp for _, exp in pairs))
-    return (scale, *(man << (exp + scale) for man, exp in pairs))
+class _Sweep(tuple):
+    """pq_sweep(depth, x), the pair (ps, qs), and what the rows read from
+    it, each formed on first use: the quadratic form of order n, d^{2n+2}
+    (A_n, B_n, C_n)(x), and its root by _root at w bits (Eq18 and Eq19 share
+    I's at orders 0 and 1)."""
+
+    def __new__(cls, depth: int, x: Fraction):
+        self = super().__new__(cls, pq_sweep(depth, x))
+        self.x, self.forms, self.roots = x, {}, {}
+        return self
+
+    def form(self, n: int) -> tuple[int, int, int]:
+        form = self.forms.get(n)
+        if form is None:
+            form = self.forms[n] = quadratic_form(*self, n)
+        return form
+
+    def root(self, n: int, w: int) -> mpf:
+        z = self.roots.get((n, w))
+        if z is None:
+            z = self.roots[n, w] = _root(n, self.x, self.form(n), w)
+        return z
 
 
 def _root(n: int, x: Fraction, form: tuple[int, int, int], precision_bits: int) -> mpf:
@@ -166,7 +190,7 @@ def phi_derivative(n: int, x, precision_bits: int = 128) -> mpf:
     # mag of a value rounded toward 0 is floor(log2 |value|) + 1 exactly (-inf at 0)
     mag_p, mag_q = (mp.mag(_quotient(value, dn, 53, "d")) for value in (pn, qn))
     ov = phi_series(xf, p + max(0, mag_p))
-    (scale, v), w = _dyadic(ov.value), p + GUARD_BITS + max(0, mag_p + mp.mag(ov.value), mag_q)
+    (scale, v), w = dyadic(ov.value), p + GUARD_BITS + max(0, mag_p + mp.mag(ov.value), mag_q)
     return _quotient(pn * v - (qn << scale), dn, w, "n", -scale)
 
 
@@ -204,7 +228,8 @@ def beta(m: int, tolerance=None) -> BetaRoot:
 def log_convexity(n: int, x: Fraction, ov: OracleValue, precision_bits: int, sweep) -> tuple[mpf, mpf]:
     """The Eq17 row's evaluator: (margin, error) of the log-convexity
     inequality at (n, x), with ov the oracle value phi_at gives at (x,
-    precision_bits) and sweep a sweep at x to order n + 2 at least.
+    precision_bits) and sweep a pq_sweep at x to order n + 2 at least, or a
+    _Sweep, whose form of order n is read.
 
     m(t) = A_n(x) t^2 - B_n(x) t + C_n(x) is positive at t = phi(x) iff the
     inequality holds.  With v = ov.value, e = ov.error_bound and A, B, C =
@@ -213,8 +238,8 @@ def log_convexity(n: int, x: Fraction, ov: OracleValue, precision_bits: int, swe
     margin is m(v) rounded to nearest and error that bound rounded up, both
     at precision_bits + GUARD_BITS, each one integer over D 4^E for v = N 2^-E.
     """
-    w, (a, b, c), den = precision_bits + GUARD_BITS, quadratic_form(*sweep, n), x.denominator ** (2 * n + 2)
-    scale, v, e = _dyadic(ov.value, ov.error_bound)
+    a, b, c = sweep.form(n) if isinstance(sweep, _Sweep) else quadratic_form(*sweep, n)
+    (scale, v, e), w, den = ov.dyadic, precision_bits + GUARD_BITS, x.denominator ** (2 * n + 2)
     margin = _quotient(a * v * v - (b * v << scale) + (c << 2 * scale), den, w, "n", -2 * scale)
     return margin, _quotient(abs(2 * a * v - (b << scale)) * e + abs(a) * e * e, den, w, "c", -2 * scale)
 
@@ -229,9 +254,10 @@ def phi_at(x, precision_bits: int, memo: dict | None = None) -> OracleValue:
     w = check_precision(precision_bits) + GUARD_BITS
     key = (to_fraction(x), w)
     memo = {} if memo is None else memo
-    if key not in memo:
-        memo[key] = phi_series(*key)
-    return memo[key]
+    ov = memo.get(key)
+    if ov is None:
+        ov = memo[key] = phi_series(*key)
+    return ov
 
 
 def _threshold(margin: mpf, error: mpf, precision_bits: int) -> mpf:
@@ -240,10 +266,15 @@ def _threshold(margin: mpf, error: mpf, precision_bits: int) -> mpf:
     GUARD_BITS; it passes iff it exceeds error plus that rounding, |margin|
     2^-w, their sum rounded up at w.  The evaluators below round every
     margin at w, and their bound values are exact convergents or exact
-    square-root bounds rounded outward.  Like the oracle, it calls libmp
-    on the raw values and reads no mpmath context."""
+    square-root bounds rounded outward.  The sum, error >= 0, is formed
+    exactly on the raw mantissas and rounded once by libmp's normalize, as
+    in round_quotient; no mpmath context is read."""
     w = precision_bits + GUARD_BITS
-    return mp.make_mpf(mpf_add(error._mpf_, mpf_shift(mpf_abs(margin._mpf_), -w), w, round_ceiling))
+    (_, man, exp, _), (_, eman, eexp, _) = margin._mpf_, error._mpf_
+    exp -= w
+    low = min(exp, eexp)
+    total = (man << (exp - low)) + (eman << (eexp - low))
+    return mp.make_mpf(normalize(0, total, low, total.bit_length(), w, round_ceiling))
 
 
 def _cert(family: str, n: int, x: Fraction, margin: mpf, error: mpf, precision_bits: int) -> Certificate:
@@ -252,18 +283,15 @@ def _cert(family: str, n: int, x: Fraction, margin: mpf, error: mpf, precision_b
     return Certificate(family, n, x, margin, precision_bits, verdict, threshold)
 
 
-def _difference(above: mpf, below: mpf, precision_bits: int) -> mpf:
-    """above - below rounded to nearest at precision_bits + GUARD_BITS."""
-    return mp.make_mpf(mpf_sub(above._mpf_, below._mpf_, precision_bits + GUARD_BITS, round_nearest))
-
-
 def _vs_phi(family: str, n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep, shown: dict):
     """The certificate that every shown lower (upper) value, an exact bound,
-    lies below (above) phi(x), as ov encloses it; the margin is the least."""
-    v = ov.value
-    margin = min(_difference(b, v, precision_bits) if side == "upper" else _difference(v, b, precision_bits)
-                 for side, b in shown.items())
-    return [_cert(family, n, x, margin, ov.error_bound, precision_bits)]
+    lies below (above) phi(x), as ov encloses it; the margin is the least
+    difference, each rounded to nearest at precision_bits + GUARD_BITS."""
+    v, w, margin = ov.value._mpf_, precision_bits + GUARD_BITS, None
+    for side, b in shown.items():
+        d = mpf_sub(b._mpf_, v, w, round_nearest) if side == "upper" else mpf_sub(v, b._mpf_, w, round_nearest)
+        margin = d if margin is None or mpf_lt(d, margin) else margin
+    return [_cert(family, n, x, mp.make_mpf(margin), ov.error_bound, precision_bits)]
 
 
 def _eq15(n: int, x: Fraction, w: int, sweep):
@@ -281,7 +309,7 @@ def _eq16(n: int, x: Fraction, w: int, sweep):
 def _eq16_margin(family: str, n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep, shown: dict):
     """With v = N 2^-E, the margin n! d^{2n+1} / (p_n p_{n+1}) - |v - q_n/p_n|
     is one integer over p_n p_{n+1} 2^E, rounded once."""
-    (ps, qs), w, (scale, v) = sweep, precision_bits + GUARD_BITS, _dyadic(ov.value)
+    (ps, qs), w, (scale, v, _) = sweep, precision_bits + GUARD_BITS, ov.dyadic
     pn, pn1, qn, bound = ps[n], ps[n + 1], qs[n], factorial(n) * x.denominator ** (2 * n + 1)
     margin = _quotient((bound << scale) - pn1 * abs(v * pn - (qn << scale)), pn * pn1, w, "n", -scale)
     return [_cert(family, n, x, margin, ov.error_bound, precision_bits)]
@@ -291,21 +319,21 @@ def _eq17(family: str, n: int, x: Fraction, precision_bits: int, ov: OracleValue
     return [_cert(family, n, x, *log_convexity(n, x, ov, precision_bits, sweep), precision_bits)]
 
 
-def _square_root(n: int, x: Fraction, w: int, sweep, form=None):
-    """The order-n root by _root of form (quadratic_form(*sweep, n) if None),
-    Z^+ for even n and Z^- for odd n: Eq18's at order 0, Eq19's at order 1."""
-    return {"upper" if n % 2 else "lower": _root(n, x, form or quadratic_form(*sweep, n), w)}
+def _square_root(n: int, x: Fraction, w: int, sweep):
+    """The order-n root by _root of the sweep's form, Z^+ for even n and Z^-
+    for odd n: Eq18's at order 0, Eq19's at order 1."""
+    return {"upper" if n % 2 else "lower": sweep.root(n, w)}
 
 
 def _second_order(n: int, x: Fraction, w: int, sweep):
-    form = quadratic_form(*sweep, n)  # d^{2n+2} (A_n, B_n, C_n)(x), formed once
+    a = sweep.form(n)[0]  # d^{2n+2} A_n(x)
     # A_n is even, so its exact sign at x decides ]-beta_m, inf[: negative
     # exactly inside the gap
-    if n % 2 and x < 0 and form[0] >= 0:
+    if n % 2 and x.numerator < 0 and a >= 0:
         raise DomainError(f"order {n} upper bound requires x > -beta_{(n - 1) // 2}, got x = {x}")
-    if form[0] == 0:
+    if a == 0:
         raise SingularityError(f"A_{n}({x}) is exactly 0")
-    return _square_root(n, x, w, sweep, form)
+    return _square_root(n, x, w, sweep)
 
 
 def _sharper(family: str, n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep, shown: dict):
@@ -316,11 +344,11 @@ def _sharper(family: str, n: int, x: Fraction, precision_bits: int, ov: OracleVa
     integer (q_n 2^E - N p_n) over p_n 2^E, is exact before its rounding."""
     ((_, z),), (ps, qs), upper = shown.items(), sweep, n % 2 == 1
     certs = _vs_phi(f"{family}_{n}", n, x, precision_bits, ov, sweep, shown)
-    if x > 0 and (not upper or hankel(ps, n) > 0):  # A_n(x) > 0
-        scale, z = _dyadic(z)
+    if x.numerator > 0 and (not upper or sweep.form(n)[0] > 0):  # A_n(x) > 0, from the form the bound read
+        scale, z = dyadic(z)
         sharper = (qs[n] << scale) - z * ps[n]
         margin = _quotient(sharper if upper else -sharper, ps[n], precision_bits + GUARD_BITS, "n", -scale)
-        certs.append(_cert(f"{family}_{n}_sharper", n, x, margin, mpf(0), precision_bits))
+        certs.append(_cert(f"{family}_{n}_sharper", n, x, margin, _ZERO, precision_bits))
     return certs
 
 
@@ -330,12 +358,14 @@ class Family:
 
     ``values(n, x, w, sweep)`` forms the bound values shown at (n, x), by
     name, each exact or rounded once at w bits, every bound outward, from
-    sweep, a pq_sweep at x to order depth(n) at least; it raises DomainError
+    sweep, a _Sweep at x to order depth(n) at least; it raises DomainError
     or SingularityError where the order-n bound is not stated.
     ``certify(name, n, x, p, ov, sweep, shown)`` makes the certificates
     there against ov, the oracle value phi_at gives at (x, p), with shown
-    the values at p + GUARD_BITS.  checked is the one place a request is
-    read and refused; bound, at and certify_grid call it once."""
+    the values at p + GUARD_BITS, or None where the margin does not read
+    them (reads_values False): certify_grid then forms none.  checked is
+    the one place a request is read and refused; bound, at and certify_grid
+    call it once."""
 
     name: str
     x_above: int | None  # stated domain x > x_above; None: every x the oracle takes
@@ -343,6 +373,7 @@ class Family:
     depth: Callable[[int], int]  # the sweep order that order n reads up to
     values: Callable[[int, Fraction, int, tuple], dict[str, mpf]]
     certify: Callable[..., list[Certificate]] = _vs_phi  # by default, the rule the bounds share
+    reads_values: bool = True  # whether certify reads shown
 
     def checked(self, orders, xs, precision_bits) -> tuple[int, list[int], list[Fraction]]:
         """(p, orders, xs) of a request, refused in this order: the precision
@@ -362,17 +393,22 @@ class Family:
     def bound(self, n: int, x, precision_bits: int = 128) -> dict[str, mpf]:
         """values at (n, x) at precision_bits, from one sweep and no oracle value."""
         p, (n,), (x,) = self.checked([n], [x], precision_bits)
-        return self.values(n, x, p, pq_sweep(self.depth(n), x))
+        return self.values(n, x, p, _Sweep(self.depth(n), x))
 
-    def evaluate(self, orders: list[int], x: Fraction, precision_bits: int, ov: OracleValue, skip: bool = False):
+    def evaluate(self, orders: list[int], x: Fraction, precision_bits: int, ov: OracleValue, skip: bool = False,
+                 sweep: _Sweep | None = None, shown: bool = True):
         """(shown, certificates) at every n in orders, all from one sweep at
-        x, of a request checked already; with skip, an order whose bound is
-        not stated at x is left out, not raised."""
-        sweep, w, out = pq_sweep(self.depth(max(orders, default=0)), x), precision_bits + GUARD_BITS, []
+        x, of a request checked already: sweep, deep enough for every order,
+        or one formed here.  With skip, an order whose bound is not stated at
+        x is left out, not raised; with shown False, a row whose certify
+        does not read its values forms none, and None stands in their place."""
+        if sweep is None:
+            sweep = _Sweep(self.depth(max(orders, default=0)), x)
+        w, form, out = precision_bits + GUARD_BITS, shown or self.reads_values, []
         for n in orders:
             try:
-                shown = self.values(n, x, w, sweep)
-                out.append((shown, self.certify(self.name, n, x, precision_bits, ov, sweep, shown)))
+                values = self.values(n, x, w, sweep) if form else None
+                out.append((values, self.certify(self.name, n, x, precision_bits, ov, sweep, values)))
             except (DomainError, SingularityError):
                 if not skip:
                     raise
@@ -392,8 +428,8 @@ FAMILIES = {
     fam.name.lower(): fam
     for fam in (
         Family("Eq15", 0, None, lambda n: 2 * n + 1, _eq15),
-        Family("Eq16", 0, None, lambda n: n + 1, _eq16, _eq16_margin),
-        Family("Eq17", None, None, lambda n: n + 2, lambda *_: {}, _eq17),
+        Family("Eq16", 0, None, lambda n: n + 1, _eq16, _eq16_margin, reads_values=False),
+        Family("Eq17", None, None, lambda n: n + 2, lambda *_: {}, _eq17, reads_values=False),
         Family("Eq18", None, 0, lambda n: n + 2, _square_root),
         Family("Eq19", -1, 1, lambda n: n + 2, _square_root),
         Family("I", None, None, lambda n: n + 2, _second_order, _sharper),
@@ -467,19 +503,29 @@ def certify_grid(
 
     The grid is sorted once and a stable sort by (family, n) follows, so
     the certificates are ordered by (family, n, x) with no Fraction
-    compared per certificate.  phi is read through phi_at once per x, and
-    every order at that x is measured against it.  ``memo`` holds the
-    oracle values keyed by (x, working precision); a caller that certifies
-    several families over one grid passes one dict to every call, so each
-    phi is evaluated once per run.  There is no process-wide oracle cache.
+    compared per certificate.  Every order at x is measured against one
+    phi_at value and reads one sweep, and no value that no certificate
+    reads is formed (Eq16's shown convergent and error bound).
+
+    ``memo`` is the run's: a caller that certifies several families over
+    one grid passes one dict to every call, so each fact of a point is
+    formed once per run.  It holds the oracle value under (x, working
+    precision), with its integer read (OracleValue.dyadic), and under x the
+    deepest sweep read so far, with the quadratic forms and square-root
+    bounds read from it (_Sweep).  Without one, each call keeps its own.
+    No cache outlives the memo: there is no process-wide one.
     """
     fam = find_family(family)
     p, orders, xs = fam.checked(orders, xs, precision_bits)
     if not orders:
         return []
-    out: list[Certificate] = []
+    memo, depth, out = {} if memo is None else memo, fam.depth(max(orders)), []
     for x in sorted(xs):
+        ov, sweep = phi_at(x, p, memo), memo.get(x)
+        if sweep is None or len(sweep[0]) <= depth:
+            sweep = memo[x] = _Sweep(depth, x)
         # skip the orders outside their own domain at x, or where A_n(x) is exactly 0
-        out += [c for _, certs in fam.evaluate(orders, x, p, phi_at(x, p, memo), skip=True) for c in certs]
-    out.sort(key=lambda c: (c.family, c.n))
+        for _, certs in fam.evaluate(orders, x, p, ov, skip=True, sweep=sweep, shown=False):
+            out += certs
+    out.sort(key=attrgetter("family", "n"))
     return out

@@ -162,15 +162,20 @@ def cmd_bounds(args) -> int:
     return 0 if cert.verdict == "pass" else 1
 
 
+def _verify_plan(xs: list[Fraction]) -> list[tuple]:
+    """(family, orders, points) of each certify_grid call of `mills verify`
+    on the grid xs, in report order."""
+    pos = [x for x in xs if x > 0]
+    return [("eq15", range(6), pos), ("eq16", range(12), pos), ("eq18", [0], xs),
+            ("eq19", [1], [x for x in xs if x > -1]), ("i", range(6), pos), ("eq17", range(4), xs)]
+
+
 def _run_verification(args) -> dict:
     xs = grid_points(args.grid)
-    pos = [x for x in xs if x > 0]
     p = args.precision
     identities = verify_identities(args.n_max, _faulty_tables(args.n_max) if args.inject_fault else None)
-    memo: dict = {}  # one phi evaluation per (x, precision) for this run
-    plan = [("eq15", range(6), pos), ("eq16", range(12), pos), ("eq18", [0], xs),
-            ("eq19", [1], [x for x in xs if x > -1]), ("i", range(6), pos), ("eq17", range(4), xs)]  # in report order
-    certs = [c for family, orders, grid in plan for c in certify_grid(family, list(orders), grid, p, memo)]
+    memo: dict = {}  # the run's: each point's phi, sweep and forms are formed once per run
+    certs = [c for family, orders, grid in _verify_plan(xs) for c in certify_grid(family, list(orders), grid, p, memo)]
     # oracle cross-agreement on a fixed small grid, decided exactly; the
     # series value is the one the certificates read
     agreement = []
@@ -188,12 +193,17 @@ def _run_verification(args) -> dict:
               "grid": ":".join(str(g) for g in args.grid), "format": args.format}
     if args.out:
         config["out"] = args.out
+    # str(x) once per point: certify_grid keeps the grid's own Fraction in
+    # each certificate.  The text report shows a failing certificate's
+    # margin only, so it renders no other.
+    names, every_margin = {id(x): str(x) for x in xs}, args.format != "text"
     return {
         "version": __version__,
         "config": config,
         "identities": identities,
         "oracle_agreement": agreement,
-        "certificates": [c.to_json_dict(args.digits) for c in certs],
+        "certificates": [c.to_json_dict(args.digits, names.get(id(c.x)), every_margin or c.verdict == "fail")
+                         for c in certs],
         "all_pass": all_pass,
     }
 

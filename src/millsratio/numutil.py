@@ -37,6 +37,13 @@ def round_quotient(num: int, den: int, prec: int, rounding: str, exp: int = 0) -
     return normalize(sign, q | (r > 0), exp - shift, q.bit_length(), prec, rounding)
 
 
+def dyadic(*values: mpf) -> tuple[int, ...]:
+    """(E, N_1, N_2, ...): the finite values M_i 2^e_i as N_i 2^-E, E = max(0, -e_i)."""
+    pairs = [v.man_exp for v in values]
+    scale = max(0, *(-exp for _, exp in pairs))
+    return (scale, *(man << (exp + scale) for man, exp in pairs))
+
+
 def _rounding(rounding: str) -> str:
     """rounding, refused unless it names one of ROUNDINGS."""
     if rounding not in ROUNDINGS:

@@ -94,13 +94,14 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from mpmath import mp, mpf
 from mpmath.libmp import (fone, from_float, from_man_exp, mpf_add, mpf_div, mpf_exp, mpf_mul, mpf_pi, mpf_shift,
                           mpf_sqrt, mpf_sub, round_ceiling, round_floor, round_nearest, to_int)
 
 from .errors import EnvelopeError
-from .numutil import check_precision, round_quotient, to_fraction
+from .numutil import check_precision, dyadic, round_quotient, to_fraction
 
 ENVELOPE = 30  # |x| beyond this is refused; the guard-bit budget assumes it
 
@@ -119,6 +120,12 @@ class OracleValue:
     method: str
     working_bits: int | None = None  # working precision of the evaluation
     terms: int | None = None  # series terms summed (N); None for quadrature
+
+    @cached_property
+    def dyadic(self) -> tuple[int, int, int]:
+        """(E, N, M) with value N 2^-E and error_bound M 2^-E, read once per
+        value: the integers every certificate against it is formed from."""
+        return dyadic(self.value, self.error_bound)
 
 
 def _normalised(num: int, den: int, m_bits: int) -> tuple[int, int]:

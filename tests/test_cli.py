@@ -13,7 +13,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from millsratio import bounds, cli
+from millsratio import bounds, cli, oracle
 from millsratio.bounds import FAMILIES, certify_grid
 from millsratio.cli import main
 from millsratio.errors import IdentityError
@@ -631,6 +631,62 @@ def test_default_verify_reads_phi_once_per_point(capsys, monkeypatch):
     monkeypatch.delenv("MILLS_PRECISION_BITS", raising=False)
     assert run_cli(capsys, "verify")[0] == 0
     assert len(calls) == 606
+
+
+def test_default_verify_forms_each_point_fact_once(capsys, monkeypatch):
+    """One integer read of phi per point, one quadratic form per (x, n) of
+    Eq17, Eq18, Eq19 and I, and two sweeps per point: Eq15 reads one to
+    order 11, and Eq16 one to order 12, which the later families share."""
+    calls = {"dyadic": 0, "quadratic_form": 0, "pq_sweep": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def count(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, count)
+
+    counting(oracle, "dyadic")
+    counting(bounds, "quadratic_form")
+    counting(bounds, "pq_sweep")
+    monkeypatch.delenv("MILLS_PRECISION_BITS", raising=False)
+    assert run_cli(capsys, "verify")[0] == 0
+    assert calls == {"dyadic": 100, "quadratic_form": 600, "pq_sweep": 200}
+
+
+@pytest.mark.parametrize("grid", ["1/10:10:1/10", "-2:2:1/2"])
+def test_shared_memo_changes_no_certificate(grid):
+    """The verify plan with one memo shared in cli order, in reverse order,
+    and interleaved at two precisions gives every certificate, in order, of
+    a fresh memo-less call.  -2:2:1/2 reaches the odd orders I skips below
+    -beta_m, Eq19's x > -1 and the SingularityError of A_1 at x = 1."""
+    plan = cli._verify_plan(cli.grid_points(cli.parse_grid(grid)))
+    fresh = {(family, p): certify_grid(family, list(orders), xs, p) for family, orders, xs in plan for p in (96, 128)}
+    runs = [[(call, 128) for call in plan], [(call, 128) for call in plan[::-1]],
+            [(call, p) for call in plan for p in (96, 128)]]
+    for run in runs:
+        memo: dict = {}
+        for (family, orders, xs), p in run:
+            assert certify_grid(family, list(orders), xs, p, memo) == fresh[family, p], (grid, family, p)
+
+
+def test_certify_path_forms_no_value_no_certificate_reads(capsys, monkeypatch):
+    """Eq16's certificates read the sweep and phi, not the convergent and
+    error bound its row shows; `mills bounds` still shows both."""
+    def refuse(*args):
+        raise AssertionError("the certificate path formed the Eq16 row's values")
+
+    grid = [Fraction(k, 10) for k in range(1, 101)]
+    with monkeypatch.context() as patch:
+        patch.setitem(bounds.FAMILIES, "eq16", dataclasses.replace(FAMILIES["eq16"], values=refuse))
+        certs = certify_grid("eq16", list(range(12)), grid)
+    assert len(certs) == 1200 and all(c.verdict == "pass" for c in certs)
+    code, out, _ = run_cli(capsys, "bounds", "--family", "eq16", "--n", "5", "--x", "7/2")
+    assert code == 0
+    assert [line.split(" = ")[0] for line in out.splitlines()] == [
+        "family", "n", "x", "precision_bits", "convergent", "error_bound", "phi", "margin", "verdict"]
 
 
 # `scripts/bounds_table.py` output on small grids; the dashes are the points
