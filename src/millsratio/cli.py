@@ -174,8 +174,12 @@ def _run_verification(args) -> dict:
     xs = grid_points(args.grid)
     p = args.precision
     identities = verify_identities(args.n_max, _faulty_tables(args.n_max) if args.inject_fault else None)
-    memo: dict = {}  # the run's: each point's phi, sweep and forms are formed once per run
-    certs = [c for family, orders, grid in _verify_plan(xs) for c in certify_grid(family, list(orders), grid, p, memo)]
+    # the run's memo: each point's phi, sweep and forms are formed once per
+    # run, and the deepest sweep first (Eq16's, to order 12, before Eq15's)
+    plan, memo = _verify_plan(xs), {}
+    deepest_first = sorted(plan, key=lambda call: FAMILIES[call[0]].depth(max(call[1])), reverse=True)
+    by_family = {family: certify_grid(family, list(orders), grid, p, memo) for family, orders, grid in deepest_first}
+    certs = [c for family, _, _ in plan for c in by_family[family]]
     # oracle cross-agreement on a fixed small grid, decided exactly; the
     # series value is the one the certificates read
     agreement = []

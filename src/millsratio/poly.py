@@ -14,6 +14,13 @@ was 2.3 times slower without packing out the zero terms of a parity and no
 faster overall with it, and a convolution by diagonals with sum(map(mul,
 ...)) was 8% slower.  An int (a bool too) is a scalar factor.
 
+Only the public constructor checks coefficients.  Every result of +, -,
+unary minus, *, derivative and X * p is a list of ints formed from checked
+coefficients, so it goes through _poly, which strips trailing zeros and
+checks nothing, and X * p (or p * X) is a shift.  A warm identity pass
+over n <= 96 builds 3593 such results and 677 polynomials by the public
+constructor; checking the results too took 4.6 ms of a 37.5 ms cold pass.
+
 Instances are immutable and safe for unrestricted concurrent use.
 """
 
@@ -70,12 +77,12 @@ class IntPolynomial:
         out = list(a)
         for k, c in enumerate(b):
             out[k] += c
-        return IntPolynomial(out)
+        return _poly(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial([-c for c in self.coeffs])
+        return _poly([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "IntPolynomial":
         return self + (-_coerce(other))
@@ -85,10 +92,13 @@ class IntPolynomial:
 
     def __mul__(self, other) -> "IntPolynomial":
         if isinstance(other, int):
-            return IntPolynomial([c * other for c in self.coeffs] if other else ())
+            k = int(other)
+            return _poly([c * k for c in self.coeffs])
         other = _coerce(other)
         if not self.coeffs or not other.coeffs:
             return ZERO
+        if other.coeffs == _X or self.coeffs == _X:  # X * p: a shift
+            return _poly([0, *(self.coeffs if other.coeffs == _X else other.coeffs)])
         terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         if other is self:  # a square: each cross product once, doubled
@@ -98,17 +108,17 @@ class IntPolynomial:
             out = [c << 1 for c in out]
             for i, a in terms:
                 out[2 * i] += a * a
-            return IntPolynomial(out)
+            return _poly(out)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in terms:
                     out[i + j] += a * b
-        return IntPolynomial(out)
+        return _poly(out)
 
     __rmul__ = __mul__
 
     def derivative(self) -> "IntPolynomial":
-        return IntPolynomial([k * c for k, c in enumerate(self.coeffs)][1:])
+        return _poly([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def eval_rational(self, x) -> Fraction:
         """Exact evaluation at x = a/b by homogeneous Horner on integers:
@@ -166,6 +176,16 @@ class IntPolynomial:
         return f"IntPolynomial({list(self.coeffs)!r})"
 
 
+def _poly(coeffs: list[int]) -> IntPolynomial:
+    """The polynomial of a list of ints formed here from int coefficients:
+    trailing zeros stripped as by the public constructor, no type check."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    poly = object.__new__(IntPolynomial)
+    poly.coeffs = tuple(coeffs)
+    return poly
+
+
 def _coerce(value) -> IntPolynomial:
     if isinstance(value, IntPolynomial):
         return value
@@ -177,3 +197,4 @@ def _coerce(value) -> IntPolynomial:
 ZERO = IntPolynomial()
 ONE = IntPolynomial([1])
 X = IntPolynomial([0, 1])
+_X = X.coeffs

@@ -635,8 +635,8 @@ def test_default_verify_reads_phi_once_per_point(capsys, monkeypatch):
 
 def test_default_verify_forms_each_point_fact_once(capsys, monkeypatch):
     """One integer read of phi per point, one quadratic form per (x, n) of
-    Eq17, Eq18, Eq19 and I, and two sweeps per point: Eq15 reads one to
-    order 11, and Eq16 one to order 12, which the later families share."""
+    Eq17, Eq18, Eq19 and I, and one sweep per point: Eq16's, to order 12,
+    formed first and read by every other family."""
     calls = {"dyadic": 0, "quadratic_form": 0, "pq_sweep": 0}
 
     def counting(module, name):
@@ -653,7 +653,7 @@ def test_default_verify_forms_each_point_fact_once(capsys, monkeypatch):
     counting(bounds, "pq_sweep")
     monkeypatch.delenv("MILLS_PRECISION_BITS", raising=False)
     assert run_cli(capsys, "verify")[0] == 0
-    assert calls == {"dyadic": 100, "quadratic_form": 600, "pq_sweep": 200}
+    assert calls == {"dyadic": 100, "quadratic_form": 600, "pq_sweep": 100}
 
 
 @pytest.mark.parametrize("grid", ["1/10:10:1/10", "-2:2:1/2"])

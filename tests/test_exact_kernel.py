@@ -7,9 +7,10 @@ eval_rational on the polynomial tables, every margin as a reduced
 Fraction, and every square-root bound from a Fraction enclosure of its
 root (ref_outward), each rounded once by libmp's from_rational, not by
 numutil.round_quotient.  Margins, thresholds, shown values and verdicts
-must agree exactly.  beta's bisection, whose signs are read from a sweep
-too, must give the brackets and values of ref_beta, which reads every
-sign with eval_rational on the polynomial A_{2m+1}.
+must agree exactly.  beta's Newton steps on the dyadic grid, whose signs
+are read from a sweep too, must give the brackets and values of ref_beta's
+bisection, which reads every sign with eval_rational on the polynomial
+A_{2m+1}.
 """
 
 import random
@@ -41,6 +42,7 @@ from millsratio.errors import DomainError, SingularityError
 from millsratio.families import pq_pair, quadratic_form, quadratic_triple
 from millsratio.numutil import to_fraction
 from millsratio.oracle import OracleValue, phi_series
+from millsratio.poly import IntPolynomial
 
 
 def _pq(n: int, x: Fraction) -> tuple[Fraction, Fraction]:
@@ -358,12 +360,12 @@ def test_exact_square_radicands_give_the_exact_bound(bits):
     assert szarek_werner_upper(1, bits) == _round(Fraction(2, 3), bits, "c")
 
 
-def ref_beta(m: int, tolerance=None) -> BetaRoot:
-    """beta(m, tolerance) by the same bisection, every sign of A_{2m+1} at
-    a dyadic point read with eval_rational on the polynomial A_{2m+1}."""
+def ref_beta(m: int, tolerance=None, a=None) -> BetaRoot:
+    """beta(m, tolerance) by bisection, every sign of A_{2m+1}, or of the
+    polynomial a if given, at a dyadic point read with eval_rational."""
     tol = Fraction(1, 2**40) if tolerance is None else Fraction(tolerance)
     bits = max(128, -(tol.numerator.bit_length() - tol.denominator.bit_length()) + 32)
-    a = quadratic_triple(2 * m + 1).a
+    a = quadratic_triple(2 * m + 1).a if a is None else a
     lo, hi = Fraction(0), Fraction(1)
     assert a.eval_rational(lo) < 0
     if a.eval_rational(hi) == 0:
@@ -377,9 +379,42 @@ def ref_beta(m: int, tolerance=None) -> BetaRoot:
     return BetaRoot(m=m, value=_round((lo + hi) / 2, bits), bracket=(lo, hi))
 
 
-@pytest.mark.parametrize("tolerance", [None, Fraction(1, 10**8), Fraction(1, 2**90), Fraction(1, 3)])
+def _assert_same_beta(got: BetaRoot, want: BetaRoot, *context):
+    assert got == want, context
+    assert type(got.value) is mpf and got.value.man_exp == want.value.man_exp, context
+
+
+@pytest.mark.parametrize("tolerance", [None, Fraction(1, 2**40), Fraction(1, 10**8), Fraction(1, 2**90),
+                                       Fraction(1, 3), Fraction(1, 2), 1, 3])
 def test_beta_matches_the_polynomial_bisection(tolerance):
+    # tolerances 1 and 3 leave bisection no halving: the bracket is ]0, 1]
+    for m in range(25 if tolerance is None else 16):
+        _assert_same_beta(beta(m, tolerance), ref_beta(m, tolerance), m, tolerance)
+
+
+@pytest.mark.parametrize("tolerance", [None, Fraction(1, 10**8), Fraction(1, 3), Fraction(1, 2), 3])
+@pytest.mark.parametrize("poly", [
+    IntPolynomial([-9, 0, 64]),  # root 3/8, a grid point: the exact-zero branch
+    IntPolynomial([-3, 2**40]),  # root 3 / 2^40, a grid point at the default tolerance only
+    IntPolynomial([-3, 2**41]),  # root 3 / 2^41, inside a cell at every tolerance
+    IntPolynomial([-1, 4, -1]),  # concave: Newton's first step leaves the bracket
+    IntPolynomial([-1, 4, -2]),  # A'(1) = 0: no Newton step from 1
+    IntPolynomial([-1, 9, -27, 27]),  # (3x - 1)^3: A' = 0 at the root
+])
+def test_beta_matches_bisection_for_any_sign_source(monkeypatch, poly, tolerance):
+    """Newton's steps choose only which points are read: for any sign source
+    with one root in ]0, 1[, good derivative or not, beta's bracket and value
+    are bisection's, an exact zero at a grid point included."""
+    slope = poly.derivative()
+    monkeypatch.setattr(bounds, "_a_and_slope", lambda n, x: (poly.eval_rational(x), slope.eval_rational(x)))
+    _assert_same_beta(beta(3, tolerance), ref_beta(3, tolerance, poly), poly, tolerance)
+
+
+def test_beta_reads_few_sweeps(monkeypatch):
+    """Newton steps on bisection's grid: 160 sign sweeps for m = 0..15 at the
+    default tolerance, where bisection made 632."""
+    calls, sweep = [], bounds.pq_sweep
+    monkeypatch.setattr(bounds, "pq_sweep", lambda n, x: calls.append(n) or sweep(n, x))
     for m in range(16):
-        got, want = beta(m, tolerance), ref_beta(m, tolerance)
-        assert got == want, (m, tolerance)
-        assert type(got.value) is mpf and got.value.man_exp == want.value.man_exp, (m, tolerance)
+        beta(m)
+    assert len(calls) == 160

@@ -175,6 +175,71 @@ class TestProperties:
         assert (a + b).derivative() == a.derivative() + b.derivative()
 
 
+# every shape the arithmetic meets: zero, constants, dense and parity polynomials
+arith_polys = st.one_of(st.just(ZERO), st.integers(-(2**70), 2**70).map(lambda c: IntPolynomial([c])),
+                        polys, wide_coeffs.map(IntPolynomial), parity_polys)
+
+
+@st.composite
+def operand_pairs(draw):
+    """(a, b), b free, the same object as a, or agreeing with a or -a above
+    a cut, so that a - b or a + b cancels its top terms."""
+    a = draw(arith_polys)
+    kind = draw(st.sampled_from(["free", "same", "cancel"]))
+    if kind == "free":
+        return a, draw(arith_polys)
+    if kind == "same":
+        return a, a
+    cut = draw(st.integers(0, len(a.coeffs)))
+    sign = draw(st.sampled_from([1, -1]))
+    low = draw(st.lists(st.integers(-50, 50), min_size=cut, max_size=cut))
+    return a, IntPolynomial(low + [sign * c for c in a.coeffs[cut:]])
+
+
+def reference(coeffs):
+    """The result the public constructor builds from coefficients formed one by one."""
+    return IntPolynomial(list(coeffs))
+
+
+def assert_canonical(result, expected):
+    assert result.coeffs == expected.coeffs
+    assert not result.coeffs or result.coeffs[-1] != 0
+    assert all(type(c) is int for c in result.coeffs)
+
+
+class TestOwnResults:
+    """Results of the arithmetic skip the public constructor's type check;
+    each must still be what that constructor builds coefficientwise."""
+
+    @given(operand_pairs())
+    @example((X, -X))
+    @example((P(1, 0, 2), P(1, 0, 0)))
+    @example((ZERO, ZERO))
+    @example((P(7), P(7)))
+    def test_add_sub_neg_mul(self, pair):
+        a, b = pair
+        width = max(len(a.coeffs), len(b.coeffs))
+        assert_canonical(a + b, reference(a.coefficient(k) + b.coefficient(k) for k in range(width)))
+        assert_canonical(a - b, reference(a.coefficient(k) - b.coefficient(k) for k in range(width)))
+        assert_canonical(-a, reference(-c for c in a.coeffs))
+        assert_canonical(a * b, schoolbook(a, b))
+        assert_canonical(a * a, schoolbook(a, a))
+
+    @given(arith_polys, st.one_of(scalars, st.integers(-3, 3), st.booleans()))
+    @example(ZERO, 5)
+    @example(P(3, 0, -1), 0)
+    @example(P(3, 0, -1), True)
+    def test_shift_scale_derivative(self, a, k):
+        shifted = reference([0, *a.coeffs])
+        assert_canonical(X * a, shifted)
+        assert_canonical(a * X, shifted)
+        assert_canonical(k * a, reference(int(k) * c for c in a.coeffs))
+        assert_canonical(a * k, reference(int(k) * c for c in a.coeffs))
+        assert_canonical(a.derivative(), reference([j * c for j, c in enumerate(a.coeffs)][1:]))
+        assert_canonical(a + k, reference([a.coefficient(0) + int(k), *a.coeffs[1:]]))
+        assert_canonical(k - a, reference([int(k) - a.coefficient(0), *(-c for c in a.coeffs[1:])]))
+
+
 class TestRendering:
     def test_fixed_format(self):
         assert str(P(1, 0, 10, 0, 15, 0)) == "x^5 + 10*x^3 + 15*x"
