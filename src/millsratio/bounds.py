@@ -253,11 +253,11 @@ def beta(m: int, tolerance=None) -> BetaRoot:
                     bracket=(Fraction(lo, cells), Fraction(hi, cells)))
 
 
-def log_convexity(n: int, x: Fraction, ov: OracleValue, precision_bits: int, sweep) -> tuple[mpf, mpf]:
+def log_convexity(n: int, x: Fraction, ov: OracleValue, precision_bits: int, sweep: _Sweep) -> tuple[mpf, mpf]:
     """The Eq17 row's evaluator: (margin, error) of the log-convexity
     inequality at (n, x), with ov the oracle value phi_at gives at (x,
-    precision_bits) and sweep a pq_sweep at x to order n + 2 at least, or a
-    _Sweep, whose form of order n is read.
+    precision_bits) and sweep a _Sweep at x to order n + 2 at least, whose
+    form of order n is read.
 
     m(t) = A_n(x) t^2 - B_n(x) t + C_n(x) is positive at t = phi(x) iff the
     inequality holds.  With v = ov.value, e = ov.error_bound and A, B, C =
@@ -266,7 +266,7 @@ def log_convexity(n: int, x: Fraction, ov: OracleValue, precision_bits: int, swe
     margin is m(v) rounded to nearest and error that bound rounded up, both
     at precision_bits + GUARD_BITS, each one integer over D 4^E for v = N 2^-E.
     """
-    a, b, c = sweep.form(n) if isinstance(sweep, _Sweep) else quadratic_form(*sweep, n)
+    a, b, c = sweep.form(n)
     (scale, v, e), w, den = ov.dyadic, precision_bits + GUARD_BITS, x.denominator ** (2 * n + 2)
     margin = _quotient(a * v * v - (b * v << scale) + (c << 2 * scale), den, w, "n", -2 * scale)
     return margin, _quotient(abs(2 * a * v - (b << scale)) * e + abs(a) * e * e, den, w, "c", -2 * scale)
@@ -276,9 +276,10 @@ def phi_at(x, precision_bits: int, memo: dict | None = None) -> OracleValue:
     """The oracle value every certificate at precision_bits is measured
     against: phi_series(x, precision_bits + GUARD_BITS), with precision_bits
     checked first, read from and stored into memo if given under the exact
-    x, so "7/3" and Fraction(7, 3) share one entry.  Family.at and
-    certify_grid read phi here once per point and pass the value to the
-    evaluators, which never see the memo."""
+    x, so "7/3" and Fraction(7, 3) share one entry.  The entry under (x,
+    precision_bits + GUARD_BITS) is the value every certificate at (x,
+    precision_bits) reads: Family.at and certify_grid read phi here once per
+    point and pass the value to the rows, which never see the memo."""
     w = check_precision(precision_bits) + GUARD_BITS
     key = (to_fraction(x), w)
     memo = {} if memo is None else memo
@@ -311,7 +312,7 @@ def _cert(family: str, n: int, x: Fraction, margin: mpf, error: mpf, precision_b
     return Certificate(family, n, x, margin, precision_bits, verdict, threshold)
 
 
-def _vs_phi(family: str, n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep, shown: dict):
+def _against_phi(family: str, n: int, x: Fraction, precision_bits: int, ov: OracleValue, shown: dict) -> Certificate:
     """The certificate that every shown lower (upper) value, an exact bound,
     lies below (above) phi(x), as ov encloses it; the margin is the least
     difference, each rounded to nearest at precision_bits + GUARD_BITS."""
@@ -319,7 +320,13 @@ def _vs_phi(family: str, n: int, x: Fraction, precision_bits: int, ov: OracleVal
     for side, b in shown.items():
         d = mpf_sub(b._mpf_, v, w, round_nearest) if side == "upper" else mpf_sub(v, b._mpf_, w, round_nearest)
         margin = d if margin is None or mpf_lt(d, margin) else margin
-    return [_cert(family, n, x, mp.make_mpf(margin), ov.error_bound, precision_bits)]
+    return _cert(family, n, x, mp.make_mpf(margin), ov.error_bound, precision_bits)
+
+
+def _vs_phi(row: Family, n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep: _Sweep):
+    """The rule the bounds share: the row's values at precision_bits +
+    GUARD_BITS against phi."""
+    return [_against_phi(row.name, n, x, precision_bits, ov, row.values(n, x, precision_bits + GUARD_BITS, sweep))]
 
 
 def _eq15(n: int, x: Fraction, w: int, sweep):
@@ -334,17 +341,17 @@ def _eq16(n: int, x: Fraction, w: int, sweep):
     return {"convergent": _quotient(qs[n], ps[n], w), "error_bound": _quotient(bound, ps[n] * ps[n + 1], w, "c")}
 
 
-def _eq16_margin(family: str, n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep, shown: dict):
+def _eq16_margin(row: Family, n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep: _Sweep):
     """With v = N 2^-E, the margin n! d^{2n+1} / (p_n p_{n+1}) - |v - q_n/p_n|
     is one integer over p_n p_{n+1} 2^E, rounded once."""
     (ps, qs), w, (scale, v, _) = sweep, precision_bits + GUARD_BITS, ov.dyadic
     pn, pn1, qn, bound = ps[n], ps[n + 1], qs[n], factorial(n) * x.denominator ** (2 * n + 1)
     margin = _quotient((bound << scale) - pn1 * abs(v * pn - (qn << scale)), pn * pn1, w, "n", -scale)
-    return [_cert(family, n, x, margin, ov.error_bound, precision_bits)]
+    return [_cert(row.name, n, x, margin, ov.error_bound, precision_bits)]
 
 
-def _eq17(family: str, n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep, shown: dict):
-    return [_cert(family, n, x, *log_convexity(n, x, ov, precision_bits, sweep), precision_bits)]
+def _eq17(row: Family, n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep: _Sweep):
+    return [_cert(row.name, n, x, *log_convexity(n, x, ov, precision_bits, sweep), precision_bits)]
 
 
 def _square_root(n: int, x: Fraction, w: int, sweep):
@@ -364,19 +371,20 @@ def _second_order(n: int, x: Fraction, w: int, sweep):
     return _square_root(n, x, w, sweep)
 
 
-def _sharper(family: str, n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep, shown: dict):
+def _sharper(row: Family, n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep: _Sweep):
     """I_n against phi, plus the companion I_n_sharper certificate of its
     sharpness against the first-order convergent: Q_{2m}/P_{2m} < Z^+ for x
     > 0 and Z^- < Q_{2m+1}/P_{2m+1} for x > beta_m.  Z's outward endpoint
     errs away from the convergent too, so that margin, with Z = N 2^-E the
     integer (q_n 2^E - N p_n) over p_n 2^E, is exact before its rounding."""
+    shown = row.values(n, x, precision_bits + GUARD_BITS, sweep)
     ((_, z),), (ps, qs), upper = shown.items(), sweep, n % 2 == 1
-    certs = _vs_phi(f"{family}_{n}", n, x, precision_bits, ov, sweep, shown)
+    certs = [_against_phi(f"{row.name}_{n}", n, x, precision_bits, ov, shown)]
     if x.numerator > 0 and (not upper or sweep.form(n)[0] > 0):  # A_n(x) > 0, from the form the bound read
         scale, z = dyadic(z)
         sharper = (qs[n] << scale) - z * ps[n]
         margin = _quotient(sharper if upper else -sharper, ps[n], precision_bits + GUARD_BITS, "n", -scale)
-        certs.append(_cert(f"{family}_{n}_sharper", n, x, margin, _ZERO, precision_bits))
+        certs.append(_cert(f"{row.name}_{n}_sharper", n, x, margin, _ZERO, precision_bits))
     return certs
 
 
@@ -388,12 +396,12 @@ class Family:
     name, each exact or rounded once at w bits, every bound outward, from
     sweep, a _Sweep at x to order depth(n) at least; it raises DomainError
     or SingularityError where the order-n bound is not stated.
-    ``certify(name, n, x, p, ov, sweep, shown)`` makes the certificates
-    there against ov, the oracle value phi_at gives at (x, p), with shown
-    the values at p + GUARD_BITS, or None where the margin does not read
-    them (reads_values False): certify_grid then forms none.  checked is
-    the one place a request is read and refused; bound, at and certify_grid
-    call it once."""
+    ``certify(row, n, x, p, ov, sweep)`` makes the certificates there
+    against ov, the oracle value phi_at gives at (x, p), and raises as
+    values does; it reads row.values(n, x, p + GUARD_BITS, sweep) only
+    where its margin compares them (not Eq16 or Eq17).  checked is the one
+    place a request is read and refused; bound, at and certify_grid call it
+    once."""
 
     name: str
     x_above: int | None  # stated domain x > x_above; None: every x the oracle takes
@@ -401,7 +409,6 @@ class Family:
     depth: Callable[[int], int]  # the sweep order that order n reads up to
     values: Callable[[int, Fraction, int, tuple], dict[str, mpf]]
     certify: Callable[..., list[Certificate]] = _vs_phi  # by default, the rule the bounds share
-    reads_values: bool = True  # whether certify reads shown
 
     def checked(self, orders, xs, precision_bits) -> tuple[int, list[int], list[Fraction]]:
         """(p, orders, xs) of a request, refused in this order: the precision
@@ -423,30 +430,13 @@ class Family:
         p, (n,), (x,) = self.checked([n], [x], precision_bits)
         return self.values(n, x, p, _Sweep(self.depth(n), x))
 
-    def evaluate(self, orders: list[int], x: Fraction, precision_bits: int, ov: OracleValue, skip: bool = False,
-                 sweep: _Sweep | None = None, shown: bool = True):
-        """(shown, certificates) at every n in orders, all from one sweep at
-        x, of a request checked already: sweep, deep enough for every order,
-        or one formed here.  With skip, an order whose bound is not stated at
-        x is left out, not raised; with shown False, a row whose certify
-        does not read its values forms none, and None stands in their place."""
-        if sweep is None:
-            sweep = _Sweep(self.depth(max(orders, default=0)), x)
-        w, form, out = precision_bits + GUARD_BITS, shown or self.reads_values, []
-        for n in orders:
-            try:
-                values = self.values(n, x, w, sweep) if form else None
-                out.append((values, self.certify(self.name, n, x, precision_bits, ov, sweep, values)))
-            except (DomainError, SingularityError):
-                if not skip:
-                    raise
-        return out
-
     def at(self, n: int, x, precision_bits: int = 128, memo: dict | None = None):
-        """Shown values and certificates at one point; memo is an optional
-        phi memo, as in certify_grid."""
-        p, orders, (x,) = self.checked([n], [x], precision_bits)
-        return self.evaluate(orders, x, p, phi_at(x, p, memo))[0]
+        """(values at precision_bits + GUARD_BITS, certificates) at one point
+        from one sweep, memo as in certify_grid; refused by checked, then by
+        phi_at (EnvelopeError), then by the row."""
+        p, (n,), (x,) = self.checked([n], [x], precision_bits)
+        ov, sweep = phi_at(x, p, memo), _Sweep(self.depth(n), x)
+        return self.values(n, x, p + GUARD_BITS, sweep), self.certify(self, n, x, p, ov, sweep)
 
 
 # Each row holds its own evaluators, and no row calls a public function:
@@ -456,8 +446,8 @@ FAMILIES = {
     fam.name.lower(): fam
     for fam in (
         Family("Eq15", 0, None, lambda n: 2 * n + 1, _eq15),
-        Family("Eq16", 0, None, lambda n: n + 1, _eq16, _eq16_margin, reads_values=False),
-        Family("Eq17", None, None, lambda n: n + 2, lambda *_: {}, _eq17, reads_values=False),
+        Family("Eq16", 0, None, lambda n: n + 1, _eq16, _eq16_margin),
+        Family("Eq17", None, None, lambda n: n + 2, lambda *_: {}, _eq17),
         Family("Eq18", None, 0, lambda n: n + 2, _square_root),
         Family("Eq19", -1, 1, lambda n: n + 2, _square_root),
         Family("I", None, None, lambda n: n + 2, _second_order, _sharper),
@@ -532,15 +522,16 @@ def certify_grid(
     The grid is sorted once and a stable sort by (family, n) follows, so
     the certificates are ordered by (family, n, x) with no Fraction
     compared per certificate.  Every order at x is measured against one
-    phi_at value and reads one sweep, and no value that no certificate
-    reads is formed (Eq16's shown convergent and error bound).
+    phi_at value and reads one sweep, and each row's certify forms only the
+    values its margin compares (none for Eq16 and Eq17).
 
     ``memo`` is the run's: a caller that certifies several families over
     one grid passes one dict to every call, so each fact of a point is
-    formed once per run.  It holds the oracle value under (x, working
-    precision), with its integer read (OracleValue.dyadic), and under x the
-    deepest sweep read so far, with the quadratic forms and square-root
-    bounds read from it (_Sweep).  Without one, each call keeps its own.
+    formed once per run.  It holds the oracle value under (x, precision_bits
+    + GUARD_BITS), the value every certificate at (x, precision_bits) reads,
+    with its integer read (OracleValue.dyadic), and under x the deepest
+    sweep read so far, with the quadratic forms and square-root bounds read
+    from it (_Sweep).  Without one, each call keeps its own.
     No cache outlives the memo: there is no process-wide one.
     """
     fam = find_family(family)
@@ -552,8 +543,10 @@ def certify_grid(
         ov, sweep = phi_at(x, p, memo), memo.get(x)
         if sweep is None or len(sweep[0]) <= depth:
             sweep = memo[x] = _Sweep(depth, x)
-        # skip the orders outside their own domain at x, or where A_n(x) is exactly 0
-        for _, certs in fam.evaluate(orders, x, p, ov, skip=True, sweep=sweep, shown=False):
-            out += certs
+        for n in orders:
+            try:
+                out += fam.certify(fam, n, x, p, ov, sweep)
+            except (DomainError, SingularityError):  # skipped, as above
+                pass
     out.sort(key=attrgetter("family", "n"))
     return out

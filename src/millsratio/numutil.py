@@ -105,7 +105,10 @@ def check_index(value, name: str = "n", what: str = "order") -> int:
 def _layout_constants(digits: int) -> tuple[int, int, int]:
     """(prec, bitprec, min_fixed) of nstr_fixed at digits: the binary
     precision it rounds to, to_digits_exp's bitprec for digits + 3, and
-    to_str's default min_fixed."""
+    to_str's default min_fixed.  digits < 1 is refused here, where a valid
+    call pays nothing: a raise is not cached."""
+    if digits < 1:
+        raise ValueError(f"digits must be at least 1, got digits = {digits}")
     return max(53, 4 * digits + 16), int((digits + 3) * _LOG2_10) + 10, min(-(digits // 3), -5)
 
 
@@ -140,8 +143,8 @@ def nstr_fixed(value, digits: int = 20) -> str:
     min(-(dps // 3), -5) < exponent < dps and scientific otherwise, and
     strips trailing zeros down to one after the point; _layout does the
     same.  to_str itself renders zero, |exp + bc| > 3500 (where mpmath
-    divides by a power of ten first), digits < 1, and digits >= 247 (where
-    its conversion of sd is no longer one str())."""
+    divides by a power of ten first) and digits >= 247 (where its
+    conversion of sd is no longer one str())."""
     prec, bitprec, min_fixed = _layout_constants(digits)
     if isinstance(value, mpf):
         sign, man, exp, bc = _finite(value)
@@ -156,7 +159,7 @@ def nstr_fixed(value, digits: int = 20) -> str:
         x = to_fraction(value)
         sign, man, exp, bc = round_quotient(x.numerator, x.denominator, prec, "n")
     top = exp + bc
-    if not man or not 0 < digits < 247 or not -3500 <= top <= 3500:
+    if not man or digits >= 247 or not -3500 <= top <= 3500:
         return to_str((sign, man, exp, bc), digits)
     fixprec = max(bitprec - top, 0)
     fixdps, scale = _decimal_point(fixprec)
@@ -178,7 +181,7 @@ def nstr_ceiling(value, digits: int) -> str:
     decimal is never below the value and less than one unit in its last
     digit above it.  For a number shown as a bound, such as an error bound,
     that a round to nearest could print too small."""
-    x = to_fraction(value)
+    min_fixed, x = _layout_constants(digits)[2], to_fraction(value)
     if not x:
         return "0.0"
     magnitude, ten = abs(x), Fraction(10)
@@ -191,7 +194,7 @@ def nstr_ceiling(value, digits: int) -> str:
     head = math.ceil(scaled) if x > 0 else math.floor(scaled)
     if head == 10**digits:  # 99...9 carried to 10...0
         head, exponent = head // 10, exponent + 1
-    return _layout(int(x < 0), str(head), exponent, digits, _layout_constants(digits)[2])
+    return _layout(int(x < 0), str(head), exponent, digits, min_fixed)
 
 
 def _layout(sign: int, text: str, exponent: int, digits: int, min_fixed: int) -> str:

@@ -29,7 +29,7 @@ from millsratio.bounds import (
     second_order_bound,
     szarek_werner_upper,
 )
-from millsratio.cli import cmd_cf, main, parse_grid
+from millsratio.cli import cmd_cf, grid_points, main, parse_grid
 from millsratio.contfrac import cf_b, cf_convergent, cf_ladder_eval, pq_sweep
 from millsratio.errors import DomainError, EnvelopeError, SingularityError
 from millsratio.families import generating_function_residual, pq_pair, q_closed_form, quadratic_triple, verify_identities
@@ -381,7 +381,8 @@ class TestCertificateProtocol:
                 phi = shown["lower"] * (1 - mpf(2) ** -30)
             else:
                 phi = shown["upper"] * (1 + mpf(2) ** -30)
-            ((_, certs),) = fam.evaluate([order], x, bits, OracleValue(phi, mpf(2) ** -200, "series"))
+        # planted where phi_at reads the oracle value of every certificate at (x, bits)
+        _, certs = fam.at(order, x, bits, {(x, bits + GUARD_BITS): OracleValue(phi, mpf(2) ** -200, "series")})
         assert certs[0].verdict == "fail" and certs[0].margin < 0, certs[0]
 
 
@@ -867,14 +868,39 @@ def test_verdict_is_margin_above_threshold(family):
           if fam.x_above is None or x > fam.x_above]
     for bits in (64, 200):
         certs = certify_grid(family, orders, xs, bits)
+        loose = {}  # planted where phi_at reads the oracle value of every certificate at (x, bits)
         for x in xs:
             ov = bounds.phi_at(x, bits)
-            loose = OracleValue(ov.value, mpf(2) ** 20, ov.method)
-            certs += [c for _, made in fam.evaluate(orders, x, bits, loose, skip=True) for c in made]
+            loose[x, bits + GUARD_BITS] = OracleValue(ov.value, mpf(2) ** 20, ov.method)
+        certs += certify_grid(family, orders, xs, bits, loose)
         for c in certs:
             assert (c.verdict == "pass") == (c.margin > c.threshold), c
             verdicts.add(c.verdict)
     assert verdicts == {"pass", "fail"}
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_at_and_certify_grid_agree(family, bits):
+    """Family.at refuses exactly the (n, x) that certify_grid skips, and
+    makes the certificates certify_grid makes at every other (n, x)."""
+    fam, orders = FAMILIES[family], _own(family, range(7))
+    xs = [x for x in grid_points(parse_grid("-2:2:1/2")) if fam.x_above is None or x > fam.x_above]
+    made = {}
+    for c in certify_grid(family, orders, xs, bits):
+        made.setdefault((c.n, c.x), []).append(c)
+    refused = 0
+    for n in orders:
+        for x in xs:
+            try:
+                _, certs = fam.at(n, x, bits)
+            except (DomainError, SingularityError):
+                refused += 1
+                assert (n, x) not in made, (family, n, x)
+            else:
+                assert made.pop((n, x)) == certs, (family, n, x)
+    assert not made
+    assert refused > 0 if family == "i" else refused == 0
 
 
 def _evaluations():

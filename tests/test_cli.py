@@ -674,15 +674,17 @@ def test_shared_memo_changes_no_certificate(grid):
 
 def test_certify_path_forms_no_value_no_certificate_reads(capsys, monkeypatch):
     """Eq16's certificates read the sweep and phi, not the convergent and
-    error bound its row shows; `mills bounds` still shows both."""
+    error bound its row shows, and Eq17's read no row value; `mills bounds`
+    still shows Eq16's both."""
     def refuse(*args):
-        raise AssertionError("the certificate path formed the Eq16 row's values")
+        raise AssertionError("the certificate path formed a row's values")
 
     grid = [Fraction(k, 10) for k in range(1, 101)]
-    with monkeypatch.context() as patch:
-        patch.setitem(bounds.FAMILIES, "eq16", dataclasses.replace(FAMILIES["eq16"], values=refuse))
-        certs = certify_grid("eq16", list(range(12)), grid)
-    assert len(certs) == 1200 and all(c.verdict == "pass" for c in certs)
+    for family, orders, count in (("eq16", range(12), 1200), ("eq17", range(4), 400)):
+        with monkeypatch.context() as patch:
+            patch.setitem(bounds.FAMILIES, family, dataclasses.replace(FAMILIES[family], values=refuse))
+            certs = certify_grid(family, list(orders), grid)
+        assert len(certs) == count and all(c.verdict == "pass" for c in certs), family
     code, out, _ = run_cli(capsys, "bounds", "--family", "eq16", "--n", "5", "--x", "7/2")
     assert code == 0
     assert [line.split(" = ")[0] for line in out.splitlines()] == [

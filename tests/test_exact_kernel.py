@@ -17,6 +17,7 @@ import random
 import re
 from fractions import Fraction
 from math import factorial, isqrt
+from operator import attrgetter
 
 import pytest
 from mpmath import mp, mpf
@@ -28,6 +29,7 @@ from millsratio.bounds import (
     GUARD_BITS,
     BetaRoot,
     beta,
+    certify_grid,
     first_order_enclosure,
     first_order_error_bound,
     komatsu_lower,
@@ -165,11 +167,12 @@ REFERENCE = {"eq15": ref_eq15, "eq16": ref_eq16, "eq17": ref_eq17, "eq18": ref_e
 
 
 def _compare(monkeypatch, family: str, orders: list[int], xs: list[Fraction], bits: int, coarse: bool = False) -> int:
-    """Evaluate family at every x for all orders, as certify_grid does, and
-    compare each order's result with the reference.  Returns the number of
-    certificates compared.  coarse replaces the oracle value by phi rounded
-    to 53 bits with an error bound of 2^20: for phi > 2^53 both are then
-    integers M 2^e with e > 0."""
+    """Evaluate family at every x for all orders by Family.at, compare each
+    order's result with the reference, and certify_grid's certificates at x
+    with Family.at's.  Returns the number of certificates compared.  coarse
+    replaces the oracle value by phi rounded to 53 bits with an error bound
+    of 2^20, planted in the memo under (x, bits + GUARD_BITS), where both
+    read it: for phi > 2^53 both are then integers M 2^e with e > 0."""
     made = []
     cert = bounds._cert
 
@@ -183,17 +186,17 @@ def _compare(monkeypatch, family: str, orders: list[int], xs: list[Fraction], bi
     for x in xs:
         ov = phi_at(x, bits, memo)
         if coarse:
-            ov = OracleValue(_round(ov.value, 53), mpf(2) ** 20, "series")
+            ov = memo[x, bits + GUARD_BITS] = OracleValue(_round(ov.value, 53), mpf(2) ** 20, "series")
         expected = []
         for n in orders:
             try:
                 expected.append((n, *REFERENCE[family](n, x, bits, ov)))
             except (DomainError, SingularityError) as exc:
                 with pytest.raises(type(exc)) as raised:
-                    fam.evaluate([n], x, bits, ov)
+                    fam.at(n, x, bits, memo)
                 assert str(raised.value) == str(exc), (family, n, x)
         made.clear()
-        results = fam.evaluate(orders, x, bits, ov, skip=True)
+        results = [fam.at(n, x, bits, memo) for n, _, _ in expected]
         assert len(results) == len(expected)
         got_certs = iter(made)
         for (n, shown, want), (got_shown, certs) in zip(expected, results):
@@ -208,6 +211,8 @@ def _compare(monkeypatch, family: str, orders: list[int], xs: list[Fraction], bi
                 assert (c.family, c.n, c.x, c.precision_bits) == (name, m, x, bits)
                 count += 1
         assert next(got_certs, None) is None
+        made_here = [c for _, certs in results for c in certs]
+        assert certify_grid(family, orders, [x], bits, memo) == sorted(made_here, key=attrgetter("family", "n"))
     return count
 
 
@@ -281,7 +286,7 @@ def test_library_functions_match_the_reference(bits):
     for x in LIBRARY_POINTS:
         for n in (0, 1, 2, 3, 7, 20):
             ov = phi_at(x, bits)
-            assert log_convexity(n, x, ov, bits, pq_sweep(n + 2, x)) == ref_log_convexity(n, x, bits, ov)
+            assert log_convexity(n, x, ov, bits, bounds._Sweep(n + 2, x)) == ref_log_convexity(n, x, bits, ov)
             try:
                 want = ref_second_order(n, x, bits)[0]
             except (DomainError, SingularityError) as exc:

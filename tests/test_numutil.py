@@ -246,3 +246,11 @@ def test_nstr_ceiling_never_prints_below_the_value(value, digits):
         assert printed - exact < Fraction(10) ** (exponent - digits + 1)
     else:
         assert shown == "0.0"
+
+
+@pytest.mark.parametrize("render,value,digits", [
+    (nstr_ceiling, 12345, 0), (nstr_ceiling, Fraction(1, 3), -1), (nstr_fixed, Fraction(1, 3), 0)])
+def test_fewer_than_one_digit_is_refused(render, value, digits):
+    # such a call printed 0.0e+5, 1.0e-1 and .0e-1: below the value, or no number
+    with pytest.raises(ValueError, match=f"digits = {digits}$"):
+        render(value, digits)

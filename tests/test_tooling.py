@@ -5,8 +5,13 @@ import ast
 import importlib
 import importlib.util
 import pathlib
+import sys
+from fractions import Fraction
 
 import pytest
+
+import millsratio
+from millsratio import cli, poly
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -18,7 +23,8 @@ def _load_tracer():
     return module
 
 
-TARGETS = _load_tracer().TARGETS
+TRACER_MODULE = _load_tracer()
+TARGETS = TRACER_MODULE.TARGETS
 
 
 @pytest.mark.parametrize("name", sorted(TARGETS))
@@ -32,6 +38,27 @@ def test_tracer_targets_resolve(name):
         else:
             target = getattr(module, attr, None)
         assert callable(target), f"perfbench/tracer.py wraps millsratio.{mod_name}.{attr}, which is gone"
+
+
+def test_traced_run_names_every_family_and_restores_every_name():
+    """A traced `mills verify` splits certify_grid's self time by family, read
+    from its first argument, and uninstalling puts every wrapped name back."""
+    modules = [m for name, m in sys.modules.items() if name == "millsratio" or name.startswith("millsratio.")]
+    before, certify_grid = [(m, dict(vars(m))) for m in (*modules, poly.IntPolynomial)], cli.certify_grid
+    tracer = TRACER_MODULE.Tracer()
+    tracer.install()
+    try:
+        assert cli.certify_grid is not certify_grid
+        assert cli.main(["verify", "--n-max", "2", "--grid", "1/2:2:1/2"]) == 0
+        millsratio.second_order_bound(2, Fraction(1, 2))
+        millsratio.phi_series(Fraction(1, 2), 64)
+    finally:
+        tracer.uninstall()
+    spans = {f"bounds.certify_grid.{family}" for family in ("eq15", "eq16", "eq17", "eq18", "eq19", "i")}
+    assert spans <= tracer.self_s.keys(), sorted(tracer.self_s)
+    assert tracer.calls["bounds.second_order_bound"] == 1 and tracer.calls["oracle.phi_series"] > 0
+    for owner, names in before:
+        assert all(vars(owner)[name] is value for name, value in names.items()), owner
 
 
 BENCH_SOURCES = [TRACER.parent / "child.py", TRACER.parent / "workloads.py"]
