@@ -15,7 +15,7 @@ from fractions import Fraction
 from millsratio.bounds import FAMILIES, GUARD_BITS, phi_at
 from millsratio.cli import _attach_negative_values, at_least, grid_points, parse_grid
 from millsratio.errors import DomainError, EnvelopeError, SingularityError
-from millsratio.numutil import MIN_PRECISION_BITS, nstr_fixed
+from millsratio.numutil import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, nstr_fixed
 
 
 def main(argv=None) -> int:
@@ -24,7 +24,7 @@ def main(argv=None) -> int:
     parser.add_argument("--order", type=at_least(0), default=2, help="first-order enclosure order n")
     parser.add_argument("--even", type=at_least(0), default=2, help="even second-order index 2m")
     parser.add_argument("--odd", type=at_least(0), default=3, help="odd second-order index 2m+1")
-    parser.add_argument("--precision", type=at_least(MIN_PRECISION_BITS), default=128)
+    parser.add_argument("--precision", type=at_least(MIN_PRECISION_BITS), default=DEFAULT_PRECISION_BITS)
     parser.add_argument("--digits", type=at_least(1), default=12)
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
 

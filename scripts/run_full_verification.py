@@ -23,7 +23,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-max", type=cli.at_least(1), default=40)
     parser.add_argument("--grid", default="0.1:10:0.1")
-    parser.add_argument("--precision", type=cli.at_least(cli.MIN_PRECISION_BITS), default=128)
+    parser.add_argument("--precision", type=cli.at_least(cli.MIN_PRECISION_BITS), default=cli.DEFAULT_PRECISION_BITS)
     parser.add_argument("--out", default="reports/verification.json")
     args = parser.parse_args(cli._attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
 

@@ -61,7 +61,7 @@ from mpmath.libmp import mpf_gt, mpf_lt, mpf_sub, normalize, round_ceiling, roun
 from .contfrac import pq_sweep
 from .errors import DomainError, SingularityError
 from .families import hankel, quadratic_form
-from .numutil import check_index, check_precision, dyadic, nstr_fixed, round_quotient, to_fraction, to_mpf
+from .numutil import DEFAULT_PRECISION_BITS, check_index, check_precision, dyadic, round_quotient, to_fraction, to_mpf
 from .oracle import OracleValue, phi_series
 
 GUARD_BITS = 16  # bits above the requested precision: certificates, square roots, phi_derivative
@@ -103,17 +103,6 @@ class Certificate(NamedTuple):
     precision_bits: int
     verdict: str
     threshold: mpf  # the verdict's: pass iff margin > threshold
-
-    def to_json_dict(self, digits: int = 20, x: str | None = None, margin: bool = True) -> dict:
-        """The CSV_COLUMNS fields of the report; threshold is not one of
-        them.  x is str(self.x), formed here if None; with margin False the
-        margin is None, not rendered."""
-        return {"family": self.family, "n": self.n, "x": str(self.x) if x is None else x,
-                "margin": nstr_fixed(self.margin, digits) if margin else None,
-                "precision_bits": self.precision_bits, "verdict": self.verdict}
-
-
-CSV_COLUMNS = ["family", "n", "x", "margin", "precision_bits", "verdict"]
 
 
 def _quotient(num: int, den: int, w: int, rounding: str = "n", exp: int = 0) -> mpf:
@@ -174,7 +163,7 @@ def _root(n: int, x: Fraction, form: tuple[int, int, int], precision_bits: int) 
     return _quotient(num, den, precision_bits, "c" if odd else "f")
 
 
-def phi_derivative(n: int, x, precision_bits: int = 128) -> mpf:
+def phi_derivative(n: int, x, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpf:
     """phi^(n)(x) = P_n(x) phi(x) - Q_n(x), with an absolute error below
     2^-precision_bits.
 
@@ -425,12 +414,12 @@ class Family:
                 raise DomainError(f"{self.name}: x must exceed {self.x_above}, got x = {x}")
         return p, orders, xs
 
-    def bound(self, n: int, x, precision_bits: int = 128) -> dict[str, mpf]:
+    def bound(self, n: int, x, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict[str, mpf]:
         """values at (n, x) at precision_bits, from one sweep and no oracle value."""
         p, (n,), (x,) = self.checked([n], [x], precision_bits)
         return self.values(n, x, p, _Sweep(self.depth(n), x))
 
-    def at(self, n: int, x, precision_bits: int = 128, memo: dict | None = None):
+    def at(self, n: int, x, precision_bits: int = DEFAULT_PRECISION_BITS, memo: dict | None = None):
         """(values at precision_bits + GUARD_BITS, certificates) at one point
         from one sweep, memo as in certify_grid; refused by checked, then by
         phi_at (EnvelopeError), then by the row."""
@@ -455,43 +444,43 @@ FAMILIES = {
 }
 
 
-def first_order_enclosure(n: int, x, precision_bits: int = 128) -> Enclosure:
+def first_order_enclosure(n: int, x, precision_bits: int = DEFAULT_PRECISION_BITS) -> Enclosure:
     """Q_{2n}/P_{2n} < phi < Q_{2n+1}/P_{2n+1}, x > 0: the Eq15 row's values."""
     shown = FAMILIES["eq15"].bound(n, x, precision_bits)
     return Enclosure(to_mpf(x, precision_bits), shown["lower"], shown["upper"], f"Eq15/order={2 * n}",
                      f"Eq15/order={2 * n + 1}", precision_bits)
 
 
-def first_order_error_bound(n: int, x, precision_bits: int = 128) -> mpf:
+def first_order_error_bound(n: int, x, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpf:
     """n! / (P_n(x) P_{n+1}(x)), x > 0: the Eq16 row's error_bound."""
     return FAMILIES["eq16"].bound(n, x, precision_bits)["error_bound"]
 
 
-def komatsu_lower(x, precision_bits: int = 128) -> mpf:
+def komatsu_lower(x, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpf:
     """2 / (x + sqrt(x^2 + 4)) < phi(x) on all of R: the Eq18 row's value."""
     return FAMILIES["eq18"].bound(0, x, precision_bits)["lower"]
 
 
-def szarek_werner_upper(x, precision_bits: int = 128) -> mpf:
+def szarek_werner_upper(x, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpf:
     """phi(x) < 4 / (3x + sqrt(x^2 + 8)) on ]-1, inf[: the Eq19 row's value."""
     return FAMILIES["eq19"].bound(1, x, precision_bits)["upper"]
 
 
-def second_order_bound(n: int, x, precision_bits: int = 128) -> SecondOrderBound:
+def second_order_bound(n: int, x, precision_bits: int = DEFAULT_PRECISION_BITS) -> SecondOrderBound:
     """The I row's value: the lower bound Z^+ for even n on all of R, the
     upper bound Z^- for odd n on ]-beta_m, inf[."""
     ((role, value),) = FAMILIES["i"].bound(n, x, precision_bits).items()
     return SecondOrderBound(n=n, value=value, role=role)
 
 
-def log_convexity_check(n: int, x, precision_bits: int = 128) -> mpf:
+def log_convexity_check(n: int, x, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpf:
     """A_n(x) phi(x)^2 - B_n(x) phi(x) + C_n(x), positive iff the
     log-convexity inequality holds at (n, x): the margin of the Eq17 row's
     certificate there."""
     return FAMILIES["eq17"].at(n, x, precision_bits)[1][0].margin
 
 
-def log_convexity_error(n: int, x, precision_bits: int = 128) -> mpf:
+def log_convexity_error(n: int, x, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpf:
     """The threshold of the same certificate: the check passes iff it exceeds this."""
     return FAMILIES["eq17"].at(n, x, precision_bits)[1][0].threshold
 
@@ -505,7 +494,8 @@ def find_family(name: str) -> Family:
 
 
 def certify_grid(
-    family: str, orders: list[int], xs: list[Fraction], precision_bits: int = 128, memo: dict | None = None
+    family: str, orders: list[int], xs: list[Fraction], precision_bits: int = DEFAULT_PRECISION_BITS,
+    memo: dict | None = None,
 ) -> list[Certificate]:
     """Evaluate a bound family against the oracle on a grid.
 

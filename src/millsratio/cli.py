@@ -25,12 +25,15 @@ from fractions import Fraction
 from itertools import chain
 
 from . import __version__
-from .bounds import CSV_COLUMNS, FAMILIES, beta, certify_grid, find_family, phi_at
+from .bounds import FAMILIES, beta, certify_grid, find_family, phi_at
 from .contfrac import cf_b, cf_ladder_eval, expansion_str, pq_sweep
 from .errors import DomainError, MillsError, SingularityError
 from .families import discriminant, hankel, pq_pair, quadratic_triple, verify_identities
 from .numutil import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, nstr_ceiling, nstr_fixed, to_fraction
 from .oracle import phi_quadrature, phi_series
+
+# the verify report's row fields, in order; identity rows fill family, n and verdict
+CSV_COLUMNS = ["family", "n", "x", "margin", "precision_bits", "verdict"]
 
 
 def parse_rational(text: str) -> Fraction:
@@ -200,14 +203,15 @@ def _run_verification(args) -> dict:
     # str(x) once per point: certify_grid keeps the grid's own Fraction in
     # each certificate.  The text report shows a failing certificate's
     # margin only, so it renders no other.
-    names, every_margin = {id(x): str(x) for x in xs}, args.format != "text"
+    names, every_margin, digits = {id(x): str(x) for x in xs}, args.format != "text", args.digits
     return {
         "version": __version__,
         "config": config,
         "identities": identities,
         "oracle_agreement": agreement,
-        "certificates": [c.to_json_dict(args.digits, names.get(id(c.x)), every_margin or c.verdict == "fail")
-                         for c in certs],
+        "certificates": [{"family": c.family, "n": c.n, "x": names[id(c.x)],
+                          "margin": nstr_fixed(c.margin, digits) if every_margin or c.verdict == "fail" else None,
+                          "precision_bits": c.precision_bits, "verdict": c.verdict} for c in certs],
         "all_pass": all_pass,
     }
 
@@ -276,12 +280,11 @@ def _render_report(report: dict, fmt: str) -> str:
         return "{\n  " + ",\n  ".join(fields) + "\n}\n" if fields else "{}\n"
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
-        writer.writerow(CSV_COLUMNS)
-        for e in report["identities"]:
-            writer.writerow([f"identity:{e['identity']}", e["n"], "", "", "", e["status"]])
-        for c in report["certificates"]:
-            writer.writerow([c[k] for k in CSV_COLUMNS])
+        writer = csv.DictWriter(buf, CSV_COLUMNS, restval="")
+        writer.writeheader()
+        writer.writerows({"family": f"identity:{e['identity']}", "n": e["n"], "verdict": e["status"]}
+                         for e in report["identities"])
+        writer.writerows(report["certificates"])
         return buf.getvalue()
     lines = [f"mills verify (version {report['version']})"]
     for section, field, name in (  # each section's pass count, then one line per failing entry

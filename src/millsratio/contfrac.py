@@ -70,9 +70,7 @@ def cf_ladder_eval(depth: int, x, precision_bits: int) -> mpf:
     Backward (tail-first) evaluation is numerically self-correcting for
     continued fractions, so no extra guard precision is needed.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got depth = {depth}")
-    p = check_precision(precision_bits)
+    depth, p = check_index(depth, "depth", "depth", 1), check_precision(precision_bits)
     xv = to_mpf(x, p)
     if xv <= 0:
         raise DomainError(f"ladder is stated for x > 0, got x = {to_fraction(x)}")
@@ -86,7 +84,7 @@ def cf_ladder_eval(depth: int, x, precision_bits: int) -> mpf:
 def expansion_str(count: int) -> str:
     """Rendering "[0; b0*x, b1*x, ...]" with exact rational b_k."""
     parts = []
-    for k in range(count):
+    for k in range(check_index(count, "count", "count")):
         b = cf_b(k)
         parts.append(f"{b}*x" if b.denominator > 1 or b.numerator != 1 else "x")
     return "[0; " + ", ".join(parts) + ", ...]"

@@ -120,9 +120,7 @@ def p_closed_form(n: int) -> IntPolynomial:
 def q_closed_form(n: int, p_form=p_closed_form) -> IntPolynomial:
     """Q_n as the sum of (m-k)!/(m-2k)! P_{m-2k} over 0 <= 2k <= m = n-1, P_r = p_form(r):
     from 1, the k-th scale is the one before times (m-2k+2)(m-2k+1) / (m-k+1)."""
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got n = {n}")
-    m = n - 1
+    m = check_index(n, minimum=1) - 1
     coeffs = [0] * n
     scale = 1
     for k in range(m // 2 + 1):
@@ -142,9 +140,7 @@ def q_coefficient_form(n: int) -> IntPolynomial:
     sum sum_{i<=k} C(m+1, i).  F_k steps by (m-2k+2)(m-2k+1) / (m-k+1),
     C(m+1, k) by (m+2-k) / k, and F_k T_k is divided by 2^k last: O(1)
     work per coefficient, every step a checked exact division."""
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got n = {n}")
-    m = n - 1
+    m = check_index(n, minimum=1) - 1
     coeffs = [0] * (m + 1)
     scale = binom = total = 1  # F_k, C(m+1, k), T_k
     for k in range(m // 2 + 1):
@@ -230,9 +226,7 @@ def generating_function_residual(x, y, terms: int, precision_bits: int) -> mpf:
     the closed form and the final subtraction are rounded to nearest at
     precision_bits.
     """
-    x, y = to_fraction(x), to_fraction(y)
-    if terms < 1:
-        raise ValueError(f"terms must be >= 1, got terms = {terms}")
+    x, y, terms = to_fraction(x), to_fraction(y), check_index(terms, "terms", "terms", 1)
     if abs(y) >= 1:
         raise ValueError(f"|y| must be < 1, got y = {y}")
     ps, d2 = pq_sweep(terms + 1, x)[0], x.denominator ** 2  # A_n(x) = d^{-2n-2} hankel(ps, n)
@@ -256,8 +250,7 @@ def verify_identities(n_max: int, tables=None) -> list[dict]:
     "status": "pass"|"fail"} entries with stable key order; failures never
     raise, and a closed form that raises IdentityError fails its entry.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got n_max = {n_max}")
+    n_max = check_index(n_max, "n_max", "n_max", 1)
     if tables is None:
         pq_pair(n_max + 2)  # prefill
         p_tab, q_tab = _P, _Q

@@ -91,13 +91,15 @@ def check_precision(precision_bits) -> int:
     return precision_bits
 
 
-def check_index(value, name: str = "n", what: str = "order") -> int:
-    """value, refused unless it is a non-negative int (not a bool), by a
-    message that names the argument ("order must be non-negative, got n = -1")."""
+def check_index(value, name: str = "n", what: str = "order", minimum: int = 0) -> int:
+    """value, refused unless it is an int (not a bool) of at least minimum,
+    by a message that names the argument: "order must be non-negative, got
+    n = -1" at minimum 0, "depth must be >= 1, got depth = 0" above it."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{what} must be an integer, got {name} = {value!r}")
-    if value < 0:
-        raise ValueError(f"{what} must be non-negative, got {name} = {value}")
+    if value < minimum:
+        bound = f">= {minimum}" if minimum else "non-negative"
+        raise ValueError(f"{what} must be {bound}, got {name} = {value}")
     return value
 
 

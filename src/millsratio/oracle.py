@@ -101,7 +101,7 @@ from mpmath.libmp import (fone, from_float, from_man_exp, mpf_add, mpf_div, mpf_
                           mpf_sqrt, mpf_sub, round_ceiling, round_floor, round_nearest, to_int)
 
 from .errors import EnvelopeError
-from .numutil import check_precision, dyadic, round_quotient, to_fraction
+from .numutil import DEFAULT_PRECISION_BITS, check_precision, dyadic, round_quotient, to_fraction
 
 ENVELOPE = 30  # |x| beyond this is refused; the guard-bit budget assumes it
 
@@ -178,7 +178,7 @@ def _root_half_pi_exp(u: Fraction, w: int, rnd: str) -> tuple:
     return mpf_mul(root, mpf_exp(round_quotient(u.numerator, u.denominator, w, rnd), w, rnd), w, rnd)
 
 
-def phi_series(x, precision_bits: int = 128) -> OracleValue:
+def phi_series(x, precision_bits: int = DEFAULT_PRECISION_BITS) -> OracleValue:
     """phi from the positive series D summed in counted fixed point and
     finished in one directed step; error_bound is derived from the count."""
     check_precision(precision_bits)
@@ -240,7 +240,7 @@ def _build_weights(precision_bits: int) -> tuple[int, int, list[int], tuple]:
     return m, f, weights, mpf_add(*bounds, 53, round_ceiling)
 
 
-def phi_quadrature(x, precision_bits: int = 128) -> OracleValue:
+def phi_quadrature(x, precision_bits: int = DEFAULT_PRECISION_BITS) -> OracleValue:
     """phi by the pole-corrected trapezoidal rule for its Stieltjes form,
     with no adaptive integrator; the module docstring derives the rule's m
     and J, the working precision, the reflection used for x < 0 and the

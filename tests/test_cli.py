@@ -190,6 +190,20 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert f"argument {flag}: must be at least {minimum}, got {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,flag,text",
+        [
+            (("phi", "--x", "abc"), "--x", "abc"),
+            (("bounds", "--family", "eq18", "--x", "1/0"), "--x", "1/0"),
+            (("verify", "--grid", "1:x:1"), "--grid", "x"),
+        ],
+    )
+    def test_not_a_rational_names_the_flag(self, capsys, argv, flag, text):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert f"argument {flag}: not a rational number: {text!r}" in capsys.readouterr().err
+
     def test_one_point_grid_is_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--n-max", "1", "--grid", "2:2:1", "--digits", "1")
         assert code == 0
@@ -355,6 +369,16 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: [Errno ") and err.endswith(f": {str(path)!r}\n") and err.count("\n") == 1
         assert sorted(tmp_path.iterdir()) == []
+
+    def test_certificate_rows_have_the_csv_columns(self, capsys):
+        # every row the CLI forms holds exactly the report's columns, in
+        # order, and the grid's own x strings
+        code, out, _ = run_cli(capsys, "verify", "--n-max", "2", "--grid", "1/2:1:1/2", "--precision", "96")
+        assert code == 0
+        rows = json.loads(out)["certificates"]
+        assert rows and all(list(row) == cli.CSV_COLUMNS for row in rows)
+        assert {row["x"] for row in rows} == {"1/2", "1"}
+        assert next(row for row in rows if row["family"] == "Eq16")["x"] == "1/2"
 
     def test_csv_format(self, capsys, tmp_path):
         out_path = tmp_path / "report.csv"

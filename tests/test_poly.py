@@ -72,6 +72,13 @@ class TestArithmetic:
         assert X + True == P(1, 1) and X * True == X and P(1) == True
         assert all(type(c) is int for c in (X + True).coeffs)
 
+    def test_other_scalars_do_not_combine(self):
+        # a float is refused, not truncated; a string is no polynomial
+        for combine in (lambda: X + 1.5, lambda: 1.5 * X):
+            with pytest.raises(TypeError, match="with float"):
+                combine()
+        assert (X == "x") is False and (X != "x") is True
+
     def test_mul(self):
         assert P(1, 0, 1) * P(1, 0, 6, 0, 3) == P(1, 0, 7, 0, 9, 0, 3)
 
