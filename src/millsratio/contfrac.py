@@ -84,7 +84,7 @@ def cf_ladder_eval(depth: int, x, precision_bits: int) -> mpf:
 def expansion_str(count: int) -> str:
     """Rendering "[0; b0*x, b1*x, ...]" with exact rational b_k."""
     parts = []
-    for k in range(check_index(count, "count", "count")):
+    for k in range(check_index(count, "count", "count", minimum=1)):
         b = cf_b(k)
         parts.append(f"{b}*x" if b.denominator > 1 or b.numerator != 1 else "x")
     return "[0; " + ", ".join(parts) + ", ...]"

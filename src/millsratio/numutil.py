@@ -5,8 +5,10 @@ round_quotient is the one kernel by which an exact rational becomes bits:
 one integer division to at least prec + 2 bits, its remainder kept as a
 sticky bit, and one rounding by libmp's normalize (Brent and Zimmermann,
 Modern Computer Arithmetic, 3.1.9); no mpf is formed or divided on the way.
-nstr_fixed turns bits back into decimal digits the same way, by one radix
-conversion on integers (ibid., 1.7), with the bytes of mpmath's to_str."""
+nstr_fixed and nstr_ceiling turn an exact value into decimal digits the
+same way (ibid., 1.7): one divmod by a power of ten gives the leading
+digits and the exact rest, and the rest alone decides the last digit, so
+every printed number is its exact value rounded once."""
 
 from __future__ import annotations
 
@@ -15,12 +17,11 @@ from fractions import Fraction
 from functools import cache
 
 from mpmath import mp, mpf
-from mpmath.libmp import fzero, mpf_pos, normalize, to_str
+from mpmath.libmp import fzero, mpf_pos, normalize
 
 DEFAULT_PRECISION_BITS = 128
 MIN_PRECISION_BITS = 64
 ROUNDINGS = ("n", "f", "c", "d", "u")  # nearest, floor, ceiling, toward 0, away from 0
-_LOG2_10 = math.log(10, 2)  # the float mpmath's to_str counts its digits with
 
 
 def round_quotient(num: int, den: int, prec: int, rounding: str, exp: int = 0) -> tuple:
@@ -104,77 +105,51 @@ def check_index(value, name: str = "n", what: str = "order", minimum: int = 0) -
 
 
 @cache
-def _layout_constants(digits: int) -> tuple[int, int, int]:
-    """(prec, bitprec, min_fixed) of nstr_fixed at digits: the binary
-    precision it rounds to, to_digits_exp's bitprec for digits + 3, and
-    to_str's default min_fixed.  digits < 1 is refused here, where a valid
-    call pays nothing: a raise is not cached."""
-    if digits < 1:
-        raise ValueError(f"digits must be at least 1, got digits = {digits}")
-    return max(53, 4 * digits + 16), int((digits + 3) * _LOG2_10) + 10, min(-(digits // 3), -5)
+def _ten(k: int) -> int:
+    return 10**k
 
 
-@cache
-def _decimal_point(fixprec: int) -> tuple[int, int]:
-    """(fixdps, 10^fixdps): to_digits_exp's decimal digits for a binary
-    fixed point of fixprec bits, and the power of ten that converts it."""
-    fixdps = int(fixprec / _LOG2_10 + 0.5)
-    return fixdps, 10**fixdps
+def _decimal(value, digits: int, nearest: bool) -> str:
+    """The exact value of value (see to_fraction) rounded once to digits
+    significant digits, in _layout: to nearest with halves away from zero,
+    or, if not nearest, toward +inf.  round_quotient in radix 10 (Brent and
+    Zimmermann, 1.7): for |value| = num/den and its decimal exponent e,
+    10^e <= num/den < 10^(e+1), one divmod gives num 10^k = q den + r with
+    k = digits - 1 - e, so q holds the leading digits and r/den < 1 the
+    exact rest below the last; 2r >= den rounds to nearest (a half goes
+    up), r > 0 rounds a positive value up.  e is first bounded above from
+    the bit lengths and then lowered against q, a digit at a time."""
+    digits = check_index(digits, "digits", "digits", minimum=1)
+    if isinstance(value, mpf):
+        sign, num, exp, _ = _finite(value)
+        num, den = (num << exp, 1) if exp >= 0 else (num, 1 << -exp)
+    else:
+        x = to_fraction(value)
+        sign, num, den = int(x < 0), abs(x.numerator), x.denominator
+    if not num:
+        return "0.0"
+    # num/den < 2^t and 0.301029 < log10 2 < 0.301030: e starts at or above
+    # the exponent, and at most one or two above it unless t is huge
+    t = num.bit_length() - den.bit_length() + 1
+    e = t * (301030 if t > 0 else 301029) // 10**6
+    k, lo = digits - 1 - e, _ten(digits - 1)
+    num, den = (num * _ten(k), den) if k >= 0 else (num, den * _ten(-k))
+    q, r = divmod(num, den)
+    while q < lo:  # e was high: one more digit from the rest
+        d, r = divmod(10 * r, den)
+        q, e = 10 * q + d, e - 1
+    up = 2 * r >= den if nearest else r > 0 and not sign
+    if up:
+        q += 1
+        if q == 10 * lo:  # 99...9 carried to 10...0
+            q, e = lo, e + 1
+    return _layout(sign, str(q), e, digits)
 
 
 def nstr_fixed(value, digits: int = 20) -> str:
-    """Deterministic decimal rendering with a fixed significant-digit count:
-    to_str(to_mpf(value, max(53, 4 digits + 16))._mpf_, digits), computed
-    from the rounded mantissa with one multiplication and one str().
-
-    Why the bytes are to_str's.  An mpf's mantissa man (bc bits) is rounded
-    to nearest, ties to even, at prec bits in place: libmp normalize's rule,
-    with bc kept as the rounded mantissa's bit length, so exp + bc is the
-    rounded value's; any other value is rounded by round_quotient.  For a
-    positive s = man 2^exp, to_str(s, dps) reads to_digits_exp(s, dps + 3),
-    which with bitprec = int((dps + 3) log2 10) + 10 takes
-      fixprec = max(bitprec - (exp + bc), 0),
-      fixdps = int(fixprec / log2 10 + 0.5)  (the same float log2 10),
-      sf = floor(man 2^(exp + fixprec))  (to_fixed: a shift),
-      sd = floor(sf 10^fixdps / 2^fixprec)  (bin_to_radix),
-    and returns the digits str(sd) with exponent len(str(sd)) - fixdps - 1.
-    Each step depends on the value only, so this is that computation.
-    to_str then keeps dps digits and adds one to the last when the next
-    is 5-9 (half up on the floored digits; a carry past the first makes
-    10...0 and raises the exponent), prints fixed-point when
-    min(-(dps // 3), -5) < exponent < dps and scientific otherwise, and
-    strips trailing zeros down to one after the point; _layout does the
-    same.  to_str itself renders zero, |exp + bc| > 3500 (where mpmath
-    divides by a power of ten first) and digits >= 247 (where its
-    conversion of sd is no longer one str())."""
-    prec, bitprec, min_fixed = _layout_constants(digits)
-    if isinstance(value, mpf):
-        sign, man, exp, bc = _finite(value)
-        shift = bc - prec
-        if shift > 0:
-            q = man >> shift
-            rest, half = man - (q << shift), 1 << (shift - 1)
-            if rest > half or (rest == half and q & 1):
-                q += 1
-            man, exp, bc = q, exp + shift, q.bit_length()
-    else:
-        x = to_fraction(value)
-        sign, man, exp, bc = round_quotient(x.numerator, x.denominator, prec, "n")
-    top = exp + bc
-    if not man or digits >= 247 or not -3500 <= top <= 3500:
-        return to_str((sign, man, exp, bc), digits)
-    fixprec = max(bitprec - top, 0)
-    fixdps, scale = _decimal_point(fixprec)
-    shift = exp + fixprec
-    text = str((man << shift if shift >= 0 else man >> -shift) * scale >> fixprec)
-    exponent = len(text) - fixdps - 1
-    if len(text) > digits and text[digits] >= "5":
-        text = str(int(text[:digits]) + 1)
-        if len(text) > digits:  # 99...9 carried to 10...0
-            text, exponent = text[:digits], exponent + 1
-    else:
-        text = text[:digits]
-    return _layout(sign, text, exponent, digits, min_fixed)
+    """The exact value of value (see to_fraction) rounded once to nearest,
+    halves away from zero, to digits significant digits, in _layout."""
+    return _decimal(value, digits, True)
 
 
 def nstr_ceiling(value, digits: int) -> str:
@@ -183,28 +158,15 @@ def nstr_ceiling(value, digits: int) -> str:
     decimal is never below the value and less than one unit in its last
     digit above it.  For a number shown as a bound, such as an error bound,
     that a round to nearest could print too small."""
-    min_fixed, x = _layout_constants(digits)[2], to_fraction(value)
-    if not x:
-        return "0.0"
-    magnitude, ten = abs(x), Fraction(10)
-    exponent = math.floor((magnitude.numerator.bit_length() - magnitude.denominator.bit_length()) * math.log10(2))
-    while magnitude < ten**exponent:
-        exponent -= 1
-    while magnitude >= ten ** (exponent + 1):
-        exponent += 1
-    scaled = magnitude * ten ** (digits - 1 - exponent)  # in [10^(digits-1), 10^digits)
-    head = math.ceil(scaled) if x > 0 else math.floor(scaled)
-    if head == 10**digits:  # 99...9 carried to 10...0
-        head, exponent = head // 10, exponent + 1
-    return _layout(int(x < 0), str(head), exponent, digits, min_fixed)
+    return _decimal(value, digits, False)
 
 
-def _layout(sign: int, text: str, exponent: int, digits: int, min_fixed: int) -> str:
-    """to_str's layout of the number whose rounded significant digits are
-    text, d.dd...d 10^exponent, negative if sign: fixed-point when
-    min_fixed < exponent < digits, scientific otherwise, trailing zeros
-    stripped down to one after the point."""
-    if min_fixed < exponent < digits:
+def _layout(sign: int, text: str, exponent: int, digits: int) -> str:
+    """mpmath's to_str layout of the number whose rounded significant digits
+    are text, d.dd...d 10^exponent, negative if sign: fixed-point when
+    min(-(digits // 3), -5) < exponent < digits, scientific otherwise,
+    trailing zeros stripped down to one after the point."""
+    if min(-(digits // 3), -5) < exponent < digits:
         if exponent < 0:
             text = "0." + "0" * (-exponent - 1) + text
         else:

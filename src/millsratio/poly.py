@@ -53,12 +53,6 @@ class IntPolynomial:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def coefficient(self, k: int) -> int:
-        """Coefficient of X^k (0 for k beyond the degree)."""
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return 0
-
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = IntPolynomial([int(other)])

@@ -42,7 +42,7 @@ from millsratio.families import (
     quadratic_triple,
     verify_identities,
 )
-from millsratio.numutil import nstr_fixed, to_fraction
+from millsratio.numutil import nstr_ceiling, nstr_fixed, to_fraction
 from millsratio.oracle import ENVELOPE, OracleValue, phi_quadrature, phi_series
 from millsratio.poly import IntPolynomial
 from test_exact_kernel import OUTWARD_POINTS
@@ -726,6 +726,7 @@ class TestPhiDerivative:
         (lambda: cf_b(-3), ValueError, "index must be non-negative, got n = -3"),
         (lambda: cf_convergent(2, Fraction(-1, 2)), DomainError, "expansion is stated for x > 0, got x = -1/2"),
         (lambda: cf_ladder_eval(0, 1, 128), ValueError, "depth must be >= 1, got depth = 0"),
+        (lambda: expansion_str(0), ValueError, "count must be >= 1, got count = 0"),
         (lambda: cf_ladder_eval(3, -2, 128), DomainError, "ladder is stated for x > 0, got x = -2"),
         (lambda: pq_pair(-1), ValueError, "order must be non-negative, got n = -1"),
         (lambda: q_closed_form(0), ValueError, "order must be >= 1, got n = 0"),
@@ -781,6 +782,8 @@ COUNTED = [
         ("cf_convergent", lambda v: cf_convergent(v, 1), "n"),
         ("cf_ladder_eval", lambda v: cf_ladder_eval(v, 1, 128), "depth"),
         ("expansion_str", expansion_str, "count"),
+        ("nstr_fixed", lambda v: nstr_fixed(Fraction(1, 3), v), "digits"),
+        ("nstr_ceiling", lambda v: nstr_ceiling(Fraction(1, 3), v), "digits"),
         ("phi_derivative", lambda v: phi_derivative(v, 1), "n"),
         ("beta", beta, "m"),
         ("first_order_enclosure", lambda v: first_order_enclosure(v, 1), "n"),

@@ -208,8 +208,8 @@ class TestPQPairs:
         # constant coefficient of P_{2n} is (2n)!/(2^n n!); X coefficient of
         # P_{2n+1} is (2n+1)!/(2^n n!); all remaining coefficients are >= 0
         floor = factorial(2 * n) // (2**n * factorial(n))
-        assert pq_pair(2 * n).p.coefficient(0) == floor
-        assert pq_pair(2 * n + 1).p.coefficient(1) == (2 * n + 1) * floor
+        assert pq_pair(2 * n).p.coeffs[0] == floor
+        assert pq_pair(2 * n + 1).p.coeffs[1] == (2 * n + 1) * floor
 
     def test_concurrent_readers_never_see_half_grown_tables(self):
         # fresh interpreter, and a reloaded (empty) memo each round, so every
@@ -404,10 +404,10 @@ class TestQuadraticTriple:
         assert even.degree == 4 * n
         assert all(c >= 0 for c in even.coeffs)
         assert all(c == 0 for k, c in enumerate(even.coeffs) if k % 2)
-        assert even.coefficient(0) == (2 * n + 1) * odd_prod(n)
+        assert even.coeffs[0] == (2 * n + 1) * odd_prod(n)
         odd = quadratic_triple(2 * n + 1).a
         assert odd.degree == 4 * n + 2
-        assert odd.coefficient(0) == -odd_prod(n + 1)
+        assert odd.coeffs[0] == -odd_prod(n + 1)
         assert all(c >= 0 for k, c in enumerate(odd.coeffs) if k > 0)
         assert all(c == 0 for k, c in enumerate(odd.coeffs) if k % 2)
 

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -151,10 +153,25 @@ def test_unknown_rounding_is_refused_by_name(rounding):
             call()
 
 
-def _to_str_reference(value, digits: int) -> str:
-    """nstr_fixed's contract as it reads: round to nearest at 4 digits + 16
-    bits (never below 53), then mpmath's to_str."""
-    return to_str(to_mpf(value, max(53, 4 * digits + 16))._mpf_, digits)
+def _exact_reference(value, digits: int) -> str:
+    """nstr_fixed's contract as it reads: the exact value (a Fraction)
+    rounded once to digits significant digits, halves away from zero; the
+    layout is mpmath's to_str of that exact decimal, at a precision wide
+    enough that its own rounding cannot move a digit."""
+    exact = to_fraction(value)
+    if not exact:
+        return "0.0"
+    magnitude, exponent = abs(exact), 0
+    while magnitude >= Fraction(10) ** (exponent + 1):
+        exponent += 1
+    while magnitude < Fraction(10) ** exponent:
+        exponent -= 1
+    unit = Fraction(10) ** (exponent - digits + 1)
+    head = math.floor(magnitude / unit)
+    if magnitude / unit - head >= Fraction(1, 2):
+        head += 1
+    rounded = head * unit if exact > 0 else -head * unit
+    return to_str(from_rational(rounded.numerator, rounded.denominator, 4 * digits + 64, "n"), digits)
 
 
 @st.composite
@@ -189,15 +206,25 @@ def renderable(draw):
 
 @settings(max_examples=1500, deadline=None)
 @given(renderable(), st.integers(1, 40))
-def test_nstr_fixed_is_to_str(value, digits):
-    assert nstr_fixed(value, digits) == _to_str_reference(value, digits)
+def test_nstr_fixed_is_the_exact_value_rounded_once(value, digits):
+    assert nstr_fixed(value, digits) == _exact_reference(value, digits)
+
+
+def test_nstr_fixed_rounds_a_value_above_a_decimal_half_up():
+    # the exact value is 1.000000000000000000050000000009...e+50, above the
+    # half of its 20th digit; a binary rounding to 96 bits first lands just
+    # below the half (1.00000000000000000004999...e+50) and printed 1.0e+50
+    for sign in (1, -1):
+        value = mp.make_mpf(from_man_exp(sign * 84703294725430033911067414805, 70))
+        assert nstr_fixed(value, 20) == "-1.0000000000000000001e+50"[sign > 0 :]
 
 
 def _ties_next_to_decimal_halves(digits: int) -> list:
     """mpfs halfway between the two prec-bit neighbours q 2^e < h < (q+1) 2^e
     of a decimal h = d.dd...d5 10^-j of digits + 1 significant digits, with
-    q even: ties to even round them below h, so the last digit rounds down,
-    and ties away from zero above h, so it rounds up."""
+    q even, at prec = max(53, 4 digits + 16): a binary rounding to prec bits
+    first, ties to even, lands below h, and the exact value rounded once to
+    digits digits rounds its last digit up only if it lies above h."""
     prec, out = max(53, 4 * digits + 16), []
     for j in (-30, 0, 7, 40):
         for r in range(40):
@@ -216,14 +243,14 @@ def _ties_next_to_decimal_halves(digits: int) -> list:
 @pytest.mark.parametrize("digits", [1, 2, 20, 246, 247, 300])
 def test_nstr_fixed_at_the_edges_of_its_integer_path(digits):
     # exponents next to to_str's +-3500 switch, digit counts next to the 247
-    # where its digit conversion stops being one str(), and binary ties
+    # where to_str's digit conversion stops being one str(), and binary ties
     values = [mpf(0), Fraction(0), *_ties_next_to_decimal_halves(digits)]
     for top in (-3501, -3500, -3499, 0, 1, 3499, 3500, 3501):
         for man in (1, 3, 2**53 - 1, 2**300 - 1, 10**40 + 7):
             for sign in (1, -1):
                 values.append(mp.make_mpf(from_man_exp(sign * man, top - man.bit_length())))
     for value in values:
-        assert nstr_fixed(value, digits) == _to_str_reference(value, digits), (value, digits)
+        assert nstr_fixed(value, digits) == _exact_reference(value, digits), (value, digits)
 
 
 @settings(max_examples=500, deadline=None)
@@ -234,7 +261,7 @@ def test_nstr_ceiling_never_prints_below_the_value(value, digits):
     printed = Fraction(shown)
     assert printed >= exact
     if exact:
-        assert shown == _to_str_reference(printed, digits)  # in nstr_fixed's layout
+        assert shown == _exact_reference(printed, digits)  # in nstr_fixed's layout
         head, _, _ = shown.lstrip("-").replace(".", "").partition("e")
         assert len(head.lstrip("0").rstrip("0")) <= digits
         # less than one unit in the last digit of the value's magnitude
@@ -254,3 +281,22 @@ def test_fewer_than_one_digit_is_refused(render, value, digits):
     # such a call printed 0.0e+5, 1.0e-1 and .0e-1: below the value, or no number
     with pytest.raises(ValueError, match=f"digits = {digits}$"):
         render(value, digits)
+
+
+def test_every_printed_number_goes_through_the_one_kernel():
+    # no module of the package or of scripts/ renders a number by mpmath's
+    # to_str or nstr, whose digits come from a binary rounding first
+    root = pathlib.Path(__file__).resolve().parents[1]
+    paths = sorted([*root.glob("src/millsratio/*.py"), *root.glob("scripts/*.py")])
+    assert root / "src" / "millsratio" / "numutil.py" in paths
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Call):
+                names = [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
+            else:
+                continue
+            found += [f"{path.relative_to(root)}:{node.lineno} {name}" for name in names if name in ("to_str", "nstr")]
+    assert not found
