@@ -1,0 +1,122 @@
+"""Mutation check of the oracle's and the square-root kernel's soundness terms.
+
+Each mutant below is a one-line change to src/ that weakens a rounding
+direction or drops a counted error term, so that a value or error bound
+the library returns may no longer hold.  For each mutant the check copies
+src/, tests/ and pyproject.toml into a temporary directory, applies the
+change there, and runs the test files that cover it.  The mutant is killed when a test
+fails.  The check exits 0 when every mutant is killed, 1 when one
+survives, and 2 when the unmutated copy fails those tests or a mutant's
+line is not found once in its file.  It is not part of the tier-1 suite;
+it takes about a minute, and needs nothing beyond the test dependencies.
+
+    python scripts/mutation_check.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+ORACLE, BOUNDS = "src/millsratio/oracle.py", "src/millsratio/bounds.py"
+ORACLE_TESTS, ROOT_TESTS = ("tests/test_oracle.py",), ("tests/test_exact_kernel.py", "tests/test_bounds.py")
+REFLECTION = "for rnd, end in ((round_floor, hi), (round_ceiling, lo))"  # the asymptotic regime's x < 0 ends
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str  # must occur exactly once in path
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = [
+    Mutant("series-tail-halved", ORACLE,
+           "tail = 2 * (man + (floors * man >> (m_bits - 1)) + 1)",
+           "tail = (man + (floors * man >> (m_bits - 1)) + 1)", ORACLE_TESTS),
+    Mutant("error-bound-rounded-down", ORACLE,
+           "mpf_sub(*pair, 53, round_ceiling)", "mpf_sub(*pair, 53, round_floor)", ORACLE_TESTS),
+    Mutant("quadrature-upper-end-without-its-count", ORACLE,
+           "(round_ceiling, round_floor, len(weights) + 4 * m * m)", "(round_ceiling, round_floor, 0)", ORACLE_TESTS),
+    Mutant("root-at-the-lower-end-only", BOUNDS,
+           "for t in (s, s + (s * s != radicand))", "for t in (s, s)", ROOT_TESTS),
+    Mutant("asymptotic-one-term-short", ORACLE,
+           "while t << target_bits > c:", "while t * (2 * n + 1) * dd << target_bits > c * aa:", ORACLE_TESTS),
+    Mutant("asymptotic-next-sum-dropped", ORACLE,
+           "return n, s, s + (-t if n % 2 else t), c", "return n, s, s, c", ORACLE_TESTS),
+    Mutant("asymptotic-lower-end-rounded-up", ORACLE,
+           "round_quotient(min(s0, s1), c, w, round_floor)", "round_quotient(min(s0, s1), c, w, round_ceiling)",
+           ORACLE_TESTS),
+    Mutant("asymptotic-upper-end-rounded-down", ORACLE,
+           "round_quotient(max(s0, s1), c, w, round_ceiling)", "round_quotient(max(s0, s1), c, w, round_floor)",
+           ORACLE_TESTS),
+    Mutant("reflection-lower-end-rounded-up", ORACLE, REFLECTION,
+           "for rnd, end in ((round_ceiling, hi), (round_ceiling, lo))", ORACLE_TESTS),
+    Mutant("reflection-upper-end-rounded-down", ORACLE, REFLECTION,
+           "for rnd, end in ((round_floor, hi), (round_floor, lo))", ORACLE_TESTS),
+    Mutant("reflection-rounding-reversed", ORACLE, REFLECTION,
+           "for rnd, end in ((round_ceiling, hi), (round_floor, lo))", ORACLE_TESTS),
+]
+
+
+def run_tests(copy: Path, tests: tuple[str, ...]) -> int:
+    """pytest's exit status for tests in copy: 0 all passed, 1 some failed."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(command, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def fresh_copy(scratch: Path) -> Path:
+    """src/, tests/ and pyproject.toml of the repository copied under
+    scratch, without bytecode."""
+    copy = Path(tempfile.mkdtemp(dir=scratch))
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    shutil.copy2(ROOT / "pyproject.toml", copy)
+    return copy
+
+
+def apply(copy: Path, mutant: Mutant) -> None:
+    path = copy / mutant.path
+    text = path.read_text(encoding="utf-8")
+    count = text.count(mutant.old)
+    if count != 1:
+        raise LookupError(f"{mutant.name}: {mutant.old!r} occurs {count} times in {mutant.path}")
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="mutation-check-") as scratch:
+        tests = tuple(sorted({test for mutant in MUTANTS for test in mutant.tests}))
+        if run_tests(fresh_copy(Path(scratch)), tests) != 0:
+            print(f"the unmutated tests fail: {' '.join(tests)}", file=sys.stderr)
+            return 2
+        survivors = []
+        for mutant in MUTANTS:
+            copy = fresh_copy(Path(scratch))
+            try:
+                apply(copy, mutant)
+            except LookupError as exc:
+                print(exc, file=sys.stderr)
+                return 2
+            status = run_tests(copy, mutant.tests)
+            if status not in (0, 1):
+                print(f"{mutant.name}: pytest exited with status {status}", file=sys.stderr)
+                return 2
+            print(f"{'survived' if status == 0 else 'killed':8}  {mutant.name}", flush=True)
+            if status == 0:
+                survivors.append(mutant.name)
+            shutil.rmtree(copy)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

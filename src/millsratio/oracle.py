@@ -4,16 +4,19 @@ phi(x) = e^{x^2/2} integral_x^inf e^{-t^2/2} dt
        = e^{x^2/2} sqrt(pi/2) erfc(x/sqrt(2))
        = integral_0^inf e^{-x t - t^2/2} dt.
 
-Route 1 (series) sums a positive series of erf; route 2 (quadrature)
-applies a trapezoidal rule to phi's Stieltjes form.  They share
-no machinery with each other or with the bound and continued-fraction
-code, so certificates never test that machinery against itself: this
-module imports nothing of the package but its errors and numeric helpers.
+Route 1 (series) sums a positive series of erf, or at large |x| encloses
+phi between two partial sums of its asymptotic expansion; route 2
+(quadrature) applies a trapezoidal rule to phi's Stieltjes form.  They share
+no evaluation with each other or with the bound and continued-fraction
+code, only the exact reading of x and the last step from an enclosure to
+a value and its error bound (_enclosed), so certificates never test that
+machinery against itself: this module imports nothing of the package but
+its errors and numeric helpers.
 Evaluations name the precision and rounding of every mpmath call, on raw
 mpmath.libmp values, and never read or set mpmath's process-wide precision.
 
-Series route (Abramowitz and Stegun 7.1.6): with u = x^2/2, y = |x| and
-positive terms t_k = y^{2k+1} / (2k+1)!!,
+Series route, convergent regime (Abramowitz and Stegun 7.1.6): with
+u = x^2/2, y = |x| and positive terms t_k = y^{2k+1} / (2k+1)!!,
 
     phi(x) = sqrt(pi/2) e^u - sgn(x) D(y),   D(y) = sum_k t_k,
 
@@ -41,6 +44,38 @@ primitives mpmath.iv itself calls, and D's enclosure subtracted (x >= 0)
 or added (x < 0) outward.  The value is the enclosure's midpoint, and
 error_bound, the distance to its farther end rounded up, is below the
 2^-(p+32) the verdict thresholds assume.
+
+Series route, asymptotic regime (A&S 7.1.23-7.1.24): near |x| = 30 the
+convergent sum needs about 1.5 x^2 terms at about 850 bits, as e^u - D
+cancels about u log2 e bits.  For x > 0, phi(x) = integral_0^inf e^{-xt}
+e^{-s} dt with s = t^2/2, and Taylor's theorem with Lagrange's remainder
+gives e^{-s} = sum_{k<n} (-s)^k / k! + (-s)^n e^{-z} / n! for some z in
+]0, s[.  Integrating term by term, as in Watson's lemma, with
+integral_0^inf e^{-xt} t^{2k} dt / (2^k k!) = (2k-1)!! / x^{2k+1}:
+
+    phi(x) = S_n + rho_n,   S_n = sum_{k<n} (-1)^k t_k,   t_k = (2k-1)!! / x^{2k+1},
+
+and the remainder rho_n, the integral of the alternating Taylor
+remainder, has the sign (-1)^n and |rho_n| < t_n.  So phi lies strictly
+between S_n and S_{n+1} = S_n + (-1)^n t_n, two exact rationals, with no
+exponential and no cancellation.  At x = a/d both are integers over
+a^{2n+1}, summed by Horner.  The regime is taken where the least n with
+t_n <= 2^-(p+58) comes while the terms still decrease: t_{k+1} / t_k =
+(2k+1) d^2 / a^2 < 1 for every k < n, and t_n <= 2^-(p+58) is (2n-1)!!
+d^{2n+1} 2^(p+58) <= a^{2n+1}, both decided on integers.  By Stirling,
+(2k-1)!! >= sqrt(2) (2k/e)^k e^{-1/(12k)}, so every term exceeds
+sqrt(2) e^{-1/12} e^{-u} / x > 1.3 e^{-u} / x, and the rule can hold only
+where u log2 e + log2 x >= p + 58.38.  An O(1) pre-test of that in floats,
+with one bit of slack, leaves every x where the rule must fail to the
+convergent regime without running it.  The switch falls at |x| = 13.7,
+16.6 and 21.3 for p = 80, 144 and 272, and beyond the envelope for p >=
+596.  The ends are rounded outward once at p + 64 bits, and error_bound is
+below 2^-(p+58) plus their rounding.  For x < 0, phi(x) = sqrt(2 pi) e^u -
+phi(|x|): the ends of phi(|x|) are subtracted outward from twice sqrt(pi/2)
+e^u rounded down and up, as the convergent finish forms it, at four bits
+above that finish's w, so the doubled rounding of e^u still leaves
+error_bound below the convergent regime's.  terms is n, and working_bits
+the precision of the ends.
 
 Quadrature route (Chiarella and Reichel, Math. Comp. 22, 1968): for x > 0
 
@@ -107,6 +142,7 @@ ENVELOPE = 30  # |x| beyond this is refused; the guard-bit budget assumes it
 
 _BLOCK = 32  # series terms summed exactly per block (L)
 _GUARD = 8  # guard bits of the series' fixed point F and mantissas M
+_ASYMPTOTIC_BITS = 58  # the asymptotic regime's first omitted term is at most 2^-(p+58)
 
 _LOG_SLACK = 1e-6  # added to each log evaluated in floats; far above their rounding
 _lock = threading.Lock()
@@ -119,7 +155,9 @@ class OracleValue:
     error_bound: mpf
     method: str
     working_bits: int | None = None  # working precision of the evaluation
-    terms: int | None = None  # series terms summed (N); None for quadrature
+    # series terms summed (N), or n of the asymptotic enclosure [S_n, S_{n+1}];
+    # None for quadrature
+    terms: int | None = None
 
     @cached_property
     def dyadic(self) -> tuple[int, int, int]:
@@ -178,13 +216,63 @@ def _root_half_pi_exp(u: Fraction, w: int, rnd: str) -> tuple:
     return mpf_mul(root, mpf_exp(round_quotient(u.numerator, u.denominator, w, rnd), w, rnd), w, rnd)
 
 
-def phi_series(x, precision_bits: int = DEFAULT_PRECISION_BITS) -> OracleValue:
+def _log2_exp(u: Fraction) -> int:
+    """ceil(u log2 e), read in floats: the bits of e^u above the binary point."""
+    return math.ceil(float(u) * math.log2(math.e))
+
+
+def _enclosed(lo: tuple, hi: tuple, w: int, method: str, terms: int | None = None) -> OracleValue:
+    """phi in [lo, hi], raw mpfs: the value is the midpoint rounded to
+    nearest at w bits, and error_bound the distance to the farther end
+    rounded up."""
+    value = mpf_shift(mpf_add(lo, hi, w, round_nearest), -1)
+    error_bound = max(mp.make_mpf(mpf_sub(*pair, 53, round_ceiling)) for pair in ((hi, value), (value, lo)))
+    return OracleValue(mp.make_mpf(value), error_bound, method, w, terms)
+
+
+def _asymptotic_sums(a: int, d: int, target_bits: int) -> tuple[int, int, int, int] | None:
+    """(n, s, s', c) with S_n = s/c and S_{n+1} = s'/c, for x = a/d > 0 and
+    n the least with t_n <= 2^-target_bits, t_k = (2k-1)!!/x^{2k+1}; None
+    if the terms stop decreasing first, at t_{k+1} >= t_k, (2k+1) d^2 >= a^2."""
+    aa, dd = a * a, d * d
+    t, c, acc, n = d, a, 0, 0  # t_n = t/c with c = a^{2n+1}; acc = S_n a^{2n-1}
+    while t << target_bits > c:
+        if (2 * n + 1) * dd >= aa:
+            return None
+        acc = acc * aa + (-t if n % 2 else t)
+        n += 1
+        t, c = t * (2 * n - 1) * dd, c * aa
+    s = acc * aa
+    return n, s, s + (-t if n % 2 else t), c
+
+
+def _series_asymptotic(xq: Fraction, precision_bits: int) -> OracleValue | None:
+    """phi between the partial sums S_n and S_{n+1} of its asymptotic
+    expansion, or None where the expansion cannot reach 2^-(p+58) (see the
+    module docstring): a pre-test from the smallest term, then the exact rule."""
+    # every term is above 1.3 e^-u / |x|: a bit of slack covers the floats
+    y = abs(float(xq))
+    if y < 1 or y * y / 2 * math.log2(math.e) + math.log2(y) + 1 < precision_bits + _ASYMPTOTIC_BITS:
+        return None
+    sums = _asymptotic_sums(abs(xq.numerator), xq.denominator, precision_bits + _ASYMPTOTIC_BITS)
+    if sums is None:
+        return None
+    n, s0, s1, c = sums
+    w = precision_bits + 64
+    lo, hi = round_quotient(min(s0, s1), c, w, round_floor), round_quotient(max(s0, s1), c, w, round_ceiling)
+    if xq < 0:  # phi(x) = sqrt(2 pi) e^u - phi(|x|), at four bits above the convergent regime's w
+        u = xq * xq / 2
+        w = precision_bits + 52 + _log2_exp(u)
+        lo, hi = (mpf_sub(mpf_shift(_root_half_pi_exp(u, w, rnd), 1), end, w, rnd)
+                  for rnd, end in ((round_floor, hi), (round_ceiling, lo)))
+    return _enclosed(lo, hi, w, "series", n)
+
+
+def _series_convergent(xq: Fraction, precision_bits: int) -> OracleValue:
     """phi from the positive series D summed in counted fixed point and
     finished in one directed step; error_bound is derived from the count."""
-    check_precision(precision_bits)
-    xq = _in_envelope(x)
     u = xq * xq / 2
-    lu = math.ceil(float(u) * math.log2(math.e))
+    lu = _log2_exp(u)
     w = precision_bits + 48 + lu
     # N < 2u + lu + F + L + 4 < 3 lu + p + 256: ceil(log2 N) is read from that
     f = precision_bits + 48 + (3 * lu + precision_bits + 255).bit_length() + _GUARD
@@ -192,9 +280,16 @@ def phi_series(x, precision_bits: int = DEFAULT_PRECISION_BITS) -> OracleValue:
     d_lo, d_hi = (acc, acc + ulps) if xq < 0 else (-acc - ulps, -acc)  # -sgn(x) D, over 2^f
     lo = mpf_add(_root_half_pi_exp(u, w, round_floor), from_man_exp(d_lo, -f), w, round_floor)
     hi = mpf_add(_root_half_pi_exp(u, w, round_ceiling), from_man_exp(d_hi, -f), w, round_ceiling)
-    value = mpf_shift(mpf_add(lo, hi, w, round_nearest), -1)
-    error_bound = max(mp.make_mpf(mpf_sub(*pair, 53, round_ceiling)) for pair in ((hi, value), (value, lo)))
-    return OracleValue(mp.make_mpf(value), error_bound, "series", w, n)
+    return _enclosed(lo, hi, w, "series", n)
+
+
+def phi_series(x, precision_bits: int = DEFAULT_PRECISION_BITS) -> OracleValue:
+    """phi enclosed by the asymptotic expansion where its terms reach
+    2^-(p+58) before they grow, else by the convergent series; error_bound
+    is derived from the enclosure (see the module docstring)."""
+    check_precision(precision_bits)
+    xq = _in_envelope(x)
+    return _series_asymptotic(xq, precision_bits) or _series_convergent(xq, precision_bits)
 
 
 def _log_contour(m: int) -> float:
@@ -271,6 +366,4 @@ def phi_quadrature(x, precision_bits: int = DEFAULT_PRECISION_BITS) -> OracleVal
     if xq < 0:  # phi(x) = sqrt(2 pi) e^{x^2/2} - phi(|x|)
         ends = ((round_floor, hi), (round_ceiling, lo))
         lo, hi = (mpf_sub(mpf_mul(root[rnd], e_u[rnd], w, rnd), end, w, rnd) for rnd, end in ends)
-    value = mpf_shift(mpf_add(lo, hi, w, round_nearest), -1)
-    error_bound = max(mp.make_mpf(mpf_sub(*pair, 53, round_ceiling)) for pair in ((hi, value), (value, lo)))
-    return OracleValue(mp.make_mpf(value), error_bound, "quadrature", w)
+    return _enclosed(lo, hi, w, "quadrature")

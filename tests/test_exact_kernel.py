@@ -365,6 +365,17 @@ def test_exact_square_radicands_give_the_exact_bound(bits):
     assert szarek_werner_upper(1, bits) == _round(Fraction(2, 3), bits, "c")
 
 
+@pytest.mark.parametrize("bits", [64, 97, 128, 1024, 241359])
+def test_root_is_on_the_outward_side_of_the_exact_root(bits):
+    # Komatsu's root at x = 7/2 is Z = (sqrt(65) - 7)/4, so its lower bound v
+    # lies below it exactly when (4v + 7)^2 <= 65, decided on integers.  At
+    # 241359 bits the next grid point above Z is nearer to it than the end s
+    # of _root's enclosure s <= sqrt(R) <= s + 1: only the end s + 1 rounds
+    # down to a value below Z
+    for v in (komatsu_lower(Fraction(7, 2), bits), second_order_bound(0, Fraction(7, 2), bits).value):
+        assert (4 * to_fraction(v) + 7) ** 2 <= 65
+
+
 def ref_beta(m: int, tolerance=None, a=None) -> BetaRoot:
     """beta(m, tolerance) by bisection, every sign of A_{2m+1}, or of the
     polynomial a if given, at a dyadic point read with eval_rational."""

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import pathlib
 import random
@@ -120,10 +121,18 @@ def _reference(x: Fraction, bits: int = 640) -> mpf:
         return mp.exp(xv * xv / 2) * mp.sqrt(mp.pi / 2) * mp.erfc(xv / mp.sqrt(2))
 
 
+# the regime switch on the grid k/128 at p = 64, 128 and 256: the
+# convergent regime at 1642/128, 2036/128 and 2654/128, the asymptotic one
+# from the next grid point on
+_SWITCH = {64: Fraction(1643, 128), 128: Fraction(2037, 128), 256: Fraction(2655, 128)}
+_SWITCH_EDGES = [s * (edge - step) for edge in _SWITCH.values() for step in (Fraction(1, 128), 0) for s in (1, -1)]
+
+
 def _series_points():
     rng = random.Random(20261018)
     xs = [Fraction(rng.randint(-30 * d, 30 * d), d) for d in (rng.randint(1, 128) for _ in range(24))]
     xs += [Fraction(-30), Fraction(0), Fraction(30), Fraction(-3839, 128), Fraction(3839, 128)]
+    xs += _SWITCH_EDGES
     xs += [rng.uniform(-30, 30) for _ in range(3)]  # floats
     with mp.workprec(160):  # mpfs longer than a double
         xs += [mpf(rng.uniform(-30, 30)) * (1 + mpf(2) ** -90) for _ in range(2)]
@@ -153,12 +162,19 @@ class TestSeriesErrorBound:
 
     @pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 3), Fraction(-5, 2), Fraction(79, 10), Fraction(3839, 128), Fraction(-30)])
     def test_terms_exceed_u(self, x):
+        ov = phi_series(x, 128)
+        k = ov.terms
+        if abs(x) >= _SWITCH[128]:
+            # the asymptotic regime: the first omitted term t_n = (2n-1)!! /
+            # |x|^{2n+1} is at most 2^-(p+58), and the terms still decrease
+            # at n, t_n < t_{n-1}
+            assert _term(x, k) <= Fraction(1, 2 ** (128 + 58))
+            assert 2 * k - 1 < x * x
+            return
         # from N >= 2u on, u = x^2/2, each ratio t_{k+1} / t_k = x^2 / (2k+3) of
         # the positive terms t_k = |x|^{2k+1} / (2k+1)!! is at most 1/2, so the
         # omitted tail is below 2 t_N, which the error bound covers
-        ov = phi_series(x, 128)
         u = x * x / 2
-        k = ov.terms
         assert k >= 2 * u
         assert 2 * x * x <= 2 * k + 3  # t_{k+1} <= t_k / 2, and likewise for every larger k
         first_omitted = abs(x) ** (2 * k + 1) / math.prod(range(1, 2 * k + 2, 2))
@@ -177,10 +193,175 @@ class TestSeriesErrorBound:
         monkeypatch.setattr(families, "pq_pair", refuse)
         monkeypatch.setattr(families, "quadratic_triple", refuse)
         monkeypatch.setattr(contfrac, "cf_convergent", refuse)
-        for x in (Fraction(-7, 3), Fraction(0), Fraction(25, 2)):
+        for x in (Fraction(-7, 3), Fraction(0), Fraction(25, 2), Fraction(-3839, 128)):
             ov = phi_series(x, 128)
             with mp.workprec(1024):
                 assert abs(ov.value - _reference(x)) <= ov.error_bound
+
+
+def _round_at(q: Fraction, bits: int, direction=math.floor) -> Fraction:
+    """q > 0 rounded to `bits` significant bits by direction, math.floor
+    (the greatest such number at most q) or math.ceil (the least at least q)."""
+    e = q.numerator.bit_length() - q.denominator.bit_length()
+    e -= q < Fraction(2) ** e  # 2^e <= q < 2^(e+1)
+    scale = Fraction(2) ** (bits - 1 - e)
+    return direction(q * scale) / scale
+
+
+def _ends(monkeypatch, route, x, p):
+    """route(x, p), and the ends lo and hi, as Fractions, and the precision w
+    of the one enclosure it passed to oracle._enclosed."""
+    seen, enclosed = [], oracle._enclosed
+    monkeypatch.setattr(oracle, "_enclosed", lambda lo, hi, w, *rest: seen.append((lo, hi, w)) or enclosed(lo, hi, w, *rest))
+    try:
+        ov = route(x, p)
+    finally:
+        monkeypatch.setattr(oracle, "_enclosed", enclosed)
+    ((lo, hi, w),) = seen
+    return ov, to_fraction(mp.make_mpf(lo)), to_fraction(mp.make_mpf(hi)), w
+
+
+def _term(x: Fraction, k: int) -> Fraction:
+    """t_k = (2k-1)!! / |x|^{2k+1}, the k-th term of phi's asymptotic expansion."""
+    return math.prod(range(1, 2 * k, 2)) / abs(x) ** (2 * k + 1)
+
+
+def _asymptotic_terms(x: Fraction, p: int) -> int | None:
+    """The least n with t_n <= 2^-(p+58), or None if the terms stop
+    decreasing first."""
+    n, t = 0, _term(x, 0)
+    while t > Fraction(1, 2 ** (p + 58)):
+        following = _term(x, n + 1)
+        if following >= t:
+            return None
+        n, t = n + 1, following
+    return n
+
+
+def _asymptotic_reference(x: Fraction, p: int):
+    """(n, S_n, S_{n+1}) of phi's asymptotic expansion at |x|, each term
+    formed by math.prod, n as _asymptotic_terms; None where that is."""
+    n = _asymptotic_terms(x, p)
+    if n is None:
+        return None
+    s = sum((-1) ** k * _term(x, k) for k in range(n))
+    return n, s, s + (-1) ** n * _term(x, n)
+
+
+# grid points about each switch edge, and points far beyond them
+_ASYMPTOTIC_POINTS = sorted({s * (edge + Fraction(k, 128)) for edge in _SWITCH.values() for k in (-2, -1, 0, 1, 2)
+                             for s in (1, -1)} | {Fraction(20), Fraction(-25), Fraction(-2001, 97), Fraction(29.99),
+                                                  Fraction(3839, 128), Fraction(-3839, 128), Fraction(30), Fraction(-30)})
+
+
+class TestSeriesAsymptotic:
+    @pytest.mark.parametrize("p", [64, 128, 256])
+    def test_partial_sums_rounded_outward_once(self, monkeypatch, p):
+        # the regime is taken exactly where the Fraction rule says, its ends
+        # are S_n and S_{n+1} rounded outward once at p + 64 bits, and for
+        # x < 0 they are subtracted outward from twice sqrt(pi/2) e^u rounded
+        # down and up; elsewhere phi_series is the convergent regime
+        for x in _ASYMPTOTIC_POINTS:
+            ref = _asymptotic_reference(x, p)
+            ov, lo, hi, w = _ends(monkeypatch, phi_series, x, p)
+            conv = oracle._series_convergent(x, p)
+            if ref is None:
+                assert (ov.value, ov.error_bound, ov.terms, ov.working_bits) == \
+                       (conv.value, conv.error_bound, conv.terms, conv.working_bits), f"x={x}, p={p}"
+                continue
+            n, s0, s1 = ref
+            low, high = _round_at(min(s0, s1), p + 64), _round_at(max(s0, s1), p + 64, math.ceil)
+            if x > 0:
+                assert (lo, hi, w) == (low, high, p + 64), f"x={x}, p={p}"
+            else:
+                u = x * x / 2
+                assert w == p + 52 + math.ceil(float(u) * math.log2(math.e))
+                roots = [to_fraction(mp.make_mpf(oracle._root_half_pi_exp(u, w, rnd))) for rnd in ("f", "c")]
+                ends = _round_at(2 * roots[0] - high, w), _round_at(2 * roots[1] - low, w, math.ceil)
+                assert (lo, hi) == ends, f"x={x}, p={p}"
+            assert (ov.terms, ov.working_bits) == (n, w)
+            assert 0 < ov.error_bound <= mpf(2) ** -(p + 32), f"x={x}, p={p}"
+            assert ov.error_bound <= conv.error_bound, f"x={x}, p={p}"
+
+    @pytest.mark.parametrize("p", [64, 128, 256])
+    def test_switch_edges_agree_with_the_convergent_regime(self, p):
+        # on both sides of the switch the two regimes' enclosures intersect,
+        # and past it the asymptotic error bound is no larger
+        for x in _SWITCH_EDGES:
+            conv = oracle._series_convergent(x, p)
+            asym = oracle._series_asymptotic(x, p)
+            if abs(x) < _SWITCH[p]:
+                assert asym is None and phi_series(x, p) == conv
+                continue
+            assert phi_series(x, p) == asym
+            assert abs(asym.value - conv.value) <= asym.error_bound + conv.error_bound, f"x={x}, p={p}"
+            assert asym.error_bound <= conv.error_bound, f"x={x}, p={p}"
+
+    def test_pre_test_leaves_out_no_point_the_rule_takes(self):
+        # the O(1) pre-test from the smallest term never refuses a point the
+        # exact rule would take: on a 1/512 grid about each switch edge,
+        # the regime is taken exactly where the Fraction rule takes it
+        for p, edge in _SWITCH.items():
+            for k in range(-24, 25):
+                x = edge + Fraction(k, 512)
+                taken = oracle._series_asymptotic(x, p) is not None
+                assert taken == (_asymptotic_terms(x, p) is not None), f"x={x}, p={p}"
+
+
+@pytest.mark.parametrize("route", [phi_series, phi_quadrature], ids=lambda route: route.__name__)
+def test_error_bound_is_the_distance_to_the_farther_end_rounded_up(monkeypatch, route):
+    # the value lies in the enclosure, and error_bound is the least 53-bit
+    # number at or above its distance to the farther end, as Fractions.  The
+    # distance has more than 53 bits only where the ends are much finer than
+    # it: in the quadrature near x = 0, whose working precision grows there
+    for p in (64, 128):
+        for x in (Fraction(-29), Fraction(-77, 8), Fraction(-1, 3), Fraction(1, 2**40), Fraction(-1, 2**40),
+                  Fraction(0), Fraction(5, 2), Fraction(12), Fraction(3839, 128), Fraction(-3839, 128)):
+            ov, lo, hi, w = _ends(monkeypatch, route, x, p)
+            v = to_fraction(ov.value)
+            assert lo <= v <= hi and ov.working_bits == w, f"x={x}, p={p}"
+            assert to_fraction(ov.error_bound) == _round_at(max(hi - v, v - lo), 53, math.ceil), f"x={x}, p={p}"
+
+
+@pytest.mark.parametrize("p", [64, 128])
+def test_quadrature_ends_enclose_the_exact_rule(monkeypatch, p):
+    # the rational that each end of the rule is rounded from,
+    # d/(m a) + (2a/(d m)) sum_{j>=1} w_j d^2 m^2 / (a^2 m^2 + j^2 d^2) with
+    # its floors and their count of J + 4m^2 units for the upper end, lies on
+    # its side of the same sum with the exact weights
+    m, f, weights, _ = oracle._weights(p)
+    calls, quotient = [], oracle.round_quotient
+
+    def recording(num, den, prec, rounding, exp=0):
+        calls.append((Fraction(num, den) * Fraction(2) ** exp, exp))
+        return quotient(num, den, prec, rounding, exp)
+
+    monkeypatch.setattr(oracle, "round_quotient", recording)
+    for x in (Fraction(1, 3), Fraction(5, 2), Fraction(79, 10), Fraction(20)):
+        calls.clear()
+        phi_quadrature(x, p)
+        low, high = [value for value, exp in calls if exp == -f]  # rounded down, then up
+        a, d = x.numerator, x.denominator
+        with mp.workprec(4 * p + 256):
+            total = sum(mp.exp(-mpf(j * j) / (2 * m * m)) * (d * m) ** 2 / ((a * m) ** 2 + (j * d) ** 2)
+                        for j in range(1, len(weights) + 1))
+            exact = to_fraction(mpf(d) / (m * a) + 2 * mpf(a) / (d * m) * total)
+        assert low <= exact <= high, f"x={x}, p={p}"
+
+
+@pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(5, 2), Fraction(3), Fraction(5)])
+def test_stop_rule_bounds_the_exact_tail(x):
+    # the summation stops at a block boundary N >= 2u where the omitted tail,
+    # below 2 t_N, is at most one unit 2^-F: 2 t_N <= 2^-F for the exact term
+    # t_N = x^{2N+1} / (2N+1)!!.  F is chosen so that at the first boundary
+    # N0 >= 2u, 2^-F < 2 t_N0 <= 2^(1-F): the sum must go one block further
+    def term(k):
+        return x ** (2 * k + 1) / math.prod(range(1, 2 * k + 2, 2))
+
+    n0 = next(k for k in itertools.count(oracle._BLOCK, oracle._BLOCK) if k >= x * x)
+    f = next(f for f in itertools.count(1) if 2 * term(n0) * 2**f > 1)
+    n, _, _ = oracle._positive_series(x.numerator, x.denominator, f, f + 40)
+    assert n > n0 and 2 * term(n) * 2**f <= 1
 
 
 def _series_count(a: int, b: int, f: int, m: int) -> tuple[int, int, int]:
