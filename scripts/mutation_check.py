@@ -38,9 +38,13 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    Mutant("series-tail-halved", ORACLE,
-           "tail = 2 * (man + (floors * man >> (m_bits - 1)) + 1)",
-           "tail = (man + (floors * man >> (m_bits - 1)) + 1)", ORACLE_TESTS),
+    Mutant("series-last-term-dropped", ORACLE,
+           "return n, acc, n * ((4 << lu) + n + 1) + term, g", "return n, acc, n * ((4 << lu) + n + 1), g",
+           ORACLE_TESTS),
+    Mutant("series-first-term-rounded-up", ORACLE,
+           "term = acc = (a << g) // b", "term = acc = -(-(a << g) // b)", ORACLE_TESTS),
+    Mutant("series-term-rounded-up", ORACLE,
+           "term = term * aa // (bb * (2 * k + 1))", "term = -(-term * aa // (bb * (2 * k + 1)))", ORACLE_TESTS),
     Mutant("error-bound-rounded-down", ORACLE,
            "mpf_sub(*pair, 53, round_ceiling)", "mpf_sub(*pair, 53, round_floor)", ORACLE_TESTS),
     Mutant("quadrature-upper-end-without-its-count", ORACLE,

@@ -64,7 +64,10 @@ def to_mpf(value, prec: int, rounding: str = "n") -> mpf:
 
 def to_fraction(value) -> Fraction:
     """Exact value of an int, Fraction or string ("0.1" is 1/10, as the CLI
-    reads it), or of a binary float or mpf with every bit at any precision."""
+    reads it), or of a binary float or mpf with every bit at any precision;
+    a bool is refused, not read as 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"cannot read the bool {value!r} as a number")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)) or (isinstance(value, float) and math.isfinite(value)):

@@ -21,24 +21,30 @@ u = x^2/2, y = |x| and positive terms t_k = y^{2k+1} / (2k+1)!!,
     phi(x) = sqrt(pi/2) e^u - sgn(x) D(y),   D(y) = sum_k t_k,
 
 so only the last subtraction, for x > 0, cancels (about u log2 e bits).
-x is read exactly and D is summed in fixed point, acc <= D 2^F <= acc +
-ulps, every floor rounding down and counted in the integer ulps:
+x = a/b is read exactly and D is summed in fixed point at g fractional
+bits, one floor per term (Brent and Zimmermann, Modern Computer
+Arithmetic, 4.4): T_0 = floor(a 2^g / b), T_k = floor(T_{k-1} a^2 / (b^2
+(2k+1))) and acc = T_0 + ... + T_k, which stops at the first k >= y^2 = 2u
+with T_k < 2^(g-f).  With n = k + 1 terms and lu = ceil(u log2 e), read in
+floats, acc <= D 2^g <= acc + ulps for ulps = n (2^(lu+2) + n + 1) + T_k:
 
-  * a term is an integer mantissa m and an exponent; each new m floors an
-    exact quotient scaled to at least 2^M, losing a relative 2^-M at most:
-    after c floors, c 2^-M < 1/2, the exact mantissa is below m (1 + 2c 2^-M);
-  * a block of L terms from t_k on sums to t_k num/den, the exact Horner
-    sum of their ratios y^2/(2k+1); one floor puts it on the 2^-F grid and
-    adds 2 + floor(c (s+1) / 2^(M-1)) ulps, s its value in ulps.  t_{k+L}
-    is t_k times the exact product of L ratios, one floor more;
-  * summing stops at the first block boundary N >= 2u where 2 t_N is at
-    most one ulp: past 2u each ratio y^2/(2k+3) is at most 1/2, so the
-    omitted tail is below 2 t_N, which is counted too.
+  * floors: write tau_k = t_k 2^g for the exact term and e_k = tau_k - T_k
+    >= 0 for its error.  Then e_k < r_k e_{k-1} + 1, with e_0 < 1 and r_k =
+    y^2/(2k+1), so e_k < sum_{i<=k} tau_k / tau_i;
+  * unimodal terms: the ratios r_k decrease, so tau_i >= min(tau_0, tau_k)
+    for every i <= k, and e_k < (k+1) (tau_k / tau_0 + 1);
+  * the e^u factor: D(y) <= y e^u, so sum_j tau_j / tau_0 <= e^u <=
+    2^(lu+1), the extra bit covering lu read in floats;
+  * tail: past k >= y^2 every ratio is below 1/2, so the omitted tail is
+    below tau_k < T_k + e_k;
+  * total: the error is below n (2 e^u + (n+3)/2) + T_k <= ulps, and acc <=
+    D 2^g, because every floor rounds down.
 
-F = p + 48 + ceil(log2 N) + 8, N bounded before summing; the count is
-about two ulps per block, so D errs by about 2^-(p+56).  Terms reach e^u,
-so M = F + ceil(u log2 e) + 8 keeps the relative errors of all blocks
-together near one ulp.  The finish is one directed step at w = p + 48 +
+f = p + 56 and g = f + lu + 2 + bitlength(3 lu + f + 255), both fixed before
+the sum starts.  Past y^2 the terms halve from at most D < 2^(lu+6), so n <
+y^2 + lu + f + 8 < 3 lu + f + 255 and ulps 2^-g < 2^-f (2 + (n+1) 2^-(lu+2)):
+about 2^-(p+55), and 2^-(p+53) at |x| = 1 and p = 8192, where n is largest
+against 2^lu.  The finish is one directed step at w = p + 48 +
 ceil(u log2 e) bits: sqrt(pi/2) e^u rounded down and up by the libmp
 primitives mpmath.iv itself calls, and D's enclosure subtracted (x >= 0)
 or added (x < 0) outward.  The value is the enclosure's midpoint, and
@@ -140,8 +146,6 @@ from .numutil import DEFAULT_PRECISION_BITS, check_precision, dyadic, round_quot
 
 ENVELOPE = 30  # |x| beyond this is refused; the guard-bit budget assumes it
 
-_BLOCK = 32  # series terms summed exactly per block (L)
-_GUARD = 8  # guard bits of the series' fixed point F and mantissas M
 _ASYMPTOTIC_BITS = 58  # the asymptotic regime's first omitted term is at most 2^-(p+58)
 
 _LOG_SLACK = 1e-6  # added to each log evaluated in floats; far above their rounding
@@ -166,40 +170,23 @@ class OracleValue:
         return dyadic(self.value, self.error_bound)
 
 
-def _normalised(num: int, den: int, m_bits: int) -> tuple[int, int]:
-    """(q, s), q = floor(num 2^s / den) >= 2^m_bits for num, den > 0: q loses a relative 2^-m_bits at most."""
-    s = m_bits + 1 + den.bit_length() - num.bit_length()
-    return ((num << s) // den if s >= 0 else num // (den << -s)), s
-
-
-def _positive_series(a: int, b: int, f: int, m_bits: int) -> tuple[int, int, int]:
-    """(N, acc, ulps): D(a/b) summed over its first N terms, for a >= 0 and
-    b > 0, with acc <= D(a/b) 2^f <= acc + ulps (see the module docstring)."""
+def _positive_series(a: int, b: int, f: int, lu: int) -> tuple[int, int, int, int]:
+    """(N, acc, ulps, g): D(a/b) summed over its first N terms at g fractional
+    bits, for a >= 0, b > 0 and lu = ceil(u log2 e) read in floats, u =
+    a^2/(2b^2), with acc <= D(a/b) 2^g <= acc + ulps and ulps 2^-g about
+    2^-f (see the module docstring); D(0) = 0 is exact."""
     if a == 0:
-        return 0, 0, 0
+        return 0, 0, 0, f
+    g = f + lu + 2 + (3 * lu + f + 255).bit_length()  # N < 3 lu + f + 255
     aa, bb = a * a, b * b  # t_k / t_{k-1} = aa / (bb (2k+1))
-    ratios = aa**_BLOCK
-    man, s = _normalised(a, b, m_bits)  # t_0 = a/b = man 2^e
-    e, floors = -s, 1
-    k = acc = ulps = 0
-    while True:
-        num = den = 1
-        for i in range(k + _BLOCK - 1, k, -1):  # num/den = 1 + r_{k+1} (1 + ... (1 + r_{k+L-1}))
-            den *= bb * (2 * i + 1)
-            num = den + aa * num
-        shift = e + f
-        block = (man * num << shift) // den if shift >= 0 else man * num // (den << -shift)
-        acc += block
-        ulps += 2 + (floors * (block + 1) >> (m_bits - 1))
-        k += _BLOCK
-        man, s = _normalised(man * ratios, den * bb * (2 * k + 1), m_bits)
-        e, floors = e - s, floors + 1
-        if k * bb >= aa:  # k >= 2u: the tail is below 2 t_k
-            tail = 2 * (man + (floors * man >> (m_bits - 1)) + 1)
-            shift = e + f
-            tail = tail << shift if shift >= 0 else -(-tail >> -shift)
-            if tail <= 1:
-                return k, acc, ulps + tail
+    term = acc = (a << g) // b
+    k, k0, limit = 0, -(-aa // bb), 1 << (g - f)  # k0 = ceil(y^2) = ceil(2u)
+    while k < k0 or term >= limit:
+        k += 1
+        term = term * aa // (bb * (2 * k + 1))
+        acc += term
+    n = k + 1
+    return n, acc, n * ((4 << lu) + n + 1) + term, g
 
 
 def _in_envelope(x) -> Fraction:
@@ -269,17 +256,16 @@ def _series_asymptotic(xq: Fraction, precision_bits: int) -> OracleValue | None:
 
 
 def _series_convergent(xq: Fraction, precision_bits: int) -> OracleValue:
-    """phi from the positive series D summed in counted fixed point and
-    finished in one directed step; error_bound is derived from the count."""
+    """phi from the positive series D summed in fixed point, every term one
+    floor, and finished in one directed step; error_bound is derived from
+    the a priori count of those floors."""
     u = xq * xq / 2
     lu = _log2_exp(u)
     w = precision_bits + 48 + lu
-    # N < 2u + lu + F + L + 4 < 3 lu + p + 256: ceil(log2 N) is read from that
-    f = precision_bits + 48 + (3 * lu + precision_bits + 255).bit_length() + _GUARD
-    n, acc, ulps = _positive_series(abs(xq.numerator), xq.denominator, f, f + lu + _GUARD)
-    d_lo, d_hi = (acc, acc + ulps) if xq < 0 else (-acc - ulps, -acc)  # -sgn(x) D, over 2^f
-    lo = mpf_add(_root_half_pi_exp(u, w, round_floor), from_man_exp(d_lo, -f), w, round_floor)
-    hi = mpf_add(_root_half_pi_exp(u, w, round_ceiling), from_man_exp(d_hi, -f), w, round_ceiling)
+    n, acc, ulps, g = _positive_series(abs(xq.numerator), xq.denominator, precision_bits + 56, lu)
+    d_lo, d_hi = (acc, acc + ulps) if xq < 0 else (-acc - ulps, -acc)  # -sgn(x) D, over 2^g
+    lo = mpf_add(_root_half_pi_exp(u, w, round_floor), from_man_exp(d_lo, -g), w, round_floor)
+    hi = mpf_add(_root_half_pi_exp(u, w, round_ceiling), from_man_exp(d_hi, -g), w, round_ceiling)
     return _enclosed(lo, hi, w, "series", n)
 
 

@@ -11,6 +11,7 @@ from mpmath.libmp import from_man_exp, from_rational, fzero, mpf_shift, to_str
 
 from millsratio import bounds
 from millsratio.numutil import nstr_ceiling, nstr_fixed, round_quotient, to_fraction, to_mpf
+from millsratio.oracle import phi_series
 
 
 def test_to_fraction_keeps_every_bit_of_a_wide_mpf():
@@ -81,6 +82,15 @@ def test_non_finite_mpfs_refused(value):
         to_mpf(value, 64)
     with pytest.raises(ValueError, match="cannot convert non-finite value"):
         nstr_fixed(value, 20)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_bools_refused(value):
+    # a bool is an int to Python, but no caller means 1 or 0 by it
+    for read in (to_fraction, lambda v: phi_series(v, 64), nstr_fixed,
+                 lambda v: bounds.certify_grid("eq18", [0], [v])):
+        with pytest.raises(ValueError, match=f"cannot read the bool {value} as a number"):
+            read(value)
 
 
 def _reference(num: int, den: int, prec: int, rounding: str, exp: int = 0) -> tuple:

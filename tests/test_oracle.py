@@ -138,7 +138,9 @@ def _series_points():
         xs += [mpf(rng.uniform(-30, 30)) * (1 + mpf(2) ** -90) for _ in range(2)]
     with mp.workprec(300):  # a 300-bit mantissa
         xs.append(mpf(rng.uniform(-30, 30)) * (1 + mpf(2) ** -290))
-    # a single term; u = 32 and 2u = 64, block boundaries of the summation
+    # the least x > 0, whose sum stops at its first allowed term, k = 1; and
+    # x^2 = 2u = 64, where the stop rule's k >= x^2 first holds with equality
+    # and the tail's first ratio x^2 / (2k+3) = 64/131 is nearest to 1/2
     return xs + [Fraction(1, 2**60), Fraction(8), Fraction(-8)]
 
 
@@ -171,14 +173,16 @@ class TestSeriesErrorBound:
             assert _term(x, k) <= Fraction(1, 2 ** (128 + 58))
             assert 2 * k - 1 < x * x
             return
-        # from N >= 2u on, u = x^2/2, each ratio t_{k+1} / t_k = x^2 / (2k+3) of
-        # the positive terms t_k = |x|^{2k+1} / (2k+1)!! is at most 1/2, so the
-        # omitted tail is below 2 t_N, which the error bound covers
-        u = x * x / 2
-        assert k >= 2 * u
-        assert 2 * x * x <= 2 * k + 3  # t_{k+1} <= t_k / 2, and likewise for every larger k
-        first_omitted = abs(x) ** (2 * k + 1) / math.prod(range(1, 2 * k + 2, 2))
-        assert 2 * first_omitted <= to_fraction(ov.error_bound)
+        # the convergent regime sums the positive terms t_0 .. t_{k-1}, t_i =
+        # |x|^{2i+1} / (2i+1)!!, and stops past 2u = x^2: from t_{k-1} on each
+        # ratio t_{i+1} / t_i = x^2 / (2i+3) is below 1/2, so the omitted tail
+        # is below t_{k-1}, which the error bound covers
+        if x == 0:  # D(0) = 0 sums no term
+            assert k == 0
+            return
+        assert k - 1 >= x * x
+        assert 2 * x * x < 2 * k + 1  # t_k < t_{k-1} / 2, and likewise for every larger k
+        assert _positive_term(x, k - 1) <= to_fraction(ov.error_bound)
 
     def test_records_work(self):
         ov = phi_series(Fraction(10), 128)
@@ -349,74 +353,96 @@ def test_quadrature_ends_enclose_the_exact_rule(monkeypatch, p):
         assert low <= exact <= high, f"x={x}, p={p}"
 
 
+def _positive_term(x: Fraction, k: int) -> Fraction:
+    """t_k = |x|^{2k+1} / (2k+1)!!, the k-th term of the convergent regime's D."""
+    return abs(x) ** (2 * k + 1) / math.prod(range(1, 2 * k + 2, 2))
+
+
+def _floors(y: Fraction, g: int):
+    """T_0, T_1, ... of the module docstring at y > 0 and g fractional bits:
+    T_0 = floor(y 2^g) and T_k = floor(T_{k-1} y^2 / (2k+1))."""
+    term = math.floor(y * 2**g)
+    for k in itertools.count(1):
+        yield term
+        term = math.floor(term * y * y / (2 * k + 1))
+
+
+def _series_count(a: int, b: int, f: int) -> tuple[int, int, int, int]:
+    """(N, acc, ulps, g) of oracle._positive_series re-derived in Fraction
+    from the module docstring: y = a/b, lu as _series_convergent reads it, g
+    from f and lu, and the floors summed up to the first k >= y^2 with T_k <
+    2^(g-f), N = k + 1 of them."""
+    if a == 0:
+        return 0, 0, 0, f
+    y = Fraction(a, b)
+    lu = oracle._log2_exp(y * y / 2)
+    g = f + lu + 2 + (3 * lu + f + 255).bit_length()
+    acc = 0
+    for k, term in enumerate(_floors(y, g)):
+        acc += term
+        if k >= y * y and term < 2 ** (g - f):
+            return k + 1, acc, (k + 1) * (2 ** (lu + 2) + k + 2) + term, g
+
+
+def _sum(x: Fraction, f: int) -> tuple[int, int, int, int]:
+    """oracle._positive_series at |x| and width f, with lu as _series_convergent passes it."""
+    return oracle._positive_series(abs(x.numerator), x.denominator, f, oracle._log2_exp(x * x / 2))
+
+
 @pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(5, 2), Fraction(3), Fraction(5)])
 def test_stop_rule_bounds_the_exact_tail(x):
-    # the summation stops at a block boundary N >= 2u where the omitted tail,
-    # below 2 t_N, is at most one unit 2^-F: 2 t_N <= 2^-F for the exact term
-    # t_N = x^{2N+1} / (2N+1)!!.  F is chosen so that at the first boundary
-    # N0 >= 2u, 2^-F < 2 t_N0 <= 2^(1-F): the sum must go one block further
-    def term(k):
-        return x ** (2 * k + 1) / math.prod(range(1, 2 * k + 2, 2))
+    # the sum stops at the first k >= x^2 with T_k < 2^(g-f): past x^2 every
+    # ratio x^2 / (2i+1) is below 1/2, so the exact tail past t_k is below
+    # t_k.  f is the least width at which T_k0 >= 2^(g-f) at the first k0 >=
+    # x^2: the sum must go on past k0
+    k0 = math.ceil(x * x)
 
-    n0 = next(k for k in itertools.count(oracle._BLOCK, oracle._BLOCK) if k >= x * x)
-    f = next(f for f in itertools.count(1) if 2 * term(n0) * 2**f > 1)
-    n, _, _ = oracle._positive_series(x.numerator, x.denominator, f, f + 40)
-    assert n > n0 and 2 * term(n) * 2**f <= 1
+    def goes_on(f):
+        g = _sum(x, f)[3]
+        return next(itertools.islice(_floors(x, g), k0, None)) >= 2 ** (g - f)
 
-
-def _series_count(a: int, b: int, f: int, m: int) -> tuple[int, int, int]:
-    """(N, acc, ulps) of oracle._positive_series re-derived in Fraction from
-    the module docstring: each block is the sum of its terms, each term the
-    one before times y^2/(2i+1), y = a/b, and only the block start t_k is a
-    floored mantissa (by _normalised, whose contract is tested on its own)."""
-    if a == 0:
-        return 0, 0, 0
-    y2 = Fraction(a * a, b * b)
-    man, s = oracle._normalised(a, b, m)
-    e, floors, k, acc, ulps = -s, 1, 0, 0, 0
-    while True:
-        total, term = Fraction(0), Fraction(man) * Fraction(2) ** e
-        for i in range(k, k + oracle._BLOCK):
-            total += term
-            term *= y2 / (2 * i + 3)
-        block = math.floor(total * 2**f)
-        acc += block
-        ulps += 2 + floors * (block + 1) // 2 ** (m - 1)
-        k += oracle._BLOCK
-        den = math.prod(b * b * (2 * i + 1) for i in range(k - oracle._BLOCK + 1, k + 1))
-        man, s = oracle._normalised(man * (a * a) ** oracle._BLOCK, den, m)
-        e, floors = e - s, floors + 1
-        if k >= y2:  # k >= 2u, u = y^2/2
-            tail = math.ceil(2 * (man + floors * man // 2 ** (m - 1) + 1) * Fraction(2) ** (e + f))
-            if tail <= 1:
-                return k, acc, ulps + tail
+    f = next(f for f in itertools.count(1) if goes_on(f))
+    n, _, _, g = _sum(x, f)
+    k = n - 1
+    assert k > k0 and next(itertools.islice(_floors(x, g), k, None)) < 2 ** (g - f)
+    last = k + 20
+    tail = sum(_positive_term(x, i) for i in range(k + 1, last + 1)) + _positive_term(x, last)
+    assert tail < _positive_term(x, k)
 
 
 class TestSeriesCount:
-    """The parts of the series' count, which the enclosure tests cannot see:
-    at the widths phi_series uses, a miscount stays below the count's slack."""
+    """The series' count, checked exactly: at the widths phi_series uses, a
+    miscount would stay below the slack of its error bound."""
 
-    @given(st.integers(1, 2**200), st.integers(1, 2**200), st.integers(1, 300))
-    @example(3, 2, 1)
-    @example(1, 2**200, 300)
-    def test_normalised_is_the_exact_floor_at_least_2_to_the_m(self, num, den, m):
-        q, s = oracle._normalised(num, den, m)
-        assert q == math.floor(Fraction(num, den) * Fraction(2) ** s)
-        assert 2**m <= q < 2 ** (m + 2)
-
-    # mantissas of m >= f + 16 bits, as phi_series takes them (M >= F + 8);
-    # with m < f + u log2 e, as for x >= 8 here, the terms near e^u floor
-    # above the 2^-f grid, so the mantissa steps show in acc
     @pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(5, 2), Fraction(8), Fraction(79, 10), Fraction(12)])
-    @pytest.mark.parametrize("f,m", [(8, 24), (24, 40), (40, 64), (64, 100), (200, 260)])
-    def test_fixed_counts_match_a_fraction_rederivation(self, x, f, m):
-        assert oracle._positive_series(x.numerator, x.denominator, f, m) == _series_count(x.numerator, x.denominator, f, m)
+    @pytest.mark.parametrize("f", [8, 24, 40, 64, 200])
+    def test_fixed_counts_match_a_fraction_rederivation(self, x, f):
+        assert _sum(x, f) == _series_count(x.numerator, x.denominator, f)
 
-    @given(st.integers(0, 12 * 64), st.integers(1, 64), st.integers(4, 96), st.integers(16, 64))
+    @given(st.integers(0, 12 * 64), st.integers(1, 64), st.integers(4, 96))
     @settings(max_examples=40, deadline=None)
-    def test_counts_match_a_fraction_rederivation(self, a, b, f, extra):
-        a = min(a, 12 * b)  # |x| <= 12 keeps N below 200 terms
-        assert oracle._positive_series(a, b, f, f + extra) == _series_count(a, b, f, f + extra)
+    def test_counts_match_a_fraction_rederivation(self, a, b, f):
+        a = min(a, 12 * b)  # |x| <= 12 keeps N below 300 terms
+        assert oracle._positive_series(a, b, f, oracle._log2_exp(Fraction(a * a, 2 * b * b))) == _series_count(a, b, f)
+
+    # Fractions, floats and a 90-bit dyadic, |x| <= 13
+    @pytest.mark.parametrize("x", [Fraction(1, 2**60), Fraction(1, 3), Fraction(1), Fraction(-5, 2), Fraction(3),
+                                   Fraction(5), Fraction(-8), Fraction(79, 10), Fraction(12), Fraction(-13),
+                                   Fraction(1001, 97), Fraction(-7, 64), Fraction(12.3), Fraction(-0.7),
+                                   Fraction(2**90 + 1, 2**87)])
+    def test_sum_encloses_d_at_narrow_widths(self, x):
+        # acc <= D 2^g <= acc + ulps, exactly, for f = 2 .. 64.  D lies in
+        # [S_K, S_K + t_{K-1}] for S_K the exact sum of its first K terms and
+        # K - 1 >= x^2: past x^2 each ratio is below 1/2, so the tail past
+        # t_{K-1} is below it.  K is carried until t_{K-1} < 2^-400
+        terms = [abs(x)]
+        while len(terms) - 1 < x * x or terms[-1] >= Fraction(1, 2**400):
+            terms.append(terms[-1] * x * x / (2 * len(terms) + 1))
+        low = sum(terms)
+        high = low + terms[-1]
+        for f in range(2, 65):
+            n, acc, ulps, g = _sum(x, f)
+            assert n < len(terms) and acc <= low * 2**g and high * 2**g <= acc + ulps, f"x={x}, f={f}"
 
 
 def _quadrature_points():
