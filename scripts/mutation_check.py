@@ -1,4 +1,4 @@
-"""Mutation check of the oracle's and the square-root kernel's soundness terms.
+"""Mutation check of the soundness terms of the oracle, the bounds and the verdict.
 
 Each mutant below is a one-line change to src/ that weakens a rounding
 direction or drops a counted error term, so that a value or error bound
@@ -8,7 +8,7 @@ change there, and runs the test files that cover it.  The mutant is killed when 
 fails.  The check exits 0 when every mutant is killed, 1 when one
 survives, and 2 when the unmutated copy fails those tests or a mutant's
 line is not found once in its file.  It is not part of the tier-1 suite;
-it takes about a minute, and needs nothing beyond the test dependencies.
+it takes about two minutes, and needs nothing beyond the test dependencies.
 
     python scripts/mutation_check.py
 """
@@ -27,6 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ORACLE, BOUNDS = "src/millsratio/oracle.py", "src/millsratio/bounds.py"
 ORACLE_TESTS, ROOT_TESTS = ("tests/test_oracle.py",), ("tests/test_exact_kernel.py", "tests/test_bounds.py")
 REFLECTION = "for rnd, end in ((round_floor, hi), (round_ceiling, lo))"  # the asymptotic regime's x < 0 ends
+EQ15 = '{"lower": _quotient(qs[k], ps[k], w, "f"), "upper": _quotient(qs[k + 1], ps[k + 1], w, "c")}'
 
 
 class Mutant(NamedTuple):
@@ -67,6 +68,24 @@ MUTANTS = [
            "for rnd, end in ((round_floor, hi), (round_floor, lo))", ORACLE_TESTS),
     Mutant("reflection-rounding-reversed", ORACLE, REFLECTION,
            "for rnd, end in ((round_ceiling, hi), (round_floor, lo))", ORACLE_TESTS),
+    Mutant("against-phi-margin-rounded-up", BOUNDS,
+           '_quotient(margin, 1, precision_bits + GUARD_BITS, "f", -scale)',
+           '_quotient(margin, 1, precision_bits + GUARD_BITS, "c", -scale)', ROOT_TESTS),
+    Mutant("eq16-margin-rounded-up", BOUNDS, 'pn * pn1, w, "f", -scale)', 'pn * pn1, w, "c", -scale)', ROOT_TESTS),
+    Mutant("log-convexity-margin-rounded-up", BOUNDS,
+           'den, w, "f", -2 * scale)', 'den, w, "c", -2 * scale)', ROOT_TESTS),
+    Mutant("sharper-margin-rounded-up", BOUNDS,
+           'ps[n], precision_bits + GUARD_BITS, "f", -scale)', 'ps[n], precision_bits + GUARD_BITS, "c", -scale)',
+           ROOT_TESTS),
+    Mutant("eq15-rounded-inward", BOUNDS, EQ15, EQ15.replace('"f"', '"C"').replace('"c"', '"f"').replace('"C"', '"c"'),
+           ROOT_TESTS),
+    Mutant("eq16-error-bound-rounded-down", BOUNDS,
+           '_quotient(bound, ps[n] * ps[n + 1], w, "c")', '_quotient(bound, ps[n] * ps[n + 1], w, "f")', ROOT_TESTS),
+    Mutant("log-convexity-error-rounded-down", BOUNDS,
+           'den, w, "c", -2 * scale)', 'den, w, "f", -2 * scale)', ROOT_TESTS),
+    Mutant("verdict-margin-equal-to-error-passes", BOUNDS,
+           '"pass" if mpf_gt(margin._mpf_, error._mpf_)', '"pass" if not mpf_gt(error._mpf_, margin._mpf_)',
+           ROOT_TESTS),
 ]
 
 

@@ -29,7 +29,7 @@ the P/Q recurrence, p_k = d^k P_k(x) and q_k = d^k Q_k(x)
 (p_n p_{n+1}), and d^{2n+2} A_n(x) = p_n p_{n+2} - p_{n+1}^2, B_n and C_n
 alike.  phi's oracle value M 2^e is an integer over a power of two, so
 every margin is one integer over one integer.  One kernel rounds each
-once (numutil.round_quotient), and every bound value outward: a
+down once (numutil.round_quotient), and every bound value outward: a
 square-root bound, monotone in its root, at the end of an integer isqrt
 enclosure of the root that errs outward (_root, the one square-root
 kernel, Eq18's and Eq19's too), so it always holds.
@@ -38,10 +38,10 @@ The families Eq15 to Eq19 and I are the rows of one table, FAMILIES.  A
 row is the one place its bound values are formed: the five public bound
 functions, `mills bounds` and scripts/bounds_table.py all read them there.
 One verdict rule decides every certificate: its margin is an exact value
-within a derived error of the true margin (the oracle's error bound, or
-for Eq17 the error of the exact Taylor expansion about the oracle's
-value), rounded once at p + GUARD_BITS bits, and it passes iff it exceeds
-that error plus the rounding, its threshold.  Family.checked is the one
+within a derived error of the true margin (the oracle's error bound, for
+Eq17 the error of the exact Taylor expansion about the oracle's value, 0
+for an exact margin), rounded down once at p + GUARD_BITS bits, and it
+passes iff it exceeds that error, its threshold.  Family.checked is the one
 place a request is read and refused; Family.bound, Family.at and
 certify_grid call it once, and the last two read phi through phi_at once
 per point.
@@ -56,7 +56,7 @@ from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_gt, mpf_lt, mpf_sub, normalize, round_ceiling, round_nearest
+from mpmath.libmp import mpf_gt
 
 from .contfrac import pq_sweep
 from .errors import DomainError, SingularityError
@@ -102,7 +102,7 @@ class Certificate(NamedTuple):
     margin: mpf
     precision_bits: int
     verdict: str
-    threshold: mpf  # the verdict's: pass iff margin > threshold
+    threshold: mpf  # the margin's derived error: pass iff margin > threshold
 
 
 def _quotient(num: int, den: int, w: int, rounding: str = "n", exp: int = 0) -> mpf:
@@ -252,12 +252,12 @@ def log_convexity(n: int, x: Fraction, ov: OracleValue, precision_bits: int, swe
     inequality holds.  With v = ov.value, e = ov.error_bound and A, B, C =
     (a, b, c) / D exact, m(v + d) = m(v) + (2Av - B) d + A d^2 is exact, so
     for |d| <= e the true margin is within |2Av - B| e + |A| e^2 of m(v).
-    margin is m(v) rounded to nearest and error that bound rounded up, both
+    margin is m(v) rounded down and error that bound rounded up, both
     at precision_bits + GUARD_BITS, each one integer over D 4^E for v = N 2^-E.
     """
     a, b, c = sweep.form(n)
     (scale, v, e), w, den = ov.dyadic, precision_bits + GUARD_BITS, x.denominator ** (2 * n + 2)
-    margin = _quotient(a * v * v - (b * v << scale) + (c << 2 * scale), den, w, "n", -2 * scale)
+    margin = _quotient(a * v * v - (b * v << scale) + (c << 2 * scale), den, w, "f", -2 * scale)
     return margin, _quotient(abs(2 * a * v - (b << scale)) * e + abs(a) * e * e, den, w, "c", -2 * scale)
 
 
@@ -278,38 +278,25 @@ def phi_at(x, precision_bits: int, memo: dict | None = None) -> OracleValue:
     return ov
 
 
-def _threshold(margin: mpf, error: mpf, precision_bits: int) -> mpf:
-    """The one verdict rule.  A margin is an exact value within ``error`` of
-    the true margin, rounded once to nearest at w = precision_bits +
-    GUARD_BITS; it passes iff it exceeds error plus that rounding, |margin|
-    2^-w, their sum rounded up at w.  The evaluators below round every
-    margin at w, and their bound values are exact convergents or exact
-    square-root bounds rounded outward.  The sum, error >= 0, is formed
-    exactly on the raw mantissas and rounded once by libmp's normalize, as
-    in round_quotient; no mpmath context is read."""
-    w = precision_bits + GUARD_BITS
-    (_, man, exp, _), (_, eman, eexp, _) = margin._mpf_, error._mpf_
-    exp -= w
-    low = min(exp, eexp)
-    total = (man << (exp - low)) + (eman << (eexp - low))
-    return mp.make_mpf(normalize(0, total, low, total.bit_length(), w, round_ceiling))
-
-
 def _cert(family: str, n: int, x: Fraction, margin: mpf, error: mpf, precision_bits: int) -> Certificate:
-    threshold = _threshold(margin, error, precision_bits)
-    verdict = "pass" if mpf_gt(margin._mpf_, threshold._mpf_) else "fail"
-    return Certificate(family, n, x, margin, precision_bits, verdict, threshold)
+    """The one verdict rule.  margin is an exact value m, within error of
+    the true margin, rounded down once at precision_bits + GUARD_BITS, so
+    margin <= m and m - error <= the true margin.  It passes iff margin >
+    error: then m > error, and the true margin is positive.  error is the
+    certificate's threshold."""
+    verdict = "pass" if mpf_gt(margin._mpf_, error._mpf_) else "fail"
+    return Certificate(family, n, x, margin, precision_bits, verdict, error)
 
 
 def _against_phi(family: str, n: int, x: Fraction, precision_bits: int, ov: OracleValue, shown: dict) -> Certificate:
     """The certificate that every shown lower (upper) value, an exact bound,
-    lies below (above) phi(x), as ov encloses it; the margin is the least
-    difference, each rounded to nearest at precision_bits + GUARD_BITS."""
-    v, w, margin = ov.value._mpf_, precision_bits + GUARD_BITS, None
-    for side, b in shown.items():
-        d = mpf_sub(b._mpf_, v, w, round_nearest) if side == "upper" else mpf_sub(v, b._mpf_, w, round_nearest)
-        margin = d if margin is None or mpf_lt(d, margin) else margin
-    return _cert(family, n, x, mp.make_mpf(margin), ov.error_bound, precision_bits)
+    lies below (above) phi(x), as ov encloses it: with ov.value and the
+    values N_i 2^-E on one scale, the margin is the least exact difference,
+    one integer over 2^E, rounded down once."""
+    scale, v, *values = dyadic(ov.value, *shown.values())
+    margin = min(b - v if side == "upper" else v - b for side, b in zip(shown, values))
+    return _cert(family, n, x, _quotient(margin, 1, precision_bits + GUARD_BITS, "f", -scale), ov.error_bound,
+                 precision_bits)
 
 
 def _vs_phi(row: Family, n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep: _Sweep):
@@ -332,10 +319,10 @@ def _eq16(n: int, x: Fraction, w: int, sweep):
 
 def _eq16_margin(row: Family, n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep: _Sweep):
     """With v = N 2^-E, the margin n! d^{2n+1} / (p_n p_{n+1}) - |v - q_n/p_n|
-    is one integer over p_n p_{n+1} 2^E, rounded once."""
+    is one integer over p_n p_{n+1} 2^E, rounded down once."""
     (ps, qs), w, (scale, v, _) = sweep, precision_bits + GUARD_BITS, ov.dyadic
     pn, pn1, qn, bound = ps[n], ps[n + 1], qs[n], factorial(n) * x.denominator ** (2 * n + 1)
-    margin = _quotient((bound << scale) - pn1 * abs(v * pn - (qn << scale)), pn * pn1, w, "n", -scale)
+    margin = _quotient((bound << scale) - pn1 * abs(v * pn - (qn << scale)), pn * pn1, w, "f", -scale)
     return [_cert(row.name, n, x, margin, ov.error_bound, precision_bits)]
 
 
@@ -372,7 +359,7 @@ def _sharper(row: Family, n: int, x: Fraction, precision_bits: int, ov: OracleVa
     if x.numerator > 0 and (not upper or sweep.form(n)[0] > 0):  # A_n(x) > 0, from the form the bound read
         scale, z = dyadic(z)
         sharper = (qs[n] << scale) - z * ps[n]
-        margin = _quotient(sharper if upper else -sharper, ps[n], precision_bits + GUARD_BITS, "n", -scale)
+        margin = _quotient(sharper if upper else -sharper, ps[n], precision_bits + GUARD_BITS, "f", -scale)
         certs.append(_cert(f"{row.name}_{n}_sharper", n, x, margin, _ZERO, precision_bits))
     return certs
 
@@ -481,7 +468,8 @@ def log_convexity_check(n: int, x, precision_bits: int = DEFAULT_PRECISION_BITS)
 
 
 def log_convexity_error(n: int, x, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpf:
-    """The threshold of the same certificate: the check passes iff it exceeds this."""
+    """The error of the same certificate's margin, its threshold: the check
+    passes iff the margin exceeds it."""
     return FAMILIES["eq17"].at(n, x, precision_bits)[1][0].threshold
 
 

@@ -39,10 +39,10 @@ def round_quotient(num: int, den: int, prec: int, rounding: str, exp: int = 0) -
 
 
 def dyadic(*values: mpf) -> tuple[int, ...]:
-    """(E, N_1, N_2, ...): the finite values M_i 2^e_i as N_i 2^-E, E = max(0, -e_i)."""
-    pairs = [v.man_exp for v in values]
-    scale = max(0, *(-exp for _, exp in pairs))
-    return (scale, *(man << (exp + scale) for man, exp in pairs))
+    """(E, N_1, N_2, ...): the finite values +-M_i 2^e_i as N_i 2^-E, E = max(0, -e_i)."""
+    raws = [v._mpf_ for v in values]
+    scale = max(0, *(-exp for _, _, exp, _ in raws))
+    return (scale, *((-man if sign else man) << (exp + scale) for sign, man, exp, _ in raws))
 
 
 def _rounding(rounding: str) -> str:

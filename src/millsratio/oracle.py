@@ -48,8 +48,9 @@ against 2^lu.  The finish is one directed step at w = p + 48 +
 ceil(u log2 e) bits: sqrt(pi/2) e^u rounded down and up by the libmp
 primitives mpmath.iv itself calls, and D's enclosure subtracted (x >= 0)
 or added (x < 0) outward.  The value is the enclosure's midpoint, and
-error_bound, the distance to its farther end rounded up, is below the
-2^-(p+32) the verdict thresholds assume.
+error_bound, the distance to its farther end rounded up, is below
+2^-(p+32); a certificate measured against the value takes it as its
+threshold.
 
 Series route, asymptotic regime (A&S 7.1.23-7.1.24): near |x| = 30 the
 convergent sum needs about 1.5 x^2 terms at about 850 bits, as e^u - D

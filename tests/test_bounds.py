@@ -912,24 +912,49 @@ def test_log_convexity_pair_reads_the_eq17_certificate(n, x, bits):
     assert log_convexity_error(n, x, bits) == cert.threshold
 
 
+def _error(c, ov: OracleValue) -> mpf:
+    """The derived error of certificate c's margin against ov: 0 for an
+    exact margin, Eq17's Taylor error, or else ov's error bound."""
+    if c.family.endswith("_sharper"):
+        return mpf(0)
+    if c.family == "Eq17":
+        return bounds.log_convexity(c.n, c.x, ov, c.precision_bits, bounds._Sweep(c.n + 2, c.x))[1]
+    return ov.error_bound
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_verdict_is_margin_above_threshold(family):
     # with the oracle's error bound, and with one of 2^20 that no margin
-    # exceeds, so both verdicts are reached
+    # exceeds, so both verdicts are reached; the threshold is the error
     fam, orders, verdicts = FAMILIES[family], _own(family, [0, 1, 2, 3, 7]), set()
     xs = [x for x in (Fraction(-5, 2), Fraction(1, 3), Fraction(3, 2), Fraction(29, 2))
           if fam.x_above is None or x > fam.x_above]
     for bits in (64, 200):
-        certs = certify_grid(family, orders, xs, bits)
+        memo = {}
+        certs = certify_grid(family, orders, xs, bits, memo)
         loose = {}  # planted where phi_at reads the oracle value of every certificate at (x, bits)
         for x in xs:
-            ov = bounds.phi_at(x, bits)
+            ov = memo[x, bits + GUARD_BITS]
             loose[x, bits + GUARD_BITS] = OracleValue(ov.value, mpf(2) ** 20, ov.method)
-        certs += certify_grid(family, orders, xs, bits, loose)
-        for c in certs:
+        certs = [(c, memo) for c in certs] + [(c, loose) for c in certify_grid(family, orders, xs, bits, loose)]
+        for c, read in certs:
+            assert c.threshold == _error(c, read[c.x, bits + GUARD_BITS]), c
             assert (c.verdict == "pass") == (c.margin > c.threshold), c
             verdicts.add(c.verdict)
     assert verdicts == {"pass", "fail"}
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+def test_margin_one_ulp_above_its_error_passes(bits):
+    # a margin rounded down is at most its exact value, so one w-bit ulp
+    # above the error is enough; an equal margin is not
+    w = bits + GUARD_BITS
+    for error in (mpf(2) ** -150, mpf(3) * mpf(2) ** -200, phi_series(Fraction(1, 3), w).error_bound):
+        above = mp.fadd(error, mp.ldexp(1, mp.mag(error) - w), exact=True)
+        assert error < above == mp.fadd(above, 0, prec=w)  # the next w-bit number
+        cert = bounds._cert("Eq15", 0, Fraction(1, 3), above, error, bits)
+        assert (cert.verdict, cert.threshold) == ("pass", error)
+        assert bounds._cert("Eq15", 0, Fraction(1, 3), error, error, bits).verdict == "fail"
 
 
 @pytest.mark.parametrize("bits", [64, 128])

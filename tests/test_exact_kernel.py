@@ -6,8 +6,10 @@ values the direct way: P_n, Q_n, A_n, B_n and C_n evaluated with
 eval_rational on the polynomial tables, every margin as a reduced
 Fraction, and every square-root bound from a Fraction enclosure of its
 root (ref_outward), each rounded once by libmp's from_rational, not by
-numutil.round_quotient.  Margins, thresholds, shown values and verdicts
-must agree exactly.  beta's Newton steps on the dyadic grid, whose signs
+numutil.round_quotient: a margin down (_floor), a bound outward.
+Margins, shown values and verdicts must agree exactly, and every
+threshold is its margin's error.  Every margin is at most its exact
+value.  beta's Newton steps on the dyadic grid, whose signs
 are read from a sweep too, must give the brackets and values of ref_beta's
 bisection, which reads every sign with eval_rational on the polynomial
 A_{2m+1}.
@@ -42,7 +44,7 @@ from millsratio.bounds import (
 from millsratio.contfrac import pq_sweep
 from millsratio.errors import DomainError, SingularityError
 from millsratio.families import pq_pair, quadratic_form, quadratic_triple
-from millsratio.numutil import to_fraction
+from millsratio.numutil import DEFAULT_PRECISION_BITS, to_fraction
 from millsratio.oracle import OracleValue, phi_series
 from millsratio.poly import IntPolynomial
 
@@ -90,15 +92,14 @@ def ref_szarek_werner(x: Fraction, bits: int) -> mpf:
     return ref_outward(bound, x * x + 8, True, bits)
 
 
-def _sub(above: mpf, below: mpf, bits: int) -> mpf:
-    return mp.fsub(above, below, prec=bits + GUARD_BITS, rounding="n")
+def _sub(above: mpf, below: mpf) -> Fraction:
+    return to_fraction(above) - to_fraction(below)
 
 
-def _threshold(margin: mpf, error: mpf, bits: int) -> mpf:
-    """error + |margin| 2^-w, rounded up at w = bits + GUARD_BITS."""
-    w = bits + GUARD_BITS
-    size = mp.fneg(margin, exact=True) if margin < 0 else margin
-    return mp.fadd(error, mp.ldexp(size, -w), prec=w, rounding="c")
+def _floor(margin: Fraction, bits: int) -> mpf:
+    """An exact margin as a certificate at bits holds it: rounded down once
+    at bits + GUARD_BITS."""
+    return _round(margin, bits + GUARD_BITS, "f")
 
 
 def ref_second_order(n: int, x: Fraction, bits: int) -> tuple[mpf, Fraction]:
@@ -116,10 +117,12 @@ def ref_second_order(n: int, x: Fraction, bits: int) -> tuple[mpf, Fraction]:
     return z, a
 
 
+# Each reference gives (shown values, [(name, n, exact margin, error)]):
+# the margin a Fraction, which a certificate holds as _floor rounds it
 def ref_eq15(n, x, bits, ov):
     w = bits + GUARD_BITS
     lower, upper = _round(_conv(2 * n, x), w, "f"), _round(_conv(2 * n + 1, x), w, "c")
-    margin = min(_sub(ov.value, lower, bits), _sub(upper, ov.value, bits))
+    margin = min(_sub(ov.value, lower), _sub(upper, ov.value))
     return {"lower": lower, "upper": upper}, [("Eq15", n, margin, ov.error_bound)]
 
 
@@ -127,7 +130,7 @@ def ref_eq16(n, x, bits, ov):
     w = bits + GUARD_BITS
     conv = _conv(n, x)
     bound = Fraction(factorial(n)) / (_pq(n, x)[0] * _pq(n + 1, x)[0])
-    margin = _round(bound - abs(to_fraction(ov.value) - conv), w)
+    margin = bound - abs(to_fraction(ov.value) - conv)
     shown = {"convergent": _round(conv, w), "error_bound": _round(bound, w, "c")}
     return shown, [("Eq16", n, margin, ov.error_bound)]
 
@@ -136,7 +139,7 @@ def ref_log_convexity(n, x, bits, ov):
     w = bits + GUARD_BITS
     a, b, c = _abc(n, x)
     v, e = to_fraction(ov.value), to_fraction(ov.error_bound)
-    return _round((a * v - b) * v + c, w), _round(abs(2 * a * v - b) * e + abs(a) * e * e, w, "c")
+    return (a * v - b) * v + c, _round(abs(2 * a * v - b) * e + abs(a) * e * e, w, "c")
 
 
 def ref_eq17(n, x, bits, ov):
@@ -145,21 +148,21 @@ def ref_eq17(n, x, bits, ov):
 
 def ref_eq18(n, x, bits, ov):
     lower = ref_komatsu(x, bits + GUARD_BITS)
-    return {"lower": lower}, [("Eq18", n, _sub(ov.value, lower, bits), ov.error_bound)]
+    return {"lower": lower}, [("Eq18", n, _sub(ov.value, lower), ov.error_bound)]
 
 
 def ref_eq19(n, x, bits, ov):
     upper = ref_szarek_werner(x, bits + GUARD_BITS)
-    return {"upper": upper}, [("Eq19", n, _sub(upper, ov.value, bits), ov.error_bound)]
+    return {"upper": upper}, [("Eq19", n, _sub(upper, ov.value), ov.error_bound)]
 
 
 def ref_i(n, x, bits, ov):
     z, a = ref_second_order(n, x, bits + GUARD_BITS)
     upper = n % 2 == 1
-    certs = [(f"I_{n}", n, _sub(z, ov.value, bits) if upper else _sub(ov.value, z, bits), ov.error_bound)]
+    certs = [(f"I_{n}", n, _sub(z, ov.value) if upper else _sub(ov.value, z), ov.error_bound)]
     if x > 0 and (not upper or a > 0):
         sharper = _conv(n, x) - to_fraction(z)
-        certs.append((f"I_{n}_sharper", n, _round(sharper if upper else -sharper, bits + GUARD_BITS), mpf(0)))
+        certs.append((f"I_{n}_sharper", n, sharper if upper else -sharper, mpf(0)))
     return {"upper" if upper else "lower": z}, certs
 
 
@@ -201,13 +204,11 @@ def _compare(monkeypatch, family: str, orders: list[int], xs: list[Fraction], bi
         got_certs = iter(made)
         for (n, shown, want), (got_shown, certs) in zip(expected, results):
             assert got_shown == shown, (family, n, x, bits)
-            for c, (name, m, margin, error) in zip(certs, want, strict=True):
-                label = (family, n, x, bits, name)
+            for c, (name, m, exact, error) in zip(certs, want, strict=True):
+                label, margin = (family, n, x, bits, name), _floor(exact, bits)
                 assert next(got_certs) == (name, m, c.margin, error), label
-                assert c.margin == margin, label
-                threshold = _threshold(margin, error, bits)
-                assert bounds._threshold(c.margin, error, bits) == threshold, label
-                assert c.verdict == ("pass" if margin > threshold else "fail"), label
+                assert (c.margin, c.threshold) == (margin, error), label
+                assert c.verdict == ("pass" if margin > error else "fail"), label
                 assert (c.family, c.n, c.x, c.precision_bits) == (name, m, x, bits)
                 count += 1
         assert next(got_certs, None) is None
@@ -272,10 +273,31 @@ def test_certify_grid_is_the_reference(monkeypatch):
                     certs = REFERENCE[family](n, x, 96, ov)[1]
                 except (DomainError, SingularityError):
                     continue
-                want += [(name, m, x, margin, "pass" if margin > _threshold(margin, error, 96) else "fail")
-                         for name, m, margin, error in certs]
+                want += [(name, m, x, _floor(exact, 96), error, "pass" if _floor(exact, 96) > error else "fail")
+                         for name, m, exact, error in certs]
         got = bounds.certify_grid(family, [0, 1, 2, 3, 7] if fam.order is None else [fam.order], points, 96)
-        assert [(c.family, c.n, c.x, c.margin, c.verdict) for c in got] == sorted(want, key=lambda c: (c[0], c[1]))
+        assert [(c.family, c.n, c.x, c.margin, c.threshold, c.verdict) for c in got] == sorted(
+            want, key=lambda c: (c[0], c[1]))
+
+
+@pytest.mark.parametrize("family", sorted(DEFAULT_ORDERS))
+def test_default_margins_are_at_most_exact(family):
+    # every margin of a default certify_grid call is rounded down: at most
+    # its exact value, and below it where that is not a w-bit number
+    fam, bits = FAMILIES[family], DEFAULT_PRECISION_BITS
+    orders = DEFAULT_ORDERS[family] if fam.order is None else [fam.order]
+    made, exact, below = certify_grid(family, orders, DEFAULT_GRID), {}, 0
+    for x, n in ((x, n) for x in DEFAULT_GRID for n in orders):
+        try:
+            certs = REFERENCE[family](n, x, bits, phi_at(x, bits))[1]
+        except (DomainError, SingularityError):
+            continue
+        exact.update({(name, m, x): margin for name, m, margin, _ in certs})
+    assert len(made) == len(exact) >= len(DEFAULT_GRID)
+    for c in made:
+        assert to_fraction(c.margin) <= exact[c.family, c.n, c.x], c
+        below += to_fraction(c.margin) < exact[c.family, c.n, c.x]
+    assert below > len(made) // 2
 
 
 LIBRARY_POINTS = [Fraction(-2901, 101), Fraction(-7, 3), Fraction(0), Fraction(1, 3), Fraction(5, 2), Fraction(29.99)]
@@ -286,7 +308,8 @@ def test_library_functions_match_the_reference(bits):
     for x in LIBRARY_POINTS:
         for n in (0, 1, 2, 3, 7, 20):
             ov = phi_at(x, bits)
-            assert log_convexity(n, x, ov, bits, bounds._Sweep(n + 2, x)) == ref_log_convexity(n, x, bits, ov)
+            margin, error = ref_log_convexity(n, x, bits, ov)
+            assert log_convexity(n, x, ov, bits, bounds._Sweep(n + 2, x)) == (_floor(margin, bits), error)
             try:
                 want = ref_second_order(n, x, bits)[0]
             except (DomainError, SingularityError) as exc:

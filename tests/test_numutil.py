@@ -10,7 +10,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, from_rational, fzero, mpf_shift, to_str
 
 from millsratio import bounds
-from millsratio.numutil import nstr_ceiling, nstr_fixed, round_quotient, to_fraction, to_mpf
+from millsratio.numutil import dyadic, nstr_ceiling, nstr_fixed, round_quotient, to_fraction, to_mpf
 from millsratio.oracle import phi_series
 
 
@@ -72,6 +72,14 @@ def test_mpf_paths_round_the_exact_value():
             for rounding in "nfcd":
                 got = to_mpf(v, prec, rounding)
                 assert got._mpf_ == from_rational(exact.numerator, exact.denominator, prec, rounding), (v, prec, rounding)
+
+
+def test_dyadic_reads_both_signs_on_one_scale():
+    values = _seeded_mpfs()
+    scale, *nums = dyadic(*values)
+    assert scale == max(0, *(-v._mpf_[2] for v in values))
+    assert [Fraction(num, 1 << scale) for num in nums] == [to_fraction(v) for v in values]
+    assert dyadic(mpf(-3), mpf(6)) == (0, -3, 6)
 
 
 @pytest.mark.parametrize("value", [mp.inf, -mp.inf, mp.nan])
