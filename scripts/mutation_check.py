@@ -26,7 +26,9 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 ORACLE, BOUNDS = "src/millsratio/oracle.py", "src/millsratio/bounds.py"
 ORACLE_TESTS, ROOT_TESTS = ("tests/test_oracle.py",), ("tests/test_exact_kernel.py", "tests/test_bounds.py")
-REFLECTION = "for rnd, end in ((round_floor, hi), (round_ceiling, lo))"  # the asymptotic regime's x < 0 ends
+FINISH = "zip(ends, (round_floor, round_ceiling))"  # the series route's directions, lower end first
+CONVERGENT = "(acc, acc + ulps) if xq < 0 else (-acc - ulps, -acc)"  # R = -sgn(x) D, over 2^g
+QUADRATURE_ENDS = "((round_floor, round_ceiling, 0), (round_ceiling, round_floor, len(weights) + 4 * m * m))"
 EQ15 = '{"lower": _quotient(qs[k], ps[k], w, "f"), "upper": _quotient(qs[k + 1], ps[k + 1], w, "c")}'
 
 
@@ -56,18 +58,36 @@ MUTANTS = [
            "while t << target_bits > c:", "while t * (2 * n + 1) * dd << target_bits > c * aa:", ORACLE_TESTS),
     Mutant("asymptotic-next-sum-dropped", ORACLE,
            "return n, s, s + (-t if n % 2 else t), c", "return n, s, s, c", ORACLE_TESTS),
-    Mutant("asymptotic-lower-end-rounded-up", ORACLE,
-           "round_quotient(min(s0, s1), c, w, round_floor)", "round_quotient(min(s0, s1), c, w, round_ceiling)",
+    Mutant("finish-lower-end-rounded-up", ORACLE, FINISH, "zip(ends, (round_ceiling, round_ceiling))", ORACLE_TESTS),
+    Mutant("finish-upper-end-rounded-down", ORACLE, FINISH, "zip(ends, (round_floor, round_floor))", ORACLE_TESTS),
+    Mutant("finish-rounding-reversed", ORACLE, FINISH, "zip(ends, (round_ceiling, round_floor))", ORACLE_TESTS),
+    Mutant("finish-root-rounded-inward", ORACLE, "_root_half_pi_exp(u, w, rnd) if c",
+           "_root_half_pi_exp(u, w, round_floor if rnd == round_ceiling else round_ceiling) if c", ORACLE_TESTS),
+    Mutant("convergent-ends-swapped", ORACLE, CONVERGENT, "(acc + ulps, acc) if xq < 0 else (-acc, -acc - ulps)",
            ORACLE_TESTS),
-    Mutant("asymptotic-upper-end-rounded-down", ORACLE,
-           "round_quotient(max(s0, s1), c, w, round_ceiling)", "round_quotient(max(s0, s1), c, w, round_floor)",
+    Mutant("convergent-negative-x-without-ulps", ORACLE, CONVERGENT, "(acc, acc) if xq < 0 else (-acc - ulps, -acc)",
            ORACLE_TESTS),
-    Mutant("reflection-lower-end-rounded-up", ORACLE, REFLECTION,
-           "for rnd, end in ((round_ceiling, hi), (round_ceiling, lo))", ORACLE_TESTS),
-    Mutant("reflection-upper-end-rounded-down", ORACLE, REFLECTION,
-           "for rnd, end in ((round_floor, hi), (round_floor, lo))", ORACLE_TESTS),
-    Mutant("reflection-rounding-reversed", ORACLE, REFLECTION,
-           "for rnd, end in ((round_ceiling, hi), (round_floor, lo))", ORACLE_TESTS),
+    Mutant("convergent-positive-x-without-ulps", ORACLE, CONVERGENT, "(acc, acc + ulps) if xq < 0 else (-acc, -acc)",
+           ORACLE_TESTS),
+    Mutant("asymptotic-ends-swapped", ORACLE, "sorted((s0, s1))", "sorted((s0, s1), reverse=True)", ORACLE_TESTS),
+    Mutant("reflected-asymptotic-ends-swapped", ORACLE, "sorted((-s0, -s1))", "sorted((-s0, -s1), reverse=True)",
+           ORACLE_TESTS),
+    Mutant("quadrature-pole-and-root-rounded-inward", ORACLE, QUADRATURE_ENDS,
+           "((round_floor, round_floor, 0), (round_ceiling, round_ceiling, len(weights) + 4 * m * m))", ORACLE_TESTS),
+    Mutant("quadrature-lower-remainder-added", ORACLE, "mpf_sub(phis[0], remainder, w, round_floor)",
+           "mpf_add(phis[0], remainder, w, round_floor)", ORACLE_TESTS),
+    Mutant("quadrature-upper-remainder-subtracted", ORACLE, "mpf_add(phis[1], remainder, w, round_ceiling)",
+           "mpf_sub(phis[1], remainder, w, round_ceiling)", ORACLE_TESTS),
+    Mutant("quadrature-weights-floored-up", ORACLE, "to_int(mpf_shift(e, f), round_floor)",
+           "to_int(mpf_shift(e, f), round_ceiling)", ORACLE_TESTS),
+    Mutant("quadrature-reflection-reversed", ORACLE, "ends = ((round_floor, hi), (round_ceiling, lo))",
+           "ends = ((round_ceiling, hi), (round_floor, lo))", ORACLE_TESTS),
+    Mutant("root-rounded-inward", BOUNDS, '_quotient(num, den, precision_bits, "c" if odd else "f")',
+           '_quotient(num, den, precision_bits, "f" if odd else "c")', ROOT_TESTS),
+    Mutant("derivative-without-phi-extra-bits", BOUNDS, "phi_series(xf, p + max(0, mag_p))", "phi_series(xf, p)",
+           ROOT_TESTS),
+    Mutant("derivative-without-guard-bits", BOUNDS, "p + GUARD_BITS + max(0, mag_p + mp.mag(ov.value), mag_q)",
+           "p + max(0, mag_p + mp.mag(ov.value), mag_q)", ROOT_TESTS),
     Mutant("against-phi-margin-rounded-up", BOUNDS,
            '_quotient(margin, 1, precision_bits + GUARD_BITS, "f", -scale)',
            '_quotient(margin, 1, precision_bits + GUARD_BITS, "c", -scale)', ROOT_TESTS),

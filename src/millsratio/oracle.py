@@ -44,13 +44,7 @@ f = p + 56 and g = f + lu + 2 + bitlength(3 lu + f + 255), both fixed before
 the sum starts.  Past y^2 the terms halve from at most D < 2^(lu+6), so n <
 y^2 + lu + f + 8 < 3 lu + f + 255 and ulps 2^-g < 2^-f (2 + (n+1) 2^-(lu+2)):
 about 2^-(p+55), and 2^-(p+53) at |x| = 1 and p = 8192, where n is largest
-against 2^lu.  The finish is one directed step at w = p + 48 +
-ceil(u log2 e) bits: sqrt(pi/2) e^u rounded down and up by the libmp
-primitives mpmath.iv itself calls, and D's enclosure subtracted (x >= 0)
-or added (x < 0) outward.  The value is the enclosure's midpoint, and
-error_bound, the distance to its farther end rounded up, is below
-2^-(p+32); a certificate measured against the value takes it as its
-threshold.
+against 2^lu.
 
 Series route, asymptotic regime (A&S 7.1.23-7.1.24): near |x| = 30 the
 convergent sum needs about 1.5 x^2 terms at about 850 bits, as e^u - D
@@ -76,13 +70,21 @@ where u log2 e + log2 x >= p + 58.38.  An O(1) pre-test of that in floats,
 with one bit of slack, leaves every x where the rule must fail to the
 convergent regime without running it.  The switch falls at |x| = 13.7,
 16.6 and 21.3 for p = 80, 144 and 272, and beyond the envelope for p >=
-596.  The ends are rounded outward once at p + 64 bits, and error_bound is
-below 2^-(p+58) plus their rounding.  For x < 0, phi(x) = sqrt(2 pi) e^u -
-phi(|x|): the ends of phi(|x|) are subtracted outward from twice sqrt(pi/2)
-e^u rounded down and up, as the convergent finish forms it, at four bits
-above that finish's w, so the doubled rounding of e^u still leaves
-error_bound below the convergent regime's.  terms is n, and working_bits
-the precision of the ends.
+596.
+
+Series route, the finish: phi = c K + R, K = sqrt(pi/2) e^u, with c = 1
+and R = -sgn(x) D, integers over 2^g, at w = p + 48 + lu bits in the
+convergent regime; past the switch R lies between S_n and S_{n+1}, with
+c = 0 at w = p + 64 for x > 0, and between their negatives, with c = 2
+at w = p + 52 + lu for x < 0 (phi(x) = sqrt(2 pi) e^u - phi(|x|)).  Each
+end takes K rounded its own way by the libmp primitives mpmath.iv itself
+calls, and c K_end + R_end, one exact integer quotient, is rounded once
+at w bits the same way (round_quotient): as c >= 0, c K_lo + R_lo <= phi
+<= c K_hi + R_hi.  The value is the midpoint, and error_bound the
+distance to the farther end rounded up: below 2^-(p+32), and past the
+switch below 2^-(p+58) plus the ends' rounding (x < 0 takes four bits
+more than the convergent w, for twice K's rounding).  Certificates take
+error_bound as their threshold; terms is N or n, working_bits is w.
 
 Quadrature route (Chiarella and Reichel, Math. Comp. 22, 1968): for x > 0
 
@@ -139,7 +141,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from mpmath import mp, mpf
-from mpmath.libmp import (fone, from_float, from_man_exp, mpf_add, mpf_div, mpf_exp, mpf_mul, mpf_pi, mpf_shift,
+from mpmath.libmp import (fone, from_float, mpf_add, mpf_div, mpf_exp, mpf_mul, mpf_pi, mpf_shift,
                           mpf_sqrt, mpf_sub, round_ceiling, round_floor, round_nearest, to_int)
 
 from .errors import EnvelopeError
@@ -234,49 +236,31 @@ def _asymptotic_sums(a: int, d: int, target_bits: int) -> tuple[int, int, int, i
     return n, s, s + (-t if n % 2 else t), c
 
 
-def _series_asymptotic(xq: Fraction, precision_bits: int) -> OracleValue | None:
-    """phi between the partial sums S_n and S_{n+1} of its asymptotic
-    expansion, or None where the expansion cannot reach 2^-(p+58) (see the
-    module docstring): a pre-test from the smallest term, then the exact rule."""
-    # every term is above 1.3 e^-u / |x|: a bit of slack covers the floats
-    y = abs(float(xq))
-    if y < 1 or y * y / 2 * math.log2(math.e) + math.log2(y) + 1 < precision_bits + _ASYMPTOTIC_BITS:
-        return None
-    sums = _asymptotic_sums(abs(xq.numerator), xq.denominator, precision_bits + _ASYMPTOTIC_BITS)
-    if sums is None:
-        return None
-    n, s0, s1, c = sums
-    w = precision_bits + 64
-    lo, hi = round_quotient(min(s0, s1), c, w, round_floor), round_quotient(max(s0, s1), c, w, round_ceiling)
-    if xq < 0:  # phi(x) = sqrt(2 pi) e^u - phi(|x|), at four bits above the convergent regime's w
-        u = xq * xq / 2
-        w = precision_bits + 52 + _log2_exp(u)
-        lo, hi = (mpf_sub(mpf_shift(_root_half_pi_exp(u, w, rnd), 1), end, w, rnd)
-                  for rnd, end in ((round_floor, hi), (round_ceiling, lo)))
-    return _enclosed(lo, hi, w, "series", n)
-
-
-def _series_convergent(xq: Fraction, precision_bits: int) -> OracleValue:
-    """phi from the positive series D summed in fixed point, every term one
-    floor, and finished in one directed step; error_bound is derived from
-    the a priori count of those floors."""
-    u = xq * xq / 2
-    lu = _log2_exp(u)
-    w = precision_bits + 48 + lu
-    n, acc, ulps, g = _positive_series(abs(xq.numerator), xq.denominator, precision_bits + 56, lu)
-    d_lo, d_hi = (acc, acc + ulps) if xq < 0 else (-acc - ulps, -acc)  # -sgn(x) D, over 2^g
-    lo = mpf_add(_root_half_pi_exp(u, w, round_floor), from_man_exp(d_lo, -g), w, round_floor)
-    hi = mpf_add(_root_half_pi_exp(u, w, round_ceiling), from_man_exp(d_hi, -g), w, round_ceiling)
-    return _enclosed(lo, hi, w, "series", n)
+def _finish(c: int, u: Fraction, r: int, q: int, t: int, w: int, rnd: str) -> tuple:
+    """c sqrt(pi/2) e^u + r 2^t / q (c >= 0, q > 0) rounded once at w bits by rnd, as is sqrt(pi/2) e^u if c > 0."""
+    _, man, e, _ = _root_half_pi_exp(u, w, rnd) if c else (0, 0, t, 0)
+    s = min(e, t)
+    return round_quotient((c * man * q << (e - s)) + (r << (t - s)), q, w, rnd, s)
 
 
 def phi_series(x, precision_bits: int = DEFAULT_PRECISION_BITS) -> OracleValue:
-    """phi enclosed by the asymptotic expansion where its terms reach
-    2^-(p+58) before they grow, else by the convergent series; error_bound
-    is derived from the enclosure (see the module docstring)."""
-    check_precision(precision_bits)
-    xq = _in_envelope(x)
-    return _series_asymptotic(xq, precision_bits) or _series_convergent(xq, precision_bits)
+    """phi = c sqrt(pi/2) e^u + R from the asymptotic expansion where its
+    terms reach 2^-(p+58) before they grow, else from the convergent
+    series, each end rounded outward once (see the module docstring)."""
+    p, xq = check_precision(precision_bits), _in_envelope(x)
+    a, d, u = abs(xq.numerator), xq.denominator, Fraction(xq.numerator**2, 2 * xq.denominator**2)
+    lu, y = _log2_exp(u), a / d
+    # every asymptotic term is above 1.3 e^-u / |x|: a bit of slack covers the floats
+    far = y >= 1 and y * y / 2 * math.log2(math.e) + math.log2(y) + 1 >= p + _ASYMPTOTIC_BITS
+    sums = far and _asymptotic_sums(a, d, p + _ASYMPTOTIC_BITS)
+    if not sums:  # R = -sgn(x) D, over 2^g
+        n, acc, ulps, g = _positive_series(a, d, p + 56, lu)
+        c, w, q, t, ends = 1, p + 48 + lu, 1, -g, (acc, acc + ulps) if xq < 0 else (-acc - ulps, -acc)
+    else:  # R = +-phi(|x|), between S_n = s0/q and S_{n+1} = s1/q, negated for x < 0
+        n, s0, s1, q = sums
+        c, w, t, ends = (0, p + 64, 0, sorted((s0, s1))) if xq > 0 else (2, p + 52 + lu, 0, sorted((-s0, -s1)))
+    lo, hi = (_finish(c, u, r, q, t, w, rnd) for r, rnd in zip(ends, (round_floor, round_ceiling)))
+    return _enclosed(lo, hi, w, "series", n)
 
 
 def _log_contour(m: int) -> float:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from mpmath import mp, mpf
+from mpmath import iv, mp, mpf
 
 from millsratio import contfrac, families, oracle
 from millsratio.errors import EnvelopeError
@@ -225,6 +225,23 @@ def _ends(monkeypatch, route, x, p):
     return ov, to_fraction(mp.make_mpf(lo)), to_fraction(mp.make_mpf(hi)), w
 
 
+def _finishes(monkeypatch, x, p):
+    """phi_series(x, p) and its ends as _ends reads them, and each call of
+    oracle._finish as (c, R_end, rounding): R_end = r 2^t / q, the exact
+    rational that end adds to c K."""
+    calls, finish = [], oracle._finish
+
+    def recording(c, u, r, q, t, w, rnd):
+        calls.append((c, Fraction(r, q) * Fraction(2) ** t, rnd))
+        return finish(c, u, r, q, t, w, rnd)
+
+    monkeypatch.setattr(oracle, "_finish", recording)
+    try:
+        return (*_ends(monkeypatch, phi_series, x, p), calls)
+    finally:
+        monkeypatch.setattr(oracle, "_finish", finish)
+
+
 def _term(x: Fraction, k: int) -> Fraction:
     """t_k = (2k-1)!! / |x|^{2k+1}, the k-th term of phi's asymptotic expansion."""
     return math.prod(range(1, 2 * k, 2)) / abs(x) ** (2 * k + 1)
@@ -258,25 +275,51 @@ _ASYMPTOTIC_POINTS = sorted({s * (edge + Fraction(k, 128)) for edge in _SWITCH.v
                                                   Fraction(3839, 128), Fraction(-3839, 128), Fraction(30), Fraction(-30)})
 
 
+def _convergent(monkeypatch, x, p):
+    """phi_series(x, p) in the convergent regime, wherever the switch falls."""
+    sums = oracle._asymptotic_sums
+    monkeypatch.setattr(oracle, "_asymptotic_sums", lambda *args: None)
+    try:
+        return phi_series(x, p)
+    finally:
+        monkeypatch.setattr(oracle, "_asymptotic_sums", sums)
+
+
+def _asymptotic(ov, x: Fraction, p: int) -> bool:
+    """Whether ov = phi_series(x, p) took the asymptotic regime, read from
+    its working precision: p + 64 (x > 0) or p + 52 + lu (x < 0) there, and
+    p + 48 + lu in the convergent regime, with lu = ceil(u log2 e)."""
+    lu = oracle._log2_exp(x * x / 2)
+    asymptotic = p + 64 if x > 0 else p + 52 + lu
+    assert ov.working_bits in (asymptotic, p + 48 + lu), f"x={x}, p={p}"
+    return ov.working_bits == asymptotic
+
+
 class TestSeriesAsymptotic:
     @pytest.mark.parametrize("p", [64, 128, 256])
     def test_partial_sums_rounded_outward_once(self, monkeypatch, p):
-        # the regime is taken exactly where the Fraction rule says, its ends
-        # are S_n and S_{n+1} rounded outward once at p + 64 bits, and for
-        # x < 0 they are subtracted outward from twice sqrt(pi/2) e^u rounded
-        # down and up; elsewhere phi_series is the convergent regime
+        # the regime is taken exactly where the Fraction rule says, and its
+        # ends are c K + R rounded outward once: for x > 0, S_n and S_{n+1}
+        # at p + 64 bits; for x < 0, twice sqrt(pi/2) e^u rounded down and
+        # up less the exact S_n and S_{n+1}.  R's ends are checked before the
+        # rounding too: at x < 0 the finer of them is far below an ulp of w.
+        # Elsewhere phi_series is the convergent regime
         for x in _ASYMPTOTIC_POINTS:
             ref = _asymptotic_reference(x, p)
-            ov, lo, hi, w = _ends(monkeypatch, phi_series, x, p)
-            conv = oracle._series_convergent(x, p)
+            ov, lo, hi, w, calls = _finishes(monkeypatch, x, p)
+            conv = _convergent(monkeypatch, x, p)
+            assert _asymptotic(ov, x, p) == (ref is not None), f"x={x}, p={p}"
             if ref is None:
                 assert (ov.value, ov.error_bound, ov.terms, ov.working_bits) == \
                        (conv.value, conv.error_bound, conv.terms, conv.working_bits), f"x={x}, p={p}"
                 continue
             n, s0, s1 = ref
-            low, high = _round_at(min(s0, s1), p + 64), _round_at(max(s0, s1), p + 64, math.ceil)
+            low, high = min(s0, s1), max(s0, s1)
+            r_ends = [(0, low, "f"), (0, high, "c")] if x > 0 else [(2, -high, "f"), (2, -low, "c")]
+            assert calls == r_ends, f"x={x}, p={p}"
             if x > 0:
-                assert (lo, hi, w) == (low, high, p + 64), f"x={x}, p={p}"
+                ends = _round_at(low, p + 64), _round_at(high, p + 64, math.ceil), p + 64
+                assert (lo, hi, w) == ends, f"x={x}, p={p}"
             else:
                 u = x * x / 2
                 assert w == p + 52 + math.ceil(float(u) * math.log2(math.e))
@@ -288,18 +331,17 @@ class TestSeriesAsymptotic:
             assert ov.error_bound <= conv.error_bound, f"x={x}, p={p}"
 
     @pytest.mark.parametrize("p", [64, 128, 256])
-    def test_switch_edges_agree_with_the_convergent_regime(self, p):
+    def test_switch_edges_agree_with_the_convergent_regime(self, monkeypatch, p):
         # on both sides of the switch the two regimes' enclosures intersect,
         # and past it the asymptotic error bound is no larger
         for x in _SWITCH_EDGES:
-            conv = oracle._series_convergent(x, p)
-            asym = oracle._series_asymptotic(x, p)
+            ov, conv = phi_series(x, p), _convergent(monkeypatch, x, p)
             if abs(x) < _SWITCH[p]:
-                assert asym is None and phi_series(x, p) == conv
+                assert not _asymptotic(ov, x, p) and ov == conv, f"x={x}, p={p}"
                 continue
-            assert phi_series(x, p) == asym
-            assert abs(asym.value - conv.value) <= asym.error_bound + conv.error_bound, f"x={x}, p={p}"
-            assert asym.error_bound <= conv.error_bound, f"x={x}, p={p}"
+            assert _asymptotic(ov, x, p), f"x={x}, p={p}"
+            assert abs(ov.value - conv.value) <= ov.error_bound + conv.error_bound, f"x={x}, p={p}"
+            assert ov.error_bound <= conv.error_bound, f"x={x}, p={p}"
 
     def test_pre_test_leaves_out_no_point_the_rule_takes(self):
         # the O(1) pre-test from the smallest term never refuses a point the
@@ -308,8 +350,32 @@ class TestSeriesAsymptotic:
         for p, edge in _SWITCH.items():
             for k in range(-24, 25):
                 x = edge + Fraction(k, 512)
-                taken = oracle._series_asymptotic(x, p) is not None
+                taken = _asymptotic(phi_series(x, p), x, p)
                 assert taken == (_asymptotic_terms(x, p) is not None), f"x={x}, p={p}"
+
+
+@pytest.mark.parametrize("p", [64, 128, 256])
+def test_convergent_ends_are_k_less_d_rounded_once(monkeypatch, p):
+    # each end of the convergent regime is K_end - sgn(x) D_end / 2^g rounded
+    # once at w bits, down for the lower end and up for the upper, exactly:
+    # K's ends from _root_half_pi_exp, and D in [acc, acc + ulps] / 2^g from
+    # _positive_series, the lower end of R = -sgn(x) D taking D's upper end
+    # for x > 0.  R's ends are checked before the rounding too: D's ulps
+    # are about 2^-7 of an ulp of w.  Past the switch the convergent regime
+    # is forced
+    for x in (Fraction(0), Fraction(1, 3), Fraction(-1, 3), Fraction(1), Fraction(-5, 2), Fraction(79, 10),
+              Fraction(-79, 10), Fraction(12), Fraction(-2001, 97), Fraction(3839, 128), Fraction(-30)):
+        monkeypatch.setattr(oracle, "_asymptotic_sums", lambda *args: None)
+        ov, lo, hi, w, calls = _finishes(monkeypatch, x, p)
+        monkeypatch.undo()
+        u = x * x / 2
+        lu = oracle._log2_exp(u)
+        n, acc, ulps, g = oracle._positive_series(abs(x.numerator), x.denominator, p + 56, lu)
+        r_lo, r_hi = (Fraction(-acc - ulps, 2**g), Fraction(-acc, 2**g)) if x > 0 else \
+                     (Fraction(acc, 2**g), Fraction(acc + ulps, 2**g))
+        assert (w, ov.terms, calls) == (p + 48 + lu, n, [(1, r_lo, "f"), (1, r_hi, "c")]), f"x={x}, p={p}"
+        k_lo, k_hi = (to_fraction(mp.make_mpf(oracle._root_half_pi_exp(u, w, rnd))) for rnd in ("f", "c"))
+        assert (lo, hi) == (_round_at(k_lo + r_lo, w), _round_at(k_hi + r_hi, w, math.ceil)), f"x={x}, p={p}"
 
 
 @pytest.mark.parametrize("route", [phi_series, phi_quadrature], ids=lambda route: route.__name__)
@@ -353,6 +419,50 @@ def test_quadrature_ends_enclose_the_exact_rule(monkeypatch, p):
         assert low <= exact <= high, f"x={x}, p={p}"
 
 
+def _side(value: tuple, enclosure) -> int:
+    """+1 if the raw mpf value lies above the interval enclosure, -1 if
+    below it, 0 if inside it, all read exactly."""
+    v, a, b = (to_fraction(mp.make_mpf(raw)) for raw in (value, *enclosure._mpi_))
+    return (v > b) - (v < a)
+
+
+@pytest.mark.parametrize("p", [64, 128])
+def test_quadrature_ends_are_outward_before_the_remainder(monkeypatch, p):
+    # before the remainder is added, the lower end subtracts the pole term
+    # 2 pi e^u / (e^z - 1) rounded up and divides by sqrt(2 pi) rounded up,
+    # and lands below (L - pole) / sqrt(2 pi) for L the rational it is
+    # rounded from; the upper end the other way round.  Each recorded
+    # mpf_div is decided against 2w-bit interval enclosures, with no slack:
+    # the remainder added afterwards, about 2^-(p+20), would hide an inward
+    # ulp at w bits
+    m, f = oracle._weights(p)[:2]
+    divisions, quotients, div, quotient = [], [], oracle.mpf_div, oracle.round_quotient
+    monkeypatch.setattr(oracle, "mpf_div", lambda *args: divisions.append((args, div(*args))) or divisions[-1][1])
+
+    def recording(num, den, prec, rounding, exp=0):
+        if exp == -f:
+            quotients.append(Fraction(num, den) * Fraction(2) ** exp)
+        return quotient(num, den, prec, rounding, exp)
+
+    monkeypatch.setattr(oracle, "round_quotient", recording)
+    old = iv.prec
+    try:
+        for x in (Fraction(1, 3), Fraction(5, 2), Fraction(79, 10), Fraction(20)):
+            divisions.clear()
+            quotients.clear()
+            w = phi_quadrature(x, p).working_bits
+            iv.prec = 2 * w
+            xv = iv.mpf(x.numerator) / x.denominator
+            root = iv.sqrt(2 * iv.pi)
+            pole = 2 * iv.pi * iv.exp(xv * xv / 2) / (iv.exp(2 * iv.pi * m * xv) - 1)
+            (pole_lo, (end_lo_args, end_lo)), (pole_hi, (end_hi_args, end_hi)) = zip(divisions[::2], divisions[1::2])
+            ends = [(iv.mpf(q.numerator) / q.denominator - pole) / root for q in quotients]
+            assert (_side(pole_lo[1], pole), _side(end_lo_args[1], root), _side(end_lo, ends[0])) == (1, 1, -1), x
+            assert (_side(pole_hi[1], pole), _side(end_hi_args[1], root), _side(end_hi, ends[1])) == (-1, -1, 1), x
+    finally:
+        iv.prec = old
+
+
 def _positive_term(x: Fraction, k: int) -> Fraction:
     """t_k = |x|^{2k+1} / (2k+1)!!, the k-th term of the convergent regime's D."""
     return abs(x) ** (2 * k + 1) / math.prod(range(1, 2 * k + 2, 2))
@@ -369,7 +479,7 @@ def _floors(y: Fraction, g: int):
 
 def _series_count(a: int, b: int, f: int) -> tuple[int, int, int, int]:
     """(N, acc, ulps, g) of oracle._positive_series re-derived in Fraction
-    from the module docstring: y = a/b, lu as _series_convergent reads it, g
+    from the module docstring: y = a/b, lu as phi_series reads it, g
     from f and lu, and the floors summed up to the first k >= y^2 with T_k <
     2^(g-f), N = k + 1 of them."""
     if a == 0:
@@ -385,7 +495,7 @@ def _series_count(a: int, b: int, f: int) -> tuple[int, int, int, int]:
 
 
 def _sum(x: Fraction, f: int) -> tuple[int, int, int, int]:
-    """oracle._positive_series at |x| and width f, with lu as _series_convergent passes it."""
+    """oracle._positive_series at |x| and width f, with lu as phi_series passes it."""
     return oracle._positive_series(abs(x.numerator), x.denominator, f, oracle._log2_exp(x * x / 2))
 
 
