@@ -26,9 +26,10 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 ORACLE, BOUNDS = "src/millsratio/oracle.py", "src/millsratio/bounds.py"
 ORACLE_TESTS, ROOT_TESTS = ("tests/test_oracle.py",), ("tests/test_exact_kernel.py", "tests/test_bounds.py")
-FINISH = "zip(ends, (round_floor, round_ceiling))"  # the series route's directions, lower end first
+FINISH = "zip(ks, ends, (round_floor, round_ceiling))"  # both routes' directions, lower end first
 CONVERGENT = "(acc, acc + ulps) if xq < 0 else (-acc - ulps, -acc)"  # R = -sgn(x) D, over 2^g
-QUADRATURE_ENDS = "((round_floor, round_ceiling, 0), (round_ceiling, round_floor, len(weights) + 4 * m * m))"
+QUADRATURE_LOWER = "end(n_lo, r_hi, e_hi, z_lo, wz_lo, -remainder)"  # each factor's end, lower end of phi
+QUADRATURE_UPPER = "end(n_hi, r_lo, e_lo, z_hi, wz_hi, remainder)"
 EQ15 = '{"lower": _quotient(qs[k], ps[k], w, "f"), "upper": _quotient(qs[k + 1], ps[k + 1], w, "c")}'
 
 
@@ -50,19 +51,15 @@ MUTANTS = [
            "term = term * aa // (bb * (2 * k + 1))", "term = -(-term * aa // (bb * (2 * k + 1)))", ORACLE_TESTS),
     Mutant("error-bound-rounded-down", ORACLE,
            "mpf_sub(*pair, 53, round_ceiling)", "mpf_sub(*pair, 53, round_floor)", ORACLE_TESTS),
-    Mutant("quadrature-upper-end-without-its-count", ORACLE,
-           "(round_ceiling, round_floor, len(weights) + 4 * m * m)", "(round_ceiling, round_floor, 0)", ORACLE_TESTS),
     Mutant("root-at-the-lower-end-only", BOUNDS,
            "for t in (s, s + (s * s != radicand))", "for t in (s, s)", ROOT_TESTS),
     Mutant("asymptotic-one-term-short", ORACLE,
            "while t << target_bits > c:", "while t * (2 * n + 1) * dd << target_bits > c * aa:", ORACLE_TESTS),
     Mutant("asymptotic-next-sum-dropped", ORACLE,
            "return n, s, s + (-t if n % 2 else t), c", "return n, s, s, c", ORACLE_TESTS),
-    Mutant("finish-lower-end-rounded-up", ORACLE, FINISH, "zip(ends, (round_ceiling, round_ceiling))", ORACLE_TESTS),
-    Mutant("finish-upper-end-rounded-down", ORACLE, FINISH, "zip(ends, (round_floor, round_floor))", ORACLE_TESTS),
-    Mutant("finish-rounding-reversed", ORACLE, FINISH, "zip(ends, (round_ceiling, round_floor))", ORACLE_TESTS),
-    Mutant("finish-root-rounded-inward", ORACLE, "_root_half_pi_exp(u, w, rnd) if c",
-           "_root_half_pi_exp(u, w, round_floor if rnd == round_ceiling else round_ceiling) if c", ORACLE_TESTS),
+    Mutant("finish-lower-end-rounded-up", ORACLE, FINISH, "zip(ks, ends, (round_ceiling, round_ceiling))", ORACLE_TESTS),
+    Mutant("finish-upper-end-rounded-down", ORACLE, FINISH, "zip(ks, ends, (round_floor, round_floor))", ORACLE_TESTS),
+    Mutant("finish-rounding-reversed", ORACLE, FINISH, "zip(ks, ends, (round_ceiling, round_floor))", ORACLE_TESTS),
     Mutant("convergent-ends-swapped", ORACLE, CONVERGENT, "(acc + ulps, acc) if xq < 0 else (-acc, -acc - ulps)",
            ORACLE_TESTS),
     Mutant("convergent-negative-x-without-ulps", ORACLE, CONVERGENT, "(acc, acc) if xq < 0 else (-acc - ulps, -acc)",
@@ -72,16 +69,28 @@ MUTANTS = [
     Mutant("asymptotic-ends-swapped", ORACLE, "sorted((s0, s1))", "sorted((s0, s1), reverse=True)", ORACLE_TESTS),
     Mutant("reflected-asymptotic-ends-swapped", ORACLE, "sorted((-s0, -s1))", "sorted((-s0, -s1), reverse=True)",
            ORACLE_TESTS),
-    Mutant("quadrature-pole-and-root-rounded-inward", ORACLE, QUADRATURE_ENDS,
-           "((round_floor, round_floor, 0), (round_ceiling, round_ceiling, len(weights) + 4 * m * m))", ORACLE_TESTS),
-    Mutant("quadrature-lower-remainder-added", ORACLE, "mpf_sub(phis[0], remainder, w, round_floor)",
-           "mpf_add(phis[0], remainder, w, round_floor)", ORACLE_TESTS),
-    Mutant("quadrature-upper-remainder-subtracted", ORACLE, "mpf_add(phis[1], remainder, w, round_ceiling)",
-           "mpf_sub(phis[1], remainder, w, round_ceiling)", ORACLE_TESTS),
-    Mutant("quadrature-weights-floored-up", ORACLE, "to_int(mpf_shift(e, f), round_floor)",
-           "to_int(mpf_shift(e, f), round_ceiling)", ORACLE_TESTS),
-    Mutant("quadrature-reflection-reversed", ORACLE, "ends = ((round_floor, hi), (round_ceiling, lo))",
-           "ends = ((round_ceiling, hi), (round_floor, lo))", ORACLE_TESTS),
+    Mutant("kernel-taylor-term-rounded-up", ORACLE, "term = (term * a >> s + z) // ((b >> z) * k)",
+           "term = -(-(term * a >> s + z) // ((b >> z) * k))", ORACLE_TESTS),
+    Mutant("kernel-count-without-its-floors", ORACLE, "lo, hi = acc, acc + 2 * k + 1", "lo, hi = acc, acc + 1",
+           ORACLE_TESTS),
+    Mutant("kernel-upper-square-rounded-down", ORACLE, "lo, hi = lo * lo >> w, -(-hi * hi >> w)",
+           "lo, hi = lo * lo >> w, hi * hi >> w", ORACLE_TESTS),
+    Mutant("pi-ends-swapped", ORACLE, "(mpf_pi(g + 2, rnd) for rnd in (round_floor, round_ceiling))",
+           "(mpf_pi(g + 2, rnd) for rnd in (round_ceiling, round_floor))", ORACLE_TESTS),
+    Mutant("root-half-pi-ends-swapped", ORACLE, "math.isqrt(lo << g - 1), math.isqrt((hi << g - 1) - 1) + 1",
+           "math.isqrt((hi << g - 1) - 1) + 1, math.isqrt(lo << g - 1)", ORACLE_TESTS),
+    Mutant("quadrature-lower-remainder-added", ORACLE, QUADRATURE_LOWER, QUADRATURE_LOWER.replace("-remainder", "remainder"),
+           ORACLE_TESTS),
+    Mutant("quadrature-upper-remainder-subtracted", ORACLE, QUADRATURE_UPPER,
+           QUADRATURE_UPPER.replace("remainder", "-remainder"), ORACLE_TESTS),
+    Mutant("quadrature-lower-factors-at-the-upper-ends", ORACLE, QUADRATURE_LOWER,
+           "end(n_lo, r_lo, e_lo, z_hi, wz_hi, -remainder)", ORACLE_TESTS),
+    Mutant("quadrature-upper-end-without-its-count", ORACLE, "for ulps in (0, len(weights) + 4 * m * m)",
+           "for ulps in (0, 0)", ORACLE_TESTS),
+    Mutant("quadrature-reflection-with-c-1", ORACLE, "(2, [(-r, q) for r, q in reversed(ends)]) if xq < 0",
+           "(1, [(-r, q) for r, q in reversed(ends)]) if xq < 0", ORACLE_TESTS),
+    Mutant("weights-product-rounded-up", ORACLE, "v, c = v * c >> g, c * q2 >> g",
+           "v, c = -(-v * c >> g), c * q2 >> g", ORACLE_TESTS),
     Mutant("root-rounded-inward", BOUNDS, '_quotient(num, den, precision_bits, "c" if odd else "f")',
            '_quotient(num, den, precision_bits, "f" if odd else "c")', ROOT_TESTS),
     Mutant("derivative-without-phi-extra-bits", BOUNDS, "phi_series(xf, p + max(0, mag_p))", "phi_series(xf, p)",

@@ -12,8 +12,37 @@ code, only the exact reading of x and the last step from an enclosure to
 a value and its error bound (_enclosed), so certificates never test that
 machinery against itself: this module imports nothing of the package but
 its errors and numeric helpers.
-Evaluations name the precision and rounding of every mpmath call, on raw
-mpmath.libmp values, and never read or set mpmath's process-wide precision.
+The one transcendental read from mpmath is pi, rounded down and up by
+mpf_pi, a premise the tests pin at every precision the oracle asks; every
+exponential comes from one integer kernel with a counted error (_exp), and
+every end is one exact integer quotient rounded once (round_quotient).  No
+evaluation reads or sets mpmath's process-wide precision.
+
+The kernel (Brent and Zimmermann, Modern Computer Arithmetic, 4.3-4.4):
+_exp(a, b, g) returns integers lo <= e^v 2^w <= hi <= lo + 2^(w-g-1) for v
+= a/b >= 0 and g >= -lv, lv = floor(3a/(2b)) + 1, so e^v < 2^lv as log2 e
+< 3/2; the enclosure is within 2^-(g+1) of e^v, at the kernel's working
+width w = W0 + G, W0 = g + lv + s and G = bitlength(W0) + 4.  It reduces v
+to r = v 2^-s < 1/16, s = bitlength(floor(v)) + 4:
+
+  * Taylor: T_0 = 2^w and T_k = floor(T_{k-1} r / k), summed to acc up to
+    the first k with T_k <= 1; as T_k <= 2^(w-4k), k <= w/4 + 1.  With
+    tau_k = r^k 2^w / k! and e_k = tau_k - T_k >= 0, e_0 = 0 and e_k < 1 +
+    e_{k-1} r / k, so e_k < 2; past the last k the tail is below tau_k r /
+    (k + 1 - r) < 1, as tau_k < T_k + 2 <= 3.  So acc <= e^r 2^w < acc +
+    2k + 1;
+  * squaring: e^{2y} 2^w = (e^y 2^w)^2 / 2^w, so the floor of lo^2 / 2^w
+    and the ceiling of hi^2 / 2^w enclose the square, and after s
+    squarings the ends enclose e^v 2^w;
+  * width: with X_i >= 2^w the exact value after i squarings and c_i =
+    (hi_i - lo_i) / X_i + 2^(1-w), each squaring gives c_{i+1} < 2 c_i +
+    c_i^2.  c_0 <= (2k + 3) 2^-w <= 2^(G-2-w), as 2k + 3 <= 2^(G-2), so 2^s
+    c_0 <= 2^-(g+lv+2) <= 1/4, c_s <= 2^(s+1) c_0 and hi - lo <= 2^(s+1)
+    (2k + 3) e^v <= 2^(w-g-1).
+
+sqrt(pi/2) comes from pi's ends by isqrt (_pi): with P_lo <= pi 2^g <=
+P_hi from mpf_pi at g + 2 bits, isqrt(P_lo 2^(g-1)) and one more than
+isqrt(P_hi 2^(g-1) - 1) enclose sqrt(pi/2) 2^g, at most 2 apart.
 
 Series route, convergent regime (Abramowitz and Stegun 7.1.6): with
 u = x^2/2, y = |x| and positive terms t_k = y^{2k+1} / (2k+1)!!,
@@ -76,15 +105,17 @@ Series route, the finish: phi = c K + R, K = sqrt(pi/2) e^u, with c = 1
 and R = -sgn(x) D, integers over 2^g, at w = p + 48 + lu bits in the
 convergent regime; past the switch R lies between S_n and S_{n+1}, with
 c = 0 at w = p + 64 for x > 0, and between their negatives, with c = 2
-at w = p + 52 + lu for x < 0 (phi(x) = sqrt(2 pi) e^u - phi(|x|)).  Each
-end takes K rounded its own way by the libmp primitives mpmath.iv itself
-calls, and c K_end + R_end, one exact integer quotient, is rounded once
-at w bits the same way (round_quotient): as c >= 0, c K_lo + R_lo <= phi
-<= c K_hi + R_hi.  The value is the midpoint, and error_bound the
-distance to the farther end rounded up: below 2^-(p+32), and past the
-switch below 2^-(p+58) plus the ends' rounding (x < 0 takes four bits
-more than the convergent w, for twice K's rounding).  Certificates take
-error_bound as their threshold; terms is N or n, working_bits is w.
+at w = p + 52 + lu for x < 0 (phi(x) = sqrt(2 pi) e^u - phi(|x|)).  K's
+ends are sqrt(pi/2)'s ends at w bits times the ends of one kernel call for
+e^u at g = w - lu: within 2^(1-w) (e^u + 2^-(g+1)) + 2^-(g+1) sqrt(pi/2)
+< 3 2^-g of each other.  Each end takes K's end on its side, and c K_end
++ R_end, one exact integer quotient, is rounded once at w bits the same
+way (_finish): as c >= 0, c K_lo + R_lo <= phi <= c K_hi + R_hi.  The
+value is the midpoint, and error_bound the distance to the farther end
+rounded up: below 2^-(p+32), and past the switch below 2^-(p+58) plus the
+ends' rounding (x < 0 takes four bits more than the convergent w, for
+twice K's width).  Certificates take error_bound as their threshold;
+terms is N or n, working_bits is w.
 
 Quadrature route (Chiarella and Reichel, Math. Comp. 22, 1968): for x > 0
 
@@ -101,10 +132,22 @@ and m and J depend on p alone.  At x = a/d each term j >= 1 is one floor,
 floor(W_j d^2 m^2 / (a^2 m^2 + j^2 d^2)), and no exponential is evaluated
 per node.  m >= 3 makes 4 pi m > ENVELOPE, so the pole term stays below the
 j = 0 term; the two cancel only near x = 0, by about log2(1/z) bits with
-z = 2 pi m x, and e^z - 1 loses as many, so the working precision is p + 32
-plus twice that count, read from the exact x.  phi(0) = sqrt(pi/2).  For
-x < 0 it reflects, phi(x) = sqrt(2 pi) e^{x^2/2} - phi(|x|), with the same
-e^{x^2/2}.  error_bound has three terms:
+z = 2 pi m x, and e^z - 1 loses as many, so the working precision w is p +
+32 plus twice that count, read from the exact x.  With S the sum of the
+floors over j >= 1, each end is one exact quotient,
+
+    L / sqrt(2 pi) - sqrt(2 pi) e^u / (e^z - 1) -+ remainder,
+    L = d/(m a) + (2a/(d m)) (S + ulps) 2^-F,
+
+with ulps = 0 at the lower end and J + 4m^2 at the upper.  It decreases in
+sqrt(2 pi) = 2 sqrt(pi/2) and in e^u and increases in e^z, so the lower end
+takes sqrt(2 pi)'s and e^u's upper ends and e^z's lower end, and the upper
+end the others: sqrt(pi/2) at w bits, e^u from the kernel at g = w, and
+e^z from it at g = w - ceil(z log2 e), about w bits relative, at z's lower
+or upper end from pi's at w bits.  _finish rounds each end once with c = 0.  phi(0) = sqrt(pi/2) is _finish with c = 1 and R = 0, and
+for x < 0, phi(x) = 2 sqrt(pi/2) e^u - phi(|x|) is _finish with c = 2 and R
+between the negated ends, the series route's x < 0 finish.  error_bound
+has three terms:
 
   * the contour remainder: on the lines Im s = +-b, b > x, past the poles
     whose residues are the pole term, the rule's kernel is at most
@@ -120,15 +163,29 @@ e^{x^2/2}.  error_bound has three terms:
   * the rounding: the weights are integers W_j over 2^F, F = p + 48, with
     W_j <= w_j 2^F < W_j + 2, so the sum over j >= 1 is at most J + 4m^2
     ulps above the sum of its floors (one per floor, and 2 m^2 / j^2 per
-    weight, sum 1/j^2 < 2).  The rest, (d/(m a) + (2a/(d m)) sum - 2 pi
-    e^{x^2/2} / (e^z - 1)) / sqrt(2 pi), is evaluated once rounded down and
-    once up by the libmp primitives, as the series route's finish is.
+    weight, sum 1/j^2 < 2).
+
+The weights come from one kernel call: with q = e^{-1/(2m^2)}, w_j = q^{j^2}
+= w_{j-1} c_j and c_j = q^{2j-1} = c_{j-1} q^2.  At G = F + 2 bitlength(J)
++ 16 fractional bits, Q = floor(2^(G+w) / hi), for the kernel's ends of
+e^{1/(2m^2)} 2^w at g = G, is below q 2^G by less than 2, as hi lies
+within 2^(w-G-1) above e^{1/(2m^2)} 2^w, and Q2 = floor(Q^2 / 2^G) below
+q^2 2^G by less than 5.  Each node takes two floored
+products, V_j = floor(V_{j-1} C_j / 2^G) and C_{j+1} = floor(C_j Q2 / 2^G),
+from V_0 = 2^G and C_1 = Q (_gaussian).  Every value is at most 1 and every step floors,
+so the shortfalls of C_j and V_j below c_j 2^G and w_j 2^G are >= 0, the
+first below 6j and the second below 3j^2 + 4j < 2^(G-F-12).  So W_j =
+floor(V_j 2^(F-G)) has W_j <= w_j 2^F < W_j + 1 + 2^-12; the twelve bits
+beyond the count make W_j = floor(w_j 2^F) but where w_j 2^F lies within
+2^-12 above an integer.
 
 m and J are the least whose contour and tail bounds are below 2^-(p+20)
-(m = 3, 3, 4, 7 and J = 31, 41, 77, 265 at p = 64, 128, 256, 1024); both
-are evaluated in floats with a margin far above their rounding, and added
-to both ends of the enclosure.  The value is its midpoint, and error_bound
-the distance to its farther end rounded up.
+(m = 3, 3, 4, 7 and J = 31, 41, 77, 265 at p = 64, 128, 256, 1024).  Both
+are evaluated in floats as logs v, with a margin far above their rounding,
+and each is read as 1/e^{-v}: -v is an exact dyadic, and the kernel's lower
+end lo of e^{-v} 2^w at g = 0 gives 2^(F+w) / lo, rounded up.  Their sum in
+units of 2^-F is added to both ends of the enclosure.  The value is its
+midpoint, and error_bound the distance to its farther end rounded up.
 """
 
 from __future__ import annotations
@@ -141,8 +198,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from mpmath import mp, mpf
-from mpmath.libmp import (fone, from_float, mpf_add, mpf_div, mpf_exp, mpf_mul, mpf_pi, mpf_shift,
-                          mpf_sqrt, mpf_sub, round_ceiling, round_floor, round_nearest, to_int)
+from mpmath.libmp import mpf_add, mpf_pi, mpf_shift, mpf_sub, round_ceiling, round_floor, round_nearest
 
 from .errors import EnvelopeError
 from .numutil import DEFAULT_PRECISION_BITS, check_precision, dyadic, round_quotient, to_fraction
@@ -153,7 +209,7 @@ _ASYMPTOTIC_BITS = 58  # the asymptotic regime's first omitted term is at most 2
 
 _LOG_SLACK = 1e-6  # added to each log evaluated in floats; far above their rounding
 _lock = threading.Lock()
-_WEIGHTS: dict[int, tuple[int, int, list[int], tuple]] = {}  # p -> (m, F, [W_1 .. W_J], remainder)
+_WEIGHTS: dict[int, tuple[int, int, list[int], int]] = {}  # p -> (m, F, [W_1 .. W_J], remainder 2^F)
 
 
 @dataclass(frozen=True)
@@ -200,10 +256,32 @@ def _in_envelope(x) -> Fraction:
     return xq
 
 
-def _root_half_pi_exp(u: Fraction, w: int, rnd: str) -> tuple:
-    """sqrt(pi/2) e^u as a raw mpf at w bits, every step rounded rnd."""
-    root = mpf_sqrt(mpf_shift(mpf_pi(w, rnd), -1), w, rnd)
-    return mpf_mul(root, mpf_exp(round_quotient(u.numerator, u.denominator, w, rnd), w, rnd), w, rnd)
+def _exp(a: int, b: int, g: int) -> tuple[int, int, int]:
+    """(lo, hi, w) with lo <= e^{a/b} 2^w <= hi <= lo + 2^(w-g-1), for
+    integers a >= 0, b > 0 and g >= -lv: a/b reduced by 2^-s, its Taylor sum
+    with one floor per term and s squarings rounded outward, at w fractional
+    bits (see the module docstring)."""
+    s = (a // b).bit_length() + 4  # r = a / (b 2^s) < 1/16
+    w = g + 3 * a // (2 * b) + 1 + s  # g + lv + s, e^{a/b} < 2^lv as log2 e < 3/2
+    w += w.bit_length() + 4
+    z = (b & -b).bit_length() - 1  # b's factor 2^z joins the shift
+    k, term, acc = 0, 1 << w, 1 << w
+    while term > 1:
+        k += 1
+        term = (term * a >> s + z) // ((b >> z) * k)
+        acc += term
+    lo, hi = acc, acc + 2 * k + 1
+    for _ in range(s):
+        lo, hi = lo * lo >> w, -(-hi * hi >> w)
+    return lo, hi, w
+
+
+def _pi(g: int) -> tuple[int, int, int, int]:
+    """(lo, hi, root_lo, root_hi) with lo <= pi 2^g <= hi and root_lo <= sqrt(pi/2) 2^g
+    <= root_hi, for g >= 1: mpf_pi rounded down and up at g + 2 bits, and sqrt(pi 2^(2g-1))
+    from those ends by isqrt."""
+    lo, hi = (man << e + g for _, man, e, _ in (mpf_pi(g + 2, rnd) for rnd in (round_floor, round_ceiling)))
+    return lo, hi, math.isqrt(lo << g - 1), math.isqrt((hi << g - 1) - 1) + 1
 
 
 def _log2_exp(u: Fraction) -> int:
@@ -236,11 +314,18 @@ def _asymptotic_sums(a: int, d: int, target_bits: int) -> tuple[int, int, int, i
     return n, s, s + (-t if n % 2 else t), c
 
 
-def _finish(c: int, u: Fraction, r: int, q: int, t: int, w: int, rnd: str) -> tuple:
-    """c sqrt(pi/2) e^u + r 2^t / q (c >= 0, q > 0) rounded once at w bits by rnd, as is sqrt(pi/2) e^u if c > 0."""
-    _, man, e, _ = _root_half_pi_exp(u, w, rnd) if c else (0, 0, t, 0)
+def _finish(c: int, u: Fraction, ends, t: int, w: int) -> list[tuple]:
+    """c sqrt(pi/2) e^u + R, for c >= 0 and R between the exact ends r 2^t / q
+    of ends, lower first: each end one exact quotient rounded once at w bits,
+    down for the lower and up for the upper, with K = sqrt(pi/2) e^u's end
+    on its side, from one kernel call if c > 0 (see the module docstring)."""
+    ks, e = (0, 0), t
+    if c:  # K's ends, over 2^-e
+        lo, hi, we = _exp(u.numerator, u.denominator, w - _log2_exp(u))
+        ks, e = [c * root * end for root, end in zip(_pi(w)[2:], (lo, hi))], -w - we
     s = min(e, t)
-    return round_quotient((c * man * q << (e - s)) + (r << (t - s)), q, w, rnd, s)
+    return [round_quotient((k * q << e - s) + (r << t - s), q, w, rnd, s)
+            for k, (r, q), rnd in zip(ks, ends, (round_floor, round_ceiling))]
 
 
 def phi_series(x, precision_bits: int = DEFAULT_PRECISION_BITS) -> OracleValue:
@@ -259,8 +344,7 @@ def phi_series(x, precision_bits: int = DEFAULT_PRECISION_BITS) -> OracleValue:
     else:  # R = +-phi(|x|), between S_n = s0/q and S_{n+1} = s1/q, negated for x < 0
         n, s0, s1, q = sums
         c, w, t, ends = (0, p + 64, 0, sorted((s0, s1))) if xq > 0 else (2, p + 52 + lu, 0, sorted((-s0, -s1)))
-    lo, hi = (_finish(c, u, r, q, t, w, rnd) for r, rnd in zip(ends, (round_floor, round_ceiling)))
-    return _enclosed(lo, hi, w, "series", n)
+    return _enclosed(*_finish(c, u, [(r, q) for r in ends], t, w), w, "series", n)
 
 
 def _log_contour(m: int) -> float:
@@ -279,7 +363,7 @@ def _log_tail(m: int, j: int) -> float:
     return -j * t / 2 - math.log(math.sqrt(2 * math.pi) * j * -math.expm1(-t))
 
 
-def _weights(precision_bits: int) -> tuple[int, int, list[int], tuple]:
+def _weights(precision_bits: int) -> tuple[int, int, list[int], int]:
     """The rule for precision p (see _build_weights), built once per p on first use."""
     table = _WEIGHTS.get(precision_bits)
     if table is None:
@@ -289,52 +373,63 @@ def _weights(precision_bits: int) -> tuple[int, int, list[int], tuple]:
     return table
 
 
-def _build_weights(precision_bits: int) -> tuple[int, int, list[int], tuple]:
+def _gaussian(q: int, g: int, n: int) -> list[int]:
+    """[V_1 .. V_n], V_j <= (q 2^-g)^{j^2} 2^g for q > 0: V_j = floor(V_{j-1} C_j / 2^g)
+    and C_{j+1} = floor(C_j Q2 / 2^g) from V_0 = 2^g, C_1 = q and Q2 = floor(q^2 / 2^g)."""
+    q2, c, v, powers = q * q >> g, q, 1 << g, []
+    for _ in range(n):
+        v, c = v * c >> g, c * q2 >> g
+        powers.append(v)
+    return powers
+
+
+def _build_weights(precision_bits: int) -> tuple[int, int, list[int], int]:
     """(m, F, [W_1 .. W_J], remainder): the least m >= 3 and J whose contour
-    and tail bounds are below 2^-(p+20), the weights W_j = floor(e^{-j^2/(2m^2)} 2^F)
-    with F = p + 48, and the two bounds' sum rounded up.  Each weight floors
-    an exponential rounded down at F + 16 bits, so W_j <= w_j 2^F < W_j + 2.
-    Every mpmath call names its precision, so a build reads nothing of
-    mpmath's process-wide context, which another thread may be changing."""
+    and tail bounds are below 2^-(p+20), the weights with W_j <= w_j 2^F <
+    W_j + 2 for w_j = e^{-j^2/(2m^2)} and F = p + 48, stepped from q =
+    e^{-1/(2m^2)} at G = F + 2 bitlength(J) + 16 bits, and the two bounds'
+    sum in units of 2^-F, rounded up (see the module docstring).  Every
+    exponential comes from the kernel, so a build reads nothing of mpmath's
+    process-wide context, which another thread may be changing."""
     target = -(precision_bits + 20) * math.log(2)
     m = next(m for m in itertools.count(3) if _log_contour(m) < target)
     j = next(j for j in itertools.count(1) if _log_tail(m, j) < target)  # J + 1
-    f, g = precision_bits + 48, precision_bits + 64
-    exps = (mpf_exp(round_quotient(-k * k, 2 * m * m, g, round_floor), g, round_floor) for k in range(1, j))
-    weights = [to_int(mpf_shift(e, f), round_floor) for e in exps]
-    bounds = (mpf_exp(from_float(v + _LOG_SLACK), 53, round_ceiling) for v in (_log_contour(m), _log_tail(m, j)))
-    return m, f, weights, mpf_add(*bounds, 53, round_ceiling)
+    f, g = precision_bits + 48, precision_bits + 64 + 2 * (j - 1).bit_length()
+    _, hi, we = _exp(1, 2 * m * m, g)
+    weights = [v >> (g - f) for v in _gaussian((1 << g + we) // hi, g, j - 1)]
+    # each bound e^v is 1 / e^{-v}, with -v > 0 an exact dyadic read from its float
+    bounds = (_exp(*(-v - _LOG_SLACK).as_integer_ratio(), 0) for v in (_log_contour(m), _log_tail(m, j)))
+    return m, f, weights, sum(-(-(1 << f + wb) // lo) for lo, _, wb in bounds)
 
 
 def phi_quadrature(x, precision_bits: int = DEFAULT_PRECISION_BITS) -> OracleValue:
     """phi by the pole-corrected trapezoidal rule for its Stieltjes form,
     with no adaptive integrator; the module docstring derives the rule's m
-    and J, the working precision, the reflection used for x < 0 and the
-    three terms of error_bound."""
-    check_precision(precision_bits)
-    xq = _in_envelope(x)
+    and J, the working precision, each end's exact quotient, the reflection
+    used for x < 0 and the three terms of error_bound."""
+    p, xq = check_precision(precision_bits), _in_envelope(x)
     a, d = abs(xq.numerator), xq.denominator
-    m, f, weights, remainder = _weights(precision_bits)
+    m, f, weights, remainder = _weights(p)
     # near x = 0 the j = 0 and pole terms cancel by about log2(1/z) bits,
     # z = 2 pi m |x| > 4 m a / d, and e^z - 1 loses as many again
-    w = precision_bits + 32 + 2 * max(0, d.bit_length() - (4 * m * a).bit_length() + 1)
-    two_pi = {rnd: mpf_shift(mpf_pi(w, rnd), 1) for rnd in (round_floor, round_ceiling)}
-    root = {rnd: mpf_sqrt(two_pi[rnd], w, rnd) for rnd in two_pi}  # sqrt(2 pi)
-    e_u = {rnd: mpf_exp(round_quotient(a * a, 2 * d * d, w, rnd), w, rnd) for rnd in two_pi}  # e^{x^2/2}
-    if a == 0:  # phi(0) = sqrt(2 pi) / 2
-        lo, hi = (mpf_shift(root[rnd], -1) for rnd in two_pi)
-    else:
-        k, c, dd = (d * m) ** 2, (a * m) ** 2, d * d
-        total = sum(wj * k // (c + j * j * dd) for j, wj in enumerate(weights, 1))  # the sum over j >= 1, over 2^F
-        phis = []  # the lower end, then the upper; a lower end below 0 is still below phi > 0
-        for rnd, opp, ulps in ((round_floor, round_ceiling, 0), (round_ceiling, round_floor, len(weights) + 4 * m * m)):
-            # phi = (d/(m a) + 2a/(d m) sum - 2 pi e^u / (e^z - 1)) / sqrt(2 pi), z = 2 pi m a/d
-            e_z = mpf_exp(mpf_mul(mpf_pi(w, rnd), round_quotient(2 * m * a, d, w, rnd), w, rnd), w, rnd)
-            pole = mpf_div(mpf_mul(two_pi[opp], e_u[opp], w, opp), mpf_sub(e_z, fone, w, rnd), w, opp)
-            v = mpf_sub(round_quotient(2 * a * a * (total + ulps) + (dd << f), a * d * m, w, rnd, -f), pole, w, rnd)
-            phis.append(mpf_div(v, root[opp], w, rnd))
-        lo, hi = mpf_sub(phis[0], remainder, w, round_floor), mpf_add(phis[1], remainder, w, round_ceiling)
-    if xq < 0:  # phi(x) = sqrt(2 pi) e^{x^2/2} - phi(|x|)
-        ends = ((round_floor, hi), (round_ceiling, lo))
-        lo, hi = (mpf_sub(mpf_mul(root[rnd], e_u[rnd], w, rnd), end, w, rnd) for rnd, end in ends)
-    return _enclosed(lo, hi, w, "quadrature")
+    w = p + 32 + 2 * max(0, d.bit_length() - (4 * m * a).bit_length() + 1)
+    u = Fraction(a * a, 2 * d * d)
+    if a == 0:  # phi(0) = sqrt(pi/2)
+        return _enclosed(*_finish(1, u, [(0, 1)] * 2, 0, w), w, "quadrature")
+    k, aa, dd = (d * m) ** 2, (a * m) ** 2, d * d
+    total = sum(wj * k // (aa + j * j * dd) for j, wj in enumerate(weights, 1))  # the sum over j >= 1, over 2^F
+    # each end is L / sqrt(2 pi) - sqrt(2 pi) e^u / (e^z - 1) -+ the remainder, L = n / (a d m 2^F), with
+    # sqrt(2 pi) = 2 r 2^-w, e^u = e 2^-we and e^z = z 2^-wz from pi's ends, each factor at its side's end
+    (pi_lo, pi_hi, r_lo, r_hi), (e_lo, e_hi, we), dm = _pi(w), _exp(a * a, 2 * d * d, w), a * d * m
+    lz = math.ceil(2 * math.pi * m * a / d * math.log2(math.e))  # e^z at about w bits, relative
+    (z_lo, _, wz_lo), (_, z_hi, wz_hi) = (_exp(2 * m * a * end, d << w, w - lz) for end in (pi_lo, pi_hi))
+
+    def end(n, root, e, z, wz, rem):  # (r, q) of the end r 2^t / q, t = -(F + w + we)
+        zm = z - (1 << wz)  # e^z - 1 = zm 2^-wz
+        r = (n * zm << 2 * w + we) - (4 * dm * root * root * e << wz + f) + (2 * rem * dm * root * zm << w + we)
+        return r, 2 * dm * root * zm
+
+    n_lo, n_hi = (2 * a * a * (total + ulps) + (dd << f) for ulps in (0, len(weights) + 4 * m * m))
+    ends = [end(n_lo, r_hi, e_hi, z_lo, wz_lo, -remainder), end(n_hi, r_lo, e_lo, z_hi, wz_hi, remainder)]
+    c, ends = (2, [(-r, q) for r, q in reversed(ends)]) if xq < 0 else (0, ends)  # phi(x) = 2 sqrt(pi/2) e^u - phi(|x|)
+    return _enclosed(*_finish(c, u, ends, -f - w - we, w), w, "quadrature")

@@ -510,7 +510,7 @@ def test_default_verify_report_bytes(capsys, monkeypatch, fmt):
 # SHA-256 of the `mills verify --precision <bits>` JSON report, every other
 # option at its default: each precision rounds every margin differently.
 PRECISION_REPORT_SHA256 = {
-    64: "6d245f0c1046f282520f2e34342f67f8ed4d27aa5fda3ea37422e12426459dd9",
+    64: "4f0c9ec8826885ac57e43725e0e5c0112f6daf6341af5812332bb2a51660a7fc",
     256: "cc9d9b98d05165837fb346594dc3421196c4bdb7435ea964f4772be3389af349",
 }
 

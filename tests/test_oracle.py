@@ -1,4 +1,5 @@
 import ast
+import functools
 import itertools
 import math
 import pathlib
@@ -11,10 +12,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import iv, mp, mpf
+from mpmath.libmp import mpf_exp, mpf_pi, mpf_shift, round_ceiling, round_floor, to_int
 
 from millsratio import contfrac, families, oracle
 from millsratio.errors import EnvelopeError
-from millsratio.numutil import to_fraction
+from millsratio.numutil import round_quotient, to_fraction
 from millsratio.bounds import phi_derivative
 from millsratio.oracle import phi_quadrature, phi_series
 
@@ -225,21 +227,77 @@ def _ends(monkeypatch, route, x, p):
     return ov, to_fraction(mp.make_mpf(lo)), to_fraction(mp.make_mpf(hi)), w
 
 
-def _finishes(monkeypatch, x, p):
-    """phi_series(x, p) and its ends as _ends reads them, and each call of
-    oracle._finish as (c, R_end, rounding): R_end = r 2^t / q, the exact
-    rational that end adds to c K."""
-    calls, finish = [], oracle._finish
+def _finishes(monkeypatch, x, p, route=phi_series):
+    """route(x, p) and its ends as _ends reads them, with the one call of
+    oracle._finish as c and [R_lo, R_hi], R_end = r 2^t / q the exact
+    rational that end adds to c K, and the exact rational each end is
+    rounded from, with its rounding."""
+    calls, rounded, finish, quotient = [], [], oracle._finish, oracle.round_quotient
 
-    def recording(c, u, r, q, t, w, rnd):
-        calls.append((c, Fraction(r, q) * Fraction(2) ** t, rnd))
-        return finish(c, u, r, q, t, w, rnd)
+    def recording(c, u, ends, t, w):
+        calls.append((c, [Fraction(r, q) * Fraction(2) ** t for r, q in ends]))
+        return finish(c, u, ends, t, w)
+
+    def rounding(num, den, prec, rnd, exp=0):
+        rounded.append((Fraction(num, den) * Fraction(2) ** exp, rnd))
+        return quotient(num, den, prec, rnd, exp)
 
     monkeypatch.setattr(oracle, "_finish", recording)
+    monkeypatch.setattr(oracle, "round_quotient", rounding)
     try:
-        return (*_ends(monkeypatch, phi_series, x, p), calls)
+        ov, lo, hi, w = _ends(monkeypatch, route, x, p)
     finally:
         monkeypatch.setattr(oracle, "_finish", finish)
+        monkeypatch.setattr(oracle, "round_quotient", quotient)
+    ((c, r_ends),) = calls
+    return ov, lo, hi, w, c, r_ends, rounded
+
+
+@functools.cache
+def _pi_enclosure(bits: int) -> tuple[int, int]:
+    """lo <= pi 2^bits <= hi, by Machin's formula pi = 16 atan(1/5) - 4
+    atan(1/239) at N = bits + 32: each term floor(2^N / (n^(2k+1) (2k+1)))
+    is one exact floor, so each alternating sum of k terms lies within k of
+    the exact one, and the tail past it within 1."""
+    n_bits = bits + 32
+    ends = []
+    for n in (5, 239):
+        total, power, k = 0, (1 << n_bits) // n, 0  # power = floor(2^N / n^(2k+1))
+        while power:
+            total += (-1) ** k * (power // (2 * k + 1))
+            power //= n * n
+            k += 1
+        ends.append((total - k - 1, total + k + 1))
+    (a_lo, a_hi), (b_lo, b_hi) = ends
+    return (16 * a_lo - 4 * b_hi) >> 32, -(-(16 * a_hi - 4 * b_lo) >> 32)
+
+
+@functools.cache
+def _exp_enclosure(v: Fraction, bits: int) -> tuple[int, int]:
+    """lo <= e^v 2^bits <= hi for v >= 0, from the exact Taylor sum S_K of
+    v^k / k! over k <= K, by Horner in integers: S_K <= e^v <= S_K + 2
+    t_{K+1} for K + 2 >= 2v, as every later term is at most half the one
+    before it.  K is chosen in floats, so that t_{K+1} 2^bits < 1/16."""
+    a, b = v.numerator, v.denominator
+    if a == 0:
+        return 1 << bits, 1 << bits
+    top = math.ceil(2 * v)
+    while (top + 1) * math.log(v) - math.lgamma(top + 2) > -(bits + 4) * math.log(2):
+        top += 1
+    num = den = 1
+    for k in range(top, 0, -1):  # S = 1 + (v / k) S, num / den with den = b^K K!
+        num, den = den * b * k + a * num, den * b * k
+    last = den * b * (top + 1)  # 2 t_{K+1} = 2 a^(K+1) / last
+    return (num << bits) // den, -(-((num * b * (top + 1) + 2 * a ** (top + 1)) << bits) // last)
+
+
+def _k_enclosure(u: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    """lo <= sqrt(pi/2) e^u <= hi, exactly: Machin's pi and the Taylor
+    enclosure of e^u at the given bits, and sqrt(pi/2) from pi's ends."""
+    pi_lo, pi_hi = _pi_enclosure(bits)
+    e_lo, e_hi = _exp_enclosure(u, bits)
+    root_lo, root_hi = math.isqrt(pi_lo << (bits - 1)), math.isqrt((pi_hi << (bits - 1)) - 1) + 1
+    return Fraction(root_lo * e_lo, 4**bits), Fraction(root_hi * e_hi, 4**bits)
 
 
 def _term(x: Fraction, k: int) -> Fraction:
@@ -300,13 +358,14 @@ class TestSeriesAsymptotic:
     def test_partial_sums_rounded_outward_once(self, monkeypatch, p):
         # the regime is taken exactly where the Fraction rule says, and its
         # ends are c K + R rounded outward once: for x > 0, S_n and S_{n+1}
-        # at p + 64 bits; for x < 0, twice sqrt(pi/2) e^u rounded down and
-        # up less the exact S_n and S_{n+1}.  R's ends are checked before the
-        # rounding too: at x < 0 the finer of them is far below an ulp of w.
-        # Elsewhere phi_series is the convergent regime
+        # at p + 64 bits; for x < 0, twice sqrt(pi/2) e^u's lower and upper
+        # ends less the exact S_n and S_{n+1}, each on its side of the exact
+        # 2 K - S and within twice K's width 3 2^-(w-lu) of it.  R's ends are
+        # checked before the rounding too: at x < 0 the finer of them is far
+        # below an ulp of w.  Elsewhere phi_series is the convergent regime
         for x in _ASYMPTOTIC_POINTS:
             ref = _asymptotic_reference(x, p)
-            ov, lo, hi, w, calls = _finishes(monkeypatch, x, p)
+            ov, lo, hi, w, c, r_ends, rounded = _finishes(monkeypatch, x, p)
             conv = _convergent(monkeypatch, x, p)
             assert _asymptotic(ov, x, p) == (ref is not None), f"x={x}, p={p}"
             if ref is None:
@@ -315,17 +374,21 @@ class TestSeriesAsymptotic:
                 continue
             n, s0, s1 = ref
             low, high = min(s0, s1), max(s0, s1)
-            r_ends = [(0, low, "f"), (0, high, "c")] if x > 0 else [(2, -high, "f"), (2, -low, "c")]
-            assert calls == r_ends, f"x={x}, p={p}"
+            (x_lo, rnd_lo), (x_hi, rnd_hi) = rounded
+            assert (rnd_lo, rnd_hi) == ("f", "c"), f"x={x}, p={p}"
             if x > 0:
+                assert (c, r_ends, [x_lo, x_hi]) == (0, [low, high], [low, high]), f"x={x}, p={p}"
                 ends = _round_at(low, p + 64), _round_at(high, p + 64, math.ceil), p + 64
                 assert (lo, hi, w) == ends, f"x={x}, p={p}"
             else:
                 u = x * x / 2
-                assert w == p + 52 + math.ceil(float(u) * math.log2(math.e))
-                roots = [to_fraction(mp.make_mpf(oracle._root_half_pi_exp(u, w, rnd))) for rnd in ("f", "c")]
-                ends = _round_at(2 * roots[0] - high, w), _round_at(2 * roots[1] - low, w, math.ceil)
-                assert (lo, hi) == ends, f"x={x}, p={p}"
+                lu = math.ceil(float(u) * math.log2(math.e))
+                assert (c, r_ends, w) == (2, [-high, -low], p + 52 + lu), f"x={x}, p={p}"
+                k_lo, k_hi = _k_enclosure(u, 2 * w)
+                width = Fraction(3, 2 ** (w - lu))
+                assert 2 * (k_lo - width) - high <= x_lo <= 2 * k_lo - high, f"x={x}, p={p}"
+                assert 2 * k_hi - low <= x_hi <= 2 * (k_hi + width) - low, f"x={x}, p={p}"
+                assert (lo, hi) == (_round_at(x_lo, w), _round_at(x_hi, w, math.ceil)), f"x={x}, p={p}"
             assert (ov.terms, ov.working_bits) == (n, w)
             assert 0 < ov.error_bound <= mpf(2) ** -(p + 32), f"x={x}, p={p}"
             assert ov.error_bound <= conv.error_bound, f"x={x}, p={p}"
@@ -358,24 +421,29 @@ class TestSeriesAsymptotic:
 def test_convergent_ends_are_k_less_d_rounded_once(monkeypatch, p):
     # each end of the convergent regime is K_end - sgn(x) D_end / 2^g rounded
     # once at w bits, down for the lower end and up for the upper, exactly:
-    # K's ends from _root_half_pi_exp, and D in [acc, acc + ulps] / 2^g from
-    # _positive_series, the lower end of R = -sgn(x) D taking D's upper end
-    # for x > 0.  R's ends are checked before the rounding too: D's ulps
+    # K's end lies on its side of the exact K = sqrt(pi/2) e^u and within
+    # K's width 3 2^-(w-lu) of it, and D in [acc, acc + ulps] / 2^g comes
+    # from _positive_series, the lower end of R = -sgn(x) D taking D's upper
+    # end for x > 0.  R's ends are checked before the rounding too: D's ulps
     # are about 2^-7 of an ulp of w.  Past the switch the convergent regime
     # is forced
     for x in (Fraction(0), Fraction(1, 3), Fraction(-1, 3), Fraction(1), Fraction(-5, 2), Fraction(79, 10),
               Fraction(-79, 10), Fraction(12), Fraction(-2001, 97), Fraction(3839, 128), Fraction(-30)):
         monkeypatch.setattr(oracle, "_asymptotic_sums", lambda *args: None)
-        ov, lo, hi, w, calls = _finishes(monkeypatch, x, p)
+        ov, lo, hi, w, c, r_ends, rounded = _finishes(monkeypatch, x, p)
         monkeypatch.undo()
         u = x * x / 2
         lu = oracle._log2_exp(u)
         n, acc, ulps, g = oracle._positive_series(abs(x.numerator), x.denominator, p + 56, lu)
         r_lo, r_hi = (Fraction(-acc - ulps, 2**g), Fraction(-acc, 2**g)) if x > 0 else \
                      (Fraction(acc, 2**g), Fraction(acc + ulps, 2**g))
-        assert (w, ov.terms, calls) == (p + 48 + lu, n, [(1, r_lo, "f"), (1, r_hi, "c")]), f"x={x}, p={p}"
-        k_lo, k_hi = (to_fraction(mp.make_mpf(oracle._root_half_pi_exp(u, w, rnd))) for rnd in ("f", "c"))
-        assert (lo, hi) == (_round_at(k_lo + r_lo, w), _round_at(k_hi + r_hi, w, math.ceil)), f"x={x}, p={p}"
+        assert (w, ov.terms, c, r_ends) == (p + 48 + lu, n, 1, [r_lo, r_hi]), f"x={x}, p={p}"
+        (x_lo, rnd_lo), (x_hi, rnd_hi) = rounded
+        k_lo, k_hi = _k_enclosure(u, 2 * w)
+        width = Fraction(3, 2 ** (w - lu))
+        assert (rnd_lo, rnd_hi) == ("f", "c"), f"x={x}, p={p}"
+        assert k_lo - width + r_lo <= x_lo <= k_lo + r_lo and k_hi + r_hi <= x_hi <= k_hi + width + r_hi, f"x={x}, p={p}"
+        assert (lo, hi) == (_round_at(x_lo, w), _round_at(x_hi, w, math.ceil)), f"x={x}, p={p}"
 
 
 @pytest.mark.parametrize("route", [phi_series, phi_quadrature], ids=lambda route: route.__name__)
@@ -395,70 +463,57 @@ def test_error_bound_is_the_distance_to_the_farther_end_rounded_up(monkeypatch, 
 
 @pytest.mark.parametrize("p", [64, 128])
 def test_quadrature_ends_enclose_the_exact_rule(monkeypatch, p):
-    # the rational that each end of the rule is rounded from,
-    # d/(m a) + (2a/(d m)) sum_{j>=1} w_j d^2 m^2 / (a^2 m^2 + j^2 d^2) with
-    # its floors and their count of J + 4m^2 units for the upper end, lies on
-    # its side of the same sum with the exact weights
-    m, f, weights, _ = oracle._weights(p)
-    calls, quotient = [], oracle.round_quotient
-
-    def recording(num, den, prec, rounding, exp=0):
-        calls.append((Fraction(num, den) * Fraction(2) ** exp, exp))
-        return quotient(num, den, prec, rounding, exp)
-
-    monkeypatch.setattr(oracle, "round_quotient", recording)
+    # the exact rational that each end is rounded from, the rule with its
+    # floors (and their count of J + 4m^2 units for the upper end), its pole
+    # term and sqrt(2 pi) at that end's sides, less or plus the remainder,
+    # lies on its side of the rule with exact weights, pi, e^u and e^z,
+    # widened by the remainder
+    m, f, weights, remainder = oracle._weights(p)
+    rem = Fraction(remainder, 2**f)
     for x in (Fraction(1, 3), Fraction(5, 2), Fraction(79, 10), Fraction(20)):
-        calls.clear()
-        phi_quadrature(x, p)
-        low, high = [value for value, exp in calls if exp == -f]  # rounded down, then up
-        a, d = x.numerator, x.denominator
+        _, _, _, _, c, r_ends, rounded = _finishes(monkeypatch, x, p, phi_quadrature)
+        (low, _), (high, _) = rounded
+        assert c == 0 and r_ends == [low, high], f"x={x}, p={p}"
         with mp.workprec(4 * p + 256):
-            total = sum(mp.exp(-mpf(j * j) / (2 * m * m)) * (d * m) ** 2 / ((a * m) ** 2 + (j * d) ** 2)
+            xv = mpf(x.numerator) / x.denominator
+            total = sum(mp.exp(-mpf(j * j) / (2 * m * m)) / (xv * xv + mpf(j * j) / (m * m))
                         for j in range(1, len(weights) + 1))
-            exact = to_fraction(mpf(d) / (m * a) + 2 * mpf(a) / (d * m) * total)
-        assert low <= exact <= high, f"x={x}, p={p}"
+            root = mp.sqrt(2 * mp.pi)
+            rule = (1 / (m * xv) + 2 * xv / m * total) / root - root * mp.exp(xv * xv / 2) / mp.expm1(2 * mp.pi * m * xv)
+            exact = to_fraction(rule)
+        assert low <= exact - rem and exact + rem <= high, f"x={x}, p={p}"
 
 
-def _side(value: tuple, enclosure) -> int:
-    """+1 if the raw mpf value lies above the interval enclosure, -1 if
-    below it, 0 if inside it, all read exactly."""
-    v, a, b = (to_fraction(mp.make_mpf(raw)) for raw in (value, *enclosure._mpi_))
-    return (v > b) - (v < a)
+def _side(value: Fraction, enclosure) -> int:
+    """+1 if value lies above the interval enclosure, -1 if below it, 0 if
+    inside it, all read exactly."""
+    a, b = (to_fraction(mp.make_mpf(raw)) for raw in enclosure._mpi_)
+    return (value > b) - (value < a)
 
 
 @pytest.mark.parametrize("p", [64, 128])
 def test_quadrature_ends_are_outward_before_the_remainder(monkeypatch, p):
-    # before the remainder is added, the lower end subtracts the pole term
-    # 2 pi e^u / (e^z - 1) rounded up and divides by sqrt(2 pi) rounded up,
-    # and lands below (L - pole) / sqrt(2 pi) for L the rational it is
-    # rounded from; the upper end the other way round.  Each recorded
-    # mpf_div is decided against 2w-bit interval enclosures, with no slack:
-    # the remainder added afterwards, about 2^-(p+20), would hide an inward
-    # ulp at w bits
-    m, f = oracle._weights(p)[:2]
-    divisions, quotients, div, quotient = [], [], oracle.mpf_div, oracle.round_quotient
-    monkeypatch.setattr(oracle, "mpf_div", lambda *args: divisions.append((args, div(*args))) or divisions[-1][1])
-
-    def recording(num, den, prec, rounding, exp=0):
-        if exp == -f:
-            quotients.append(Fraction(num, den) * Fraction(2) ** exp)
-        return quotient(num, den, prec, rounding, exp)
-
-    monkeypatch.setattr(oracle, "round_quotient", recording)
+    # before the remainder is added, the lower end, the exact rational it is
+    # rounded from plus the remainder, lands below (L - 2 pi e^u / (e^z -
+    # 1)) / sqrt(2 pi) for L = d/(m a) + (2a/(d m)) S 2^-F and S the sum of
+    # the floors; the upper end, less the remainder, lands above it with S +
+    # J + 4m^2.  Each is decided against a 2w-bit interval enclosure, with no
+    # slack: the remainder, about 2^-(p+20), would hide an inward ulp at w bits
+    m, f, weights, remainder = oracle._weights(p)
+    rem = Fraction(remainder, 2**f)
     old = iv.prec
     try:
         for x in (Fraction(1, 3), Fraction(5, 2), Fraction(79, 10), Fraction(20)):
-            divisions.clear()
-            quotients.clear()
-            w = phi_quadrature(x, p).working_bits
+            _, _, _, w, _, _, rounded = _finishes(monkeypatch, x, p, phi_quadrature)
+            (low, _), (high, _) = rounded
+            a, d = x.numerator, x.denominator
+            total = sum(wj * (d * m) ** 2 // ((a * m) ** 2 + j * j * d * d) for j, wj in enumerate(weights, 1))
+            ls = [Fraction(2 * a * a * (total + ulps) + (d * d << f), a * d * m << f) for ulps in (0, len(weights) + 4 * m * m)]
             iv.prec = 2 * w
-            xv = iv.mpf(x.numerator) / x.denominator
-            root = iv.sqrt(2 * iv.pi)
+            xv = iv.mpf(a) / d
             pole = 2 * iv.pi * iv.exp(xv * xv / 2) / (iv.exp(2 * iv.pi * m * xv) - 1)
-            (pole_lo, (end_lo_args, end_lo)), (pole_hi, (end_hi_args, end_hi)) = zip(divisions[::2], divisions[1::2])
-            ends = [(iv.mpf(q.numerator) / q.denominator - pole) / root for q in quotients]
-            assert (_side(pole_lo[1], pole), _side(end_lo_args[1], root), _side(end_lo, ends[0])) == (1, 1, -1), x
-            assert (_side(pole_hi[1], pole), _side(end_hi_args[1], root), _side(end_hi, ends[1])) == (-1, -1, 1), x
+            ends = [(iv.mpf(q.numerator) / q.denominator - pole) / iv.sqrt(2 * iv.pi) for q in ls]
+            assert (_side(low + rem, ends[0]), _side(high - rem, ends[1])) == (-1, 1), x
     finally:
         iv.prec = old
 
@@ -553,6 +608,85 @@ class TestSeriesCount:
         for f in range(2, 65):
             n, acc, ulps, g = _sum(x, f)
             assert n < len(terms) and acc <= low * 2**g and high * 2**g <= acc + ulps, f"x={x}, f={f}"
+
+
+def _exp_rederived(a: int, b: int, g: int) -> tuple[int, int, int]:
+    """oracle._exp re-derived in Fraction from the module docstring: v =
+    a/b reduced to r = v 2^-s, the floored Taylor terms summed at w
+    fractional bits up to the first T_k <= 1, the count 2k + 1 added to the
+    upper end, and s squarings rounded outward."""
+    v = Fraction(a, b)
+    lv = math.floor(Fraction(3, 2) * v) + 1
+    s = math.floor(v).bit_length() + 4
+    w0 = g + lv + s
+    w = w0 + w0.bit_length() + 4
+    terms = [2**w]
+    while terms[-1] > 1:
+        terms.append(math.floor(terms[-1] * v / 2**s / len(terms)))
+    lo, hi = sum(terms), sum(terms) + 2 * (len(terms) - 1) + 1
+    for _ in range(s):
+        lo, hi = math.floor(Fraction(lo * lo, 2**w)), math.ceil(Fraction(hi * hi, 2**w))
+    return lo, hi, w
+
+
+def _z_at_the_envelope(m: int) -> Fraction:
+    """z = 2 pi m 30 as the quadrature passes it to the kernel at p = 64:
+    pi's lower end at 96 bits, over 2^96."""
+    return Fraction(2 * m * 30 * oracle._pi(96)[0], 2**96)
+
+
+# v = 4289041/32768 (x = 2071/128), where mpf_exp rounded up lands below
+# e^v at 144 bits; u = 450 (x = 30); z = 2 pi m 30 at m = 3 and 4; the
+# weights' 1/(2m^2); and small and dyadic v
+_KERNEL_ARGUMENTS = [Fraction(0), Fraction(1, 18), Fraction(1, 3), Fraction(1), Fraction(4289041, 32768),
+                     Fraction(3839**2, 2 * 128**2), Fraction(450), _z_at_the_envelope(3), _z_at_the_envelope(4),
+                     Fraction(2001**2, 2 * 97**2), Fraction(5, 2**40)]
+
+
+def _gaussian_rederived(q: int, g: int, n: int) -> list[int]:
+    """oracle._gaussian re-derived in Fraction from the module docstring:
+    V_j = floor(V_{j-1} C_j / 2^g) and C_{j+1} = floor(C_j Q2 / 2^g), from
+    V_0 = 2^g, C_1 = q and Q2 = floor(q^2 / 2^g)."""
+    q2, c, v, powers = math.floor(Fraction(q * q, 2**g)), q, 2**g, []
+    for _ in range(n):
+        v, c = math.floor(Fraction(v * c, 2**g)), math.floor(Fraction(c * q2, 2**g))
+        powers.append(v)
+    return powers
+
+
+class TestExpKernel:
+    """The exponential kernel's ends, checked exactly: at the widths the
+    routes use, a miscount would stay below the slack of their error bounds."""
+
+    @pytest.mark.parametrize("v", _KERNEL_ARGUMENTS, ids=str)
+    @pytest.mark.parametrize("g", [0, 1, 2, 7, 30, 64, 144])
+    def test_ends_match_a_fraction_rederivation(self, v, g):
+        assert oracle._exp(v.numerator, v.denominator, g) == _exp_rederived(v.numerator, v.denominator, g)
+
+    @pytest.mark.parametrize("v", _KERNEL_ARGUMENTS, ids=str)
+    def test_ends_enclose_e_at_narrow_widths(self, v):
+        # lo <= e^v 2^w <= hi <= lo + 2^(w-g-1) at the kernel's working
+        # width w, for g = 0 .. 64 and 144, decided against the exact Taylor
+        # enclosure 64 bits finer
+        ends = [oracle._exp(v.numerator, v.denominator, g) for g in [*range(65), 144]]
+        top = max(w for _, _, w in ends) + 64
+        ref_lo, ref_hi = _exp_enclosure(v, top)
+        for g, (lo, hi, w) in zip([*range(65), 144], ends):
+            assert lo << top - w <= ref_lo and ref_hi <= hi << top - w, f"v={v}, g={g}"
+            assert hi - lo <= 2 ** (w - g - 1), f"v={v}, g={g}"
+
+    def test_pi_rounds_both_ways_at_every_precision_asked(self):
+        # mpf_pi is the one mpmath transcendental the oracle reads: rounded
+        # down and up at w bits it lies below and above Machin's pi, one ulp
+        # apart, at every w the oracle can ask for p up to the largest the
+        # tests draw: w + 2 for w at most p + 52 + lu, lu for |x| = 30
+        top = _ANY_PRECISION[1] + 52 + oracle._log2_exp(Fraction(450)) + 2
+        bits = top + 64
+        pi_lo, pi_hi = _pi_enclosure(bits)
+        for w in range(2, top + 1):
+            (_, down, e_down, _), (_, up, e_up, _) = (mpf_pi(w, rnd) for rnd in (round_floor, round_ceiling))
+            down, up = down << (e_down + bits), up << (e_up + bits)
+            assert down <= pi_lo and pi_hi <= up and up - down <= 1 << (bits + 2 - w), w
 
 
 def _quadrature_points():
@@ -651,34 +785,59 @@ class TestQuadratureErrorBound:
         for key in keys:
             assert oracle._WEIGHTS[key] == oracle._build_weights(key)
 
-    @pytest.mark.parametrize("p", [64, 97, 256, 1024])
+    @pytest.mark.parametrize("p", [64, 97, 128, 256, 1024, 2048])
     def test_weight_table_is_as_counted(self, p):
         # W_j <= e^{-j^2/(2m^2)} 2^F < W_j + 2, as the rounding term counts,
         # and the contour and tail remainders together are below 2^-(p+19)
         m, f, weights, remainder = oracle._weights(p)
-        assert f == p + 48 and 0 < mp.make_mpf(remainder) <= mpf(2) ** -(p + 19)
+        assert f == p + 48 and 0 < remainder <= 2 ** (f - p - 19)
         with mp.workprec(f + 64):
             for j, w in enumerate(weights, 1):
                 exact = mp.exp(-mpf(j * j) / (2 * m * m)) * mpf(2) ** f
                 assert w <= exact < w + 2, (p, j)
 
+    @pytest.mark.parametrize("p", [64, 128, 1024, 2048])
+    def test_weights_match_the_mpf_exp_table(self, p):
+        # the recurrence from one kernel call finds the weights that flooring
+        # mpf_exp rounded down at F + 16 bits found, one call per node
+        m, f, weights, _ = oracle._weights(p)
+        g = p + 64
+        exps = (mpf_exp(round_quotient(-k * k, 2 * m * m, g, round_floor), g, round_floor)
+                for k in range(1, len(weights) + 1))
+        assert weights == [to_int(mpf_shift(e, f), round_floor) for e in exps]
+
+    @pytest.mark.parametrize("p", [64, 97, 256, 1024])
+    def test_weights_are_the_floored_recurrence(self, p):
+        # re-derived in Fraction from the module docstring: Q = floor(2^(G+w) /
+        # hi) for the kernel's upper end hi of e^{1/(2m^2)} 2^w at g = G, the
+        # floored products V_j of _gaussian at G bits, and W_j = floor(V_j
+        # 2^(F-G)).  V_j is compared before that floor: at the table's
+        # 2 bitlength(J) + 16 guard bits a product rounded up would change no W_j
+        m, f, weights, _ = oracle._weights(p)
+        g = f + 2 * len(weights).bit_length() + 16
+        _, hi, w = oracle._exp(1, 2 * m * m, g)
+        q = math.floor(Fraction(2 ** (g + w), hi))
+        powers = oracle._gaussian(q, g, len(weights))
+        assert powers == _gaussian_rederived(q, g, len(weights))
+        assert weights == [math.floor(Fraction(v, 2 ** (g - f))) for v in powers]
+
     @pytest.mark.parametrize("x", [7, Fraction(-7, 2)])
     def test_no_exponential_per_node(self, monkeypatch, x):
-        # a warm call evaluates the same few exponentials at every precision,
-        # however many nodes the rule has there
+        # a warm call asks the kernel for the same few exponentials at every
+        # precision, however many nodes the rule has there
         counts = []
-        exp = oracle.mpf_exp
+        exp = oracle._exp
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             counts[-1] += 1
-            return exp(*args, **kwargs)
+            return exp(*args)
 
         for p in (64, 256, 1024):
             phi_quadrature(x, p)  # builds the weights
-            monkeypatch.setattr(oracle, "mpf_exp", counting)
+            monkeypatch.setattr(oracle, "_exp", counting)
             counts.append(0)
             phi_quadrature(x, p)
-            monkeypatch.setattr(oracle, "mpf_exp", exp)
+            monkeypatch.setattr(oracle, "_exp", exp)
         assert counts[0] == counts[1] == counts[2] <= 4, counts
 
     @pytest.mark.parametrize("p", [64, 2048])
@@ -712,8 +871,11 @@ def _any_point(draw):
     return Fraction(draw(st.integers(-30 * den, 30 * den)), den)
 
 
+_ANY_PRECISION = (64, 4096)
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.integers(64, 1024), _any_point())
+@given(st.integers(*_ANY_PRECISION), _any_point())
 @example(64, Fraction(0))
 @example(1024, Fraction(30))
 @example(97, Fraction(-30))
@@ -788,6 +950,16 @@ def test_module_is_context_free(path):
                for node in ast.walk(tree) if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))]
     assigned = {sub.attr for group in targets for target in group for sub in ast.walk(target) if isinstance(sub, ast.Attribute)}
     assert not assigned & {"prec", "dps"}
+
+
+def test_oracle_takes_no_rounded_arithmetic_from_mpmath():
+    # every exponential comes from the kernel and every end is one exact
+    # quotient: the oracle imports no libmp exponential, product, quotient,
+    # square root or one
+    tree = ast.parse(pathlib.Path(oracle.__file__).read_text(encoding="utf-8"))
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & {"mpf_exp", "mpf_div", "mpf_mul", "mpf_sqrt", "fone"}
 
 
 def test_oracle_imports_only_errors_and_numutil():

@@ -1,5 +1,6 @@
-"""The benchmark's tracer wraps functions of the package by name; a rename
-or removal there must fail here, not in a traced benchmark run."""
+"""The benchmark's tracer wraps functions of the package by name, and the
+mutation check edits lines of it by their text; a rename or removal there
+must fail here, not in a traced benchmark run or a mutation check."""
 
 import ast
 import importlib
@@ -13,17 +14,18 @@ import pytest
 import millsratio
 from millsratio import cli, poly
 
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(path: pathlib.Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-TRACER_MODULE = _load_tracer()
+TRACER_MODULE = _load(TRACER, "perfbench_tracer")
 TARGETS = TRACER_MODULE.TARGETS
 
 
@@ -89,3 +91,15 @@ def test_benchmark_api_names_are_found():
 def test_benchmark_api_names_resolve(name):
     millsratio = importlib.import_module("millsratio")
     assert callable(getattr(millsratio, name, None)), f"perfbench calls millsratio.{name}, which is gone"
+
+
+MUTANTS = _load(ROOT / "scripts" / "mutation_check.py", "mutation_check").MUTANTS
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda mutant: mutant.name)
+def test_mutant_line_and_tests_exist(mutant):
+    # scripts/mutation_check.py applies each mutant to the one occurrence of
+    # its line and runs the test files it names; a change that deletes the
+    # line or a test file leaves a mutant that no longer tests anything
+    assert (ROOT / mutant.path).read_text(encoding="utf-8").count(mutant.old) == 1, mutant.name
+    assert mutant.tests and all((ROOT / test).is_file() for test in mutant.tests), mutant.name
