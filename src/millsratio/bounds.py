@@ -49,7 +49,6 @@ per point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt
 from operator import attrgetter
@@ -68,8 +67,7 @@ GUARD_BITS = 16  # bits above the requested precision: certificates, square root
 _ZERO = mpf(0)  # the error of an exact margin
 
 
-@dataclass(frozen=True)
-class Enclosure:
+class Enclosure(NamedTuple):
     x: mpf
     lower: mpf
     upper: mpf
@@ -78,23 +76,20 @@ class Enclosure:
     precision_bits: int
 
 
-@dataclass(frozen=True)
-class BetaRoot:
+class BetaRoot(NamedTuple):
     m: int
     value: mpf
     bracket: tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class SecondOrderBound:
+class SecondOrderBound(NamedTuple):
     n: int
     value: mpf
     role: str  # "lower" for even n, "upper" for odd n
 
 
 class Certificate(NamedTuple):
-    """One verdict.  A NamedTuple, not a frozen dataclass: a default verify
-    makes 3574, and a frozen dataclass's __init__ takes five times as long."""
+    """One verdict."""
 
     family: str
     n: int
@@ -364,8 +359,7 @@ def _sharper(row: Family, n: int, x: Fraction, precision_bits: int, ov: OracleVa
     return certs
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One bound family: what differs between families, and nothing more.
 
     ``values(n, x, w, sweep)`` forms the bound values shown at (n, x), by

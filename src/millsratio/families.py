@@ -51,10 +51,10 @@ ones stay correct for the rest of the process.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from functools import cache, partial
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
@@ -64,15 +64,13 @@ from .numutil import check_index, check_precision, to_fraction, to_mpf
 from .poly import IntPolynomial, ONE, X, ZERO
 
 
-@dataclass(frozen=True)
-class PQPair:
+class PQPair(NamedTuple):
     n: int
     p: IntPolynomial
     q: IntPolynomial
 
 
-@dataclass(frozen=True)
-class QuadraticTriple:
+class QuadraticTriple(NamedTuple):
     n: int
     a: IntPolynomial
     b: IntPolynomial

@@ -193,9 +193,9 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 from mpmath.libmp import mpf_add, mpf_pi, mpf_shift, mpf_sub, round_ceiling, round_floor, round_nearest
@@ -212,8 +212,7 @@ _lock = threading.Lock()
 _WEIGHTS: dict[int, tuple[int, int, list[int], int]] = {}  # p -> (m, F, [W_1 .. W_J], remainder 2^F)
 
 
-@dataclass(frozen=True)
-class OracleValue:
+class _OracleFields(NamedTuple):
     value: mpf
     error_bound: mpf
     method: str
@@ -222,6 +221,8 @@ class OracleValue:
     # None for quadrature
     terms: int | None = None
 
+
+class OracleValue(_OracleFields):  # no __slots__: the __dict__ holds dyadic
     @cached_property
     def dyadic(self) -> tuple[int, int, int]:
         """(E, N, M) with value N 2^-E and error_bound M 2^-E, read once per

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -402,7 +401,7 @@ class TestVerify:
 
         def off_at_two(x, precision_bits):
             ov = quadrature(x, precision_bits)
-            return dataclasses.replace(ov, value=ov.value + 1) if x == 2 else ov
+            return ov._replace(value=ov.value + 1) if x == 2 else ov
 
         monkeypatch.setattr(cli, "phi_quadrature", off_at_two)
         code, out, _ = run_cli(capsys, "verify", "--n-max", "2", "--grid", "1:2:1",
@@ -706,7 +705,7 @@ def test_certify_path_forms_no_value_no_certificate_reads(capsys, monkeypatch):
     grid = [Fraction(k, 10) for k in range(1, 101)]
     for family, orders, count in (("eq16", range(12), 1200), ("eq17", range(4), 400)):
         with monkeypatch.context() as patch:
-            patch.setitem(bounds.FAMILIES, family, dataclasses.replace(FAMILIES[family], values=refuse))
+            patch.setitem(bounds.FAMILIES, family, FAMILIES[family]._replace(values=refuse))
             certs = certify_grid(family, list(orders), grid)
         assert len(certs) == count and all(c.verdict == "pass" for c in certs), family
     code, out, _ = run_cli(capsys, "bounds", "--family", "eq16", "--n", "5", "--x", "7/2")

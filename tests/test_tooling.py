@@ -3,9 +3,11 @@ mutation check edits lines of it by their text; a rename or removal there
 must fail here, not in a traced benchmark run or a mutation check."""
 
 import ast
+import functools
 import importlib
 import importlib.util
 import pathlib
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -96,10 +98,23 @@ def test_benchmark_api_names_resolve(name):
 MUTANTS = _load(ROOT / "scripts" / "mutation_check.py", "mutation_check").MUTANTS
 
 
+@functools.cache
+def _collected() -> frozenset[str]:
+    """The test items one `pytest --collect-only` call finds in the files
+    the mutants' ids name (an id that is not found would stop it)."""
+    files = sorted({test.split("::")[0] for mutant in MUTANTS for test in mutant.tests})
+    command = [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *files]
+    result = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
+    return frozenset(line for line in result.stdout.splitlines() if "::" in line)
+
+
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda mutant: mutant.name)
 def test_mutant_line_and_tests_exist(mutant):
     # scripts/mutation_check.py applies each mutant to the one occurrence of
-    # its line and runs the test files it names; a change that deletes the
-    # line or a test file leaves a mutant that no longer tests anything
+    # its line and runs the test ids it names; a change that deletes the
+    # line or renames a test leaves a mutant that no longer tests anything.
+    # An id names one item, or a function and every item of it
     assert (ROOT / mutant.path).read_text(encoding="utf-8").count(mutant.old) == 1, mutant.name
-    assert mutant.tests and all((ROOT / test).is_file() for test in mutant.tests), mutant.name
+    assert mutant.tests
+    for test in mutant.tests:
+        assert any(item == test or item.startswith(test + "[") for item in _collected()), (mutant.name, test)
