@@ -2,16 +2,17 @@
 
 Each mutant below is a one-line change to src/ that weakens a rounding
 direction or drops a counted error term, so that a value or error bound
-the library returns may no longer hold.  For each mutant the check copies
-src/, tests/ and pyproject.toml into a temporary directory, applies the
-change there, and runs the test ids the mutant names, each a test that
-fails on it.  The mutant is killed when one of them fails.  The check exits
-0 when every mutant is killed, 1 when one survives, and 2 when the
-unmutated copy fails those tests or a mutant's line is not found once in
-its file.  It is not part of the tier-1 suite, which checks only that each
-line occurs once and that pytest collects each id; it takes about 70 s on
-2 cores (it took 2 min 7 s running each mutant's whole test files), and
-needs nothing beyond the test dependencies.
+the library returns, or a digit it prints, may no longer hold.  For each
+mutant the check copies src/, tests/ and pyproject.toml into a temporary
+directory, applies the change there, and runs the test ids the mutant
+names, each a test that fails on it.  The mutant is killed when one of
+them fails.  The check exits 0 when every mutant is killed, 1 when one
+survives, and 2 when the unmutated copy fails those tests or a mutant's
+line is not found once in its file.  It is not part of the tier-1 suite,
+which checks only that each line occurs once and that pytest collects each
+id; it takes about 55 s on 2 cores (it took 2 min 7 s running each
+mutant's whole test files), and needs nothing beyond the test
+dependencies.
 
     python scripts/mutation_check.py
 """
@@ -27,8 +28,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-ORACLE, BOUNDS = "src/millsratio/oracle.py", "src/millsratio/bounds.py"
+ORACLE, BOUNDS, NUMUTIL = "src/millsratio/oracle.py", "src/millsratio/bounds.py", "src/millsratio/numutil.py"
 O, K, B = "tests/test_oracle.py::", "tests/test_exact_kernel.py::", "tests/test_bounds.py::"
+DECIMAL_EDGES = "tests/test_numutil.py::test_nstr_fixed_at_the_edges_of_its_integer_path[{}]"
 # killing test ids that several mutants share
 REDERIVED_SUM = O + "TestSeriesCount::test_fixed_counts_match_a_fraction_rederivation[200-x0]"
 NARROW_SUM = O + "TestSeriesCount::test_sum_encloses_d_at_narrow_widths[x0]"
@@ -146,6 +148,10 @@ MUTANTS = [
     Mutant("verdict-margin-equal-to-error-passes", BOUNDS,
            '"pass" if mpf_gt(margin._mpf_, error._mpf_)', '"pass" if not mpf_gt(error._mpf_, margin._mpf_)',
            (B + "test_margin_one_ulp_above_its_error_passes[128]",)),
+    Mutant("decimal-half-rounded-down", NUMUTIL, "up = 2 * r >= den if nearest", "up = 2 * r > den if nearest",
+           (DECIMAL_EDGES.format(1), DECIMAL_EDGES.format(300))),
+    Mutant("decimal-ceiling-of-a-negative-rounded-down", NUMUTIL, "else r > 0 and not sign", "else r > 0",
+           ("tests/test_numutil.py::test_nstr_ceiling_never_prints_below_the_value",)),
 ]
 
 

@@ -12,7 +12,6 @@ report is then printed as the text summary, byte for byte what
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 
@@ -39,7 +38,7 @@ def main(argv=None) -> int:
     if not out.exists():
         return rc  # refused or failed before a report: mills verify printed why
     print(f"wrote {out} (exit {rc})")
-    cli.write_report(cli._render_report(json.loads(out.read_text(encoding="utf-8")), "text"), None)
+    cli.write_report(cli.json_report_as_text(out.read_text(encoding="utf-8")), None)
     return rc
 
 

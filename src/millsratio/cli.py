@@ -22,7 +22,6 @@ import os
 import re
 import sys
 from fractions import Fraction
-from itertools import chain
 
 from . import __version__
 from .bounds import FAMILIES, beta, certify_grid, find_family, phi_at
@@ -34,6 +33,10 @@ from .oracle import phi_quadrature, phi_series
 
 # the verify report's row fields, in order; identity rows fill family, n and verdict
 CSV_COLUMNS = ["family", "n", "x", "margin", "precision_bits", "verdict"]
+# the columns of each list section of the verify report: its rows are tuples
+# in this order, each ending in its pass/fail
+SECTIONS = {"identities": ("identity", "n", "status"), "oracle_agreement": ("x", "status"),
+            "certificates": tuple(CSV_COLUMNS)}
 
 
 def parse_rational(text: str) -> Fraction:
@@ -176,7 +179,8 @@ def _verify_plan(xs: list[Fraction]) -> list[tuple]:
 def _run_verification(args) -> dict:
     xs = grid_points(args.grid)
     p = args.precision
-    identities = verify_identities(args.n_max, _faulty_tables(args.n_max) if args.inject_fault else None)
+    tables = _faulty_tables(args.n_max) if args.inject_fault else None
+    identities = [(e["identity"], e["n"], e["status"]) for e in verify_identities(args.n_max, tables)]
     # the run's memo: each point's phi, sweep and forms are formed once per
     # run, and the deepest sweep first (Eq16's, to order 12, before Eq15's)
     plan, memo = _verify_plan(xs), {}
@@ -190,12 +194,7 @@ def _run_verification(args) -> dict:
         s, q = phi_at(x, p, memo), phi_quadrature(x, p)
         gap = abs(to_fraction(s.value) - to_fraction(q.value))
         ok = gap <= to_fraction(s.error_bound) + to_fraction(q.error_bound)
-        agreement.append({"x": str(x), "status": "pass" if ok else "fail"})
-    all_pass = (
-        all(e["status"] == "pass" for e in identities)
-        and all(c.verdict == "pass" for c in certs)
-        and all(e["status"] == "pass" for e in agreement)
-    )
+        agreement.append((str(x), "pass" if ok else "fail"))
     config = {"subcommand": "verify", "precision_bits": p, "digits": args.digits, "n_max": args.n_max,
               "grid": ":".join(str(g) for g in args.grid), "format": args.format}
     if args.out:
@@ -204,15 +203,15 @@ def _run_verification(args) -> dict:
     # each certificate.  The text report shows a failing certificate's
     # margin only, so it renders no other.
     names, every_margin, digits = {id(x): str(x) for x in xs}, args.format != "text", args.digits
+    rows = [(family, n, names[id(x)], nstr_fixed(margin, digits) if every_margin or verdict == "fail" else None,
+             bits, verdict) for family, n, x, margin, bits, verdict, _ in certs]
     return {
         "version": __version__,
         "config": config,
         "identities": identities,
         "oracle_agreement": agreement,
-        "certificates": [{"family": c.family, "n": c.n, "x": names[id(c.x)],
-                          "margin": nstr_fixed(c.margin, digits) if every_margin or c.verdict == "fail" else None,
-                          "precision_bits": c.precision_bits, "verdict": c.verdict} for c in certs],
-        "all_pass": all_pass,
+        "certificates": rows,
+        "all_pass": all(row[-1] == "pass" for section in (identities, agreement, rows) for row in section),
     }
 
 
@@ -243,70 +242,65 @@ def write_report(text: str, path: str | None) -> None:
         print(text, end="" if text.endswith("\n") else "\n")
 
 
-def _render_report(report: dict, fmt: str) -> str:
-    r"""The report as text in fmt: "json", "csv" or "text".
+def _row_template(columns) -> str:
+    """The layout json.dumps(indent=2) gives a row of columns inside a
+    top-level list, as one % template of the row's tuple: the ints n and
+    precision_bits bare, every other column a quoted string."""
+    fields = ",\n      ".join(f'"{c}": %s' if c in ("n", "precision_bits") else f'"{c}": "%s"' for c in columns)
+    return "    {\n      " + fields + "\n    }"
 
-    The JSON is the bytes of json.dumps(report, indent=2) + "\n", but
-    `indent` turns json's C encoder off, so the indented layout is written
-    here and the C encoder writes each top-level value once, with "\x00" as
-    its item separator.  The encoder escapes every control character inside
-    a string (a NUL as \u0000), so a raw "\x00" in its output can only be a
-    separator.  The report's shape makes each separator's place known: every
-    top-level value is a scalar, a flat dict or a list of flat dicts, where
-    a flat dict holds no dict, list or tuple.  In a list of flat dicts a
-    "}\x00{" is then always the separator between two dicts and every other
-    "\x00" one between two items of a dict.  Another shape raises TypeError.
+
+_ROW_TEMPLATES = {section: _row_template(columns) for section, columns in SECTIONS.items()}
+
+
+def _render_report(report: dict, fmt: str) -> str:
+    """The report as text in fmt: "json", "csv" or "text".
+
+    The JSON is the bytes of json.dumps(indent=2) + "\n" of the report with
+    each row of a SECTIONS list as the dict of its columns.  Each row is
+    written by its section's template, with no escaping: every string in a
+    row is one the program forms (a family or identity name, str of a
+    Fraction, decimal digits, pass or fail), and none holds a quote, a
+    backslash or a control character.  Every other value, such as the
+    config with its user-given --out, goes through json's encoder.
     """
     if fmt == "json":
-        encode = json.JSONEncoder(separators=("\x00", ": "), check_circular=False).encode  # a flat shape has no cycle
         fields = []
         for key, value in report.items():
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be strings, got {key!r}")
-            if isinstance(value, dict):
-                _check_flat([value])
-                text = "{\n    " + encode(value)[1:-1].replace("\x00", ",\n    ") + "\n  }" if value else "{}"
-            elif isinstance(value, (list, tuple)):
-                _check_flat(value)
-                text = "[]"
-                if value:
-                    items = encode(value)[2:-2].replace("}\x00{", "\n    },\n    {\n      ").replace("\x00", ",\n      ")
-                    text = "[\n    {\n      " + items + "\n    }\n  ]"
-                    if not all(value):  # an empty dict's text between its separators is empty
-                        text = text.replace("{\n      \n    }", "{}")
+            if key in SECTIONS:
+                template = _ROW_TEMPLATES[key]
+                text = "[\n" + ",\n".join([template % row for row in value]) + "\n  ]" if value else "[]"
             else:
-                text = encode(value)
-            fields.append(f"{encode(key)}: {text}")
-        return "{\n  " + ",\n  ".join(fields) + "\n}\n" if fields else "{}\n"
+                text = json.dumps(value, indent=2).replace("\n", "\n  ")  # a string's newline is escaped
+            fields.append(f'"{key}": {text}')
+        return "{\n  " + ",\n  ".join(fields) + "\n}\n"
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, CSV_COLUMNS, restval="")
-        writer.writeheader()
-        writer.writerows({"family": f"identity:{e['identity']}", "n": e["n"], "verdict": e["status"]}
-                         for e in report["identities"])
+        writer = csv.writer(buf)
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows((f"identity:{identity}", n, "", "", "", status) for identity, n, status in report["identities"])
         writer.writerows(report["certificates"])
         return buf.getvalue()
     lines = [f"mills verify (version {report['version']})"]
-    for section, field, name in (  # each section's pass count, then one line per failing entry
-        ("identities", "status", lambda e: f"{e['identity']} at n={e['n']}"),
-        ("certificates", "verdict", lambda c: f"{c['family']} n={c['n']} x={c['x']} margin={c['margin']}"),
-        ("oracle_agreement", "status", lambda e: f"oracle agreement at x={e['x']}"),
+    for section, name in (  # each section's pass count, then one line per failing row
+        ("identities", lambda identity, n, _: f"{identity} at n={n}"),
+        ("certificates", lambda family, n, x, margin, *_: f"{family} n={n} x={x} margin={margin}"),
+        ("oracle_agreement", lambda x, _: f"oracle agreement at x={x}"),
     ):
-        entries = report[section]
-        fails = [f"  FAIL {name(e)}" for e in entries if e[field] == "fail"]
-        lines += [f"{section.replace('_', ' ')}: {len(entries) - len(fails)}/{len(entries)} pass", *fails]
+        rows = report[section]
+        fails = [f"  FAIL {name(*row)}" for row in rows if row[-1] == "fail"]
+        lines += [f"{section.replace('_', ' ')}: {len(rows) - len(fails)}/{len(rows)} pass", *fails]
     lines.append("ALL PASS" if report["all_pass"] else "FAILURES PRESENT")
     return "\n".join(lines) + "\n"
 
 
-def _check_flat(leaves) -> None:
-    """Refuse, with TypeError, leaves that are not all flat dicts: dicts
-    whose values are no dict, list or tuple."""
-    if not all(issubclass(kind, dict) for kind in set(map(type, leaves))):
-        raise TypeError("a report list must hold dicts only")
-    kinds = set(map(type, chain.from_iterable(map(dict.values, leaves))))
-    if any(issubclass(kind, (dict, list, tuple)) for kind in kinds):
-        raise TypeError("a report dict must not hold a dict, list or tuple")
+def json_report_as_text(text: str) -> str:
+    """The text report of a verify report that was written as JSON, its
+    rows read back as tuples in their SECTIONS column order."""
+    report = json.loads(text)
+    for section, columns in SECTIONS.items():
+        report[section] = [tuple(row[c] for c in columns) for row in report[section]]
+    return _render_report(report, "text")
 
 
 def cmd_beta(args) -> int:

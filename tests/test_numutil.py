@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, from_rational, fzero, mpf_shift, to_str
 
@@ -192,51 +192,6 @@ def _exact_reference(value, digits: int) -> str:
     return to_str(from_rational(rounded.numerator, rounded.denominator, 4 * digits + 64, "n"), digits)
 
 
-@st.composite
-def renderable(draw):
-    """mpfs of either sign with 53-300-bit mantissas and exponents from
-    -4000 to 4000 (past to_str's own +-3500 switch); exact zero; decimals
-    next to a power of ten (9.99...95 and its neighbours, as Fractions and
-    as mpfs) and next to a half in their last digit (where the binary
-    rounding decides the decimal one); ints, Fractions and decimal strings."""
-    sign = draw(st.sampled_from((1, -1)))
-    kind = draw(st.sampled_from(("mpf", "mpf", "near_ten", "near_half", "zero", "int", "fraction", "string")))
-    if kind == "mpf":
-        bits = draw(st.integers(53, 300))
-        man = draw(st.integers(2 ** (bits - 1), 2**bits - 1))
-        return mp.make_mpf(from_man_exp(sign * man, draw(st.integers(-4000, 4000))))
-    if kind == "near_ten":  # (10^m - 5 + delta) 10^-j: 9.99...95 when j = m - 1
-        m = draw(st.integers(1, 45))
-        value = sign * Fraction(10**m - 5 + draw(st.integers(-3, 6))) / Fraction(10) ** draw(st.integers(-60, 60))
-        return to_mpf(value, draw(st.integers(53, 300))) if draw(st.booleans()) else value
-    if kind == "near_half":  # d.dd...d5 10^-j moved by a few ulps of 53-176 bits, at 300 bits
-        half = Fraction(10 * draw(st.integers(1, 10**40)) + 5) / Fraction(10) ** draw(st.integers(-60, 60))
-        moved = half * (1 + Fraction(draw(st.integers(-8, 8)), 2 ** draw(st.integers(53, 180))))
-        return sign * to_mpf(moved, 300)
-    if kind == "zero":
-        return draw(st.sampled_from((0, Fraction(0), mpf(0), "0.0")))
-    if kind == "int":
-        return sign * draw(st.integers(0, 10**60))
-    if kind == "fraction":
-        return sign * Fraction(draw(st.integers(1, 10**40)), draw(st.integers(1, 10**40)))
-    return f"{sign * draw(st.integers(0, 10**30))}.{draw(st.integers(0, 10**12))}e{draw(st.integers(-80, 80))}"
-
-
-@settings(max_examples=1500, deadline=None)
-@given(renderable(), st.integers(1, 40))
-def test_nstr_fixed_is_the_exact_value_rounded_once(value, digits):
-    assert nstr_fixed(value, digits) == _exact_reference(value, digits)
-
-
-def test_nstr_fixed_rounds_a_value_above_a_decimal_half_up():
-    # the exact value is 1.000000000000000000050000000009...e+50, above the
-    # half of its 20th digit; a binary rounding to 96 bits first lands just
-    # below the half (1.00000000000000000004999...e+50) and printed 1.0e+50
-    for sign in (1, -1):
-        value = mp.make_mpf(from_man_exp(sign * 84703294725430033911067414805, 70))
-        assert nstr_fixed(value, 20) == "-1.0000000000000000001e+50"[sign > 0 :]
-
-
 def _ties_next_to_decimal_halves(digits: int) -> list:
     """mpfs halfway between the two prec-bit neighbours q 2^e < h < (q+1) 2^e
     of a decimal h = d.dd...d5 10^-j of digits + 1 significant digits, with
@@ -258,11 +213,72 @@ def _ties_next_to_decimal_halves(digits: int) -> list:
     return out
 
 
+@st.composite
+def renderable(draw):
+    """mpfs of either sign with 53-300-bit mantissas and exponents from
+    -4000 to 4000 (past to_str's own +-3500 switch); mpfs m 2^-s of up to
+    900 bits over 2^1..2^600, below and above 10^digits; binary ties
+    next to decimal halves, as mpfs; exact zero; decimals next to a power
+    of ten (9.99...95 and its neighbours, as Fractions and as mpfs) and
+    next to a half in their last digit (where the binary rounding decides
+    the decimal one); ints, Fractions and decimal strings."""
+    sign = draw(st.sampled_from((1, -1)))
+    kinds = ("mpf", "mpf", "dyadic", "tie", "near_ten", "near_half", "zero", "int", "fraction", "string")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "mpf":
+        bits = draw(st.integers(53, 300))
+        man = draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+        return mp.make_mpf(from_man_exp(sign * man, draw(st.integers(-4000, 4000))))
+    if kind == "dyadic":
+        return mp.make_mpf(from_man_exp(sign * draw(st.integers(1, 2**900)), -draw(st.integers(1, 600))))
+    if kind == "tie":
+        return sign * draw(st.sampled_from(_ties_next_to_decimal_halves(draw(st.integers(1, 40)))))
+    if kind == "near_ten":  # (10^m - 5 + delta) 10^-j: 9.99...95 when j = m - 1
+        m = draw(st.integers(1, 45))
+        value = sign * Fraction(10**m - 5 + draw(st.integers(-3, 6))) / Fraction(10) ** draw(st.integers(-60, 60))
+        return to_mpf(value, draw(st.integers(53, 300))) if draw(st.booleans()) else value
+    if kind == "near_half":  # d.dd...d5 10^-j moved by a few ulps of 53-176 bits, at 300 bits
+        half = Fraction(10 * draw(st.integers(1, 10**40)) + 5) / Fraction(10) ** draw(st.integers(-60, 60))
+        moved = half * (1 + Fraction(draw(st.integers(-8, 8)), 2 ** draw(st.integers(53, 180))))
+        return sign * to_mpf(moved, 300)
+    if kind == "zero":
+        return draw(st.sampled_from((0, Fraction(0), mpf(0), "0.0")))
+    if kind == "int":
+        return sign * draw(st.integers(0, 10**60))
+    if kind == "fraction":
+        return sign * Fraction(draw(st.integers(1, 10**40)), draw(st.integers(1, 10**40)))
+    return f"{sign * draw(st.integers(0, 10**30))}.{draw(st.integers(0, 10**12))}e{draw(st.integers(-80, 80))}"
+
+
+# m 2^-s at or above 10^digits: 2^490 + 2^-10 is near 3.2e147
+_WIDE_DYADIC = mp.make_mpf(from_man_exp(2**500 + 1, -10))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(renderable(), st.integers(1, 40))
+@example(_WIDE_DYADIC, 40)
+@example(-_WIDE_DYADIC, 1)
+def test_nstr_fixed_is_the_exact_value_rounded_once(value, digits):
+    assert nstr_fixed(value, digits) == _exact_reference(value, digits)
+
+
+def test_nstr_fixed_rounds_a_value_above_a_decimal_half_up():
+    # the exact value is 1.000000000000000000050000000009...e+50, above the
+    # half of its 20th digit; a binary rounding to 96 bits first lands just
+    # below the half (1.00000000000000000004999...e+50) and printed 1.0e+50
+    for sign in (1, -1):
+        value = mp.make_mpf(from_man_exp(sign * 84703294725430033911067414805, 70))
+        assert nstr_fixed(value, 20) == "-1.0000000000000000001e+50"[sign > 0 :]
+
+
 @pytest.mark.parametrize("digits", [1, 2, 20, 246, 247, 300])
 def test_nstr_fixed_at_the_edges_of_its_integer_path(digits):
     # exponents next to to_str's +-3500 switch, digit counts next to the 247
-    # where to_str's digit conversion stops being one str(), and binary ties
+    # where to_str's digit conversion stops being one str(), binary ties, and
+    # m 2^-s on both sides of 10^digits
     values = [mpf(0), Fraction(0), *_ties_next_to_decimal_halves(digits)]
+    for man, s in ((2**500 + 1, 10), (2**2000 + 1, 1000), (10**300 + 1, 1), (3, 2), (10**40 + 7, 200)):
+        values += [mp.make_mpf(from_man_exp(sign * man, -s)) for sign in (1, -1)]
     for top in (-3501, -3500, -3499, 0, 1, 3499, 3500, 3501):
         for man in (1, 3, 2**53 - 1, 2**300 - 1, 10**40 + 7):
             for sign in (1, -1):
@@ -273,6 +289,8 @@ def test_nstr_fixed_at_the_edges_of_its_integer_path(digits):
 
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(st.fractions(), renderable()), st.integers(1, 40))
+@example(_WIDE_DYADIC, 40)
+@example(-_WIDE_DYADIC, 1)
 def test_nstr_ceiling_never_prints_below_the_value(value, digits):
     exact = to_fraction(value)
     shown = nstr_ceiling(value, digits)
