@@ -2,17 +2,19 @@
 
 Each mutant below is a one-line change to src/ that weakens a rounding
 direction or drops a counted error term, so that a value or error bound
-the library returns, or a digit it prints, may no longer hold.  For each
-mutant the check copies src/, tests/ and pyproject.toml into a temporary
-directory, applies the change there, and runs the test ids the mutant
-names, each a test that fails on it.  The mutant is killed when one of
-them fails.  The check exits 0 when every mutant is killed, 1 when one
-survives, and 2 when the unmutated copy fails those tests or a mutant's
-line is not found once in its file.  It is not part of the tier-1 suite,
-which checks only that each line occurs once and that pytest collects each
-id; it takes about 55 s on 2 cores (it took 2 min 7 s running each
-mutant's whole test files), and needs nothing beyond the test
-dependencies.
+the library returns, or a digit it prints, may no longer hold; or that
+breaks a step of the exact identity suite, so that a verdict it reports
+may no longer be the definitions' verdict.  For each mutant the check
+copies src/, tests/ and pyproject.toml into a temporary directory, applies
+the change there, and runs the test ids the mutant names, each a test that
+fails on it.  The mutant is killed when one of them fails, or when the run
+takes longer than TIMEOUT_S (a mutant can make a loop endless).  The check
+exits 0 when every mutant is killed, 1 when one survives, and 2 when the
+unmutated copy fails those tests or runs out of time, or a mutant's line
+is not found once in its file.  It is not part of the tier-1 suite, which
+checks only that each line occurs once and that pytest collects each id;
+it takes about 64 s on 2 cores (it took 2 min 7 s running each mutant's
+whole test files), and needs nothing beyond the test dependencies.
 
     python scripts/mutation_check.py
 """
@@ -29,7 +31,10 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 ORACLE, BOUNDS, NUMUTIL = "src/millsratio/oracle.py", "src/millsratio/bounds.py", "src/millsratio/numutil.py"
+FAMILIES, POLY = "src/millsratio/families.py", "src/millsratio/poly.py"
 O, K, B = "tests/test_oracle.py::", "tests/test_exact_kernel.py::", "tests/test_bounds.py::"
+F = "tests/test_families.py::"
+TIMEOUT_S = 120  # per pytest run; the unmutated copy runs every killing test in about 6 s on 2 cores
 DECIMAL_EDGES = "tests/test_numutil.py::test_nstr_fixed_at_the_edges_of_its_integer_path[{}]"
 # killing test ids that several mutants share
 REDERIVED_SUM = O + "TestSeriesCount::test_fixed_counts_match_a_fraction_rederivation[200-x0]"
@@ -152,14 +157,27 @@ MUTANTS = [
            (DECIMAL_EDGES.format(1), DECIMAL_EDGES.format(300))),
     Mutant("decimal-ceiling-of-a-negative-rounded-down", NUMUTIL, "else r > 0 and not sign", "else r > 0",
            ("tests/test_numutil.py::test_nstr_ceiling_never_prints_below_the_value",)),
+    Mutant("stepped-square-without-its-correction", FAMILIES,
+           "x_step(x_step(s, 2 * n, t), n * n, s_prev) + (2 * (r * p1) - r * r)",
+           "x_step(x_step(s, 2 * n, t), n * n, s_prev)",
+           (F + "TestDiscriminantByWronskians::test_report_equals_the_reference_on_corrupted_tables[0]",
+            F + "TestDiscriminantByWronskians::test_steps_equal_the_definitions_on_any_tables")),
+    Mutant("x-step-ignores-k", POLY, "out[i] += k * c", "out[i] += c",
+           ("tests/test_poly.py::TestOwnResults::test_x_step_is_x_times_p_plus_k_times_q",
+            F + "TestPQPairs::test_reference_table")),
 ]
 
 
-def run_tests(copy: Path, tests: tuple[str, ...]) -> int:
-    """pytest's exit status for tests in copy: 0 all passed, 1 some failed."""
+def run_tests(copy: Path, tests: tuple[str, ...]) -> int | None:
+    """pytest's exit status for tests in copy: 0 all passed, 1 some failed;
+    None when the run took longer than TIMEOUT_S and was killed."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"))
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-    return subprocess.run(command, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    try:
+        return subprocess.run(command, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                              timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def fresh_copy(scratch: Path) -> Path:
@@ -184,8 +202,10 @@ def apply(copy: Path, mutant: Mutant) -> None:
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="mutation-check-") as scratch:
         tests = tuple(sorted({test for mutant in MUTANTS for test in mutant.tests}))
-        if run_tests(fresh_copy(Path(scratch)), tests) != 0:
-            print(f"the unmutated tests fail: {' '.join(tests)}", file=sys.stderr)
+        status = run_tests(fresh_copy(Path(scratch)), tests)
+        if status != 0:
+            failure = f"run longer than {TIMEOUT_S} s" if status is None else "fail"
+            print(f"the unmutated tests {failure}: {' '.join(tests)}", file=sys.stderr)
             return 2
         survivors = []
         for mutant in MUTANTS:
@@ -196,10 +216,11 @@ def main() -> int:
                 print(exc, file=sys.stderr)
                 return 2
             status = run_tests(copy, mutant.tests)
-            if status not in (0, 1):
+            if status not in (0, 1, None):
                 print(f"{mutant.name}: pytest exited with status {status}", file=sys.stderr)
                 return 2
-            print(f"{'survived' if status == 0 else 'killed':8}  {mutant.name}", flush=True)
+            verdict = "survived" if status == 0 else "killed" if status else "killed (timed out)"
+            print(f"{verdict:8}  {mutant.name}", flush=True)
             if status == 0:
                 survivors.append(mutant.name)
             shutil.rmtree(copy)

@@ -20,11 +20,18 @@ in any commutative ring.  With the residuals rp_k = P_{k+1} - X P_k -
 k P_{k-1} and rq_k (likewise; T_{-1} = 0) of the checked tables,
 verify_identities steps W_k = -k W_{k-1} + rq_k P_k - rp_k Q_k (the
 Casoratian; Gautschi 1967), W2_n = X W_n + rq_{n+1} P_n - rp_{n+1} Q_n and
-A_n = P_n^2 - n A_{n-1} + rp_{n+1} P_n - rp_n P_{n+1} from W_0 and A_0: ring
-identities too, so any tables get the same verdict.  On true tables every
-residual is ZERO: no P Q product, one square P_n^2 per order.  Independent
-closed forms for P_n, Q_n and A_n are checked against the recurrence output;
-none of them reads the recurrence's tables.
+A_n = S_n - n A_{n-1} + rp_{n+1} P_n - rp_n P_{n+1} from W_0 and A_0, and
+the square S_n = P_n^2 with T_n = P_n P_{n-1} from S_0 (S_{-1} = T_0 = 0):
+
+    S_{n+1} = X (X S_n + 2n T_n) + n^2 S_{n-1} + rp_n (2 P_{n+1} - rp_n)
+    T_{n+1} = X S_n + n T_n + rp_n P_n
+
+These are ring identities too, so any tables get the same verdict, and
+each X v + k w is one pass of poly.x_step.  On true tables every residual
+is ZERO: no product of two polynomials has both operands above degree 1,
+and the largest (P_0 P_2 and P_1^2 of A_0, W2_n^2) have degree 2.
+Independent closed forms for P_n, Q_n and A_n are checked against the
+recurrence output; none of them reads the recurrence's tables.
 They are computed in integers only, O(1) work per coefficient and no
 factorial, every division checked: a remainder is an IdentityError naming
 the order.  Each coefficient or scale of P_n and Q_n is the one before it
@@ -61,7 +68,7 @@ from mpmath import mp, mpf
 from .contfrac import pq_sweep
 from .errors import IdentityError
 from .numutil import check_index, check_precision, to_fraction, to_mpf
-from .poly import IntPolynomial, ONE, X, ZERO
+from .poly import IntPolynomial, ONE, X, ZERO, x_step
 
 
 class PQPair(NamedTuple):
@@ -89,8 +96,8 @@ def pq_pair(n: int) -> PQPair:
         with _lock:
             while n >= len(_Q):
                 k = len(_Q) - 1
-                _P.append(X * _P[k] + k * _P[k - 1])
-                _Q.append(X * _Q[k] + k * _Q[k - 1])
+                _P.append(x_step(_P[k], k, _P[k - 1]))
+                _Q.append(x_step(_Q[k], k, _Q[k - 1]))
     return PQPair(n, _P[n], _Q[n])
 
 
@@ -122,11 +129,12 @@ def q_closed_form(n: int, p_form=p_closed_form) -> IntPolynomial:
     coeffs = [0] * n
     scale = 1
     for k in range(m // 2 + 1):
+        r = m - 2 * k
         if k:
-            r = m - 2 * k
             scale = _ratio_step(scale, (r + 2) * (r + 1), m - k + 1, "Q scale", n, k)
-        for i, c in enumerate(p_form(m - 2 * k).coeffs):
-            coeffs[i] += scale * c
+        p_r = p_form(r).coeffs
+        for i in range(r % 2, len(p_r), 2):  # P_r's terms, all of the parity of r
+            coeffs[i] += scale * p_r[i]
     return IntPolynomial(coeffs)
 
 
@@ -243,10 +251,11 @@ def verify_identities(n_max: int, tables=None) -> list[dict]:
 
     ``tables`` is an optional pair (P list, Q list) of at least n_max + 3
     entries to check instead of the shared memo; either way, the checked
-    tables' residuals step W_n, W2_n and A_n: no P Q product, one square
-    P_n^2 per order.  Returns a list of {"identity": ..., "n": ...,
-    "status": "pass"|"fail"} entries with stable key order; failures never
-    raise, and a closed form that raises IdentityError fails its entry.
+    tables' residuals step W_n, W2_n, A_n and P_n^2: on true tables no
+    product of two polynomials above degree 2 is formed.  Returns a list of
+    {"identity": ..., "n": ..., "status": "pass"|"fail"} entries with stable
+    key order; failures never raise, and a closed form that raises
+    IdentityError fails its entry.
     """
     n_max = check_index(n_max, "n_max", "n_max", 1)
     if tables is None:
@@ -258,7 +267,7 @@ def verify_identities(n_max: int, tables=None) -> list[dict]:
             raise ValueError(f"tables must hold orders 0..{n_max + 2}")
 
     report: list[dict] = []
-    rp, rq = ([t[k + 1] - (X * t[k] + k * t[k - 1] if k else X * t[0]) for k in range(n_max + 2)]
+    rp, rq = ([t[k + 1] - x_step(t[k], k, t[k - 1] if k else ZERO) for k in range(n_max + 2)]
               for t in (p_tab, q_tab))
     w = [_wronskian(p_tab, q_tab, 0)]  # then W_1..W_{n_max+1} by the Casoratian step
     for k in range(1, n_max + 2):
@@ -274,22 +283,26 @@ def verify_identities(n_max: int, tables=None) -> list[dict]:
         except IdentityError:
             entry(identity, n, False)
 
+    s, s_prev, t = p_tab[0] * p_tab[0], ZERO, ZERO  # S_n = P_n^2, S_{n-1}, T_n = P_n P_{n-1}; P_{-1} = 0
     for n in range(n_max + 1):
         p, q = p_tab[n], q_tab[n]
-        p1, q1, dp = p_tab[n + 1], q_tab[n + 1], p.derivative()
-        a = p * p - n * a + (rp[n + 1] * p - rp[n] * p1) if n else hankel(p_tab, 0)  # A_n, stepped
-        entry("P_next=X*P+P'", n, p1 == X * p + dp)
+        p1, q1, dp, r = p_tab[n + 1], q_tab[n + 1], p.derivative(), rp[n]
+        a = s - n * a + (rp[n + 1] * p - r * p1) if n else hankel(p_tab, 0)  # A_n, stepped
+        entry("P_next=X*P+P'", n, p1 == x_step(p, 1, dp))
         entry("Q_next=P+Q'", n, q1 == p + q.derivative())
         if n >= 1:
-            entry("P_next=X*P+n*P_prev", n, not rp[n])
+            entry("P_next=X*P+n*P_prev", n, not r)
             entry("Q_next=X*Q+n*Q_prev", n, not rq[n])
             entry("P'=n*P_prev", n, dp == n * p_tab[n - 1])
             closed("Q_closed_sum_P", partial(q_closed_form, p_form=p_form), n, q)
             closed("Q_closed_coeffs", q_coefficient_form, n, q)
         closed("P_closed_form", p_form, n, p)
-        sign, w2 = (-1) ** n, X * w[n] + (rq[n + 1] * p - rp[n + 1] * q)
+        sign, w2 = (-1) ** n, x_step(w[n], 1, rq[n + 1] * p - rp[n + 1] * q)
         entry("wronskian_step1", n, w[n] == IntPolynomial([sign * factorial(n)]))
         entry("wronskian_step2", n, w2 == IntPolynomial([0, sign * factorial(n)]))
         entry("discriminant", n, _discriminant_holds(w[n], w[n + 1], w2, n))
         closed("A_closed_form", a_closed_form, n, a)
+        # P_{n+1} = X P_n + n P_{n-1} + rp_n, squared and times P_n
+        s_prev, s, t = (s, x_step(x_step(s, 2 * n, t), n * n, s_prev) + (2 * (r * p1) - r * r),
+                        x_step(s, n, t) + r * p)
     return report

@@ -127,7 +127,8 @@ and the trapezoidal rule with step h = 1/m, its poles s = +-ix corrected, is
              - sqrt(2 pi) e^{x^2/2} / (e^{2 pi m x} - 1) + E_cont + E_tail
 
 with weights w_j = e^{-j^2/(2m^2)} that do not depend on x: they are built
-once per precision p on first use, in integer fixed point (_build_weights),
+for a precision p on first use, in integer fixed point (_build_weights),
+the tables of the four most recently built precisions are kept (_weights),
 and m and J depend on p alone.  At x = a/d each term j >= 1 is one floor,
 floor(W_j d^2 m^2 / (a^2 m^2 + j^2 d^2)), and no exponential is evaluated
 per node.  m >= 3 makes 4 pi m > ENVELOPE, so the pole term stays below the
@@ -210,6 +211,7 @@ _ASYMPTOTIC_BITS = 58  # the asymptotic regime's first omitted term is at most 2
 _LOG_SLACK = 1e-6  # added to each log evaluated in floats; far above their rounding
 _lock = threading.Lock()
 _WEIGHTS: dict[int, tuple[int, int, list[int], int]] = {}  # p -> (m, F, [W_1 .. W_J], remainder 2^F)
+_WEIGHTS_KEPT = 4  # tables kept, the most recently built; a benchmark workload asks for at most 3 precisions
 
 
 class _OracleFields(NamedTuple):
@@ -365,12 +367,16 @@ def _log_tail(m: int, j: int) -> float:
 
 
 def _weights(precision_bits: int) -> tuple[int, int, list[int], int]:
-    """The rule for precision p (see _build_weights), built once per p on first use."""
+    """The rule for precision p (see _build_weights), built on first use and
+    kept while it is one of the _WEIGHTS_KEPT most recently built: an older
+    one is dropped, and built again if it is asked for again."""
     table = _WEIGHTS.get(precision_bits)
     if table is None:
         table = _build_weights(precision_bits)
         with _lock:
             table = _WEIGHTS.setdefault(precision_bits, table)
+            while len(_WEIGHTS) > _WEIGHTS_KEPT:
+                del _WEIGHTS[next(iter(_WEIGHTS))]  # the oldest: a dict keeps its insertion order
     return table
 
 

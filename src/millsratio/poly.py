@@ -5,21 +5,25 @@ any other coefficient, a bool or a float included, is a TypeError that
 names it, never truncated.  The representation is canonical: no trailing
 zero coefficient is kept, the zero polynomial is the empty tuple and its
 degree is -1.  Multiplication is schoolbook over nonzero terms (every
-P_n, Q_n, A_n, B_n, C_n has a parity, so that halves the work).  A square, p * p with both operands the same
-object, forms each cross product once and doubles the sum, which halves the
-work again: the identity suite forms no P Q product and one square P_n^2
-per order, and hankel's v_{n+1}^2 is one too.  Measured at degree up to 191
+P_n, Q_n, A_n, B_n, C_n has a parity, so that halves the work).  A square,
+p * p with both operands the same object, forms each cross product once and
+doubles the sum, which halves the work again; hankel's v_{n+1}^2 is one.
+x_step(p, k, q) = X * p + k * q is one pass over the coefficients: the step
+of the P and Q recurrence, and of the identity suite's P_n^2 and P_n P_{n-1},
+so that the suite forms no product of two polynomials above degree 2 on
+true tables.  Measured at degree up to 191
 and coefficients up to about 520 bits (CPython 3.11): Kronecker substitution
 was 2.3 times slower without packing out the zero terms of a parity and no
 faster overall with it, and a convolution by diagonals with sum(map(mul,
 ...)) was 8% slower.  An int (a bool too) is a scalar factor.
 
-Only the public constructor checks coefficients.  Every result of +, -,
-unary minus, *, derivative and X * p is a list of ints formed from checked
-coefficients, so it goes through _poly, which strips trailing zeros and
-checks nothing, and X * p (or p * X) is a shift.  A warm identity pass
-over n <= 96 builds 3593 such results and 677 polynomials by the public
-constructor; checking the results too took 4.6 ms of a 37.5 ms cold pass.
+Only the public constructor checks coefficients.  Every result of +, -
+(one pass, no negated copy), unary minus, *, derivative, X * p and x_step
+is a list of ints formed from checked coefficients, so it goes through
+_poly, which strips trailing zeros and checks nothing, and X * p (or
+p * X) is a shift.  A warm identity pass over n <= 96 builds 2818 such
+results and 677 polynomials by the public constructor; checking the
+results too took 4.6 ms of a 37.5 ms cold pass (3593 results then).
 
 Instances are immutable and safe for unrestricted concurrent use.
 """
@@ -79,10 +83,16 @@ class IntPolynomial:
         return _poly([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "IntPolynomial":
-        return self + (-_coerce(other))
+        b = _coerce(other).coeffs
+        out = list(self.coeffs)
+        if len(b) > len(out):
+            out += [0] * (len(b) - len(out))
+        for k, c in enumerate(b):
+            out[k] -= c
+        return _poly(out)
 
     def __rsub__(self, other) -> "IntPolynomial":
-        return _coerce(other) + (-self)
+        return _coerce(other) - self
 
     def __mul__(self, other) -> "IntPolynomial":
         if isinstance(other, int):
@@ -178,6 +188,21 @@ def _poly(coeffs: list[int]) -> IntPolynomial:
     poly = object.__new__(IntPolynomial)
     poly.coeffs = tuple(coeffs)
     return poly
+
+
+def x_step(p: IntPolynomial, k: int, q: IntPolynomial) -> IntPolynomial:
+    """X * p + k * q in one pass over the coefficients, for an int k: the
+    step v_{n+1} = X v_n + n v_{n-1} of a three-term recurrence, with no
+    shifted or scaled polynomial formed on the way.  The sum is as long as
+    the longer of X * p and q; zero coefficients of q are skipped."""
+    b = q.coeffs
+    out = [0, *p.coeffs]
+    if len(b) > len(out):
+        out += [0] * (len(b) - len(out))
+    for i, c in enumerate(b):
+        if c:
+            out[i] += k * c
+    return _poly(out)
 
 
 def _coerce(value) -> IntPolynomial:

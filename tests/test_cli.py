@@ -418,19 +418,30 @@ def _verify_report(*argv) -> dict:
     return cli._run_verification(args)
 
 
+def _assert_same_items(got, expected, what):
+    """got == expected for two sequences, item by item: a mismatch names its
+    first differing item, where a bare == of two whole reports would make
+    pytest diff them for minutes."""
+    for i, (item, want) in enumerate(zip(got, expected)):
+        assert item == want, (what, i)
+    assert len(got) == len(expected), what
+
+
 @pytest.mark.parametrize("argv", [(), ("--precision", "64"), ("--precision", "256"), ("--grid=-2:2:1/2",),
                                   ("--inject-fault",)])
 def test_json_report_is_json_dumps_indent_2(argv):
     # the section templates write json.dumps(indent=2)'s layout of each row
-    # as the dict of its columns
+    # as the dict of its columns; equal lines with their ends are equal texts
     report = _verify_report(*argv)
     text = cli._render_report(report, "json")
     parsed = json.loads(text)
-    assert text == json.dumps(parsed, indent=2) + "\n"
+    expected = json.dumps(parsed, indent=2) + "\n"
+    _assert_same_items(text.splitlines(keepends=True), expected.splitlines(keepends=True), "line")
     assert list(parsed) == list(report)
     for key, value in report.items():
         if key in cli.SECTIONS:
-            assert value and parsed[key] == [dict(zip(cli.SECTIONS[key], row)) for row in value], key
+            assert value, key
+            _assert_same_items(parsed[key], [dict(zip(cli.SECTIONS[key], row)) for row in value], key)
         else:
             assert parsed[key] == value, key
 

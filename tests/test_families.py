@@ -579,27 +579,27 @@ class TestDiscriminantByWronskians:
             assert ("discriminant", n) in fails
             assert verify_identities(9, (p_tab, q_tab)) == reference_verify_identities(9, (p_tab, q_tab))
 
-    def test_one_square_per_order_and_no_p_q_product(self, monkeypatch):
-        # on true tables every residual is ZERO, so the steps of W_k, W2_n
-        # and A_n leave one square P_n^2 per order: the largest product is
-        # P_{n_max}^2, of degree 2 n_max, and every product of two operands
-        # of degree above 1 is a square (B_n^2 alone would be 4 n_max + 2)
+    def test_no_polynomial_product_above_degree_2_on_true_tables(self, monkeypatch):
+        # on true tables every residual is ZERO, so the steps of W_k, W2_n,
+        # A_n, P_n^2 and P_n P_{n-1} leave no product of two polynomials
+        # above degree 1: the largest is P_0 P_2 or P_1^2 of A_0, or W2_n^2
+        # of the discriminant entry, all of degree 2 (P_{n_max}^2 would be
+        # 2 n_max, B_n^2 4 n_max + 2)
         n_max, products = 20, []
         pq_pair(n_max + 2)
         mul = IntPolynomial.__mul__
 
         def recording(self, other):
             out = mul(self, other)
-            products.append((self, other, out.degree))
+            if isinstance(other, IntPolynomial):
+                products.append((self.degree, other.degree, out.degree))
             return out
 
         monkeypatch.setattr(IntPolynomial, "__mul__", recording)
         monkeypatch.setattr(IntPolynomial, "__rmul__", recording)
         assert all(e["status"] == "pass" for e in verify_identities(n_max))
-        assert max(degree for _, _, degree in products) == 2 * n_max
-        large = [(a, b) for a, b, _ in products if isinstance(b, IntPolynomial) and min(a.degree, b.degree) > 1]
-        assert all(a is b for a, b in large)
-        assert [a for a, _ in large] == [pq_pair(n).p for n in range(2, n_max + 1)]
+        assert products and max(degree for _, _, degree in products) == 2
+        assert all(min(a, b) <= 1 for a, b, _ in products)
 
     def test_discriminant_decides_by_the_wronskians(self, monkeypatch):
         # mills poly --which Delta reads the shared tables through the same

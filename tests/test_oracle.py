@@ -747,10 +747,11 @@ class TestQuadratureErrorBound:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[64, 97, 128, 256] [64, 128, 256, 97]"
 
-    def test_concurrent_first_builds_agree(self):
+    def test_concurrent_first_builds_agree(self, monkeypatch):
         # odd precisions no other call builds, raced by four threads while a fifth keeps
-        # changing mpmath's process-wide precision
+        # changing mpmath's process-wide precision; every raced table is kept
         keys = list(range(65, 97, 2))
+        monkeypatch.setattr(oracle, "_WEIGHTS_KEPT", len(keys))
         results = [[] for _ in range(4)]
         done = threading.Event()
 
@@ -784,6 +785,30 @@ class TestQuadratureErrorBound:
                 assert table is oracle._WEIGHTS[key]
         for key in keys:
             assert oracle._WEIGHTS[key] == oracle._build_weights(key)
+
+    def test_weight_tables_kept_are_bounded(self):
+        # a fresh interpreter asks for 12 precisions, cycling through them
+        # twice: the 4 most recently built tables are kept, an older one is
+        # built again when it is asked for again, and every value and table
+        # equals a fresh build's
+        script = (
+            "from fractions import Fraction\n"
+            "from millsratio import oracle\n"
+            "assert oracle._WEIGHTS_KEPT == 4\n"
+            "ps = list(range(64, 112, 4))\n"
+            "first = [oracle.phi_quadrature(Fraction(7, 3), p) for p in ps]\n"
+            "sizes, built = [], []\n"
+            "build = oracle._build_weights\n"
+            "oracle._build_weights = lambda p: built.append(p) or build(p)\n"
+            "for p, ov in zip(ps, first):\n"
+            "    assert oracle.phi_quadrature(Fraction(7, 3), p) == ov, p\n"
+            "    sizes.append(len(oracle._WEIGHTS))\n"
+            "assert all(table == build(p) for p, table in oracle._WEIGHTS.items())\n"
+            "print(max(sizes), list(oracle._WEIGHTS), built == ps)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "4 [96, 100, 104, 108] True"
 
     @pytest.mark.parametrize("p", [64, 97, 128, 256, 1024, 2048])
     def test_weight_table_is_as_counted(self, p):

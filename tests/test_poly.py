@@ -5,7 +5,7 @@ from hypothesis import example, given, strategies as st
 from mpmath import mpf
 
 from millsratio.numutil import to_fraction
-from millsratio.poly import IntPolynomial, ONE, X, ZERO
+from millsratio.poly import IntPolynomial, ONE, X, ZERO, x_step
 
 
 def P(*coeffs):
@@ -203,6 +203,21 @@ def operand_pairs(draw):
     return a, IntPolynomial(low + [sign * c for c in a.coeffs[cut:]])
 
 
+@st.composite
+def step_operands(draw):
+    """(p, k, q) with k of any sign, zero included, and q free or agreeing
+    with -X p / k above a cut for k = +-1, so that X p + k q cancels its top
+    terms."""
+    p = draw(arith_polys)
+    if draw(st.booleans()):
+        return p, draw(st.one_of(st.integers(-3, 3), scalars)), draw(arith_polys)
+    k = draw(st.sampled_from([1, -1]))
+    shifted = [0, *p.coeffs]
+    cut = draw(st.integers(0, len(shifted)))
+    low = draw(st.lists(st.integers(-50, 50), min_size=cut, max_size=cut))
+    return p, k, IntPolynomial(low + [-k * c for c in shifted[cut:]])
+
+
 def reference(coeffs):
     """The result the public constructor builds from coefficients formed one by one."""
     return IntPolynomial(list(coeffs))
@@ -250,6 +265,21 @@ class TestOwnResults:
         assert_canonical(a.derivative(), reference([j * c for j, c in enumerate(a.coeffs)][1:]))
         assert_canonical(a + k, reference([coefficient(a, 0) + int(k), *a.coeffs[1:]]))
         assert_canonical(k - a, reference([int(k) - coefficient(a, 0), *(-c for c in a.coeffs[1:])]))
+
+    @given(step_operands())
+    @example((ZERO, 5, ZERO))
+    @example((ZERO, -2, P(1, 0, 0, 0, 0)))  # deg q > deg p + 1
+    @example((P(3, 0, -1), 0, P(1, 0, 0, 0, 0, 0, 9)))  # k = 0: q is ignored, however long
+    @example((X, -1, P(1, 0, 0)))  # X * X - X^2: cancels to ZERO
+    @example((P(2, 0, 1), 1, P(-2, 0, 0, 5)))  # cancels its top term
+    @example((P(7), -3, ZERO))
+    def test_x_step_is_x_times_p_plus_k_times_q(self, operands):
+        # one pass over both operands, padded to the longer of X * p and q
+        p, k, q = operands
+        width = max(len(p.coeffs) + 1, len(q.coeffs))
+        expected = reference((coefficient(p, i - 1) if i else 0) + k * coefficient(q, i) for i in range(width))
+        assert_canonical(x_step(p, k, q), expected)
+        assert x_step(p, k, q) == X * p + k * q
 
 
 class TestRendering:

@@ -95,7 +95,8 @@ def test_benchmark_api_names_resolve(name):
     assert callable(getattr(millsratio, name, None)), f"perfbench calls millsratio.{name}, which is gone"
 
 
-MUTANTS = _load(ROOT / "scripts" / "mutation_check.py", "mutation_check").MUTANTS
+MUTATION_CHECK = _load(ROOT / "scripts" / "mutation_check.py", "mutation_check")
+MUTANTS = MUTATION_CHECK.MUTANTS
 
 
 @functools.cache
@@ -118,3 +119,31 @@ def test_mutant_line_and_tests_exist(mutant):
     assert mutant.tests
     for test in mutant.tests:
         assert any(item == test or item.startswith(test + "[") for item in _collected()), (mutant.name, test)
+
+
+@pytest.mark.parametrize("unmutated_times_out", [False, True])
+def test_mutation_check_counts_a_timeout_as_killed(monkeypatch, capsys, unmutated_times_out):
+    # every pytest run has the fixed timeout; a mutant whose tests run past
+    # it (a loop made endless) is killed, and the unmutated copy running
+    # past it stops the check with status 2
+    timeouts = []
+
+    def run(command, **kwargs):
+        timeouts.append(kwargs["timeout"])
+        if unmutated_times_out or len(timeouts) > 1:
+            raise subprocess.TimeoutExpired(command, kwargs["timeout"])
+        return subprocess.CompletedProcess(command, 0)
+
+    monkeypatch.setattr(MUTATION_CHECK, "MUTANTS", MUTANTS[:2])
+    monkeypatch.setattr(subprocess, "run", run)
+    status = MUTATION_CHECK.main()
+    out, err = capsys.readouterr()
+    assert set(timeouts) == {MUTATION_CHECK.TIMEOUT_S}
+    if unmutated_times_out:
+        assert (status, len(timeouts)) == (2, 1)
+        assert f"the unmutated tests run longer than {MUTATION_CHECK.TIMEOUT_S} s" in err
+    else:
+        assert (status, len(timeouts)) == (0, 3)
+        assert [line.split() for line in out.splitlines()] == [
+            ["killed", "(timed", "out)", mutant.name] for mutant in MUTANTS[:2]
+        ] + [["2", "of", "2", "mutants", "killed"]]
