@@ -12,11 +12,12 @@ code, only the exact reading of x and the last step from an enclosure to
 a value and its error bound (_enclosed), so certificates never test that
 machinery against itself: this module imports nothing of the package but
 its errors and numeric helpers.
-The one transcendental read from mpmath is pi, rounded down and up by
-mpf_pi, a premise the tests pin at every precision the oracle asks; every
-exponential comes from one integer kernel with a counted error (_exp), and
-every end is one exact integer quotient rounded once (round_quotient).  No
-evaluation reads or sets mpmath's process-wide precision.
+The one transcendental read from mpmath is pi, rounded down by mpf_pi, a
+premise the tests pin, with its rounding up, at every precision the oracle
+asks; every exponential comes from one integer kernel with a counted error
+(_exp), and every end is one exact integer quotient rounded once
+(round_quotient).  No evaluation reads or sets mpmath's process-wide
+precision.
 
 The kernel (Brent and Zimmermann, Modern Computer Arithmetic, 4.3-4.4):
 _exp(a, b, g) returns integers lo <= e^v 2^w <= hi <= lo + 2^(w-g-1) for v
@@ -40,9 +41,12 @@ to r = v 2^-s < 1/16, s = bitlength(floor(v)) + 4:
     c_0 <= 2^-(g+lv+2) <= 1/4, c_s <= 2^(s+1) c_0 and hi - lo <= 2^(s+1)
     (2k + 3) e^v <= 2^(w-g-1).
 
-sqrt(pi/2) comes from pi's ends by isqrt (_pi): with P_lo <= pi 2^g <=
-P_hi from mpf_pi at g + 2 bits, isqrt(P_lo 2^(g-1)) and one more than
-isqrt(P_hi 2^(g-1) - 1) enclose sqrt(pi/2) 2^g, at most 2 apart.
+sqrt(pi/2) comes from pi's ends by isqrt (_pi).  One floor is kept,
+floor(pi 2^G) from mpf_pi rounded down at G + 2 bits, G the largest g
+asked so far, and P_lo = floor(pi 2^g) is it shifted down by G - g bits:
+the floor of a floor is a floor.  P_hi = P_lo + 1 >= pi 2^g, as pi is
+irrational.  isqrt(P_lo 2^(g-1)) and one more than isqrt(P_hi 2^(g-1) - 1)
+enclose sqrt(pi/2) 2^g, at most 2 apart.
 
 Series route, convergent regime (Abramowitz and Stegun 7.1.6): with
 u = x^2/2, y = |x| and positive terms t_k = y^{2k+1} / (2k+1)!!,
@@ -199,7 +203,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_add, mpf_pi, mpf_shift, mpf_sub, round_ceiling, round_floor, round_nearest
+from mpmath.libmp import mpf_pi, normalize, round_ceiling, round_floor, round_nearest
 
 from .errors import EnvelopeError
 from .numutil import DEFAULT_PRECISION_BITS, check_precision, dyadic, round_quotient, to_fraction
@@ -212,6 +216,7 @@ _LOG_SLACK = 1e-6  # added to each log evaluated in floats; far above their roun
 _lock = threading.Lock()
 _WEIGHTS: dict[int, tuple[int, int, list[int], int]] = {}  # p -> (m, F, [W_1 .. W_J], remainder 2^F)
 _WEIGHTS_KEPT = 4  # tables kept, the most recently built; a benchmark workload asks for at most 3 precisions
+_PI = (0, 0)  # (G, floor(pi 2^G)) at the largest g asked so far, replaced whole
 
 
 class _OracleFields(NamedTuple):
@@ -240,12 +245,13 @@ def _positive_series(a: int, b: int, f: int, lu: int) -> tuple[int, int, int, in
     if a == 0:
         return 0, 0, 0, f
     g = f + lu + 2 + (3 * lu + f + 255).bit_length()  # N < 3 lu + f + 255
-    aa, bb = a * a, b * b  # t_k / t_{k-1} = aa / (bb (2k+1))
+    aa, bb = a * a, b * b  # t_k / t_{k-1} = aa / den, den = bb (2k+1)
     term = acc = (a << g) // b
-    k, k0, limit = 0, -(-aa // bb), 1 << (g - f)  # k0 = ceil(y^2) = ceil(2u)
+    k, k0, limit, den, step = 0, -(-aa // bb), 1 << (g - f), bb, 2 * bb  # k0 = ceil(y^2) = ceil(2u)
     while k < k0 or term >= limit:
         k += 1
-        term = term * aa // (bb * (2 * k + 1))
+        den += step
+        term = term * aa // den
         acc += term
     n = k + 1
     return n, acc, n * ((4 << lu) + n + 1) + term, g
@@ -254,7 +260,7 @@ def _positive_series(a: int, b: int, f: int, lu: int) -> tuple[int, int, int, in
 def _in_envelope(x) -> Fraction:
     """x read exactly, refused unless |x| <= ENVELOPE; both routes read x here."""
     xq = to_fraction(x)
-    if abs(xq) > ENVELOPE:
+    if abs(xq.numerator) > ENVELOPE * xq.denominator:
         raise EnvelopeError(f"|x| must be <= {ENVELOPE}, got x = {x}")
     return xq
 
@@ -268,10 +274,10 @@ def _exp(a: int, b: int, g: int) -> tuple[int, int, int]:
     w = g + 3 * a // (2 * b) + 1 + s  # g + lv + s, e^{a/b} < 2^lv as log2 e < 3/2
     w += w.bit_length() + 4
     z = (b & -b).bit_length() - 1  # b's factor 2^z joins the shift
-    k, term, acc = 0, 1 << w, 1 << w
+    k, term, acc, shift, odd = 0, 1 << w, 1 << w, s + z, b >> z
     while term > 1:
         k += 1
-        term = (term * a >> s + z) // ((b >> z) * k)
+        term = (term * a >> shift) // (odd * k)
         acc += term
     lo, hi = acc, acc + 2 * k + 1
     for _ in range(s):
@@ -280,10 +286,20 @@ def _exp(a: int, b: int, g: int) -> tuple[int, int, int]:
 
 
 def _pi(g: int) -> tuple[int, int, int, int]:
-    """(lo, hi, root_lo, root_hi) with lo <= pi 2^g <= hi and root_lo <= sqrt(pi/2) 2^g
-    <= root_hi, for g >= 1: mpf_pi rounded down and up at g + 2 bits, and sqrt(pi 2^(2g-1))
-    from those ends by isqrt."""
-    lo, hi = (man << e + g for _, man, e, _ in (mpf_pi(g + 2, rnd) for rnd in (round_floor, round_ceiling)))
+    """(lo, hi, root_lo, root_hi) with lo <= pi 2^g <= hi = lo + 1 and root_lo <=
+    sqrt(pi/2) 2^g <= root_hi, for g >= 1: lo shifted down from the floor of pi 2^G kept
+    at the largest G asked so far, read from mpf_pi rounded down at G + 2 bits, and
+    sqrt(pi 2^(2g-1)) from those ends by isqrt."""
+    global _PI
+    top, floor = _PI
+    if top < g:
+        _, man, e, _ = mpf_pi(g + 2, round_floor)
+        top, floor = g, man << e + g
+        with _lock:
+            if _PI[0] < g:
+                _PI = top, floor
+    lo = floor >> top - g
+    hi = lo + 1  # pi is irrational, so its ceiling is one above its floor
     return lo, hi, math.isqrt(lo << g - 1), math.isqrt((hi << g - 1) - 1) + 1
 
 
@@ -293,12 +309,25 @@ def _log2_exp(u: Fraction) -> int:
 
 
 def _enclosed(lo: tuple, hi: tuple, w: int, method: str, terms: int | None = None) -> OracleValue:
-    """phi in [lo, hi], raw mpfs: the value is the midpoint rounded to
-    nearest at w bits, and error_bound the distance to the farther end
-    rounded up."""
-    value = mpf_shift(mpf_add(lo, hi, w, round_nearest), -1)
-    error_bound = max(mp.make_mpf(mpf_sub(*pair, 53, round_ceiling)) for pair in ((hi, value), (value, lo)))
-    return OracleValue(mp.make_mpf(value), error_bound, method, w, terms)
+    """phi in [lo, hi], raw mpfs of at most w bits, read as integers L 2^e <= H 2^e on
+    one exponent (a zero end takes the other's): the value is (L + H) 2^(e-1), the
+    midpoint, rounded once to nearest at w bits, and error_bound the larger of its two
+    exact distances to the ends rounded up once at 53 bits, which is the larger of the
+    two distances each rounded up, as rounding is monotone."""
+    (s_lo, m_lo, e_lo, _), (s_hi, m_hi, e_hi, _) = lo, hi
+    if not m_lo:
+        e_lo = e_hi
+    if not m_hi:
+        e_hi = e_lo
+    e = min(e_lo, e_hi)
+    low, high = (-m_lo if s_lo else m_lo) << e_lo - e, (-m_hi if s_hi else m_hi) << e_hi - e
+    total = low + high
+    value = normalize(int(total < 0), abs(total), e - 1, abs(total).bit_length(), w, round_nearest)
+    sign, man, exp, _ = value
+    mid = (-man if sign else man) << exp - e + 1 if man else 0  # the value over 2^(e-1)
+    gap = max(2 * high - mid, mid - 2 * low)
+    error_bound = normalize(0, gap, e - 1, gap.bit_length(), 53, round_ceiling)
+    return OracleValue(mp.make_mpf(value), mp.make_mpf(error_bound), method, w, terms)
 
 
 def _asymptotic_sums(a: int, d: int, target_bits: int) -> tuple[int, int, int, int] | None:
@@ -336,17 +365,18 @@ def phi_series(x, precision_bits: int = DEFAULT_PRECISION_BITS) -> OracleValue:
     terms reach 2^-(p+58) before they grow, else from the convergent
     series, each end rounded outward once (see the module docstring)."""
     p, xq = check_precision(precision_bits), _in_envelope(x)
-    a, d, u = abs(xq.numerator), xq.denominator, Fraction(xq.numerator**2, 2 * xq.denominator**2)
+    num, d = xq.numerator, xq.denominator
+    a, u = abs(num), Fraction(num * num, 2 * d * d)
     lu, y = _log2_exp(u), a / d
     # every asymptotic term is above 1.3 e^-u / |x|: a bit of slack covers the floats
     far = y >= 1 and y * y / 2 * math.log2(math.e) + math.log2(y) + 1 >= p + _ASYMPTOTIC_BITS
     sums = far and _asymptotic_sums(a, d, p + _ASYMPTOTIC_BITS)
     if not sums:  # R = -sgn(x) D, over 2^g
         n, acc, ulps, g = _positive_series(a, d, p + 56, lu)
-        c, w, q, t, ends = 1, p + 48 + lu, 1, -g, (acc, acc + ulps) if xq < 0 else (-acc - ulps, -acc)
+        c, w, q, t, ends = 1, p + 48 + lu, 1, -g, (acc, acc + ulps) if num < 0 else (-acc - ulps, -acc)
     else:  # R = +-phi(|x|), between S_n = s0/q and S_{n+1} = s1/q, negated for x < 0
         n, s0, s1, q = sums
-        c, w, t, ends = (0, p + 64, 0, sorted((s0, s1))) if xq > 0 else (2, p + 52 + lu, 0, sorted((-s0, -s1)))
+        c, w, t, ends = (0, p + 64, 0, sorted((s0, s1))) if num > 0 else (2, p + 52 + lu, 0, sorted((-s0, -s1)))
     return _enclosed(*_finish(c, u, [(r, q) for r in ends], t, w), w, "series", n)
 
 

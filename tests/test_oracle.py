@@ -1,5 +1,7 @@
 import ast
 import functools
+import hashlib
+import inspect
 import itertools
 import math
 import pathlib
@@ -12,7 +14,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import iv, mp, mpf
-from mpmath.libmp import mpf_exp, mpf_pi, mpf_shift, round_ceiling, round_floor, to_int
+from mpmath.libmp import (fzero, mpf_add, mpf_exp, mpf_lt, mpf_pi, mpf_shift, mpf_sub, normalize, round_ceiling,
+                          round_floor, round_nearest, to_int)
 
 from millsratio import contfrac, families, oracle
 from millsratio.errors import EnvelopeError
@@ -461,6 +464,77 @@ def test_error_bound_is_the_distance_to_the_farther_end_rounded_up(monkeypatch, 
             assert to_fraction(ov.error_bound) == _round_at(max(hi - v, v - lo), 53, math.ceil), f"x={x}, p={p}"
 
 
+def _enclosed_reference(lo: tuple, hi: tuple, w: int) -> tuple[tuple, tuple]:
+    """(value, error_bound), raw, from libmp's rounded mpf arithmetic: the
+    ends' sum rounded to nearest at w bits and halved, and the larger of the
+    two distances to it, each rounded up at 53 bits by mpf_sub."""
+    value = mpf_shift(mpf_add(lo, hi, w, round_nearest), -1)
+    return value, max((mpf_sub(*pair, 53, round_ceiling) for pair in ((hi, value), (value, lo))), key=mp.make_mpf)
+
+
+def _subtracts_exactly(a: tuple, b: tuple) -> bool:
+    """Whether mpf_sub(a, b, 53, rnd) rounds the exact difference: where both
+    are nonzero, their exponents lie more than 100 apart and their leading
+    bits more than 57, it moves the larger by one unit 57 bits below its last
+    bit in place of the smaller, which can round to the next 53-bit number."""
+    (_, man_a, exp_a, bc_a), (_, man_b, exp_b, bc_b) = a, b
+    return not (man_a and man_b and abs(exp_a - exp_b) > 100 and abs(exp_a + bc_a - exp_b - bc_b) > 57)
+
+
+@st.composite
+def _raw_ends(draw):
+    """(lo, hi, w): raw mpfs lo <= hi of at most w bits, 53 <= w <= 9000,
+    each zero or of either sign on exponents up to 12000 apart, the upper
+    one drawn alone, equal to the lower or a few units of its last bit from it."""
+    w = draw(st.integers(53, 9000))
+
+    def end():
+        if not draw(st.integers(0, 5)):
+            return fzero
+        bits = draw(st.integers(1, w))
+        man = draw(st.integers(1 << bits - 1, (1 << bits) - 1))
+        return normalize(draw(st.integers(0, 1)), man, draw(st.integers(-6000, 6000)), bits, w, round_floor)
+
+    lo = end()
+    kind = draw(st.sampled_from(["alone", "equal", "near"]))
+    if kind == "equal":
+        hi = lo
+    elif kind == "near" and lo[1]:
+        sign, man, exp, _ = lo
+        man = (-man if sign else man) + draw(st.integers(-8, 8))
+        hi = normalize(int(man < 0), abs(man), exp, abs(man).bit_length(), w, round_floor)
+    else:
+        hi = end()
+    return (hi, lo, w) if mpf_lt(hi, lo) else (lo, hi, w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_raw_ends())
+@example((fzero, fzero, 53))
+@example((fzero, (0, 3, -5000, 2), 9000))
+@example(((1, 3, 7000, 2), (0, 5, -7000, 3), 128))
+# the value, 2^1081 plus about 2^662, and the lower end, about 2^664, lie 662
+# exponents and 417 leading bits apart: mpf_sub moves the value one unit 57
+# bits below its last bit and rounds that up to 2^1081 (1 + 2^-52), while the
+# exact distance, below 2^1081, rounds up to 2^1081
+@example(((0, 2**663 + 1, 1, 664), (0, 1, 1082, 1), 871))
+def test_enclosure_is_finished_on_integers(ends):
+    # the value is libmp's: the ends' sum rounded to nearest at w bits and
+    # halved, bit for bit.  error_bound is the larger exact distance from it
+    # to an end rounded up at 53 bits, and libmp's larger rounded distance
+    # wherever mpf_sub subtracts exactly, as it does on every enclosure the
+    # routes form, whose ends lie within 2^-(p+32) of each other
+    lo, hi, w = ends
+    ov = oracle._enclosed(lo, hi, w, "series", 7)
+    value, bound = _enclosed_reference(lo, hi, w)
+    assert (ov.value._mpf_, ov.working_bits, ov.method, ov.terms) == (value, w, "series", 7)
+    v, low, high = (to_fraction(mp.make_mpf(raw)) for raw in (value, lo, hi))
+    distance = max(high - v, v - low)
+    assert to_fraction(ov.error_bound) == (_round_at(distance, 53, math.ceil) if distance else 0)
+    if _subtracts_exactly(hi, value) and _subtracts_exactly(value, lo):
+        assert ov.error_bound._mpf_ == bound
+
+
 @pytest.mark.parametrize("p", [64, 128])
 def test_quadrature_ends_enclose_the_exact_rule(monkeypatch, p):
     # the exact rational that each end is rounded from, the rule with its
@@ -689,6 +763,89 @@ class TestExpKernel:
             assert down <= pi_lo and pi_hi <= up and up - down <= 1 << (bits + 2 - w), w
 
 
+def _race_with_precision_noise(workers, timeout: float) -> None:
+    """Run each of workers in a thread of its own at a 1 us switch interval,
+    while one more thread keeps changing mpmath's process-wide precision;
+    every thread must have ended within timeout seconds of its join."""
+    done = threading.Event()
+
+    def disturber():
+        while not done.is_set():
+            with mp.workprec(24):
+                mp.exp(1)
+
+    threads = [threading.Thread(target=worker) for worker in workers]
+    noise = threading.Thread(target=disturber)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        noise.start()
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=timeout)
+    finally:
+        done.set()
+        noise.join(timeout=60)
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads + [noise])
+
+
+def _pi_reference(g: int) -> tuple[int, int, int, int]:
+    """oracle._pi with no floor kept: mpf_pi rounded down and up at g + 2
+    bits, and sqrt(pi 2^(2g-1))'s ends from those ends by isqrt."""
+    lo, hi = (man << e + g for _, man, e, _ in (mpf_pi(g + 2, rnd) for rnd in (round_floor, round_ceiling)))
+    return lo, hi, math.isqrt(lo << g - 1), math.isqrt((hi << g - 1) - 1) + 1
+
+
+# every g up to 260, and a few up to w = 8241 of p = 8192 at |x| = 1
+_PI_ASKED = [*range(1, 261), 511, 1024, 4099, 8241]
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_pi_read_from_the_kept_floor_in_any_order(order):
+    # a fresh interpreter keeps no floor of pi, and asks for every g in
+    # _PI_ASKED in the given order: each read equals mpf_pi's two ends at g +
+    # 2 bits, and the floor is kept at the largest g asked, not beyond it
+    gs = sorted(_PI_ASKED, reverse=order == "descending")
+    if order == "shuffled":
+        random.Random(20261020).shuffle(gs)
+    script = (
+        "import math\n"
+        "from mpmath.libmp import mpf_pi, round_ceiling, round_floor\n"
+        "from millsratio import oracle\n"
+        + inspect.getsource(_pi_reference) +
+        "assert oracle._PI == (0, 0), oracle._PI\n"
+        f"for g in {gs!r}:\n"
+        "    assert oracle._pi(g) == _pi_reference(g), g\n"
+        "print(oracle._PI[0])\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == str(max(_PI_ASKED))
+
+
+def test_concurrent_first_reads_of_pi_agree(monkeypatch):
+    # four threads read pi with no floor kept, ascending, descending and in
+    # two shuffled orders, while a fifth keeps changing mpmath's process-wide
+    # precision: every read equals mpf_pi's two ends, and the floor kept at
+    # the end is the one at the largest g asked
+    monkeypatch.setattr(oracle, "_PI", (0, 0))
+    expected = {g: _pi_reference(g) for g in _PI_ASKED}
+    orders = [sorted(_PI_ASKED), sorted(_PI_ASKED, reverse=True)]
+    orders += [random.Random(k).sample(_PI_ASKED, len(_PI_ASKED)) for k in range(2)]
+    results = [[] for _ in orders]
+
+    def race(k):
+        results[k] = [(g, oracle._pi(g)) for g in orders[k]]
+
+    _race_with_precision_noise([functools.partial(race, k) for k in range(len(orders))], timeout=60)
+    for order, got in zip(orders, results):
+        assert [g for g, _ in got] == order
+        assert all(read == expected[g] for g, read in got)
+    assert oracle._PI == (max(_PI_ASKED), expected[max(_PI_ASKED)][0])
+
+
 def _quadrature_points():
     rng = random.Random(20261019)
     xs = [Fraction(rng.randint(-30 * d, 30 * d), d) for d in (rng.randint(1, 128) for _ in range(24))]
@@ -753,32 +910,12 @@ class TestQuadratureErrorBound:
         keys = list(range(65, 97, 2))
         monkeypatch.setattr(oracle, "_WEIGHTS_KEPT", len(keys))
         results = [[] for _ in range(4)]
-        done = threading.Event()
 
         def race(k):
             for key in keys[k % 2 :: 2] + keys[1 - k % 2 :: 2]:
                 results[k].append((key, oracle._weights(key)))
 
-        def disturber():
-            while not done.is_set():
-                with mp.workprec(24):
-                    mp.exp(1)
-
-        threads = [threading.Thread(target=race, args=(k,)) for k in range(len(results))]
-        noise = threading.Thread(target=disturber)
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            noise.start()
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            done.set()
-            noise.join(timeout=60)
-            sys.setswitchinterval(old)
-        assert not any(t.is_alive() for t in threads + [noise])
+        _race_with_precision_noise([functools.partial(race, k) for k in range(len(results))], timeout=60)
         for got in results:
             assert len(got) == len(keys)
             for key, table in got:
@@ -931,35 +1068,44 @@ def test_routes_agree_with_themselves_across_threads():
 
     expected = [call(*case) for case in cases]
     results = [[] for _ in range(4)]
-    done = threading.Event()
 
     def worker(k):
         order = list(range(len(cases)))
         random.Random(k).shuffle(order)
         results[k] = sorted((i, call(*cases[i])) for i in order)
 
-    def disturber():
-        while not done.is_set():
-            with mp.workprec(24):
-                mp.exp(1)
-
-    threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(results))]
-    noise = threading.Thread(target=disturber)
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        noise.start()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        done.set()
-        noise.join(timeout=60)
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads + [noise])
+    _race_with_precision_noise([functools.partial(worker, k) for k in range(len(results))], timeout=120)
     for got in results:
         assert got == list(enumerate(expected))
+
+
+# x = k/64 on [-30, 30] in steps of 7/64 and a few points off that grid,
+# for the series route; x = +-5j/64 for j = 0, 14, .., 140 for the quadrature
+_PINNED_SERIES = [Fraction(k, 64) for k in range(-1920, 1921, 7)] + [
+    Fraction(3839, 128), Fraction(-3839, 128), Fraction(30), Fraction(-30), Fraction(0), Fraction(1, 10), Fraction(-2)]
+_PINNED_QUADRATURE = [s * Fraction(5 * j, 64) for j in range(0, 154, 14) for s in (1, -1)]
+_PINNED_BITS = {
+    "phi_series": (_PINNED_SERIES, (64, 80, 128, 144, 256, 272, 1024),
+                   "930ebdef386902e2bf2ec10619185d5b113310c4e785153c6ad2a07943dfedf6"),
+    "phi_quadrature": (_PINNED_QUADRATURE, (64, 80, 128, 144, 256, 272),
+                       "3e8d3c2e375956fc63b80905c46b26a758d7309fb4e01987f31ab2f171372011"),
+}
+
+
+@pytest.mark.parametrize("route", [phi_series, phi_quadrature], ids=lambda route: route.__name__)
+def test_oracle_bits_are_pinned(route):
+    # every bit each route returns on a scan of x and p, hashed: (value,
+    # error_bound) as raw mpfs, working_bits and terms.  A sound change can
+    # move a midpoint inside its enclosure; this test names the route that
+    # moved, where a report's hash would only show that some digit did
+    points, precisions, pinned = _PINNED_BITS[route.__name__]
+    digest = hashlib.sha256()
+    for p in precisions:
+        for x in points:
+            ov = route(x, p)
+            raws = [(sign, int(man), exp, bc) for sign, man, exp, bc in (ov.value._mpf_, ov.error_bound._mpf_)]
+            digest.update(repr(raws + [ov.working_bits, ov.terms]).encode())
+    assert digest.hexdigest() == pinned
 
 
 @pytest.mark.parametrize("path", sorted(pathlib.Path(oracle.__file__).parent.glob("*.py")), ids=lambda path: path.stem)
