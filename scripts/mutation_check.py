@@ -158,6 +158,11 @@ MUTANTS = [
     Mutant("verdict-margin-equal-to-error-passes", BOUNDS,
            '"pass" if mpf_gt(margin._mpf_, error._mpf_)', '"pass" if not mpf_gt(error._mpf_, margin._mpf_)',
            (B + "test_margin_one_ulp_above_its_error_passes[128]",)),
+    Mutant("beta-filter-bound-zero", BOUNDS, "if abs(t1 - t2) > (6 * n + 8) * _U * (t1 + t2):",
+           "if abs(t1 - t2) > 0:",
+           (K + "test_beta_matches_the_polynomial_bisection[tolerance3]", K + "test_filter_decides_only_exact_signs")),
+    Mutant("beta-filter-without-its-x-floor", BOUNDS, "if xf >= _FILTER_X_MIN or not x:", "if xf >= 0:",
+           (K + "test_filter_defers_where_it_cannot_decide[tiny-x]",)),
     Mutant("decimal-half-rounded-down", NUMUTIL, "up = 2 * r >= den if nearest", "up = 2 * r > den if nearest",
            (DECIMAL_EDGES.format(1), DECIMAL_EDGES.format(300))),
     Mutant("decimal-ceiling-of-a-negative-rounded-down", NUMUTIL, "else r > 0 and not sign", "else r > 0",

@@ -15,11 +15,13 @@ The n = 0 and n = 1 roots are Komatsu's (Eq18) and Szarek-Werner's (Eq19)
     2/(x + sqrt(x^2+4)) < phi(x)              (all real x)
     phi(x) < 4/(3x + sqrt(x^2+8))             (x > -1).
 
-beta_m is bracketed by Newton steps on a dyadic grid with *exact* sign
-evaluations, each the sign of d^{2n+2} A_n(x) read from one sweep (below)
-at a grid point, so the returned bracket, bisection's own, is a proof.  At
-x = +-beta_m the quadratic degenerates (A vanishes) and the bound
-evaluator reports a singularity instead of inventing a continuity value.
+beta_m is bracketed by Newton steps on a dyadic grid with certain sign
+evaluations at grid points: A_n(x) in doubles where a derived error bound
+settles its sign (beta's filter), else the sign of d^{2n+2} A_n(x) read
+from one sweep (below), so the returned bracket, bisection's own, is a
+proof.  At x = +-beta_m the quadratic degenerates (A vanishes) and the
+bound evaluator reports a singularity instead of inventing a continuity
+value.
 
 Every value is exact or one rounding of an exact rational, at a precision
 and in a direction named in the call, never mpmath's process-wide one.
@@ -50,7 +52,7 @@ per point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial, inf, isqrt
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -65,6 +67,8 @@ from .oracle import OracleValue, phi_series
 
 GUARD_BITS = 16  # bits above the requested precision: certificates, square roots, phi_derivative
 _ZERO = mpf(0)  # the error of an exact margin
+_U = 2.0**-53  # the unit roundoff of a double
+_FILTER_X_MIN = 2.0**-500  # at x >= this, every nonzero value beta's filter forms is a normal double
 
 
 class Enclosure(NamedTuple):
@@ -178,30 +182,79 @@ def phi_derivative(n: int, x, precision_bits: int = DEFAULT_PRECISION_BITS) -> m
     return _quotient(pn * v - (qn << scale), dn, w, "n", -scale)
 
 
-def _a_and_slope(n: int, x: Fraction) -> tuple[int, int]:
-    """d^{2n+2} (A_n, A_n')(x) at x = a/d, from one sweep to order n + 2:
-    d^{2n+2} A_n = p_n p_{n+2} - p_{n+1}^2 and, with A_n' = n (P_{n-1}
-    P_{n+2} - P_n P_{n+1}), d^{2n+2} A_n' = n d (p_{n-1} p_{n+2} - p_n
-    p_{n+1}); d is the sweep's own, as Fraction reduces x."""
+def _a_and_slope(n: int, x: Fraction) -> tuple:
+    """A pair with the sign of A_n(x) and the ratio A_n / A_n' there, the
+    one place beta reads a sign: the float pair (A_n, A_n')(x) where the
+    filter (beta's docstring) decides the sign, else the exact d^{2n+2}
+    (A_n, A_n')(x) at x = a/d from one sweep to order n + 2: d^{2n+2} A_n =
+    p_n p_{n+2} - p_{n+1}^2 and, with A_n' = n (P_{n-1} P_{n+2} - P_n
+    P_{n+1}), d^{2n+2} A_n' = n d (p_{n-1} p_{n+2} - p_n p_{n+1}); d is the
+    sweep's own, as Fraction reduces x."""
+    xf = float(x)
+    if xf >= _FILTER_X_MIN or not x:
+        ps = [1.0, xf]
+        for j in range(1, n + 2):
+            ps.append(xf * ps[j] + j * ps[j - 1])
+        t1, t2 = ps[n] * ps[n + 2], ps[n + 1] * ps[n + 1]
+        if abs(t1 - t2) > (6 * n + 8) * _U * (t1 + t2):
+            return t1 - t2, n * (ps[n - 1] * ps[n + 2] - ps[n] * ps[n + 1])
     ps = pq_sweep(n + 2, x)[0]
     return hankel(ps, n), n * x.denominator * (ps[n - 1] * ps[n + 2] - ps[n] * ps[n + 1])
 
 
 def beta(m: int, tolerance=None) -> BetaRoot:
-    """The unique root of A_{2m+1} in ]0, 1], bracketed by exact signs.
+    """The unique root of A_{2m+1} in ]0, 1], bracketed by certain signs.
 
     The bracket is bisection's: the cell of the dyadic grid of width 2^-k,
     k the least with 2^-k <= tolerance, that holds the root, or (x -
     tolerance, x + tolerance) when a grid point x is the exact root.  Newton
-    steps on that grid find it, from x = 1, with A_n' read from the sign
-    query's sweep (_a_and_slope), n = 2m + 1: each step is truncated to
-    whole cells, one at least, and is a bisection where it would leave the
-    bracket.  The steps choose only which points are read, as every bracket
-    end is an exact sign: A_n has one root in ]0, 1] (Descartes's rule in
-    x^2), so one cell holds it, and a grid point that is the root is a
-    midpoint bisection reads too.  A_n is convex and increasing there, so
-    the steps walk down to the root's cell from the right: 160 sweeps for m
-    = 0..15 at the default tolerance, where bisection made 632.
+    steps on that grid find it, from x = 1, with A_n' read with the sign
+    (_a_and_slope), n = 2m + 1: each step is A_n / A_n' of the grid's cells
+    truncated, one at least, read exactly from the pair's integer ratios;
+    with no step of fewer than 2^k cells (no slope, an infinite or nan one),
+    or one that would leave the bracket, it is a bisection.  The steps
+    choose only which points are read, as every bracket end is a certain
+    sign: the exact sweep's, or the filter's under its derived bound (below).
+    A_n has one root in ]0, 1] (Descartes's rule in x^2), so one cell holds
+    it, and a grid point that is the root is a midpoint bisection reads too.
+    A_n is convex and increasing there, so the steps walk down to the root's
+    cell from the right: 160 sign queries for m = 0..15 at the default
+    tolerance, where bisection made 632, of which 3 read the exact sweep
+    (m = 0's exact root at x = 1, and a grid point next to the root for m =
+    5 and 12).
+
+    The filter is Shewchuk's filtered exact predicate (Discrete Comput.
+    Geom. 18, 1997) with Higham's error calculus (Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, 3.1): u = 2^-53, and theta_k is a
+    relative error of at most gamma_k = k u / (1 - k u).  It reads the sign
+    of A_n(x) = T1 - T2, T1 = P_n(x) P_{n+2}(x) and T2 = P_{n+1}(x)^2, at x
+    >= 0 from doubles.  x~ = float(x) is x rounded once (exact for a grid
+    numerator below 2^53), so x~^i = x^i (1 + theta_i).  The recurrence p_0
+    = 1, p_1 = x~, p_{j+1} = x~ p_j + j p_{j-1} rounds each of its two
+    terms twice per step (a product, then the sum), so p_j is the sum of the
+    monomials of P_j, nonnegative, each with its own 1 + theta_{2j-2} in x~
+    and so 1 + theta_{3j-2} in x, j >= 1: p_j = P_j(x) (1 + theta_{3j-2}).
+    t1 = p_n p_{n+2} and t2 = p_{n+1}^2, one rounding each, are T1 and T2
+    times 1 + theta_k, k = 6n + 3, so D = t1 - t2 is within gamma_k (T1 +
+    T2) of A_n(x).  The double a~ = t1 - t2 has D's sign and |a~| <= (1 + u)
+    |D|, and the bound c_n (t1 + t2), c_n = (6n + 8) u exact, two roundings,
+    is at least c_n (1 - u)^2 (1 - gamma_k) (T1 + T2).  So |a~| > c_n (t1 +
+    t2) gives |D| > gamma_k (T1 + T2), and A_n(x) has a~'s sign, wherever
+    c_n (1 - u)^2 (1 - gamma_k) >= (1 + u) gamma_k.  c_n is k u plus a
+    slack of 5u, which covers the terms of order u and k^2 u^2 for every
+    n < 2^23 (a test checks the inequality on rationals).
+
+    The derivation holds only where every value is a normal double or 0:
+    at x = 0 exactly, or at x >= 2^-500, where every nonzero value formed
+    is at least min(1, x^2) (p_j >= x for odd j and >= 1 for even j; t1 >=
+    x^2 for odd n), above the least normal double 2^-1022; and where every
+    value is finite.  A value past the double range makes a~ or the bound
+    infinite or nan, and a comparison with those is false, so such a query
+    reads the sweep: t2 >= P_{n+1}(0)^2 = (n!!)^2 is infinite for every x
+    >= 0 at n >= 171, so m >= 85 reads the exact sweep only.  Elsewhere (x
+    < 0, or 0 < x < 2^-500) the query reads the sweep.  The filter forms no
+    value that is returned: the float pair it decides sets only a sign and
+    a step.
 
     The value is the bracket's midpoint, rounded to nearest at 32 bits
     beyond the tolerance (128 at least).  When the root is exactly 1 (as
@@ -223,9 +276,12 @@ def beta(m: int, tolerance=None) -> BetaRoot:
     lo, hi, i = 0, cells, cells  # grid indices: A_n(lo / 2^k) < 0 < A_n(hi / 2^k)
     while hi - lo > 1:
         # Newton's step from i, a 2^k / slope cells truncated, one at least;
-        # with no slope, or out of the bracket, bisect (i is lo or hi)
-        step = max(abs(a * cells) // abs(slope), 1) if slope else 0
-        i = i - step if (a > 0) == (slope > 0) else i + step
+        # a step of 2^k cells or more leaves the bracket, so with no step
+        # below that, or out of the bracket, bisect (i is lo or hi)
+        if abs(a) < abs(slope) < inf:
+            (a_num, a_den), (s_num, s_den) = a.as_integer_ratio(), slope.as_integer_ratio()
+            step = max(abs(a_num * s_den * cells) // abs(a_den * s_num), 1)
+            i = i - step if (a > 0) == (slope > 0) else i + step
         if not lo < i < hi:
             i = (lo + hi) // 2
         x = Fraction(i, cells)

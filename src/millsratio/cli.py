@@ -2,7 +2,9 @@
 certification runs, continued fractions, and oracle queries.
 
 Exit status contract: 0 all-pass, 1 certification failure, 2 usage or domain
-error, such as a bound where A_n(x) is exactly 0 or an unwritable --out.
+error, such as a bound where A_n(x) is exactly 0 or an unwritable --out,
+and 141 (128 + SIGPIPE), with nothing on stderr, when the reader of stdout
+closes the pipe.
 Rationals are accepted as "7/3" or "0.1" (parsed exactly, so grids are
 reproducible); decimal output is round-to-nearest with 20 significant
 digits unless --digits is given; `mills phi` shows its error bound
@@ -376,7 +378,17 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "precision", 0) is None:  # read the variable only where it is used
             args.precision = default_precision()
-        return COMMANDS[args.subcommand](args)
+        status = COMMANDS[args.subcommand](args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not in the flush at exit
+        return status
+    except BrokenPipeError:
+        # quiet, as a process that SIGPIPE ended (the signal module's "Note on
+        # SIGPIPE"): stdout's descriptor points at os.devnull, so the flush at
+        # exit writes there and cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 128 + 13  # 128 + SIGPIPE
     except (DomainError, SingularityError, ValueError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -267,6 +267,19 @@ class TestCf:
         assert code == 2
         assert "error" in err
 
+    def test_reader_closing_the_pipe_is_quiet(self):
+        # `mills cf --x 1 --depth 400 | head -1`: about 219 KB, more than a
+        # pipe holds, so the write after the reader closes fails; the exit is
+        # a SIGPIPE one, 128 + 13, with nothing on stderr (no "error: [Errno
+        # 32] Broken pipe", exit 2, and no "Exception ignored" at exit)
+        argv = [sys.executable, "-m", "millsratio.cli", "cf", "--x", "1", "--depth", "400"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"x = 1\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+        assert err == b""
+
 
 class TestPhi:
     def test_both_methods(self, capsys):

@@ -15,13 +15,15 @@ bisection, which reads every sign with eval_rational on the polynomial
 A_{2m+1}.
 """
 
+import functools
 import random
 import re
 from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial, inf, isqrt, nan
 from operator import attrgetter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import from_rational
 
@@ -43,7 +45,7 @@ from millsratio.bounds import (
 )
 from millsratio.contfrac import pq_sweep
 from millsratio.errors import DomainError, SingularityError
-from millsratio.families import pq_pair, quadratic_form, quadratic_triple
+from millsratio.families import hankel, pq_pair, quadratic_form, quadratic_triple
 from millsratio.numutil import DEFAULT_PRECISION_BITS, to_fraction
 from millsratio.oracle import OracleValue, phi_series
 from millsratio.poly import IntPolynomial
@@ -450,10 +452,121 @@ def test_beta_matches_bisection_for_any_sign_source(monkeypatch, poly, tolerance
 
 
 def test_beta_reads_few_sweeps(monkeypatch):
-    """Newton steps on bisection's grid: 160 sign sweeps for m = 0..15 at the
-    default tolerance, where bisection made 632."""
-    calls, sweep = [], bounds.pq_sweep
-    monkeypatch.setattr(bounds, "pq_sweep", lambda n, x: calls.append(n) or sweep(n, x))
+    """Newton steps on bisection's grid: 160 sign queries for m = 0..15 at
+    the default tolerance, where bisection made 632; the filter decides all
+    but 3, which read the exact sweep: m = 0's exact root at x = 1 and a grid
+    point next to the root for m = 5 and m = 12."""
+    queries, sweeps, query, sweep = [], [], bounds._a_and_slope, bounds.pq_sweep
+    monkeypatch.setattr(bounds, "_a_and_slope", lambda n, x: queries.append(n) or query(n, x))
+    monkeypatch.setattr(bounds, "pq_sweep", lambda n, x: sweeps.append((n, x)) or sweep(n, x))
     for m in range(16):
         beta(m)
-    assert len(calls) == 160
+    assert len(queries) == 160
+    assert [(n - 3) // 2 for n, _ in sweeps] == [0, 5, 12]  # a sweep to order n + 2 = 2m + 3
+    assert sweeps[0][1] == 1
+
+
+def exact_beta(m: int, tolerance=None) -> BetaRoot:
+    """beta(m, tolerance) with every sign read from the exact sweep: the
+    search before the filter, kept as the reference."""
+    tol = Fraction(1, 2**40) if tolerance is None else to_fraction(tolerance)
+    bits = max(128, -(tol.numerator.bit_length() - tol.denominator.bit_length()) + 32)
+    n, cells = 2 * m + 1, 1 << (-(-tol.denominator // tol.numerator) - 1).bit_length()
+
+    def a_and_slope(x):
+        ps = pq_sweep(n + 2, x)[0]
+        return ps[n] * ps[n + 2] - ps[n + 1] ** 2, n * x.denominator * (ps[n - 1] * ps[n + 2] - ps[n] * ps[n + 1])
+
+    a, slope = a_and_slope(Fraction(1))
+    if a == 0:
+        return BetaRoot(m=m, value=mpf(1), bracket=(Fraction(1) - min(tol, Fraction(1, 2)), Fraction(1)))
+    lo, hi, i = 0, cells, cells
+    while hi - lo > 1:
+        step = max(abs(a * cells) // abs(slope), 1) if slope else 0
+        i = i - step if (a > 0) == (slope > 0) else i + step
+        if not lo < i < hi:
+            i = (lo + hi) // 2
+        x = Fraction(i, cells)
+        a, slope = a_and_slope(x)
+        if a == 0:
+            return BetaRoot(m=m, value=_round(x, bits), bracket=(x - tol, x + tol))
+        lo, hi = (i, hi) if a < 0 else (lo, i)
+    return BetaRoot(m=m, value=_round(Fraction(lo + hi, 2 * cells), bits),
+                    bracket=(Fraction(lo, cells), Fraction(hi, cells)))
+
+
+@pytest.mark.parametrize("m, tolerance", [(24, None), (40, None), (60, None), (150, None),
+                                          (0, "1e-400"), (1, "1e-400"), (2, "1e-400"), (3, "1e-400")])
+def test_beta_matches_the_exact_search(m, tolerance):
+    # past m = 15 and at a grid of 2^1329 cells, where a float step would
+    # overflow if formed as a double times the cell count
+    _assert_same_beta(beta(m, tolerance), exact_beta(m, tolerance), m, tolerance)
+
+
+@pytest.mark.parametrize("slope", [inf, -inf, nan, 0.0])
+@pytest.mark.parametrize("tolerance", [None, "1e-400"])
+def test_beta_bisects_on_a_float_pair_with_no_finite_slope(monkeypatch, slope, tolerance):
+    # a float pair whose slope gives no step: every step is a bisection
+    poly = IntPolynomial([-3, 2**41])
+    monkeypatch.setattr(bounds, "_a_and_slope", lambda n, x: (float(poly.eval_rational(x)), slope))
+    _assert_same_beta(beta(3, tolerance), ref_beta(3, tolerance, poly), slope, tolerance)
+
+
+def _exact_a(n: int, x: Fraction) -> int:
+    return hankel(pq_sweep(n + 2, x)[0], n)
+
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+@functools.cache
+def _root_cell(m: int) -> Fraction:
+    """The lower end of beta_m's cell at tolerance 2^-90."""
+    return beta(m, Fraction(1, 2**90)).bracket[0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 60), st.sampled_from([8, 40, 60, 90]), st.booleans(), st.data())
+def test_filter_decides_only_exact_signs(m, k, near_root, data):
+    """Wherever the filter decides A_n(x)'s sign (a float pair), it is the
+    sign of the exact sweep's d^{2n+2} A_n(x), n = 2m + 1 <= 121, at x =
+    i / 2^k in [0, 1]; half the points lie within 2^e cells of the root,
+    where the filter stops deciding."""
+    n, top = 2 * m + 1, 1 << k
+    if near_root:
+        offset = data.draw(st.integers(0, 1 << data.draw(st.integers(0, k))))
+        i = min(max(int(_root_cell(m) * top) + data.draw(st.sampled_from([-1, 1])) * offset, 0), top)
+    else:
+        i = data.draw(st.integers(0, top))
+    x = Fraction(i, top)
+    a, _ = bounds._a_and_slope(n, x)
+    if type(a) is float:
+        assert _sign(a) == _sign(_exact_a(n, x)) != 0, (n, x)
+
+
+@pytest.mark.parametrize("n, x", [
+    (1, Fraction(1)),  # m = 0's exact root: the float difference is 0
+    (31, 0), (31, 1),  # the ends of beta_15's cell at 2^-90
+    (301, Fraction(1)),  # P_n(1) past the double range
+    (3, Fraction(1, 2**600)),  # below 2^-500: x^2 would not be a normal double
+    (3, Fraction(-1, 2)),  # x < 0: the terms are not all nonnegative
+], ids=["root-at-1", "beta15-lower", "beta15-upper", "overflow", "tiny-x", "negative-x"])
+def test_filter_defers_where_it_cannot_decide(monkeypatch, n, x):
+    if type(x) is int:
+        x = beta(15, Fraction(1, 2**90)).bracket[x]
+    sweeps, sweep = [], bounds.pq_sweep
+    monkeypatch.setattr(bounds, "pq_sweep", lambda depth, x: sweeps.append((depth, x)) or sweep(depth, x))
+    a, slope = bounds._a_and_slope(n, x)
+    assert sweeps == [(n + 2, x)]
+    assert a == _exact_a(n, x) and type(a) is int and type(slope) is int
+
+
+def test_filter_constant_covers_its_derived_bound():
+    # beta's docstring: c_n (1 - u)^2 (1 - gamma_k) >= (1 + u) gamma_k, k =
+    # 6n + 3 and c_n = (6n + 8) u, for every n < 2^23, exactly
+    u = Fraction(1, 2**53)
+    for n in [*range(1, 400), 2**23 - 1]:
+        k = 6 * n + 3
+        gamma = k * u / (1 - k * u)
+        assert (6 * n + 8) * u * (1 - u) ** 2 * (1 - gamma) >= (1 + u) * gamma, n

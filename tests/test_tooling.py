@@ -147,3 +147,39 @@ def test_mutation_check_counts_a_timeout_as_killed(monkeypatch, capsys, unmutate
         assert [line.split() for line in out.splitlines()] == [
             ["killed", "(timed", "out)", mutant.name] for mutant in MUTANTS[:2]
         ] + [["2", "of", "2", "mutants", "killed"]]
+
+
+LINE_COUNT = _load(ROOT / "scripts" / "line_count.py", "line_count")
+
+
+def test_line_count_skips_docstrings_comments_and_blank_lines():
+    text = '''"""Module doc.
+
+more"""
+
+import os  # a comment after code
+
+
+# a comment alone
+def f(x):
+    """Doc."""
+    s = """not a
+doc"""
+    return (x +
+            1)
+
+
+class C: """One-line doc."""; y = 1
+def g(): "é"; return "é"
+'''
+    # import, def f, the string s (2 lines), return (2 lines), class C, def g
+    assert LINE_COUNT.code_lines(text) == 8
+
+
+def test_line_count_totals_its_rows(capsys):
+    assert LINE_COUNT.main([str(ROOT / "src")]) == 0
+    *rows, total = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    modules = sorted(path.relative_to(ROOT / "src").as_posix() for path in (ROOT / "src").rglob("*.py"))
+    assert [row[0] for row in rows] == modules
+    assert total == ["total", str(sum(int(row[1]) for row in rows)), str(sum(int(row[2]) for row in rows))]
+    assert all(int(row[2]) < int(row[1]) for row in rows)
