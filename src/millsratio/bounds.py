@@ -36,6 +36,14 @@ square-root bound, monotone in its root, at the end of an integer isqrt
 enclosure of the root that errs outward (_root, the one square-root
 kernel, Eq18's and Eq19's too), so it always holds.
 
+Inside the module those values stay raw: the (sign, man, exp, bc) tuple
+round_quotient gives, with no mpf formed or read back.  A margin puts the
+raw values and the oracle's integer read (OracleValue.dyadic) on one scale
+by shifts, and the verdict compares the raw margin with its threshold.
+An mpf is formed only at the edge, once per value: by Family.bound and
+Family.at for the shown values, and for the records (a Certificate's
+margin, Eq17's threshold, phi_derivative's value).
+
 The families Eq15 to Eq19 and I are the rows of one table, FAMILIES.  A
 row is the one place its bound values are formed: the five public bound
 functions, `mills bounds` and scripts/bounds_table.py all read them there.
@@ -62,7 +70,7 @@ from mpmath.libmp import mpf_gt
 from .contfrac import pq_sweep
 from .errors import DomainError, SingularityError
 from .families import hankel, quadratic_form
-from .numutil import DEFAULT_PRECISION_BITS, check_index, check_precision, dyadic, round_quotient, to_fraction, to_mpf
+from .numutil import DEFAULT_PRECISION_BITS, check_index, check_precision, round_quotient, to_fraction, to_mpf
 from .oracle import OracleValue, phi_series
 
 GUARD_BITS = 16  # bits above the requested precision: certificates, square roots, phi_derivative
@@ -104,11 +112,6 @@ class Certificate(NamedTuple):
     threshold: mpf  # the margin's derived error: pass iff margin > threshold
 
 
-def _quotient(num: int, den: int, w: int, rounding: str = "n", exp: int = 0) -> mpf:
-    """num / den * 2^exp rounded once to w bits, in the direction named."""
-    return mp.make_mpf(round_quotient(num, den, w, rounding, exp))
-
-
 class _Sweep(tuple):
     """pq_sweep(depth, x), the pair (ps, qs), and what the rows read from
     it, each formed on first use: the quadratic form of order n, d^{2n+2}
@@ -126,14 +129,14 @@ class _Sweep(tuple):
             form = self.forms[n] = quadratic_form(*self, n)
         return form
 
-    def root(self, n: int, w: int) -> mpf:
+    def root(self, n: int, w: int) -> tuple:
         z = self.roots.get((n, w))
         if z is None:
             z = self.roots[n, w] = _root(n, self.x, self.form(n), w)
         return z
 
 
-def _root(n: int, x: Fraction, form: tuple[int, int, int], precision_bits: int) -> mpf:
+def _root(n: int, x: Fraction, form: tuple[int, int, int], precision_bits: int) -> tuple:
     """The order-n root Z of A_n T^2 - B_n T + C_n at x = e/d, from form =
     (a, b, c) = d^{2n+2} (A_n, B_n, C_n)(x), rounded outward to precision_bits:
     Z^+ = (B + n! r) / (2A) down for even n, Z^- = (B - n! r) / (2A) up for
@@ -159,7 +162,7 @@ def _root(n: int, x: Fraction, form: tuple[int, int, int], precision_bits: int) 
     (n0, d0), (n1, d1) = [(2 * c * u, b * u + scale * t) if vieta else (b * u + scale * t, 2 * a * u)
                           for t in (s, s + (s * s != radicand))]
     num, den = (n1, d1) if (n1 * d0 > n0 * d1) == odd else (n0, d0)
-    return _quotient(num, den, precision_bits, "c" if odd else "f")
+    return round_quotient(num, den, precision_bits, "c" if odd else "f")
 
 
 def phi_derivative(n: int, x, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpf:
@@ -176,10 +179,10 @@ def phi_derivative(n: int, x, precision_bits: int = DEFAULT_PRECISION_BITS) -> m
     ps, qs = pq_sweep(n, xf)
     pn, qn, dn = ps[n], qs[n], xf.denominator**n  # P_n(x) = pn / dn, Q_n(x) = qn / dn
     # mag of a value rounded toward 0 is floor(log2 |value|) + 1 exactly (-inf at 0)
-    mag_p, mag_q = (mp.mag(_quotient(value, dn, 53, "d")) for value in (pn, qn))
+    mag_p, mag_q = (mp.mag(mp.make_mpf(round_quotient(value, dn, 53, "d"))) for value in (pn, qn))
     ov = phi_series(xf, p + max(0, mag_p))
-    (scale, v), w = dyadic(ov.value), p + GUARD_BITS + max(0, mag_p + mp.mag(ov.value), mag_q)
-    return _quotient(pn * v - (qn << scale), dn, w, "n", -scale)
+    (scale, v, _), w = ov.dyadic, p + GUARD_BITS + max(0, mag_p + mp.mag(ov.value), mag_q)
+    return mp.make_mpf(round_quotient(pn * v - (qn << scale), dn, w, "n", -scale))
 
 
 def _a_and_slope(n: int, x: Fraction) -> tuple:
@@ -293,7 +296,7 @@ def beta(m: int, tolerance=None) -> BetaRoot:
                     bracket=(Fraction(lo, cells), Fraction(hi, cells)))
 
 
-def log_convexity(n: int, x: Fraction, ov: OracleValue, precision_bits: int, sweep: _Sweep) -> tuple[mpf, mpf]:
+def log_convexity(n: int, x: Fraction, ov: OracleValue, precision_bits: int, sweep: _Sweep) -> tuple[tuple, tuple]:
     """The Eq17 row's evaluator: (margin, error) of the log-convexity
     inequality at (n, x), with ov the oracle value phi_at gives at (x,
     precision_bits) and sweep a _Sweep at x to order n + 2 at least, whose
@@ -304,12 +307,13 @@ def log_convexity(n: int, x: Fraction, ov: OracleValue, precision_bits: int, swe
     (a, b, c) / D exact, m(v + d) = m(v) + (2Av - B) d + A d^2 is exact, so
     for |d| <= e the true margin is within |2Av - B| e + |A| e^2 of m(v).
     margin is m(v) rounded down and error that bound rounded up, both
-    at precision_bits + GUARD_BITS, each one integer over D 4^E for v = N 2^-E.
+    at precision_bits + GUARD_BITS, each one integer over D 4^E for v = N 2^-E,
+    and both raw as round_quotient gives them.
     """
     a, b, c = sweep.form(n)
     (scale, v, e), w, den = ov.dyadic, precision_bits + GUARD_BITS, x.denominator ** (2 * n + 2)
-    margin = _quotient(a * v * v - (b * v << scale) + (c << 2 * scale), den, w, "f", -2 * scale)
-    return margin, _quotient(abs(2 * a * v - (b << scale)) * e + abs(a) * e * e, den, w, "c", -2 * scale)
+    margin = round_quotient(a * v * v - (b * v << scale) + (c << 2 * scale), den, w, "f", -2 * scale)
+    return margin, round_quotient(abs(2 * a * v - (b << scale)) * e + abs(a) * e * e, den, w, "c", -2 * scale)
 
 
 def phi_at(x, precision_bits: int, memo: dict | None = None) -> OracleValue:
@@ -329,56 +333,59 @@ def phi_at(x, precision_bits: int, memo: dict | None = None) -> OracleValue:
     return ov
 
 
-def _cert(family: str, n: int, x: Fraction, margin: mpf, error: mpf, precision_bits: int) -> Certificate:
+def _cert(family: str, n: int, x: Fraction, margin: tuple, error: mpf, precision_bits: int) -> Certificate:
     """The one verdict rule.  margin is an exact value m, within error of
     the true margin, rounded down once at precision_bits + GUARD_BITS, so
     margin <= m and m - error <= the true margin.  It passes iff margin >
     error: then m > error, and the true margin is positive.  error is the
-    certificate's threshold."""
-    verdict = "pass" if mpf_gt(margin._mpf_, error._mpf_) else "fail"
-    return Certificate(family, n, x, margin, precision_bits, verdict, error)
+    certificate's threshold.  margin is raw, as round_quotient gives it,
+    decided raw and wrapped once, for the certificate."""
+    verdict = "pass" if mpf_gt(margin, error._mpf_) else "fail"
+    return Certificate(family, n, x, mp.make_mpf(margin), precision_bits, verdict, error)
 
 
-def _against_phi(family: str, n: int, x: Fraction, precision_bits: int, ov: OracleValue, shown: dict) -> Certificate:
-    """The certificate that every shown lower (upper) value, an exact bound,
-    lies below (above) phi(x), as ov encloses it: with ov.value and the
-    values N_i 2^-E on one scale, the margin is the least exact difference,
-    one integer over 2^E, rounded down once."""
-    scale, v, *values = dyadic(ov.value, *shown.values())
-    margin = min(b - v if side == "upper" else v - b for side, b in zip(shown, values))
-    return _cert(family, n, x, _quotient(margin, 1, precision_bits + GUARD_BITS, "f", -scale), ov.error_bound,
-                 precision_bits)
-
-
-def _vs_phi(row: Family, n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep: _Sweep):
-    """The rule the bounds share: the row's values at precision_bits +
-    GUARD_BITS against phi."""
-    return [_against_phi(row.name, n, x, precision_bits, ov, row.values(n, x, precision_bits + GUARD_BITS, sweep))]
+def _vs_phi(row, n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep, shown=None, family=None):
+    """The rule the bounds share: the certificate, named family or the
+    row's name, that every shown lower (upper) value, an exact bound, lies
+    below (above) phi(x), as ov encloses it.  shown is the row's values at
+    precision_bits + GUARD_BITS, formed here if not given.  With ov.value N
+    2^-E (ov.dyadic) and the raw values shifted to one scale 2^-S, S >= E,
+    the margin is the least exact difference, one integer over 2^S, rounded
+    down once."""
+    w, (top, v, _) = precision_bits + GUARD_BITS, ov.dyadic
+    shown = shown or row.values(n, x, w, sweep)
+    scale = max(top, *[-exp for _, _, exp, _ in shown.values()])
+    v <<= scale - top
+    values = [(side, (-man if sign else man) << exp + scale) for side, (sign, man, exp, _) in shown.items()]
+    margin = min([b - v if side == "upper" else v - b for side, b in values])
+    return [_cert(family or row.name, n, x, round_quotient(margin, 1, w, "f", -scale), ov.error_bound, precision_bits)]
 
 
 def _eq15(n: int, x: Fraction, w: int, sweep):
     (ps, qs), k = sweep, 2 * n
-    return {"lower": _quotient(qs[k], ps[k], w, "f"), "upper": _quotient(qs[k + 1], ps[k + 1], w, "c")}
+    return {"lower": round_quotient(qs[k], ps[k], w, "f"), "upper": round_quotient(qs[k + 1], ps[k + 1], w, "c")}
 
 
 def _eq16(n: int, x: Fraction, w: int, sweep):
     """The convergent q_n/p_n rounded to nearest, and the error bound n!
     d^{2n+1} / (p_n p_{n+1}) rounded up."""
     (ps, qs), bound = sweep, factorial(n) * x.denominator ** (2 * n + 1)
-    return {"convergent": _quotient(qs[n], ps[n], w), "error_bound": _quotient(bound, ps[n] * ps[n + 1], w, "c")}
+    return {"convergent": round_quotient(qs[n], ps[n], w, "n"),
+            "error_bound": round_quotient(bound, ps[n] * ps[n + 1], w, "c")}
 
 
-def _eq16_margin(row: Family, n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep: _Sweep):
+def _eq16_margin(row: Family, n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep: _Sweep, shown=None):
     """With v = N 2^-E, the margin n! d^{2n+1} / (p_n p_{n+1}) - |v - q_n/p_n|
     is one integer over p_n p_{n+1} 2^E, rounded down once."""
     (ps, qs), w, (scale, v, _) = sweep, precision_bits + GUARD_BITS, ov.dyadic
     pn, pn1, qn, bound = ps[n], ps[n + 1], qs[n], factorial(n) * x.denominator ** (2 * n + 1)
-    margin = _quotient((bound << scale) - pn1 * abs(v * pn - (qn << scale)), pn * pn1, w, "f", -scale)
+    margin = round_quotient((bound << scale) - pn1 * abs(v * pn - (qn << scale)), pn * pn1, w, "f", -scale)
     return [_cert(row.name, n, x, margin, ov.error_bound, precision_bits)]
 
 
-def _eq17(row: Family, n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep: _Sweep):
-    return [_cert(row.name, n, x, *log_convexity(n, x, ov, precision_bits, sweep), precision_bits)]
+def _eq17(row: Family, n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep: _Sweep, shown=None):
+    margin, error = log_convexity(n, x, ov, precision_bits, sweep)
+    return [_cert(row.name, n, x, margin, mp.make_mpf(error), precision_bits)]
 
 
 def _square_root(n: int, x: Fraction, w: int, sweep):
@@ -398,19 +405,19 @@ def _second_order(n: int, x: Fraction, w: int, sweep):
     return _square_root(n, x, w, sweep)
 
 
-def _sharper(row: Family, n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep: _Sweep):
+def _sharper(row: Family, n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep: _Sweep, shown=None):
     """I_n against phi, plus the companion I_n_sharper certificate of its
     sharpness against the first-order convergent: Q_{2m}/P_{2m} < Z^+ for x
     > 0 and Z^- < Q_{2m+1}/P_{2m+1} for x > beta_m.  Z's outward endpoint
     errs away from the convergent too, so that margin, with Z = N 2^-E the
     integer (q_n 2^E - N p_n) over p_n 2^E, is exact before its rounding."""
-    shown = row.values(n, x, precision_bits + GUARD_BITS, sweep)
-    ((_, z),), (ps, qs), upper = shown.items(), sweep, n % 2 == 1
-    certs = [_against_phi(f"{row.name}_{n}", n, x, precision_bits, ov, shown)]
+    shown = shown or row.values(n, x, precision_bits + GUARD_BITS, sweep)
+    ((_, (sign, man, exp, _)),), (ps, qs), upper = shown.items(), sweep, n % 2 == 1
+    certs = _vs_phi(row, n, x, precision_bits, ov, sweep, shown, f"{row.name}_{n}")
     if x.numerator > 0 and (not upper or sweep.form(n)[0] > 0):  # A_n(x) > 0, from the form the bound read
-        scale, z = dyadic(z)
-        sharper = (qs[n] << scale) - z * ps[n]
-        margin = _quotient(sharper if upper else -sharper, ps[n], precision_bits + GUARD_BITS, "f", -scale)
+        scale = max(0, -exp)
+        sharper = (qs[n] << scale) - ((-man if sign else man) << exp + scale) * ps[n]
+        margin = round_quotient(sharper if upper else -sharper, ps[n], precision_bits + GUARD_BITS, "f", -scale)
         certs.append(_cert(f"{row.name}_{n}_sharper", n, x, margin, _ZERO, precision_bits))
     return certs
 
@@ -419,21 +426,22 @@ class Family(NamedTuple):
     """One bound family: what differs between families, and nothing more.
 
     ``values(n, x, w, sweep)`` forms the bound values shown at (n, x), by
-    name, each exact or rounded once at w bits, every bound outward, from
-    sweep, a _Sweep at x to order depth(n) at least; it raises DomainError
-    or SingularityError where the order-n bound is not stated.
-    ``certify(row, n, x, p, ov, sweep)`` makes the certificates there
-    against ov, the oracle value phi_at gives at (x, p), and raises as
-    values does; it reads row.values(n, x, p + GUARD_BITS, sweep) only
-    where its margin compares them (not Eq16 or Eq17).  checked is the one
-    place a request is read and refused; bound, at and certify_grid call it
-    once."""
+    name, each raw (sign, man, exp, bc) as round_quotient gives it, rounded
+    once at w bits, every bound outward, from sweep, a _Sweep at x to order
+    depth(n) at least; it raises DomainError or SingularityError where the
+    order-n bound is not stated.  ``certify(row, n, x, p, ov, sweep,
+    shown=None)`` makes the certificates there against ov, the oracle value
+    phi_at gives at (x, p), and raises as values does; where its margin
+    compares the values (not Eq16 or Eq17), it reads shown, the values at p
+    + GUARD_BITS, or forms them if not given.  checked is the one place a
+    request is read and refused; bound, at and certify_grid call it once.
+    bound and at wrap each shown value as an mpf once."""
 
     name: str
     x_above: int | None  # stated domain x > x_above; None: every x the oracle takes
     order: int | None  # the one order of a single-bound family
     depth: Callable[[int], int]  # the sweep order that order n reads up to
-    values: Callable[[int, Fraction, int, tuple], dict[str, mpf]]
+    values: Callable[[int, Fraction, int, tuple], dict[str, tuple]]
     certify: Callable[..., list[Certificate]] = _vs_phi  # by default, the rule the bounds share
 
     def checked(self, orders, xs, precision_bits) -> tuple[int, list[int], list[Fraction]]:
@@ -454,15 +462,16 @@ class Family(NamedTuple):
     def bound(self, n: int, x, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict[str, mpf]:
         """values at (n, x) at precision_bits, from one sweep and no oracle value."""
         p, (n,), (x,) = self.checked([n], [x], precision_bits)
-        return self.values(n, x, p, _Sweep(self.depth(n), x))
+        return {key: mp.make_mpf(raw) for key, raw in self.values(n, x, p, _Sweep(self.depth(n), x)).items()}
 
     def at(self, n: int, x, precision_bits: int = DEFAULT_PRECISION_BITS, memo: dict | None = None):
         """(values at precision_bits + GUARD_BITS, certificates) at one point
-        from one sweep, memo as in certify_grid; refused by checked, then by
-        phi_at (EnvelopeError), then by the row."""
+        from one sweep, each value formed once, memo as in certify_grid;
+        refused by checked, then by phi_at (EnvelopeError), then by the row."""
         p, (n,), (x,) = self.checked([n], [x], precision_bits)
         ov, sweep = phi_at(x, p, memo), _Sweep(self.depth(n), x)
-        return self.values(n, x, p + GUARD_BITS, sweep), self.certify(self, n, x, p, ov, sweep)
+        shown = self.values(n, x, p + GUARD_BITS, sweep)
+        return {key: mp.make_mpf(raw) for key, raw in shown.items()}, self.certify(self, n, x, p, ov, sweep, shown)
 
 
 # Each row holds its own evaluators, and no row calls a public function:

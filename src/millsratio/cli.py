@@ -305,16 +305,31 @@ def json_report_as_text(text: str) -> str:
     return _render_report(report, "text")
 
 
+def exact_str(value) -> str:
+    """str(value) of an int or Fraction of any size.  CPython refuses to
+    convert an int of more digits than sys.get_int_max_str_digits() (4300
+    by default); a longer one is cut by divmod into chunks of k = half that
+    many digits, each converted alone (one recursion level per chunk), and
+    the process-wide limit is left as it is."""
+    if isinstance(value, Fraction):
+        return exact_str(value.numerator) + ("" if value.denominator == 1 else "/" + exact_str(value.denominator))
+    k = getattr(sys, "get_int_max_str_digits", int)() // 2  # 0: no limit (before Python 3.10.7)
+    if not k or -10**k < value < 10**k:
+        return str(value)
+    high, low = divmod(abs(value), 10**k)
+    return "-" * (value < 0) + exact_str(high) + f"{low:0{k}d}"
+
+
 def cmd_beta(args) -> int:
     root, n = beta(args.m, args.tolerance), 2 * args.m + 1
     lo, hi = root.bracket
     print(f"m = {args.m}")
     print(f"beta = {nstr_fixed(root.value, args.digits)}")
-    print(f"bracket_low = {lo}")
-    print(f"bracket_high = {hi}")
+    print(f"bracket_low = {exact_str(lo)}")
+    print(f"bracket_high = {exact_str(hi)}")
     for end, x in (("low", lo), ("high", hi)):
         scaled = hankel(pq_sweep(n + 2, x)[0], n)  # d^{2n+2} A_n(x) at x = a/d, as in beta
-        print(f"A_{n}(bracket_{end}) = {Fraction(scaled, x.denominator ** (2 * n + 2))}")
+        print(f"A_{n}(bracket_{end}) = {exact_str(Fraction(scaled, x.denominator ** (2 * n + 2)))}")
     return 0
 
 

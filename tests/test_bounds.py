@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import sys
@@ -28,7 +29,7 @@ from millsratio.bounds import (
     second_order_bound,
     szarek_werner_upper,
 )
-from millsratio.cli import cmd_cf, grid_points, main, parse_grid
+from millsratio.cli import _verify_plan, build_parser, cmd_cf, grid_points, main, parse_grid
 from millsratio.contfrac import cf_b, cf_convergent, cf_ladder_eval, expansion_str, pq_sweep
 from millsratio.errors import DomainError, EnvelopeError, SingularityError
 from millsratio.families import (
@@ -833,6 +834,19 @@ def test_bound_values_read_one_sweep_and_no_oracle(monkeypatch):
         assert len(depths) == 1
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_at_rounds_each_value_once(monkeypatch, family):
+    # Family.at passes the values it shows to the row's certificates, so
+    # one point rounds each shown value, each margin and Eq17's error once
+    calls, rounding = [], bounds.round_quotient
+    monkeypatch.setattr(bounds, "round_quotient", lambda *args: calls.append(args) or rounding(*args))
+    for x in (Fraction(1, 3), Fraction(5, 2)):
+        for n in _own(family, [0, 2, 3]):
+            calls.clear()
+            shown, certs = FAMILIES[family].at(n, x, 96)
+            assert len(calls) == len(shown) + len(certs) + (family == "eq17"), (n, x)
+
+
 def test_bound_shows_what_at_shows():
     # at p + GUARD_BITS, Family.bound gives the values Family.at shows at p
     for key, fam in FAMILIES.items():
@@ -918,7 +932,7 @@ def _error(c, ov: OracleValue) -> mpf:
     if c.family.endswith("_sharper"):
         return mpf(0)
     if c.family == "Eq17":
-        return bounds.log_convexity(c.n, c.x, ov, c.precision_bits, bounds._Sweep(c.n + 2, c.x))[1]
+        return mp.make_mpf(bounds.log_convexity(c.n, c.x, ov, c.precision_bits, bounds._Sweep(c.n + 2, c.x))[1])
     return ov.error_bound
 
 
@@ -952,9 +966,9 @@ def test_margin_one_ulp_above_its_error_passes(bits):
     for error in (mpf(2) ** -150, mpf(3) * mpf(2) ** -200, phi_series(Fraction(1, 3), w).error_bound):
         above = mp.fadd(error, mp.ldexp(1, mp.mag(error) - w), exact=True)
         assert error < above == mp.fadd(above, 0, prec=w)  # the next w-bit number
-        cert = bounds._cert("Eq15", 0, Fraction(1, 3), above, error, bits)
-        assert (cert.verdict, cert.threshold) == ("pass", error)
-        assert bounds._cert("Eq15", 0, Fraction(1, 3), error, error, bits).verdict == "fail"
+        cert = bounds._cert("Eq15", 0, Fraction(1, 3), above._mpf_, error, bits)  # a raw margin
+        assert (cert.verdict, cert.margin, cert.threshold) == ("pass", above, error)
+        assert bounds._cert("Eq15", 0, Fraction(1, 3), error._mpf_, error, bits).verdict == "fail"
 
 
 @pytest.mark.parametrize("bits", [64, 128])
@@ -1061,3 +1075,24 @@ def test_bounds_agree_with_themselves_across_threads():
     assert not any(t.is_alive() for t in threads + [noise])
     for got in results:
         assert got == list(enumerate(expected))
+
+
+# SHA-256 over every certificate of `mills verify` with default grid and
+# n-max, per precision: (family, n, x, margin, verdict, threshold), the two
+# values as raw mpfs.  The report hashes show 20 printed digits; this shows
+# every bit of every margin and threshold, 3574 certificates each.
+_CERTIFICATE_BITS = {
+    64: "802d9b96c2646329c8f6c0aa36f5a91992a9bcaa411ea5f85139999f4598ff89",
+    128: "42fc163cd2fb705e095108f56cafc160c6f1b3d3d278372784ab1b162c0e9654",
+    256: "a889fa4de6fb57a5e202856e2d88454a37e35856ba9e9d99f5b056681f3f0ac6",
+}
+
+
+@pytest.mark.parametrize("bits", sorted(_CERTIFICATE_BITS))
+def test_verify_certificate_bits_are_pinned(bits):
+    xs, memo, digest = grid_points(build_parser().parse_args(["verify"]).grid), {}, hashlib.sha256()
+    for family, orders, grid in _verify_plan(xs):
+        for c in certify_grid(family, list(orders), grid, bits, memo):
+            raws = [(sign, int(man), exp, bc) for sign, man, exp, bc in (c.margin._mpf_, c.threshold._mpf_)]
+            digest.update(repr((c.family, c.n, str(c.x), raws[0], c.verdict, raws[1])).encode())
+    assert digest.hexdigest() == _CERTIFICATE_BITS[bits]

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from millsratio import bounds, cli, oracle
 from millsratio.bounds import FAMILIES, certify_grid
 from millsratio.cli import main
 from millsratio.errors import IdentityError
+from millsratio.families import quadratic_triple
 from millsratio.numutil import nstr_fixed, to_fraction
 from millsratio.oracle import phi_quadrature, phi_series
 
@@ -220,6 +222,30 @@ class TestBeta:
         code, out, _ = run_cli(capsys, "beta", "--m", "0")
         assert code == 0
         assert "beta = 1.0" in out
+
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_exact_values_past_the_int_to_str_limit(self, capsys, m):
+        # at tolerance 1e-400, A_{2m+1} at the bracket ends has a denominator
+        # 2^(1329 (4m + 4)), past 4300 digits from m = 3: each is printed in
+        # full, read back here 1000 digits at a time, and the process-wide
+        # limit is left as it is
+        def read(text):
+            sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+            value = 0
+            for i in range(0, len(digits), 1000):
+                value = value * 10 ** len(digits[i : i + 1000]) + int(digits[i : i + 1000])
+            return sign * value
+
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(capsys, "beta", "--m", str(m), "--tolerance", "1e-400")
+        assert (code, sys.get_int_max_str_digits()) == (0, limit)
+        lines = dict(line.split(" = ") for line in out.splitlines())
+        n, (lo, hi) = 2 * m + 1, bounds.beta(m, Fraction(1, 10**400)).bracket
+        for end, x in (("low", lo), ("high", hi)):
+            assert Fraction(*map(read, lines[f"bracket_{end}"].split("/"))) == x
+            num, den = map(read, lines[f"A_{n}(bracket_{end})"].split("/"))
+            assert den > 10**4300  # past the default limit
+            assert Fraction(num, den) == quadratic_triple(n).a.eval_rational(x)
 
 
 class TestNegativeValues:
@@ -831,3 +857,22 @@ def test_bounds_table_script_refuses_bad_input(capsys, monkeypatch, argv):
         _load_script("bounds_table").main()
     assert exc.value.code == 2
     assert f"argument {argv[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("limit", [640, 4300])
+def test_exact_str_is_str_past_the_int_to_str_limit(limit):
+    # str() of the same values with the limit lifted, then exact_str under
+    # limit, which it leaves as it is
+    rng, old = random.Random(limit), sys.get_int_max_str_digits()
+    values = [v for d in (1, 319, 320, 321, 2149, 2150, 4299, 4300, 4301, 9000, 12901)
+              for v in (10**d - 1, 10**d, rng.randrange(10**d), 10 ** (d - 1) + 1)]
+    values += [-v for v in values] + [Fraction(3**9000, 2**9000), Fraction(-(7**6000), 10**6000 + 1), Fraction(-5)]
+    try:
+        sys.set_int_max_str_digits(0)
+        want = [str(v) for v in values]
+        sys.set_int_max_str_digits(limit)
+        got = [cli.exact_str(v) for v in values]
+        assert sys.get_int_max_str_digits() == limit
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert got == want

@@ -166,7 +166,7 @@ def test_round_quotient_refuses_a_zero_denominator():
 def test_unknown_rounding_is_refused_by_name(rounding):
     for call in (lambda: round_quotient(1, 3, 64, rounding), lambda: round_quotient(0, 3, 64, rounding),
                  lambda: round_quotient(4, 2, 64, rounding), lambda: to_mpf(Fraction(1, 3), 64, rounding),
-                 lambda: to_mpf(mpf(3), 64, rounding), lambda: bounds._quotient(1, 3, 64, rounding)):
+                 lambda: to_mpf(mpf(3), 64, rounding), lambda: bounds.round_quotient(1, 3, 64, rounding)):
         with pytest.raises(ValueError, match=f"unknown rounding {rounding!r}"):
             call()
 
