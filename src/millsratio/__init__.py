@@ -3,6 +3,14 @@
 Every record, and each row of bounds.FAMILIES, is a NamedTuple, not a frozen
 dataclass: dataclasses imports inspect and ast, each definition execs
 generated methods, and a frozen __init__ is five times slower.
+
+Importing the package loads no mpmath, and neither does `mills verify`.
+OracleValue (value, error_bound) and Certificate (margin, threshold) hold
+those fields as raw (sign, man, exp, bc) integer tuples, and the package
+reads them as integers; reading one as an attribute gives an mpf, formed
+then by numutil.as_mpf, which imports mpmath on its first call.  A record
+built with mpf items reads them as they are.  Every other public value
+that is an mpf is formed as one when it is returned.
 """
 
 from .contfrac import cf_b, cf_convergent, cf_ladder_eval

@@ -37,12 +37,14 @@ enclosure of the root that errs outward (_root, the one square-root
 kernel, Eq18's and Eq19's too), so it always holds.
 
 Inside the module those values stay raw: the (sign, man, exp, bc) tuple
-round_quotient gives, with no mpf formed or read back.  A margin puts the
-raw values and the oracle's integer read (OracleValue.dyadic) on one scale
-by shifts, and the verdict compares the raw margin with its threshold.
-An mpf is formed only at the edge, once per value: by Family.bound and
-Family.at for the shown values, and for the records (a Certificate's
-margin, Eq17's threshold, phi_derivative's value).
+round_quotient gives, with no mpf formed or read back, and no mpmath
+read.  A margin puts the raw values and the oracle's integer read
+(OracleValue.dyadic) on one scale by shifts, and the verdict compares the
+raw margin with its raw threshold on integers (numutil.exceeds).  An mpf
+is formed only at the edge, once per value (numutil.as_mpf): by
+Family.bound and Family.at for the shown values, for phi_derivative's
+value, and when a Certificate's margin or threshold is read as an
+attribute; the record holds both raw.
 
 The families Eq15 to Eq19 and I are the rows of one table, FAMILIES.  A
 row is the one place its bound values are formed: the five public bound
@@ -64,17 +66,14 @@ from math import factorial, inf, isqrt
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from mpmath import mp, mpf
-from mpmath.libmp import mpf_gt
-
 from .contfrac import pq_sweep
 from .errors import DomainError, SingularityError
 from .families import hankel, quadratic_form
-from .numutil import DEFAULT_PRECISION_BITS, check_index, check_precision, round_quotient, to_fraction, to_mpf
+from .numutil import (DEFAULT_PRECISION_BITS, as_mpf, check_index, check_precision, exceeds, fzero, mpf_field, raw,
+                      round_quotient, to_fraction, to_mpf)
 from .oracle import OracleValue, phi_series
 
 GUARD_BITS = 16  # bits above the requested precision: certificates, square roots, phi_derivative
-_ZERO = mpf(0)  # the error of an exact margin
 _U = 2.0**-53  # the unit roundoff of a double
 _FILTER_X_MIN = 2.0**-500  # at x >= this, every nonzero value beta's filter forms is a normal double
 
@@ -100,16 +99,23 @@ class SecondOrderBound(NamedTuple):
     role: str  # "lower" for even n, "upper" for odd n
 
 
-class Certificate(NamedTuple):
-    """One verdict."""
-
+class _CertificateFields(NamedTuple):
     family: str
     n: int
     x: Fraction
-    margin: mpf
+    margin: tuple  # raw, as _cert is given it; Certificate.margin reads it as an mpf
     precision_bits: int
     verdict: str
-    threshold: mpf  # the margin's derived error: pass iff margin > threshold
+    threshold: tuple  # the margin's derived error, raw: pass iff margin > threshold
+
+
+class Certificate(_CertificateFields):
+    """One verdict.  margin and threshold are held raw and read as mpfs
+    (numutil.mpf_field); a tuple unpacked, as the CLI reads a row, gives
+    them raw."""
+
+    __slots__ = ()
+    margin, threshold = mpf_field(3), mpf_field(6)
 
 
 class _Sweep(tuple):
@@ -178,11 +184,17 @@ def phi_derivative(n: int, x, precision_bits: int = DEFAULT_PRECISION_BITS) -> m
     p, n, xf = check_precision(precision_bits), check_index(n), to_fraction(x)
     ps, qs = pq_sweep(n, xf)
     pn, qn, dn = ps[n], qs[n], xf.denominator**n  # P_n(x) = pn / dn, Q_n(x) = qn / dn
-    # mag of a value rounded toward 0 is floor(log2 |value|) + 1 exactly (-inf at 0)
-    mag_p, mag_q = (mp.mag(mp.make_mpf(round_quotient(value, dn, 53, "d"))) for value in (pn, qn))
+    # exp + bc of a value rounded toward 0 is floor(log2 |value|) + 1 exactly (-inf at 0)
+    mag_p, mag_q = (_mag(round_quotient(value, dn, 53, "d")) for value in (pn, qn))
     ov = phi_series(xf, p + max(0, mag_p))
-    (scale, v, _), w = ov.dyadic, p + GUARD_BITS + max(0, mag_p + mp.mag(ov.value), mag_q)
-    return mp.make_mpf(round_quotient(pn * v - (qn << scale), dn, w, "n", -scale))
+    (scale, v, _), w = ov.dyadic, p + GUARD_BITS + max(0, mag_p + _mag(raw(ov[0])), mag_q)
+    return as_mpf(round_quotient(pn * v - (qn << scale), dn, w, "n", -scale))
+
+
+def _mag(bits: tuple):
+    """floor(log2 |value|) + 1 of a raw value, -inf at 0: mpmath's mag."""
+    _, man, exp, bc = bits
+    return exp + bc if man else -inf
 
 
 def _a_and_slope(n: int, x: Fraction) -> tuple:
@@ -275,7 +287,7 @@ def beta(m: int, tolerance=None) -> BetaRoot:
         raise ArithmeticError(f"A_{n}(0) must be negative")
     a, slope = _a_and_slope(n, Fraction(1))
     if a == 0:
-        return BetaRoot(m=m, value=mpf(1), bracket=(Fraction(1) - min(tol, Fraction(1, 2)), Fraction(1)))
+        return BetaRoot(m=m, value=to_mpf(1, bits), bracket=(Fraction(1) - min(tol, Fraction(1, 2)), Fraction(1)))
     lo, hi, i = 0, cells, cells  # grid indices: A_n(lo / 2^k) < 0 < A_n(hi / 2^k)
     while hi - lo > 1:
         # Newton's step from i, a 2^k / slope cells truncated, one at least;
@@ -333,15 +345,15 @@ def phi_at(x, precision_bits: int, memo: dict | None = None) -> OracleValue:
     return ov
 
 
-def _cert(family: str, n: int, x: Fraction, margin: tuple, error: mpf, precision_bits: int) -> Certificate:
+def _cert(family: str, n: int, x: Fraction, margin: tuple, error: tuple, precision_bits: int) -> Certificate:
     """The one verdict rule.  margin is an exact value m, within error of
     the true margin, rounded down once at precision_bits + GUARD_BITS, so
     margin <= m and m - error <= the true margin.  It passes iff margin >
     error: then m > error, and the true margin is positive.  error is the
-    certificate's threshold.  margin is raw, as round_quotient gives it,
-    decided raw and wrapped once, for the certificate."""
-    verdict = "pass" if mpf_gt(margin, error._mpf_) else "fail"
-    return Certificate(family, n, x, mp.make_mpf(margin), precision_bits, verdict, error)
+    certificate's threshold.  Both are raw, margin as round_quotient gives
+    it, decided on integers and kept raw in the certificate."""
+    verdict = "pass" if exceeds(margin, error) else "fail"
+    return Certificate(family, n, x, margin, precision_bits, verdict, error)
 
 
 def _vs_phi(row, n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep, shown=None, family=None):
@@ -358,7 +370,7 @@ def _vs_phi(row, n: int, x: Fraction, precision_bits: int, ov: OracleValue, swee
     v <<= scale - top
     values = [(side, (-man if sign else man) << exp + scale) for side, (sign, man, exp, _) in shown.items()]
     margin = min([b - v if side == "upper" else v - b for side, b in values])
-    return [_cert(family or row.name, n, x, round_quotient(margin, 1, w, "f", -scale), ov.error_bound, precision_bits)]
+    return [_cert(family or row.name, n, x, round_quotient(margin, 1, w, "f", -scale), raw(ov[1]), precision_bits)]
 
 
 def _eq15(n: int, x: Fraction, w: int, sweep):
@@ -380,12 +392,12 @@ def _eq16_margin(row: Family, n: int, x: Fraction, precision_bits: int, ov: Orac
     (ps, qs), w, (scale, v, _) = sweep, precision_bits + GUARD_BITS, ov.dyadic
     pn, pn1, qn, bound = ps[n], ps[n + 1], qs[n], factorial(n) * x.denominator ** (2 * n + 1)
     margin = round_quotient((bound << scale) - pn1 * abs(v * pn - (qn << scale)), pn * pn1, w, "f", -scale)
-    return [_cert(row.name, n, x, margin, ov.error_bound, precision_bits)]
+    return [_cert(row.name, n, x, margin, raw(ov[1]), precision_bits)]
 
 
 def _eq17(row: Family, n: int, x: Fraction, precision_bits: int, ov: OracleValue, sweep: _Sweep, shown=None):
     margin, error = log_convexity(n, x, ov, precision_bits, sweep)
-    return [_cert(row.name, n, x, margin, mp.make_mpf(error), precision_bits)]
+    return [_cert(row.name, n, x, margin, error, precision_bits)]
 
 
 def _square_root(n: int, x: Fraction, w: int, sweep):
@@ -418,7 +430,7 @@ def _sharper(row: Family, n: int, x: Fraction, precision_bits: int, ov: OracleVa
         scale = max(0, -exp)
         sharper = (qs[n] << scale) - ((-man if sign else man) << exp + scale) * ps[n]
         margin = round_quotient(sharper if upper else -sharper, ps[n], precision_bits + GUARD_BITS, "f", -scale)
-        certs.append(_cert(f"{row.name}_{n}_sharper", n, x, margin, _ZERO, precision_bits))
+        certs.append(_cert(f"{row.name}_{n}_sharper", n, x, margin, fzero, precision_bits))
     return certs
 
 
@@ -462,7 +474,7 @@ class Family(NamedTuple):
     def bound(self, n: int, x, precision_bits: int = DEFAULT_PRECISION_BITS) -> dict[str, mpf]:
         """values at (n, x) at precision_bits, from one sweep and no oracle value."""
         p, (n,), (x,) = self.checked([n], [x], precision_bits)
-        return {key: mp.make_mpf(raw) for key, raw in self.values(n, x, p, _Sweep(self.depth(n), x)).items()}
+        return {key: as_mpf(bits) for key, bits in self.values(n, x, p, _Sweep(self.depth(n), x)).items()}
 
     def at(self, n: int, x, precision_bits: int = DEFAULT_PRECISION_BITS, memo: dict | None = None):
         """(values at precision_bits + GUARD_BITS, certificates) at one point
@@ -471,7 +483,7 @@ class Family(NamedTuple):
         p, (n,), (x,) = self.checked([n], [x], precision_bits)
         ov, sweep = phi_at(x, p, memo), _Sweep(self.depth(n), x)
         shown = self.values(n, x, p + GUARD_BITS, sweep)
-        return {key: mp.make_mpf(raw) for key, raw in shown.items()}, self.certify(self, n, x, p, ov, sweep, shown)
+        return {key: as_mpf(bits) for key, bits in shown.items()}, self.certify(self, n, x, p, ov, sweep, shown)
 
 
 # Each row holds its own evaluators, and no row calls a public function:

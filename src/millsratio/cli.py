@@ -30,7 +30,7 @@ from .bounds import FAMILIES, beta, certify_grid, find_family, phi_at
 from .contfrac import cf_b, cf_ladder_eval, expansion_str, pq_sweep
 from .errors import DomainError, MillsError, SingularityError
 from .families import discriminant, hankel, pq_pair, quadratic_triple, verify_identities
-from .numutil import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, nstr_ceiling, nstr_fixed, to_fraction
+from .numutil import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, nstr_ceiling, nstr_fixed
 from .oracle import phi_quadrature, phi_series
 
 # the verify report's row fields, in order; identity rows fill family, n and verdict
@@ -189,20 +189,22 @@ def _run_verification(args) -> dict:
     deepest_first = sorted(plan, key=lambda call: FAMILIES[call[0]].depth(max(call[1])), reverse=True)
     by_family = {family: certify_grid(family, list(orders), grid, p, memo) for family, orders, grid in deepest_first}
     certs = [c for family, _, _ in plan for c in by_family[family]]
-    # oracle cross-agreement on a fixed small grid, decided exactly; the
-    # series value is the one the certificates read
+    # oracle cross-agreement on a fixed small grid, decided exactly on the
+    # values' integers (OracleValue.dyadic); the series value is the one
+    # the certificates read
     agreement = []
     for x in (Fraction(-2), Fraction(-1), Fraction(0), Fraction(1), Fraction(2), Fraction(5)):
-        s, q = phi_at(x, p, memo), phi_quadrature(x, p)
-        gap = abs(to_fraction(s.value) - to_fraction(q.value))
-        ok = gap <= to_fraction(s.error_bound) + to_fraction(q.error_bound)
+        (es, vs, bs), (eq, vq, bq) = phi_at(x, p, memo).dyadic, phi_quadrature(x, p).dyadic
+        top = max(es, eq)
+        ok = abs((vs << top - es) - (vq << top - eq)) <= (bs << top - es) + (bq << top - eq)
         agreement.append((str(x), "pass" if ok else "fail"))
     config = {"subcommand": "verify", "precision_bits": p, "digits": args.digits, "n_max": args.n_max,
               "grid": ":".join(str(g) for g in args.grid), "format": args.format}
     if args.out:
         config["out"] = args.out
     # str(x) once per point: certify_grid keeps the grid's own Fraction in
-    # each certificate.  The text report shows a failing certificate's
+    # each certificate.  A certificate unpacked gives its margin raw, as
+    # nstr_fixed reads it.  The text report shows a failing certificate's
     # margin only, so it renders no other.
     names, every_margin, digits = {id(x): str(x) for x in xs}, args.format != "text", args.digits
     rows = [(family, n, names[id(x)], nstr_fixed(margin, digits) if every_margin or verdict == "fail" else None,
@@ -309,15 +311,19 @@ def exact_str(value) -> str:
     """str(value) of an int or Fraction of any size.  CPython refuses to
     convert an int of more digits than sys.get_int_max_str_digits() (4300
     by default); a longer one is cut by divmod into chunks of k = half that
-    many digits, each converted alone (one recursion level per chunk), and
+    many digits from the lowest up, in a loop, each converted alone, and
     the process-wide limit is left as it is."""
     if isinstance(value, Fraction):
         return exact_str(value.numerator) + ("" if value.denominator == 1 else "/" + exact_str(value.denominator))
     k = getattr(sys, "get_int_max_str_digits", int)() // 2  # 0: no limit (before Python 3.10.7)
     if not k or -10**k < value < 10**k:
         return str(value)
-    high, low = divmod(abs(value), 10**k)
-    return "-" * (value < 0) + exact_str(high) + f"{low:0{k}d}"
+    rest, unit, chunks = abs(value), 10**k, []
+    while rest >= unit:
+        rest, low = divmod(rest, unit)
+        chunks.append(f"{low:0{k}d}")
+    chunks.append(str(rest))
+    return "-" * (value < 0) + "".join(reversed(chunks))
 
 
 def cmd_beta(args) -> int:
@@ -358,8 +364,8 @@ def cmd_phi(args) -> int:
         rows.append(phi_quadrature(x, p))
     print(f"x = {x}")
     print(f"precision_bits = {p}")
-    for ov in rows:
-        print(f"{ov.method}: {nstr_fixed(ov.value, digits)} (error_bound <= {nstr_ceiling(ov.error_bound, 3)})")
+    for value, error_bound, method, *_ in rows:  # unpacked raw, as the digits are read
+        print(f"{method}: {nstr_fixed(value, digits)} (error_bound <= {nstr_ceiling(error_bound, 3)})")
     return 0
 
 

@@ -20,8 +20,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from mpmath import mp, mpf
-
 from .errors import DomainError
 from .numutil import check_index, check_precision, to_fraction, to_mpf
 
@@ -70,6 +68,8 @@ def cf_ladder_eval(depth: int, x, precision_bits: int) -> mpf:
     Backward (tail-first) evaluation is numerically self-correcting for
     continued fractions, so no extra guard precision is needed.
     """
+    from mpmath import mp
+
     depth, p = check_index(depth, "depth", "depth", 1), check_precision(precision_bits)
     xv = to_mpf(x, p)
     if xv <= 0:

@@ -63,8 +63,6 @@ from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
 
-from mpmath import mp, mpf
-
 from .contfrac import pq_sweep
 from .errors import IdentityError
 from .numutil import check_index, check_precision, to_fraction, to_mpf
@@ -232,6 +230,8 @@ def generating_function_residual(x, y, terms: int, precision_bits: int) -> mpf:
     the closed form and the final subtraction are rounded to nearest at
     precision_bits.
     """
+    from mpmath import mp
+
     x, y, terms = to_fraction(x), to_fraction(y), check_index(terms, "terms", "terms", 1)
     if abs(y) >= 1:
         raise ValueError(f"|y| must be < 1, got y = {y}")

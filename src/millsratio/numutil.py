@@ -1,10 +1,17 @@
-"""Small numeric helpers: conversions between exact and mpmath values,
-each rounding at a precision and in a direction named in the call.
+"""Small numeric helpers: exact values, and the one rounding by which an
+exact value becomes bits, at a precision and in a direction named in the
+call.
 
 round_quotient is the one kernel by which an exact rational becomes bits:
 one integer division to at least prec + 2 bits, its remainder kept as a
-sticky bit, and one rounding by libmp's normalize (Brent and Zimmermann,
-Modern Computer Arithmetic, 3.1.9); no mpf is formed or divided on the way.
+sticky bit, and one rounding by normalize (Brent and Zimmermann, Modern
+Computer Arithmetic, 3.1.9), which gives the raw (sign, man, exp, bc)
+tuple of mpmath's libmp, bit for bit, with no mpf formed on the way.
+No mpmath is read here, and importing the package loads none: a value
+stays a raw tuple inside it, and an mpf is formed only at the edge, by
+as_mpf, which imports mpmath on its first call (mpf_field reads a record's
+raw field through it).  Only to_fraction's fallback, for a type that only
+mpmath reads, imports mpmath besides.
 nstr_fixed and nstr_ceiling turn an exact value into decimal digits the
 same way (ibid., 1.7): one divmod by a power of ten gives the leading
 digits and the exact rest, and the rest alone decides the last digit, so
@@ -16,12 +23,36 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from mpmath import mp, mpf
-from mpmath.libmp import fzero, mpf_pos, normalize
-
 DEFAULT_PRECISION_BITS = 128
 MIN_PRECISION_BITS = 64
 ROUNDINGS = ("n", "f", "c", "d", "u")  # nearest, floor, ceiling, toward 0, away from 0
+fzero = (0, 0, 0, 0)  # the raw zero
+_make_mpf = None  # mpmath's mp.make_mpf, bound by as_mpf's first call
+
+
+def normalize(sign: int, man: int, exp: int, bc: int, prec: int, rounding: str) -> tuple:
+    """The raw (-1)^sign man 2^exp, man > 0 of bc bits, rounded once to prec
+    bits in one of ROUNDINGS, its trailing zero bits stripped (odd
+    mantissa); 0 for man = 0.  libmp's normalize for finite values, bit for
+    bit: to nearest, the bit below the last kept one decides, and the bits
+    below it (sticky) or the last kept bit's parity (a tie goes to even)
+    break a half; the magnitude is cut for toward 0, and for floor (ceiling)
+    of a positive (negative) value, and rounded up otherwise."""
+    if not man:
+        return fzero
+    n = bc - prec
+    if n > 0:
+        if rounding == "n":
+            half = man >> n - 1
+            man = (half >> 1) + 1 if half & 1 and (half & 2 or man & (1 << n - 1) - 1) else half >> 1
+        elif rounding == "d" or rounding == ("c" if sign else "f"):
+            man >>= n
+        else:
+            man = -(-man >> n)
+        exp += n
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return sign, man, exp + zeros, man.bit_length()
 
 
 def round_quotient(num: int, den: int, prec: int, rounding: str, exp: int = 0) -> tuple:
@@ -38,9 +69,44 @@ def round_quotient(num: int, den: int, prec: int, rounding: str, exp: int = 0) -
     return normalize(sign, q | (r > 0), exp - shift, q.bit_length(), prec, rounding)
 
 
-def dyadic(*values: mpf) -> tuple[int, ...]:
-    """(E, N_1, N_2, ...): the finite values +-M_i 2^e_i as N_i 2^-E, E = max(0, -e_i)."""
-    raws = [v._mpf_ for v in values]
+def exceeds(a: tuple, b: tuple) -> bool:
+    """a > b for finite raw values, decided on integers on the lesser exponent."""
+    (sa, ma, ea, _), (sb, mb, eb, _) = a, b
+    e = min(ea, eb)
+    return (-ma if sa else ma) << ea - e > (-mb if sb else mb) << eb - e
+
+
+def raw(value) -> tuple | None:
+    """The raw (sign, man, exp, bc) of value: value itself if it is a raw
+    tuple, an mpf's own; None for any other value."""
+    if type(value) is tuple:
+        return value if len(value) == 4 else None
+    return getattr(value, "_mpf_", None)
+
+
+def as_mpf(item):
+    """item as an mpf if it is a raw tuple, by mpmath's make_mpf, imported
+    on the first call; any other item as it is."""
+    global _make_mpf
+    if type(item) is not tuple or len(item) != 4:
+        return item
+    if _make_mpf is None:
+        from mpmath import mp
+
+        _make_mpf = mp.make_mpf
+    return _make_mpf(item)
+
+
+def mpf_field(index: int) -> property:
+    """A read-only property of a record: its item at index read by as_mpf,
+    so a raw item reads as an mpf and any other as it is."""
+    return property(lambda record: as_mpf(record[index]))
+
+
+def dyadic(*values) -> tuple[int, ...]:
+    """(E, N_1, N_2, ...): the finite values +-M_i 2^e_i as N_i 2^-E, E =
+    max(0, -e_i), each a raw tuple or an mpf."""
+    raws = [raw(v) for v in values]
     scale = max(0, *(-exp for _, _, exp, _ in raws))
     return (scale, *((-man if sign else man) << (exp + scale) for sign, man, exp, _ in raws))
 
@@ -52,37 +118,45 @@ def _rounding(rounding: str) -> str:
     return rounding
 
 
-def to_mpf(value, prec: int, rounding: str = "n") -> mpf:
+def to_mpf(value, prec: int, rounding: str = "n"):
     """The exact value of value (see to_fraction) rounded once to prec bits
-    in a direction of ROUNDINGS, by round_quotient.  An mpf is rounded as
-    it stands, with no detour through a Fraction."""
-    if isinstance(value, mpf):
-        return mp.make_mpf(mpf_pos(_finite(value), prec, _rounding(rounding)))
+    in a direction of ROUNDINGS, by round_quotient, as an mpf (as_mpf).  An
+    mpf or a raw tuple is rounded as it stands, by normalize, with no detour
+    through a Fraction."""
+    bits = raw(value)
+    if bits is not None:
+        return as_mpf(normalize(*_finite(bits, value), prec, _rounding(rounding)))
     x = to_fraction(value)
-    return mp.make_mpf(round_quotient(x.numerator, x.denominator, prec, rounding))
+    return as_mpf(round_quotient(x.numerator, x.denominator, prec, rounding))
 
 
 def to_fraction(value) -> Fraction:
     """Exact value of an int, Fraction or string ("0.1" is 1/10, as the CLI
-    reads it), or of a binary float or mpf with every bit at any precision;
-    a bool is refused, not read as 0 or 1."""
+    reads it), or of a binary float, an mpf or a raw tuple with every bit at
+    any precision; a bool is refused, not read as 0 or 1.  Any other value
+    is read by mpmath's mpf, imported here."""
     if isinstance(value, bool):
         raise ValueError(f"cannot read the bool {value!r} as a number")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)) or (isinstance(value, float) and math.isfinite(value)):
         return Fraction(value)
-    sign, man, exp, _ = _finite(value if isinstance(value, mpf) else mpf(value))
+    bits = raw(value)
+    if bits is None:
+        from mpmath import mpf
+
+        value = mpf(value)
+        bits = value._mpf_
+    sign, man, exp, _ = _finite(bits, value)
     man = -man if sign else man
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
-def _finite(value: mpf) -> tuple:
-    """The raw mpf tuple of value, refused if value is an infinity or nan."""
-    raw = value._mpf_
-    if raw[1] == 0 and raw[2] != 0:
+def _finite(bits: tuple, value) -> tuple:
+    """bits, the raw tuple of value, refused if value is an infinity or nan."""
+    if bits[1] == 0 and bits[2] != 0:
         raise ValueError(f"cannot convert non-finite value {value!r}")
-    return raw
+    return bits
 
 
 def check_precision(precision_bits) -> int:
@@ -123,8 +197,9 @@ def _decimal(value, digits: int, nearest: bool) -> str:
     up), r > 0 rounds a positive value up.  e is first bounded above from
     the bit lengths and then lowered against q, a digit at a time."""
     digits = check_index(digits, "digits", "digits", minimum=1)
-    if isinstance(value, mpf):
-        sign, num, exp, _ = _finite(value)
+    bits = raw(value)
+    if bits is not None:
+        sign, num, exp, _ = _finite(bits, value)
         num, den = (num << exp, 1) if exp >= 0 else (num, 1 << -exp)
     else:
         x = to_fraction(value)

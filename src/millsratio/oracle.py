@@ -12,12 +12,13 @@ code, only the exact reading of x and the last step from an enclosure to
 a value and its error bound (_enclosed), so certificates never test that
 machinery against itself: this module imports nothing of the package but
 its errors and numeric helpers.
-The one transcendental read from mpmath is pi, rounded down by mpf_pi, a
-premise the tests pin, with its rounding up, at every precision the oracle
-asks; every exponential comes from one integer kernel with a counted error
+No mpmath is read: pi comes from an integer Machin sum with counted floors
+(_machin), every exponential from one integer kernel with a counted error
 (_exp), and every end is one exact integer quotient rounded once
-(round_quotient).  No evaluation reads or sets mpmath's process-wide
-precision.
+(round_quotient).  An OracleValue holds its value and error_bound as the
+raw (sign, man, exp, bc) tuples that rounding gives; an mpf is formed
+only when one of them is read as an attribute (numutil.as_mpf), and the
+package reads them as integers (OracleValue.dyadic).
 
 The kernel (Brent and Zimmermann, Modern Computer Arithmetic, 4.3-4.4):
 _exp(a, b, g) returns integers lo <= e^v 2^w <= hi <= lo + 2^(w-g-1) for v
@@ -42,11 +43,27 @@ to r = v 2^-s < 1/16, s = bitlength(floor(v)) + 4:
     (2k + 3) e^v <= 2^(w-g-1).
 
 sqrt(pi/2) comes from pi's ends by isqrt (_pi).  One floor is kept,
-floor(pi 2^G) from mpf_pi rounded down at G + 2 bits, G the largest g
-asked so far, and P_lo = floor(pi 2^g) is it shifted down by G - g bits:
-the floor of a floor is a floor.  P_hi = P_lo + 1 >= pi 2^g, as pi is
+floor(pi 2^G), and P_lo = floor(pi 2^g) is it shifted down by G - g bits:
+the floor of a floor is a floor.  A g above G replaces it by the floor at
+max(g, 2G), so G grows geometrically and pi is recomputed rarely (twice
+in a default `mills verify`).  P_hi = P_lo + 1 >= pi 2^g, as pi is
 irrational.  isqrt(P_lo 2^(g-1)) and one more than isqrt(P_hi 2^(g-1) - 1)
 enclose sqrt(pi/2) 2^g, at most 2 apart.
+
+The floor comes from Machin's formula, pi = 16 arctan(1/5) - 4
+arctan(1/239) (Brent and Zimmermann, ch. 4), summed in fixed point at w
+fractional bits with counted floors (_machin): for arctan(1/k) =
+sum_j (-1)^j / ((2j+1) k^(2j+1)), the power floor(2^w / k^(2j+1)) is
+stepped by one floor division by k^2 and each term is one floor of it by
+2j + 1; a floor of a floor by an integer is the floor of the exact
+quotient, so each term is the floor of its exact value, within 1 of it.
+The sum stops at the first power 0, where the exact term is below 1, and
+the alternating tail is below that term.  So n summed terms are within
+n + 1 of arctan(1/k) 2^w, and pi 2^w lies strictly between the sum and
+that count, 16 (n_5 + 1) + 4 (n_239 + 1), on either side.  Both ends are
+shifted down to g bits, and w = g + guard is widened, the guard doubled,
+until they agree: pi is irrational, so the floor is unique and one guard
+decides it.
 
 Series route, convergent regime (Abramowitz and Stegun 7.1.6): with
 u = x^2/2, y = |x| and positive terms t_k = y^{2k+1} / (2k+1)!!,
@@ -202,11 +219,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from mpmath import mp, mpf
-from mpmath.libmp import mpf_pi, normalize, round_ceiling, round_floor, round_nearest
-
 from .errors import EnvelopeError
-from .numutil import DEFAULT_PRECISION_BITS, check_precision, dyadic, round_quotient, to_fraction
+from .numutil import DEFAULT_PRECISION_BITS, check_precision, dyadic, mpf_field, normalize, round_quotient, to_fraction
 
 ENVELOPE = 30  # |x| beyond this is refused; the guard-bit budget assumes it
 
@@ -216,12 +230,12 @@ _LOG_SLACK = 1e-6  # added to each log evaluated in floats; far above their roun
 _lock = threading.Lock()
 _WEIGHTS: dict[int, tuple[int, int, list[int], int]] = {}  # p -> (m, F, [W_1 .. W_J], remainder 2^F)
 _WEIGHTS_KEPT = 4  # tables kept, the most recently built; a benchmark workload asks for at most 3 precisions
-_PI = (0, 0)  # (G, floor(pi 2^G)) at the largest g asked so far, replaced whole
+_PI = (0, 0)  # (G, floor(pi 2^G)), G at least the largest g asked so far, replaced whole
 
 
 class _OracleFields(NamedTuple):
-    value: mpf
-    error_bound: mpf
+    value: tuple  # raw, as _enclosed rounds it; OracleValue.value reads it as an mpf
+    error_bound: tuple
     method: str
     working_bits: int | None = None  # working precision of the evaluation
     # series terms summed (N), or n of the asymptotic enclosure [S_n, S_{n+1}];
@@ -230,11 +244,17 @@ class _OracleFields(NamedTuple):
 
 
 class OracleValue(_OracleFields):  # no __slots__: the __dict__ holds dyadic
+    """phi's value and error_bound, each held as the record was given it (a
+    raw tuple from the oracle) and read as an mpf (numutil.mpf_field)."""
+
+    value, error_bound = mpf_field(0), mpf_field(1)
+
     @cached_property
     def dyadic(self) -> tuple[int, int, int]:
         """(E, N, M) with value N 2^-E and error_bound M 2^-E, read once per
-        value: the integers every certificate against it is formed from."""
-        return dyadic(self.value, self.error_bound)
+        value from its items, raw or mpf: the integers every certificate
+        against it is formed from."""
+        return dyadic(self[0], self[1])
 
 
 def _positive_series(a: int, b: int, f: int, lu: int) -> tuple[int, int, int, int]:
@@ -285,18 +305,49 @@ def _exp(a: int, b: int, g: int) -> tuple[int, int, int]:
     return lo, hi, w
 
 
+def _arctan_inverse(k: int, w: int) -> tuple[int, int]:
+    """(s, c) with |arctan(1/k) 2^w - s| < c, for k >= 2: the alternating
+    sum of the floored terms floor(2^w / ((2j+1) k^(2j+1))) to the first
+    zero power, and c one more than the terms summed."""
+    power, kk, j, s = (1 << w) // k, k * k, 0, 0
+    while power:
+        s += -(power // (2 * j + 1)) if j & 1 else power // (2 * j + 1)
+        j += 1
+        power //= kk
+    return s, j + 1
+
+
+def _machin(w: int) -> tuple[int, int]:
+    """(s, c) with s - c < pi 2^w < s + c, for w >= 0: Machin's formula on
+    the two arctangent sums and their counts (see the module docstring)."""
+    (s5, c5), (s239, c239) = _arctan_inverse(5, w), _arctan_inverse(239, w)
+    return 16 * s5 - 4 * s239, 16 * c5 + 4 * c239
+
+
+def _pi_floor(g: int) -> int:
+    """floor(pi 2^g), for g >= 0: the ends of _machin's enclosure at g +
+    guard bits shifted down by guard, the guard doubled until they agree."""
+    guard = g.bit_length() + 8
+    while True:
+        s, c = _machin(g + guard)
+        lo = s - c >> guard
+        if lo == s + c >> guard:
+            return lo
+        guard *= 2
+
+
 def _pi(g: int) -> tuple[int, int, int, int]:
     """(lo, hi, root_lo, root_hi) with lo <= pi 2^g <= hi = lo + 1 and root_lo <=
-    sqrt(pi/2) 2^g <= root_hi, for g >= 1: lo shifted down from the floor of pi 2^G kept
-    at the largest G asked so far, read from mpf_pi rounded down at G + 2 bits, and
+    sqrt(pi/2) 2^g <= root_hi, for g >= 1: lo shifted down from the floor of pi 2^G
+    kept, at G >= g, computed afresh at G = max(g, 2G) when g is above it, and
     sqrt(pi 2^(2g-1)) from those ends by isqrt."""
     global _PI
     top, floor = _PI
     if top < g:
-        _, man, e, _ = mpf_pi(g + 2, round_floor)
-        top, floor = g, man << e + g
+        top = max(g, 2 * top)
+        floor = _pi_floor(top)
         with _lock:
-            if _PI[0] < g:
+            if _PI[0] < top:
                 _PI = top, floor
     lo = floor >> top - g
     hi = lo + 1  # pi is irrational, so its ceiling is one above its floor
@@ -322,12 +373,12 @@ def _enclosed(lo: tuple, hi: tuple, w: int, method: str, terms: int | None = Non
     e = min(e_lo, e_hi)
     low, high = (-m_lo if s_lo else m_lo) << e_lo - e, (-m_hi if s_hi else m_hi) << e_hi - e
     total = low + high
-    value = normalize(int(total < 0), abs(total), e - 1, abs(total).bit_length(), w, round_nearest)
+    value = normalize(int(total < 0), abs(total), e - 1, abs(total).bit_length(), w, "n")
     sign, man, exp, _ = value
     mid = (-man if sign else man) << exp - e + 1 if man else 0  # the value over 2^(e-1)
     gap = max(2 * high - mid, mid - 2 * low)
-    error_bound = normalize(0, gap, e - 1, gap.bit_length(), 53, round_ceiling)
-    return OracleValue(mp.make_mpf(value), mp.make_mpf(error_bound), method, w, terms)
+    error_bound = normalize(0, gap, e - 1, gap.bit_length(), 53, "c")
+    return OracleValue(value, error_bound, method, w, terms)
 
 
 def _asymptotic_sums(a: int, d: int, target_bits: int) -> tuple[int, int, int, int] | None:
@@ -357,7 +408,7 @@ def _finish(c: int, u: Fraction, ends, t: int, w: int) -> list[tuple]:
         ks, e = [c * root * end for root, end in zip(_pi(w)[2:], (lo, hi))], -w - we
     s = min(e, t)
     return [round_quotient((k * q << e - s) + (r << t - s), q, w, rnd, s)
-            for k, (r, q), rnd in zip(ks, ends, (round_floor, round_ceiling))]
+            for k, (r, q), rnd in zip(ks, ends, ("f", "c"))]
 
 
 def phi_series(x, precision_bits: int = DEFAULT_PRECISION_BITS) -> OracleValue:

@@ -33,8 +33,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from mpmath import mp, mpf
-
 from .numutil import check_precision, to_fraction, to_mpf
 
 
@@ -140,6 +138,8 @@ class IntPolynomial:
 
     def eval_real(self, x, precision_bits: int) -> mpf:
         """Horner evaluation, x and every step rounded to nearest at precision_bits."""
+        from mpmath import mp, mpf
+
         p = check_precision(precision_bits)
         xv, acc, rn = to_mpf(x, p), mpf(0), {"prec": p, "rounding": "n"}
         for c in reversed(self.coeffs):
@@ -149,6 +149,8 @@ class IntPolynomial:
     def horner_error_bound(self, x, precision_bits: int) -> mpf:
         """Standard forward bound on the Horner rounding error at x:
         (2d + 2) 2^-p sum |c_k| |x|^k, evaluated at precision_bits."""
+        from mpmath import mp, mpf
+
         p = check_precision(precision_bits)
         xv, acc, rn = to_mpf(abs(to_fraction(x)), p), mpf(0), {"prec": p, "rounding": "n"}
         for c in reversed(self.coeffs):

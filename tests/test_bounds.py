@@ -966,9 +966,9 @@ def test_margin_one_ulp_above_its_error_passes(bits):
     for error in (mpf(2) ** -150, mpf(3) * mpf(2) ** -200, phi_series(Fraction(1, 3), w).error_bound):
         above = mp.fadd(error, mp.ldexp(1, mp.mag(error) - w), exact=True)
         assert error < above == mp.fadd(above, 0, prec=w)  # the next w-bit number
-        cert = bounds._cert("Eq15", 0, Fraction(1, 3), above._mpf_, error, bits)  # a raw margin
+        cert = bounds._cert("Eq15", 0, Fraction(1, 3), above._mpf_, error._mpf_, bits)  # raw margin and error
         assert (cert.verdict, cert.margin, cert.threshold) == ("pass", above, error)
-        assert bounds._cert("Eq15", 0, Fraction(1, 3), error._mpf_, error, bits).verdict == "fail"
+        assert bounds._cert("Eq15", 0, Fraction(1, 3), error._mpf_, error._mpf_, bits).verdict == "fail"
 
 
 @pytest.mark.parametrize("bits", [64, 128])

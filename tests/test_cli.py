@@ -699,7 +699,9 @@ def test_default_verify_reads_phi_once_per_point(capsys, monkeypatch):
 def test_default_verify_forms_each_point_fact_once(capsys, monkeypatch):
     """One integer read of phi per point, one quadratic form per (x, n) of
     Eq17, Eq18, Eq19 and I, and one sweep per point: Eq16's, to order 12,
-    formed first and read by every other family."""
+    formed first and read by every other family.  The oracle agreement
+    rows read each of their values once more: the series values at -2, -1
+    and 0, off the grid, and the six quadrature values."""
     calls = {"dyadic": 0, "quadratic_form": 0, "pq_sweep": 0}
 
     def counting(module, name):
@@ -716,7 +718,7 @@ def test_default_verify_forms_each_point_fact_once(capsys, monkeypatch):
     counting(bounds, "pq_sweep")
     monkeypatch.delenv("MILLS_PRECISION_BITS", raising=False)
     assert run_cli(capsys, "verify")[0] == 0
-    assert calls == {"dyadic": 100, "quadratic_form": 600, "pq_sweep": 100}
+    assert calls == {"dyadic": 100 + 3 + 6, "quadratic_form": 600, "pq_sweep": 100}
 
 
 @pytest.mark.parametrize("grid", ["1/10:10:1/10", "-2:2:1/2"])
@@ -875,4 +877,14 @@ def test_exact_str_is_str_past_the_int_to_str_limit(limit):
         assert sys.get_int_max_str_digits() == limit
     finally:
         sys.set_int_max_str_digits(old)
+    assert got == want
+
+
+def test_exact_str_of_many_chunks(monkeypatch):
+    # a limit of 4 digits cuts 10^2500 into 1250 chunks of 2: one recursion
+    # level per chunk passed Python's recursion limit; a loop does not
+    value = 10**2500
+    want = [str(v) for v in (value, -value - 7, Fraction(value + 1, 3))]
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4)
+    got = [cli.exact_str(v) for v in (value, -value - 7, Fraction(value + 1, 3))]
     assert got == want

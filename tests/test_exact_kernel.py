@@ -208,7 +208,7 @@ def _compare(monkeypatch, family: str, orders: list[int], xs: list[Fraction], bi
             assert got_shown == shown, (family, n, x, bits)
             for c, (name, m, exact, error) in zip(certs, want, strict=True):
                 label, margin = (family, n, x, bits, name), _floor(exact, bits)
-                assert next(got_certs) == (name, m, c.margin._mpf_, error), label  # the raw margin, wrapped once
+                assert next(got_certs) == (name, m, c.margin._mpf_, error._mpf_), label  # raw margin and error, kept raw
                 assert (c.margin, c.threshold) == (margin, error), label
                 assert c.verdict == ("pass" if margin > error else "fail"), label
                 assert (c.family, c.n, c.x, c.precision_bits) == (name, m, x, bits)

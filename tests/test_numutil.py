@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, from_rational, fzero, mpf_shift, to_str
+from mpmath.libmp import MPZ, from_man_exp, from_rational, fzero, mpf_shift, to_str
+from mpmath.libmp import normalize as libmp_normalize
 
 from millsratio import bounds
-from millsratio.numutil import dyadic, nstr_ceiling, nstr_fixed, round_quotient, to_fraction, to_mpf
+from millsratio.numutil import ROUNDINGS, dyadic, normalize, nstr_ceiling, nstr_fixed, round_quotient, to_fraction, to_mpf
 from millsratio.oracle import phi_series
 
 
@@ -60,6 +61,44 @@ def _seeded_mpfs(seed=20261018):
             man = rng.getrandbits(bits) | 1 << (bits - 1) | 1
             values.append(mp.make_mpf(from_man_exp(rng.choice((-1, 1)) * man, rng.randint(-700, 100))))
     return values
+
+
+def _mantissa(kind: str, prec: int, extra: int, seed: int) -> int:
+    """A mantissa of about prec + extra bits whose bits below the top prec
+    are, by kind: none (exact), any nonzero (sticky), one half (a tie), or
+    any with a half or more under prec ones, which carries to 2^prec."""
+    rng = random.Random(seed)
+    head = rng.getrandbits(prec - 1) | 1 << prec - 1
+    if kind == "zero":
+        return 0
+    if kind == "exact":
+        return head >> rng.randrange(prec)  # prec bits or fewer
+    if kind == "carry":
+        head = (1 << prec) - 1
+    extra += 1
+    tail = 1 << extra - 1 if kind == "tie" else rng.getrandbits(extra) | 1
+    if kind == "carry":
+        tail |= 1 << extra - 1
+    return head << extra | tail
+
+
+@settings(max_examples=400, deadline=None)
+@given(prec=st.integers(53, 9000), extra=st.integers(0, 96), kind=st.sampled_from(["zero", "exact", "sticky", "tie", "carry"]),
+       seed=st.integers(0, 2**32), sign=st.integers(0, 1), exp=st.integers(-20000, 20000))
+@example(prec=53, extra=0, kind="tie", seed=0, sign=0, exp=0)
+@example(prec=53, extra=0, kind="tie", seed=1, sign=1, exp=-60)
+@example(prec=53, extra=5, kind="carry", seed=0, sign=1, exp=0)
+@example(prec=53, extra=3, kind="sticky", seed=6, sign=0, exp=0)  # above a half, an even last bit
+@example(prec=9000, extra=96, kind="sticky", seed=0, sign=0, exp=-9000)
+def test_normalize_is_libmps_bit_for_bit(prec, extra, kind, seed, sign, exp):
+    # the same raw tuple as mpmath's own normalize in every rounding: a
+    # rounding with no bits below prec, a sticky rest, an exact half, and a
+    # mantissa of prec ones rounded up to 2^prec
+    man = _mantissa(kind, prec, extra, seed)
+    for rounding in ROUNDINGS:
+        want = libmp_normalize(sign if man else 0, MPZ(man), exp if man else 0, man.bit_length(), prec, rounding)
+        got = normalize(sign, man, exp, man.bit_length(), prec, rounding)
+        assert got == want and got[3] == got[1].bit_length(), (kind, rounding)
 
 
 def test_mpf_paths_round_the_exact_value():

@@ -749,18 +749,18 @@ class TestExpKernel:
             assert lo << top - w <= ref_lo and ref_hi <= hi << top - w, f"v={v}, g={g}"
             assert hi - lo <= 2 ** (w - g - 1), f"v={v}, g={g}"
 
-    def test_pi_rounds_both_ways_at_every_precision_asked(self):
-        # mpf_pi is the one mpmath transcendental the oracle reads: rounded
-        # down and up at w bits it lies below and above Machin's pi, one ulp
-        # apart, at every w the oracle can ask for p up to the largest the
-        # tests draw: w + 2 for w at most p + 52 + lu, lu for |x| = 30
-        top = _ANY_PRECISION[1] + 52 + oracle._log2_exp(Fraction(450)) + 2
+    def test_pi_rounds_both_ways_at_every_precision_asked(self, monkeypatch):
+        # the oracle's pi, read with no floor kept, rounded down and up at g
+        # fractional bits lies below and above the tests' own Machin pi, one
+        # ulp apart, at every g the oracle can ask for p up to the largest
+        # the tests draw: g at most p + 52 + lu, lu for |x| = 30
+        monkeypatch.setattr(oracle, "_PI", (0, 0))
+        top = _ANY_PRECISION[1] + 52 + oracle._log2_exp(Fraction(450))
         bits = top + 64
         pi_lo, pi_hi = _pi_enclosure(bits)
-        for w in range(2, top + 1):
-            (_, down, e_down, _), (_, up, e_up, _) = (mpf_pi(w, rnd) for rnd in (round_floor, round_ceiling))
-            down, up = down << (e_down + bits), up << (e_up + bits)
-            assert down <= pi_lo and pi_hi <= up and up - down <= 1 << (bits + 2 - w), w
+        for g in range(1, top + 1):
+            down, up, _, _ = oracle._pi(g)
+            assert down << bits - g <= pi_lo and pi_hi <= up << bits - g and up - down == 1, g
 
 
 def _race_with_precision_noise(workers, timeout: float) -> None:
@@ -806,7 +806,8 @@ _PI_ASKED = [*range(1, 261), 511, 1024, 4099, 8241]
 def test_pi_read_from_the_kept_floor_in_any_order(order):
     # a fresh interpreter keeps no floor of pi, and asks for every g in
     # _PI_ASKED in the given order: each read equals mpf_pi's two ends at g +
-    # 2 bits, and the floor is kept at the largest g asked, not beyond it
+    # 2 bits, and the floor is kept at a G at least the largest g asked,
+    # mpf_pi's floor there
     gs = sorted(_PI_ASKED, reverse=order == "descending")
     if order == "shuffled":
         random.Random(20261020).shuffle(gs)
@@ -818,18 +819,59 @@ def test_pi_read_from_the_kept_floor_in_any_order(order):
         "assert oracle._PI == (0, 0), oracle._PI\n"
         f"for g in {gs!r}:\n"
         "    assert oracle._pi(g) == _pi_reference(g), g\n"
+        "assert oracle._PI[1] == _pi_reference(oracle._PI[0])[0]\n"
         "print(oracle._PI[0])\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == str(max(_PI_ASKED))
+    assert int(result.stdout) >= max(_PI_ASKED)
+
+
+@pytest.mark.parametrize("w", [*range(0, 80), 193, 265, 878, 1024, 4099, 9000])
+def test_machin_sum_encloses_pi_strictly(w):
+    # s - c < pi 2^w < s + c, against mpf_pi's floor 64 bits finer: pi 2^w
+    # is irrational, so an enclosure with no count (c = 0) cannot hold; the
+    # count is under 4w + 40 (about w / 4.6 terms for 1/5, w / 15.8 for 1/239)
+    s, c = oracle._machin(w)
+    _, man, e, _ = mpf_pi(w + 66, round_floor)
+    fine = man << e + w + 64  # floor(pi 2^(w+64))
+    assert (s - c) << 64 <= fine and fine + 1 <= (s + c) << 64, w
+    assert 0 < c < 4 * w + 40, w
+
+
+def test_pi_floor_is_mpf_pis():
+    assert oracle._pi_floor(0) == 3
+    for g in [*range(1, 300), 511, 1024, 4099, 8241]:
+        assert oracle._pi_floor(g) == _pi_reference(g)[0], g
+
+
+def test_default_verify_computes_pi_at_most_twice(capsys, monkeypatch):
+    # the kept floor grows to max(g, 2G): a default `mills verify` asks for
+    # g = 193..265 and computes pi once or twice, where a floor kept at the
+    # largest g asked grew 66 times
+    from millsratio import cli
+
+    widths = []
+
+    def counting(g):
+        widths.append(g)
+        return floor(g)
+
+    floor = oracle._pi_floor
+    monkeypatch.setattr(oracle, "_PI", (0, 0))
+    monkeypatch.setattr(oracle, "_pi_floor", counting)
+    monkeypatch.delenv("MILLS_PRECISION_BITS", raising=False)
+    assert cli.main(["verify"]) == 0
+    capsys.readouterr()
+    assert 1 <= len(widths) <= 2, widths
+    assert oracle._PI[0] >= 265 and oracle._PI[1] == _pi_reference(oracle._PI[0])[0]
 
 
 def test_concurrent_first_reads_of_pi_agree(monkeypatch):
     # four threads read pi with no floor kept, ascending, descending and in
     # two shuffled orders, while a fifth keeps changing mpmath's process-wide
     # precision: every read equals mpf_pi's two ends, and the floor kept at
-    # the end is the one at the largest g asked
+    # the end is mpf_pi's at a G at least the largest g asked
     monkeypatch.setattr(oracle, "_PI", (0, 0))
     expected = {g: _pi_reference(g) for g in _PI_ASKED}
     orders = [sorted(_PI_ASKED), sorted(_PI_ASKED, reverse=True)]
@@ -843,7 +885,7 @@ def test_concurrent_first_reads_of_pi_agree(monkeypatch):
     for order, got in zip(orders, results):
         assert [g for g, _ in got] == order
         assert all(read == expected[g] for g, read in got)
-    assert oracle._PI == (max(_PI_ASKED), expected[max(_PI_ASKED)][0])
+    assert oracle._PI[0] >= max(_PI_ASKED) and oracle._PI[1] == _pi_reference(oracle._PI[0])[0]
 
 
 def _quadrature_points():

@@ -1,21 +1,25 @@
-"""The package's records are NamedTuples, and importing it loads no code generator."""
+"""The package's records are NamedTuples, and importing it loads no code
+generator and no mpmath: a record holds raw values and reads them as mpfs."""
 
 import ast
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from millsratio import (
     BetaRoot,
+    Certificate,
     Enclosure,
     OracleValue,
     PQPair,
     QuadraticTriple,
     SecondOrderBound,
     beta,
+    certify_grid,
     first_order_enclosure,
     phi_series,
     pq_pair,
@@ -23,7 +27,7 @@ from millsratio import (
     second_order_bound,
 )
 from millsratio.bounds import FAMILIES, Family
-from millsratio.numutil import dyadic
+from millsratio.numutil import as_mpf, dyadic
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -39,7 +43,14 @@ RECORDS = {
     "Family": (Family, ("name", "x_above", "order", "depth", "values", "certify"), lambda: FAMILIES["eq16"]),
     "OracleValue": (OracleValue, ("value", "error_bound", "method", "working_bits", "terms"),
                     lambda: phi_series(1, 128)),
+    "Certificate": (Certificate, ("family", "n", "x", "margin", "precision_bits", "verdict", "threshold"),
+                    lambda: certify_grid("eq18", [0], [1])[0]),
 }
+# the records that hold raw values, with the fields read as mpfs
+RAW_FIELDS = {OracleValue: ("value", "error_bound"), Certificate: ("margin", "threshold")}
+# the only functions of src/ that may import mpmath, each in its own body
+MPMATH_IMPORTERS = {"numutil.py": {"as_mpf", "to_fraction"}, "contfrac.py": {"cf_ladder_eval"},
+                    "families.py": {"generating_function_residual"}, "poly.py": {"eval_real", "horner_error_bound"}}
 
 
 def test_import_loads_no_code_generator():
@@ -107,3 +118,77 @@ def test_dyadic_is_read_once_per_value():
     assert ov.dyadic is first
     replaced = ov._replace(error_bound=2 * ov.error_bound)  # a new value reads its own
     assert replaced.dyadic == dyadic(replaced.value, replaced.error_bound) != first
+
+
+@pytest.mark.parametrize("kind", RAW_FIELDS, ids=lambda kind: kind.__name__)
+def test_raw_items_read_as_mpfs(kind):
+    name = "OracleValue" if kind is OracleValue else "Certificate"
+    record = RECORDS[name][2]()
+    for field in RAW_FIELDS[kind]:
+        item = record[kind._fields.index(field)]
+        assert type(item) is tuple and len(item) == 4, field  # held raw
+        read = getattr(record, field)
+        assert type(read) is mpf and read == mp.make_mpf(item) and read._mpf_ == item, field
+
+
+@pytest.mark.parametrize("kind", RAW_FIELDS, ids=lambda kind: kind.__name__)
+@pytest.mark.parametrize("item", [mpf(3) / 7, mpf(0), None, "changed", 5, Fraction(1, 3), (1, 2)], ids=repr)
+def test_other_items_read_as_they_are(kind, item):
+    fields = {field: None for field in kind._fields}
+    record = kind(**{**fields, **{field: item for field in RAW_FIELDS[kind]}})
+    assert all(getattr(record, field) is item for field in RAW_FIELDS[kind])
+    assert as_mpf(item) is item
+
+
+def test_dyadic_is_the_same_for_raw_and_mpf_items():
+    for x in (Fraction(1, 3), Fraction(-29), Fraction(0), Fraction(7, 2)):
+        ov = phi_series(x, 128)
+        wrapped = OracleValue(ov.value, ov.error_bound, ov.method, ov.working_bits, ov.terms)
+        assert type(wrapped[0]) is mpf and type(ov[0]) is tuple
+        assert wrapped.dyadic == ov.dyadic == dyadic(ov.value, ov.error_bound)
+
+
+def test_no_module_level_mpmath_import():
+    # importing the package must load no mpmath: only the functions of
+    # MPMATH_IMPORTERS import it, inside their own bodies
+    found = []
+    for path in sorted(ROOT.glob("src/millsratio/*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = MPMATH_IMPORTERS.get(path.name, set())
+        imports = {id(node): node for node in ast.walk(tree) if _imports_mpmath(node)}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and func.name in allowed:
+                for node in ast.walk(func):
+                    imports.pop(id(node), None)
+        found += [f"{path.relative_to(ROOT)}:{node.lineno}" for node in imports.values()]
+    assert not found
+
+
+def _imports_mpmath(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "mpmath" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath"
+
+
+def test_import_and_verify_load_no_mpmath():
+    # a fresh interpreter: the package, the CLI, a default `mills verify` in
+    # every format and with a fault injected, `mills poly` and `mills phi`
+    # leave mpmath out of sys.modules; reading an oracle value's attribute
+    # then loads it
+    script = (
+        "import contextlib, io, sys\n"
+        "import millsratio, millsratio.cli\n"
+        "runs = [['verify'], ['verify', '--format', 'csv'], ['verify', '--format', 'text'],\n"
+        "        ['verify', '--inject-fault', '--n-max', '5'], ['poly', '--which', 'P', '--n', '5'],\n"
+        "        ['phi', '--x', '-7/3', '--method', 'both']]\n"
+        "for argv in runs:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        status = millsratio.cli.main(argv)\n"
+        "    assert status == (1 if '--inject-fault' in argv else 0), (argv, status)\n"
+        "    assert 'mpmath' not in sys.modules, argv\n"
+        "value = millsratio.phi_series(1).value\n"
+        "print(type(value).__name__, 'mpmath' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "mpf True"
