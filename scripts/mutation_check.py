@@ -4,7 +4,8 @@ Each mutant below is a one-line change to src/ that weakens a rounding
 direction or drops a counted error term, so that a value or error bound
 the library returns, or a digit it prints, may no longer hold; or that
 breaks a step of the exact identity suite, so that a verdict it reports
-may no longer be the definitions' verdict.  For each mutant the check
+may no longer be the definitions' verdict; or that leaves the certificates
+out of the verdict a `mills verify` report states.  For each mutant the check
 copies src/, tests/ and pyproject.toml into a temporary directory, applies
 the change there, and runs the test ids the mutant names, each a test that
 fails on it.  The mutant is killed when one of them fails, or when the run
@@ -31,7 +32,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 ORACLE, BOUNDS, NUMUTIL = "src/millsratio/oracle.py", "src/millsratio/bounds.py", "src/millsratio/numutil.py"
-FAMILIES, POLY = "src/millsratio/families.py", "src/millsratio/poly.py"
+FAMILIES, POLY, CLI = "src/millsratio/families.py", "src/millsratio/poly.py", "src/millsratio/cli.py"
 O, K, B = "tests/test_oracle.py::", "tests/test_exact_kernel.py::", "tests/test_bounds.py::"
 F = "tests/test_families.py::"
 TIMEOUT_S = 120  # per pytest run; the unmutated copy runs every killing test in about 6 s on 2 cores
@@ -179,6 +180,10 @@ MUTANTS = [
     Mutant("x-step-ignores-k", POLY, "out[i] += k * c", "out[i] += c",
            ("tests/test_poly.py::TestOwnResults::test_x_step_is_x_times_p_plus_k_times_q",
             F + "TestPQPairs::test_reference_table")),
+    Mutant("report-verdict-without-the-certificates", CLI,
+           "for section in (identities, agreement, certificates) for row in section",
+           "for section in (identities, agreement) for row in section",
+           ("tests/test_cli.py::test_a_planted_failing_certificate_fails_the_run",)),
 ]
 
 

@@ -38,7 +38,7 @@ def main(argv=None) -> int:
     if not out.exists():
         return rc  # refused or failed before a report: mills verify printed why
     print(f"wrote {out} (exit {rc})")
-    cli.write_report(cli.json_report_as_text(out.read_text(encoding="utf-8")), None)
+    cli.write_report(cli.read_json_report(out.read_text(encoding="utf-8")), "text", sys.stdout)
     return rc
 
 

@@ -447,7 +447,7 @@ class Family(NamedTuple):
     compares the values (not Eq16 or Eq17), it reads shown, the values at p
     + GUARD_BITS, or forms them if not given.  checked is the one place a
     request is read and refused; bound, at and certify_grid call it once.
-    bound and at wrap each shown value as an mpf once."""
+    bound and at wrap each shown value as an mpf once; raw_at leaves it raw."""
 
     name: str
     x_above: int | None  # stated domain x > x_above; None: every x the oracle takes
@@ -480,10 +480,15 @@ class Family(NamedTuple):
         """(values at precision_bits + GUARD_BITS, certificates) at one point
         from one sweep, each value formed once, memo as in certify_grid;
         refused by checked, then by phi_at (EnvelopeError), then by the row."""
+        shown, certs = self.raw_at(n, x, precision_bits, memo)
+        return {key: as_mpf(bits) for key, bits in shown.items()}, certs
+
+    def raw_at(self, n: int, x, precision_bits: int = DEFAULT_PRECISION_BITS, memo: dict | None = None):
+        """at with each value raw, as values forms it, and no mpf formed."""
         p, (n,), (x,) = self.checked([n], [x], precision_bits)
         ov, sweep = phi_at(x, p, memo), _Sweep(self.depth(n), x)
         shown = self.values(n, x, p + GUARD_BITS, sweep)
-        return {key: as_mpf(bits) for key, bits in shown.items()}, self.certify(self, n, x, p, ov, sweep, shown)
+        return shown, self.certify(self, n, x, p, ov, sweep, shown)
 
 
 # Each row holds its own evaluators, and no row calls a public function:

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import re
 import sys
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 from . import __version__
 from .bounds import FAMILIES, beta, certify_grid, find_family, phi_at
@@ -156,18 +157,16 @@ def cmd_bounds(args) -> int:
     fam = find_family(name)
     x, p, digits = args.x, args.precision, args.digits
     memo: dict = {}
-    # Family.at refuses an --n other than eq18's or eq19's own order
-    shown, certs = fam.at((fam.order or 0) if n is None else n, x, p, memo)
-    cert, ov = certs[0], phi_at(x, p, memo)  # the oracle value the certificate was measured against
-    lines = [f"family = {cert.family}", f"n = {cert.n}", f"x = {x}", f"precision_bits = {p}"]
+    # Family.raw_at refuses an --n other than eq18's or eq19's own order;
+    # every value is printed from its raw tuple, as nstr_fixed reads it
+    shown, certs = fam.raw_at((fam.order or 0) if n is None else n, x, p, memo)
+    family, order, _, margin, _, verdict, _ = certs[0]
+    phi = phi_at(x, p, memo)[0]  # the oracle value the certificate was measured against
+    lines = [f"family = {family}", f"n = {order}", f"x = {x}", f"precision_bits = {p}"]
     lines += [f"{key} = {nstr_fixed(value, digits)}" for key, value in shown.items()]
-    lines += [
-        f"phi = {nstr_fixed(ov.value, digits)}",
-        f"margin = {nstr_fixed(cert.margin, digits)}",
-        f"verdict = {cert.verdict}",
-    ]
+    lines += [f"phi = {nstr_fixed(phi, digits)}", f"margin = {nstr_fixed(margin, digits)}", f"verdict = {verdict}"]
     print("\n".join(lines))
-    return 0 if cert.verdict == "pass" else 1
+    return 0 if verdict == "pass" else 1
 
 
 def _verify_plan(xs: list[Fraction]) -> list[tuple]:
@@ -179,16 +178,31 @@ def _verify_plan(xs: list[Fraction]) -> list[tuple]:
 
 
 def _run_verification(args) -> dict:
+    """The verify report of args as a dict in report order: each SECTIONS
+    list holds its rows as tuples in that section's column order, the one
+    copy of the rows the writers read.  Each certify_grid call's
+    certificates become their rows as the call returns, and are dropped;
+    the run's memo is dropped with this call, before anything is written."""
     xs = grid_points(args.grid)
     p = args.precision
     tables = _faulty_tables(args.n_max) if args.inject_fault else None
     identities = [(e["identity"], e["n"], e["status"]) for e in verify_identities(args.n_max, tables)]
+    # str(x) once per point: certify_grid keeps the grid's own Fraction in
+    # each certificate.  A certificate unpacked gives its margin raw, as
+    # nstr_fixed reads it.  The text report shows a failing certificate's
+    # margin only, so it renders no other.
+    names, every_margin, digits = {id(x): str(x) for x in xs}, args.format != "text", args.digits
+
+    def rows(certs) -> list[tuple]:
+        return [(family, n, names[id(x)], nstr_fixed(margin, digits) if every_margin or verdict == "fail" else None,
+                 bits, verdict) for family, n, x, margin, bits, verdict, _ in certs]
+
     # the run's memo: each point's phi, sweep and forms are formed once per
     # run, and the deepest sweep first (Eq16's, to order 12, before Eq15's)
     plan, memo = _verify_plan(xs), {}
     deepest_first = sorted(plan, key=lambda call: FAMILIES[call[0]].depth(max(call[1])), reverse=True)
-    by_family = {family: certify_grid(family, list(orders), grid, p, memo) for family, orders, grid in deepest_first}
-    certs = [c for family, _, _ in plan for c in by_family[family]]
+    by_family = {family: rows(certify_grid(family, list(orders), grid, p, memo)) for family, orders, grid in deepest_first}
+    certificates = [row for family, _, _ in plan for row in by_family[family]]
     # oracle cross-agreement on a fixed small grid, decided exactly on the
     # values' integers (OracleValue.dyadic); the series value is the one
     # the certificates read
@@ -202,20 +216,13 @@ def _run_verification(args) -> dict:
               "grid": ":".join(str(g) for g in args.grid), "format": args.format}
     if args.out:
         config["out"] = args.out
-    # str(x) once per point: certify_grid keeps the grid's own Fraction in
-    # each certificate.  A certificate unpacked gives its margin raw, as
-    # nstr_fixed reads it.  The text report shows a failing certificate's
-    # margin only, so it renders no other.
-    names, every_margin, digits = {id(x): str(x) for x in xs}, args.format != "text", args.digits
-    rows = [(family, n, names[id(x)], nstr_fixed(margin, digits) if every_margin or verdict == "fail" else None,
-             bits, verdict) for family, n, x, margin, bits, verdict, _ in certs]
     return {
         "version": __version__,
         "config": config,
         "identities": identities,
         "oracle_agreement": agreement,
-        "certificates": rows,
-        "all_pass": all(row[-1] == "pass" for section in (identities, agreement, rows) for row in section),
+        "certificates": certificates,
+        "all_pass": all(row[-1] == "pass" for section in (identities, agreement, certificates) for row in section),
     }
 
 
@@ -232,18 +239,17 @@ def _faulty_tables(n_max: int) -> tuple[list, list]:
 
 
 def cmd_verify(args) -> int:
+    """Run the verification, then write its report to --out or stdout.  A
+    run that is refused, or fails before its rows are formed, writes
+    nothing: the report is written only once every row is formed, and
+    --out is opened only then."""
     report = _run_verification(args)
-    write_report(_render_report(report, args.format), args.out)
-    return 0 if report["all_pass"] else 1
-
-
-def write_report(text: str, path: str | None) -> None:
-    """Write a rendered report to path, or to stdout when path is None."""
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as out:
+            write_report(report, args.format, out)
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        write_report(report, args.format, sys.stdout)
+    return 0 if report["all_pass"] else 1
 
 
 def _row_template(columns) -> str:
@@ -257,54 +263,73 @@ def _row_template(columns) -> str:
 _ROW_TEMPLATES = {section: _row_template(columns) for section, columns in SECTIONS.items()}
 
 
-def _render_report(report: dict, fmt: str) -> str:
-    """The report as text in fmt: "json", "csv" or "text".
+def _write_json(report: dict, out) -> None:
+    """The bytes of json.dumps(indent=2) + "\n" of the report with each row
+    of a SECTIONS list as the dict of its columns.  Each row is written by
+    its section's template, with no escaping: every string in a row is one
+    the program forms (a family or identity name, str of a Fraction,
+    decimal digits, pass or fail), and none holds a quote, a backslash or a
+    control character.  Every other value, such as the config with its
+    user-given --out, goes through json's encoder.  A list section is
+    written a group of rows at a time, the rows that share a first column
+    (one family's certificates), so no piece holds the whole report."""
+    lead = "{\n  "
+    for key, value in report.items():
+        out.write(f'{lead}"{key}": ')
+        lead = ",\n  "
+        if key not in SECTIONS:
+            out.write(json.dumps(value, indent=2).replace("\n", "\n  "))  # a string's newline is escaped
+        elif not value:
+            out.write("[]")
+        else:
+            template, start = _ROW_TEMPLATES[key], "[\n"
+            for _, rows in groupby(value, itemgetter(0)):
+                out.write(start + ",\n".join([template % row for row in rows]))
+                start = ",\n"
+            out.write("\n  ]")
+    out.write("\n}\n")
 
-    The JSON is the bytes of json.dumps(indent=2) + "\n" of the report with
-    each row of a SECTIONS list as the dict of its columns.  Each row is
-    written by its section's template, with no escaping: every string in a
-    row is one the program forms (a family or identity name, str of a
-    Fraction, decimal digits, pass or fail), and none holds a quote, a
-    backslash or a control character.  Every other value, such as the
-    config with its user-given --out, goes through json's encoder.
-    """
-    if fmt == "json":
-        fields = []
-        for key, value in report.items():
-            if key in SECTIONS:
-                template = _ROW_TEMPLATES[key]
-                text = "[\n" + ",\n".join([template % row for row in value]) + "\n  ]" if value else "[]"
-            else:
-                text = json.dumps(value, indent=2).replace("\n", "\n  ")  # a string's newline is escaped
-            fields.append(f'"{key}": {text}')
-        return "{\n  " + ",\n  ".join(fields) + "\n}\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows((f"identity:{identity}", n, "", "", "", status) for identity, n, status in report["identities"])
-        writer.writerows(report["certificates"])
-        return buf.getvalue()
-    lines = [f"mills verify (version {report['version']})"]
-    for section, name in (  # each section's pass count, then one line per failing row
+
+def _write_csv(report: dict, out) -> None:
+    """The CSV_COLUMNS header, one row per identity and one per
+    certificate, through csv.writer on out, a row at a time."""
+    writer = csv.writer(out)
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows((f"identity:{identity}", n, "", "", "", status) for identity, n, status in report["identities"])
+    writer.writerows(report["certificates"])
+
+
+def _write_text(report: dict, out) -> None:
+    """A summary, a section at a time: each section's pass count, then one
+    line per failing row, and the verdict."""
+    out.write(f"mills verify (version {report['version']})\n")
+    for section, name in (
         ("identities", lambda identity, n, _: f"{identity} at n={n}"),
         ("certificates", lambda family, n, x, margin, *_: f"{family} n={n} x={x} margin={margin}"),
         ("oracle_agreement", lambda x, _: f"oracle agreement at x={x}"),
     ):
         rows = report[section]
-        fails = [f"  FAIL {name(*row)}" for row in rows if row[-1] == "fail"]
-        lines += [f"{section.replace('_', ' ')}: {len(rows) - len(fails)}/{len(rows)} pass", *fails]
-    lines.append("ALL PASS" if report["all_pass"] else "FAILURES PRESENT")
-    return "\n".join(lines) + "\n"
+        fails = [f"  FAIL {name(*row)}\n" for row in rows if row[-1] == "fail"]
+        out.write(f"{section.replace('_', ' ')}: {len(rows) - len(fails)}/{len(rows)} pass\n" + "".join(fails))
+    out.write("ALL PASS\n" if report["all_pass"] else "FAILURES PRESENT\n")
 
 
-def json_report_as_text(text: str) -> str:
-    """The text report of a verify report that was written as JSON, its
-    rows read back as tuples in their SECTIONS column order."""
+_WRITERS = {"json": _write_json, "csv": _write_csv, "text": _write_text}
+
+
+def write_report(report: dict, fmt: str, out) -> None:
+    """Write a verify report, as _run_verification forms it, to the text
+    stream out in fmt: "json", "csv" or "text", in pieces."""
+    _WRITERS[fmt](report, out)
+
+
+def read_json_report(text: str) -> dict:
+    """A verify report that was written as JSON, its rows read back as
+    tuples in their SECTIONS column order, as write_report takes it."""
     report = json.loads(text)
     for section, columns in SECTIONS.items():
         report[section] = [tuple(row[c] for c in columns) for row in report[section]]
-    return _render_report(report, "text")
+    return report
 
 
 def exact_str(value) -> str:

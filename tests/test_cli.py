@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import pathlib
@@ -457,6 +458,13 @@ def _verify_report(*argv) -> dict:
     return cli._run_verification(args)
 
 
+def _written(report: dict, fmt: str) -> str:
+    """What cli.write_report writes of report in fmt, as one text."""
+    buf = io.StringIO()
+    cli.write_report(report, fmt, buf)
+    return buf.getvalue()
+
+
 def _assert_same_items(got, expected, what):
     """got == expected for two sequences, item by item: a mismatch names its
     first differing item, where a bare == of two whole reports would make
@@ -472,7 +480,7 @@ def test_json_report_is_json_dumps_indent_2(argv):
     # the section templates write json.dumps(indent=2)'s layout of each row
     # as the dict of its columns; equal lines with their ends are equal texts
     report = _verify_report(*argv)
-    text = cli._render_report(report, "json")
+    text = _written(report, "json")
     parsed = json.loads(text)
     expected = json.dumps(parsed, indent=2) + "\n"
     _assert_same_items(text.splitlines(keepends=True), expected.splitlines(keepends=True), "line")
@@ -491,11 +499,11 @@ def test_json_writer_on_empty_containers_and_separator_text():
     texts = ['"', "\\", "\x00", "}\x00{", "{\n      \n    }", ",\n", "é ☃ \U0001f600"]
     for out in texts:
         report = _verify_report("--n-max", "1", "--grid", "1:1:1", "--out", out)
-        text = cli._render_report(report, "json")
+        text = _written(report, "json")
         assert text == json.dumps(json.loads(text), indent=2) + "\n", out
         assert json.loads(text)["config"]["out"] == out
         empty = {**report, **{section: [] for section in cli.SECTIONS}}
-        assert cli._render_report(empty, "json") == json.dumps(empty, indent=2) + "\n", out
+        assert _written(empty, "json") == json.dumps(empty, indent=2) + "\n", out
 
 
 # SHA-256 and length of `mills poly --which <which> --n <n>` stdout: A, B
@@ -544,6 +552,91 @@ def test_default_verify_report_bytes(capsys, monkeypatch, fmt):
     code, out, _ = run_cli(capsys, "verify", "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DEFAULT_REPORT_SHA256[fmt]
+
+
+# a default `mills verify` in a fresh interpreter, its stdout a sink that
+# hashes each write and keeps none of them, the run traced by tracemalloc
+REPORT_WRITES_SCRIPT = """
+import contextlib, hashlib, json, sys, tracemalloc
+import millsratio.cli
+
+class Sink:
+    def __init__(self):
+        self.digest, self.length, self.largest = hashlib.sha256(), 0, 0
+    def write(self, text):
+        self.digest.update(text.encode("utf-8"))
+        self.length, self.largest = self.length + len(text), max(self.largest, len(text))
+    def flush(self):
+        pass
+
+sink = Sink()
+tracemalloc.start()
+with contextlib.redirect_stdout(sink):
+    status = millsratio.cli.main(["verify", "--format", sys.argv[1]])
+peak = tracemalloc.get_traced_memory()[1]
+print(json.dumps([status, sink.digest.hexdigest(), sink.length, sink.largest, peak]))
+"""
+
+
+@pytest.mark.skipif(
+    mpmath.libmp.BACKEND != "python" or mpmath.__version__ != "1.3.0",
+    reason="report bytes are pinned for mpmath 1.3.0 with its pure-Python backend",
+)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_default_verify_writes_its_report_in_pieces(monkeypatch, fmt):
+    # the pinned bytes, written in pieces: no write carries 40% of the
+    # report (the largest JSON piece, Eq16's 1200 rows, is 31.7% of it; a
+    # CSV row is one write), and the JSON run's tracemalloc peak stays
+    # below 4 times the report's length (2.7 here, 5.0 when the report was
+    # one string)
+    monkeypatch.delenv("MILLS_PRECISION_BITS", raising=False)
+    result = subprocess.run([sys.executable, "-c", REPORT_WRITES_SCRIPT, fmt], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    status, digest, length, largest, peak = json.loads(result.stdout)
+    assert (status, digest) == (0, DEFAULT_REPORT_SHA256[fmt])
+    assert largest <= 0.4 * length, (largest, length)
+    if fmt == "json":
+        assert peak < 4 * length, (peak, length)
+
+
+def test_verify_reader_closing_the_pipe_is_quiet():
+    # `mills verify | head -1`: the report, 633 KB, is written in pieces
+    # after the run; the write after the reader closes fails, and the exit
+    # is a SIGPIPE one, 128 + 13, with nothing on stderr
+    argv = [sys.executable, "-m", "millsratio.cli", "verify"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+def test_a_planted_failing_certificate_fails_the_run(capsys, monkeypatch):
+    # one Eq19 certificate made to fail: the exit status, the JSON's
+    # all_pass and the text report's FAIL line each state it, though every
+    # identity and agreement row passes
+    real, planted = cli.certify_grid, []
+
+    def one_failing(family, orders, grid, precision_bits, memo):
+        certs = real(family, orders, grid, precision_bits, memo)
+        if family == "eq19":
+            certs[-1] = certs[-1]._replace(verdict="fail")
+            planted.append(certs[-1])
+        return certs
+
+    monkeypatch.setattr(cli, "certify_grid", one_failing)
+    argv = ["verify", "--n-max", "2", "--grid", "1:2:1", "--precision", "96"]
+    code, out, _ = run_cli(capsys, *argv)
+    report = json.loads(out)
+    assert code == 1 and report["all_pass"] is False
+    assert [row["family"] for row in report["certificates"] if row["verdict"] == "fail"] == ["Eq19"]
+    assert all(row["status"] == "pass" for section in ("identities", "oracle_agreement") for row in report[section])
+    code, out, _ = run_cli(capsys, *argv, "--format", "text")
+    family, n, x, margin = planted[-1][:4]
+    assert code == 1
+    assert out.splitlines()[-2:] == ["oracle agreement: 6/6 pass", "FAILURES PRESENT"]
+    assert f"  FAIL {family} n={n} x={x} margin={nstr_fixed(margin, 20)}" in out.splitlines()
 
 
 # SHA-256 of the `mills verify --precision <bits>` JSON report, every other

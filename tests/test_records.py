@@ -172,15 +172,16 @@ def _imports_mpmath(node) -> bool:
 
 def test_import_and_verify_load_no_mpmath():
     # a fresh interpreter: the package, the CLI, a default `mills verify` in
-    # every format and with a fault injected, `mills poly` and `mills phi`
-    # leave mpmath out of sys.modules; reading an oracle value's attribute
-    # then loads it
+    # every format and with a fault injected, `mills poly`, `mills phi` and
+    # `mills bounds` leave mpmath out of sys.modules; reading an oracle
+    # value's attribute then loads it
     script = (
         "import contextlib, io, sys\n"
         "import millsratio, millsratio.cli\n"
         "runs = [['verify'], ['verify', '--format', 'csv'], ['verify', '--format', 'text'],\n"
         "        ['verify', '--inject-fault', '--n-max', '5'], ['poly', '--which', 'P', '--n', '5'],\n"
-        "        ['phi', '--x', '-7/3', '--method', 'both']]\n"
+        "        ['phi', '--x', '-7/3', '--method', 'both'], ['bounds', '--family', 'eq15', '--x', '2'],\n"
+        "        ['bounds', '--family', 'eq17', '--n', '2', '--x=-3/2']]\n"
         "for argv in runs:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        status = millsratio.cli.main(argv)\n"
